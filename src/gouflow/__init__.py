@@ -29,7 +29,6 @@ from .gou import (
     GouTrajectory,
     causal_integral,
     euler_on_path,
-    exp_functional,
     solve_forward,
     solve_pair,
     solve_sde_euler,
@@ -59,7 +58,6 @@ from .paths import (
     eta_path,
     reverse_path,
     sample_path,
-    sample_paths,
     t_path,
     truncate_path,
     w_path,

@@ -1,12 +1,13 @@
 """Stochastic exponentials, left-point integrals and covariations on
-event-list paths.
+columnar paths.
 
 All increments already carry genuine drift, so no compensator correction
 ever appears inside an integral.  On the exact backend, segments are pure
 drift and every integral below is evaluated in closed form, which is what
 lets the almost-sure identities be tested at 1e-9 .. 1e-12 tolerances.
-The stochastic exponential multiplies factor by factor rather than
-summing logs, so jumps below -1 (sign changes) need no special casing.
+The stochastic exponential multiplies factor by factor (one cumprod)
+rather than summing logs, so jumps below -1 (sign changes) need no
+special casing.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levy import ConditionError
-from .paths import Jump, Path, Segment, _check_skeleton
+from .paths import Path, _check_skeleton
 
 __all__ = [
     "AlignedSeries",
@@ -27,6 +28,8 @@ __all__ = [
     "quadratic_covariation",
     "realized_quadratic_covariation",
 ]
+
+_TIME_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,14 +49,21 @@ class AlignedSeries:
         return float(self.values[-1])
 
     def at(self, t: float, left: bool = False) -> float:
-        tol = 1e-12
+        """Value at boundary time t (times within 1e-12 count as equal).
+
+        ``left`` reads the left limit at the first boundary at t; off the
+        boundaries, or without ``left``, the value after the last boundary
+        at or before t.
+        """
+        times = self.times
         if left:
-            hit = np.nonzero(np.abs(self.times - t) <= tol)[0]
-            if hit.size:
-                return float(self.lefts[hit[0]])
-            k = int(np.searchsorted(self.times, t, side="right")) - 1
-            return float(self.values[k])
-        k = int(np.nonzero(self.times <= t + tol)[0][-1])
+            k = int(np.searchsorted(times, t - _TIME_TOL, side="left"))
+            if k < times.size and times[k] <= t + _TIME_TOL:
+                return float(self.lefts[k])
+            return float(self.values[int(np.searchsorted(times, t, side="right")) - 1])
+        k = int(np.searchsorted(times, t + _TIME_TOL, side="right")) - 1
+        if k < 0:
+            raise IndexError(f"time {t} precedes the series")
         return float(self.values[k])
 
 
@@ -64,42 +74,36 @@ def _phi(z: float) -> float:
     return math.expm1(z) / z
 
 
-def _boundary_times(path: Path) -> np.ndarray:
-    m = len(path.events)
-    times = np.empty(m + 1)
-    times[0] = 0.0
-    t = 0.0
-    for k, ev in enumerate(path.events, start=1):
-        t = t + ev.dt if isinstance(ev, Segment) else ev.time
-        times[k] = t
-    return times
+def _aligned(x: Path, values: np.ndarray) -> AlignedSeries:
+    """Boundary values plus their left limits (the previous value at jumps)."""
+    lefts = values.copy()
+    lefts[..., 1:][x.is_jump] = values[..., :-1][x.is_jump]
+    return AlignedSeries(x.t, lefts, values)
+
+
+def _exponential(x: Path) -> np.ndarray:
+    """E(X) at every boundary: the running product of e^{dX - sigma^2 dt/2}
+    per segment and (1 + dX) per jump."""
+    jump = x.is_jump
+    if (x.du[jump] == -1.0).any():
+        raise ConditionError("stochastic exponential hits zero: jump of size -1")
+    factor = np.exp(x.du - 0.5 * x.var_du * x.dt)
+    factor[jump] = 1.0 + x.du[jump]
+    e = np.empty(x.t.shape)
+    e[..., 0] = 1.0
+    np.cumprod(factor, axis=-1, out=e[..., 1:])
+    return e
 
 
 def stochastic_exponential(x: Path) -> AlignedSeries:
-    """Doleans-Dade exponential along an event-list path.
+    """Doleans-Dade exponential along a path.
 
     Incremental form of E(X)_s = e^{X_s - sigma^2 s / 2} prod (1+dX) e^{-dX}:
     multiply by e^{dX_cont - sigma^2 dt / 2} per segment and by (1+dX) at
     jumps.  Never zero under condition (A); changes sign exactly at jumps
     below -1.
     """
-    var = x.var_du
-    m = len(x.events)
-    lefts = np.empty(m + 1)
-    values = np.empty(m + 1)
-    lefts[0] = values[0] = 1.0
-    e = 1.0
-    for k, ev in enumerate(x.events, start=1):
-        if isinstance(ev, Segment):
-            e *= math.exp(ev.du - 0.5 * var * ev.dt)
-            lefts[k] = e
-        else:
-            if ev.du == -1.0:
-                raise ConditionError("stochastic exponential hits zero: jump of size -1")
-            lefts[k] = e
-            e *= 1.0 + ev.du
-        values[k] = e
-    return AlignedSeries(_boundary_times(x), lefts, values)
+    return _aligned(x, _exponential(x))
 
 
 def exponential_with_integral(
@@ -108,50 +112,30 @@ def exponential_with_integral(
     """E(driver) together with the running integral of E(driver)^power
     against the integrator.
 
-    Exact backend: segments contribute the closed form
-    c dt E_start^power phi(power a dt) with a, c the segment rates, so the
-    result carries no discretization error.  Euler backend: left-point
-    sums on the grid.
+    One cumprod of the per-event factors gives E; one cumsum of the
+    integrator increments weighted by E_{start}^power gives the integral.
+    Exact backend: a segment with driver increment a contributes the
+    closed form c E_start^power phi(power a), so the result carries no
+    discretization error.  Euler backend: left-point sums on the grid.
     """
     if power not in (-1, 1):
         raise ValueError("power must be +1 or -1")
     _check_skeleton(driver, integrator)
-    var = driver.var_du
-    exact = driver.backend == "exact"
-    m = len(driver.events)
-    times = _boundary_times(driver)
-    e_lefts = np.empty(m + 1)
-    e_vals = np.empty(m + 1)
-    i_lefts = np.empty(m + 1)
-    i_vals = np.empty(m + 1)
-    e_lefts[0] = e_vals[0] = 1.0
-    i_lefts[0] = i_vals[0] = 0.0
-    e = 1.0
-    acc = 0.0
-    for k, (ed, ei) in enumerate(zip(driver.events, integrator.events), start=1):
-        if isinstance(ed, Segment):
-            if exact:
-                a = ed.du  # rate * dt, used directly below
-                acc += ei.du * (e ** power if power == 1 else 1.0 / e) * _phi(power * a)
-                e *= math.exp(a)
-            else:
-                acc += ei.du * (e if power == 1 else 1.0 / e)
-                e *= math.exp(ed.du - 0.5 * var * ed.dt)
-            e_lefts[k] = e
-            i_lefts[k] = acc
-        else:
-            if ed.du == -1.0:
-                raise ConditionError("driver jump of size -1")
-            e_lefts[k] = e
-            i_lefts[k] = acc
-            acc += ei.du * (e if power == 1 else 1.0 / e)
-            e *= 1.0 + ed.du
-        e_vals[k] = e
-        i_vals[k] = acc
-    return (
-        AlignedSeries(times, e_lefts, e_vals),
-        AlignedSeries(times, i_lefts, i_vals),
-    )
+    e = _exponential(driver)
+    start = e[..., :-1]
+    weighted = integrator.du * (start if power == 1 else 1.0 / start)
+    if driver.backend == "exact":
+        # phi(z) = (e^z - 1)/z, continued by 1 + z/2 near 0; 1 at jumps
+        z = power * driver.du
+        small = np.abs(z) < 1e-8
+        safe = np.where(small, 1.0, z)
+        phi = np.where(small, 1.0 + 0.5 * z, np.expm1(safe) / safe)
+        phi[driver.is_jump] = 1.0
+        weighted = weighted * phi
+    acc = np.empty(e.shape)
+    acc[..., 0] = 0.0
+    np.cumsum(weighted, axis=-1, out=acc[..., 1:])
+    return _aligned(driver, e), _aligned(driver, acc)
 
 
 def stochastic_integral(integrand_left: AlignedSeries, integrator: Path) -> AlignedSeries:
@@ -161,22 +145,12 @@ def stochastic_integral(integrand_left: AlignedSeries, integrator: Path) -> Alig
     euler backend this is the usual grid sum converging in probability as
     the step shrinks.
     """
-    m = len(integrator.events)
+    m = integrator.du.size
     if integrand_left.times.size != m + 1:
         raise ValueError("integrand is not aligned with the integrator")
-    lefts = np.empty(m + 1)
-    values = np.empty(m + 1)
-    lefts[0] = values[0] = 0.0
-    acc = 0.0
-    for k, ev in enumerate(integrator.events, start=1):
-        if isinstance(ev, Segment):
-            acc += integrand_left.values[k - 1] * ev.du
-            lefts[k] = acc
-        else:
-            lefts[k] = acc
-            acc += integrand_left.lefts[k] * ev.du
-        values[k] = acc
-    return AlignedSeries(integrand_left.times.copy(), lefts, values)
+    # segments use the value at their start, jumps the left limit
+    h = np.where(integrator.is_jump, integrand_left.lefts[1:], integrand_left.values[:-1])
+    return _aligned(integrator, np.concatenate(([0.0], np.cumsum(h * integrator.du))))
 
 
 def quadratic_covariation(x: Path, y: Path, sigma_xy: float = 0.0) -> AlignedSeries:
@@ -187,23 +161,9 @@ def quadratic_covariation(x: Path, y: Path, sigma_xy: float = 0.0) -> AlignedSer
     sum.
     """
     _check_skeleton(x, y)
-    m = len(x.events)
-    times = _boundary_times(x)
-    lefts = np.empty(m + 1)
-    values = np.empty(m + 1)
-    lefts[0] = values[0] = 0.0
-    acc = 0.0
-    t = 0.0
-    for k, (ex, ey) in enumerate(zip(x.events, y.events), start=1):
-        if isinstance(ex, Segment):
-            t += ex.dt
-            acc += sigma_xy * ex.dt
-            lefts[k] = acc
-        else:
-            lefts[k] = acc
-            acc += ex.du * ey.du
-        values[k] = acc
-    return AlignedSeries(times, lefts, values)
+    inc = sigma_xy * x.dt
+    inc[x.is_jump] = x.du[x.is_jump] * y.du[x.is_jump]
+    return _aligned(x, np.concatenate(([0.0], np.cumsum(inc))))
 
 
 def realized_quadratic_covariation(x: Path, y: Path) -> float:
@@ -212,7 +172,4 @@ def realized_quadratic_covariation(x: Path, y: Path) -> float:
     Converges to the true covariation as the euler grid is refined.
     """
     _check_skeleton(x, y)
-    total = 0.0
-    for ex, ey in zip(x.events, y.events):
-        total += ex.du * ey.du
-    return total
+    return float(np.sum(x.du * y.du))

@@ -110,6 +110,8 @@ def _cmd_run(args) -> int:
         summary["suites"][res.name] = {"pass": res.passed, "metrics": res.metrics}
         summary["pass"] = summary["pass"] and res.passed
         print(f"suite {res.name}: {'PASS' if res.passed else 'FAIL'}")
+        if not res.passed and res.detail:
+            print(res.detail, file=sys.stderr)
 
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2, default=_jsonable)

@@ -3,7 +3,7 @@
 The dual of the process driven by (U, L) is the GOU process driven by
 (W, K), where W drives the reciprocal stochastic exponential and K is
 the negated integrator process.  Both a pathwise construction (transform
-the (U, L) event list) and a distributional one (transform the model and
+the (U, L) path) and a distributional one (transform the model and
 sample fresh paths) are provided; verification suites use the latter so
 that the two sides of each identity come from independent randomness.
 """
@@ -17,9 +17,9 @@ import numpy as np
 
 from . import mc
 from .calculus import AlignedSeries
-from .gou import GouTrajectory, solve_forward, stationary_sampler
+from .gou import GouTrajectory, causal_integral, solve_forward, stationary_sampler
 from .levy import ConditionError, LevyModel2, detect_degeneracy, dual_model
-from .paths import Jump, Path, Segment
+from .paths import Path, _replace
 from .stats import EmpiricalDistribution, binomial_ci, ecdf
 
 __all__ = [
@@ -67,30 +67,21 @@ def make_dual_pair(model: LevyModel2) -> DualPair:
 
 
 def dual_path(path: Path, model: LevyModel2) -> Path:
-    """Pathwise (W, K) from a realized (U, L) event list.
+    """Pathwise (W, K) from a realized (U, L) path.
 
     Jumps (dU, dL) -> (-dU/(1+dU), -dL/(1+dU)); continuous parts
     dW = -dU + sigma_U^2 dt and dK = -dL + sigma_UL dt.  The Gaussian
     covariance is unchanged (W and K negate the Brownian parts).
     """
-    suu = model.sigma_u_sq
-    sul = model.sigma_ul
-    events = []
-    for ev in path.events:
-        if isinstance(ev, Segment):
-            events.append(Segment(ev.dt, -ev.du + suu * ev.dt, -ev.dl + sul * ev.dt))
-        else:
-            if ev.du <= -1.0:
-                raise ConditionError("dual path requires all jumps dU > -1")
-            events.append(Jump(ev.time, -ev.du / (1.0 + ev.du), -ev.dl / (1.0 + ev.du)))
-    return Path(
-        horizon=path.horizon,
-        events=tuple(events),
-        backend=path.backend,
-        cov=model.gaussian_cov,
-        label="W,K",
-        grid_dt=path.grid_dt,
-    )
+    j = path.is_jump
+    if (path.du[j] <= -1.0).any():
+        raise ConditionError("dual path requires all jumps dU > -1")
+    dt = path.dt
+    dw = -path.du + model.sigma_u_sq * dt
+    dk = -path.dl + model.sigma_ul * dt
+    dw[j] = -path.du[j] / (1.0 + path.du[j])
+    dk[j] = -path.dl[j] / (1.0 + path.du[j])
+    return _replace(path, du=dw, dl=dk, cov=model.gaussian_cov, label="W,K")
 
 
 def dual_solve(
@@ -108,9 +99,6 @@ def dual_solve(
         raise ConditionError("dual process does not exist: jumps dU <= -1 possible")
     pair = make_dual_pair(model)
     traj = solve_forward(dual_path(path, model), pair.dual, y)
-
-    from .gou import causal_integral, solve_forward as _sf  # noqa: F401
-
     fwd = solve_forward(path, model, 0.0)
     c = causal_integral(path, model)
     direct_vals = (y - c.values) / fwd.exponential.values
@@ -229,23 +217,22 @@ def hitting_time(traj: GouTrajectory, level: float = 0.0) -> HittingRecord:
     level is reported.
     """
     vals = traj.values.values
-    lefts = traj.values.lefts
-    times = traj.values.times
     if vals[0] <= level:
         return HittingRecord(True, 0.0, float(vals[0]))
-    exact = traj.backend == "exact"
-    for k, ev in enumerate(traj.path.events, start=1):
-        if isinstance(ev, Segment):
-            if exact and lefts[k] <= level < vals[k - 1]:
-                theta = _segment_crossing(float(vals[k - 1]), ev.du, ev.dl, level)
-                if theta is None:
-                    theta = 1.0  # endpoint crossing despite roundoff
-                return HittingRecord(True, float(times[k - 1] + theta * ev.dt), level)
-            if lefts[k] <= level:
-                return HittingRecord(True, float(times[k]), float(lefts[k]))
-        elif vals[k] <= level:
-            return HittingRecord(True, float(times[k]), float(vals[k]))
-    return HittingRecord(False, math.nan, math.nan)
+    below = np.flatnonzero(vals[1:] <= level)
+    if below.size == 0:
+        return HittingRecord(False, math.nan, math.nan)
+    k = int(below[0]) + 1  # first boundary at or below the level
+    times = traj.values.times
+    path = traj.path
+    if not path.is_jump[k - 1] and traj.backend == "exact":
+        du, dl = float(path.du[k - 1]), float(path.dl[k - 1])
+        theta = _segment_crossing(float(vals[k - 1]), du, dl, level)
+        if theta is None:
+            theta = 1.0  # endpoint crossing despite roundoff
+        dt = times[k] - times[k - 1]
+        return HittingRecord(True, float(times[k - 1] + theta * dt), level)
+    return HittingRecord(True, float(times[k]), float(vals[k]))
 
 
 def ruin_probability(

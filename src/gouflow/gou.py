@@ -11,7 +11,7 @@ import numpy as np
 from . import mc
 from .calculus import AlignedSeries, _phi, exponential_with_integral, stochastic_exponential
 from .levy import ConditionError, LevyModel2
-from .paths import Jump, Path, Segment, eta_path, sample_path
+from .paths import Path, _scalar, eta_path, sample_path
 from .stats import EmpiricalDistribution
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "solve_sde_euler",
     "euler_on_path",
     "causal_integral",
-    "exp_functional",
     "stationary_sampler",
 ]
 
@@ -72,28 +71,20 @@ def solve_pair(driver: Path, integrator: Path, x: float) -> GouTrajectory:
     )
 
 
+def _u_part(path: Path, model: LevyModel2) -> Path:
+    """The first component of a (U, L) path as a scalar driver."""
+    return _scalar(path, path.du, model.sigma_u_sq, "U")
+
+
 def solve_forward(path: Path, model: LevyModel2, x: float) -> GouTrajectory:
     """Solve the SDE along a sampled (U, L) path via the explicit formula."""
-    for ev in path.events:
-        if isinstance(ev, Jump) and ev.du == -1.0:
-            raise ConditionError("path has a jump with dU = -1; no solution")
-    eta = eta_path(path, model)
-    u_only = Path(
-        horizon=path.horizon,
-        events=tuple(
-            Segment(e.dt, e.du) if isinstance(e, Segment) else Jump(e.time, e.du)
-            for e in path.events
-        ),
-        backend=path.backend,
-        cov=((model.sigma_u_sq, 0.0), (0.0, 0.0)),
-        label="U",
-        grid_dt=path.grid_dt,
-    )
-    traj = solve_pair(u_only, eta, x)
+    if (path.du[path.is_jump] == -1.0).any():
+        raise ConditionError("path has a jump with dU = -1; no solution")
+    traj = solve_pair(_u_part(path, model), eta_path(path, model), x)
     return GouTrajectory(
         path=path,
         model=model,
-        x=float(x),
+        x=traj.x,
         exponential=traj.exponential,
         integral=traj.integral,
         values=traj.values,
@@ -102,7 +93,7 @@ def solve_forward(path: Path, model: LevyModel2, x: float) -> GouTrajectory:
 
 
 def euler_on_path(path: Path, model: LevyModel2, x: float) -> AlignedSeries:
-    """Step the SDE directly along an existing event list.
+    """Step the SDE directly along an existing path, event by event.
 
     At jumps V <- V (1 + dU) + dL.  Exact-backend segments carry pure
     drift and are integrated in closed form (linear ODE over the gap), so
@@ -111,29 +102,20 @@ def euler_on_path(path: Path, model: LevyModel2, x: float) -> AlignedSeries:
     grid step, which is the independent discretized route.
     """
     exact = path.backend == "exact"
-    m = len(path.events)
-    times = np.empty(m + 1)
+    m = path.du.size
     lefts = np.empty(m + 1)
     values = np.empty(m + 1)
-    times[0] = 0.0
-    lefts[0] = values[0] = float(x)
-    v = float(x)
-    t = 0.0
-    for k, ev in enumerate(path.events, start=1):
-        if isinstance(ev, Segment):
-            t += ev.dt
-            if exact:
-                v = v * math.exp(ev.du) + ev.dl * _phi(ev.du)
-            else:
-                v = v * (1.0 + ev.du) + ev.dl
+    lefts[0] = values[0] = v = float(x)
+    steps = zip(path.is_jump.tolist(), path.du.tolist(), path.dl.tolist())
+    for k, (jump, du, dl) in enumerate(steps, start=1):
+        if jump:
             lefts[k] = v
+            v = v * (1.0 + du) + dl
         else:
-            t = ev.time
+            v = v * math.exp(du) + dl * _phi(du) if exact else v * (1.0 + du) + dl
             lefts[k] = v
-            v = v * (1.0 + ev.du) + ev.dl
-        times[k] = t
         values[k] = v
-    return AlignedSeries(times, lefts, values)
+    return AlignedSeries(path.t, lefts, values)
 
 
 def solve_sde_euler(
@@ -151,17 +133,7 @@ def solve_sde_euler(
     """
     path = sample_path(model, horizon, rng, grid_dt)
     series = euler_on_path(path, model, x)
-    u_only = Path(
-        horizon=path.horizon,
-        events=tuple(
-            Segment(e.dt, e.du) if isinstance(e, Segment) else Jump(e.time, e.du)
-            for e in path.events
-        ),
-        backend=path.backend,
-        cov=((model.sigma_u_sq, 0.0), (0.0, 0.0)),
-        grid_dt=path.grid_dt,
-    )
-    e = stochastic_exponential(u_only)
+    e = stochastic_exponential(_u_part(path, model))
     integral = AlignedSeries(
         series.times, series.lefts / e.lefts - x, series.values / e.values - x
     )
@@ -178,52 +150,9 @@ def solve_sde_euler(
 
 def causal_integral(path: Path, model: LevyModel2) -> AlignedSeries:
     """Running int_(0,s] E(U)_{r-} dL_r along one path."""
-    u_only = Path(
-        horizon=path.horizon,
-        events=tuple(
-            Segment(e.dt, e.du) if isinstance(e, Segment) else Jump(e.time, e.du)
-            for e in path.events
-        ),
-        backend=path.backend,
-        cov=((model.sigma_u_sq, 0.0), (0.0, 0.0)),
-        grid_dt=path.grid_dt,
-    )
-    l_only = Path(
-        horizon=path.horizon,
-        events=tuple(
-            Segment(e.dt, e.dl) if isinstance(e, Segment) else Jump(e.time, e.dl)
-            for e in path.events
-        ),
-        backend=path.backend,
-        grid_dt=path.grid_dt,
-    )
-    _, integral = exponential_with_integral(u_only, l_only, power=1)
+    l_part = _scalar(path, path.dl, 0.0, "L")
+    _, integral = exponential_with_integral(_u_part(path, model), l_part, power=1)
     return integral
-
-
-def exp_functional(
-    model: LevyModel2,
-    kind: str,
-    horizon: float,
-    rng: np.random.Generator,
-    grid_dt: float = 1e-3,
-) -> tuple[float, float]:
-    """One sample of the truncated exponential functional plus its
-    truncation diagnostic.
-
-    causal: int_(0,T] E(U)_{s-} dL_s, diagnostic |E(U)_T| (should be small
-    when the causal stationary regime applies).
-    noncausal: -int_(0,T] E(U)_{s-}^{-1} d eta_s, diagnostic |E(U)_T^{-1}|.
-    Divergence is reported through the diagnostic, never raised.
-    """
-    if kind not in ("causal", "noncausal"):
-        raise ValueError("kind must be 'causal' or 'noncausal'")
-    path = sample_path(model, horizon, rng, grid_dt)
-    traj = solve_forward(path, model, 0.0)
-    e_t = traj.exponential.final()
-    if kind == "causal":
-        return causal_integral(path, model).final(), abs(e_t)
-    return -traj.integral.final(), abs(1.0 / e_t)
 
 
 def stationary_sampler(
@@ -242,7 +171,7 @@ def stationary_sampler(
     The metadata records the fraction of paths whose truncation diagnostic
     exceeded the threshold; above 5% the result is flagged.  Dispatches to
     the vectorized lane when the model shape allows, otherwise falls back
-    to per-path event lists.
+    to the event lane, one path at a time.
     """
     values, diags = mc.exp_functional_samples(
         model, kind, n, horizon, seed, grid_dt=grid_dt, workers=workers, label=label

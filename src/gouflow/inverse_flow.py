@@ -14,21 +14,21 @@ them to float precision rather than statistically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import AlignedSeries
 from .gou import GouTrajectory, solve_forward, solve_pair
 from .levy import ConditionError, LevyModel2
 from .paths import (
-    Jump,
     Path,
-    Segment,
+    _eventwise,
+    _null_jumps_at,
+    _scalar,
     eta_path,
     reverse_path,
     t_path,
+    truncate_path,
 )
 
 __all__ = [
@@ -100,53 +100,14 @@ def eta_tilde_path(reversed_ul: Path, model: LevyModel2) -> Path:
     Jumps d eta~ = dL~ / (1 - dU~); continuous part dL~ + sigma_UL dt.
     Equivalently (tested): the time reversal of the forward eta path.
     """
-    sul = model.sigma_ul
-    events = []
-    for ev in reversed_ul.events:
-        if isinstance(ev, Segment):
-            events.append(Segment(ev.dt, ev.dl + sul * ev.dt))
-        else:
-            if ev.du == 1.0:
-                raise ConditionError("eta~ undefined: reversed jump of size 1")
-            events.append(Jump(ev.time, ev.dl / (1.0 - ev.du)))
-    return Path(
-        horizon=reversed_ul.horizon,
-        events=tuple(events),
-        backend=reversed_ul.backend,
-        cov=((model.sigma_l_sq, 0.0), (0.0, 0.0)),
-        label="eta~",
-        grid_dt=reversed_ul.grid_dt,
+    du = _eventwise(
+        reversed_ul,
+        reversed_ul.dl + model.sigma_ul * reversed_ul.dt,
+        lambda du, dl: dl / (1.0 - du),
+        lambda du: du == 1.0,
+        "eta~ undefined: reversed jump of size 1",
     )
-
-
-def _split(reversed_pair: Path, model: LevyModel2) -> tuple[Path, Path]:
-    """T driver and L~ integrator as aligned scalar paths."""
-    tp = t_path(reversed_pair, model.sigma_u_sq)
-    t_events = []
-    l_events = []
-    for ev in tp.events:
-        if isinstance(ev, Segment):
-            t_events.append(Segment(ev.dt, ev.du))
-            l_events.append(Segment(ev.dt, ev.dl))
-        else:
-            t_events.append(Jump(ev.time, ev.du))
-            l_events.append(Jump(ev.time, ev.dl))
-    base = dict(
-        horizon=tp.horizon, backend=tp.backend, grid_dt=tp.grid_dt
-    )
-    driver = Path(
-        events=tuple(t_events),
-        cov=((model.sigma_u_sq, 0.0), (0.0, 0.0)),
-        label="T",
-        **base,
-    )
-    integrator = Path(
-        events=tuple(l_events),
-        cov=((model.sigma_l_sq, 0.0), (0.0, 0.0)),
-        label="L~",
-        **base,
-    )
-    return driver, integrator
+    return _scalar(reversed_ul, du, model.sigma_l_sq, "eta~")
 
 
 def inverse_flow_solve(
@@ -154,7 +115,8 @@ def inverse_flow_solve(
 ) -> GouTrajectory:
     """Run the inverse flow on [0, t] from level y.
 
-    Internally also builds eta~ both from the reversed pair and by
+    The driver is T, built from the reversed pair, and the integrator is
+    L~.  Internally also builds eta~ both from the reversed pair and by
     reversing the forward eta path; on the exact backend the two must
     agree eventwise (the euler backend shares increments, so they agree
     there too).
@@ -162,20 +124,16 @@ def inverse_flow_solve(
     if t > path.horizon + 1e-12:
         raise ValueError("t beyond the path horizon")
     rev = reverse_path(path, t)
-    driver, integrator = _split(rev, model)
-
     eta_a = eta_tilde_path(rev, model)
     eta_b = reverse_path(eta_path(path, model), t)
-    errs = [
-        abs(ea.du - eb.du)
-        for ea, eb in zip(eta_a.events, eta_b.events)
-    ]
-    if errs and max(errs) > check_tol:
+    err = float(np.max(np.abs(eta_a.du - eta_b.du), initial=0.0))
+    if err > check_tol:
         raise ArithmeticError(
-            f"eta~ construction routes disagree (max increment error {max(errs):.3e})"
+            f"eta~ construction routes disagree (max increment error {err:.3e})"
         )
-
-    return solve_pair(driver, integrator, y)
+    tp = t_path(rev, model.sigma_u_sq)
+    driver = _scalar(tp, tp.du, model.sigma_u_sq, "T")
+    return solve_pair(driver, _scalar(tp, tp.dl, model.sigma_l_sq, "L~"), y)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +141,8 @@ def inverse_flow_solve(
 # ---------------------------------------------------------------------------
 
 
-def _mixed_error(a: float, b: float) -> float:
-    return abs(a - b) / (1.0 + max(abs(a), abs(b)))
+def _mixed_error(a, b):
+    return np.abs(a - b) / (1.0 + np.maximum(np.abs(a), np.abs(b)))
 
 
 def verify_pathwise_identity(
@@ -192,37 +150,31 @@ def verify_pathwise_identity(
 ) -> dict:
     """Max deviation in V_{(t-s)-} = R_s over all event boundaries.
 
-    R is the inverse flow started at y = V_t^x.  The error metric is
-    |lhs - rhs| / (1 + max(|lhs|, |rhs|)); on the exact backend it should
-    sit at float-precision level, on the euler backend it shrinks with
-    the grid step and is reported for convergence studies.
+    R is the inverse flow started at y = V_{t-}^x.  Reversed boundary j
+    is forward boundary m - j, so the two sides are compared as aligned
+    arrays.  At a reversed jump at s the boundary after it holds R_s and
+    meets V_{(t-s)-}, the one before it holds R_{s-} and meets the other
+    one-sided limit V_{t-s}; the left limits of R repeat these values.
+    The error metric is |lhs - rhs| / (1 + max(|lhs|, |rhs|)); on the
+    exact backend it should sit at float-precision level, on the euler
+    backend it shrinks with the grid step and is reported for convergence
+    studies.  A stacked batch (``stack_paths``, t at the horizon) gets one
+    ``max_error`` per row.
     """
     t = path.horizon if t is None else float(t)
-    traj = solve_forward(path, model, x)
-    # start from the left limit: a jump exactly at the reversal time is not
-    # part of the reversed path (V_{(t-s)-} never involves it either)
-    v_t = traj.values.at(t, left=True)
-    rtraj = inverse_flow_solve(path, model, t, v_t)
-
-    max_err = 0.0
-    times = rtraj.values.times
-    for k in range(times.size):
-        s = times[k]
-        # skip the first of two boundaries sharing a time (segment end
-        # followed by a jump): its value is the next boundary's left limit
-        if k + 1 < times.size and times[k + 1] == s:
-            continue
-        lhs = traj.values.at(t - s, left=True) if s > 0 else v_t
-        rhs = float(rtraj.values.values[k])
-        max_err = max(max_err, _mixed_error(lhs, rhs))
-        if s > 0:
-            # left limits match the other one-sided limits: R_{s-} = V_{t-s}
-            lhs_l = traj.values.at(t - s) if s < t else traj.values.values[0]
-            rhs_l = float(rtraj.values.lefts[k])
-            max_err = max(max_err, _mixed_error(float(lhs_l), rhs_l))
+    fwd = truncate_path(path, t) if t < path.horizon - 1e-12 else path
+    # a jump exactly at the reversal time is not part of the reversed path
+    # (V_{(t-s)-} never involves it either)
+    fwd = _null_jumps_at(fwd, t)
+    v = solve_forward(fwd, model, x).values.values
+    rtraj = inverse_flow_solve(fwd, model, t, 0.0)
+    # R^y = E(T) (y + I) for every start y, here y = V_{t-}
+    r = rtraj.exponential.values * (v[..., -1:] + rtraj.integral.values)
+    max_err = _mixed_error(v[..., ::-1], r).max(axis=-1)
+    real = fwd.is_jump | (fwd.dt > 0.0)  # not the null segments padding a batch
     return {
-        "max_error": max_err,
-        "n_points": int(times.size),
+        "max_error": float(max_err) if max_err.ndim == 0 else max_err,
+        "n_points": int(real.sum()) + v.size // v.shape[-1],
         "t": t,
         "x": float(x),
         "backend": path.backend,
@@ -257,7 +209,7 @@ def flow_inverse_check(
         "y": float(y),
         "x_from_map": float(x_direct),
         "r_left": float(r_left),
-        "error": _mixed_error(float(x_direct), float(r_left)),
+        "error": float(_mixed_error(float(x_direct), float(r_left))),
         "slope": fmap.slope,
         "intercept": fmap.intercept,
     }

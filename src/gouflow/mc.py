@@ -13,7 +13,8 @@ independent of the worker count:
   an O(dt) bias that would dominate the statistics), Brownian integrands
   use left-point Ito sums.
 * event lane: anything else (Gaussian part plus jumps) falls back to
-  per-path event lists.
+  one columnar path at a time, solved by the closed-form kernel of
+  ``calculus``.
 
 All per-path hit detection is expressed through the running minimum of
 the integral process I_s = int E^{-1} d eta: when E stays positive,
@@ -30,7 +31,7 @@ import numpy as np
 
 from .levy import ConditionError, LevyModel2
 from .rng import BLOCK_SIZE, stream
-from .paths import sample_path
+from .paths import _cov_sqrt, sample_path
 
 __all__ = [
     "run_blocks",
@@ -155,11 +156,6 @@ def _jump_block(model, horizon, rng, size):
 # ---------------------------------------------------------------------------
 
 
-def _cov_sqrt(cov) -> np.ndarray:
-    w, v = np.linalg.eigh(np.array(cov))
-    return v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-
-
 def _diffusion_block(model, horizon, rng, size, grid_dt):
     b_u, b_l = model.drift
     suu = model.sigma_u_sq
@@ -202,7 +198,6 @@ def _diffusion_block(model, horizon, rng, size, grid_dt):
 
 def _event_block(model, horizon, rng, size, grid_dt):
     from .gou import causal_integral, solve_forward
-    from .paths import path_values
 
     out = {k: np.empty(size) for k in ("e", "i", "c", "i_min", "u", "l")}
     for j in range(size):
@@ -214,9 +209,8 @@ def _event_block(model, horizon, rng, size, grid_dt):
         out["i_min"][j] = min(
             0.0, float(traj.integral.values.min()), float(traj.integral.lefts.min())
         )
-        _, _, ur, _, lr = path_values(path)
-        out["u"][j] = ur[-1]
-        out["l"][j] = lr[-1]
+        out["u"][j] = path.du.sum()
+        out["l"][j] = path.dl.sum()
     return out
 
 

@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["stream", "block_streams", "BLOCK_SIZE"]
+__all__ = ["stream", "BLOCK_SIZE"]
 
 # Fixed block granularity for batched Monte Carlo.  Results are assembled
 # block by block, so worker count never changes the sample.
@@ -28,7 +28,3 @@ def stream(seed: int, label: str = "", index: int = 0) -> np.random.Generator:
     """Return the Philox generator for (seed, label, index)."""
     return np.random.Generator(np.random.Philox(key=_key(seed, label, index)))
 
-
-def block_streams(seed: int, label: str, n_blocks: int):
-    """Generators for blocks 0..n_blocks-1 of one labelled sampling task."""
-    return [stream(seed, label, b) for b in range(n_blocks)]

@@ -30,7 +30,6 @@ from gouflow import (
 from gouflow import mc
 from gouflow.calculus import stochastic_exponential
 from gouflow.levy import JumpLaw2, LevyModel2
-from gouflow.paths import Jump, Path, Segment
 from gouflow.presets import get_preset
 from gouflow.rng import stream
 from gouflow.stats import ecdf, ks_two_sample
@@ -51,13 +50,7 @@ def record(num, desc, passed, detail=""):
 def _u_only(path):
     from dataclasses import replace
 
-    return replace(
-        path,
-        events=tuple(
-            Segment(e.dt, e.du) if isinstance(e, Segment) else Jump(e.time, e.du)
-            for e in path.events
-        ),
-    )
+    return replace(path, dl=np.zeros_like(path.dl))
 
 
 MIXED_A = LevyModel2(

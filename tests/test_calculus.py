@@ -22,7 +22,7 @@ from conftest import make_stream
 
 
 def _path(events, horizon, backend="exact"):
-    p = Path(horizon=horizon, events=tuple(events), backend=backend)
+    p = Path.from_events(horizon=horizon, events=events, backend=backend)
     p.validate()
     return p
 
@@ -57,7 +57,7 @@ def test_exponential_sign_change_below_minus_one():
 
 
 def test_exponential_rejects_minus_one_jump():
-    p = Path(horizon=1.0, events=(Segment(1.0, 0.0), Jump(1.0, -1.0)), backend="exact")
+    p = Path.from_events(1.0, (Segment(1.0, 0.0), Jump(1.0, -1.0)), backend="exact")
     from gouflow import ConditionError
 
     with pytest.raises(ConditionError):
@@ -67,7 +67,7 @@ def test_exponential_rejects_minus_one_jump():
 def test_exponential_ito_correction_on_euler_backend():
     """On the euler backend E carries the -var/2 dt correction so that its
     log increments have the exact mean."""
-    p = Path(
+    p = Path.from_events(
         horizon=1.0,
         events=(Segment(1.0, 0.5),),
         backend="euler",
@@ -206,3 +206,62 @@ def test_aligned_series_at_lookup():
     assert s.at(1.5) == 4.0
     assert s.at(2.0) == 6.0
     assert s.final() == 6.0
+
+
+def loop_exponential_with_integral(driver, integrator, power):
+    """Reference: the kernel as a per-event recurrence over the columns."""
+    var = driver.var_du
+    exact = driver.backend == "exact"
+    m = driver.du.size
+    e_vals = np.empty(m + 1)
+    i_vals = np.empty(m + 1)
+    e_vals[0], i_vals[0] = 1.0, 0.0
+    e, acc = 1.0, 0.0
+    for k in range(m):
+        a, c, dt = driver.du[k], integrator.du[k], driver.t[k + 1] - driver.t[k]
+        weight = e if power == 1 else 1.0 / e
+        if driver.is_jump[k]:
+            acc += c * weight
+            e *= 1.0 + a
+        elif exact:
+            acc += c * weight * _phi(power * a)
+            e *= math.exp(a)
+        else:
+            acc += c * weight
+            e *= math.exp(a - 0.5 * var * dt)
+        e_vals[k + 1], i_vals[k + 1] = e, acc
+    return e_vals, i_vals
+
+
+@pytest.mark.parametrize("power", [-1, 1])
+@pytest.mark.parametrize("name", ["mixed", "sign-flip", "dufresne", "jump-diffusion"])
+def test_kernel_matches_loop_reference(name, power, mixed_jump_model, sign_flip_model,
+                                       dufresne_model):
+    """cumprod/cumsum keep the loop's operation order; only exp/expm1 may
+    round differently, so a few ulps per event bound the difference."""
+    from dataclasses import replace
+
+    from gouflow import JumpLaw2, LevyModel2
+
+    models = {
+        "mixed": mixed_jump_model,
+        "sign-flip": sign_flip_model,
+        "dufresne": dufresne_model,
+        "jump-diffusion": LevyModel2(
+            drift=(-1.0, 1.0),
+            gaussian_cov=((0.5, 0.0), (0.0, 0.0)),
+            jump_intensity=1.0,
+            jump_law=JumpLaw2.point_mass([((0.5, 0.5), 0.5), ((-0.3, 0.2), 0.5)]),
+        ),
+    }
+    m = models[name]
+    for i in range(10):
+        p = sample_path(m, 2.0, make_stream(f"kernel-{name}", i), 2e-3)
+        driver = replace(p, cov=((m.sigma_u_sq, 0.0), (0.0, 0.0)))
+        integrator = replace(p, du=p.dl)
+        e, integral = exponential_with_integral(driver, integrator, power=power)
+        e_ref, i_ref = loop_exponential_with_integral(driver, integrator, power)
+        scale = 1e-12 * (1.0 + np.abs(e_ref))
+        assert np.all(np.abs(e.values - e_ref) <= scale)
+        scale = 1e-12 * (1.0 + np.maximum.accumulate(np.abs(i_ref)))
+        assert np.all(np.abs(integral.values - i_ref) <= scale)

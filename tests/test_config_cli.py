@@ -210,3 +210,37 @@ def test_cli_exit_one_on_failure(tmp_path, monkeypatch):
     monkeypatch.setitem(suites.SUITE_RUNNERS, "monotonicity", fake)
     path = _write(tmp_path, GOOD)
     assert main(["run", "--config", path, "--out", str(tmp_path / "f")]) == 1
+
+
+def test_cli_inverse_flow_failure_names_worst_path(tmp_path, monkeypatch, capsys):
+    """A failing inverse-flow suite prints its worst path on stderr and
+    leaves the summary.json keys as they are."""
+    import gouflow.suites as suites
+
+    text = "schema_version: 1\nseed: 1\npreset: drift-ou\nsuite: inverse-flow\nn_paths: 20\n"
+    path = _write(tmp_path, text)
+    out_ok = str(tmp_path / "ok")
+    assert main(["run", "--config", path, "--out", out_ok]) == 0
+    assert "worst path" not in capsys.readouterr().err
+
+    real = suites.verify_pathwise_identity
+
+    def inflated(path, model, x, t=None):
+        rep = real(path, model, x, t)
+        errs = rep["max_error"].copy()
+        errs[7] = 1e-3
+        return {**rep, "max_error": errs}
+
+    monkeypatch.setattr(suites, "verify_pathwise_identity", inflated)
+    out_bad = str(tmp_path / "bad")
+    assert main(["run", "--config", path, "--out", out_bad]) == 1
+    err = capsys.readouterr().err
+    assert "worst path 7 (grid_dt exact) max_error 1.000e-03" in err
+    ok = json.load(open(os.path.join(out_ok, "summary.json")))
+    bad = json.load(open(os.path.join(out_bad, "summary.json")))
+    assert ok.keys() == bad.keys()
+    assert ok["suites"]["inverse-flow"].keys() == bad["suites"]["inverse-flow"].keys()
+    assert (
+        ok["suites"]["inverse-flow"]["metrics"].keys()
+        == bad["suites"]["inverse-flow"]["metrics"].keys()
+    )

@@ -6,12 +6,12 @@ import pytest
 from gouflow import (
     causal_integral,
     euler_on_path,
-    exp_functional,
     solve_forward,
     solve_pair,
     solve_sde_euler,
     stationary_sampler,
 )
+from gouflow import mc
 from gouflow.levy import ConditionError
 from gouflow.paths import Jump, Path, Segment, sample_path
 from gouflow.presets import get_preset
@@ -76,7 +76,7 @@ def test_jump_update_identity(mixed_jump_model):
 
 
 def test_solve_forward_rejects_minus_one():
-    p = Path(
+    p = Path.from_events(
         horizon=1.0,
         events=(Segment(1.0, 0.0, 0.0), Jump(1.0, -1.0, 0.5)),
         backend="exact",
@@ -129,11 +129,12 @@ def test_causal_integral_via_integration_by_parts(mixed_jump_model):
 
 
 def test_exp_functional_diagnostics(dufresne_model):
-    val, diag = exp_functional(dufresne_model, "causal", 15.0, make_stream("ef", 0))
+    vals, diags = mc.exp_functional_samples(dufresne_model, "causal", 1, 15.0, seed=999)
+    val, diag = vals[0], diags[0]
     assert val > 0  # unit income stream discounted positively
     assert diag < 1e-6  # contracting regime: E_T tiny
     with pytest.raises(ValueError):
-        exp_functional(dufresne_model, "bogus", 1.0, make_stream("ef", 1))
+        mc.exp_functional_samples(dufresne_model, "bogus", 1, 1.0, seed=999)
 
 
 def test_stationary_sampler_flags_divergence():

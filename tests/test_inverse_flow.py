@@ -6,14 +6,28 @@ import pytest
 from gouflow import (
     ConditionError,
     FlowMap,
+    JumpLaw2,
+    LevyModel2,
     flow_inverse_check,
     flow_map,
     inverse_flow_solve,
     solve_forward,
     verify_pathwise_identity,
 )
-from gouflow.paths import sample_path
-from gouflow.presets import get_preset
+from gouflow import inverse_flow
+from gouflow.config import ExperimentConfig
+from gouflow.paths import (
+    Jump,
+    Path,
+    Segment,
+    reverse_path,
+    sample_path,
+    stack_paths,
+    truncate_path,
+)
+from gouflow.presets import PRESETS, get_preset
+from gouflow.rng import stream
+from gouflow.suites import inverse_flow_suite
 
 from conftest import make_stream
 
@@ -113,3 +127,163 @@ def test_degenerate_inverse_flow_keeps_constant():
         p = sample_path(m, 2.0, make_stream("deg-if", i))
         r = inverse_flow_solve(p, m, 2.0, y=2.0)
         assert np.max(np.abs(r.values.values - 2.0)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the index-aligned check against a lookup oracle
+# ---------------------------------------------------------------------------
+
+JUMP_DIFFUSION = LevyModel2(
+    drift=(-1.0, 1.0),
+    gaussian_cov=((0.5, 0.0), (0.0, 0.0)),
+    jump_intensity=1.0,
+    jump_law=JumpLaw2.point_mass([((0.5, 0.5), 0.5), ((-0.3, 0.2), 0.5)]),
+)
+
+
+def _mixed(a, b):
+    return abs(a - b) / (1.0 + max(abs(a), abs(b)))
+
+
+def lookup_identity_error(path, model, x, t=None):
+    """Reference route: pair each reversed boundary s with the forward
+    solution at time t - s by ``AlignedSeries.at`` lookups instead of by
+    index.  The first of two reversed boundaries sharing a time is the
+    pre-jump state and is compared through the next boundary's left limit.
+    """
+    t = path.horizon if t is None else float(t)
+    fwd = truncate_path(path, t) if t < path.horizon - 1e-12 else path
+    traj = solve_forward(fwd, model, x)
+    v_t = traj.values.at(t, left=True)
+    rtraj = inverse_flow_solve(path, model, t, v_t)
+    max_err = 0.0
+    times = rtraj.values.times
+    for k in range(times.size):
+        s = times[k]
+        if k + 1 < times.size and times[k + 1] == s:
+            continue
+        lhs = traj.values.at(t - s, left=True) if s > 0 else v_t
+        max_err = max(max_err, _mixed(lhs, float(rtraj.values.values[k])))
+        if s > 0:
+            # R_{s-} = V_{t-s}
+            lhs_l = traj.values.at(t - s) if s < t else traj.values.values[0]
+            max_err = max(max_err, _mixed(float(lhs_l), float(rtraj.values.lefts[k])))
+    return max_err
+
+
+HAND_BUILT = Path.from_events(
+    horizon=2.0,
+    events=(
+        Segment(0.5, -0.25, 0.5),
+        Jump(0.5, 0.5, -1.0),
+        Segment(0.75, 0.375, -0.25),
+        Jump(1.25, -0.5, 2.0),
+        Segment(0.75, -0.125, 0.75),
+        Jump(2.0, 1.0, 0.5),  # exactly at the reversal time
+    ),
+    backend="exact",
+)
+
+
+@pytest.mark.parametrize("t", [2.0, 1.25, 0.5, 1.0, 1.7])
+def test_aligned_check_matches_lookup_on_hand_built_path(mixed_jump_model, t):
+    """Reversal at the horizon and at jump times (a jump exactly at the
+    reversal time), and inside segments."""
+    HAND_BUILT.validate()
+    rep = verify_pathwise_identity(HAND_BUILT, mixed_jump_model, 0.75, t=t)
+    ref = lookup_identity_error(HAND_BUILT, mixed_jump_model, 0.75, t=t)
+    assert abs(rep["max_error"] - ref) <= 1e-12
+    assert rep["max_error"] <= 1e-9
+
+
+def test_aligned_check_matches_lookup_under_truncation(mixed_jump_model):
+    for i in range(30):
+        p = sample_path(mixed_jump_model, 2.0, make_stream("trunc-oracle", i))
+        for t in (0.3, 1.1, 1.9):
+            rep = verify_pathwise_identity(p, mixed_jump_model, 1.0, t=t)
+            ref = lookup_identity_error(p, mixed_jump_model, 1.0, t=t)
+            assert abs(rep["max_error"] - ref) <= 1e-12, (i, t)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_aligned_check_matches_lookup_on_every_preset(name):
+    m = get_preset(name).model
+    n = 5 if m.has_gaussian else 40
+    for i in range(n):
+        p = sample_path(m, 2.0, make_stream(f"oracle-{name}", i), 4e-3)
+        rep = verify_pathwise_identity(p, m, 1.0)
+        ref = lookup_identity_error(p, m, 1.0)
+        assert abs(rep["max_error"] - ref) <= 1e-12, (i, rep["max_error"], ref)
+
+
+def test_stacked_batch_matches_single_paths(mixed_jump_model):
+    paths = [sample_path(mixed_jump_model, 2.0, make_stream("stack", i)) for i in range(25)]
+    rep = verify_pathwise_identity(stack_paths(paths), mixed_jump_model, 1.0)
+    single = [verify_pathwise_identity(p, mixed_jump_model, 1.0)["max_error"] for p in paths]
+    assert np.array_equal(rep["max_error"], single)
+    assert rep["n_points"] == sum(p.du.size + 1 for p in paths)
+
+
+def _unnegated_jumps(path, at=None):
+    """Mutant reversal: jumps keep their sign."""
+    from dataclasses import replace
+
+    r = reverse_path(path, at)
+    j = r.is_jump
+    return replace(r, du=np.where(j, -r.du, r.du), dl=np.where(j, -r.dl, r.dl))
+
+
+U_JUMPS_ONLY = LevyModel2(
+    drift=(-0.5, 0.3),
+    jump_intensity=3.0,
+    jump_law=JumpLaw2.point_mass([((0.5, 0.0), 0.5), ((-0.25, 0.0), 0.5)]),
+)
+L_JUMPS_ONLY = get_preset("drift-ou").model
+BOTH_JUMPS = LevyModel2(
+    drift=(-0.5, 0.3),
+    jump_intensity=3.0,
+    jump_law=JumpLaw2.point_mass([((0.5, -1.0), 0.5), ((-0.25, 0.75), 0.5)]),
+)
+
+
+@pytest.mark.parametrize("m", [U_JUMPS_ONLY, L_JUMPS_ONLY], ids=["U-jumps", "L-jumps"])
+def test_unnegated_reversal_is_detected(monkeypatch, m):
+    """Power: reversing with unnegated jumps breaks the identity far above
+    float precision.  With jumps in one component only, the eta~ route
+    check cannot catch the mutant first."""
+    monkeypatch.setattr(inverse_flow, "reverse_path", _unnegated_jumps)
+    worst = max(
+        verify_pathwise_identity(sample_path(m, 2.0, make_stream("power", i)), m, 1.0)[
+            "max_error"
+        ]
+        for i in range(20)
+    )
+    assert worst > 1e-3
+
+
+def test_unnegated_reversal_trips_eta_route_check(monkeypatch):
+    monkeypatch.setattr(inverse_flow, "reverse_path", _unnegated_jumps)
+    p = sample_path(BOTH_JUMPS, 2.0, make_stream("power-mixed", 0))
+    assert len(p.jumps()) > 0
+    with pytest.raises(ArithmeticError):
+        verify_pathwise_identity(p, BOTH_JUMPS, 1.0)
+
+
+def test_jump_diffusion_euler_identity_regression():
+    """Gaussian part plus jumps: each reversed jump is paired with the right
+    one-sided limit.  Pairing by bitwise-equal boundary times put the error
+    of this path at 0.333 (dT = -1/3 for dU = 0.5) at every grid step."""
+    p = sample_path(JUMP_DIFFUSION, 1.0, stream(1, "invflow:0.001", 1), 1e-3)
+    assert len(p.jumps()) > 0
+    rep = verify_pathwise_identity(p, JUMP_DIFFUSION, 1.0)
+    assert rep["max_error"] < 0.05
+
+
+def test_jump_diffusion_inverse_flow_suite_passes_seed_1():
+    cfg = ExperimentConfig(
+        seed=1, suite="inverse-flow", model=JUMP_DIFFUSION, n_paths=30, horizon=1.0
+    )
+    res = inverse_flow_suite(cfg)
+    medians = res.metrics["median_errors"]
+    assert res.passed, medians
+    assert medians[-1] < 0.05

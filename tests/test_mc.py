@@ -60,7 +60,7 @@ def _path_from_arrays(model, horizon, jt, ju, jl):
         t = float(time)
     if horizon - t > 1e-12:
         events.append(Segment(horizon - t, b_u * (horizon - t), b_l * (horizon - t)))
-    return Path(horizon=horizon, events=tuple(events), backend="exact")
+    return Path.from_events(horizon=horizon, events=events, backend="exact")
 
 
 def test_jump_boundary_arrays_match_event_route(mixed_jump_model):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gouflow import (
+    AlignedSeries,
     ConditionError,
     Jump,
     Path,
@@ -13,7 +14,6 @@ from gouflow import (
     eta_path,
     reverse_path,
     sample_path,
-    sample_paths,
     t_path,
     truncate_path,
     w_path,
@@ -24,7 +24,6 @@ from gouflow.paths import (
     pair_path,
     path_values,
     recover_ul_from_xi_eta,
-    value_at,
 )
 
 from conftest import make_stream
@@ -56,8 +55,16 @@ def test_sample_path_backend_selection(mixed_jump_model, dufresne_model):
         sample_path(dufresne_model, 1.0, make_stream("b", 2), backend="exact")
 
 
+def value_at(path, t, left=False):
+    """(U, L) value at event-boundary time t (left limit if requested)."""
+    times, ul, ur, ll, lr = path_values(path)
+    u = AlignedSeries(times, ul, ur).at(t, left=left)
+    l = AlignedSeries(times, ll, lr).at(t, left=left)
+    return u, l
+
+
 def test_sample_paths_batched_matches_count(mixed_jump_model):
-    paths = sample_paths(mixed_jump_model, 2.0, 7, make_stream("batch", 0))
+    paths = [sample_path(mixed_jump_model, 2.0, make_stream("batch", i)) for i in range(7)]
     assert len(paths) == 7
     for p in paths:
         p.validate()
@@ -104,11 +111,7 @@ def test_xi_path_rejects_sign_flips(sign_flip_model):
 def _u_only(path, model=None):
     from dataclasses import replace
 
-    events = tuple(
-        Segment(e.dt, e.du) if isinstance(e, Segment) else Jump(e.time, e.du)
-        for e in path.events
-    )
-    return replace(path, events=events, cov=((path.var_du, 0.0), (0.0, 0.0)))
+    return replace(path, dl=np.zeros_like(path.dl), cov=((path.var_du, 0.0), (0.0, 0.0)))
 
 
 def test_eta_path_jump_transform(mixed_jump_model):
@@ -204,7 +207,7 @@ def test_pair_path_zips_skeletons(mixed_jump_model):
 
 
 def test_value_at_left_and_right():
-    p = Path(
+    p = Path.from_events(
         horizon=2.0,
         events=(Segment(1.0, 0.5, 0.2), Jump(1.0, 1.0, -1.0), Segment(1.0, 0.5, 0.2)),
         backend="exact",
@@ -217,11 +220,11 @@ def test_value_at_left_and_right():
 
 def test_validate_rejects_bad_paths():
     with pytest.raises(ValueError):
-        Path(horizon=1.0, events=(Segment(-0.5, 0.0, 0.0),), backend="exact").validate()
+        Path.from_events(1.0, (Segment(-0.5, 0.0, 0.0),), backend="exact").validate()
     with pytest.raises(ValueError):
-        Path(horizon=1.0, events=(Segment(0.4, 0.0, 0.0),), backend="exact").validate()
+        Path.from_events(1.0, (Segment(0.4, 0.0, 0.0),), backend="exact").validate()
     with pytest.raises(ValueError):
-        Path(
+        Path.from_events(
             horizon=1.0,
             events=(Segment(1.0, 0.0, 0.0), Jump(0.5, 1.0, 0.0)),
             backend="exact",
