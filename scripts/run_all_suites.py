@@ -2,8 +2,9 @@
 """Run every verification suite on every preset it applies to.
 
 Writes one report directory per (preset, suite) pair under reports/ and a
-final table to stdout.  Presets that violate a suite's hypotheses are
-listed as refused rather than failed — the refusal is the correct result.
+final table to stdout; one inline model runs with the presets.  Presets
+that violate a suite's hypotheses are listed as refused rather than
+failed — the refusal is the correct result.
 
 Usage: python3 scripts/run_all_suites.py [--paths N] [--seed S] [--out DIR]
 """
@@ -20,10 +21,21 @@ SUITES = ("duality", "inverse-flow", "ruin", "stationary", "monotonicity")
 CONFIG_TEMPLATE = """\
 schema_version: 1
 seed: {seed}
-preset: {preset}
-suite: {suite}
+{model}suite: {suite}
 n_paths: {paths}
 """
+
+# No preset has both a Gaussian part and jumps, so this inline model sends
+# the sweep through the jump branch of the grid lane.
+INLINE_MODELS = {
+    "jump-diffusion": """\
+model:
+  drift: [-1.0, 1.0]
+  gaussian_cov: [[0.5, 0.0], [0.0, 0.0]]
+  jump_intensity: 1.0
+  jump_law: {kind: point_mass, atoms: [[[0.5, 0.5], 0.5], [[-0.3, 0.2], 0.5]]}
+""",
+}
 
 
 def run(argv=None):
@@ -35,7 +47,8 @@ def run(argv=None):
     args = ap.parse_args(argv)
 
     rows = []
-    for preset in preset_names():
+    models = {name: f"preset: {name}\n" for name in preset_names()} | INLINE_MODELS
+    for preset, model in models.items():
         for suite in SUITES:
             out_dir = os.path.join(args.out, f"{preset}-{suite}")
             os.makedirs(out_dir, exist_ok=True)
@@ -43,7 +56,7 @@ def run(argv=None):
             with open(cfg_path, "w") as fh:
                 fh.write(
                     CONFIG_TEMPLATE.format(
-                        seed=args.seed, preset=preset, suite=suite, paths=args.paths
+                        seed=args.seed, model=model, suite=suite, paths=args.paths
                     )
                 )
             code = cli_main(

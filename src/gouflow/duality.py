@@ -19,8 +19,9 @@ from . import mc
 from .calculus import AlignedSeries
 from .gou import GouTrajectory, causal_integral, solve_forward, stationary_sampler
 from .levy import ConditionError, LevyModel2, detect_degeneracy, dual_model
-from .paths import Path, _replace
-from .stats import EmpiricalDistribution, binomial_ci, ecdf
+from .paths import Path, _replace, sample_path
+from .rng import stream
+from .stats import binomial_ci, ecdf
 
 __all__ = [
     "DualPair",
@@ -261,9 +262,6 @@ def ruin_probability(
         warnings.append(
             "condition (B) fails: per-path scan instead of vectorized barrier check"
         )
-        from .paths import sample_path
-        from .rng import stream
-
         hits = 0
         for j in range(n):
             path = sample_path(model, horizon, stream(seed, "ruin-path", j), grid_dt)

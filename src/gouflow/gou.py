@@ -21,6 +21,7 @@ __all__ = [
     "solve_sde_euler",
     "euler_on_path",
     "causal_integral",
+    "finite_samples",
     "stationary_sampler",
 ]
 
@@ -155,6 +156,17 @@ def causal_integral(path: Path, model: LevyModel2) -> AlignedSeries:
     return integral
 
 
+def finite_samples(values: np.ndarray, what: str, horizon: float) -> np.ndarray:
+    """``values``, or ConditionError naming how many are not finite."""
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise ConditionError(
+            f"{bad} of {values.size} {what} samples are not finite at horizon "
+            f"{horizon:g}; the stochastic exponential overflows, use a shorter horizon"
+        )
+    return values
+
+
 def stationary_sampler(
     model: LevyModel2,
     kind: str,
@@ -169,13 +181,13 @@ def stationary_sampler(
     """n independent exponential-functional samples as an empirical law.
 
     The metadata records the fraction of paths whose truncation diagnostic
-    exceeded the threshold; above 5% the result is flagged.  Dispatches to
-    the vectorized lane when the model shape allows, otherwise falls back
-    to the event lane, one path at a time.
+    exceeded the threshold; above 5% the result is flagged.  Samples come
+    from the model's ``mc`` lane; non-finite ones raise ConditionError.
     """
     values, diags = mc.exp_functional_samples(
         model, kind, n, horizon, seed, grid_dt=grid_dt, workers=workers, label=label
     )
+    values = finite_samples(values, f"{kind} stationary", horizon)
     fail_frac = float(np.mean(diags > diag_threshold))
     dist = EmpiricalDistribution(
         values,

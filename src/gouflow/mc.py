@@ -1,20 +1,18 @@
 """Vectorized Monte Carlo lanes.
 
-Three lanes share one blocked driver so that results are reproducible and
+Two lanes share one blocked driver so that results are reproducible and
 independent of the worker count:
 
 * jump lane: finite-activity models without a Gaussian part.  Everything
   (stochastic exponential, the two exponential functionals, running minima
   for barrier detection) has a closed form between jumps, so whole blocks
   of paths are reduced with padded-array arithmetic and no time stepping.
-* diffusion lane: models with a Gaussian part and no jumps, on a fixed
-  grid.  The stochastic exponential is updated in exact law; finite-
-  variation integrands use the trapezoid rule (the left-point rule leaves
-  an O(dt) bias that would dominate the statistics), Brownian integrands
-  use left-point Ito sums.
-* event lane: anything else (Gaussian part plus jumps) falls back to
-  one columnar path at a time, solved by the closed-form kernel of
-  ``calculus``.
+* diffusion lane: models with a Gaussian part, on a fixed grid.  The
+  stochastic exponential is updated in exact law; finite-variation
+  integrands use the trapezoid rule (the left-point rule leaves an O(dt)
+  bias that would dominate the statistics), Brownian integrands use
+  left-point Ito sums.  Jumps come as a Poisson(lambda dt) count per step
+  applied at the step end: an O(dt) weak error, the order of the Ito sums.
 
 All per-path hit detection is expressed through the running minimum of
 the integral process I_s = int E^{-1} d eta: when E stays positive,
@@ -31,7 +29,7 @@ import numpy as np
 
 from .levy import ConditionError, LevyModel2
 from .rng import BLOCK_SIZE, stream
-from .paths import _cov_sqrt, sample_path
+from .paths import _cov_sqrt
 
 __all__ = [
     "run_blocks",
@@ -188,30 +186,19 @@ def _diffusion_block(model, horizon, rng, size, grid_dt):
         l += b_l * dt + zl
         e = e_new
         np.minimum(i_min, i, out=i_min)
+        if model.has_jumps:  # pass r applies the (r+1)-th jump of the step
+            counts = rng.poisson(model.jump_intensity * dt, size)
+            for r in range(counts.max()):
+                rows = np.flatnonzero(counts > r)
+                du, dl = model.jump_law.sample(rng, rows.size)
+                e_left = e[rows]
+                i[rows] += dl / ((1.0 + du) * e_left)
+                c[rows] += e_left * dl
+                e[rows] = e_left * (1.0 + du)
+                u[rows] += du
+                l[rows] += dl
+                i_min[rows] = np.minimum(i_min[rows], i[rows])
     return {"e": e, "i": i, "c": c, "i_min": i_min, "u": u, "l": l}
-
-
-# ---------------------------------------------------------------------------
-# event-lane fallback
-# ---------------------------------------------------------------------------
-
-
-def _event_block(model, horizon, rng, size, grid_dt):
-    from .gou import causal_integral, solve_forward
-
-    out = {k: np.empty(size) for k in ("e", "i", "c", "i_min", "u", "l")}
-    for j in range(size):
-        path = sample_path(model, horizon, rng, grid_dt)
-        traj = solve_forward(path, model, 0.0)
-        out["e"][j] = traj.exponential.final()
-        out["i"][j] = traj.integral.final()
-        out["c"][j] = causal_integral(path, model).final()
-        out["i_min"][j] = min(
-            0.0, float(traj.integral.values.min()), float(traj.integral.lefts.min())
-        )
-        out["u"][j] = path.du.sum()
-        out["l"][j] = path.dl.sum()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +224,10 @@ def terminal_samples(
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if not model.has_gaussian:
-        fn = lambda rng, size: _jump_block(model, horizon, rng, size)
-    elif not model.has_jumps:
+    if model.has_gaussian:
         fn = lambda rng, size: _diffusion_block(model, horizon, rng, size, grid_dt)
     else:
-        fn = lambda rng, size: _event_block(model, horizon, rng, size, grid_dt)
+        fn = lambda rng, size: _jump_block(model, horizon, rng, size)
     return run_blocks(n, fn, seed, label, workers)
 
 

@@ -18,7 +18,7 @@ from .duality import (
     ruin_probability,
     verify_ruin_identity,
 )
-from .gou import stationary_sampler
+from .gou import finite_samples, stationary_sampler
 from .inverse_flow import verify_pathwise_identity
 from .levy import ConditionError, LevyModel2, dual_model
 from .paths import sample_path, stack_paths
@@ -307,7 +307,10 @@ def stationary_suite(cfg: ExperimentConfig, out_dir=None) -> SuiteResult:
     t = cfg.horizon
     a = mc.terminal_samples(model, t, n, cfg.seed, cfg.grid_dt, cfg.workers, "statA")
     b = mc.terminal_samples(model, t, n, cfg.seed, cfg.grid_dt, cfg.workers, "statB")
-    ks_ident = ks_two_sample(ecdf(a["e"] * a["i"]), ecdf(b["c"]))
+    ks_ident = ks_two_sample(
+        ecdf(finite_samples(a["e"] * a["i"], "solution", t)),
+        ecdf(finite_samples(b["c"], "causal-integral", t)),
+    )
     rows.append(
         {
             "check": "solution-vs-causal-integral",

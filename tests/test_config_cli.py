@@ -191,6 +191,25 @@ def test_cli_refuses_hypothesis_violations(tmp_path, capsys):
     assert "dU > -1" in err
 
 
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ("preset: cramer-paulsen\nhorizon: 1500\n", "300 of 300 solution"),
+        ("model: {drift: [0.5, 1.0]}\nstationary_horizon: 1500\n", "300 of 300 causal stationary"),
+    ],
+)
+def test_cli_refuses_non_finite_samples(tmp_path, capsys, extra, named):
+    """An overflowing stochastic exponential at a long horizon is a refusal
+    (exit 3) that names the non-finite count, not a traceback."""
+    text = "schema_version: 1\nseed: 1\nsuite: stationary\nn_paths: 300\n" + extra
+    path = _write(tmp_path, text)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    assert "refusing to run" in err
+    assert f"{named} samples are not finite at horizon 1500" in err
+    assert "Traceback" not in err
+
+
 def test_cli_monotonicity_suite_on_nonmonotone_passes(tmp_path):
     text = GOOD.replace("drift-ou", "nonmonotone").replace("n_paths: 1500", "n_paths: 8000")
     path = _write(tmp_path, text)

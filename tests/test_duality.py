@@ -168,6 +168,16 @@ def test_ruin_probability_subordinator_never_hits_from_above(subordinator_model)
     assert res.ci[0] == 0.0
 
 
+def test_ruin_probability_per_path_scan_without_condition_b():
+    """nonmonotone at x = 1: L = 0, so V = E(U) first drops below 0 at the
+    first dU = -2 jump, which arrives at rate 0.75: P(tau <= T) = 1 - e^{-0.75 T}."""
+    res = ruin_probability(get_preset("nonmonotone").model, 1.0, horizon=1.0, n=2000, seed=7)
+    exact = -math.expm1(-0.75)
+    assert abs(res.hit_prob - exact) < 4 * math.sqrt(exact * (1 - exact) / res.n)
+    assert res.companion_tail is None
+    assert any("condition (B) fails" in w for w in res.warnings)
+
+
 # ---------------------------------------------------------------------------
 # statistical identities (moderate n; acceptance runs the full budgets)
 # ---------------------------------------------------------------------------

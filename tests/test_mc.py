@@ -5,9 +5,10 @@ import pytest
 
 from gouflow import mc
 from gouflow.levy import ConditionError, JumpLaw2, LevyModel2
-from gouflow.paths import Jump, Path, Segment
+from gouflow.paths import Jump, Path, Segment, sample_path
 from gouflow.gou import causal_integral, solve_forward
 from gouflow.presets import get_preset
+from gouflow.stats import ecdf, ks_two_sample
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +46,7 @@ def test_run_blocks_prefix_stability():
 
 
 # ---------------------------------------------------------------------------
-# jump lane vs event-list route
+# jump lane, grid lane and the per-path event-list route
 # ---------------------------------------------------------------------------
 
 
@@ -102,21 +103,54 @@ def test_jump_boundary_arrays_match_event_route(mixed_jump_model):
         assert min(0.0, i_bnd[row].min()) == pytest.approx(ref_min, abs=1e-11)
 
 
-def test_terminal_samples_jump_vs_event_lane_same_law(mixed_jump_model):
-    """The two lanes draw differently but must agree in distribution."""
-    from gouflow.stats import ecdf, ks_two_sample
+def _per_path_reference(model, horizon, n, seed, grid_dt):
+    """Independent route: sample, solve and reduce one event-list path at a
+    time with the closed-form kernel (jumps at their exact times)."""
+    rng = np.random.default_rng(seed)
+    out = {k: np.empty(n) for k in ("e", "i", "c", "i_min", "u", "l")}
+    for j in range(n):
+        path = sample_path(model, horizon, rng, grid_dt)
+        traj = solve_forward(path, model, 0.0)
+        out["e"][j] = traj.exponential.final()
+        out["i"][j] = traj.integral.final()
+        out["c"][j] = causal_integral(path, model).final()
+        out["i_min"][j] = min(
+            0.0, float(traj.integral.values.min()), float(traj.integral.lefts.min())
+        )
+        out["u"][j] = path.du.sum()
+        out["l"][j] = path.dl.sum()
+    return out
 
+
+def test_terminal_samples_jump_vs_grid_lane_same_law(mixed_jump_model):
+    """The closed-form jump lane and the grid lane (jumps applied at step
+    ends) draw differently but must agree in distribution."""
     m = mixed_jump_model
     a = mc.terminal_samples(m, 1.5, 4000, seed=9, label="lane-a")
-    # force the event lane by pretending the model has a Gaussian part? no:
-    # call the event block directly on its own stream
-    from gouflow.rng import stream
+    # the grid lane, called directly on the same pure-jump model
+    grid = lambda rng, size: mc._diffusion_block(m, 1.5, rng, size, 1e-3)
+    b = mc.run_blocks(4000, grid, seed=10, label="lane-b")
+    # E(U)_T is atomic for a pure-jump model with point-mass jumps: the
+    # lanes reach its atoms by different float routes
+    a["e"], b["e"] = np.round(a["e"], 9), np.round(b["e"], 9)
+    for key in ("e", "i", "c", "i_min"):
+        ks = ks_two_sample(ecdf(a[key]), ecdf(b[key]))
+        assert not ks.rejects(), (key, ks.statistic, ks.pvalue)
 
-    parts = [
-        mc._event_block(m, 1.5, stream(10, "lane-b", i), 1000, 1e-3) for i in range(4)
-    ]
-    b = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
-    for key in ("e", "i", "c"):
+
+def test_grid_lane_matches_per_path_reference_with_jumps():
+    """Gaussian noise in both components, correlated, plus compound-Poisson
+    jumps: the grid lane must agree in law with the per-path event route."""
+    law = JumpLaw2.point_mass([((0.5, -0.5), 0.5), ((-0.3, 0.4), 0.5)])
+    m = LevyModel2(
+        drift=(-0.5, 0.3),
+        gaussian_cov=((0.4, 0.15), (0.15, 0.3)),
+        jump_intensity=2.0,
+        jump_law=law,
+    )
+    a = mc.terminal_samples(m, 1.0, 2000, seed=14, grid_dt=1e-2)
+    b = _per_path_reference(m, 1.0, 2000, seed=15, grid_dt=1e-2)
+    for key in ("e", "i", "c", "i_min", "u", "l"):
         ks = ks_two_sample(ecdf(a[key]), ecdf(b[key]))
         assert not ks.rejects(), (key, ks.statistic, ks.pvalue)
 
