@@ -13,12 +13,10 @@ from .config import ConfigError, ExperimentConfig, config_hash, load_config, par
 from .duality import (
     DualityProbe,
     DualPair,
-    HittingRecord,
     HittingResult,
     dual_path,
     dual_solve,
     duality_grid,
-    hitting_time,
     killed_dual,
     make_dual_pair,
     monotonicity_probe,

@@ -1,4 +1,4 @@
-"""Siegmund duals of GOU processes, hitting times and ruin identities.
+"""Siegmund duals of GOU processes, hit probabilities and ruin identities.
 
 The dual of the process driven by (U, L) is the GOU process driven by
 (W, K), where W drives the reciprocal stochastic exponential and K is
@@ -17,10 +17,15 @@ import numpy as np
 
 from . import mc
 from .calculus import AlignedSeries
-from .gou import GouTrajectory, causal_integral, solve_forward, stationary_sampler
+from .gou import (
+    GouTrajectory,
+    causal_integral,
+    finite_samples,
+    solve_forward,
+    stationary_sampler,
+)
 from .levy import ConditionError, LevyModel2, detect_degeneracy, dual_model
-from .paths import Path, _replace, sample_path
-from .rng import stream
+from .paths import Path, _replace
 from .stats import binomial_ci, ecdf
 
 __all__ = [
@@ -29,9 +34,7 @@ __all__ = [
     "dual_path",
     "dual_solve",
     "killed_dual",
-    "HittingRecord",
     "HittingResult",
-    "hitting_time",
     "ruin_probability",
     "verify_ruin_identity",
     "monotonicity_probe",
@@ -158,15 +161,8 @@ def killed_dual(traj_r: GouTrajectory, pair: DualPair) -> AlignedSeries:
 
 
 # ---------------------------------------------------------------------------
-# hitting
+# first passage
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HittingRecord:
-    hit: bool
-    time: float
-    value: float  # V at the hitting time (the overshoot when jumping past)
 
 
 @dataclass(frozen=True)
@@ -183,59 +179,6 @@ class HittingResult:
     warnings: tuple[str, ...] = ()
 
 
-def _segment_crossing(v0: float, du: float, dl: float, level: float) -> float | None:
-    """Fraction theta in (0, 1] where the within-segment solution
-    v(theta) = (v0 + c/a) e^{a theta} - c/a first reaches ``level``.
-
-    du, dl are the segment's total driver/integrator increments; the
-    within-gap solution is monotone, so at most one crossing exists.
-    """
-    a, c = du, dl
-    if a == 0.0:
-        if c == 0.0:
-            return None
-        theta = (level - v0) / c
-    else:
-        r = c / a
-        denom = v0 + r
-        if denom == 0.0:
-            return None
-        ratio = (level + r) / denom
-        if ratio <= 0.0:
-            return None
-        theta = math.log(ratio) / a
-    if 0.0 < theta <= 1.0 + 1e-12:
-        return min(theta, 1.0)
-    return None
-
-
-def hitting_time(traj: GouTrajectory, level: float = 0.0) -> HittingRecord:
-    """First time V_s <= level along one trajectory.
-
-    Jump passages are read off the event boundaries; on the exact backend
-    a continuous crossing inside a drift segment is located in closed
-    form, on the euler backend the first grid boundary at or below the
-    level is reported.
-    """
-    vals = traj.values.values
-    if vals[0] <= level:
-        return HittingRecord(True, 0.0, float(vals[0]))
-    below = np.flatnonzero(vals[1:] <= level)
-    if below.size == 0:
-        return HittingRecord(False, math.nan, math.nan)
-    k = int(below[0]) + 1  # first boundary at or below the level
-    times = traj.values.times
-    path = traj.path
-    if not path.is_jump[k - 1] and traj.backend == "exact":
-        du, dl = float(path.du[k - 1]), float(path.dl[k - 1])
-        theta = _segment_crossing(float(vals[k - 1]), du, dl, level)
-        if theta is None:
-            theta = 1.0  # endpoint crossing despite roundoff
-        dt = times[k] - times[k - 1]
-        return HittingRecord(True, float(times[k - 1] + theta * dt), level)
-    return HittingRecord(True, float(times[k]), float(vals[k]))
-
-
 def ruin_probability(
     model: LevyModel2,
     x: float,
@@ -249,6 +192,9 @@ def ruin_probability(
 ) -> HittingResult:
     """MC estimate of P(first passage of V^x below 0 happens by T).
 
+    Under condition (B) the hit is read off the running minimum of I in
+    the model's lane; without it, off V at every event boundary in the
+    pure-jump lane (``mc.ruin_samples``), which only needs E(U) != 0.
     The companion number is the duality prediction for the T -> infinity
     limit: the causal stationary tail of the Siegmund-dual model at x.
     Warnings record every hypothesis that had to be assumed rather than
@@ -258,15 +204,17 @@ def ruin_probability(
     if model.condition_b:
         res = mc.terminal_samples(model, horizon, n, seed, grid_dt, workers, "ruin")
         hits = int(np.count_nonzero(x + res["i_min"] <= 0.0))
+    elif model.has_gaussian:
+        raise ConditionError(
+            "condition (B) fails and the model has a Gaussian part: the "
+            "sign-changing first passage is counted for pure-jump models only"
+        )
     else:
         warnings.append(
-            "condition (B) fails: per-path scan instead of vectorized barrier check"
+            "condition (B) fails: E(U) changes sign, hits read off V at event boundaries"
         )
-        hits = 0
-        for j in range(n):
-            path = sample_path(model, horizon, stream(seed, "ruin-path", j), grid_dt)
-            if hitting_time(solve_forward(path, model, x)).hit:
-                hits += 1
+        res = mc.ruin_samples(model, horizon, n, seed, [x], workers=workers)
+        hits = int(res["hits"][0])
     lo, hi = binomial_ci(hits, n)
 
     companion = companion_ci = discrepancy = None
@@ -404,6 +352,15 @@ def verify_ruin_identity(
 # ---------------------------------------------------------------------------
 
 
+def _finite_lane(res: dict, side: str, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """A lane's E and I for the affine form ``side`` = E (start + I);
+    ConditionError when some are not finite."""
+    return (
+        finite_samples(res["e"], f"{side}-side E", t),
+        finite_samples(res["i"], f"{side}-side I", t),
+    )
+
+
 def monotonicity_probe(
     model: LevyModel2,
     t: float,
@@ -424,7 +381,7 @@ def monotonicity_probe(
     """
     xs = sorted(float(v) for v in xs)
     res = mc.terminal_samples(model, t, n, seed, grid_dt, workers, "monotone")
-    e, i = res["e"], res["i"]
+    e, i = _finite_lane(res, "V", t)
     indicators = [(e * (x + i)) >= y for x in xs]
     probs = [float(ind.mean()) for ind in indicators]
     pairs = []
@@ -511,10 +468,12 @@ def duality_grid(
     for t in ts:
         fv = mc.terminal_samples(model, t, n, seed, grid_dt, workers, f"dual-V@{t}")
         fr = mc.terminal_samples(dual, t, n, seed, grid_dt, workers, f"dual-R@{t}")
+        v_e, v_i = _finite_lane(fv, "V", t)
+        r_e, r_i = _finite_lane(fr, "R", t)
         for x in xs:
-            v = fv["e"] * (x + fv["i"])
+            v = v_e * (x + v_i)
             for y in ys:
-                r = fr["e"] * (y + fr["i"])
+                r = r_e * (y + r_i)
                 p_v = float(np.mean(v >= y))
                 p_r = float(np.mean(r <= x))
                 z, ok = _two_sided(p_v, p_r, n)

@@ -158,7 +158,7 @@ def verify_pathwise_identity(
     The error metric is |lhs - rhs| / (1 + max(|lhs|, |rhs|)); on the
     exact backend it should sit at float-precision level, on the euler
     backend it shrinks with the grid step and is reported for convergence
-    studies.  A stacked batch (``stack_paths``, t at the horizon) gets one
+    studies.  A stacked batch (``exact_paths``, t at the horizon) gets one
     ``max_error`` per row.
     """
     t = path.horizon if t is None else float(t)

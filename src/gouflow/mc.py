@@ -29,7 +29,7 @@ import numpy as np
 
 from .levy import ConditionError, LevyModel2
 from .rng import BLOCK_SIZE, stream
-from .paths import _cov_sqrt
+from .paths import _cov_sqrt, draw_jumps
 
 __all__ = [
     "run_blocks",
@@ -83,59 +83,44 @@ def _jump_boundary_arrays(times, du, dl, counts, a, c_eta, c_l, horizon):
     """Closed-form reduction of a block of pure-jump-plus-drift paths.
 
     times: (n, K) jump times sorted per row, padded with the horizon;
-    du, dl: matching marks, zero-padded; counts: true jump count per row.
-    a = b_U, c_eta = drift of eta, c_l = b_L.
+    du, dl: matching marks, zero-padded (``paths.draw_jumps``); counts:
+    true jump count per row.  a = b_U, c_eta = drift of eta, c_l = b_L.
 
     Returns E and I = int E^{-1} d eta at all event boundaries (n, 2K+1),
     interleaved as [end of gap 0, after jump 1, end of gap 1, ...], plus
-    the terminal causal integral C = int E_{s-} dL_s.
+    the terminal causal integral C = int E_{s-} dL_s.  An overflowing E
+    leaves inf/NaN entries without a warning; callers count them.
     """
-    n, kmax = times.shape
-    prod1 = 1.0 + du  # padded entries contribute a factor 1
-    p = np.cumprod(prod1, axis=1)
-    p_ext = np.concatenate([np.ones((n, 1)), p], axis=1)  # product before gap j
-    t_ext = np.concatenate([np.zeros((n, 1)), times, np.full((n, 1), horizon)], axis=1)
-    t0, t1 = t_ext[:, :-1], t_ext[:, 1:]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        n, kmax = times.shape
+        prod1 = 1.0 + du  # padded entries contribute a factor 1
+        p = np.cumprod(prod1, axis=1)
+        p_ext = np.concatenate([np.ones((n, 1)), p], axis=1)  # product before gap j
+        t_ext = np.concatenate([np.zeros((n, 1)), times, np.full((n, 1), horizon)], axis=1)
+        t0, t1 = t_ext[:, :-1], t_ext[:, 1:]
 
-    # gap j runs (t_j, t_{j+1}) with E_s = e^{a s} * p_ext[:, j]
-    gap_i = c_eta * _interval_integrals(a, t0, t1, -1) / p_ext
-    gap_c = c_l * _interval_integrals(a, t0, t1, +1) * p_ext
-    with np.errstate(divide="ignore", invalid="ignore"):
+        # gap j runs (t_j, t_{j+1}) with E_s = e^{a s} * p_ext[:, j]
+        gap_i = c_eta * _interval_integrals(a, t0, t1, -1) / p_ext
+        gap_c = c_l * _interval_integrals(a, t0, t1, +1) * p_ext
         e_left_at_jump = np.exp(a * times) * p_ext[:, :-1]
-    jump_i = (dl / prod1) / e_left_at_jump
-    jump_c = dl * e_left_at_jump
+        jump_i = (dl / prod1) / e_left_at_jump
+        jump_c = dl * e_left_at_jump
 
-    inc_i = np.empty((n, 2 * kmax + 1))
-    inc_i[:, 0::2] = gap_i
-    inc_i[:, 1::2] = jump_i
-    i_bnd = np.cumsum(inc_i, axis=1)
+        inc_i = np.empty((n, 2 * kmax + 1))
+        inc_i[:, 0::2] = gap_i
+        inc_i[:, 1::2] = jump_i
+        i_bnd = np.cumsum(inc_i, axis=1)
 
-    e_bnd = np.empty((n, 2 * kmax + 1))
-    e_bnd[:, 0::2] = np.exp(a * t1) * p_ext  # left limit at the gap end
-    e_bnd[:, 1::2] = e_left_at_jump * prod1  # right after the jump
+        e_bnd = np.empty((n, 2 * kmax + 1))
+        e_bnd[:, 0::2] = np.exp(a * t1) * p_ext  # left limit at the gap end
+        e_bnd[:, 1::2] = e_left_at_jump * prod1  # right after the jump
 
-    c_final = gap_c.sum(axis=1) + jump_c.sum(axis=1)
+        c_final = gap_c.sum(axis=1) + jump_c.sum(axis=1)
     return e_bnd, i_bnd, c_final
 
 
-def _draw_jump_block(model, horizon, rng, size):
-    lam = model.jump_intensity * horizon
-    counts = rng.poisson(lam, size=size) if model.has_jumps else np.zeros(size, dtype=int)
-    kmax = int(counts.max()) if size else 0
-    times = rng.uniform(0.0, horizon, size=(size, kmax))
-    du, dl = model.jump_law.sample(rng, size * kmax) if kmax else (np.empty(0), np.empty(0))
-    du = du.reshape(size, kmax)
-    dl = dl.reshape(size, kmax)
-    pad = np.arange(kmax)[None, :] >= counts[:, None]
-    times[pad] = horizon
-    du[pad] = 0.0
-    dl[pad] = 0.0
-    times.sort(axis=1)  # padded entries are already maximal
-    return times, du, dl, counts
-
-
 def _jump_block(model, horizon, rng, size):
-    times, du, dl, counts = _draw_jump_block(model, horizon, rng, size)
+    times, du, dl, counts = draw_jumps(model, horizon, rng, size)
     e_bnd, i_bnd, c_final = _jump_boundary_arrays(
         times, du, dl, counts, model.drift[0], model.drift[1], model.drift[1], horizon
     )
@@ -272,18 +257,20 @@ def ruin_samples(
     For each x in ``x_probes`` counts paths with tau(x) <= T and, when a
     cdf ``h_cdf`` is supplied, accumulates sum of H(-V_{tau(x)}) over
     those paths (the reweighting appearing in the first-passage identity
-    for mixed-sign input).  Requires E(U) > 0, i.e. all jumps dU > -1,
-    and a model without Gaussian part.
+    for mixed-sign input).  Needs a model without Gaussian part.  Between
+    event boundaries V solves a linear ODE and is monotone, so V <= 0
+    somewhere iff at some boundary; that needs only E(U) != 0 (condition
+    (A)), while the H-weights need E(U) > 0, i.e. all jumps dU > -1.
     """
     if model.has_gaussian:
         raise NotImplementedError("ruin lane supports pure-jump models only")
-    if not model.condition_b:
+    if h_cdf is not None and not model.condition_b:
         raise ConditionError("first-passage bookkeeping needs dU > -1 a.s.")
     xs = np.asarray(list(x_probes), dtype=float)
     b_l = model.drift[1]
 
     def block(rng, size):
-        times, du, dl, counts = _draw_jump_block(model, horizon, rng, size)
+        times, du, dl, counts = draw_jumps(model, horizon, rng, size)
         e_bnd, i_bnd, _ = _jump_boundary_arrays(
             times, du, dl, counts, model.drift[0], b_l, b_l, horizon
         )
@@ -298,6 +285,9 @@ def ruin_samples(
             v_bnd = e_bnd * (x + i_bnd)
             below = v_bnd <= 0.0
             hit = below.any(axis=1)
+            out[f"hit_{j}"] = hit
+            if h_cdf is None:
+                continue
             first = below.argmax(axis=1)
             rows = np.arange(size)
             v_tau = v_bnd[rows, first]
@@ -307,9 +297,7 @@ def ruin_samples(
                 prev_pos = (first % 2 == 0) & (first > 0)
                 prev_pos &= v_bnd[rows, np.maximum(first - 1, 0)] > 0.0
                 v_tau = np.where(prev_pos, 0.0, v_tau)
-            out[f"hit_{j}"] = hit
-            if h_cdf is not None:
-                out[f"hw_{j}"] = np.where(hit, h_cdf(np.where(hit, -v_tau, 0.0)), 0.0)
+            out[f"hw_{j}"] = np.where(hit, h_cdf(np.where(hit, -v_tau, 0.0)), 0.0)
         return out
 
     res = run_blocks(n, block, seed, label, workers)

@@ -13,8 +13,9 @@ Derived processes (eta, W, xi, T, time reversals) are array transforms
 that share the event skeleton of their source path, which is what makes
 pathwise identities checkable boundary by boundary: time reversal is an
 index reversal.  The columns may carry a leading batch axis
-(``stack_paths``): paths on one horizon padded with null segments, which
-the solvers and the inverse-flow check process in one pass.
+(``exact_paths``): paths on one horizon padded with null segments, which
+the solvers and the inverse-flow check process in one pass.  ``draw_jumps``
+is the one place that draws the jumps of a batch of paths.
 ``Segment``/``Jump`` records only serve to write a path by hand
 (``Path.from_events``) and to read one back (``Path.events``).
 """
@@ -34,6 +35,8 @@ __all__ = [
     "Segment",
     "Jump",
     "Path",
+    "draw_jumps",
+    "exact_paths",
     "sample_path",
     "eta_path",
     "w_path",
@@ -44,7 +47,6 @@ __all__ = [
     "recover_ul_from_xi_eta",
     "pair_path",
     "path_values",
-    "stack_paths",
 ]
 
 _TIME_TOL = 1e-12
@@ -117,14 +119,6 @@ class Path:
     @property
     def var_du(self) -> float:
         return self.cov[0][0]
-
-    @property
-    def cov_dudl(self) -> float:
-        return self.cov[0][1]
-
-    @property
-    def var_dl(self) -> float:
-        return self.cov[1][1]
 
     @property
     def dt(self) -> np.ndarray:
@@ -207,22 +201,70 @@ def _cov_sqrt(cov: tuple) -> np.ndarray:
     return root
 
 
-def _columns(model, horizon, jt, ju, jl, rng, grid_dt, backend):
-    """Boundary columns for sorted jump times and marks, filling the gaps
-    with one drift segment (exact) or grid steps with one
-    ``standard_normal((nsteps, 2))`` draw per gap (euler)."""
+def draw_jumps(model: LevyModel2, horizon: float, rng: np.random.Generator, size: int):
+    """Jumps of ``size`` paths on [0, horizon]: Poisson counts, then uniform
+    times, then marks, each drawn for the whole batch.
+
+    Returns (times, du, dl, counts): (size, K) arrays with K the largest
+    count, times sorted per row; the entries beyond a row's count sit at
+    the horizon with zero marks.
+    """
+    lam = model.jump_intensity * horizon
+    counts = rng.poisson(lam, size=size) if model.has_jumps else np.zeros(size, dtype=int)
+    kmax = int(counts.max()) if size else 0
+    times = rng.uniform(0.0, horizon, size=(size, kmax))
+    du, dl = model.jump_law.sample(rng, size * kmax) if kmax else (np.empty(0), np.empty(0))
+    du = du.reshape(size, kmax)
+    dl = dl.reshape(size, kmax)
+    pad = np.arange(kmax)[None, :] >= counts[:, None]
+    times[pad] = horizon
+    du[pad] = 0.0
+    dl[pad] = 0.0
+    times.sort(axis=1)  # padded entries are already maximal
+    return times, du, dl, counts
+
+
+def exact_paths(
+    model: LevyModel2, horizon: float, rng: np.random.Generator, size: int
+) -> Path:
+    """``size`` exact-backend paths of a model without Gaussian part, stacked.
+
+    One ``draw_jumps`` call; row i is laid out gap, jump, gap, ..., jump,
+    gap over the batch's K jump slots.  The slots beyond the row's jump
+    count are null segments at the horizon (no duration, no increment):
+    they multiply E by 1 and add 0 to every integral, so each row solves
+    exactly as its path does.
+    """
+    if model.has_gaussian:
+        raise ValueError("exact paths need a model without Gaussian part")
+    times, ju, jl, counts = draw_jumps(model, horizon, rng, size)
+    kmax = times.shape[1]
+    t = np.empty((size, 2 * kmax + 2))
+    t[:, 0] = 0.0
+    t[:, 1:-1:2] = times  # gap ends
+    t[:, 2:-1:2] = times  # a jump repeats its gap's end
+    t[:, -1] = horizon
+    dt = t[:, 1:] - t[:, :-1]
+    is_jump = np.zeros((size, 2 * kmax + 1), dtype=bool)
+    is_jump[:, 1::2] = np.arange(kmax)[None, :] < counts[:, None]
     b_u, b_l = model.drift
-    chol = _cov_sqrt(model.gaussian_cov) if backend == "euler" else None
+    du = b_u * dt
+    dl = b_l * dt
+    du[:, 1::2] = ju
+    dl[:, 1::2] = jl
+    return Path(float(horizon), is_jump, t, du, dl, backend="exact")
+
+
+def _euler_columns(model, horizon, jt, ju, jl, rng, grid_dt):
+    """Boundary columns for sorted jump times and marks, filling the gaps
+    with grid steps, one ``standard_normal((nsteps, 2))`` draw per gap."""
+    b_u, b_l = model.drift
+    chol = _cov_sqrt(model.gaussian_cov)
     flags, times, dus, dls = [], [0.0], [], []
     start = 0.0
     for k, end in enumerate([*jt.tolist(), float(horizon)]):
         gap = end - start
-        if gap > _TIME_TOL and backend == "exact":
-            flags.append(False)
-            times.append(end)
-            dus.append(b_u * gap)
-            dls.append(b_l * gap)
-        elif gap > _TIME_TOL:
+        if gap > _TIME_TOL:
             nsteps = max(1, math.ceil(gap / grid_dt))
             dt = gap / nsteps
             gauss = rng.standard_normal((nsteps, 2)) @ chol.T * math.sqrt(dt)
@@ -256,7 +298,9 @@ def sample_path(
     """Sample one (U, L) path: Poisson jump times, iid marks, drift/Gaussian
     segments filling the gaps.
 
-    Deterministic function of (model, horizon, grid_dt, stream state).
+    The exact backend is the one-row batch of ``exact_paths`` without its
+    gaps shorter than 1e-12.  Deterministic function of (model, horizon,
+    grid_dt, stream state).
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -267,23 +311,27 @@ def sample_path(
     if backend == "euler" and grid_dt <= 0:
         raise ValueError("euler backend needs grid_dt > 0")
 
-    if model.has_jumps:
-        n_jumps = rng.poisson(model.jump_intensity * horizon)
-        jt = np.sort(rng.uniform(0.0, horizon, size=n_jumps))
-        ju, jl = model.jump_law.sample(rng, n_jumps)
-    else:
-        jt = np.empty(0)
-        ju = jl = np.empty(0)
-    is_jump, t, du, dl = _columns(model, horizon, jt, ju, jl, rng, grid_dt, backend)
+    if backend == "exact":
+        row = exact_paths(model, horizon, rng, 1)
+        keep = row.is_jump[0] | (row.dt[0] > _TIME_TOL)
+        return _replace(
+            row,
+            is_jump=row.is_jump[0, keep],
+            t=np.concatenate(([0.0], row.t[0, 1:][keep])),
+            du=row.du[0, keep],
+            dl=row.dl[0, keep],
+        )
+    jt, ju, jl, _ = draw_jumps(model, horizon, rng, 1)
+    is_jump, t, du, dl = _euler_columns(model, horizon, jt[0], ju[0], jl[0], rng, grid_dt)
     return Path(
         horizon=float(horizon),
         is_jump=is_jump,
         t=t,
         du=du,
         dl=dl,
-        backend=backend,
-        cov=model.gaussian_cov if backend == "euler" else _NO_COV,
-        grid_dt=grid_dt if backend == "euler" else None,
+        backend="euler",
+        cov=model.gaussian_cov,
+        grid_dt=grid_dt,
     )
 
 
@@ -431,30 +479,6 @@ def reverse_path(path: Path, at: float | None = None) -> Path:
         dl=-p.dl[..., ::-1],
         label="rev:" + p.label,
     )
-
-
-def stack_paths(paths) -> Path:
-    """Stack paths on one horizon and backend into one batch path.
-
-    Row i holds path i, padded at the end with null segments at the
-    horizon (no duration, no increment): they multiply E by 1 and add 0
-    to every integral, so each row solves exactly as its path does.
-    """
-    first = paths[0]
-    n, k = len(paths), max(p.du.size for p in paths)
-    is_jump = np.zeros((n, k), dtype=bool)
-    t = np.full((n, k + 1), first.horizon)
-    du = np.zeros((n, k))
-    dl = np.zeros((n, k))
-    for i, p in enumerate(paths):
-        if p.horizon != first.horizon or p.backend != first.backend:
-            raise ValueError("stacked paths need one horizon and one backend")
-        m = p.du.size
-        is_jump[i, :m] = p.is_jump
-        t[i, : m + 1] = p.t
-        du[i, :m] = p.du
-        dl[i, :m] = p.dl
-    return _replace(first, is_jump=is_jump, t=t, du=du, dl=dl)
 
 
 # ---------------------------------------------------------------------------

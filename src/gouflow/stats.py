@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -119,9 +120,7 @@ def binomial_ci(hits: int, n: int, level: float = 0.95) -> tuple[float, float]:
         raise ValueError("n must be positive")
     if not 0 <= hits <= n:
         raise ValueError("hits outside [0, n]")
-    from scipy.stats import norm
-
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     p = hits / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom

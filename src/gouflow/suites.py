@@ -21,7 +21,7 @@ from .duality import (
 from .gou import finite_samples, stationary_sampler
 from .inverse_flow import verify_pathwise_identity
 from .levy import ConditionError, LevyModel2, dual_model
-from .paths import sample_path, stack_paths
+from .paths import exact_paths, sample_path
 from .presets import get_preset
 from .rng import stream
 from .stats import ecdf, ks_two_sample
@@ -146,15 +146,13 @@ def inverse_flow_suite(cfg: ExperimentConfig) -> SuiteResult:
         )
     else:
         n = min(cfg.n_paths, 1000)
-        # short exact paths are checked in stacked batches of bounded size
+        # exact paths are drawn and checked in batches of bounded size,
+        # one stream per batch
         errs = []
-        for lo in range(0, n, _STACK_ROWS):
-            paths = [
-                sample_path(model, cfg.horizon, stream(cfg.seed, "invflow", j))
-                for j in range(lo, min(n, lo + _STACK_ROWS))
-            ]
-            rep = verify_pathwise_identity(stack_paths(paths), model, x)
-            errs.extend(rep["max_error"].tolist())
+        for b, lo in enumerate(range(0, n, _STACK_ROWS)):
+            rng = stream(cfg.seed, "invflow", b)
+            batch = exact_paths(model, cfg.horizon, rng, min(_STACK_ROWS, n - lo))
+            errs.extend(verify_pathwise_identity(batch, model, x)["max_error"].tolist())
         for j, err in enumerate(errs):
             rows.append(
                 {

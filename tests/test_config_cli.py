@@ -196,12 +196,16 @@ def test_cli_refuses_hypothesis_violations(tmp_path, capsys):
     [
         ("preset: cramer-paulsen\nhorizon: 1500\n", "300 of 300 solution"),
         ("model: {drift: [0.5, 1.0]}\nstationary_horizon: 1500\n", "300 of 300 causal stationary"),
+        ("preset: cramer-paulsen\nsuite: duality\nt_grid: [1500]\n", "300 of 300 V-side E"),
+        ("preset: cramer-paulsen\nsuite: monotonicity\nt_grid: [1500]\n", "300 of 300 V-side E"),
     ],
 )
 def test_cli_refuses_non_finite_samples(tmp_path, capsys, extra, named):
     """An overflowing stochastic exponential at a long horizon is a refusal
-    (exit 3) that names the non-finite count, not a traceback."""
-    text = "schema_version: 1\nseed: 1\nsuite: stationary\nn_paths: 300\n" + extra
+    (exit 3) that names the non-finite count, not a traceback or a verdict
+    on inf/NaN samples."""
+    suite = "" if "suite:" in extra else "suite: stationary\n"
+    text = "schema_version: 1\nseed: 1\n" + suite + "n_paths: 300\n" + extra
     path = _write(tmp_path, text)
     assert main(["run", "--config", path, "--out", str(tmp_path / "r")]) == 3
     err = capsys.readouterr().err

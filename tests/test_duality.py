@@ -9,7 +9,6 @@ from gouflow import (
     dual_path,
     dual_solve,
     duality_grid,
-    hitting_time,
     killed_dual,
     make_dual_pair,
     monotonicity_probe,
@@ -17,7 +16,6 @@ from gouflow import (
     solve_forward,
     verify_ruin_identity,
 )
-from gouflow.duality import _segment_crossing
 from gouflow.levy import JumpLaw2, LevyModel2
 from gouflow.paths import Jump, Path, Segment, eta_path, path_values, sample_path
 from gouflow.presets import get_preset
@@ -96,58 +94,13 @@ def test_killed_dual_requires_subordinator(mixed_jump_model):
 
 
 # ---------------------------------------------------------------------------
-# hitting times
+# hit probabilities
 # ---------------------------------------------------------------------------
-
-
-def test_segment_crossing_closed_form():
-    # v' = a v + c with v(0)=v0 over unit time; compare against mpmath-free
-    # dense stepping
-    v0, a, c = 1.0, -2.0, -0.5
-    theta = _segment_crossing(v0, a, c, level=0.0)
-    # v(theta) = (v0 + c/a) e^{a theta} - c/a == 0
-    v = (v0 + c / a) * math.exp(a * theta) - c / a
-    assert abs(v) < 1e-12
-
-
-def test_hitting_time_pure_drift_exact():
-    m = LevyModel2(drift=(-1.0, -1.0))
-    p = sample_path(m, 5.0, make_stream("ht", 0))
-    traj = solve_forward(p, m, 1.0)
-    rec = hitting_time(traj)
-    # V = e^{-t}(1 + 1 - e^t) hits 0 when e^t = 2
-    assert rec.hit
-    assert rec.time == pytest.approx(math.log(2.0), abs=1e-10)
-    assert rec.value == pytest.approx(0.0, abs=1e-12)
-
-
-def test_hitting_time_jump_overshoot():
-    law = JumpLaw2.point_mass([((0.0, -2.0), 1.0)])
-    m = LevyModel2(drift=(0.0, 0.0), jump_intensity=1.0, jump_law=law)
-    for i in range(20):
-        p = sample_path(m, 4.0, make_stream("ht-j", i))
-        if not p.jumps():
-            continue
-        traj = solve_forward(p, m, 1.0)
-        rec = hitting_time(traj)
-        assert rec.hit
-        assert rec.time == pytest.approx(p.jumps()[0].time, abs=1e-12)
-        assert rec.value == pytest.approx(-1.0)  # overshoot below the barrier
-        return
-    pytest.fail("no jumping path sampled")
-
-
-def test_hitting_time_no_hit():
-    m = LevyModel2(drift=(-1.0, 1.0))  # positive input keeps V positive
-    p = sample_path(m, 3.0, make_stream("ht-no", 0))
-    traj = solve_forward(p, m, 0.5)
-    rec = hitting_time(traj)
-    assert not rec.hit and math.isnan(rec.time)
 
 
 def test_ruin_probability_matches_vectorized_barrier(mixed_jump_model):
     """The hit count must equal the i_min barrier criterion on the same
-    streams, and per-path hitting_time must agree path by path."""
+    streams."""
     from gouflow import mc
     from gouflow.rng import stream
 
@@ -168,7 +121,7 @@ def test_ruin_probability_subordinator_never_hits_from_above(subordinator_model)
     assert res.ci[0] == 0.0
 
 
-def test_ruin_probability_per_path_scan_without_condition_b():
+def test_ruin_probability_boundary_hits_without_condition_b():
     """nonmonotone at x = 1: L = 0, so V = E(U) first drops below 0 at the
     first dU = -2 jump, which arrives at rate 0.75: P(tau <= T) = 1 - e^{-0.75 T}."""
     res = ruin_probability(get_preset("nonmonotone").model, 1.0, horizon=1.0, n=2000, seed=7)
@@ -176,6 +129,16 @@ def test_ruin_probability_per_path_scan_without_condition_b():
     assert abs(res.hit_prob - exact) < 4 * math.sqrt(exact * (1 - exact) / res.n)
     assert res.companion_tail is None
     assert any("condition (B) fails" in w for w in res.warnings)
+
+
+def test_ruin_probability_refuses_gaussian_part_without_condition_b():
+    law = JumpLaw2.point_mass([((-2.0, 0.0), 1.0)])
+    m = LevyModel2(
+        drift=(0.0, 0.0), gaussian_cov=((0.1, 0.0), (0.0, 0.0)), jump_intensity=1.0, jump_law=law
+    )
+    assert not m.condition_b
+    with pytest.raises(ConditionError):
+        ruin_probability(m, 1.0, horizon=1.0, n=10, seed=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from gouflow.paths import (
     Jump,
     Path,
     Segment,
+    exact_paths,
     reverse_path,
     sample_path,
-    stack_paths,
     truncate_path,
 )
 from gouflow.presets import PRESETS, get_preset
@@ -216,18 +217,28 @@ def test_aligned_check_matches_lookup_on_every_preset(name):
         assert abs(rep["max_error"] - ref) <= 1e-12, (i, rep["max_error"], ref)
 
 
+def _unpadded_row(batch, i):
+    """Row i of a stacked batch without its null segments."""
+    keep = batch.is_jump[i] | (batch.dt[i] > 0.0)
+    t = np.concatenate(([0.0], batch.t[i, 1:][keep]))
+    du, dl = batch.du[i, keep], batch.dl[i, keep]
+    return replace(batch, is_jump=batch.is_jump[i, keep], t=t, du=du, dl=dl)
+
+
 def test_stacked_batch_matches_single_paths(mixed_jump_model):
-    paths = [sample_path(mixed_jump_model, 2.0, make_stream("stack", i)) for i in range(25)]
-    rep = verify_pathwise_identity(stack_paths(paths), mixed_jump_model, 1.0)
-    single = [verify_pathwise_identity(p, mixed_jump_model, 1.0)["max_error"] for p in paths]
+    """One ``exact_paths`` batch verified at once gives each row the
+    ``max_error`` of that row verified alone."""
+    batch = exact_paths(mixed_jump_model, 2.0, make_stream("stack"), 25)
+    rep = verify_pathwise_identity(batch, mixed_jump_model, 1.0)
+    rows = [_unpadded_row(batch, i) for i in range(25)]
+    assert len({p.du.size for p in rows}) > 1  # some rows are padded
+    single = [verify_pathwise_identity(p, mixed_jump_model, 1.0)["max_error"] for p in rows]
     assert np.array_equal(rep["max_error"], single)
-    assert rep["n_points"] == sum(p.du.size + 1 for p in paths)
+    assert rep["n_points"] == sum(p.du.size + 1 for p in rows)
 
 
 def _unnegated_jumps(path, at=None):
     """Mutant reversal: jumps keep their sign."""
-    from dataclasses import replace
-
     r = reverse_path(path, at)
     j = r.is_jump
     return replace(r, du=np.where(j, -r.du, r.du), dl=np.where(j, -r.dl, r.dl))

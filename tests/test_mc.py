@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gouflow import mc
 from gouflow.levy import ConditionError, JumpLaw2, LevyModel2
-from gouflow.paths import Jump, Path, Segment, sample_path
+from gouflow.paths import draw_jumps, exact_paths, sample_path
 from gouflow.gou import causal_integral, solve_forward
 from gouflow.presets import get_preset
+from gouflow.rng import stream
 from gouflow.stats import ecdf, ks_two_sample
 
 
@@ -50,53 +52,36 @@ def test_run_blocks_prefix_stability():
 # ---------------------------------------------------------------------------
 
 
-def _path_from_arrays(model, horizon, jt, ju, jl):
-    events = []
-    t = 0.0
-    b_u, b_l = model.drift
-    for time, du, dl in zip(jt, ju, jl):
-        if time - t > 1e-12:
-            events.append(Segment(time - t, b_u * (time - t), b_l * (time - t)))
-        events.append(Jump(float(time), float(du), float(dl)))
-        t = float(time)
-    if horizon - t > 1e-12:
-        events.append(Segment(horizon - t, b_u * (horizon - t), b_l * (horizon - t)))
-    return Path.from_events(horizon=horizon, events=events, backend="exact")
+def _row(batch, i):
+    """Row i of a stacked batch as a path of its own."""
+    cols = dict(is_jump=batch.is_jump[i], t=batch.t[i], du=batch.du[i], dl=batch.dl[i])
+    return replace(batch, **cols)
 
 
 def test_jump_boundary_arrays_match_event_route(mixed_jump_model):
     """[DERIVED] cross-validation: the padded-array closed forms must equal
-    the per-path event-list solver on identical jump data."""
+    the per-path solver on the same rows of ``exact_paths`` (one draw from
+    an identical stream)."""
     m = mixed_jump_model
-    rng = np.random.default_rng(77)
-    horizon = 2.0
-    n, kmax = 40, 6
-    counts = rng.integers(0, kmax + 1, size=n)
-    times = rng.uniform(0, horizon, size=(n, kmax))
-    du, dl = m.jump_law.sample(rng, n * kmax)
-    du = du.reshape(n, kmax)
-    dl = dl.reshape(n, kmax)
-    pad = np.arange(kmax)[None, :] >= counts[:, None]
-    times[pad] = horizon
-    du[pad] = 0.0
-    dl[pad] = 0.0
-    order = np.argsort(times, axis=1)
-    times = np.take_along_axis(times, order, axis=1)
-    du = np.take_along_axis(du, order, axis=1)
-    dl = np.take_along_axis(dl, order, axis=1)
+    horizon, n = 2.0, 40
+    times, du, dl, counts = draw_jumps(m, horizon, stream(77, "boundary"), n)
+    batch = exact_paths(m, horizon, stream(77, "boundary"), n)
+    assert counts.min() < counts.max()  # rows carry padding
 
     e_bnd, i_bnd, c_final = mc._jump_boundary_arrays(
         times, du, dl, counts, m.drift[0], m.drift[1], m.drift[1], horizon
     )
     for row in range(n):
-        k = counts[row]
-        p = _path_from_arrays(m, horizon, times[row, :k], du[row, :k], dl[row, :k])
+        p = _row(batch, row)
+        assert np.count_nonzero(p.is_jump) == counts[row]
         traj = solve_forward(p, m, 0.0)
         c = causal_integral(p, m)
         assert e_bnd[row, -1] == pytest.approx(traj.exponential.final(), rel=1e-11)
         assert i_bnd[row, -1] == pytest.approx(traj.integral.final(), rel=1e-11, abs=1e-12)
         assert c_final[row] == pytest.approx(c.final(), rel=1e-11, abs=1e-12)
-        # running minimum over boundaries matches too
+        # every boundary, and the running minimum over them, match too
+        np.testing.assert_allclose(e_bnd[row], traj.exponential.values[1:], rtol=1e-11)
+        np.testing.assert_allclose(i_bnd[row], traj.integral.values[1:], rtol=1e-11, atol=1e-12)
         ref_min = min(
             0.0, float(traj.integral.values.min()), float(traj.integral.lefts.min())
         )
@@ -232,8 +217,26 @@ def test_ruin_samples_continuous_crossing_sets_zero_overshoot(subordinator_model
 def test_ruin_samples_rejects_unsupported_models(dufresne_model, sign_flip_model):
     with pytest.raises(NotImplementedError):
         mc.ruin_samples(dufresne_model, 1.0, 10, 1, [1.0])
+    # the H-weights of the first-passage identity need E(U) > 0
     with pytest.raises(ConditionError):
-        mc.ruin_samples(sign_flip_model, 1.0, 10, 1, [1.0])
+        mc.ruin_samples(sign_flip_model, 1.0, 10, 1, [1.0], h_cdf=lambda v: v)
+
+
+@pytest.mark.parametrize("name", ["sign-flip", "nonmonotone"])
+def test_ruin_samples_without_condition_b_match_per_path_solver(sign_flip_model, name):
+    """E(U) changes sign at jumps below -1: the lane's boundary hit count
+    equals the rows of the same block's ``exact_paths`` whose solved V
+    reaches <= 0."""
+    m = sign_flip_model if name == "sign-flip" else get_preset("nonmonotone").model
+    assert not m.condition_b
+    n, horizon, xs = 1000, 2.0, [0.25, 1.0, 3.0]
+    res = mc.ruin_samples(m, horizon, n, seed=8, x_probes=xs)
+    batch = exact_paths(m, horizon, stream(8, "ruin", 0), n)
+    for j, x in enumerate(xs):
+        v = solve_forward(batch, m, x).values.values
+        hits = int(np.count_nonzero((v <= 0.0).any(axis=1)))
+        assert res["hits"][j] == hits, (x, res["hits"][j], hits)
+        assert 0 < hits < n
 
 
 def test_exp_functional_samples_signs(subordinator_model):

@@ -21,6 +21,7 @@ from gouflow import (
 )
 from gouflow.calculus import stochastic_exponential
 from gouflow.paths import (
+    exact_paths,
     pair_path,
     path_values,
     recover_ul_from_xi_eta,
@@ -68,6 +69,27 @@ def test_sample_paths_batched_matches_count(mixed_jump_model):
     assert len(paths) == 7
     for p in paths:
         p.validate()
+
+
+def test_exact_paths_rows_are_padded_paths(mixed_jump_model):
+    """Row i is gap, jump, ..., gap followed by null segments at the
+    horizon; without them it is a valid path with the model's drift."""
+    m = mixed_jump_model
+    batch = exact_paths(m, 2.0, make_stream("exact-batch"), 50)
+    assert batch.du.shape == (50, batch.t.shape[1] - 1)
+    assert not batch.is_jump[:, 0::2].any()
+    for i in range(50):
+        real = batch.is_jump[i] | (batch.dt[i] > 0.0)
+        k = int(real.sum())
+        assert real[:k].all() and not real[k:].any()  # padding only at the end
+        assert np.all(batch.t[i, k:] == 2.0)
+        assert not batch.du[i, k:].any() and not batch.dl[i, k:].any()
+        t = batch.t[i, : k + 1]
+        row = Path(2.0, batch.is_jump[i, :k], t, batch.du[i, :k], batch.dl[i, :k], "exact")
+        row.validate()
+        gaps = ~row.is_jump
+        assert np.array_equal(row.du[gaps], m.drift[0] * row.dt[gaps])
+        assert np.array_equal(row.dl[gaps], m.drift[1] * row.dt[gaps])
 
 
 def test_jump_count_statistics(mixed_jump_model):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from gouflow.stats import (
     ks_two_sample,
 )
 from gouflow.stats import _kolmogorov_sf
+import gouflow
 
 
 def test_ecdf_basics():
@@ -123,3 +128,38 @@ def test_binomial_ci_validation():
         binomial_ci(5, 0)
     with pytest.raises(ValueError):
         binomial_ci(-1, 10)
+
+
+def _wilson(hits, n, z):
+    p = hits / n
+    denom = 1.0 + z * z / n
+    center = (p + z * z / (2 * n)) / denom
+    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
+    return center - half, center + half
+
+
+@pytest.mark.parametrize("level", [0.9, 0.95, 0.99, 0.999])
+def test_binomial_ci_normal_quantile_matches_scipy(level):
+    """z comes from the standard library; scipy's normal quantile agrees to
+    1e-15, and so do the intervals built on either."""
+    from scipy.stats import norm
+
+    z_ref = float(norm.ppf(0.5 + level / 2.0))
+    assert abs(NormalDist().inv_cdf(0.5 + level / 2.0) - z_ref) <= 1e-15 * z_ref
+    for hits, n in ((1, 2), (3, 10), (57, 400), (999, 1000)):
+        lo, hi = binomial_ci(hits, n, level)
+        ref_lo, ref_hi = _wilson(hits, n, z_ref)
+        assert abs(lo - ref_lo) <= 1e-15 and abs(hi - ref_hi) <= 1e-15
+
+
+def test_cli_import_and_binomial_ci_leave_scipy_stats_unloaded():
+    code = (
+        "import sys, gouflow.cli\n"
+        "from gouflow.stats import binomial_ci\n"
+        "binomial_ci(3, 10)\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(gouflow.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
