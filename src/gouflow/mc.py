@@ -5,8 +5,12 @@ independent of the worker count:
 
 * jump lane: finite-activity models without a Gaussian part.  Everything
   (stochastic exponential, the two exponential functionals, running minima
-  for barrier detection) has a closed form between jumps, so whole blocks
-  of paths are reduced with padded-array arithmetic and no time stepping.
+  for barrier detection) has a closed form between jumps, so blocks of
+  paths are reduced with padded-array arithmetic and no time stepping.
+  Each block is drawn whole (``paths.draw_jumps``) and reduced in row
+  tiles of ``_TILE_ROWS`` rows, so the kernel's temporaries take
+  O(_TILE_ROWS * K) memory for K jump slots instead of O(BLOCK_SIZE * K);
+  the draw itself, O(BLOCK_SIZE * K), is the lane's memory bound.
 * diffusion lane: models with a Gaussian part, on a fixed grid.  The
   stochastic exponential is updated in exact law; finite-variation
   integrands use the trapezoid rule (the left-point rule leaves an O(dt)
@@ -70,21 +74,24 @@ def run_blocks(n: int, fn, seed: int, label: str, workers: int = 1) -> dict:
 # jump lane
 # ---------------------------------------------------------------------------
 
-
-def _interval_integrals(a: float, t0: np.ndarray, t1: np.ndarray, sign: int) -> np.ndarray:
-    """int_{t0}^{t1} e^{sign * a * s} ds, elementwise, stable at a == 0."""
-    z = sign * a
-    if z == 0.0:
-        return t1 - t0
-    return (np.exp(z * t1) - np.exp(z * t0)) / z
+# Rows per kernel call.  The kernel makes about ten temporaries of
+# rows x (2K+1) doubles.  On a whole 4096-row block each is megabytes,
+# mapped fresh and faulted in page by page on every call; on 256-row
+# tiles they stay in cache and reuse memory the previous tile freed.
+_TILE_ROWS = 256
 
 
-def _jump_boundary_arrays(times, du, dl, counts, a, c_eta, c_l, horizon):
-    """Closed-form reduction of a block of pure-jump-plus-drift paths.
+def _tiles(size: int):
+    """Row slices of at most ``_TILE_ROWS`` rows covering [0, size)."""
+    return [slice(s, s + _TILE_ROWS) for s in range(0, size, _TILE_ROWS)]
+
+
+def _jump_boundary_arrays(times, du, dl, a, c_eta, c_l, horizon):
+    """Closed-form reduction of a tile of pure-jump-plus-drift paths.
 
     times: (n, K) jump times sorted per row, padded with the horizon;
-    du, dl: matching marks, zero-padded (``paths.draw_jumps``); counts:
-    true jump count per row.  a = b_U, c_eta = drift of eta, c_l = b_L.
+    du, dl: matching marks, zero-padded (``paths.draw_jumps``).  a = b_U,
+    c_eta = drift of eta, c_l = b_L.
 
     Returns E and I = int E^{-1} d eta at all event boundaries (n, 2K+1),
     interleaved as [end of gap 0, after jump 1, end of gap 1, ...], plus
@@ -97,12 +104,18 @@ def _jump_boundary_arrays(times, du, dl, counts, a, c_eta, c_l, horizon):
         p = np.cumprod(prod1, axis=1)
         p_ext = np.concatenate([np.ones((n, 1)), p], axis=1)  # product before gap j
         t_ext = np.concatenate([np.zeros((n, 1)), times, np.full((n, 1), horizon)], axis=1)
-        t0, t1 = t_ext[:, :-1], t_ext[:, 1:]
-
-        # gap j runs (t_j, t_{j+1}) with E_s = e^{a s} * p_ext[:, j]
-        gap_i = c_eta * _interval_integrals(a, t0, t1, -1) / p_ext
-        gap_c = c_l * _interval_integrals(a, t0, t1, +1) * p_ext
-        e_left_at_jump = np.exp(a * times) * p_ext[:, :-1]
+        # e^{a t} and e^{-a t} once per boundary time; gap j runs
+        # (t_j, t_{j+1}) with E_s = e^{a s} * p_ext[:, j]
+        grow = np.exp(a * t_ext)
+        if a == 0.0:
+            int_pos = int_neg = t_ext[:, 1:] - t_ext[:, :-1]
+        else:
+            shrink = np.exp(-a * t_ext)
+            int_pos = (grow[:, 1:] - grow[:, :-1]) / a
+            int_neg = (shrink[:, 1:] - shrink[:, :-1]) / -a
+        gap_i = c_eta * int_neg / p_ext
+        gap_c = c_l * int_pos * p_ext
+        e_left_at_jump = grow[:, 1:-1] * p_ext[:, :-1]
         jump_i = (dl / prod1) / e_left_at_jump
         jump_c = dl * e_left_at_jump
 
@@ -112,7 +125,7 @@ def _jump_boundary_arrays(times, du, dl, counts, a, c_eta, c_l, horizon):
         i_bnd = np.cumsum(inc_i, axis=1)
 
         e_bnd = np.empty((n, 2 * kmax + 1))
-        e_bnd[:, 0::2] = np.exp(a * t1) * p_ext  # left limit at the gap end
+        e_bnd[:, 0::2] = grow[:, 1:] * p_ext  # left limit at the gap end
         e_bnd[:, 1::2] = e_left_at_jump * prod1  # right after the jump
 
         c_final = gap_c.sum(axis=1) + jump_c.sum(axis=1)
@@ -120,18 +133,20 @@ def _jump_boundary_arrays(times, du, dl, counts, a, c_eta, c_l, horizon):
 
 
 def _jump_block(model, horizon, rng, size):
-    times, du, dl, counts = draw_jumps(model, horizon, rng, size)
-    e_bnd, i_bnd, c_final = _jump_boundary_arrays(
-        times, du, dl, counts, model.drift[0], model.drift[1], model.drift[1], horizon
-    )
-    return {
-        "e": e_bnd[:, -1].copy(),
-        "i": i_bnd[:, -1].copy(),
-        "c": c_final,
-        "i_min": np.minimum(i_bnd.min(axis=1), 0.0),
-        "u": model.drift[0] * horizon + du.sum(axis=1),
-        "l": model.drift[1] * horizon + dl.sum(axis=1),
-    }
+    times, du, dl, _ = draw_jumps(model, horizon, rng, size)
+    a, b_l = model.drift
+    out = {k: np.empty(size) for k in ("e", "i", "c", "i_min")}
+    for rows in _tiles(size):
+        e_bnd, i_bnd, c_final = _jump_boundary_arrays(
+            times[rows], du[rows], dl[rows], a, b_l, b_l, horizon
+        )
+        out["e"][rows] = e_bnd[:, -1]
+        out["i"][rows] = i_bnd[:, -1]
+        out["c"][rows] = c_final
+        out["i_min"][rows] = np.minimum(i_bnd.min(axis=1), 0.0)
+    out["u"] = a * horizon + du.sum(axis=1)
+    out["l"] = b_l * horizon + dl.sum(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -261,46 +276,66 @@ def ruin_samples(
     event boundaries V solves a linear ODE and is monotone, so V <= 0
     somewhere iff at some boundary; that needs only E(U) != 0 (condition
     (A)), while the H-weights need E(U) > 0, i.e. all jumps dU > -1.
+    Non-finite boundary values of E or I (an overflowing E at a long
+    horizon) are a ConditionError naming their count.
     """
     if model.has_gaussian:
         raise NotImplementedError("ruin lane supports pure-jump models only")
     if h_cdf is not None and not model.condition_b:
         raise ConditionError("first-passage bookkeeping needs dU > -1 a.s.")
     xs = np.asarray(list(x_probes), dtype=float)
-    b_l = model.drift[1]
+    scanned = [j for j, x in enumerate(xs) if x > 0.0]
+    a, b_l = model.drift
 
     def block(rng, size):
-        times, du, dl, counts = draw_jumps(model, horizon, rng, size)
-        e_bnd, i_bnd, _ = _jump_boundary_arrays(
-            times, du, dl, counts, model.drift[0], b_l, b_l, horizon
-        )
+        times, du, dl, _ = draw_jumps(model, horizon, rng, size)
         out = {}
         for j, x in enumerate(xs):
-            if x <= 0.0:
-                # started at or below the barrier: tau = 0 and V_tau = x
-                out[f"hit_{j}"] = np.ones(size, dtype=bool)
-                if h_cdf is not None:
-                    out[f"hw_{j}"] = np.full(size, float(np.asarray(h_cdf(-x))))
-                continue
-            v_bnd = e_bnd * (x + i_bnd)
-            below = v_bnd <= 0.0
-            hit = below.any(axis=1)
-            out[f"hit_{j}"] = hit
-            if h_cdf is None:
-                continue
-            first = below.argmax(axis=1)
-            rows = np.arange(size)
-            v_tau = v_bnd[rows, first]
-            if b_l != 0.0:
-                # an even index is a gap end; if V was positive at the
-                # previous boundary the drift crossed zero continuously
-                prev_pos = (first % 2 == 0) & (first > 0)
-                prev_pos &= v_bnd[rows, np.maximum(first - 1, 0)] > 0.0
-                v_tau = np.where(prev_pos, 0.0, v_tau)
-            out[f"hw_{j}"] = np.where(hit, h_cdf(np.where(hit, -v_tau, 0.0)), 0.0)
+            # filled tile by tile for x > 0; started at or below the
+            # barrier, tau = 0 and V_tau = x
+            out[f"hit_{j}"] = np.ones(size, dtype=bool)
+            if h_cdf is not None:
+                out[f"hw_{j}"] = np.full(size, float(np.asarray(h_cdf(-x))))
+        # E/I boundary values the scan reads, and how many are not finite
+        out["bnd_values"] = np.zeros(size, dtype=int)
+        out["bnd_nonfinite"] = np.zeros(size, dtype=int)
+        if not scanned:
+            return out
+        for rows in _tiles(size):
+            e_bnd, i_bnd, _ = _jump_boundary_arrays(
+                times[rows], du[rows], dl[rows], a, b_l, b_l, horizon
+            )
+            out["bnd_values"][rows] = 2 * e_bnd.shape[1]
+            out["bnd_nonfinite"][rows] = np.count_nonzero(~np.isfinite(e_bnd), axis=1)
+            out["bnd_nonfinite"][rows] += np.count_nonzero(~np.isfinite(i_bnd), axis=1)
+            idx = np.arange(e_bnd.shape[0])
+            for j in scanned:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    v_bnd = e_bnd * (xs[j] + i_bnd)
+                below = v_bnd <= 0.0
+                hit = below.any(axis=1)
+                out[f"hit_{j}"][rows] = hit
+                if h_cdf is None:
+                    continue
+                first = below.argmax(axis=1)
+                v_tau = v_bnd[idx, first]
+                if b_l != 0.0:
+                    # an even index is a gap end; if V was positive at the
+                    # previous boundary the drift crossed zero continuously
+                    prev_pos = (first % 2 == 0) & (first > 0)
+                    prev_pos &= v_bnd[idx, np.maximum(first - 1, 0)] > 0.0
+                    v_tau = np.where(prev_pos, 0.0, v_tau)
+                out[f"hw_{j}"][rows] = np.where(hit, h_cdf(np.where(hit, -v_tau, 0.0)), 0.0)
         return out
 
     res = run_blocks(n, block, seed, label, workers)
+    bad = int(res["bnd_nonfinite"].sum())
+    if bad:
+        raise ConditionError(
+            f"{bad} of {int(res['bnd_values'].sum())} ruin-scan E/I boundary samples are not "
+            f"finite at horizon {horizon:g}; the stochastic exponential or its inverse "
+            "overflows, use a shorter horizon"
+        )
     hits = np.array([res[f"hit_{j}"].sum() for j in range(xs.size)], dtype=int)
     out = {"x": xs, "n": n, "hits": hits, "hit_prob": hits / n}
     if h_cdf is not None:

@@ -198,6 +198,10 @@ def test_cli_refuses_hypothesis_violations(tmp_path, capsys):
         ("model: {drift: [0.5, 1.0]}\nstationary_horizon: 1500\n", "300 of 300 causal stationary"),
         ("preset: cramer-paulsen\nsuite: duality\nt_grid: [1500]\n", "300 of 300 V-side E"),
         ("preset: cramer-paulsen\nsuite: monotonicity\nt_grid: [1500]\n", "300 of 300 V-side E"),
+        (
+            "preset: cramer-paulsen\nsuite: ruin\nstationary_horizon: 1500\nstationary_n: 200\n",
+            "195258 of 3791400 ruin-scan E/I boundary",
+        ),
     ],
 )
 def test_cli_refuses_non_finite_samples(tmp_path, capsys, extra, named):

@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gouflow import mc
-from gouflow.levy import ConditionError, JumpLaw2, LevyModel2
+from gouflow.levy import ConditionError, JumpLaw2, LevyModel2, Marginal
 from gouflow.paths import draw_jumps, exact_paths, sample_path
 from gouflow.gou import causal_integral, solve_forward
 from gouflow.presets import get_preset
@@ -69,7 +71,7 @@ def test_jump_boundary_arrays_match_event_route(mixed_jump_model):
     assert counts.min() < counts.max()  # rows carry padding
 
     e_bnd, i_bnd, c_final = mc._jump_boundary_arrays(
-        times, du, dl, counts, m.drift[0], m.drift[1], m.drift[1], horizon
+        times, du, dl, m.drift[0], m.drift[1], m.drift[1], horizon
     )
     for row in range(n):
         p = _row(batch, row)
@@ -86,6 +88,151 @@ def test_jump_boundary_arrays_match_event_route(mixed_jump_model):
             0.0, float(traj.integral.values.min()), float(traj.integral.lefts.min())
         )
         assert min(0.0, i_bnd[row].min()) == pytest.approx(ref_min, abs=1e-11)
+
+
+# The jump lane before row tiles: one kernel call on the whole block and
+# six exp calls.  The tiled lane must reproduce it bit for bit.
+
+
+def _untiled_interval_integrals(a, t0, t1, sign):
+    z = sign * a
+    if z == 0.0:
+        return t1 - t0
+    return (np.exp(z * t1) - np.exp(z * t0)) / z
+
+
+def _untiled_boundary_arrays(times, du, dl, a, c_eta, c_l, horizon):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        n, kmax = times.shape
+        prod1 = 1.0 + du
+        p = np.cumprod(prod1, axis=1)
+        p_ext = np.concatenate([np.ones((n, 1)), p], axis=1)
+        t_ext = np.concatenate([np.zeros((n, 1)), times, np.full((n, 1), horizon)], axis=1)
+        t0, t1 = t_ext[:, :-1], t_ext[:, 1:]
+        gap_i = c_eta * _untiled_interval_integrals(a, t0, t1, -1) / p_ext
+        gap_c = c_l * _untiled_interval_integrals(a, t0, t1, +1) * p_ext
+        e_left_at_jump = np.exp(a * times) * p_ext[:, :-1]
+        jump_i = (dl / prod1) / e_left_at_jump
+        jump_c = dl * e_left_at_jump
+        inc_i = np.empty((n, 2 * kmax + 1))
+        inc_i[:, 0::2] = gap_i
+        inc_i[:, 1::2] = jump_i
+        i_bnd = np.cumsum(inc_i, axis=1)
+        e_bnd = np.empty((n, 2 * kmax + 1))
+        e_bnd[:, 0::2] = np.exp(a * t1) * p_ext
+        e_bnd[:, 1::2] = e_left_at_jump * prod1
+        c_final = gap_c.sum(axis=1) + jump_c.sum(axis=1)
+    return e_bnd, i_bnd, c_final
+
+
+def _untiled_jump_block(model, horizon, rng, size):
+    times, du, dl, _ = draw_jumps(model, horizon, rng, size)
+    b_u, b_l = model.drift
+    e_bnd, i_bnd, c_final = _untiled_boundary_arrays(times, du, dl, b_u, b_l, b_l, horizon)
+    return {
+        "e": e_bnd[:, -1],
+        "i": i_bnd[:, -1],
+        "c": c_final,
+        "i_min": np.minimum(i_bnd.min(axis=1), 0.0),
+        "u": b_u * horizon + du.sum(axis=1),
+        "l": b_l * horizon + dl.sum(axis=1),
+    }
+
+
+def _untiled_ruin(model, horizon, rng, size, xs, h_cdf):
+    """Per-probe hit flags and H-weights of one untiled ruin block."""
+    times, du, dl, _ = draw_jumps(model, horizon, rng, size)
+    b_u, b_l = model.drift
+    e_bnd, i_bnd, _ = _untiled_boundary_arrays(times, du, dl, b_u, b_l, b_l, horizon)
+    hits, weights = [], []
+    for x in xs:
+        if x <= 0.0:
+            hits.append(np.ones(size, dtype=bool))
+            if h_cdf is not None:
+                weights.append(np.full(size, float(np.asarray(h_cdf(-x)))))
+            continue
+        v_bnd = e_bnd * (x + i_bnd)
+        below = v_bnd <= 0.0
+        hit = below.any(axis=1)
+        hits.append(hit)
+        if h_cdf is None:
+            continue
+        first = below.argmax(axis=1)
+        rows = np.arange(size)
+        v_tau = v_bnd[rows, first]
+        if b_l != 0.0:
+            prev_pos = (first % 2 == 0) & (first > 0)
+            prev_pos &= v_bnd[rows, np.maximum(first - 1, 0)] > 0.0
+            v_tau = np.where(prev_pos, 0.0, v_tau)
+        weights.append(np.where(hit, h_cdf(np.where(hit, -v_tau, 0.0)), 0.0))
+    return hits, weights
+
+
+def _assert_bitwise(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _h_cdf(v):
+    return np.clip(0.5 + 0.2 * np.asarray(v, float), 0.0, 1.0)
+
+
+def _check_tiled_lane_bitwise(model, horizon, size, seed):
+    tiled = mc._jump_block(model, horizon, stream(seed, "tiles", 0), size)
+    ref = _untiled_jump_block(model, horizon, stream(seed, "tiles", 0), size)
+    for key in ("e", "i", "c", "i_min", "u", "l"):
+        _assert_bitwise(tiled[key], ref[key])
+
+    xs = [-0.5, 0.0, 0.25, 1.0, 3.0]
+    h_cdf = _h_cdf if model.condition_b else None
+    res = mc.ruin_samples(model, horizon, size, seed, xs, h_cdf=h_cdf, label="tiles")
+    hits, weights = _untiled_ruin(model, horizon, stream(seed, "tiles", 0), size, xs, h_cdf)
+    assert res["hits"].tolist() == [int(h.sum()) for h in hits]
+    for j, w in enumerate(weights):
+        _assert_bitwise(res[f"weights_{j}"], w)
+
+
+@pytest.mark.parametrize("size", [1, 255, 256, 257, 1000])
+@pytest.mark.parametrize(
+    "name", ["zero", "drift-ou", "cramer-paulsen", "degenerate-k", "nonmonotone"]
+)
+def test_tiled_jump_lane_is_bitwise_untiled(name, size):
+    """Row tiles and the shared e^{+-a t} per boundary change no bit of the
+    lane's samples, hit counts or H-weights, on either side of a tile
+    boundary."""
+    preset = get_preset(name)
+    horizon = preset.recommended.get("horizon", 20.0)
+    _check_tiled_lane_bitwise(preset.model, horizon, size, seed=21)
+
+
+_point_mass_laws = st.lists(
+    st.tuples(
+        st.floats(-3.0, 2.0).filter(lambda u: abs(u + 1.0) > 1e-3),
+        st.floats(-2.0, 2.0),
+    ),
+    min_size=1,
+    max_size=3,
+).map(lambda atoms: JumpLaw2.point_mass([(a, 1.0 / len(atoms)) for a in atoms]))
+_exponential_laws = st.builds(
+    JumpLaw2.independent,
+    st.builds(Marginal.exponential, st.floats(0.5, 4.0), st.sampled_from([-1, 1])),
+    st.builds(Marginal.exponential, st.floats(0.5, 4.0), st.sampled_from([-1, 1])),
+)
+
+
+@given(
+    law=st.one_of(_point_mass_laws, _exponential_laws),
+    b_u=st.one_of(st.just(0.0), st.floats(-1.5, 1.5)),
+    b_l=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+    intensity=st.floats(0.5, 3.0),
+    horizon=st.floats(0.5, 6.0),
+    size=st.sampled_from([1, 255, 256, 257, 600]),
+)
+@settings(max_examples=30, deadline=None)
+def test_tiled_jump_lane_is_bitwise_untiled_random_laws(law, b_u, b_l, intensity, horizon, size):
+    model = LevyModel2(drift=(b_u, b_l), jump_intensity=intensity, jump_law=law)
+    _check_tiled_lane_bitwise(model, horizon, size, seed=22)
 
 
 def _per_path_reference(model, horizon, n, seed, grid_dt):
@@ -220,6 +367,17 @@ def test_ruin_samples_rejects_unsupported_models(dufresne_model, sign_flip_model
     # the H-weights of the first-passage identity need E(U) > 0
     with pytest.raises(ConditionError):
         mc.ruin_samples(sign_flip_model, 1.0, 10, 1, [1.0], h_cdf=lambda v: v)
+
+
+def test_ruin_samples_refuse_non_finite_boundary_values():
+    """E = e^{-T} underflows to 0 at T = 800, so I = int E^{-1} d eta is
+    inf and V = E (x + I) would be NaN: the scan refuses with the count of
+    non-finite E/I boundary values instead of counting no hit."""
+    m = LevyModel2(drift=(-1.0, -1.0))
+    with pytest.raises(ConditionError, match="16 of 32 ruin-scan E/I boundary samples"):
+        mc.ruin_samples(m, 800.0, 16, seed=3, x_probes=[0.5])
+    # probes at or below the barrier read no boundary value
+    assert mc.ruin_samples(m, 800.0, 16, seed=3, x_probes=[-0.5])["hits"][0] == 16
 
 
 @pytest.mark.parametrize("name", ["sign-flip", "nonmonotone"])
