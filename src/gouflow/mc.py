@@ -8,15 +8,19 @@ independent of the worker count:
   for barrier detection) has a closed form between jumps, so blocks of
   paths are reduced with padded-array arithmetic and no time stepping.
   Each block is drawn whole (``paths.draw_jumps``) and reduced in row
-  tiles of ``_TILE_ROWS`` rows, so the kernel's temporaries take
-  O(_TILE_ROWS * K) memory for K jump slots instead of O(BLOCK_SIZE * K);
-  the draw itself, O(BLOCK_SIZE * K), is the lane's memory bound.
+  tiles of about ``_CHUNK_ELEMENTS`` boundary values, so the kernel's
+  temporaries take O(_CHUNK_ELEMENTS) memory for K jump slots instead of
+  O(BLOCK_SIZE * K); the draw itself, O(BLOCK_SIZE * K), is the lane's
+  memory bound.
 * diffusion lane: models with a Gaussian part, on a fixed grid.  The
   stochastic exponential is updated in exact law; finite-variation
   integrands use the trapezoid rule (the left-point rule leaves an O(dt)
   bias that would dominate the statistics), Brownian integrands use
   left-point Ito sums.  Jumps come as a Poisson(lambda dt) count per step
   applied at the step end: an O(dt) weak error, the order of the Ito sums.
+  Without jumps the block's normals are drawn a chunk of steps ahead on
+  one helper thread while the current chunk is stepped; the draws keep
+  their stream order, so the samples do not depend on it.
 
 All per-path hit detection is expressed through the running minimum of
 the integral process I_s = int E^{-1} d eta: when E stays positive,
@@ -74,16 +78,21 @@ def run_blocks(n: int, fn, seed: int, label: str, workers: int = 1) -> dict:
 # jump lane
 # ---------------------------------------------------------------------------
 
-# Rows per kernel call.  The kernel makes about ten temporaries of
-# rows x (2K+1) doubles.  On a whole 4096-row block each is megabytes,
-# mapped fresh and faulted in page by page on every call; on 256-row
-# tiles they stay in cache and reuse memory the previous tile freed.
-_TILE_ROWS = 256
+# Doubles per working chunk of either lane: a jump-lane tile of rows x
+# (2K+1) boundaries, or a grid-lane chunk of steps x normals per step.
+# The jump kernel makes about ten temporaries of a tile's size.  On a
+# whole 4096-row block each is megabytes, mapped fresh and faulted in
+# page by page on every call; at this size they stay in cache and reuse
+# memory the previous tile freed.
+_CHUNK_ELEMENTS = 32_768
 
 
-def _tiles(size: int):
-    """Row slices of at most ``_TILE_ROWS`` rows covering [0, size)."""
-    return [slice(s, s + _TILE_ROWS) for s in range(0, size, _TILE_ROWS)]
+def _tiles(times):
+    """Row slices of a (size, K) jump draw, each about ``_CHUNK_ELEMENTS``
+    of the kernel's 2K+1 boundary values."""
+    size, kmax = times.shape
+    rows = max(1, _CHUNK_ELEMENTS // (2 * kmax + 1))
+    return [slice(s, s + rows) for s in range(0, size, rows)]
 
 
 def _jump_boundary_arrays(times, du, dl, a, c_eta, c_l, horizon):
@@ -136,7 +145,7 @@ def _jump_block(model, horizon, rng, size):
     times, du, dl, _ = draw_jumps(model, horizon, rng, size)
     a, b_l = model.drift
     out = {k: np.empty(size) for k in ("e", "i", "c", "i_min")}
-    for rows in _tiles(size):
+    for rows in _tiles(times):
         e_bnd, i_bnd, c_final = _jump_boundary_arrays(
             times[rows], du[rows], dl[rows], a, b_l, b_l, horizon
         )
@@ -152,6 +161,32 @@ def _jump_block(model, horizon, rng, size):
 # ---------------------------------------------------------------------------
 # diffusion lane
 # ---------------------------------------------------------------------------
+
+
+def _normal_rows(rng, shape, nsteps, ahead):
+    """Yield ``nsteps`` arrays of standard normals of ``shape``, in stream order.
+
+    Without a pool each array is drawn when it is asked for.  With a
+    one-thread pool ``ahead``, that thread fills the next chunk of about
+    ``_CHUNK_ELEMENTS`` normals while the caller uses the current one; the
+    two chunk buffers are allocated here, on the caller's thread.  A
+    (k, *shape) draw takes the same numbers in the same order as k draws
+    of ``shape``, so the rows do not depend on the chunking.  A yielded
+    row is a view, valid until the next row is asked for.
+    """
+    if ahead is None:
+        for _ in range(nsteps):
+            yield rng.standard_normal(shape)
+        return
+    k = max(1, _CHUNK_ELEMENTS // math.prod(shape))
+    bufs = (np.empty((k, *shape)), np.empty((k, *shape)))
+    fill = lambda buf, m: rng.standard_normal(out=buf[:m])
+    pending = ahead.submit(fill, bufs[0], min(k, nsteps))
+    for c, start in enumerate(range(0, nsteps, k)):
+        chunk = pending.result()
+        if start + k < nsteps:
+            pending = ahead.submit(fill, bufs[(c + 1) % 2], min(k, nsteps - start - k))
+        yield from chunk
 
 
 def _diffusion_block(model, horizon, rng, size, grid_dt):
@@ -171,33 +206,38 @@ def _diffusion_block(model, horizon, rng, size, grid_dt):
     i_min = np.zeros(size)
     u = np.zeros(size)
     l = np.zeros(size)
-    for _ in range(nsteps):
-        if u_noise_only:
-            zu = rng.standard_normal(size) * math.sqrt(suu * dt)
-            zl = 0.0
-        else:
-            z = rng.standard_normal((size, 2)) @ chol.T
-            zu, zl = z[:, 0], z[:, 1]
-        e_new = e * np.exp(b_u * dt + zu - 0.5 * suu * dt)
-        inv_e = 1.0 / e
-        i += drift_eta * dt * 0.5 * (inv_e + 1.0 / e_new) + inv_e * zl
-        c += b_l * dt * 0.5 * (e + e_new) + e * zl
-        u += b_u * dt + zu
-        l += b_l * dt + zl
-        e = e_new
-        np.minimum(i_min, i, out=i_min)
-        if model.has_jumps:  # pass r applies the (r+1)-th jump of the step
-            counts = rng.poisson(model.jump_intensity * dt, size)
-            for r in range(counts.max()):
-                rows = np.flatnonzero(counts > r)
-                du, dl = model.jump_law.sample(rng, rows.size)
-                e_left = e[rows]
-                i[rows] += dl / ((1.0 + du) * e_left)
-                c[rows] += e_left * dl
-                e[rows] = e_left * (1.0 + du)
-                u[rows] += du
-                l[rows] += dl
-                i_min[rows] = np.minimum(i_min[rows], i[rows])
+    # A model with jumps draws Poisson counts and marks between the
+    # normals of its stream, so only a normals-only stream is drawn ahead
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = None if model.has_jumps else pool
+        shape = (size,) if u_noise_only else (size, 2)
+        for z in _normal_rows(rng, shape, nsteps, ahead):
+            if u_noise_only:
+                zu = z * math.sqrt(suu * dt)
+                zl = 0.0
+            else:
+                z = z @ chol.T
+                zu, zl = z[:, 0], z[:, 1]
+            e_new = e * np.exp(b_u * dt + zu - 0.5 * suu * dt)
+            inv_e = 1.0 / e
+            i += drift_eta * dt * 0.5 * (inv_e + 1.0 / e_new) + inv_e * zl
+            c += b_l * dt * 0.5 * (e + e_new) + e * zl
+            u += b_u * dt + zu
+            l += b_l * dt + zl
+            e = e_new
+            np.minimum(i_min, i, out=i_min)
+            if model.has_jumps:  # pass r applies the (r+1)-th jump of the step
+                counts = rng.poisson(model.jump_intensity * dt, size)
+                for r in range(counts.max()):
+                    rows = np.flatnonzero(counts > r)
+                    du, dl = model.jump_law.sample(rng, rows.size)
+                    e_left = e[rows]
+                    i[rows] += dl / ((1.0 + du) * e_left)
+                    c[rows] += e_left * dl
+                    e[rows] = e_left * (1.0 + du)
+                    u[rows] += du
+                    l[rows] += dl
+                    i_min[rows] = np.minimum(i_min[rows], i[rows])
     return {"e": e, "i": i, "c": c, "i_min": i_min, "u": u, "l": l}
 
 
@@ -301,7 +341,7 @@ def ruin_samples(
         out["bnd_nonfinite"] = np.zeros(size, dtype=int)
         if not scanned:
             return out
-        for rows in _tiles(size):
+        for rows in _tiles(times):
             e_bnd, i_bnd, _ = _jump_boundary_arrays(
                 times[rows], du[rows], dl[rows], a, b_l, b_l, horizon
             )

@@ -68,7 +68,7 @@ def _dufresne() -> Preset:
             "Geometric-Brownian discounting of a unit income stream; the "
             "stationary law has a closed-form inverse-gamma oracle."
         ),
-        recommended={"horizon": 15.0, "stationary_kind": "causal", "grid_dt": 1e-3},
+        recommended={"horizon": 15.0, "stationary_kind": "causal"},
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from gouflow.levy import ConditionError, JumpLaw2, LevyModel2, Marginal
 from gouflow.paths import draw_jumps, exact_paths, sample_path
 from gouflow.gou import causal_integral, solve_forward
 from gouflow.presets import get_preset
-from gouflow.rng import stream
+from gouflow.rng import BLOCK_SIZE, stream
 from gouflow.stats import ecdf, ks_two_sample
 
 
@@ -320,6 +321,180 @@ def test_diffusion_lane_i_min_bounds(dufresne_model):
     assert np.all(res["i_min"] <= np.minimum(res["i"], 0.0) + 1e-12)
     # unit positive L drift: I is increasing, so i_min must be exactly 0
     assert np.all(res["i_min"] == 0.0)
+
+
+# The grid lane before its normals were drawn ahead: one draw per step on
+# the calling thread.  The lane must reproduce it bit for bit.
+
+
+def _serial_diffusion_block(model, horizon, rng, size, grid_dt):
+    b_u, b_l = model.drift
+    suu = model.sigma_u_sq
+    drift_eta = b_l - model.sigma_ul
+    nsteps = max(1, math.ceil(horizon / grid_dt))
+    dt = horizon / nsteps
+    chol = mc._cov_sqrt(model.gaussian_cov) * math.sqrt(dt)
+    u_noise_only = model.sigma_l_sq == 0.0 and model.sigma_ul == 0.0
+    e = np.ones(size)
+    i = np.zeros(size)
+    c = np.zeros(size)
+    i_min = np.zeros(size)
+    u = np.zeros(size)
+    l = np.zeros(size)
+    for _ in range(nsteps):
+        if u_noise_only:
+            zu = rng.standard_normal(size) * math.sqrt(suu * dt)
+            zl = 0.0
+        else:
+            z = rng.standard_normal((size, 2)) @ chol.T
+            zu, zl = z[:, 0], z[:, 1]
+        e_new = e * np.exp(b_u * dt + zu - 0.5 * suu * dt)
+        inv_e = 1.0 / e
+        i += drift_eta * dt * 0.5 * (inv_e + 1.0 / e_new) + inv_e * zl
+        c += b_l * dt * 0.5 * (e + e_new) + e * zl
+        u += b_u * dt + zu
+        l += b_l * dt + zl
+        e = e_new
+        np.minimum(i_min, i, out=i_min)
+        if model.has_jumps:
+            counts = rng.poisson(model.jump_intensity * dt, size)
+            for r in range(counts.max()):
+                rows = np.flatnonzero(counts > r)
+                du, dl = model.jump_law.sample(rng, rows.size)
+                e_left = e[rows]
+                i[rows] += dl / ((1.0 + du) * e_left)
+                c[rows] += e_left * dl
+                e[rows] = e_left * (1.0 + du)
+                u[rows] += du
+                l[rows] += dl
+                i_min[rows] = np.minimum(i_min[rows], i[rows])
+    return {"e": e, "i": i, "c": c, "i_min": i_min, "u": u, "l": l}
+
+
+_GRID_MODELS = {
+    "dufresne": get_preset("dufresne").model,
+    "correlated-gauss": LevyModel2(drift=(-1.0, 0.5), gaussian_cov=((1.0, 0.3), (0.3, 0.5))),
+    "l-only": LevyModel2(drift=(-0.5, 0.2), gaussian_cov=((0.0, 0.0), (0.0, 0.7))),
+    "jump-diffusion": LevyModel2(
+        drift=(-1.0, 1.0),
+        gaussian_cov=((0.5, 0.0), (0.0, 0.0)),
+        jump_intensity=1.0,
+        jump_law=JumpLaw2.point_mass([((0.5, 0.5), 0.5), ((-0.3, 0.2), 0.5)]),
+    ),
+}
+
+
+def _chunk_steps(model, size):
+    """Steps per chunk of normals drawn ahead for this model and block size."""
+    u_only = model.sigma_l_sq == 0.0 and model.sigma_ul == 0.0
+    return max(1, mc._CHUNK_ELEMENTS // (size * (1 if u_only else 2)))
+
+
+def _check_grid_lane_bitwise(model, nsteps, size, dt=1e-3, seed=31):
+    ahead = mc._diffusion_block(model, nsteps * dt, stream(seed, "grid", size), size, dt)
+    ref = _serial_diffusion_block(model, nsteps * dt, stream(seed, "grid", size), size, dt)
+    for key in ("e", "i", "c", "i_min", "u", "l"):
+        _assert_bitwise(ahead[key], ref[key])
+    return ahead
+
+
+@pytest.mark.parametrize("offset", ["one", -1, 0, 1])
+@pytest.mark.parametrize("size", [1, 7, 4096])
+@pytest.mark.parametrize("name", list(_GRID_MODELS))
+def test_grid_lane_is_bitwise_serial(name, size, offset):
+    """Normals drawn a chunk ahead on a helper thread change no bit of the
+    lane's samples: one step, and k - 1, k and k + 1 steps around the
+    chunk length k.  The jump-diffusion model draws on the calling thread."""
+    model = _GRID_MODELS[name]
+    nsteps = 1 if offset == "one" else _chunk_steps(model, size) + offset
+    _check_grid_lane_bitwise(model, nsteps, size)
+
+
+def test_grid_lane_is_bitwise_serial_when_e_overflows():
+    """E(U) overflows within the third chunk: the inf and NaN positions and
+    every finite bit still match the serial lane."""
+    model = LevyModel2(drift=(2000.0, 0.5), gaussian_cov=((1.0, 0.3), (0.3, 0.5)))
+    nsteps = 2 * _chunk_steps(model, 4096) + 3
+    with np.errstate(all="ignore"):
+        out = _check_grid_lane_bitwise(model, nsteps, 4096, dt=0.05)
+    assert np.isinf(out["e"]).all() and np.isnan(out["c"]).any()
+
+
+def test_terminal_samples_two_blocks_worker_independent(dufresne_model):
+    """Two blocks, each with its own draw-ahead thread, give the same bytes
+    at workers 1 and 2, and the serial lane's."""
+    n, horizon = 2 * BLOCK_SIZE, 0.05
+    one = mc.terminal_samples(dufresne_model, horizon, n, seed=17, workers=1)
+    two = mc.terminal_samples(dufresne_model, horizon, n, seed=17, workers=2)
+    serial = mc.run_blocks(
+        n, lambda rng, size: _serial_diffusion_block(dufresne_model, horizon, rng, size, 1e-3),
+        seed=17, label="terminal",
+    )
+    for key in ("e", "i", "c", "i_min", "u", "l"):
+        assert one[key].tobytes() == two[key].tobytes() == serial[key].tobytes()
+
+
+class _DrawError(Exception):
+    pass
+
+
+class _CountingStream:
+    """A stream stand-in that records the thread of every normal draw and
+    raises on fill ``fail_at`` (counted from 1)."""
+
+    def __init__(self, seed, fail_at=None):
+        self._rng = stream(seed, "counting")
+        self.fail_at = fail_at
+        self.error = _DrawError("draw failed")
+        self.threads = []
+
+    def standard_normal(self, *args, **kwargs):
+        self.threads.append(threading.get_ident())
+        if len(self.threads) == self.fail_at:
+            raise self.error
+        return self._rng.standard_normal(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_grid_lane_draws_ahead_only_without_jumps(dufresne_model):
+    """A normals-only stream is filled on one helper thread; a model with
+    jumps keeps every draw on the calling thread."""
+    size = 64
+    k = _chunk_steps(dufresne_model, size)
+    rng = _CountingStream(1)
+    mc._diffusion_block(dufresne_model, (2 * k + 1) * 1e-3, rng, size, 1e-3)
+    assert len(rng.threads) == 3
+    assert len(set(rng.threads)) == 1 and rng.threads[0] != threading.get_ident()
+
+    rng = _CountingStream(1)
+    mc._diffusion_block(_GRID_MODELS["jump-diffusion"], 5e-3, rng, size, 1e-3)
+    assert rng.threads == [threading.get_ident()] * 5
+
+
+def test_helper_draw_error_reaches_caller_and_threads_end(dufresne_model):
+    baseline = threading.active_count()
+    size = 64
+    k = _chunk_steps(dufresne_model, size)
+    mc._diffusion_block(dufresne_model, (2 * k + 1) * 1e-3, _CountingStream(1), size, 1e-3)
+    assert threading.active_count() == baseline
+
+    rng = _CountingStream(1, fail_at=3)
+    with pytest.raises(_DrawError) as info:
+        mc._diffusion_block(dufresne_model, 3 * k * 1e-3, rng, size, 1e-3)
+    assert info.value is rng.error
+    assert threading.active_count() == baseline
+
+
+def test_step_error_ends_helper_thread():
+    """An error in the step arithmetic, raised while the next chunk may
+    still be drawing, leaves no thread behind."""
+    model = LevyModel2(drift=(2000.0, 0.5), gaussian_cov=((1.0, 0.0), (0.0, 0.0)))
+    baseline = threading.active_count()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        mc._diffusion_block(model, 1.0, stream(2, "overflow"), 4096, 0.01)
+    assert threading.active_count() == baseline
 
 
 # ---------------------------------------------------------------------------
