@@ -1,5 +1,4 @@
-"""Stochastic exponentials, left-point integrals and covariations on
-columnar paths.
+"""Stochastic exponentials and their running integrals on columnar paths.
 
 All increments already carry genuine drift, so no compensator correction
 ever appears inside an integral.  On the exact backend, segments are pure
@@ -12,7 +11,6 @@ special casing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +22,6 @@ __all__ = [
     "AlignedSeries",
     "stochastic_exponential",
     "exponential_with_integral",
-    "stochastic_integral",
-    "quadratic_covariation",
-    "realized_quadratic_covariation",
 ]
 
 _TIME_TOL = 1e-12
@@ -44,9 +39,6 @@ class AlignedSeries:
     times: np.ndarray
     lefts: np.ndarray
     values: np.ndarray
-
-    def final(self) -> float:
-        return float(self.values[-1])
 
     def at(self, t: float, left: bool = False) -> float:
         """Value at boundary time t (times within 1e-12 count as equal).
@@ -67,13 +59,6 @@ class AlignedSeries:
         return float(self.values[k])
 
 
-def _phi(z: float) -> float:
-    """(e^z - 1)/z, continuous at 0."""
-    if abs(z) < 1e-8:
-        return 1.0 + 0.5 * z
-    return math.expm1(z) / z
-
-
 def _aligned(x: Path, values: np.ndarray) -> AlignedSeries:
     """Boundary values plus their left limits (the previous value at jumps)."""
     lefts = values.copy()
@@ -81,9 +66,14 @@ def _aligned(x: Path, values: np.ndarray) -> AlignedSeries:
     return AlignedSeries(x.t, lefts, values)
 
 
-def _exponential(x: Path) -> np.ndarray:
-    """E(X) at every boundary: the running product of e^{dX - sigma^2 dt/2}
-    per segment and (1 + dX) per jump."""
+def stochastic_exponential(x: Path) -> AlignedSeries:
+    """Doleans-Dade exponential along a path.
+
+    Incremental form of E(X)_s = e^{X_s - sigma^2 s / 2} prod (1+dX) e^{-dX}:
+    one running product of e^{dX_cont - sigma^2 dt / 2} per segment and
+    (1+dX) per jump.  Never zero under condition (A); changes sign exactly
+    at jumps below -1.
+    """
     jump = x.is_jump
     if (x.du[jump] == -1.0).any():
         raise ConditionError("stochastic exponential hits zero: jump of size -1")
@@ -92,18 +82,7 @@ def _exponential(x: Path) -> np.ndarray:
     e = np.empty(x.t.shape)
     e[..., 0] = 1.0
     np.cumprod(factor, axis=-1, out=e[..., 1:])
-    return e
-
-
-def stochastic_exponential(x: Path) -> AlignedSeries:
-    """Doleans-Dade exponential along a path.
-
-    Incremental form of E(X)_s = e^{X_s - sigma^2 s / 2} prod (1+dX) e^{-dX}:
-    multiply by e^{dX_cont - sigma^2 dt / 2} per segment and by (1+dX) at
-    jumps.  Never zero under condition (A); changes sign exactly at jumps
-    below -1.
-    """
-    return _aligned(x, _exponential(x))
+    return _aligned(x, e)
 
 
 def exponential_with_integral(
@@ -121,8 +100,8 @@ def exponential_with_integral(
     if power not in (-1, 1):
         raise ValueError("power must be +1 or -1")
     _check_skeleton(driver, integrator)
-    e = _exponential(driver)
-    start = e[..., :-1]
+    e = stochastic_exponential(driver)
+    start = e.values[..., :-1]
     weighted = integrator.du * (start if power == 1 else 1.0 / start)
     if driver.backend == "exact":
         # phi(z) = (e^z - 1)/z, continued by 1 + z/2 near 0; 1 at jumps
@@ -132,44 +111,7 @@ def exponential_with_integral(
         phi = np.where(small, 1.0 + 0.5 * z, np.expm1(safe) / safe)
         phi[driver.is_jump] = 1.0
         weighted = weighted * phi
-    acc = np.empty(e.shape)
+    acc = np.empty(e.values.shape)
     acc[..., 0] = 0.0
     np.cumsum(weighted, axis=-1, out=acc[..., 1:])
-    return _aligned(driver, e), _aligned(driver, acc)
-
-
-def stochastic_integral(integrand_left: AlignedSeries, integrator: Path) -> AlignedSeries:
-    """Left-point Ito sum of an aligned integrand against a path.
-
-    Exact for piecewise-constant integrands (pure-jump paths); on the
-    euler backend this is the usual grid sum converging in probability as
-    the step shrinks.
-    """
-    m = integrator.du.size
-    if integrand_left.times.size != m + 1:
-        raise ValueError("integrand is not aligned with the integrator")
-    # segments use the value at their start, jumps the left limit
-    h = np.where(integrator.is_jump, integrand_left.lefts[1:], integrand_left.values[:-1])
-    return _aligned(integrator, np.concatenate(([0.0], np.cumsum(h * integrator.du))))
-
-
-def quadratic_covariation(x: Path, y: Path, sigma_xy: float = 0.0) -> AlignedSeries:
-    """[X, Y]_s = sigma_XY s + sum of dX dY over common jumps.
-
-    The Gaussian rate is supplied by the caller (it is a model quantity,
-    not recoverable from one path); the exact backend has only the jump
-    sum.
-    """
-    _check_skeleton(x, y)
-    inc = sigma_xy * x.dt
-    inc[x.is_jump] = x.du[x.is_jump] * y.du[x.is_jump]
-    return _aligned(x, np.concatenate(([0.0], np.cumsum(inc))))
-
-
-def realized_quadratic_covariation(x: Path, y: Path) -> float:
-    """Sum of products of all increments (grid + jumps).
-
-    Converges to the true covariation as the euler grid is refined.
-    """
-    _check_skeleton(x, y)
-    return float(np.sum(x.du * y.du))
+    return e, _aligned(driver, acc)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -154,7 +155,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError("'seed' is required: runs never draw entropy implicitly")
     try:
         seed = int(data["seed"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where('seed')}: seed must be an integer") from None
 
     suite = data.get("suite", "all")
@@ -181,8 +182,10 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         val = data.get(key, default)
         try:
             val = cast(val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where(key)}: expected a number") from None
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{where(key)}: expected a finite number") from None
+        if not math.isfinite(val):
+            raise ConfigError(f"{where(key)}: must be finite")
         if val <= 0:
             raise ConfigError(f"{where(key)}: must be positive")
         return val
@@ -192,9 +195,12 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         if not isinstance(val, (list, tuple)) or not val:
             raise ConfigError(f"{where(key)}: expected a nonempty list of numbers")
         try:
-            return tuple(float(v) for v in val)
+            vals = tuple(float(v) for v in val)
         except (TypeError, ValueError):
             raise ConfigError(f"{where(key)}: expected a list of numbers") from None
+        if not all(math.isfinite(v) for v in vals):
+            raise ConfigError(f"{where(key)}: every entry must be finite")
+        return vals
 
     cfg = ExperimentConfig(
         seed=seed,

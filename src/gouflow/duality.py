@@ -2,10 +2,10 @@
 
 The dual of the process driven by (U, L) is the GOU process driven by
 (W, K), where W drives the reciprocal stochastic exponential and K is
-the negated integrator process.  Both a pathwise construction (transform
-the (U, L) path) and a distributional one (transform the model and
-sample fresh paths) are provided; verification suites use the latter so
-that the two sides of each identity come from independent randomness.
+the negated integrator process.  The verdicts transform the model
+(``levy.dual_model``) and sample fresh dual paths, so that the two sides
+of each identity come from independent randomness; ``dual_path``
+transforms one realized (U, L) path instead.
 """
 
 from __future__ import annotations
@@ -16,24 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mc
-from .calculus import AlignedSeries
-from .gou import (
-    GouTrajectory,
-    causal_integral,
-    finite_samples,
-    solve_forward,
-    stationary_sampler,
-)
+from .gou import finite_samples, stationary_sampler
 from .levy import ConditionError, LevyModel2, detect_degeneracy, dual_model
 from .paths import Path, _replace
 from .stats import binomial_ci, ecdf
 
 __all__ = [
-    "DualPair",
-    "make_dual_pair",
     "dual_path",
-    "dual_solve",
-    "killed_dual",
     "HittingResult",
     "ruin_probability",
     "verify_ruin_identity",
@@ -42,32 +31,12 @@ __all__ = [
     "duality_grid",
 ]
 
+_N_BOOT = 200  # bootstrap resamples per side of each first-passage probe
+
 
 # ---------------------------------------------------------------------------
-# the dual pair
+# the dual path
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DualPair:
-    """Forward driving law, its Siegmund-dual law, and the hypothesis flags
-    the corollaries need."""
-
-    forward: LevyModel2
-    dual: LevyModel2
-    l_subordinator: bool
-    neg_l_subordinator: bool
-    degenerate_k: float | None
-
-
-def make_dual_pair(model: LevyModel2) -> DualPair:
-    return DualPair(
-        forward=model,
-        dual=dual_model(model),
-        l_subordinator=model.l_subordinator,
-        neg_l_subordinator=model.neg_l_subordinator,
-        degenerate_k=detect_degeneracy(model),
-    )
 
 
 def dual_path(path: Path, model: LevyModel2) -> Path:
@@ -86,78 +55,6 @@ def dual_path(path: Path, model: LevyModel2) -> Path:
     dw[j] = -path.du[j] / (1.0 + path.du[j])
     dk[j] = -path.dl[j] / (1.0 + path.du[j])
     return _replace(path, du=dw, dl=dk, cov=model.gaussian_cov, label="W,K")
-
-
-def dual_solve(
-    path: Path, model: LevyModel2, y: float, check_tol: float = 1e-10
-) -> GouTrajectory:
-    """Solve dR = R_- dW + dK along the dual of the given (U, L) path.
-
-    Route one transforms the path and model and runs the forward solver;
-    route two uses R_t = (y - int E(U)_{s-} dL_s) / E(U)_t, which needs
-    only forward-path quantities.  On the exact backend the two must
-    agree to ``check_tol``; with a Gaussian part both routes share the
-    same discretization so they still agree to float precision.
-    """
-    if not model.condition_b:
-        raise ConditionError("dual process does not exist: jumps dU <= -1 possible")
-    pair = make_dual_pair(model)
-    traj = solve_forward(dual_path(path, model), pair.dual, y)
-    fwd = solve_forward(path, model, 0.0)
-    c = causal_integral(path, model)
-    direct_vals = (y - c.values) / fwd.exponential.values
-    direct_lefts = (y - c.lefts) / fwd.exponential.lefts
-    err = np.max(
-        np.abs(traj.values.values - direct_vals)
-        / (1.0 + np.maximum(np.abs(traj.values.values), np.abs(direct_vals)))
-    )
-    err = max(
-        err,
-        float(
-            np.max(
-                np.abs(traj.values.lefts - direct_lefts)
-                / (1.0 + np.maximum(np.abs(traj.values.lefts), np.abs(direct_lefts)))
-            )
-        ),
-    )
-    if err > check_tol:
-        raise ArithmeticError(
-            f"dual solve routes disagree (max relative error {err:.3e})"
-        )
-    return traj
-
-
-def killed_dual(traj_r: GouTrajectory, pair: DualPair) -> AlignedSeries:
-    """The half-line dual: R clipped at zero.
-
-    Requires the forward L to be a subordinator and a nonnegative start;
-    then killing at the first passage below 0 and clipping coincide,
-    which is asserted here at every event boundary.
-    """
-    if not pair.l_subordinator:
-        raise ConditionError(
-            "half-line dual requires the forward L to be a subordinator"
-        )
-    if not pair.forward.condition_b:
-        raise ConditionError("half-line dual requires all jumps dU > -1")
-    if traj_r.x < 0:
-        raise ValueError("half-line dual needs a nonnegative starting level")
-    vals = traj_r.values.values
-    lefts = traj_r.values.lefts
-    clipped = AlignedSeries(
-        traj_r.values.times, np.maximum(lefts, 0.0), np.maximum(vals, 0.0)
-    )
-    # killed version: zero from the first boundary where R <= 0 onwards
-    below = vals <= 0.0
-    if below.any():
-        k = int(np.argmax(below))
-        killed = vals.copy()
-        killed[k:] = np.where(vals[k:] > 0.0, 0.0, np.maximum(vals[k:], 0.0))
-        # once R hits (-inf, 0] it stays there when L is a subordinator,
-        # so killed and clipped must agree everywhere
-        if not np.allclose(killed, clipped.values, atol=1e-12):
-            raise ArithmeticError("killed and clipped dual trajectories differ")
-    return clipped
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +164,6 @@ def verify_ruin_identity(
     seed: int,
     stationary_horizon: float | None = None,
     stationary_n: int = 10_000,
-    n_boot: int = 200,
     workers: int = 1,
 ) -> dict:
     """Check P(tau(x) < inf) E[H(-V_tau) | tau < inf] = H(-x).
@@ -277,7 +173,8 @@ def verify_ruin_identity(
     stationary sampler.  The left side is the per-path average of
     H(-V_tau) over hitting paths; both sides carry bootstrap CIs (the
     plug-in H is shared by both, so the comparison is conservative about
-    H-noise only through the right side's resampling).
+    H-noise only through the right side's resampling), each from
+    ``_N_BOOT`` resamples.
     """
     xs = [float(v) for v in xs]
     k = detect_degeneracy(model)
@@ -325,9 +222,9 @@ def verify_ruin_identity(
         # bootstrap the left side over paths and the right side over H draws
         weights = res[f"weights_{j}"]
         lhs_boot = np.array(
-            [weights[boot_rng.integers(0, n, size=n)].mean() for _ in range(n_boot)]
+            [weights[boot_rng.integers(0, n, size=n)].mean() for _ in range(_N_BOOT)]
         )
-        hb = h_sample[boot_rng.integers(0, h_sample.size, size=(n_boot, h_sample.size))]
+        hb = h_sample[boot_rng.integers(0, h_sample.size, size=(_N_BOOT, h_sample.size))]
         rhs_boot = (hb <= -x).mean(axis=1)
         lhs_ci = (float(np.quantile(lhs_boot, 0.005)), float(np.quantile(lhs_boot, 0.995)))
         rhs_ci = (float(np.quantile(rhs_boot, 0.005)), float(np.quantile(rhs_boot, 0.995)))

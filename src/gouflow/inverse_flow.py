@@ -14,12 +14,10 @@ them to float precision rather than statistically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .gou import GouTrajectory, solve_forward, solve_pair
-from .levy import ConditionError, LevyModel2
+from .levy import LevyModel2
 from .paths import (
     Path,
     _eventwise,
@@ -32,61 +30,12 @@ from .paths import (
 )
 
 __all__ = [
-    "FlowMap",
-    "flow_map",
     "eta_tilde_path",
     "inverse_flow_solve",
     "verify_pathwise_identity",
-    "flow_inverse_check",
 ]
 
-
-# ---------------------------------------------------------------------------
-# the affine flow
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FlowMap:
-    """The affine transport map x = V_u -> V_t along one frozen path."""
-
-    u: float
-    t: float
-    slope: float
-    intercept: float
-
-    def apply(self, x: float) -> float:
-        return self.slope * x + self.intercept
-
-    def invert(self, v: float) -> float:
-        if self.slope == 0.0:
-            raise ZeroDivisionError("flow map is not invertible (zero slope)")
-        return (v - self.intercept) / self.slope
-
-    def compose(self, later: "FlowMap") -> "FlowMap":
-        """Transport over [self.u, later.t] via the intermediate time."""
-        if abs(later.u - self.t) > 1e-12:
-            raise ValueError("flow maps do not chain at a common time")
-        return FlowMap(
-            u=self.u,
-            t=later.t,
-            slope=later.slope * self.slope,
-            intercept=later.slope * self.intercept + later.intercept,
-        )
-
-
-def flow_map(traj: GouTrajectory, u: float, t: float) -> FlowMap:
-    """Read the affine map V_u -> V_t off a solved trajectory.
-
-    slope = E(U)_t / E(U)_u and intercept = E(U)_t (I_t - I_u), where I
-    is the running integral of the explicit solution; both u and t must
-    be event-boundary times.
-    """
-    e_u = traj.exponential.at(u)
-    e_t = traj.exponential.at(t)
-    i_u = traj.integral.at(u)
-    i_t = traj.integral.at(t)
-    return FlowMap(u=float(u), t=float(t), slope=e_t / e_u, intercept=e_t * (i_t - i_u))
+_ETA_ROUTE_TOL = 1e-10  # largest increment gap between the two eta~ routes
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +60,15 @@ def eta_tilde_path(reversed_ul: Path, model: LevyModel2) -> Path:
 
 
 def inverse_flow_solve(
-    path: Path, model: LevyModel2, t: float, y: float, check_tol: float = 1e-10
+    path: Path, model: LevyModel2, t: float, y: float
 ) -> GouTrajectory:
     """Run the inverse flow on [0, t] from level y.
 
     The driver is T, built from the reversed pair, and the integrator is
     L~.  Internally also builds eta~ both from the reversed pair and by
     reversing the forward eta path; on the exact backend the two must
-    agree eventwise (the euler backend shares increments, so they agree
-    there too).
+    agree eventwise to ``_ETA_ROUTE_TOL`` (the euler backend shares
+    increments, so they agree there too).
     """
     if t > path.horizon + 1e-12:
         raise ValueError("t beyond the path horizon")
@@ -127,7 +76,7 @@ def inverse_flow_solve(
     eta_a = eta_tilde_path(rev, model)
     eta_b = reverse_path(eta_path(path, model), t)
     err = float(np.max(np.abs(eta_a.du - eta_b.du), initial=0.0))
-    if err > check_tol:
+    if err > _ETA_ROUTE_TOL:
         raise ArithmeticError(
             f"eta~ construction routes disagree (max increment error {err:.3e})"
         )
@@ -179,37 +128,4 @@ def verify_pathwise_identity(
         "x": float(x),
         "backend": path.backend,
         "grid_dt": path.grid_dt,
-    }
-
-
-def flow_inverse_check(
-    path: Path, model: LevyModel2, u: float, t: float, y: float
-) -> dict:
-    """Compare the inverted affine flow map with the inverse-flow path.
-
-    The map transporting V_u to V_t is inverted algebraically and must
-    match the inverse-flow trajectory's left limit at s = t - u.
-    """
-    if not model.condition_b:
-        raise ConditionError(
-            "flow inversion as a monotone bijection needs condition (B)"
-        )
-    traj = solve_forward(path, model, 0.0)
-    fmap = flow_map(traj, u, t)
-    x_direct = fmap.invert(y)
-    rtraj = inverse_flow_solve(path, model, t, y)
-    s = t - u
-    if s <= 0:
-        r_left = y
-    else:
-        r_left = rtraj.values.at(s, left=True)
-    return {
-        "u": float(u),
-        "t": float(t),
-        "y": float(y),
-        "x_from_map": float(x_direct),
-        "r_left": float(r_left),
-        "error": float(_mixed_error(float(x_direct), float(r_left))),
-        "slope": fmap.slope,
-        "intercept": fmap.intercept,
     }

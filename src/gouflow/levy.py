@@ -3,9 +3,8 @@
 A model is stored by its *genuine* linear drift b = (b_U, b_L), the
 Gaussian covariance rate matrix, and a jump specification given as an
 intensity times a normalized jump law.  For finite activity this is
-equivalent to the usual characteristic triplet; the triplet location is
-gamma = b + intensity * E[z 1_{|z| <= 1}] and is exposed through
-:meth:`LevyModel2.gamma`.
+equivalent to the usual characteristic triplet, whose location is
+gamma = b + intensity * E[z 1_{|z| <= 1}].
 
 Two standing assumptions about the first jump coordinate matter
 throughout:
@@ -19,7 +18,6 @@ throughout:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,17 +28,22 @@ __all__ = [
     "Marginal",
     "JumpLaw2",
     "LevyModel2",
-    "characteristic_exponent",
     "dual_model",
     "detect_degeneracy",
     "degeneracy_margin",
 ]
 
 _PSD_TOL = 1e-12
+_MIN_TRUNCATED_MASS = 1e-3  # smallest normal mass above a truncated normal's lower bound
 
 
 class ConditionError(ValueError):
     """A model violates the hypothesis required by the requested operation."""
+
+
+def _require_finite(what: str, *values) -> None:
+    if not all(math.isfinite(float(v)) for v in values):
+        raise ValueError(f"{what} must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +68,7 @@ class Marginal:
     @staticmethod
     def points(atoms) -> "Marginal":
         atoms = tuple((float(v), float(p)) for v, p in atoms)
+        _require_finite("point-mass atoms and probabilities", *(x for a in atoms for x in a))
         total = sum(p for _, p in atoms)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"point-mass probabilities sum to {total}, not 1")
@@ -74,6 +78,7 @@ class Marginal:
 
     @staticmethod
     def exponential(rate: float, sign: int = 1) -> "Marginal":
+        _require_finite("rate", rate)
         if rate <= 0:
             raise ValueError("rate must be positive")
         if sign not in (-1, 1):
@@ -82,14 +87,23 @@ class Marginal:
 
     @staticmethod
     def uniform(a: float, b: float) -> "Marginal":
+        _require_finite("uniform bounds", a, b)
         if not a < b:
             raise ValueError("need a < b")
         return Marginal("uniform", (float(a), float(b)))
 
     @staticmethod
     def truncated_normal(mu: float, sigma: float, lower: float) -> "Marginal":
+        _require_finite("truncated-normal parameters", mu, sigma, lower)
         if sigma <= 0:
             raise ValueError("sigma must be positive")
+        mass = 0.5 * math.erfc((lower - mu) / (sigma * math.sqrt(2.0)))
+        if mass < _MIN_TRUNCATED_MASS:
+            # rejection sampling would need about 1/mass normals per draw
+            raise ValueError(
+                f"truncated normal keeps mass {mass:.3g} above lower = {lower}; "
+                f"at least {_MIN_TRUNCATED_MASS:g} is needed to sample it"
+            )
         return Marginal("truncated_normal", (float(mu), float(sigma), float(lower)))
 
     # -- support -----------------------------------------------------------
@@ -139,59 +153,6 @@ class Marginal:
             filled += take
         return out
 
-    # -- characteristic function -------------------------------------------
-
-    def cf(self, t: float) -> complex:
-        """E exp(i t X)."""
-        if self.kind == "points":
-            return sum(p * cmath.exp(1j * t * v) for v, p in self.params)
-        if self.kind == "exponential":
-            rate, sign = self.params
-            return rate / (rate - 1j * sign * t)
-        if self.kind == "uniform":
-            a, b = self.params
-            if t == 0:
-                return 1.0 + 0j
-            return (cmath.exp(1j * t * b) - cmath.exp(1j * t * a)) / (1j * t * (b - a))
-        return _quadrature_cf(self, t)
-
-    def mean(self) -> float:
-        if self.kind == "points":
-            return sum(v * p for v, p in self.params)
-        if self.kind == "exponential":
-            rate, sign = self.params
-            return sign / rate
-        if self.kind == "uniform":
-            a, b = self.params
-            return 0.5 * (a + b)
-        mu, sigma, lower = self.params
-        from scipy.stats import truncnorm
-
-        return float(truncnorm.mean((lower - mu) / sigma, np.inf, loc=mu, scale=sigma))
-
-
-def _quadrature_cf(marg: Marginal, t: float) -> complex:
-    from scipy.integrate import quad
-    from scipy.stats import truncnorm
-
-    mu, sigma, lower = marg.params
-    dist = truncnorm((lower - mu) / sigma, np.inf, loc=mu, scale=sigma)
-
-    def integrand_re(x):
-        return math.cos(t * x) * dist.pdf(x)
-
-    def integrand_im(x):
-        return math.sin(t * x) * dist.pdf(x)
-
-    hi = mu + 12 * sigma + abs(t) * 0  # pdf support effectively bounded
-    re, re_err = quad(integrand_re, lower, hi, limit=200)
-    im, im_err = quad(integrand_im, lower, hi, limit=200)
-    if max(re_err, im_err) > 1e-8:
-        raise ArithmeticError(
-            f"characteristic-function quadrature did not converge (err={max(re_err, im_err):.2e})"
-        )
-    return complex(re, im)
-
 
 # ---------------------------------------------------------------------------
 # bivariate jump laws
@@ -219,6 +180,9 @@ class JumpLaw2:
     @staticmethod
     def point_mass(atoms) -> "JumpLaw2":
         atoms = tuple(((float(u), float(l)), float(p)) for (u, l), p in atoms)
+        _require_finite(
+            "jump atoms and probabilities", *(v for (u, l), p in atoms for v in (u, l, p))
+        )
         total = sum(p for _, p in atoms)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"atom probabilities sum to {total}, not 1")
@@ -236,6 +200,7 @@ class JumpLaw2:
 
     @staticmethod
     def linked(marg_u: Marginal, intercept: float, slope: float) -> "JumpLaw2":
+        _require_finite("link intercept and slope", intercept, slope)
         law = JumpLaw2("linked", marg_u=marg_u, link=(float(intercept), float(slope)))
         law._check_minus_one()
         return law
@@ -291,12 +256,7 @@ class JumpLaw2:
         lo, _ = self._dl_support()
         return lo >= 0.0
 
-    @property
-    def dl_nonpositive(self) -> bool:
-        _, hi = self._dl_support()
-        return hi <= 0.0
-
-    # -- sampling and expectations ------------------------------------------
+    # -- sampling -------------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         if self.kind == "point_mass":
@@ -313,34 +273,6 @@ class JumpLaw2:
             return du, c + s * du
         du, dl = self.base.sample(rng, size)
         return -du / (1.0 + du), -dl / (1.0 + du)
-
-    def expectation(self, f) -> float:
-        """Exact E f(dU, dL); point-mass (or dual of point-mass) laws only."""
-        if self.kind == "point_mass":
-            return sum(p * f(u, l) for (u, l), p in self.atoms)
-        if self.kind == "dual" and self.base.kind == "point_mass":
-            return sum(
-                p * f(-u / (1.0 + u), -l / (1.0 + u)) for (u, l), p in self.base.atoms
-            )
-        raise NotImplementedError(f"exact expectation unsupported for {self.kind} laws")
-
-    def cf(self, t1: float, t2: float) -> complex:
-        """E exp(i (t1 dU + t2 dL))."""
-        if self.kind == "point_mass":
-            return sum(p * cmath.exp(1j * (t1 * u + t2 * l)) for (u, l), p in self.atoms)
-        if self.kind == "independent":
-            return self.marg_u.cf(t1) * self.marg_l.cf(t2)
-        if self.kind == "linked":
-            c, s = self.link
-            return cmath.exp(1j * t2 * c) * self.marg_u.cf(t1 + s * t2)
-        if self.kind == "dual" and self.base.kind == "point_mass":
-            return sum(
-                p * cmath.exp(1j * (t1 * (-u / (1 + u)) + t2 * (-l / (1 + u))))
-                for (u, l), p in self.base.atoms
-            )
-        raise NotImplementedError(
-            "characteristic function of a transformed non-atomic law is not available"
-        )
 
     def dual(self) -> "JumpLaw2":
         """Pushforward under (dU, dL) -> (-dU/(1+dU), -dL/(1+dU)).
@@ -376,6 +308,9 @@ class LevyModel2:
 
     def __post_init__(self):
         b = (float(self.drift[0]), float(self.drift[1]))
+        _require_finite("drift", *b)
+        _require_finite("gaussian_cov", *(v for row in self.gaussian_cov for v in row))
+        _require_finite("jump_intensity", self.jump_intensity)
         object.__setattr__(self, "drift", b)
         (a, c), (c2, d) = self.gaussian_cov
         if abs(c - c2) > _PSD_TOL:
@@ -430,72 +365,10 @@ class LevyModel2:
             return False
         return (not self.has_jumps) or self.jump_law.dl_nonnegative
 
-    @property
-    def neg_l_subordinator(self) -> bool:
-        if self.drift[1] > 0 or self.sigma_l_sq != 0.0:
-            return False
-        return (not self.has_jumps) or self.jump_law.dl_nonpositive
-
-    # -- triplet accessor ------------------------------------------------------
-
-    def gamma(self) -> tuple[float, float]:
-        """Triplet location gamma = b + intensity * E[z 1_{|z| <= 1}].
-
-        Exact for point-mass laws; the truncation uses the Euclidean norm
-        of the bivariate jump.
-        """
-        if not self.has_jumps:
-            return self.drift
-        comp = self.jump_law.expectation(
-            lambda u, l: np.array([u, l]) * (math.hypot(u, l) <= 1.0)
-        )
-        return (
-            self.drift[0] + self.jump_intensity * float(comp[0]),
-            self.drift[1] + self.jump_intensity * float(comp[1]),
-        )
-
-    @staticmethod
-    def from_gamma(gamma, gaussian_cov, jump_intensity=0.0, jump_law=None) -> "LevyModel2":
-        """Build a model from the triplet location instead of genuine drift."""
-        probe = LevyModel2(
-            drift=(float(gamma[0]), float(gamma[1])),
-            gaussian_cov=gaussian_cov,
-            jump_intensity=jump_intensity,
-            jump_law=jump_law,
-        )
-        if not probe.has_jumps:
-            return probe
-        comp = jump_law.expectation(
-            lambda u, l: np.array([u, l]) * (math.hypot(u, l) <= 1.0)
-        )
-        b = (
-            gamma[0] - jump_intensity * float(comp[0]),
-            gamma[1] - jump_intensity * float(comp[1]),
-        )
-        return LevyModel2(b, gaussian_cov, jump_intensity, jump_law)
-
 
 # ---------------------------------------------------------------------------
-# triplet-level operations
+# the dual law
 # ---------------------------------------------------------------------------
-
-
-def characteristic_exponent(model: LevyModel2, theta) -> complex:
-    """psi(theta) with E exp(i theta . (U_t, L_t)) = exp(t psi(theta)).
-
-    With genuine drift the jump term is simply
-    intensity * (E exp(i theta . dZ) - 1); no compensator appears.
-    """
-    t1, t2 = float(theta[0]), float(theta[1])
-    if not (math.isfinite(t1) and math.isfinite(t2)):
-        raise ValueError("theta must be finite")
-    b_u, b_l = model.drift
-    (suu, sul), (_, sll) = model.gaussian_cov
-    psi = 1j * (t1 * b_u + t2 * b_l)
-    psi -= 0.5 * (t1 * t1 * suu + 2 * t1 * t2 * sul + t2 * t2 * sll)
-    if model.has_jumps:
-        psi += model.jump_intensity * (model.jump_law.cf(t1, t2) - 1.0)
-    return psi
 
 
 def dual_model(model_ul: LevyModel2) -> LevyModel2:
@@ -518,40 +391,6 @@ def dual_model(model_ul: LevyModel2) -> LevyModel2:
         gaussian_cov=model_ul.gaussian_cov,
         jump_intensity=model_ul.jump_intensity,
         jump_law=law,
-    )
-
-
-def gamma_w_cutoff_form(model_ul: LevyModel2) -> float:
-    """Triplet location of W computed with the z >= -1/2 cutoff form.
-
-    gamma_W = -gamma_U + sigma_U^2
-              + int (z 1_{|z|<=1} - z/(1+z) 1_{z >= -1/2}) nu_U(dz).
-    The cutoff region {z >= -1/2} is exactly {|F(z)| <= 1}, so this agrees
-    with the standard |z| <= 1 truncation of nu_W; both forms are exposed
-    and tested against each other.  Point-mass laws only (marginal nu_U
-    uses the scalar |z| <= 1 truncation).
-    """
-    if model_ul.has_jumps and model_ul.jump_law.kind != "point_mass":
-        raise NotImplementedError("cutoff form implemented for point-mass laws")
-    gamma_u = model_ul.drift[0]
-    corr = 0.0
-    if model_ul.has_jumps:
-        gamma_u += model_ul.jump_intensity * model_ul.jump_law.expectation(
-            lambda u, l: u * (abs(u) <= 1.0)
-        )
-        corr = model_ul.jump_intensity * model_ul.jump_law.expectation(
-            lambda u, l: u * (abs(u) <= 1.0) - (u / (1.0 + u)) * (u >= -0.5)
-        )
-    return -gamma_u + model_ul.sigma_u_sq + corr
-
-
-def gamma_w_direct_form(model_ul: LevyModel2) -> float:
-    """Triplet location of W from the dual model's genuine drift."""
-    dm = dual_model(model_ul)
-    if not dm.has_jumps:
-        return dm.drift[0]
-    return dm.drift[0] + dm.jump_intensity * dm.jump_law.expectation(
-        lambda w, k: w * (abs(w) <= 1.0)
     )
 
 

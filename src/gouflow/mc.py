@@ -58,6 +58,8 @@ def run_blocks(n: int, fn, seed: int, label: str, workers: int = 1) -> dict:
     Block i always covers sample indices [i*BLOCK_SIZE, ...) with its own
     named substream, so the assembled arrays are byte-identical for any
     worker count.  ``fn`` returns a dict of 1-d arrays of length ``size``.
+    A single block runs inline, and the pool has at most one thread per
+    block.
     """
     if n <= 0:
         raise ValueError("need n > 0")
@@ -66,8 +68,8 @@ def run_blocks(n: int, fn, seed: int, label: str, workers: int = 1) -> dict:
     def one(i):
         return fn(stream(seed, label, i), sizes[i])
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if workers > 1 and len(sizes) > 1:
+        with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
             parts = list(pool.map(one, range(len(sizes))))
     else:
         parts = [one(i) for i in range(len(sizes))]

@@ -16,8 +16,8 @@ index reversal.  The columns may carry a leading batch axis
 (``exact_paths``): paths on one horizon padded with null segments, which
 the solvers and the inverse-flow check process in one pass.  ``draw_jumps``
 is the one place that draws the jumps of a batch of paths.
-``Segment``/``Jump`` records only serve to write a path by hand
-(``Path.from_events``) and to read one back (``Path.events``).
+``Segment``/``Jump`` records only serve to read a path back
+(``Path.events``).
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ __all__ = [
     "t_path",
     "reverse_path",
     "truncate_path",
-    "recover_ul_from_xi_eta",
-    "pair_path",
-    "path_values",
 ]
 
 _TIME_TOL = 1e-12
@@ -89,33 +86,6 @@ class Path:
     label: str = "U,L"
     grid_dt: float | None = None
 
-    @classmethod
-    def from_events(
-        cls,
-        horizon: float,
-        events,
-        backend: str,
-        cov: tuple = _NO_COV,
-        label: str = "U,L",
-        grid_dt: float | None = None,
-    ) -> "Path":
-        """Build a path from ``Segment``/``Jump`` records in time order."""
-        events = tuple(events)
-        times = [0.0]
-        for ev in events:
-            times.append(ev.time if isinstance(ev, Jump) else times[-1] + ev.dt)
-        return cls(
-            horizon=float(horizon),
-            is_jump=np.array([isinstance(ev, Jump) for ev in events], dtype=bool),
-            t=np.array(times),
-            du=np.array([ev.du for ev in events], dtype=float),
-            dl=np.array([ev.dl for ev in events], dtype=float),
-            backend=backend,
-            cov=cov,
-            label=label,
-            grid_dt=grid_dt,
-        )
-
     @property
     def var_du(self) -> float:
         return self.cov[0][0]
@@ -129,35 +99,6 @@ class Path:
     def events(self) -> "_Records":
         """The path as ``Segment``/``Jump`` records, built on access."""
         return _Records(self)
-
-    def jumps(self) -> list:
-        j = self.is_jump
-        return [
-            Jump(*v)
-            for v in zip(self.t[1:][j].tolist(), self.du[j].tolist(), self.dl[j].tolist())
-        ]
-
-    def validate(self) -> None:
-        m = self.du.size
-        if not (self.is_jump.size == self.dl.size == m and self.t.size == m + 1):
-            raise ValueError("path columns have inconsistent lengths")
-        if self.t[0] != 0.0:
-            raise ValueError("paths start at time 0")
-        step = self.dt
-        if np.any(step[~self.is_jump] <= 0):
-            raise ValueError("segment duration must be positive")
-        late = np.abs(step[self.is_jump]) > _TIME_TOL
-        if late.any():
-            # jump events must sit at the running clock position
-            raise ValueError(f"jump at {self.t[1:][self.is_jump][late][0]} out of order")
-        if np.any(self.du[self.is_jump] == -1.0):
-            raise ValueError("jump with dU = -1")
-        if abs(self.t[-1] - self.horizon) > 1e-9 * max(1.0, self.horizon):
-            raise ValueError(
-                f"segment durations sum to {self.t[-1]}, horizon is {self.horizon}"
-            )
-        if self.backend == "exact" and any(v != 0.0 for row in self.cov for v in row):
-            raise ValueError("exact backend requires zero Gaussian covariance")
 
 
 def _replace(path: Path, **changes) -> Path:
@@ -293,25 +234,22 @@ def sample_path(
     horizon: float,
     rng: np.random.Generator,
     grid_dt: float = 1e-3,
-    backend: str | None = None,
 ) -> Path:
     """Sample one (U, L) path: Poisson jump times, iid marks, drift/Gaussian
     segments filling the gaps.
 
-    The exact backend is the one-row batch of ``exact_paths`` without its
-    gaps shorter than 1e-12.  Deterministic function of (model, horizon,
-    grid_dt, stream state).
+    A model without Gaussian part gets the exact backend: the one-row
+    batch of ``exact_paths`` without its gaps shorter than 1e-12.  Any
+    other model gets the euler backend on a grid of step at most
+    ``grid_dt``.  Deterministic function of (model, horizon, grid_dt,
+    stream state).
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if backend is None:
-        backend = "euler" if model.has_gaussian else "exact"
-    if backend == "exact" and model.has_gaussian:
-        raise ValueError("exact backend requested but the model has a Gaussian part")
-    if backend == "euler" and grid_dt <= 0:
+    if model.has_gaussian and grid_dt <= 0:
         raise ValueError("euler backend needs grid_dt > 0")
 
-    if backend == "exact":
+    if not model.has_gaussian:
         row = exact_paths(model, horizon, rng, 1)
         keep = row.is_jump[0] | (row.dt[0] > _TIME_TOL)
         return _replace(
@@ -481,11 +419,6 @@ def reverse_path(path: Path, at: float | None = None) -> Path:
     )
 
 
-# ---------------------------------------------------------------------------
-# recovery and pairing
-# ---------------------------------------------------------------------------
-
-
 def _check_skeleton(a: Path, b: Path) -> None:
     if a.t is b.t and a.is_jump is b.is_jump:
         return  # both derived from one path
@@ -496,56 +429,3 @@ def _check_skeleton(a: Path, b: Path) -> None:
         or np.any(np.abs(a.t - b.t) > _TIME_TOL)
     ):
         raise ValueError("paths have mismatched event skeletons")
-
-
-def pair_path(driver: Path, integrator: Path, cov=None, label: str | None = None) -> Path:
-    """Zip two aligned scalar paths into a bivariate (driver, integrator) path."""
-    _check_skeleton(driver, integrator)
-    if cov is None:
-        cov = ((driver.var_du, 0.0), (0.0, integrator.var_du))
-    label = label or f"{driver.label}|{integrator.label}"
-    return _replace(driver, dl=integrator.du, cov=cov, label=label)
-
-
-def recover_ul_from_xi_eta(
-    xi: Path, eta: Path, sigma_xi_sq: float, sigma_xi_eta: float
-) -> Path:
-    """Rebuild the driving pair (U, L) from (xi, eta).
-
-    Eventwise: jumps dU = e^{-d_xi} - 1 and dL = e^{-d_xi} d_eta;
-    continuous parts dU = -d_xi + sigma_xi^2 dt / 2 and
-    dL = d_eta - sigma_{xi,eta} dt.
-    """
-    _check_skeleton(xi, eta)
-    dt = xi.dt
-    j = xi.is_jump
-    g = np.exp(-xi.du[j])
-    du = -xi.du + 0.5 * sigma_xi_sq * dt
-    dl = eta.du - sigma_xi_eta * dt
-    du[j] = g - 1.0
-    dl[j] = g * eta.du[j]
-    cov = (
-        (sigma_xi_sq, -sigma_xi_eta),
-        (-sigma_xi_eta, eta.var_du),
-    )
-    return _replace(xi, du=du, dl=dl, cov=cov, label="U,L(recovered)")
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-# ---------------------------------------------------------------------------
-
-
-def path_values(path: Path):
-    """Cumulative values at event boundaries.
-
-    Returns (times, u_left, u_right, l_left, l_right); index 0 is t=0.
-    At a jump the time repeats and left/right values differ.
-    """
-    out = [path.t]
-    for inc in (path.du, path.dl):
-        right = np.concatenate(([0.0], np.cumsum(inc)))
-        left = right.copy()
-        left[1:][path.is_jump] = right[:-1][path.is_jump]
-        out += [left, right]
-    return tuple(out)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gouflow import JumpLaw2, LevyModel2, Marginal
+from gouflow.levy import JumpLaw2, LevyModel2, Marginal
 from gouflow.presets import get_preset
 from gouflow.rng import stream
 

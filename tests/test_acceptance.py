@@ -13,23 +13,13 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
-from gouflow import (
-    causal_integral,
-    dual_model,
-    dual_path,
-    duality_grid,
-    eta_path,
-    monotonicity_probe,
-    sample_path,
-    solve_forward,
-    stationary_sampler,
-    verify_pathwise_identity,
-    verify_ruin_identity,
-    w_path,
-)
 from gouflow import mc
 from gouflow.calculus import stochastic_exponential
-from gouflow.levy import JumpLaw2, LevyModel2
+from gouflow.duality import dual_path, duality_grid, monotonicity_probe, verify_ruin_identity
+from gouflow.gou import causal_integral, solve_forward, stationary_sampler
+from gouflow.inverse_flow import verify_pathwise_identity
+from gouflow.levy import JumpLaw2, LevyModel2, dual_model
+from gouflow.paths import eta_path, sample_path, w_path
 from gouflow.presets import get_preset
 from gouflow.rng import stream
 from gouflow.stats import ecdf, ks_two_sample

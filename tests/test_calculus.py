@@ -5,25 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gouflow import (
-    AlignedSeries,
-    Jump,
-    Path,
-    Segment,
-    exponential_with_integral,
-    quadratic_covariation,
-    stochastic_exponential,
-    stochastic_integral,
-)
-from gouflow.calculus import _phi, realized_quadratic_covariation
-from gouflow.paths import sample_path
+from gouflow.calculus import AlignedSeries, exponential_with_integral, stochastic_exponential
+from gouflow.levy import ConditionError
+from gouflow.paths import Jump, Segment, sample_path
 
 from conftest import make_stream
+from oracles import path_from_events, phi, validate_path
 
 
 def _path(events, horizon, backend="exact"):
-    p = Path.from_events(horizon=horizon, events=events, backend=backend)
-    p.validate()
+    p = path_from_events(horizon=horizon, events=events, backend=backend)
+    validate_path(p)
     return p
 
 
@@ -35,7 +27,7 @@ def _path(events, horizon, backend="exact"):
 def test_exponential_pure_drift():
     p = _path([Segment(2.0, -1.0)], 2.0)
     e = stochastic_exponential(p)
-    assert e.final() == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert e.values[-1] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 def test_exponential_with_jumps_product_formula():
@@ -44,7 +36,7 @@ def test_exponential_with_jumps_product_formula():
         2.0,
     )
     e = stochastic_exponential(p)
-    assert e.final() == pytest.approx(math.exp(0.6) * 1.5 * 0.75, rel=1e-14)
+    assert e.values[-1] == pytest.approx(math.exp(0.6) * 1.5 * 0.75, rel=1e-14)
     # left limit at the first jump excludes the factor
     assert e.at(1.0, left=True) == pytest.approx(math.exp(0.3), rel=1e-14)
     assert e.at(1.0) == pytest.approx(math.exp(0.3) * 1.5, rel=1e-14)
@@ -53,13 +45,11 @@ def test_exponential_with_jumps_product_formula():
 def test_exponential_sign_change_below_minus_one():
     p = _path([Segment(1.0, 0.0), Jump(1.0, -2.0), Segment(1.0, 0.0)], 2.0)
     e = stochastic_exponential(p)
-    assert e.final() == pytest.approx(-1.0)
+    assert e.values[-1] == pytest.approx(-1.0)
 
 
 def test_exponential_rejects_minus_one_jump():
-    p = Path.from_events(1.0, (Segment(1.0, 0.0), Jump(1.0, -1.0)), backend="exact")
-    from gouflow import ConditionError
-
+    p = path_from_events(1.0, (Segment(1.0, 0.0), Jump(1.0, -1.0)), backend="exact")
     with pytest.raises(ConditionError):
         stochastic_exponential(p)
 
@@ -67,7 +57,7 @@ def test_exponential_rejects_minus_one_jump():
 def test_exponential_ito_correction_on_euler_backend():
     """On the euler backend E carries the -var/2 dt correction so that its
     log increments have the exact mean."""
-    p = Path.from_events(
+    p = path_from_events(
         horizon=1.0,
         events=(Segment(1.0, 0.5),),
         backend="euler",
@@ -75,7 +65,7 @@ def test_exponential_ito_correction_on_euler_backend():
         grid_dt=1.0,
     )
     e = stochastic_exponential(p)
-    assert e.final() == pytest.approx(math.exp(0.5 - 0.2), rel=1e-14)
+    assert e.values[-1] == pytest.approx(math.exp(0.5 - 0.2), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +105,8 @@ def test_exponential_with_integral_matches_riemann_oracle(power):
     )
     e, i = exponential_with_integral(driver, integrator, power=power)
     e_ref, i_ref = brute_force_integral(driver, integrator, power)
-    assert e.final() == pytest.approx(e_ref, rel=1e-10)
-    assert i.final() == pytest.approx(i_ref, rel=2e-4)  # O(h) Riemann error
+    assert e.values[-1] == pytest.approx(e_ref, rel=1e-10)
+    assert i.values[-1] == pytest.approx(i_ref, rel=2e-4)  # O(h) Riemann error
 
 
 def test_integral_of_constant_exponential_is_integrator():
@@ -124,13 +114,13 @@ def test_integral_of_constant_exponential_is_integrator():
     driver = _path([Segment(1.0, 0.0), Jump(1.0, 0.0), Segment(1.0, 0.0)], 2.0)
     integrator = _path([Segment(1.0, 0.5), Jump(1.0, 2.0), Segment(1.0, 0.5)], 2.0)
     _, i = exponential_with_integral(driver, integrator, power=-1)
-    assert i.final() == pytest.approx(3.0, rel=1e-14)
+    assert i.values[-1] == pytest.approx(3.0, rel=1e-14)
 
 
 def test_phi_continuity_at_zero():
-    assert _phi(0.0) == 1.0
-    assert _phi(1e-12) == pytest.approx(1.0, abs=1e-9)
-    assert _phi(0.5) == pytest.approx(math.expm1(0.5) / 0.5, rel=1e-15)
+    assert phi(0.0) == 1.0
+    assert phi(1e-12) == pytest.approx(1.0, abs=1e-9)
+    assert phi(0.5) == pytest.approx(math.expm1(0.5) / 0.5, rel=1e-15)
 
 
 @given(st.floats(-3.0, 3.0), st.floats(-2.0, 2.0), st.floats(0.1, 2.0))
@@ -143,42 +133,12 @@ def test_single_segment_closed_form(a, c, dt):
     integrator = _path([Segment(dt, c)], dt)
     _, i = exponential_with_integral(driver, integrator, power=-1)
     val, err = quad(lambda s: (c / dt) * math.exp(-a * s / dt), 0.0, dt)
-    assert i.final() == pytest.approx(val, rel=1e-9, abs=1e-12)
+    assert i.values[-1] == pytest.approx(val, rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# stochastic integral / covariation
+# grid variance
 # ---------------------------------------------------------------------------
-
-
-def test_stochastic_integral_of_one_recovers_path():
-    p = _path([Segment(1.0, 0.5, 0.0), Jump(1.0, -0.7), Segment(1.0, 0.2)], 2.0)
-    ones = AlignedSeries(
-        np.array([0.0, 1.0, 1.0, 2.0]), np.ones(4), np.ones(4)
-    )
-    s = stochastic_integral(ones, p)
-    assert s.final() == pytest.approx(0.5 - 0.7 + 0.2, rel=1e-14)
-
-
-def test_stochastic_integral_left_point_at_jumps():
-    p = _path([Segment(1.0, 0.0), Jump(1.0, 2.0)], 1.0)
-    integrand = AlignedSeries(
-        np.array([0.0, 1.0, 1.0]),
-        np.array([5.0, 5.0, 5.0]),     # left limits
-        np.array([5.0, 5.0, 100.0]),   # value jumps with the path
-    )
-    s = stochastic_integral(integrand, p)
-    # the jump must use the left limit 5, not the post-jump 100
-    assert s.final() == pytest.approx(10.0)
-
-
-def test_quadratic_covariation_jumps_only():
-    x = _path([Segment(1.0, 0.5), Jump(1.0, 2.0), Segment(1.0, -0.3)], 2.0)
-    y = _path([Segment(1.0, -1.0), Jump(1.0, 0.25), Segment(1.0, 0.1)], 2.0)
-    qv = quadratic_covariation(x, y)
-    assert qv.final() == pytest.approx(0.5)
-    qv2 = quadratic_covariation(x, y, sigma_xy=0.3)
-    assert qv2.final() == pytest.approx(0.5 + 0.3 * 2.0)
 
 
 def test_realized_covariation_converges_to_bracket(dufresne_model):
@@ -188,7 +148,7 @@ def test_realized_covariation_converges_to_bracket(dufresne_model):
         vals = []
         for i in range(40):
             p = sample_path(dufresne_model, 1.0, make_stream(f"qv{dt}", i), dt)
-            vals.append(realized_quadratic_covariation(p, p))
+            vals.append(np.sum(p.du * p.du))
         totals.append(np.mean(vals))
     sigma_sq = dufresne_model.sigma_u_sq
     assert abs(totals[-1] - sigma_sq * 1.0) < 0.15
@@ -205,7 +165,7 @@ def test_aligned_series_at_lookup():
     assert s.at(1.0, left=True) == 1.0
     assert s.at(1.5) == 4.0
     assert s.at(2.0) == 6.0
-    assert s.final() == 6.0
+    assert s.values[-1] == 6.0
 
 
 def loop_exponential_with_integral(driver, integrator, power):
@@ -224,7 +184,7 @@ def loop_exponential_with_integral(driver, integrator, power):
             acc += c * weight
             e *= 1.0 + a
         elif exact:
-            acc += c * weight * _phi(power * a)
+            acc += c * weight * phi(power * a)
             e *= math.exp(a)
         else:
             acc += c * weight
@@ -241,7 +201,7 @@ def test_kernel_matches_loop_reference(name, power, mixed_jump_model, sign_flip_
     round differently, so a few ulps per event bound the difference."""
     from dataclasses import replace
 
-    from gouflow import JumpLaw2, LevyModel2
+    from gouflow.levy import JumpLaw2, LevyModel2
 
     models = {
         "mixed": mixed_jump_model,

@@ -218,6 +218,32 @@ def test_cli_refuses_non_finite_samples(tmp_path, capsys, extra, named):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        "preset: drift-ou\nhorizon: .inf\n",
+        "model: {drift: [.nan, 1.0]}\n",
+        "model: {drift: [-1.0, 1.0], jump_intensity: .inf,"
+        " jump_law: {kind: point_mass, atoms: [[[0.5, 0.5], 1.0]]}}\n",
+        "preset: drift-ou\nt_grid: [0.5, .nan]\n",
+        "preset: drift-ou\nn_paths: .inf\n",
+        "model: {drift: [-1.0, 1.0], jump_intensity: 1.0, jump_law: {kind: independent,"
+        " marg_u: {kind: truncated_normal, mu: 0, sigma: 1, lower: 40},"
+        " marg_l: {kind: uniform, a: 0, b: 1}}}\n",
+    ],
+    ids=["inf-horizon", "nan-drift", "inf-intensity", "nan-grid", "inf-paths", "empty-tail"],
+)
+def test_cli_refuses_non_finite_config_values(tmp_path, capsys, extra):
+    """A config value the model or sampler cannot use is a config error
+    (exit 2), not a traceback or a misleading overflow refusal."""
+    text = "schema_version: 1\nseed: 1\nsuite: stationary\nn_paths: 300\n" + extra
+    path = _write(tmp_path, text)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+
+
 def test_cli_monotonicity_suite_on_nonmonotone_passes(tmp_path):
     text = GOOD.replace("drift-ou", "nonmonotone").replace("n_paths: 1500", "n_paths: 8000")
     path = _write(tmp_path, text)

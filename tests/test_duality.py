@@ -3,24 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from gouflow import (
-    ConditionError,
-    dual_model,
+from gouflow.duality import (
     dual_path,
-    dual_solve,
     duality_grid,
-    killed_dual,
-    make_dual_pair,
     monotonicity_probe,
     ruin_probability,
-    solve_forward,
     verify_ruin_identity,
 )
-from gouflow.levy import JumpLaw2, LevyModel2
-from gouflow.paths import Jump, Path, Segment, eta_path, path_values, sample_path
+from gouflow.gou import solve_forward
+from gouflow.levy import ConditionError, JumpLaw2, LevyModel2, dual_model
+from gouflow.paths import Segment, eta_path, sample_path
 from gouflow.presets import get_preset
 
 from conftest import make_stream
+from oracles import dual_solve, killed_dual, path_jumps
 
 
 # ---------------------------------------------------------------------------
@@ -54,27 +50,20 @@ def test_dual_path_eta_is_negated_integrator(mixed_jump_model):
 def test_dual_path_requires_condition_b(sign_flip_model):
     for i in range(50):
         p = sample_path(sign_flip_model, 2.0, make_stream("dp-b", i))
-        if any(ev.du <= -1.0 for ev in p.jumps()):
+        if any(ev.du <= -1.0 for ev in path_jumps(p)):
             with pytest.raises(ConditionError):
                 dual_path(p, sign_flip_model)
             return
     pytest.fail("no sign-flipping path sampled")
 
 
-def test_make_dual_pair_flags(subordinator_model):
-    pair = make_dual_pair(subordinator_model)
-    assert pair.l_subordinator
-    assert not pair.neg_l_subordinator
-    assert pair.degenerate_k is None
-
-
 def test_killed_dual_equals_clipped(subordinator_model):
-    pair = make_dual_pair(subordinator_model)
+    dual = dual_model(subordinator_model)
     hit_zero = 0
     for i in range(100):
-        p = sample_path(pair.dual, 3.0, make_stream("kd", i))
-        traj = dual_solve_from_own_path(p, pair.dual, 0.5)
-        clipped = killed_dual(traj, pair)
+        p = sample_path(dual, 3.0, make_stream("kd", i))
+        traj = dual_solve_from_own_path(p, dual, 0.5)
+        clipped = killed_dual(traj, subordinator_model)
         assert np.all(clipped.values >= 0.0)
         if (traj.values.values <= 0).any():
             hit_zero += 1
@@ -86,11 +75,11 @@ def dual_solve_from_own_path(path, model, y):
 
 
 def test_killed_dual_requires_subordinator(mixed_jump_model):
-    pair = make_dual_pair(mixed_jump_model)  # L has negative jumps
-    p = sample_path(pair.dual, 1.0, make_stream("kd-bad", 0))
-    traj = solve_forward(p, pair.dual, 0.5)
+    dual = dual_model(mixed_jump_model)  # L has negative jumps
+    p = sample_path(dual, 1.0, make_stream("kd-bad", 0))
+    traj = solve_forward(p, dual, 0.5)
     with pytest.raises(ConditionError):
-        killed_dual(traj, pair)
+        killed_dual(traj, mixed_jump_model)
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from gouflow import (
-    causal_integral,
-    euler_on_path,
-    solve_forward,
-    solve_pair,
-    solve_sde_euler,
-    stationary_sampler,
-)
 from gouflow import mc
+from gouflow.gou import causal_integral, solve_forward, stationary_sampler
 from gouflow.levy import ConditionError
-from gouflow.paths import Jump, Path, Segment, sample_path
+from gouflow.paths import Jump, Segment, sample_path
 from gouflow.presets import get_preset
 
 from conftest import make_stream
+from oracles import euler_on_path, path_from_events, path_jumps, solve_sde_euler
 
 
 def test_zero_model_keeps_start():
@@ -72,11 +66,11 @@ def test_jump_update_identity(mixed_jump_model):
                 v_left * (1.0 + ev.du) + ev.dl, rel=1e-12, abs=1e-12
             )
             k += 1
-    assert k == len(p.jumps())
+    assert k == len(path_jumps(p))
 
 
 def test_solve_forward_rejects_minus_one():
-    p = Path.from_events(
+    p = path_from_events(
         horizon=1.0,
         events=(Segment(1.0, 0.0, 0.0), Jump(1.0, -1.0, 0.5)),
         backend="exact",
@@ -93,11 +87,11 @@ def test_euler_scheme_converges_to_explicit(dufresne_model):
     for dt in (4e-3, 1e-3):
         diffs = []
         for i in range(30):
-            traj = solve_sde_euler(
+            path, traj = solve_sde_euler(
                 dufresne_model, 1.0, 1.0, dt, make_stream(f"euler{dt}", i)
             )
-            ref = solve_forward(traj.path, dufresne_model, 1.0)
-            diffs.append(abs(traj.final() - ref.final()))
+            ref = solve_forward(path, dufresne_model, 1.0)
+            diffs.append(abs(traj.values.values[-1] - ref.values.values[-1]))
         errs.append(np.median(diffs))
     assert errs[1] < errs[0]
     assert errs[1] < 1e-2
@@ -125,7 +119,7 @@ def test_causal_integral_via_integration_by_parts(mixed_jump_model):
             else:
                 acc += e * ev.dl
                 e *= 1.0 + ev.du
-        assert c.final() == pytest.approx(acc, rel=1e-11, abs=1e-12)
+        assert c.values[-1] == pytest.approx(acc, rel=1e-11, abs=1e-12)
 
 
 def test_exp_functional_diagnostics(dufresne_model):

@@ -1,5 +1,6 @@
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,30 @@ def test_run_blocks_worker_independence():
     a = mc.run_blocks(10_000, fn, seed=1, label="w", workers=1)
     b = mc.run_blocks(10_000, fn, seed=1, label="w", workers=4)
     assert np.array_equal(a["x"], b["x"])
+
+
+def test_run_blocks_single_block_starts_no_pool(monkeypatch, mixed_jump_model):
+    """One block runs inline at any worker count; more blocks get at most
+    one pool thread each.  The bytes never change."""
+    ref = mc.terminal_samples(mixed_jump_model, 2.0, BLOCK_SIZE, seed=5, workers=1)
+
+    def no_pool(max_workers):
+        raise AssertionError("a single block started a thread pool")
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
+    two = mc.terminal_samples(mixed_jump_model, 2.0, BLOCK_SIZE, seed=5, workers=2)
+    assert ref.keys() == two.keys()
+    assert all(ref[k].tobytes() == two[k].tobytes() for k in ref)
+
+    pools = []
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", recording_pool)
+    mc.run_blocks(BLOCK_SIZE + 1, lambda rng, size: {"x": rng.random(size)}, 1, "cap", workers=8)
+    assert pools == [2]
 
 
 def test_run_blocks_label_isolation():
@@ -79,9 +104,9 @@ def test_jump_boundary_arrays_match_event_route(mixed_jump_model):
         assert np.count_nonzero(p.is_jump) == counts[row]
         traj = solve_forward(p, m, 0.0)
         c = causal_integral(p, m)
-        assert e_bnd[row, -1] == pytest.approx(traj.exponential.final(), rel=1e-11)
-        assert i_bnd[row, -1] == pytest.approx(traj.integral.final(), rel=1e-11, abs=1e-12)
-        assert c_final[row] == pytest.approx(c.final(), rel=1e-11, abs=1e-12)
+        assert e_bnd[row, -1] == pytest.approx(traj.exponential.values[-1], rel=1e-11)
+        assert i_bnd[row, -1] == pytest.approx(traj.integral.values[-1], rel=1e-11, abs=1e-12)
+        assert c_final[row] == pytest.approx(c.values[-1], rel=1e-11, abs=1e-12)
         # every boundary, and the running minimum over them, match too
         np.testing.assert_allclose(e_bnd[row], traj.exponential.values[1:], rtol=1e-11)
         np.testing.assert_allclose(i_bnd[row], traj.integral.values[1:], rtol=1e-11, atol=1e-12)
@@ -244,9 +269,9 @@ def _per_path_reference(model, horizon, n, seed, grid_dt):
     for j in range(n):
         path = sample_path(model, horizon, rng, grid_dt)
         traj = solve_forward(path, model, 0.0)
-        out["e"][j] = traj.exponential.final()
-        out["i"][j] = traj.integral.final()
-        out["c"][j] = causal_integral(path, model).final()
+        out["e"][j] = traj.exponential.values[-1]
+        out["i"][j] = traj.integral.values[-1]
+        out["c"][j] = causal_integral(path, model).values[-1]
         out["i_min"][j] = min(
             0.0, float(traj.integral.values.min()), float(traj.integral.lefts.min())
         )

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gouflow import (
-    AlignedSeries,
-    ConditionError,
+from gouflow.calculus import AlignedSeries, stochastic_exponential
+from gouflow.levy import ConditionError
+from gouflow.paths import (
     Jump,
     Path,
     Segment,
     eta_path,
+    exact_paths,
     reverse_path,
     sample_path,
     t_path,
@@ -19,15 +20,9 @@ from gouflow import (
     w_path,
     xi_path,
 )
-from gouflow.calculus import stochastic_exponential
-from gouflow.paths import (
-    exact_paths,
-    pair_path,
-    path_values,
-    recover_ul_from_xi_eta,
-)
 
 from conftest import make_stream
+from oracles import path_from_events, path_jumps, path_values, validate_path
 
 
 def _increments(path):
@@ -40,7 +35,7 @@ def _increments(path):
 
 def test_sample_path_validates_and_sums(mixed_jump_model):
     path = sample_path(mixed_jump_model, 3.0, make_stream("p", 0))
-    path.validate()
+    validate_path(path)
     times, ul, ur, ll, lr = path_values(path)
     du_total = sum(ev.du for ev in path.events)
     dl_total = sum(ev.dl for ev in path.events)
@@ -52,8 +47,6 @@ def test_sample_path_validates_and_sums(mixed_jump_model):
 def test_sample_path_backend_selection(mixed_jump_model, dufresne_model):
     assert sample_path(mixed_jump_model, 1.0, make_stream("b", 0)).backend == "exact"
     assert sample_path(dufresne_model, 1.0, make_stream("b", 1)).backend == "euler"
-    with pytest.raises(ValueError):
-        sample_path(dufresne_model, 1.0, make_stream("b", 2), backend="exact")
 
 
 def value_at(path, t, left=False):
@@ -68,7 +61,7 @@ def test_sample_paths_batched_matches_count(mixed_jump_model):
     paths = [sample_path(mixed_jump_model, 2.0, make_stream("batch", i)) for i in range(7)]
     assert len(paths) == 7
     for p in paths:
-        p.validate()
+        validate_path(p)
 
 
 def test_exact_paths_rows_are_padded_paths(mixed_jump_model):
@@ -86,7 +79,7 @@ def test_exact_paths_rows_are_padded_paths(mixed_jump_model):
         assert not batch.du[i, k:].any() and not batch.dl[i, k:].any()
         t = batch.t[i, : k + 1]
         row = Path(2.0, batch.is_jump[i, :k], t, batch.du[i, :k], batch.dl[i, :k], "exact")
-        row.validate()
+        validate_path(row)
         gaps = ~row.is_jump
         assert np.array_equal(row.du[gaps], m.drift[0] * row.dt[gaps])
         assert np.array_equal(row.dl[gaps], m.drift[1] * row.dt[gaps])
@@ -95,7 +88,7 @@ def test_exact_paths_rows_are_padded_paths(mixed_jump_model):
 def test_jump_count_statistics(mixed_jump_model):
     lam = mixed_jump_model.jump_intensity
     counts = [
-        len(sample_path(mixed_jump_model, 2.0, make_stream("cnt", i)).jumps())
+        len(path_jumps(sample_path(mixed_jump_model, 2.0, make_stream("cnt", i))))
         for i in range(500)
     ]
     mean = np.mean(counts)
@@ -123,7 +116,7 @@ def test_xi_path_is_minus_log_exponential(mixed_jump_model):
 def test_xi_path_rejects_sign_flips(sign_flip_model):
     for i in range(50):
         p = sample_path(sign_flip_model, 2.0, make_stream("xi-flip", i))
-        if any(ev.du <= -1.0 for ev in p.jumps()):
+        if any(ev.du <= -1.0 for ev in path_jumps(p)):
             with pytest.raises(ConditionError):
                 xi_path(p, 0.0)
             return
@@ -149,13 +142,13 @@ def test_eta_path_jump_transform(mixed_jump_model):
 def test_truncate_path_splits_segments(mixed_jump_model):
     p = sample_path(mixed_jump_model, 2.0, make_stream("trunc", 1))
     q = truncate_path(p, 1.3)
-    q.validate()
+    validate_path(q)
     assert q.horizon == pytest.approx(1.3)
     t_q, _, ur_q, _, lr_q = path_values(q)
     assert t_q[-1] == pytest.approx(1.3, abs=1e-12)
     # the straddling segment splits pro rata, so the truncated terminal is
     # the drift-interpolated value of the original path
-    jumps_before = [ev for ev in p.jumps() if ev.time <= 1.3]
+    jumps_before = [ev for ev in path_jumps(p) if ev.time <= 1.3]
     b_u, b_l = mixed_jump_model.drift
     assert ur_q[-1] == pytest.approx(
         b_u * 1.3 + sum(j.du for j in jumps_before), abs=1e-12
@@ -206,35 +199,13 @@ def test_t_path_jump_transform(mixed_jump_model):
             assert et.dl == er.dl  # dl slot passes through
 
 
-def test_recover_ul_from_xi_eta_round_trip(mixed_jump_model):
-    m = mixed_jump_model
-    for i in range(10):
-        p = sample_path(m, 2.0, make_stream("rec", i))
-        xi = xi_path(p, m.sigma_u_sq)
-        eta = eta_path(p, m)
-        q = recover_ul_from_xi_eta(xi, eta, m.sigma_u_sq, m.sigma_ul)
-        for ea, eb in zip(p.events, q.events):
-            assert ea.du == pytest.approx(eb.du, rel=1e-12, abs=1e-14)
-            assert ea.dl == pytest.approx(eb.dl, rel=1e-12, abs=1e-14)
-
-
-def test_pair_path_zips_skeletons(mixed_jump_model):
-    p = sample_path(mixed_jump_model, 1.0, make_stream("pair", 0))
-    u = _u_only(p)
-    eta = eta_path(p, mixed_jump_model)
-    z = pair_path(u, eta)
-    assert len(z.events) == len(p.events)
-    with pytest.raises(ValueError):
-        pair_path(u, truncate_path(eta, 0.5))
-
-
 def test_value_at_left_and_right():
-    p = Path.from_events(
+    p = path_from_events(
         horizon=2.0,
         events=(Segment(1.0, 0.5, 0.2), Jump(1.0, 1.0, -1.0), Segment(1.0, 0.5, 0.2)),
         backend="exact",
     )
-    p.validate()
+    validate_path(p)
     assert value_at(p, 1.0, left=True) == (pytest.approx(0.5), pytest.approx(0.2))
     assert value_at(p, 1.0) == (pytest.approx(1.5), pytest.approx(-0.8))
     assert value_at(p, 2.0) == (pytest.approx(2.0), pytest.approx(-0.6))
@@ -242,15 +213,17 @@ def test_value_at_left_and_right():
 
 def test_validate_rejects_bad_paths():
     with pytest.raises(ValueError):
-        Path.from_events(1.0, (Segment(-0.5, 0.0, 0.0),), backend="exact").validate()
+        validate_path(path_from_events(1.0, (Segment(-0.5, 0.0, 0.0),), backend="exact"))
     with pytest.raises(ValueError):
-        Path.from_events(1.0, (Segment(0.4, 0.0, 0.0),), backend="exact").validate()
+        validate_path(path_from_events(1.0, (Segment(0.4, 0.0, 0.0),), backend="exact"))
     with pytest.raises(ValueError):
-        Path.from_events(
-            horizon=1.0,
-            events=(Segment(1.0, 0.0, 0.0), Jump(0.5, 1.0, 0.0)),
-            backend="exact",
-        ).validate()
+        validate_path(
+            path_from_events(
+                horizon=1.0,
+                events=(Segment(1.0, 0.0, 0.0), Jump(0.5, 1.0, 0.0)),
+                backend="exact",
+            )
+        )
 
 
 @given(st.floats(0.1, 1.9))
@@ -262,5 +235,5 @@ def test_truncate_then_reverse_consistency(at):
         make_stream("hyp-trunc", 0),
     )
     q = reverse_path(p, at)
-    q.validate()
+    validate_path(q)
     assert q.horizon == pytest.approx(at)
