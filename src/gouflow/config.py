@@ -153,10 +153,18 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         )
     if "seed" not in data:
         raise ConfigError("'seed' is required: runs never draw entropy implicitly")
-    try:
-        seed = int(data["seed"])
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where('seed')}: seed must be an integer") from None
+
+    def integer(key, val):
+        """``val`` as an int; an integral float such as 2000.0 is one, a
+        bool or a fractional number is not."""
+        if isinstance(val, bool) or (isinstance(val, float) and not val.is_integer()):
+            raise ConfigError(f"{where(key)}: must be an integer, got {val!r}")
+        try:
+            return int(val)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{where(key)}: must be an integer") from None
+
+    seed = integer("seed", data["seed"])
 
     suite = data.get("suite", "all")
     if suite not in SUITES:
@@ -180,12 +188,15 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
 
     def positive(key, default, cast=float):
         val = data.get(key, default)
-        try:
-            val = cast(val)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{where(key)}: expected a finite number") from None
-        if not math.isfinite(val):
-            raise ConfigError(f"{where(key)}: must be finite")
+        if cast is int:
+            val = integer(key, val)
+        else:
+            try:
+                val = float(val)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"{where(key)}: expected a finite number") from None
+            if not math.isfinite(val):
+                raise ConfigError(f"{where(key)}: must be finite")
         if val <= 0:
             raise ConfigError(f"{where(key)}: must be positive")
         return val

@@ -5,7 +5,9 @@ The dual of the process driven by (U, L) is the GOU process driven by
 the negated integrator process.  The verdicts transform the model
 (``levy.dual_model``) and sample fresh dual paths, so that the two sides
 of each identity come from independent randomness; ``dual_path``
-transforms one realized (U, L) path instead.
+transforms one realized (U, L) path instead.  The first-passage identity
+weights each hit of the ruin scan (``mc.ruin_samples``, which returns
+the hits and V at first passage) with H, the law of int E^{-1} d eta.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def dual_path(path: Path, model: LevyModel2) -> Path:
     dk = -path.dl + model.sigma_ul * dt
     dw[j] = -path.du[j] / (1.0 + path.du[j])
     dk[j] = -path.dl[j] / (1.0 + path.du[j])
-    return _replace(path, du=dw, dl=dk, cov=model.gaussian_cov, label="W,K")
+    return _replace(path, du=dw, dl=dk, cov=model.gaussian_cov)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +102,8 @@ def ruin_probability(
     warnings = []
     if model.condition_b:
         res = mc.terminal_samples(model, horizon, n, seed, grid_dt, workers, "ruin")
-        hits = int(np.count_nonzero(x + res["i_min"] <= 0.0))
+        i_min = finite_samples(res["i_min"], "running-minimum I", horizon)
+        hits = int(np.count_nonzero(x + i_min <= 0.0))
     elif model.has_gaussian:
         raise ConditionError(
             "condition (B) fails and the model has a Gaussian part: the "
@@ -171,10 +174,13 @@ def verify_ruin_identity(
     H is the distribution function of the limiting integral
     int_0^inf E(U)_{s-}^{-1} d eta_s, estimated by the noncausal
     stationary sampler.  The left side is the per-path average of
-    H(-V_tau) over hitting paths; both sides carry bootstrap CIs (the
-    plug-in H is shared by both, so the comparison is conservative about
-    H-noise only through the right side's resampling), each from
-    ``_N_BOOT`` resamples.
+    H(-V_tau) over hitting paths, with the first passage and V_tau read
+    off the ruin scan (``mc.ruin_samples``); both sides carry bootstrap
+    CIs (the plug-in H is shared by both, so the comparison is
+    conservative about H-noise only through the right side's resampling),
+    each from ``_N_BOOT`` resamples.  Needs condition (B), so that E(U) >
+    0 and H(-V_tau) is the identity's weight, and a model without Gaussian
+    part for the scan; both are checked before anything is sampled.
     """
     xs = [float(v) for v in xs]
     k = detect_degeneracy(model)
@@ -182,6 +188,13 @@ def verify_ruin_identity(
         raise ConditionError(
             f"degenerate driving pair ({k} * U = -L): the limiting integral "
             "is the constant -k and the first-passage identity degenerates"
+        )
+    if not model.condition_b:
+        raise ConditionError("first-passage bookkeeping needs dU > -1 a.s.")
+    if model.has_gaussian:
+        raise ConditionError(
+            "the first-passage identity reads V_tau off the ruin scan of event "
+            "boundaries, which needs a model without a Gaussian part"
         )
     dist = stationary_sampler(
         model,
@@ -207,7 +220,7 @@ def verify_ruin_identity(
         )
     h = ecdf(h_sample)
 
-    res = mc.ruin_samples(model, horizon, n, seed, xs, h_cdf=h.cdf, workers=workers)
+    res = mc.ruin_samples(model, horizon, n, seed, xs, workers=workers)
     boot_rng = np.random.default_rng(seed + 2)
     report = {
         "xs": xs,
@@ -217,10 +230,10 @@ def verify_ruin_identity(
         "probes": [],
     }
     for j, x in enumerate(xs):
-        lhs = float(res["h_weighted"][j])
+        weights = np.where(res["hit"][:, j], h.cdf(-res["v_tau"][:, j]), 0.0)
+        lhs = float(weights.sum() / n)
         rhs = float(h.cdf(-x))
         # bootstrap the left side over paths and the right side over H draws
-        weights = res[f"weights_{j}"]
         lhs_boot = np.array(
             [weights[boot_rng.integers(0, n, size=n)].mean() for _ in range(_N_BOOT)]
         )
@@ -297,9 +310,6 @@ def monotonicity_probe(
             }
         )
     return {
-        "t": t,
-        "y": y,
-        "xs": xs,
         "probs": probs,
         "pairs": pairs,
         "monotone": all(p["violations"] == 0 for p in pairs),

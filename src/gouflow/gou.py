@@ -53,7 +53,7 @@ def solve_pair(driver: Path, integrator: Path, x: float) -> GouTrajectory:
 
 def _u_part(path: Path, model: LevyModel2) -> Path:
     """The first component of a (U, L) path as a scalar driver."""
-    return _scalar(path, path.du, model.sigma_u_sq, "U")
+    return _scalar(path, path.du, model.sigma_u_sq)
 
 
 def solve_forward(path: Path, model: LevyModel2, x: float) -> GouTrajectory:
@@ -65,7 +65,7 @@ def solve_forward(path: Path, model: LevyModel2, x: float) -> GouTrajectory:
 
 def causal_integral(path: Path, model: LevyModel2) -> AlignedSeries:
     """Running int_(0,s] E(U)_{r-} dL_r along one path."""
-    l_part = _scalar(path, path.dl, 0.0, "L")
+    l_part = _scalar(path, path.dl, 0.0)
     _, integral = exponential_with_integral(_u_part(path, model), l_part, power=1)
     return integral
 

@@ -56,7 +56,7 @@ def eta_tilde_path(reversed_ul: Path, model: LevyModel2) -> Path:
         lambda du: du == 1.0,
         "eta~ undefined: reversed jump of size 1",
     )
-    return _scalar(reversed_ul, du, model.sigma_l_sq, "eta~")
+    return _scalar(reversed_ul, du, model.sigma_l_sq)
 
 
 def inverse_flow_solve(
@@ -81,8 +81,8 @@ def inverse_flow_solve(
             f"eta~ construction routes disagree (max increment error {err:.3e})"
         )
     tp = t_path(rev, model.sigma_u_sq)
-    driver = _scalar(tp, tp.du, model.sigma_u_sq, "T")
-    return solve_pair(driver, _scalar(tp, tp.dl, model.sigma_l_sq, "L~"), y)
+    driver = _scalar(tp, tp.du, model.sigma_u_sq)
+    return solve_pair(driver, _scalar(tp, tp.dl, model.sigma_l_sq), y)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +124,4 @@ def verify_pathwise_identity(
     return {
         "max_error": float(max_err) if max_err.ndim == 0 else max_err,
         "n_points": int(real.sum()) + v.size // v.shape[-1],
-        "t": t,
-        "x": float(x),
-        "backend": path.backend,
-        "grid_dt": path.grid_dt,
     }

@@ -121,12 +121,6 @@ class Marginal:
         mu, sigma, lower = self.params
         return (lower, math.inf)
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        if self.kind == "points":
-            return any(abs(v - x) <= tol and p > 0 for v, p in self.params)
-        lo, hi = self.support_bounds()
-        return lo - tol <= x <= hi + tol
-
     # -- sampling ----------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -211,7 +205,7 @@ class JumpLaw2:
                 raise ConditionError("jump law puts mass on dU = -1 (condition (A) fails)")
         else:
             mu = self.marg_u
-            if mu.kind == "points" and mu.contains(-1.0):
+            if mu.kind == "points" and any(v == -1.0 and p > 0 for v, p in mu.params):
                 raise ConditionError("jump law puts mass on dU = -1 (condition (A) fails)")
             # continuous marginals put zero mass on any single point
 
@@ -348,12 +342,6 @@ class LevyModel2:
         return any(abs(v) > 0 for row in self.gaussian_cov for v in row)
 
     @property
-    def is_zero(self) -> bool:
-        return (
-            self.drift == (0.0, 0.0) and not self.has_gaussian and not self.has_jumps
-        )
-
-    @property
     def condition_b(self) -> bool:
         """dU > -1 almost surely (no jumps counts as true)."""
         return (not self.has_jumps) or self.jump_law.condition_b
@@ -445,12 +433,6 @@ def detect_degeneracy(model: LevyModel2, tol: float = 1e-9) -> float | None:
     Degeneracy needs every component of the model (drift, Gaussian part,
     all jumps) to live on the line {(u, -k u)}.
     """
-    if model.is_zero:
-        return None
-    b_u, b_l = model.drift
-    # an active L-feature without the matching U-feature kills degeneracy fast
-    if b_u == 0.0 and b_l != 0.0 and model.sigma_u_sq == 0.0 and not model.has_jumps:
-        return None
     k = _candidate_k(model)
     if k is None or k == 0.0:
         return None

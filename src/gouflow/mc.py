@@ -22,10 +22,14 @@ independent of the worker count:
   one helper thread while the current chunk is stepped; the draws keep
   their stream order, so the samples do not depend on it.
 
-All per-path hit detection is expressed through the running minimum of
-the integral process I_s = int E^{-1} d eta: when E stays positive,
-V_s^x = E_s (x + I_s) <= 0 at some s <= T iff x + min_s I_s <= 0, so one
-pass serves every starting point.
+Both lanes detect hits through the running minimum of the integral
+process I_s = int E^{-1} d eta: when E stays positive, V_s^x =
+E_s (x + I_s) <= 0 at some s <= T iff x + min_s I_s <= 0, so one pass
+serves every starting point.  The ruin scan (``ruin_samples``, pure-jump
+models) reads V at every event boundary instead, which needs only
+E != 0, and returns for each path and starting point whether it hit and
+V at the first passage; what a verdict makes of V_tau (the H-weights of
+the first-passage identity) is left to ``duality``.
 """
 
 from __future__ import annotations
@@ -57,7 +61,8 @@ def run_blocks(n: int, fn, seed: int, label: str, workers: int = 1) -> dict:
 
     Block i always covers sample indices [i*BLOCK_SIZE, ...) with its own
     named substream, so the assembled arrays are byte-identical for any
-    worker count.  ``fn`` returns a dict of 1-d arrays of length ``size``.
+    worker count.  ``fn`` returns a dict of arrays whose first axis has
+    length ``size``.
     A single block runs inline, and the pool has at most one thread per
     block.
     """
@@ -97,12 +102,12 @@ def _tiles(times):
     return [slice(s, s + rows) for s in range(0, size, rows)]
 
 
-def _jump_boundary_arrays(times, du, dl, a, c_eta, c_l, horizon):
+def _jump_boundary_arrays(times, du, dl, a, b_l, horizon):
     """Closed-form reduction of a tile of pure-jump-plus-drift paths.
 
     times: (n, K) jump times sorted per row, padded with the horizon;
-    du, dl: matching marks, zero-padded (``paths.draw_jumps``).  a = b_U,
-    c_eta = drift of eta, c_l = b_L.
+    du, dl: matching marks, zero-padded (``paths.draw_jumps``).  a = b_U
+    and b_l = b_L, which without a Gaussian part is also the drift of eta.
 
     Returns E and I = int E^{-1} d eta at all event boundaries (n, 2K+1),
     interleaved as [end of gap 0, after jump 1, end of gap 1, ...], plus
@@ -124,8 +129,8 @@ def _jump_boundary_arrays(times, du, dl, a, c_eta, c_l, horizon):
             shrink = np.exp(-a * t_ext)
             int_pos = (grow[:, 1:] - grow[:, :-1]) / a
             int_neg = (shrink[:, 1:] - shrink[:, :-1]) / -a
-        gap_i = c_eta * int_neg / p_ext
-        gap_c = c_l * int_pos * p_ext
+        gap_i = b_l * int_neg / p_ext
+        gap_c = b_l * int_pos * p_ext
         e_left_at_jump = grow[:, 1:-1] * p_ext[:, :-1]
         jump_i = (dl / prod1) / e_left_at_jump
         jump_c = dl * e_left_at_jump
@@ -149,7 +154,7 @@ def _jump_block(model, horizon, rng, size):
     out = {k: np.empty(size) for k in ("e", "i", "c", "i_min")}
     for rows in _tiles(times):
         e_bnd, i_bnd, c_final = _jump_boundary_arrays(
-            times[rows], du[rows], dl[rows], a, b_l, b_l, horizon
+            times[rows], du[rows], dl[rows], a, b_l, horizon
         )
         out["e"][rows] = e_bnd[:, -1]
         out["i"][rows] = i_bnd[:, -1]
@@ -305,47 +310,43 @@ def ruin_samples(
     n: int,
     seed: int,
     x_probes,
-    h_cdf=None,
     workers: int = 1,
     label: str = "ruin",
 ) -> dict:
     """First passage of V^x below zero, jointly for all starting points.
 
-    For each x in ``x_probes`` counts paths with tau(x) <= T and, when a
-    cdf ``h_cdf`` is supplied, accumulates sum of H(-V_{tau(x)}) over
-    those paths (the reweighting appearing in the first-passage identity
-    for mixed-sign input).  Needs a model without Gaussian part.  Between
-    event boundaries V solves a linear ODE and is monotone, so V <= 0
-    somewhere iff at some boundary; that needs only E(U) != 0 (condition
-    (A)), while the H-weights need E(U) > 0, i.e. all jumps dU > -1.
-    Non-finite boundary values of E or I (an overflowing E at a long
-    horizon) are a ConditionError naming their count.
+    Returns, for the x in ``x_probes``, (n, probes) arrays ``hit`` (tau(x)
+    <= T) and ``v_tau`` (V at the first passage: x for a start at or below
+    0, 0 for a drift crossing between event boundaries and where there is
+    no hit), plus the per-probe ``hits`` and ``hit_prob``.  Needs a model
+    without Gaussian part.  Between event boundaries V solves a linear ODE
+    and is monotone, so V <= 0 somewhere iff at some boundary; that needs
+    only E(U) != 0 (condition (A)).  Non-finite boundary values of E or I
+    (an overflowing E at a long horizon) are a ConditionError naming their
+    count.
     """
     if model.has_gaussian:
         raise NotImplementedError("ruin lane supports pure-jump models only")
-    if h_cdf is not None and not model.condition_b:
-        raise ConditionError("first-passage bookkeeping needs dU > -1 a.s.")
     xs = np.asarray(list(x_probes), dtype=float)
     scanned = [j for j, x in enumerate(xs) if x > 0.0]
     a, b_l = model.drift
 
     def block(rng, size):
         times, du, dl, _ = draw_jumps(model, horizon, rng, size)
-        out = {}
-        for j, x in enumerate(xs):
-            # filled tile by tile for x > 0; started at or below the
-            # barrier, tau = 0 and V_tau = x
-            out[f"hit_{j}"] = np.ones(size, dtype=bool)
-            if h_cdf is not None:
-                out[f"hw_{j}"] = np.full(size, float(np.asarray(h_cdf(-x))))
-        # E/I boundary values the scan reads, and how many are not finite
-        out["bnd_values"] = np.zeros(size, dtype=int)
-        out["bnd_nonfinite"] = np.zeros(size, dtype=int)
+        # the scanned columns are filled tile by tile; started at or below
+        # the barrier, tau = 0 and V_tau = x
+        out = {
+            "hit": np.ones((size, xs.size), dtype=bool),
+            "v_tau": np.tile(np.where(xs > 0.0, 0.0, xs), (size, 1)),
+            # E/I boundary values the scan reads, and how many are not finite
+            "bnd_values": np.zeros(size, dtype=int),
+            "bnd_nonfinite": np.zeros(size, dtype=int),
+        }
         if not scanned:
             return out
         for rows in _tiles(times):
             e_bnd, i_bnd, _ = _jump_boundary_arrays(
-                times[rows], du[rows], dl[rows], a, b_l, b_l, horizon
+                times[rows], du[rows], dl[rows], a, b_l, horizon
             )
             out["bnd_values"][rows] = 2 * e_bnd.shape[1]
             out["bnd_nonfinite"][rows] = np.count_nonzero(~np.isfinite(e_bnd), axis=1)
@@ -355,19 +356,15 @@ def ruin_samples(
                 with np.errstate(over="ignore", invalid="ignore"):
                     v_bnd = e_bnd * (xs[j] + i_bnd)
                 below = v_bnd <= 0.0
-                hit = below.any(axis=1)
-                out[f"hit_{j}"][rows] = hit
-                if h_cdf is None:
-                    continue
-                first = below.argmax(axis=1)
-                v_tau = v_bnd[idx, first]
-                if b_l != 0.0:
-                    # an even index is a gap end; if V was positive at the
-                    # previous boundary the drift crossed zero continuously
-                    prev_pos = (first % 2 == 0) & (first > 0)
-                    prev_pos &= v_bnd[idx, np.maximum(first - 1, 0)] > 0.0
-                    v_tau = np.where(prev_pos, 0.0, v_tau)
-                out[f"hw_{j}"][rows] = np.where(hit, h_cdf(np.where(hit, -v_tau, 0.0)), 0.0)
+                first = below.argmax(axis=1)  # 0 where no boundary is below
+                hit = below[idx, first]
+                # an odd index is the boundary right after a jump, which
+                # took V below 0; an even one is a gap end, where V was
+                # positive at the gap's start (x, or the boundary before),
+                # so the drift crossed 0 continuously and V_tau = 0
+                jumped = hit & (first % 2 == 1)
+                out["hit"][rows, j] = hit
+                out["v_tau"][rows, j] = np.where(jumped, v_bnd[idx, first], 0.0)
         return out
 
     res = run_blocks(n, block, seed, label, workers)
@@ -378,12 +375,5 @@ def ruin_samples(
             f"finite at horizon {horizon:g}; the stochastic exponential or its inverse "
             "overflows, use a shorter horizon"
         )
-    hits = np.array([res[f"hit_{j}"].sum() for j in range(xs.size)], dtype=int)
-    out = {"x": xs, "n": n, "hits": hits, "hit_prob": hits / n}
-    if h_cdf is not None:
-        out["h_weighted"] = np.array(
-            [res[f"hw_{j}"].sum() / n for j in range(xs.size)]
-        )
-        for j in range(xs.size):
-            out[f"weights_{j}"] = res[f"hw_{j}"]
-    return out
+    hits = res["hit"].sum(axis=0)
+    return {"hits": hits, "hit_prob": hits / n, "hit": res["hit"], "v_tau": res["v_tau"]}

@@ -83,8 +83,6 @@ class Path:
     dl: np.ndarray
     backend: str  # "exact" or "euler"
     cov: tuple = _NO_COV
-    label: str = "U,L"
-    grid_dt: float | None = None
 
     @property
     def var_du(self) -> float:
@@ -269,7 +267,6 @@ def sample_path(
         dl=dl,
         backend="euler",
         cov=model.gaussian_cov,
-        grid_dt=grid_dt,
     )
 
 
@@ -278,10 +275,10 @@ def sample_path(
 # ---------------------------------------------------------------------------
 
 
-def _scalar(path: Path, du: np.ndarray, var: float, label: str) -> Path:
+def _scalar(path: Path, du: np.ndarray, var: float) -> Path:
     """A scalar process on the skeleton of ``path`` with increments ``du``."""
     zero = np.zeros_like(du)
-    return _replace(path, du=du, dl=zero, cov=((var, 0.0), (0.0, 0.0)), label=label)
+    return _replace(path, du=du, dl=zero, cov=((var, 0.0), (0.0, 0.0)))
 
 
 def _eventwise(
@@ -311,7 +308,7 @@ def eta_path(path: Path, model: LevyModel2) -> Path:
         lambda du: du == -1.0,
         "eta undefined: jump with dU = -1",
     )
-    return _scalar(path, du, model.sigma_l_sq, "eta")
+    return _scalar(path, du, model.sigma_l_sq)
 
 
 def w_path(path: Path, sigma_u_sq: float | None = None) -> Path:
@@ -327,7 +324,7 @@ def w_path(path: Path, sigma_u_sq: float | None = None) -> Path:
         lambda du: du == -1.0,
         "W undefined: jump with dU = -1",
     )
-    return _scalar(path, du, suu, "W")
+    return _scalar(path, du, suu)
 
 
 def xi_path(path: Path, sigma_u_sq: float | None = None) -> Path:
@@ -343,7 +340,7 @@ def xi_path(path: Path, sigma_u_sq: float | None = None) -> Path:
         lambda du: du <= -1.0,
         "xi undefined: jump with dU <= -1",
     )
-    return _scalar(path, du, suu, "xi")
+    return _scalar(path, du, suu)
 
 
 def t_path(reversed_u: Path, sigma_u_sq: float) -> Path:
@@ -359,7 +356,7 @@ def t_path(reversed_u: Path, sigma_u_sq: float) -> Path:
         lambda du: du == 1.0,
         "T undefined: reversed jump of size 1",
     )
-    return _replace(reversed_u, du=du, label="T," + reversed_u.label)
+    return _replace(reversed_u, du=du)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +412,6 @@ def reverse_path(path: Path, at: float | None = None) -> Path:
         t=t,
         du=-p.du[..., ::-1],
         dl=-p.dl[..., ::-1],
-        label="rev:" + p.label,
     )
 
 

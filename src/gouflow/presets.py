@@ -81,7 +81,6 @@ def _degenerate_k() -> Preset:
             "Every component lives on the line 2*U = -L, so V started at 2 "
             "never moves and the stationary law is the point mass at 2."
         ),
-        recommended={"k": 2.0},
     )
 
 

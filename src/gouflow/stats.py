@@ -68,8 +68,6 @@ class EmpiricalDistribution:
 class KsResult:
     statistic: float
     pvalue: float
-    n_a: int
-    n_b: int
 
     def rejects(self, level: float = 1e-3) -> bool:
         return self.pvalue < level
@@ -105,7 +103,7 @@ def ks_two_sample(a: EmpiricalDistribution, b: EmpiricalDistribution) -> KsResul
     d = float(np.max(np.abs(fa - fb)))
     n_eff = xa.size * xb.size / (xa.size + xb.size)
     p = _kolmogorov_sf(d * math.sqrt(n_eff))
-    return KsResult(statistic=d, pvalue=p, n_a=xa.size, n_b=xb.size)
+    return KsResult(statistic=d, pvalue=p)
 
 
 def ks_critical_value(n_a: int, n_b: int, level: float = 1e-3) -> float:

@@ -92,7 +92,7 @@ def duality_suite(cfg: ExperimentConfig) -> SuiteResult:
             "p_R": p.p_r,
             "se_R": p.se_r,
             "z": p.z,
-            "pass": p.passed,
+            "pass": p.passed and p.passed_sym,
         }
         for p in probes
     ]

@@ -31,8 +31,6 @@ def path_from_events(
     events,
     backend: str,
     cov: tuple = _NO_COV,
-    label: str = "U,L",
-    grid_dt: float | None = None,
 ) -> Path:
     """Build a path from ``Segment``/``Jump`` records in time order."""
     events = tuple(events)
@@ -47,8 +45,6 @@ def path_from_events(
         dl=np.array([ev.dl for ev in events], dtype=float),
         backend=backend,
         cov=cov,
-        label=label,
-        grid_dt=grid_dt,
     )
 
 

@@ -62,7 +62,6 @@ def test_exponential_ito_correction_on_euler_backend():
         events=(Segment(1.0, 0.5),),
         backend="euler",
         cov=((0.4, 0.0), (0.0, 0.0)),
-        grid_dt=1.0,
     )
     e = stochastic_exponential(p)
     assert e.values[-1] == pytest.approx(math.exp(0.5 - 0.2), rel=1e-14)

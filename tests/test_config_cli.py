@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -98,6 +99,33 @@ def test_parse_config_rejects_bad_numbers():
         parse_config(GOOD.replace("n_paths: 1500", "n_paths: zero"))
     with pytest.raises(ConfigError, match="t_grid"):
         parse_config(GOOD + "t_grid: []\n")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_paths", 1500.9),
+        ("n_paths", 0.5),
+        ("stationary_n", 99.5),
+        ("seed", 1.7),
+        ("seed", True),
+        ("workers", 1.7),
+        ("workers", True),
+    ],
+)
+def test_parse_config_rejects_non_integral_counts(key, value):
+    """A count is an integer: a fraction or a bool is refused, not
+    truncated to the integer below it."""
+    data = {"schema_version": 1, "seed": 7, "preset": "drift-ou", key: value}
+    with pytest.raises(ConfigError, match=f"'{key}': must be an integer"):
+        parse_config(json.dumps(data))  # YAML is a superset of JSON
+
+
+def test_parse_config_accepts_integral_floats():
+    cfg = parse_config(GOOD.replace("1500", "2000.0") + "stationary_n: 99.0\nworkers: 2.0\n")
+    assert (cfg.n_paths, cfg.stationary_n, cfg.workers) == (2000, 99, 2)
+    assert all(type(v) is int for v in (cfg.n_paths, cfg.stationary_n, cfg.workers))
+    assert parse_config(GOOD.replace("seed: 7", "seed: 7.0")).seed == 7
 
 
 def test_parse_config_rejects_invalid_yaml_and_nonmapping():
@@ -242,6 +270,50 @@ def test_cli_refuses_non_finite_config_values(tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "Traceback" not in err
+
+
+def test_cli_first_passage_identity_refuses_gaussian_model(tmp_path, capsys):
+    """L is not a subordinator, so the ruin suite checks the first-passage
+    identity, whose ruin scan needs a pure-jump model: exit 3 before any
+    sampling, not a traceback."""
+    text = (
+        "schema_version: 1\nseed: 1\nsuite: ruin\nn_paths: 2000\n"
+        "model: {drift: [1.0, 0.5], gaussian_cov: [[0.5, 0.0], [0.0, 0.5]]}\n"
+        "stationary_horizon: 40\ngrid_dt: 0.01\n"
+    )
+    path = _write(tmp_path, text)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    assert "refusing to run" in err
+    assert "needs a model without a Gaussian part" in err
+    assert "Traceback" not in err
+
+
+def test_duality_csv_pass_column_covers_both_directions(tmp_path, monkeypatch):
+    """A probe that fails only the symmetric direction fails the suite and
+    reads False in the ``pass`` column of duality.csv."""
+    import gouflow.suites as suites
+    from gouflow.duality import DualityProbe
+
+    def probe(x, ok_sym):
+        return DualityProbe(
+            t=1.0, x=x, y=0.0, p_v=0.5, se_v=0.01, p_r=0.5, se_r=0.01, z=0.0,
+            passed=True, p_r_ge=0.5, p_v_le=0.1, z_sym=9.0 if not ok_sym else 0.0,
+            passed_sym=ok_sym,
+        )
+
+    def stub(*args, **kwargs):
+        return [probe(0.0, True), probe(1.0, False)]
+
+    monkeypatch.setattr(suites, "duality_grid", stub)
+    path = _write(tmp_path, GOOD.replace("monotonicity", "duality"))
+    out = str(tmp_path / "d")
+    assert main(["run", "--config", path, "--out", out]) == 1
+    with open(os.path.join(out, "duality.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["pass"] for r in rows] == ["True", "False"]
+    summary = json.load(open(os.path.join(out, "summary.json")))
+    assert summary["suites"]["duality"]["metrics"]["failed"] == 1
 
 
 def test_cli_monotonicity_suite_on_nonmonotone_passes(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gouflow import duality
 from gouflow.duality import (
     dual_path,
     duality_grid,
@@ -120,6 +121,19 @@ def test_ruin_probability_boundary_hits_without_condition_b():
     assert any("condition (B) fails" in w for w in res.warnings)
 
 
+def test_ruin_probability_refuses_non_finite_running_minimum():
+    """E = e^{-T} underflows to 0 at T = 800, so the running minimum of
+    I = int E^{-1} d eta is NaN on every path.  Compared as it is, no
+    path would hit; the call refuses and names the count."""
+    law = JumpLaw2.point_mass([((0.0, 1.0), 0.5), ((0.0, -1.0), 0.5)])
+    m = LevyModel2(drift=(-1.0, 0.0), jump_intensity=1.0, jump_law=law)
+    with pytest.raises(ConditionError, match="4096 of 4096 running-minimum I samples"):
+        ruin_probability(m, 1.0, horizon=800.0, n=4096, seed=1, stationary_horizon=20.0)
+    # at a horizon the lane resolves, almost every path hits
+    res = ruin_probability(m, 1.0, horizon=20.0, n=4096, seed=1, stationary_horizon=20.0)
+    assert res.hits > 4000
+
+
 def test_ruin_probability_refuses_gaussian_part_without_condition_b():
     law = JumpLaw2.point_mass([((-2.0, 0.0), 1.0)])
     m = LevyModel2(
@@ -175,3 +189,29 @@ def test_verify_ruin_identity_rejects_degenerate():
     m = get_preset("degenerate-k").model
     with pytest.raises(ConditionError):
         verify_ruin_identity(m, [1.0], 10.0, 100, 1, stationary_n=200)
+
+
+def _no_sampling(monkeypatch):
+    """Make every sampler the first-passage identity calls raise."""
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(duality, "stationary_sampler", sampled)
+    monkeypatch.setattr(duality.mc, "ruin_samples", sampled)
+
+
+def test_verify_ruin_identity_requires_condition_b(monkeypatch, sign_flip_model):
+    """H(-V_tau) is the identity's weight only while E(U) > 0."""
+    _no_sampling(monkeypatch)
+    with pytest.raises(ConditionError, match="dU > -1"):
+        verify_ruin_identity(sign_flip_model, [1.0], 10.0, 100, 1, stationary_n=200)
+
+
+def test_verify_ruin_identity_refuses_gaussian_part(monkeypatch):
+    """V_tau comes from the ruin scan of event boundaries, which has no
+    grid-lane form: a Gaussian model refuses before anything is sampled."""
+    _no_sampling(monkeypatch)
+    m = LevyModel2(drift=(1.0, 0.5), gaussian_cov=((0.5, 0.0), (0.0, 0.5)))
+    with pytest.raises(ConditionError, match="without a Gaussian part"):
+        verify_ruin_identity(m, [1.0], 40.0, 2000, 1, stationary_n=2000)

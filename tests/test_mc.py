@@ -97,7 +97,7 @@ def test_jump_boundary_arrays_match_event_route(mixed_jump_model):
     assert counts.min() < counts.max()  # rows carry padding
 
     e_bnd, i_bnd, c_final = mc._jump_boundary_arrays(
-        times, du, dl, m.drift[0], m.drift[1], m.drift[1], horizon
+        times, du, dl, m.drift[0], m.drift[1], horizon
     )
     for row in range(n):
         p = _row(batch, row)
@@ -165,43 +165,39 @@ def _untiled_jump_block(model, horizon, rng, size):
     }
 
 
-def _untiled_ruin(model, horizon, rng, size, xs, h_cdf):
-    """Per-probe hit flags and H-weights of one untiled ruin block."""
+def _untiled_ruin(model, horizon, rng, size, xs):
+    """Per-probe hit flags and V at first passage of one untiled ruin block."""
     times, du, dl, _ = draw_jumps(model, horizon, rng, size)
     b_u, b_l = model.drift
     e_bnd, i_bnd, _ = _untiled_boundary_arrays(times, du, dl, b_u, b_l, b_l, horizon)
-    hits, weights = [], []
+    hits, v_taus = [], []
     for x in xs:
         if x <= 0.0:
             hits.append(np.ones(size, dtype=bool))
-            if h_cdf is not None:
-                weights.append(np.full(size, float(np.asarray(h_cdf(-x)))))
+            v_taus.append(np.full(size, x))
             continue
         v_bnd = e_bnd * (x + i_bnd)
         below = v_bnd <= 0.0
         hit = below.any(axis=1)
         hits.append(hit)
-        if h_cdf is None:
-            continue
         first = below.argmax(axis=1)
         rows = np.arange(size)
         v_tau = v_bnd[rows, first]
         if b_l != 0.0:
-            prev_pos = (first % 2 == 0) & (first > 0)
-            prev_pos &= v_bnd[rows, np.maximum(first - 1, 0)] > 0.0
+            # a gap end that V reached from above: a drift crossing, also
+            # in the first gap, which starts at V_0 = x > 0
+            prev_pos = (first % 2 == 0) & (
+                (first == 0) | (v_bnd[rows, np.maximum(first - 1, 0)] > 0.0)
+            )
             v_tau = np.where(prev_pos, 0.0, v_tau)
-        weights.append(np.where(hit, h_cdf(np.where(hit, -v_tau, 0.0)), 0.0))
-    return hits, weights
+        v_taus.append(np.where(hit, v_tau, 0.0))
+    return hits, v_taus
 
 
 def _assert_bitwise(a, b):
     assert a.shape == b.shape
     assert np.array_equal(a, b, equal_nan=True)
     assert np.array_equal(np.signbit(a), np.signbit(b))
-
-
-def _h_cdf(v):
-    return np.clip(0.5 + 0.2 * np.asarray(v, float), 0.0, 1.0)
 
 
 def _check_tiled_lane_bitwise(model, horizon, size, seed):
@@ -211,12 +207,12 @@ def _check_tiled_lane_bitwise(model, horizon, size, seed):
         _assert_bitwise(tiled[key], ref[key])
 
     xs = [-0.5, 0.0, 0.25, 1.0, 3.0]
-    h_cdf = _h_cdf if model.condition_b else None
-    res = mc.ruin_samples(model, horizon, size, seed, xs, h_cdf=h_cdf, label="tiles")
-    hits, weights = _untiled_ruin(model, horizon, stream(seed, "tiles", 0), size, xs, h_cdf)
+    res = mc.ruin_samples(model, horizon, size, seed, xs, label="tiles")
+    hits, v_taus = _untiled_ruin(model, horizon, stream(seed, "tiles", 0), size, xs)
     assert res["hits"].tolist() == [int(h.sum()) for h in hits]
-    for j, w in enumerate(weights):
-        _assert_bitwise(res[f"weights_{j}"], w)
+    for j, (hit, v_tau) in enumerate(zip(hits, v_taus)):
+        assert np.array_equal(res["hit"][:, j], hit)
+        _assert_bitwise(res["v_tau"][:, j], v_tau)
 
 
 @pytest.mark.parametrize("size", [1, 255, 256, 257, 1000])
@@ -225,8 +221,8 @@ def _check_tiled_lane_bitwise(model, horizon, size, seed):
 )
 def test_tiled_jump_lane_is_bitwise_untiled(name, size):
     """Row tiles and the shared e^{+-a t} per boundary change no bit of the
-    lane's samples, hit counts or H-weights, on either side of a tile
-    boundary."""
+    lane's samples, hit flags, hit counts or V at first passage, on either
+    side of a tile boundary."""
     preset = get_preset(name)
     horizon = preset.recommended.get("horizon", 20.0)
     _check_tiled_lane_bitwise(preset.model, horizon, size, seed=21)
@@ -536,37 +532,38 @@ def test_ruin_samples_deterministic_drift_crossing():
     assert res["hit_prob"][0] == 1.0   # x = 0.5 < e - 1
     assert res["hit_prob"][1] == 0.0   # just above the reachable range
     assert res["hit_prob"][2] == 1.0   # starts below zero
+    assert res["hit"].shape == res["v_tau"].shape == (16, 3)
+    # the drift crosses 0 continuously before the first (and only) event
+    # boundary, so V_tau = 0 rather than V at the horizon; no hit records 0
+    assert (res["v_tau"][:, 0] == 0.0).all()
+    assert (res["v_tau"][:, 1] == 0.0).all()
 
 
-def test_ruin_samples_weights_match_h_at_barrier():
+def test_ruin_samples_v_tau_at_barrier():
     m = LevyModel2(drift=(-1.0, -1.0))
-    h = lambda v: np.clip(np.asarray(v, float) * 0.1 + 0.5, 0.0, 1.0)
-    res = mc.ruin_samples(m, 1.0, 8, seed=4, x_probes=[-0.3], h_cdf=h)
-    # tau = 0, V_tau = x: every weight is H(0.3)
-    assert np.allclose(res["weights_0"], h(0.3))
+    res = mc.ruin_samples(m, 1.0, 8, seed=4, x_probes=[-0.3])
+    # tau = 0 and V_tau = x on every path
+    assert res["hit"].all()
+    assert (res["v_tau"] == -0.3).all()
 
 
-def test_ruin_samples_continuous_crossing_sets_zero_overshoot(subordinator_model):
-    """With negative L drift... use a drifting-down model: continuous
-    crossings must record V_tau = 0, jump crossings the overshoot."""
+def test_ruin_samples_continuous_crossing_sets_zero_overshoot():
+    """L drifts up and jumps down by 1, so every crossing is a jump and
+    records its overshoot: V_tau = V_- - 1 lies in (-1, 0]."""
     law = JumpLaw2.point_mass([((0.0, -1.0), 1.0)])
     m = LevyModel2(drift=(0.0, 0.5), jump_intensity=1.0, jump_law=law)
-    h = lambda v: np.clip(np.asarray(v, float), 0.0, 1.0)  # H(-V_tau) = -V_tau clipped
-    res = mc.ruin_samples(m, 5.0, 2000, seed=5, x_probes=[0.25], h_cdf=h)
-    w = res["weights_0"]
-    hit = w > 0
-    # overshoots live in (0, 1): V_tau in (-0.75-, 0] after a unit down-jump
-    assert np.all(w[hit] <= 1.0)
-    # some crossings overshoot strictly (jump-driven), none exceed jump size
-    assert (w[hit] > 0.01).any()
+    res = mc.ruin_samples(m, 5.0, 2000, seed=5, x_probes=[0.25])
+    hit, v_tau = res["hit"][:, 0], res["v_tau"][:, 0]
+    assert 0 < hit.sum() < hit.size
+    assert np.all((v_tau[hit] > -1.0) & (v_tau[hit] <= 0.0))
+    # some crossings overshoot strictly (jump-driven)
+    assert (v_tau[hit] < -0.01).any()
+    assert (v_tau[~hit] == 0.0).all()
 
 
-def test_ruin_samples_rejects_unsupported_models(dufresne_model, sign_flip_model):
+def test_ruin_samples_rejects_unsupported_models(dufresne_model):
     with pytest.raises(NotImplementedError):
         mc.ruin_samples(dufresne_model, 1.0, 10, 1, [1.0])
-    # the H-weights of the first-passage identity need E(U) > 0
-    with pytest.raises(ConditionError):
-        mc.ruin_samples(sign_flip_model, 1.0, 10, 1, [1.0], h_cdf=lambda v: v)
 
 
 def test_ruin_samples_refuse_non_finite_boundary_values():
