@@ -31,39 +31,31 @@ _TIME_TOL = 1e-12
 class AlignedSeries:
     """Values aligned to a path's event boundaries.
 
-    Entry 0 is t=0; entry k is the state after event k.  ``lefts`` holds
-    the left limit at the same boundary (differs from ``values`` only at
-    jumps).
+    Entry 0 is t=0; entry k is the state after event k.  A jump repeats
+    its gap's end time, so the first boundary at a jump time holds the
+    left limit and the next one the value after the jump.
     """
 
     times: np.ndarray
-    lefts: np.ndarray
     values: np.ndarray
 
     def at(self, t: float, left: bool = False) -> float:
         """Value at boundary time t (times within 1e-12 count as equal).
 
-        ``left`` reads the left limit at the first boundary at t; off the
-        boundaries, or without ``left``, the value after the last boundary
-        at or before t.
+        ``left`` reads the first boundary at t, which holds the left
+        limit; off the boundaries, or without ``left``, the value after
+        the last boundary at or before t.
         """
         times = self.times
         if left:
             k = int(np.searchsorted(times, t - _TIME_TOL, side="left"))
-            if k < times.size and times[k] <= t + _TIME_TOL:
-                return float(self.lefts[k])
-            return float(self.values[int(np.searchsorted(times, t, side="right")) - 1])
-        k = int(np.searchsorted(times, t + _TIME_TOL, side="right")) - 1
+            if k == times.size or times[k] > t + _TIME_TOL:
+                k -= 1
+        else:
+            k = int(np.searchsorted(times, t + _TIME_TOL, side="right")) - 1
         if k < 0:
             raise IndexError(f"time {t} precedes the series")
         return float(self.values[k])
-
-
-def _aligned(x: Path, values: np.ndarray) -> AlignedSeries:
-    """Boundary values plus their left limits (the previous value at jumps)."""
-    lefts = values.copy()
-    lefts[..., 1:][x.is_jump] = values[..., :-1][x.is_jump]
-    return AlignedSeries(x.t, lefts, values)
 
 
 def stochastic_exponential(x: Path) -> AlignedSeries:
@@ -82,7 +74,7 @@ def stochastic_exponential(x: Path) -> AlignedSeries:
     e = np.empty(x.t.shape)
     e[..., 0] = 1.0
     np.cumprod(factor, axis=-1, out=e[..., 1:])
-    return _aligned(x, e)
+    return AlignedSeries(x.t, e)
 
 
 def exponential_with_integral(
@@ -114,4 +106,4 @@ def exponential_with_integral(
     acc = np.empty(e.values.shape)
     acc[..., 0] = 0.0
     np.cumsum(weighted, axis=-1, out=acc[..., 1:])
-    return e, _aligned(driver, acc)
+    return e, AlignedSeries(driver.t, acc)

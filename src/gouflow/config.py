@@ -186,31 +186,36 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     if preset is None and model is None:
         raise ConfigError("config needs either 'preset' or 'model'")
 
+    def number(key, val, message):
+        """``val`` as a float; a bool is not a number here."""
+        if isinstance(val, bool):
+            raise ConfigError(f"{where(key)}: {message}, got {val!r}")
+        try:
+            return float(val)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{where(key)}: {message}") from None
+
     def positive(key, default, cast=float):
         val = data.get(key, default)
         if cast is int:
             val = integer(key, val)
         else:
-            try:
-                val = float(val)
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"{where(key)}: expected a finite number") from None
+            val = number(key, val, "expected a finite number")
             if not math.isfinite(val):
                 raise ConfigError(f"{where(key)}: must be finite")
         if val <= 0:
             raise ConfigError(f"{where(key)}: must be positive")
         return val
 
-    def grid(key, default):
+    def grid(key, default, positive_entries=False):
         val = data.get(key, default)
         if not isinstance(val, (list, tuple)) or not val:
             raise ConfigError(f"{where(key)}: expected a nonempty list of numbers")
-        try:
-            vals = tuple(float(v) for v in val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where(key)}: expected a list of numbers") from None
+        vals = tuple(number(key, v, "expected a list of numbers") for v in val)
         if not all(math.isfinite(v) for v in vals):
             raise ConfigError(f"{where(key)}: every entry must be finite")
+        if positive_entries and min(vals) <= 0:
+            raise ConfigError(f"{where(key)}: every entry must be positive")
         return vals
 
     cfg = ExperimentConfig(
@@ -221,7 +226,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         n_paths=positive("n_paths", 10_000, int),
         horizon=positive("horizon", 2.0),
         grid_dt=positive("grid_dt", 1e-3),
-        t_grid=grid("t_grid", (0.5, 1.0, 2.0)),
+        t_grid=grid("t_grid", (0.5, 1.0, 2.0), positive_entries=True),
         x_grid=grid("x_grid", (-1.0, 0.0, 1.0)),
         y_grid=grid("y_grid", (-1.0, 0.0, 1.0)),
         stationary_horizon=(

@@ -237,8 +237,12 @@ def verify_ruin_identity(
         lhs_boot = np.array(
             [weights[boot_rng.integers(0, n, size=n)].mean() for _ in range(_N_BOOT)]
         )
-        hb = h_sample[boot_rng.integers(0, h_sample.size, size=(_N_BOOT, h_sample.size))]
-        rhs_boot = (hb <= -x).mean(axis=1)
+        # h_sample is sorted, so a resample's count of H <= -x is its
+        # count of indices below the first entry above -x
+        idx = boot_rng.integers(
+            0, h_sample.size, size=(_N_BOOT, h_sample.size), dtype=np.int32
+        )
+        rhs_boot = (idx < np.searchsorted(h_sample, -x, side="right")).mean(axis=1)
         lhs_ci = (float(np.quantile(lhs_boot, 0.005)), float(np.quantile(lhs_boot, 0.995)))
         rhs_ci = (float(np.quantile(rhs_boot, 0.005)), float(np.quantile(rhs_boot, 0.995)))
         overlap = lhs_ci[0] <= rhs_ci[1] and rhs_ci[0] <= lhs_ci[1]

@@ -45,9 +45,7 @@ def solve_pair(driver: Path, integrator: Path, x: float) -> GouTrajectory:
     """
     e, i = exponential_with_integral(driver, integrator, power=-1)
     vx = float(x)
-    v_lefts = e.lefts * (vx + i.lefts)
-    v_vals = e.values * (vx + i.values)
-    series = AlignedSeries(e.times, v_lefts, v_vals)
+    series = AlignedSeries(e.times, e.values * (vx + i.values))
     return GouTrajectory(x=vx, exponential=e, integral=i, values=series)
 
 

@@ -26,7 +26,6 @@ from .paths import (
     eta_path,
     reverse_path,
     t_path,
-    truncate_path,
 )
 
 __all__ = [
@@ -59,10 +58,8 @@ def eta_tilde_path(reversed_ul: Path, model: LevyModel2) -> Path:
     return _scalar(reversed_ul, du, model.sigma_l_sq)
 
 
-def inverse_flow_solve(
-    path: Path, model: LevyModel2, t: float, y: float
-) -> GouTrajectory:
-    """Run the inverse flow on [0, t] from level y.
+def inverse_flow_solve(path: Path, model: LevyModel2, y: float) -> GouTrajectory:
+    """Run the inverse flow on [0, T] from level y, T the path's horizon.
 
     The driver is T, built from the reversed pair, and the integrator is
     L~.  Internally also builds eta~ both from the reversed pair and by
@@ -70,11 +67,9 @@ def inverse_flow_solve(
     agree eventwise to ``_ETA_ROUTE_TOL`` (the euler backend shares
     increments, so they agree there too).
     """
-    if t > path.horizon + 1e-12:
-        raise ValueError("t beyond the path horizon")
-    rev = reverse_path(path, t)
+    rev = reverse_path(path)
     eta_a = eta_tilde_path(rev, model)
-    eta_b = reverse_path(eta_path(path, model), t)
+    eta_b = reverse_path(eta_path(path, model))
     err = float(np.max(np.abs(eta_a.du - eta_b.du), initial=0.0))
     if err > _ETA_ROUTE_TOL:
         raise ArithmeticError(
@@ -94,29 +89,27 @@ def _mixed_error(a, b):
     return np.abs(a - b) / (1.0 + np.maximum(np.abs(a), np.abs(b)))
 
 
-def verify_pathwise_identity(
-    path: Path, model: LevyModel2, x: float, t: float | None = None
-) -> dict:
-    """Max deviation in V_{(t-s)-} = R_s over all event boundaries.
+def verify_pathwise_identity(path: Path, model: LevyModel2, x: float) -> dict:
+    """Max deviation in V_{(t-s)-} = R_s over all event boundaries, t the
+    path's horizon.
 
     R is the inverse flow started at y = V_{t-}^x.  Reversed boundary j
     is forward boundary m - j, so the two sides are compared as aligned
     arrays.  At a reversed jump at s the boundary after it holds R_s and
     meets V_{(t-s)-}, the one before it holds R_{s-} and meets the other
-    one-sided limit V_{t-s}; the left limits of R repeat these values.
+    one-sided limit V_{t-s}.  The identity reads the path on [0, t] only,
+    so a check at the horizon of a path sampled on [0, t] covers any t.
     The error metric is |lhs - rhs| / (1 + max(|lhs|, |rhs|)); on the
     exact backend it should sit at float-precision level, on the euler
     backend it shrinks with the grid step and is reported for convergence
-    studies.  A stacked batch (``exact_paths``, t at the horizon) gets one
-    ``max_error`` per row.
+    studies.  A stacked batch (``exact_paths``) gets one ``max_error`` per
+    row.
     """
-    t = path.horizon if t is None else float(t)
-    fwd = truncate_path(path, t) if t < path.horizon - 1e-12 else path
-    # a jump exactly at the reversal time is not part of the reversed path
+    # a jump exactly at the horizon is not part of the reversed path
     # (V_{(t-s)-} never involves it either)
-    fwd = _null_jumps_at(fwd, t)
+    fwd = _null_jumps_at(path, path.horizon)
     v = solve_forward(fwd, model, x).values.values
-    rtraj = inverse_flow_solve(fwd, model, t, 0.0)
+    rtraj = inverse_flow_solve(fwd, model, 0.0)
     # R^y = E(T) (y + I) for every start y, here y = V_{t-}
     r = rtraj.exponential.values * (v[..., -1:] + rtraj.integral.values)
     max_err = _mixed_error(v[..., ::-1], r).max(axis=-1)

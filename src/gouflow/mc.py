@@ -160,8 +160,6 @@ def _jump_block(model, horizon, rng, size):
         out["i"][rows] = i_bnd[:, -1]
         out["c"][rows] = c_final
         out["i_min"][rows] = np.minimum(i_bnd.min(axis=1), 0.0)
-    out["u"] = a * horizon + du.sum(axis=1)
-    out["l"] = b_l * horizon + dl.sum(axis=1)
     return out
 
 
@@ -211,8 +209,6 @@ def _diffusion_block(model, horizon, rng, size, grid_dt):
     i = np.zeros(size)
     c = np.zeros(size)
     i_min = np.zeros(size)
-    u = np.zeros(size)
-    l = np.zeros(size)
     # A model with jumps draws Poisson counts and marks between the
     # normals of its stream, so only a normals-only stream is drawn ahead
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -229,8 +225,6 @@ def _diffusion_block(model, horizon, rng, size, grid_dt):
             inv_e = 1.0 / e
             i += drift_eta * dt * 0.5 * (inv_e + 1.0 / e_new) + inv_e * zl
             c += b_l * dt * 0.5 * (e + e_new) + e * zl
-            u += b_u * dt + zu
-            l += b_l * dt + zl
             e = e_new
             np.minimum(i_min, i, out=i_min)
             if model.has_jumps:  # pass r applies the (r+1)-th jump of the step
@@ -242,10 +236,8 @@ def _diffusion_block(model, horizon, rng, size, grid_dt):
                     i[rows] += dl / ((1.0 + du) * e_left)
                     c[rows] += e_left * dl
                     e[rows] = e_left * (1.0 + du)
-                    u[rows] += du
-                    l[rows] += dl
                     i_min[rows] = np.minimum(i_min[rows], i[rows])
-    return {"e": e, "i": i, "c": c, "i_min": i_min, "u": u, "l": l}
+    return {"e": e, "i": i, "c": c, "i_min": i_min}
 
 
 # ---------------------------------------------------------------------------

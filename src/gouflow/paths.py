@@ -43,7 +43,6 @@ __all__ = [
     "xi_path",
     "t_path",
     "reverse_path",
-    "truncate_path",
 ]
 
 _TIME_TOL = 1e-12
@@ -364,24 +363,6 @@ def t_path(reversed_u: Path, sigma_u_sq: float) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def truncate_path(path: Path, at: float) -> Path:
-    """Restrict a single path to [0, at], splitting a straddling segment
-    pro rata."""
-    if at > path.horizon + _TIME_TOL:
-        raise ValueError("truncation time beyond horizon")
-    t = path.t
-    k = int(np.searchsorted(t, at + _TIME_TOL, side="right")) - 1  # events kept whole
-    is_jump, du, dl, t = path.is_jump[:k], path.du[:k], path.dl[:k], t[: k + 1]
-    if k < path.du.size and not path.is_jump[k]:
-        frac = (at - t[-1]) / (path.t[k + 1] - t[-1])
-        if frac > _TIME_TOL:
-            is_jump = np.append(is_jump, False)
-            t = np.append(t, at)
-            du = np.append(du, path.du[k] * frac)
-            dl = np.append(dl, path.dl[k] * frac)
-    return _replace(path, horizon=float(at), is_jump=is_jump, t=t, du=du, dl=dl)
-
-
 def _null_jumps_at(path: Path, at: float) -> Path:
     """The path with every jump at time ``at`` made a null event."""
     hit = path.is_jump & (np.abs(path.t[..., 1:] - at) <= _TIME_TOL)
@@ -390,24 +371,19 @@ def _null_jumps_at(path: Path, at: float) -> Path:
     return _replace(path, du=np.where(hit, 0.0, path.du), dl=np.where(hit, 0.0, path.dl))
 
 
-def reverse_path(path: Path, at: float | None = None) -> Path:
-    """Time-reversal at ``at``: X~_s = X_{(at-s)-} - X_{at-}.
+def reverse_path(path: Path) -> Path:
+    """Time-reversal at the horizon T: X~_s = X_{(T-s)-} - X_{T-}.
 
     Reversed boundary j is forward boundary m - j: the columns are
     reversed, increments negated and times reflected.  A jump exactly at
-    the reversal time becomes a null event (it is not part of X~; for the
+    the horizon becomes a null event (it is not part of X~; for the
     sampled laws this has probability zero).
     """
-    at = path.horizon if at is None else float(at)
-    if at > path.horizon + _TIME_TOL:
-        raise ValueError("reversal time beyond horizon")
-    p = truncate_path(path, at) if at < path.horizon - _TIME_TOL else path
-    p = _null_jumps_at(p, at)
-    t = at - p.t[..., ::-1]
+    p = _null_jumps_at(path, path.horizon)
+    t = p.horizon - p.t[..., ::-1]
     t[..., 0] = 0.0
     return _replace(
         p,
-        horizon=at,
         is_jump=p.is_jump[..., ::-1],
         t=t,
         du=-p.du[..., ::-1],

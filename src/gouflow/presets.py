@@ -93,7 +93,6 @@ def _nonmonotone() -> Preset:
             "Jumps of size -2 flip the sign of the stochastic exponential: "
             "the flow is not monotone and no dual process exists."
         ),
-        recommended={"probe_t": 1.0, "probe_y": 0.5, "probe_xs": (-1.0, 0.0, 1.0)},
     )
 
 

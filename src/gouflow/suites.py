@@ -383,11 +383,10 @@ def stationary_suite(cfg: ExperimentConfig, out_dir=None) -> SuiteResult:
 
 def monotonicity_suite(cfg: ExperimentConfig) -> SuiteResult:
     model = cfg.resolved_model()
-    t = float(_recommended(cfg, "probe_t", cfg.t_grid[min(1, len(cfg.t_grid) - 1)]))
-    y = float(_recommended(cfg, "probe_y", 0.5))
-    xs = _recommended(cfg, "probe_xs", cfg.x_grid)
+    t = float(cfg.t_grid[min(1, len(cfg.t_grid) - 1)])
+    y = 0.5
     report = monotonicity_probe(
-        model, t, y, xs, cfg.n_paths, cfg.seed, cfg.grid_dt, cfg.workers
+        model, t, y, cfg.x_grid, cfg.n_paths, cfg.seed, cfg.grid_dt, cfg.workers
     )
     if model.condition_b:
         passed = report["monotone"]

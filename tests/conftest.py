@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from gouflow.levy import JumpLaw2, LevyModel2, Marginal
+from gouflow.mc import run_blocks
+from gouflow.paths import draw_jumps
 from gouflow.presets import get_preset
 from gouflow.rng import stream
 
@@ -41,6 +43,19 @@ def dufresne_model():
 
 def make_stream(label, index=0, seed=999):
     return stream(seed, label, index)
+
+
+def terminal_ul(model, horizon, n, seed, label):
+    """U_T and L_T of a pure-jump model on the paths that
+    ``mc.terminal_samples`` draws with the same seed and label: each
+    block's ``draw_jumps`` marks plus drift * T."""
+    b_u, b_l = model.drift
+
+    def block(rng, size):
+        _, du, dl, _ = draw_jumps(model, horizon, rng, size)
+        return {"u": b_u * horizon + du.sum(axis=1), "l": b_l * horizon + dl.sum(axis=1)}
+
+    return run_blocks(n, block, seed, label)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -84,16 +84,14 @@ def path_jumps(path: Path) -> list:
 def path_values(path: Path):
     """Cumulative values at event boundaries.
 
-    Returns (times, u_left, u_right, l_left, l_right); index 0 is t=0.
-    At a jump the time repeats and left/right values differ.
+    Returns (times, u, l); index 0 is t=0.  At a jump the time repeats:
+    the first boundary holds the left limit, the second the value after.
     """
-    out = [path.t]
-    for inc in (path.du, path.dl):
-        right = np.concatenate(([0.0], np.cumsum(inc)))
-        left = right.copy()
-        left[1:][path.is_jump] = right[:-1][path.is_jump]
-        out += [left, right]
-    return tuple(out)
+    return (
+        path.t,
+        np.concatenate(([0.0], np.cumsum(path.du))),
+        np.concatenate(([0.0], np.cumsum(path.dl))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -118,20 +116,16 @@ def euler_on_path(path: Path, model: LevyModel2, x: float) -> AlignedSeries:
     grid step, which is the independent discretized route.
     """
     exact = path.backend == "exact"
-    m = path.du.size
-    lefts = np.empty(m + 1)
-    values = np.empty(m + 1)
-    lefts[0] = values[0] = v = float(x)
+    values = np.empty(path.du.size + 1)
+    values[0] = v = float(x)
     steps = zip(path.is_jump.tolist(), path.du.tolist(), path.dl.tolist())
     for k, (jump, du, dl) in enumerate(steps, start=1):
         if jump:
-            lefts[k] = v
             v = v * (1.0 + du) + dl
         else:
             v = v * math.exp(du) + dl * phi(du) if exact else v * (1.0 + du) + dl
-            lefts[k] = v
         values[k] = v
-    return AlignedSeries(path.t, lefts, values)
+    return AlignedSeries(path.t, values)
 
 
 def solve_sde_euler(
@@ -149,9 +143,7 @@ def solve_sde_euler(
     path = sample_path(model, horizon, rng, grid_dt)
     series = euler_on_path(path, model, x)
     e = stochastic_exponential(_u_part(path, model))
-    integral = AlignedSeries(
-        series.times, series.lefts / e.lefts - x, series.values / e.values - x
-    )
+    integral = AlignedSeries(series.times, series.values / e.values - x)
     return path, GouTrajectory(x=float(x), exponential=e, integral=integral, values=series)
 
 
@@ -192,22 +184,22 @@ def flow_map(traj: GouTrajectory, u: float, t: float) -> FlowMap:
     return FlowMap(u=float(u), t=float(t), slope=e_t / e_u, intercept=e_t * (i_t - i_u))
 
 
-def flow_inverse_check(
-    path: Path, model: LevyModel2, u: float, t: float, y: float
-) -> dict:
+def flow_inverse_check(path: Path, model: LevyModel2, u: float, y: float) -> dict:
     """Compare the inverted affine flow map with the inverse-flow path.
 
-    The map transporting V_u to V_t is inverted algebraically and must
-    match the inverse-flow trajectory's left limit at s = t - u.
+    The map transporting V_u to V_t, t the path's horizon, is inverted
+    algebraically and must match the inverse-flow trajectory's left limit
+    at s = t - u.
     """
     if not model.condition_b:
         raise ConditionError(
             "flow inversion as a monotone bijection needs condition (B)"
         )
+    t = path.horizon
     traj = solve_forward(path, model, 0.0)
     fmap = flow_map(traj, u, t)
     x_direct = fmap.invert(y)
-    rtraj = inverse_flow_solve(path, model, t, y)
+    rtraj = inverse_flow_solve(path, model, y)
     s = t - u
     if s <= 0:
         r_left = y
@@ -247,20 +239,7 @@ def dual_solve(
     fwd = solve_forward(path, model, 0.0)
     c = causal_integral(path, model)
     direct_vals = (y - c.values) / fwd.exponential.values
-    direct_lefts = (y - c.lefts) / fwd.exponential.lefts
-    err = np.max(
-        np.abs(traj.values.values - direct_vals)
-        / (1.0 + np.maximum(np.abs(traj.values.values), np.abs(direct_vals)))
-    )
-    err = max(
-        err,
-        float(
-            np.max(
-                np.abs(traj.values.lefts - direct_lefts)
-                / (1.0 + np.maximum(np.abs(traj.values.lefts), np.abs(direct_lefts)))
-            )
-        ),
-    )
+    err = float(np.max(_mixed_error(traj.values.values, direct_vals)))
     if err > check_tol:
         raise ArithmeticError(
             f"dual solve routes disagree (max relative error {err:.3e})"
@@ -284,10 +263,7 @@ def killed_dual(traj_r: GouTrajectory, model: LevyModel2) -> AlignedSeries:
     if traj_r.x < 0:
         raise ValueError("half-line dual needs a nonnegative starting level")
     vals = traj_r.values.values
-    lefts = traj_r.values.lefts
-    clipped = AlignedSeries(
-        traj_r.values.times, np.maximum(lefts, 0.0), np.maximum(vals, 0.0)
-    )
+    clipped = AlignedSeries(traj_r.values.times, np.maximum(vals, 0.0))
     # killed version: zero from the first boundary where R <= 0 onwards
     below = vals <= 0.0
     if below.any():

@@ -24,6 +24,8 @@ from gouflow.presets import get_preset
 from gouflow.rng import stream
 from gouflow.stats import ecdf, ks_two_sample
 
+from conftest import terminal_ul
+
 RESULTS = []
 
 SEED = 20260823
@@ -289,7 +291,7 @@ def test_criterion_10_distributional_identities():
         keep = (np.arange(kmax)[None, :] < counts[:, None]) & (times >= t - s)
         u_rev = -(b_u * s + np.where(keep, du.reshape(n, kmax), 0.0).sum(axis=1))
         l_rev = -(b_l * s + np.where(keep, dl.reshape(n, kmax), 0.0).sum(axis=1))
-        fresh = mc.terminal_samples(m, s, n, SEED + 32, label=f"c10f-{r}")
+        fresh = terminal_ul(m, s, n, SEED + 32, label=f"c10f-{r}")
         if (
             ks_two_sample(ecdf(u_rev), ecdf(-fresh["u"])).rejects()
             or ks_two_sample(ecdf(l_rev), ecdf(-fresh["l"])).rejects()

@@ -155,16 +155,16 @@ def test_realized_covariation_converges_to_bracket(dufresne_model):
 
 
 def test_aligned_series_at_lookup():
-    s = AlignedSeries(
-        np.array([0.0, 1.0, 1.0, 2.0]),
-        np.array([0.0, 1.0, 1.0, 5.0]),
-        np.array([0.0, 1.0, 4.0, 6.0]),
-    )
+    s = AlignedSeries(np.array([0.0, 1.0, 1.0, 2.0]), np.array([0.0, 1.0, 4.0, 6.0]))
     assert s.at(1.0) == 4.0
-    assert s.at(1.0, left=True) == 1.0
+    assert s.at(1.0, left=True) == 1.0  # the first boundary at a jump time
     assert s.at(1.5) == 4.0
-    assert s.at(2.0) == 6.0
+    assert s.at(1.5, left=True) == 4.0  # off the boundaries: the last one before
+    assert s.at(2.0) == s.at(2.0, left=True) == 6.0
     assert s.values[-1] == 6.0
+    for left in (False, True):
+        with pytest.raises(IndexError):
+            s.at(-1.0, left=left)
 
 
 def loop_exponential_with_integral(driver, integrator, power):

@@ -121,6 +121,24 @@ def test_parse_config_rejects_non_integral_counts(key, value):
         parse_config(json.dumps(data))  # YAML is a superset of JSON
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("horizon", True),
+        ("grid_dt", True),
+        ("stationary_horizon", True),
+        ("t_grid", [True]),
+        ("x_grid", [-1.0, True]),
+        ("y_grid", [False]),
+    ],
+)
+def test_parse_config_rejects_bools_as_numbers(key, value):
+    """A bool in a float field or a grid is refused, not read as 1.0 or 0.0."""
+    data = {"schema_version": 1, "seed": 7, "preset": "drift-ou", key: value}
+    with pytest.raises(ConfigError, match=f"'{key}': expected .*, got (True|False)"):
+        parse_config(json.dumps(data))
+
+
 def test_parse_config_accepts_integral_floats():
     cfg = parse_config(GOOD.replace("1500", "2000.0") + "stationary_n: 99.0\nworkers: 2.0\n")
     assert (cfg.n_paths, cfg.stationary_n, cfg.workers) == (2000, 99, 2)
@@ -272,6 +290,22 @@ def test_cli_refuses_non_finite_config_values(tmp_path, capsys, extra):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("grid", ["[0.0, 1.0]", "[1.0, -0.5]"])
+def test_cli_refuses_nonpositive_t_grid_entry(tmp_path, capsys, grid):
+    """Every t_grid entry is a horizon: a zero or negative one is a config
+    error with its line, not a traceback from the sampler."""
+    text = (
+        "schema_version: 1\nseed: 1\npreset: drift-ou\nsuite: duality\n"
+        f"n_paths: 300\nt_grid: {grid}\n"
+    )
+    path = _write(tmp_path, text)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "line 6: 't_grid': every entry must be positive" in err
+    assert "Traceback" not in err
+
+
 def test_cli_first_passage_identity_refuses_gaussian_model(tmp_path, capsys):
     """L is not a subordinator, so the ruin suite checks the first-passage
     identity, whose ruin scan needs a pure-jump model: exit 3 before any
@@ -350,8 +384,8 @@ def test_cli_inverse_flow_failure_names_worst_path(tmp_path, monkeypatch, capsys
 
     real = suites.verify_pathwise_identity
 
-    def inflated(path, model, x, t=None):
-        rep = real(path, model, x, t)
+    def inflated(path, model, x):
+        rep = real(path, model, x)
         errs = rep["max_error"].copy()
         errs[7] = 1e-3
         return {**rep, "max_error": errs}

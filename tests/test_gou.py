@@ -60,7 +60,7 @@ def test_jump_update_identity(mixed_jump_model):
     k = 0
     for idx, ev in enumerate(p.events, start=1):
         if isinstance(ev, Jump):
-            v_left = traj.values.lefts[idx]
+            v_left = traj.values.values[idx - 1]
             v_right = traj.values.values[idx]
             assert v_right == pytest.approx(
                 v_left * (1.0 + ev.du) + ev.dl, rel=1e-12, abs=1e-12

@@ -15,7 +15,6 @@ from gouflow.paths import (
     exact_paths,
     reverse_path,
     sample_path,
-    truncate_path,
 )
 from gouflow.presets import PRESETS, get_preset
 from gouflow.rng import stream
@@ -74,13 +73,12 @@ def test_pathwise_identity_under_sign_flips(sign_flip_model):
 
 
 def test_pathwise_identity_interior_time(mixed_jump_model):
-    p = sample_path(mixed_jump_model, 2.0, make_stream("pw-int", 0))
-    # reverse at an event-boundary interior time
-    traj = solve_forward(p, mixed_jump_model, 1.0)
-    t = float(traj.values.times[len(traj.values.times) // 2])
-    if t > 0:
-        rep = verify_pathwise_identity(p, mixed_jump_model, x=1.0, t=t)
-        assert rep["max_error"] <= 1e-9
+    """The identity at a time t inside [0, 2] reads the path on [0, t]
+    only, so it is checked at the horizon of paths sampled on [0, t]."""
+    for i, t in enumerate((0.3, 1.1, 1.9)):
+        p = sample_path(mixed_jump_model, t, make_stream("pw-int", i))
+        rep = verify_pathwise_identity(p, mixed_jump_model, x=1.0)
+        assert rep["max_error"] <= 1e-9, (t, rep)
 
 
 def test_pathwise_identity_euler_convergence(dufresne_model):
@@ -96,32 +94,30 @@ def test_pathwise_identity_euler_convergence(dufresne_model):
 
 def test_inverse_flow_solve_checks_eta_routes(mixed_jump_model):
     p = sample_path(mixed_jump_model, 1.5, make_stream("ifs", 0))
-    traj = inverse_flow_solve(p, mixed_jump_model, 1.5, y=0.3)
+    traj = inverse_flow_solve(p, mixed_jump_model, y=0.3)
     assert traj.values.values[0] == pytest.approx(0.3)
-    with pytest.raises(ValueError):
-        inverse_flow_solve(p, mixed_jump_model, 99.0, y=0.3)
+    assert traj.values.times[-1] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_flow_inverse_check_agrees(mixed_jump_model):
     p = sample_path(mixed_jump_model, 2.0, make_stream("fic", 0))
     base = solve_forward(p, mixed_jump_model, 0.0)
     times = base.values.times
-    u, t = float(times[2]), float(times[-1])
-    rep = flow_inverse_check(p, mixed_jump_model, u, t, y=0.7)
+    rep = flow_inverse_check(p, mixed_jump_model, float(times[2]), y=0.7)
     assert rep["error"] <= 1e-9, rep
 
 
 def test_flow_inverse_check_requires_condition_b(sign_flip_model):
     p = sample_path(sign_flip_model, 1.0, make_stream("fic-b", 0))
     with pytest.raises(ConditionError):
-        flow_inverse_check(p, sign_flip_model, 0.0, 1.0, 0.5)
+        flow_inverse_check(p, sign_flip_model, 0.0, 0.5)
 
 
 def test_degenerate_inverse_flow_keeps_constant():
     m = get_preset("degenerate-k").model
     for i in range(20):
         p = sample_path(m, 2.0, make_stream("deg-if", i))
-        r = inverse_flow_solve(p, m, 2.0, y=2.0)
+        r = inverse_flow_solve(p, m, y=2.0)
         assert np.max(np.abs(r.values.values - 2.0)) < 1e-10
 
 
@@ -141,17 +137,17 @@ def _mixed(a, b):
     return abs(a - b) / (1.0 + max(abs(a), abs(b)))
 
 
-def lookup_identity_error(path, model, x, t=None):
+def lookup_identity_error(path, model, x):
     """Reference route: pair each reversed boundary s with the forward
-    solution at time t - s by ``AlignedSeries.at`` lookups instead of by
-    index.  The first of two reversed boundaries sharing a time is the
-    pre-jump state and is compared through the next boundary's left limit.
+    solution at time t - s, t the horizon, by ``AlignedSeries.at`` lookups
+    instead of by index.  The first of two reversed boundaries sharing a
+    time is the pre-jump state and is compared through the next
+    boundary's left limit.
     """
-    t = path.horizon if t is None else float(t)
-    fwd = truncate_path(path, t) if t < path.horizon - 1e-12 else path
-    traj = solve_forward(fwd, model, x)
+    t = path.horizon
+    traj = solve_forward(path, model, x)
     v_t = traj.values.at(t, left=True)
-    rtraj = inverse_flow_solve(path, model, t, v_t)
+    rtraj = inverse_flow_solve(path, model, v_t)
     max_err = 0.0
     times = rtraj.values.times
     for k in range(times.size):
@@ -163,41 +159,58 @@ def lookup_identity_error(path, model, x, t=None):
         if s > 0:
             # R_{s-} = V_{t-s}
             lhs_l = traj.values.at(t - s) if s < t else traj.values.values[0]
-            max_err = max(max_err, _mixed(float(lhs_l), float(rtraj.values.lefts[k])))
+            max_err = max(max_err, _mixed(float(lhs_l), rtraj.values.at(s, left=True)))
     return max_err
 
 
-HAND_BUILT = path_from_events(
-    horizon=2.0,
-    events=(
+# hand-built paths keyed by their horizon: ending with a jump exactly at
+# the horizon (2.0, 1.25, 0.5) or inside a segment (1.0, 1.7)
+HAND_BUILT = {
+    2.0: (
         Segment(0.5, -0.25, 0.5),
         Jump(0.5, 0.5, -1.0),
         Segment(0.75, 0.375, -0.25),
         Jump(1.25, -0.5, 2.0),
         Segment(0.75, -0.125, 0.75),
-        Jump(2.0, 1.0, 0.5),  # exactly at the reversal time
+        Jump(2.0, 1.0, 0.5),
     ),
-    backend="exact",
-)
+    1.25: (
+        Segment(0.5, -0.25, 0.5),
+        Jump(0.5, 0.5, -1.0),
+        Segment(0.75, 0.375, -0.25),
+        Jump(1.25, -0.5, 2.0),
+    ),
+    0.5: (Segment(0.5, -0.25, 0.5), Jump(0.5, 0.5, -1.0)),
+    1.0: (Segment(0.5, -0.25, 0.5), Jump(0.5, 0.5, -1.0), Segment(0.5, 0.25, -0.125)),
+    1.7: (
+        Segment(0.5, -0.25, 0.5),
+        Jump(0.5, 0.5, -1.0),
+        Segment(0.75, 0.375, -0.25),
+        Jump(1.25, -0.5, 2.0),
+        Segment(0.45, -0.075, 0.45),
+    ),
+}
 
 
 @pytest.mark.parametrize("t", [2.0, 1.25, 0.5, 1.0, 1.7])
 def test_aligned_check_matches_lookup_on_hand_built_path(mixed_jump_model, t):
-    """Reversal at the horizon and at jump times (a jump exactly at the
-    reversal time), and inside segments."""
-    validate_path(HAND_BUILT)
-    rep = verify_pathwise_identity(HAND_BUILT, mixed_jump_model, 0.75, t=t)
-    ref = lookup_identity_error(HAND_BUILT, mixed_jump_model, 0.75, t=t)
+    """Reversal at a horizon that is a jump time (the jump is not part of
+    the reversed path) and at one inside a segment."""
+    path = path_from_events(horizon=t, events=HAND_BUILT[t], backend="exact")
+    validate_path(path)
+    rep = verify_pathwise_identity(path, mixed_jump_model, 0.75)
+    ref = lookup_identity_error(path, mixed_jump_model, 0.75)
     assert abs(rep["max_error"] - ref) <= 1e-12
     assert rep["max_error"] <= 1e-9
 
 
 def test_aligned_check_matches_lookup_under_truncation(mixed_jump_model):
+    """Paths on [0, t] for t inside the usual horizon 2."""
     for i in range(30):
-        p = sample_path(mixed_jump_model, 2.0, make_stream("trunc-oracle", i))
         for t in (0.3, 1.1, 1.9):
-            rep = verify_pathwise_identity(p, mixed_jump_model, 1.0, t=t)
-            ref = lookup_identity_error(p, mixed_jump_model, 1.0, t=t)
+            p = sample_path(mixed_jump_model, t, make_stream(f"trunc-oracle-{t}", i))
+            rep = verify_pathwise_identity(p, mixed_jump_model, 1.0)
+            ref = lookup_identity_error(p, mixed_jump_model, 1.0)
             assert abs(rep["max_error"] - ref) <= 1e-12, (i, t)
 
 
@@ -232,9 +245,9 @@ def test_stacked_batch_matches_single_paths(mixed_jump_model):
     assert rep["n_points"] == sum(p.du.size + 1 for p in rows)
 
 
-def _unnegated_jumps(path, at=None):
+def _unnegated_jumps(path):
     """Mutant reversal: jumps keep their sign."""
-    r = reverse_path(path, at)
+    r = reverse_path(path)
     j = r.is_jump
     return replace(r, du=np.where(j, -r.du, r.du), dl=np.where(j, -r.dl, r.dl))
 

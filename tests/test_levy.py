@@ -17,6 +17,7 @@ from gouflow.levy import (
 )
 from gouflow.presets import get_preset
 
+from conftest import terminal_ul
 from oracles import (
     characteristic_exponent,
     gamma_w_cutoff_form,
@@ -205,10 +206,8 @@ def test_characteristic_exponent_zero_and_drift():
 
 def test_characteristic_exponent_against_empirical_cf(mixed_jump_model, rng):
     """exp(t psi(theta)) must match the empirical cf of sampled increments."""
-    from gouflow.mc import terminal_samples
-
     t = 0.7
-    res = terminal_samples(mixed_jump_model, t, 200_000, seed=4, label="cf")
+    res = terminal_ul(mixed_jump_model, t, 200_000, seed=4, label="cf")
     for theta in ((0.5, 0.0), (0.0, 0.8), (0.4, -0.6)):
         emp = np.exp(1j * (theta[0] * res["u"] + theta[1] * res["l"])).mean()
         exact = cmath.exp(t * characteristic_exponent(mixed_jump_model, theta))

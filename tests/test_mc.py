@@ -110,9 +110,7 @@ def test_jump_boundary_arrays_match_event_route(mixed_jump_model):
         # every boundary, and the running minimum over them, match too
         np.testing.assert_allclose(e_bnd[row], traj.exponential.values[1:], rtol=1e-11)
         np.testing.assert_allclose(i_bnd[row], traj.integral.values[1:], rtol=1e-11, atol=1e-12)
-        ref_min = min(
-            0.0, float(traj.integral.values.min()), float(traj.integral.lefts.min())
-        )
+        ref_min = min(0.0, float(traj.integral.values.min()))
         assert min(0.0, i_bnd[row].min()) == pytest.approx(ref_min, abs=1e-11)
 
 
@@ -160,8 +158,6 @@ def _untiled_jump_block(model, horizon, rng, size):
         "i": i_bnd[:, -1],
         "c": c_final,
         "i_min": np.minimum(i_bnd.min(axis=1), 0.0),
-        "u": b_u * horizon + du.sum(axis=1),
-        "l": b_l * horizon + dl.sum(axis=1),
     }
 
 
@@ -203,7 +199,7 @@ def _assert_bitwise(a, b):
 def _check_tiled_lane_bitwise(model, horizon, size, seed):
     tiled = mc._jump_block(model, horizon, stream(seed, "tiles", 0), size)
     ref = _untiled_jump_block(model, horizon, stream(seed, "tiles", 0), size)
-    for key in ("e", "i", "c", "i_min", "u", "l"):
+    for key in ("e", "i", "c", "i_min"):
         _assert_bitwise(tiled[key], ref[key])
 
     xs = [-0.5, 0.0, 0.25, 1.0, 3.0]
@@ -261,18 +257,14 @@ def _per_path_reference(model, horizon, n, seed, grid_dt):
     """Independent route: sample, solve and reduce one event-list path at a
     time with the closed-form kernel (jumps at their exact times)."""
     rng = np.random.default_rng(seed)
-    out = {k: np.empty(n) for k in ("e", "i", "c", "i_min", "u", "l")}
+    out = {k: np.empty(n) for k in ("e", "i", "c", "i_min")}
     for j in range(n):
         path = sample_path(model, horizon, rng, grid_dt)
         traj = solve_forward(path, model, 0.0)
         out["e"][j] = traj.exponential.values[-1]
         out["i"][j] = traj.integral.values[-1]
         out["c"][j] = causal_integral(path, model).values[-1]
-        out["i_min"][j] = min(
-            0.0, float(traj.integral.values.min()), float(traj.integral.lefts.min())
-        )
-        out["u"][j] = path.du.sum()
-        out["l"][j] = path.dl.sum()
+        out["i_min"][j] = min(0.0, float(traj.integral.values.min()))
     return out
 
 
@@ -304,7 +296,7 @@ def test_grid_lane_matches_per_path_reference_with_jumps():
     )
     a = mc.terminal_samples(m, 1.0, 2000, seed=14, grid_dt=1e-2)
     b = _per_path_reference(m, 1.0, 2000, seed=15, grid_dt=1e-2)
-    for key in ("e", "i", "c", "i_min", "u", "l"):
+    for key in ("e", "i", "c", "i_min"):
         ks = ks_two_sample(ecdf(a[key]), ecdf(b[key]))
         assert not ks.rejects(), (key, ks.statistic, ks.pvalue)
 
@@ -360,8 +352,6 @@ def _serial_diffusion_block(model, horizon, rng, size, grid_dt):
     i = np.zeros(size)
     c = np.zeros(size)
     i_min = np.zeros(size)
-    u = np.zeros(size)
-    l = np.zeros(size)
     for _ in range(nsteps):
         if u_noise_only:
             zu = rng.standard_normal(size) * math.sqrt(suu * dt)
@@ -373,8 +363,6 @@ def _serial_diffusion_block(model, horizon, rng, size, grid_dt):
         inv_e = 1.0 / e
         i += drift_eta * dt * 0.5 * (inv_e + 1.0 / e_new) + inv_e * zl
         c += b_l * dt * 0.5 * (e + e_new) + e * zl
-        u += b_u * dt + zu
-        l += b_l * dt + zl
         e = e_new
         np.minimum(i_min, i, out=i_min)
         if model.has_jumps:
@@ -386,10 +374,8 @@ def _serial_diffusion_block(model, horizon, rng, size, grid_dt):
                 i[rows] += dl / ((1.0 + du) * e_left)
                 c[rows] += e_left * dl
                 e[rows] = e_left * (1.0 + du)
-                u[rows] += du
-                l[rows] += dl
                 i_min[rows] = np.minimum(i_min[rows], i[rows])
-    return {"e": e, "i": i, "c": c, "i_min": i_min, "u": u, "l": l}
+    return {"e": e, "i": i, "c": c, "i_min": i_min}
 
 
 _GRID_MODELS = {
@@ -414,7 +400,7 @@ def _chunk_steps(model, size):
 def _check_grid_lane_bitwise(model, nsteps, size, dt=1e-3, seed=31):
     ahead = mc._diffusion_block(model, nsteps * dt, stream(seed, "grid", size), size, dt)
     ref = _serial_diffusion_block(model, nsteps * dt, stream(seed, "grid", size), size, dt)
-    for key in ("e", "i", "c", "i_min", "u", "l"):
+    for key in ("e", "i", "c", "i_min"):
         _assert_bitwise(ahead[key], ref[key])
     return ahead
 
@@ -451,7 +437,7 @@ def test_terminal_samples_two_blocks_worker_independent(dufresne_model):
         n, lambda rng, size: _serial_diffusion_block(dufresne_model, horizon, rng, size, 1e-3),
         seed=17, label="terminal",
     )
-    for key in ("e", "i", "c", "i_min", "u", "l"):
+    for key in ("e", "i", "c", "i_min"):
         assert one[key].tobytes() == two[key].tobytes() == serial[key].tobytes()
 
 

@@ -16,7 +16,6 @@ from gouflow.paths import (
     reverse_path,
     sample_path,
     t_path,
-    truncate_path,
     w_path,
     xi_path,
 )
@@ -36,11 +35,11 @@ def _increments(path):
 def test_sample_path_validates_and_sums(mixed_jump_model):
     path = sample_path(mixed_jump_model, 3.0, make_stream("p", 0))
     validate_path(path)
-    times, ul, ur, ll, lr = path_values(path)
+    times, u, l = path_values(path)
     du_total = sum(ev.du for ev in path.events)
     dl_total = sum(ev.dl for ev in path.events)
-    assert ur[-1] == pytest.approx(du_total, abs=1e-12)
-    assert lr[-1] == pytest.approx(dl_total, abs=1e-12)
+    assert u[-1] == pytest.approx(du_total, abs=1e-12)
+    assert l[-1] == pytest.approx(dl_total, abs=1e-12)
     assert times[-1] == pytest.approx(3.0, abs=1e-12)
 
 
@@ -51,10 +50,8 @@ def test_sample_path_backend_selection(mixed_jump_model, dufresne_model):
 
 def value_at(path, t, left=False):
     """(U, L) value at event-boundary time t (left limit if requested)."""
-    times, ul, ur, ll, lr = path_values(path)
-    u = AlignedSeries(times, ul, ur).at(t, left=left)
-    l = AlignedSeries(times, ll, lr).at(t, left=left)
-    return u, l
+    times, u, l = path_values(path)
+    return AlignedSeries(times, u).at(t, left=left), AlignedSeries(times, l).at(t, left=left)
 
 
 def test_sample_paths_batched_matches_count(mixed_jump_model):
@@ -109,8 +106,8 @@ def test_xi_path_is_minus_log_exponential(mixed_jump_model):
     for i in range(20):
         p = sample_path(mixed_jump_model, 2.0, make_stream("xi", i))
         e = stochastic_exponential(_u_only(p, mixed_jump_model))
-        times, xl, xr, _, _ = path_values(xi_path(p, mixed_jump_model.sigma_u_sq))
-        assert np.max(np.abs(np.exp(-xr) - e.values)) < 1e-12
+        _, xi, _ = path_values(xi_path(p, mixed_jump_model.sigma_u_sq))
+        assert np.max(np.abs(np.exp(-xi) - e.values)) < 1e-12
 
 
 def test_xi_path_rejects_sign_flips(sign_flip_model):
@@ -139,25 +136,6 @@ def test_eta_path_jump_transform(mixed_jump_model):
             assert ee.du == pytest.approx(ev.dl, rel=1e-15)  # sigma_UL = 0
 
 
-def test_truncate_path_splits_segments(mixed_jump_model):
-    p = sample_path(mixed_jump_model, 2.0, make_stream("trunc", 1))
-    q = truncate_path(p, 1.3)
-    validate_path(q)
-    assert q.horizon == pytest.approx(1.3)
-    t_q, _, ur_q, _, lr_q = path_values(q)
-    assert t_q[-1] == pytest.approx(1.3, abs=1e-12)
-    # the straddling segment splits pro rata, so the truncated terminal is
-    # the drift-interpolated value of the original path
-    jumps_before = [ev for ev in path_jumps(p) if ev.time <= 1.3]
-    b_u, b_l = mixed_jump_model.drift
-    assert ur_q[-1] == pytest.approx(
-        b_u * 1.3 + sum(j.du for j in jumps_before), abs=1e-12
-    )
-    assert lr_q[-1] == pytest.approx(
-        b_l * 1.3 + sum(j.dl for j in jumps_before), abs=1e-12
-    )
-
-
 def test_reverse_is_involution(mixed_jump_model):
     for i in range(20):
         p = sample_path(mixed_jump_model, 2.0, make_stream("rev", i))
@@ -179,7 +157,7 @@ def test_reverse_path_evaluates_time_reversal(mixed_jump_model):
         t = p.horizon
         r = reverse_path(p)
         u_tm, l_tm = value_at(p, t, left=True)
-        times_r, _, ur_r, _, lr_r = path_values(r)
+        times_r, ur_r, lr_r = path_values(r)
         for k in range(times_r.size):
             s = times_r[k]
             if k + 1 < times_r.size and abs(times_r[k + 1] - s) < 1e-12:
@@ -229,11 +207,12 @@ def test_validate_rejects_bad_paths():
 @given(st.floats(0.1, 1.9))
 @settings(max_examples=25, deadline=None)
 def test_truncate_then_reverse_consistency(at):
+    """A path sampled on [0, at] reverses to a valid path on [0, at]."""
     p = sample_path(
         __import__("gouflow").presets.get_preset("drift-ou").model,
-        2.0,
+        at,
         make_stream("hyp-trunc", 0),
     )
-    q = reverse_path(p, at)
+    q = reverse_path(p)
     validate_path(q)
-    assert q.horizon == pytest.approx(at)
+    assert q.horizon == at
