@@ -93,9 +93,22 @@ def _jump_law_from_dict(d: dict, where: str) -> JumpLaw2:
     raise ConfigError(f"{where}: unknown jump law kind {kind!r}")
 
 
+def _refuse_bools(val, where: str) -> None:
+    """A bool is not a number in a model (YAML's ``true`` would read as 1)."""
+    if isinstance(val, bool):
+        raise ConfigError(f"{where}: expected a number, got {val!r}")
+    if isinstance(val, dict):
+        for k, v in val.items():
+            _refuse_bools(v, f"{where}.{k}")
+    elif isinstance(val, (list, tuple)):
+        for i, v in enumerate(val):
+            _refuse_bools(v, f"{where}[{i}]")
+
+
 def _model_from_dict(d: dict, where: str = "model") -> LevyModel2:
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected a mapping")
+    _refuse_bools(d, where)
     drift = d.get("drift", (0.0, 0.0))
     cov = d.get("gaussian_cov", ((0.0, 0.0), (0.0, 0.0)))
     intensity = d.get("jump_intensity", 0.0)

@@ -20,12 +20,11 @@ import numpy as np
 from . import mc
 from .gou import finite_samples, stationary_sampler
 from .levy import ConditionError, LevyModel2, detect_degeneracy, dual_model
-from .paths import Path, _replace
-from .stats import binomial_ci, ecdf
+from .paths import Path, _replace, eta_path, w_path
+from .stats import ecdf
 
 __all__ = [
     "dual_path",
-    "HittingResult",
     "ruin_probability",
     "verify_ruin_identity",
     "monotonicity_probe",
@@ -42,20 +41,14 @@ _N_BOOT = 200  # bootstrap resamples per side of each first-passage probe
 
 
 def dual_path(path: Path, model: LevyModel2) -> Path:
-    """Pathwise (W, K) from a realized (U, L) path.
-
-    Jumps (dU, dL) -> (-dU/(1+dU), -dL/(1+dU)); continuous parts
-    dW = -dU + sigma_U^2 dt and dK = -dL + sigma_UL dt.  The Gaussian
-    covariance is unchanged (W and K negate the Brownian parts).
+    """Pathwise (W, K) from a realized (U, L) path: W drives 1/E(U)
+    (``w_path``) and K = -eta.  The Gaussian covariance is unchanged (W
+    and K negate the Brownian parts).
     """
-    j = path.is_jump
-    if (path.du[j] <= -1.0).any():
+    if (path.du[path.is_jump] <= -1.0).any():
         raise ConditionError("dual path requires all jumps dU > -1")
-    dt = path.dt
-    dw = -path.du + model.sigma_u_sq * dt
-    dk = -path.dl + model.sigma_ul * dt
-    dw[j] = -path.du[j] / (1.0 + path.du[j])
-    dk[j] = -path.dl[j] / (1.0 + path.du[j])
+    dw = w_path(path, model.sigma_u_sq).du
+    dk = -eta_path(path, model).du
     return _replace(path, du=dw, dl=dk, cov=model.gaussian_cov)
 
 
@@ -64,46 +57,36 @@ def dual_path(path: Path, model: LevyModel2) -> Path:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HittingResult:
-    horizon: float
-    x: float
-    n: int
-    hits: int
-    hit_prob: float
-    ci: tuple[float, float]
-    companion_tail: float | None = None
-    companion_ci: tuple[float, float] | None = None
-    discrepancy: float | None = None
-    warnings: tuple[str, ...] = ()
-
-
 def ruin_probability(
     model: LevyModel2,
-    x: float,
+    xs,
     horizon: float,
     n: int,
     seed: int,
     grid_dt: float = 1e-3,
     workers: int = 1,
-    stationary_horizon: float | None = None,
     stationary_n: int | None = None,
-) -> HittingResult:
-    """MC estimate of P(first passage of V^x below 0 happens by T).
+) -> dict:
+    """MC estimate of P(first passage of V^x below 0 happens by T) for
+    every starting point x in ``xs``.
 
-    Under condition (B) the hit is read off the running minimum of I in
-    the model's lane; without it, off V at every event boundary in the
-    pure-jump lane (``mc.ruin_samples``), which only needs E(U) != 0.
-    The companion number is the duality prediction for the T -> infinity
-    limit: the causal stationary tail of the Siegmund-dual model at x.
-    Warnings record every hypothesis that had to be assumed rather than
-    checked.
+    Returns ``hits`` and ``hit_prob`` (one entry per probe), the
+    ``companion_tail`` array and ``warnings``.  Under condition (B) the
+    hit is read off the running minimum of I in the model's lane; without
+    it, off V at every event boundary in the pure-jump lane
+    (``mc.ruin_samples``), which only needs E(U) != 0.  One lane sample
+    serves every probe.  The companion numbers are the duality prediction
+    for the T -> infinity limit: the causal stationary tail of the
+    Siegmund-dual model at each x, from one stationary sample (None
+    without condition (B)).  Warnings record every hypothesis that had to
+    be assumed rather than checked.
     """
+    xs = np.asarray(list(xs), dtype=float)
     warnings = []
     if model.condition_b:
         res = mc.terminal_samples(model, horizon, n, seed, grid_dt, workers, "ruin")
         i_min = finite_samples(res["i_min"], "running-minimum I", horizon)
-        hits = int(np.count_nonzero(x + i_min <= 0.0))
+        hits = np.count_nonzero(xs + i_min[:, None] <= 0.0, axis=0)
     elif model.has_gaussian:
         raise ConditionError(
             "condition (B) fails and the model has a Gaussian part: the "
@@ -113,11 +96,9 @@ def ruin_probability(
         warnings.append(
             "condition (B) fails: E(U) changes sign, hits read off V at event boundaries"
         )
-        res = mc.ruin_samples(model, horizon, n, seed, [x], workers=workers)
-        hits = int(res["hits"][0])
-    lo, hi = binomial_ci(hits, n)
+        hits = mc.ruin_samples(model, horizon, n, seed, xs, workers=workers)["hits"]
 
-    companion = companion_ci = discrepancy = None
+    companion = None
     if model.condition_b:
         fwd = dual_model(model)  # the process this one is dual to
         if not fwd.l_subordinator:
@@ -128,7 +109,7 @@ def ruin_probability(
             fwd,
             "causal",
             stationary_n or max(n // 10, 1000),
-            stationary_horizon or horizon,
+            horizon,
             seed + 1,
             grid_dt=grid_dt,
             workers=workers,
@@ -138,25 +119,16 @@ def ruin_probability(
             warnings.append(
                 "stationary truncation diagnostic failed on >5% of companion paths"
             )
-        companion = float(dist.sf(x))
-        k = int(round(companion * dist.n))
-        companion_ci = binomial_ci(k, dist.n)
-        discrepancy = abs(hits / n - companion)
+        companion = dist.sf(xs)
     else:
         warnings.append("no companion: dual model does not exist under (B) failure")
 
-    return HittingResult(
-        horizon=horizon,
-        x=x,
-        n=n,
-        hits=hits,
-        hit_prob=hits / n,
-        ci=(lo, hi),
-        companion_tail=companion,
-        companion_ci=companion_ci,
-        discrepancy=discrepancy,
-        warnings=tuple(warnings),
-    )
+    return {
+        "hits": hits,
+        "hit_prob": hits / n,
+        "companion_tail": companion,
+        "warnings": warnings,
+    }
 
 
 def verify_ruin_identity(
@@ -165,7 +137,6 @@ def verify_ruin_identity(
     horizon: float,
     n: int,
     seed: int,
-    stationary_horizon: float | None = None,
     stationary_n: int = 10_000,
     workers: int = 1,
 ) -> dict:
@@ -200,7 +171,7 @@ def verify_ruin_identity(
         model,
         "noncausal",
         stationary_n,
-        stationary_horizon or horizon,
+        horizon,
         seed + 1,
         workers=workers,
         label="ruin-H",
@@ -223,9 +194,6 @@ def verify_ruin_identity(
     res = mc.ruin_samples(model, horizon, n, seed, xs, workers=workers)
     boot_rng = np.random.default_rng(seed + 2)
     report = {
-        "xs": xs,
-        "n": n,
-        "h_n": stationary_n,
         "diagnostic_fail_fraction": dist.metadata["diagnostic_fail_fraction"],
         "probes": [],
     }
@@ -249,7 +217,6 @@ def verify_ruin_identity(
         report["probes"].append(
             {
                 "x": x,
-                "hit_prob": float(res["hit_prob"][j]),
                 "lhs": lhs,
                 "rhs": rhs,
                 "lhs_ci": lhs_ci,
@@ -318,7 +285,6 @@ def monotonicity_probe(
         "pairs": pairs,
         "monotone": all(p["violations"] == 0 for p in pairs),
         "max_z": max((p["z"] for p in pairs), default=0.0),
-        "condition_b": model.condition_b,
     }
 
 

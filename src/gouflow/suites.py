@@ -196,34 +196,27 @@ def ruin_suite(cfg: ExperimentConfig) -> SuiteResult:
         # compare dual-side first passage with the forward stationary tail
         dual = dual_model(model)
         levels = [y for y in cfg.y_grid if y > 0] or [0.5, 1.0, 2.0]
+        n_comp = cfg.stationary_n or cfg.n_paths
+        res = ruin_probability(
+            dual,
+            levels,
+            horizon,
+            cfg.n_paths,
+            cfg.seed,
+            grid_dt=cfg.grid_dt,
+            workers=cfg.workers,
+            stationary_n=n_comp,
+        )
         passed = True
-        for y in levels:
-            res = ruin_probability(
-                dual,
-                y,
-                horizon,
-                cfg.n_paths,
-                cfg.seed,
-                grid_dt=cfg.grid_dt,
-                workers=cfg.workers,
-                stationary_horizon=horizon,
-                stationary_n=cfg.stationary_n or cfg.n_paths,
-            )
-            se_hit = math.sqrt(res.hit_prob * (1 - res.hit_prob) / res.n)
-            comp = res.companion_tail
-            se_comp = math.sqrt(comp * (1 - comp) / (cfg.stationary_n or cfg.n_paths))
+        for y, p_hit, comp in zip(
+            levels, res["hit_prob"].tolist(), res["companion_tail"].tolist()
+        ):
+            se_hit = math.sqrt(p_hit * (1 - p_hit) / cfg.n_paths)
+            se_comp = math.sqrt(comp * (1 - comp) / n_comp)
             bound = 3.0 * math.sqrt(se_hit**2 + se_comp**2) + 0.005
-            ok = abs(res.hit_prob - comp) <= bound
+            ok = abs(p_hit - comp) <= bound
             passed = passed and ok
-            rows.append(
-                {
-                    "probe": y,
-                    "lhs": res.hit_prob,
-                    "rhs": comp,
-                    "bound": bound,
-                    "pass": ok,
-                }
-            )
+            rows.append({"probe": y, "lhs": p_hit, "rhs": comp, "bound": bound, "pass": ok})
         metrics = {"mode": "subordinator", "horizon": horizon, "n_paths": cfg.n_paths}
     else:
         xs = [x for x in cfg.x_grid if x > 0] or [0.5, 1.0]
@@ -233,7 +226,6 @@ def ruin_suite(cfg: ExperimentConfig) -> SuiteResult:
             horizon,
             cfg.n_paths,
             cfg.seed,
-            stationary_horizon=horizon,
             stationary_n=cfg.stationary_n or 10_000,
             workers=cfg.workers,
         )
@@ -394,15 +386,6 @@ def monotonicity_suite(cfg: ExperimentConfig) -> SuiteResult:
     else:
         passed = report["max_z"] > 4.0
         verdict = "nonmonotonicity detected as required"
-    rows = [
-        {
-            "x_lo": p["x_lo"],
-            "x_hi": p["x_hi"],
-            "violations": p["violations"],
-            "z": p["z"],
-        }
-        for p in report["pairs"]
-    ]
     return SuiteResult(
         name="monotonicity",
         passed=passed,
@@ -414,7 +397,7 @@ def monotonicity_suite(cfg: ExperimentConfig) -> SuiteResult:
             "t": t,
             "y": y,
         },
-        rows=rows,
+        rows=report["pairs"],
         columns=("x_lo", "x_hi", "violations", "z"),
     )
 

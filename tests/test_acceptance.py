@@ -248,8 +248,7 @@ def test_criterion_8_subordinator_ruin():
 def test_criterion_9_first_passage_identity():
     m = get_preset("cramer-paulsen").model
     rep = verify_ruin_identity(
-        m, [0.5, 1.0], horizon=40.0, n=100_000, seed=SEED + 20,
-        stationary_horizon=40.0, stationary_n=10_000,
+        m, [0.5, 1.0], horizon=40.0, n=100_000, seed=SEED + 20, stationary_n=10_000
     )
     details = "; ".join(
         f"x={p['x']}: lhs={p['lhs']:.4f} rhs={p['rhs']:.4f}" for p in rep["probes"]

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import pytest
 
@@ -136,6 +137,54 @@ def test_parse_config_rejects_bools_as_numbers(key, value):
     """A bool in a float field or a grid is refused, not read as 1.0 or 0.0."""
     data = {"schema_version": 1, "seed": 7, "preset": "drift-ou", key: value}
     with pytest.raises(ConfigError, match=f"'{key}': expected .*, got (True|False)"):
+        parse_config(json.dumps(data))
+
+
+_EXP = {"kind": "exponential", "rate": 1.0}
+
+
+def _jumps(law):
+    return {"jump_intensity": 1.0, "jump_law": law}
+
+
+def _independent(marg_u=_EXP, marg_l=_EXP):
+    return _jumps({"kind": "independent", "marg_u": marg_u, "marg_l": marg_l})
+
+
+def _linked(intercept, slope):
+    return _jumps({"kind": "linked", "marg_u": _EXP, "intercept": intercept, "slope": slope})
+
+
+@pytest.mark.parametrize(
+    "leaf, model",
+    [
+        ("drift[0]", {"drift": [True, 1.0]}),
+        ("gaussian_cov[1][1]", {"gaussian_cov": [[1.0, 0.0], [0.0, False]]}),
+        ("jump_intensity", {**_independent(), "jump_intensity": True}),
+        ("jump_law.atoms[0][0][1]", _jumps({"kind": "point_mass", "atoms": [[[0.5, False], 1.0]]})),
+        ("jump_law.atoms[0][1]", _jumps({"kind": "point_mass", "atoms": [[[0.5, 0.0], True]]})),
+        ("jump_law.marg_u.rate", _independent(marg_u={"kind": "exponential", "rate": True})),
+        ("jump_law.marg_l.sign", _independent(marg_l={**_EXP, "sign": True})),
+        ("jump_law.marg_l.a", _independent(marg_l={"kind": "uniform", "a": False, "b": 1.0})),
+        (
+            "jump_law.marg_u.sigma",
+            _independent(
+                marg_u={"kind": "truncated_normal", "mu": 0.0, "sigma": True, "lower": -0.5}
+            ),
+        ),
+        (
+            "jump_law.marg_l.atoms[0][0]",
+            _independent(marg_l={"kind": "points", "atoms": [[True, 1.0]]}),
+        ),
+        ("jump_law.intercept", _linked(False, 1.0)),
+        ("jump_law.slope", _linked(0.0, True)),
+    ],
+)
+def test_parse_config_rejects_bools_in_inline_model(leaf, model):
+    """A bool at a numeric leaf of an inline model is refused with the
+    leaf's key, not read as 1.0 or 0.0."""
+    data = {"schema_version": 1, "seed": 7, "suite": "ruin", "model": model}
+    with pytest.raises(ConfigError, match=re.escape(f"model.{leaf}: expected a number, got")):
         parse_config(json.dumps(data))
 
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -89,36 +90,73 @@ def test_killed_dual_requires_subordinator(mixed_jump_model):
 
 
 def test_ruin_probability_matches_vectorized_barrier(mixed_jump_model):
-    """The hit count must equal the i_min barrier criterion on the same
-    streams."""
+    """Each probe's hit count must equal the i_min barrier criterion on the
+    same streams."""
     from gouflow import mc
-    from gouflow.rng import stream
 
     m = mixed_jump_model
-    res = ruin_probability(m, 0.4, horizon=3.0, n=400, seed=21, stationary_n=1000)
+    xs = [0.1, 0.4, 1.0]
+    res = ruin_probability(m, xs, horizon=3.0, n=400, seed=21, stationary_n=1000)
     data = mc.terminal_samples(m, 3.0, 400, 21, 1e-3, 1, "ruin")
-    assert res.hits == int(np.count_nonzero(0.4 + data["i_min"] <= 0))
-    assert 0 < res.hits < 400
-    assert res.ci[0] <= res.hit_prob <= res.ci[1]
-    assert res.companion_tail is not None
+    for x, hits in zip(xs, res["hits"]):
+        assert hits == int(np.count_nonzero(x + data["i_min"] <= 0))
+    assert 0 < res["hits"][1] < 400
+    assert res["companion_tail"].shape == (3,)
 
 
 def test_ruin_probability_subordinator_never_hits_from_above(subordinator_model):
     res = ruin_probability(
-        subordinator_model, 0.4, horizon=3.0, n=400, seed=22, stationary_n=500
+        subordinator_model, [0.4], horizon=3.0, n=400, seed=22, stationary_n=500
     )
-    assert res.hits == 0
-    assert res.ci[0] == 0.0
+    assert res["hits"][0] == 0
 
 
 def test_ruin_probability_boundary_hits_without_condition_b():
     """nonmonotone at x = 1: L = 0, so V = E(U) first drops below 0 at the
-    first dU = -2 jump, which arrives at rate 0.75: P(tau <= T) = 1 - e^{-0.75 T}."""
-    res = ruin_probability(get_preset("nonmonotone").model, 1.0, horizon=1.0, n=2000, seed=7)
+    first dU = -2 jump, which arrives at rate 0.75: P(tau <= T) = 1 - e^{-0.75 T}.
+    Every probe's hits are the ruin scan's on the same stream."""
+    from gouflow import mc
+
+    m = get_preset("nonmonotone").model
+    xs = [0.5, 1.0, 2.0]
+    res = ruin_probability(m, xs, horizon=1.0, n=2000, seed=7)
+    scan = mc.ruin_samples(m, 1.0, 2000, 7, xs)
+    assert np.array_equal(res["hits"], scan["hits"])
     exact = -math.expm1(-0.75)
-    assert abs(res.hit_prob - exact) < 4 * math.sqrt(exact * (1 - exact) / res.n)
-    assert res.companion_tail is None
-    assert any("condition (B) fails" in w for w in res.warnings)
+    assert abs(res["hit_prob"][1] - exact) < 4 * math.sqrt(exact * (1 - exact) / 2000)
+    assert res["companion_tail"] is None
+    assert any("condition (B) fails" in w for w in res["warnings"])
+
+
+def test_ruin_suite_draws_one_sample_per_side_for_all_levels(monkeypatch):
+    """The subordinator-mode ruin suite draws one lane sample and one
+    companion stationary sample, however many levels it probes."""
+    from gouflow import gou, mc
+    from gouflow.config import parse_config
+    from gouflow.suites import ruin_suite
+
+    lane = mc.terminal_samples
+    labels = []  # one per lane sample, the companion's included
+    sampler_calls = []
+
+    def terminal_samples(*args, **kwargs):
+        labels.append(inspect.signature(lane).bind(*args, **kwargs).arguments["label"])
+        return lane(*args, **kwargs)
+
+    def stationary_sampler(*args, **kwargs):
+        sampler_calls.append(args)
+        return gou.stationary_sampler(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "terminal_samples", terminal_samples)
+    monkeypatch.setattr(duality, "stationary_sampler", stationary_sampler)
+    cfg = parse_config(
+        "schema_version: 1\nseed: 1\npreset: dufresne\nsuite: ruin\nn_paths: 256\n"
+        "stationary_horizon: 2\ngrid_dt: 0.01\ny_grid: [0.5, 1.0, 2.0]\n"
+    )
+    result = ruin_suite(cfg)
+    assert [row["probe"] for row in result.rows] == [0.5, 1.0, 2.0]
+    assert labels == ["ruin", "ruin-companion"]
+    assert len(sampler_calls) == 1
 
 
 def test_ruin_probability_refuses_non_finite_running_minimum():
@@ -128,10 +166,10 @@ def test_ruin_probability_refuses_non_finite_running_minimum():
     law = JumpLaw2.point_mass([((0.0, 1.0), 0.5), ((0.0, -1.0), 0.5)])
     m = LevyModel2(drift=(-1.0, 0.0), jump_intensity=1.0, jump_law=law)
     with pytest.raises(ConditionError, match="4096 of 4096 running-minimum I samples"):
-        ruin_probability(m, 1.0, horizon=800.0, n=4096, seed=1, stationary_horizon=20.0)
+        ruin_probability(m, [1.0], horizon=800.0, n=4096, seed=1)
     # at a horizon the lane resolves, almost every path hits
-    res = ruin_probability(m, 1.0, horizon=20.0, n=4096, seed=1, stationary_horizon=20.0)
-    assert res.hits > 4000
+    res = ruin_probability(m, [1.0], horizon=20.0, n=4096, seed=1)
+    assert res["hits"][0] > 4000
 
 
 def test_ruin_probability_refuses_gaussian_part_without_condition_b():
@@ -141,7 +179,7 @@ def test_ruin_probability_refuses_gaussian_part_without_condition_b():
     )
     assert not m.condition_b
     with pytest.raises(ConditionError):
-        ruin_probability(m, 1.0, horizon=1.0, n=10, seed=1)
+        ruin_probability(m, [1.0], horizon=1.0, n=10, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -162,22 +200,19 @@ def test_duality_grid_requires_condition_b():
 
 
 def test_monotonicity_dichotomy():
-    ok = monotonicity_probe(
-        get_preset("drift-ou").model, 1.0, 0.5, [-1.0, 0.0, 1.0], 10_000, seed=41
-    )
-    assert ok["monotone"] and ok["condition_b"]
-    bad = monotonicity_probe(
-        get_preset("nonmonotone").model, 1.0, 0.5, [-1.0, 0.0, 1.0], 10_000, seed=42
-    )
-    assert not bad["condition_b"]
+    m = get_preset("drift-ou").model
+    ok = monotonicity_probe(m, 1.0, 0.5, [-1.0, 0.0, 1.0], 10_000, seed=41)
+    assert ok["monotone"] and m.condition_b
+    m = get_preset("nonmonotone").model
+    bad = monotonicity_probe(m, 1.0, 0.5, [-1.0, 0.0, 1.0], 10_000, seed=42)
+    assert not m.condition_b
     assert bad["max_z"] > 4.0
 
 
 def test_verify_ruin_identity_smoke():
     m = get_preset("cramer-paulsen").model
     rep = verify_ruin_identity(
-        m, [0.5, 1.0], horizon=40.0, n=20_000, seed=51,
-        stationary_horizon=40.0, stationary_n=4000,
+        m, [0.5, 1.0], horizon=40.0, n=20_000, seed=51, stationary_n=4000
     )
     assert rep["pass"], rep
     for probe in rep["probes"]:
