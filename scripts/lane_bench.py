@@ -5,11 +5,13 @@ For each pure-jump preset at its long horizon (the recommended horizon,
 else the 20 that the ruin and stationary suites use) this runs the jump
 lane (``mc.terminal_samples``), the ruin scan (``mc.ruin_samples``, three
 x probes) and their jump draw alone (``paths.draw_jumps``, the same
-stream as the jump lane) over --blocks blocks.  It then runs the grid
-lane over two blocks on ``dufresne`` at T = 10 (U-only noise,
-10 000 steps of the default grid) and on the correlated two-dimensional
-Gaussian model of the verdict benchmark at T = 5 (the Cholesky branch),
-and adds microseconds per step of a block.  Every case runs with workers
+stream as the jump lane) over --blocks blocks; the draw's rows also give
+the real jumps and the padded slots per block (a block pads every row to
+its largest jump count K; times and marks are drawn only for the jumps).
+It then runs the grid lane over two blocks on ``dufresne`` at T = 10
+(U-only noise, 10 000 steps of the default grid) and on the correlated
+two-dimensional Gaussian model of the verdict benchmark at T = 5 (the
+Cholesky branch), and adds microseconds per step of a block.  Every case runs with workers
 1 and 2 and prints wall milliseconds and minor page faults per block.
 Faults are read with ``resource.getrusage(RUSAGE_SELF)``: this process
 and its threads only.  One untimed run per case comes first; the table
@@ -26,16 +28,24 @@ import resource
 import statistics
 import time
 
+import numpy as np
+
 from gouflow import mc
 from gouflow.levy import LevyModel2
 from gouflow.paths import draw_jumps
 from gouflow.presets import PRESETS
 from gouflow.rng import BLOCK_SIZE
 
+
+def _draw_block(model, horizon, rng, size):
+    times, _, _, counts = draw_jumps(model, horizon, rng, size)
+    return {"k": counts, "slots": np.full(size, times.shape[1])}
+
+
 LANES = {
     # the lanes' whole-block jump draw alone, the bound of both lanes
     "draw": lambda m, h, n, seed, w: mc.run_blocks(
-        n, lambda rng, size: {"k": draw_jumps(m, h, rng, size)[3]}, seed, "terminal", w
+        n, lambda rng, size: _draw_block(m, h, rng, size), seed, "terminal", w
     ),
     "jump": lambda m, h, n, seed, w: mc.terminal_samples(m, h, n, seed, workers=w),
     "ruin": lambda m, h, n, seed, w: mc.ruin_samples(m, h, n, seed, [0.5, 1.0, 2.0], workers=w),
@@ -78,28 +88,37 @@ def main():
 
     rows = []
 
-    def report(name, horizon, lane, workers, ms, faults, steps=None):
+    def report(name, horizon, lane, workers, ms, faults, steps=None, slots=None):
         row = {"preset": name, "horizon": horizon, "lane": lane, "workers": workers,
                "ms_per_block": round(ms, 2), "faults_per_block": round(faults)}
-        per_step = ""
+        per_step = f"{'':9}"
         if steps is not None:
             row["us_per_step"] = round(1e3 * ms / steps, 2)
             per_step = f"{row['us_per_step']:9.2f}"
+        per_slot = ""
+        if slots is not None:
+            row["jumps_per_block"], row["padded_per_block"] = slots
+            per_slot = f" {slots[0]:12.0f} {slots[1]:12.0f}"
         rows.append(row)
-        print(f"{name:16} {horizon:5g} {lane:5} {workers:7d} {ms:9.2f} {faults:13.0f} {per_step}")
+        print(f"{name:16} {horizon:5g} {lane:5} {workers:7d} {ms:9.2f} {faults:13.0f} "
+              f"{per_step}{per_slot}")
 
     print(f"{'preset':16} {'T':>5} {'lane':5} {'workers':>7} {'ms/block':>9} "
-          f"{'faults/block':>13} {'us/step':>9}")
+          f"{'faults/block':>13} {'us/step':>9} {'jumps/block':>12} {'padded/block':>12}")
     n = args.blocks * BLOCK_SIZE
     for name, preset in sorted(PRESETS.items()):
         model = preset.model
         if model.has_gaussian:
             continue
         horizon = float(preset.recommended.get("horizon", 20.0))
+        drawn = LANES["draw"](model, horizon, n, args.seed, 1)
+        jumps = drawn["k"].sum() / args.blocks
+        slots = (jumps, drawn["slots"].sum() / args.blocks - jumps)
         for lane, run in LANES.items():
             for workers in (1, 2):
                 fn = lambda: run(model, horizon, n, args.seed, workers)
-                report(name, horizon, lane, workers, *timed(fn, args.blocks, args.repeats))
+                report(name, horizon, lane, workers, *timed(fn, args.blocks, args.repeats),
+                       slots=slots if lane == "draw" else None)
     n = GRID_BLOCKS * BLOCK_SIZE
     for name, (model, horizon) in GRID.items():
         steps = max(1, math.ceil(horizon / GRID_DT))

@@ -46,6 +46,21 @@ def _require_finite(what: str, *values) -> None:
         raise ValueError(f"{what} must be finite")
 
 
+def _atom_index(rng: np.random.Generator, probs, size: int) -> np.ndarray:
+    """``size`` indices of atoms with weights ``probs``: what
+    ``Generator.choice`` draws for ``p = probs / sum(probs)``, without its
+    checks of ``p`` and its binary search.  Each index counts the cdf
+    entries at or below one ``random`` uniform, as ``choice`` does."""
+    p = np.asarray(probs, dtype=float)
+    cdf = np.cumsum(p / p.sum())
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    idx = np.zeros(size, dtype=np.min_scalar_type(cdf.size))  # uint8 below 256 atoms
+    for c in cdf[:-1]:  # the last entry is 1 > u
+        idx += u >= c
+    return idx
+
+
 # ---------------------------------------------------------------------------
 # scalar marginals
 # ---------------------------------------------------------------------------
@@ -126,9 +141,7 @@ class Marginal:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "points":
             vals = np.array([v for v, _ in self.params])
-            probs = np.array([p for _, p in self.params])
-            idx = rng.choice(len(vals), size=size, p=probs / probs.sum())
-            return vals[idx]
+            return vals[_atom_index(rng, [p for _, p in self.params], size)]
         if self.kind == "exponential":
             rate, sign = self.params
             return sign * rng.exponential(1.0 / rate, size=size)
@@ -256,8 +269,7 @@ class JumpLaw2:
         if self.kind == "point_mass":
             us = np.array([u for (u, _), _ in self.atoms])
             ls = np.array([l for (_, l), _ in self.atoms])
-            probs = np.array([p for _, p in self.atoms])
-            idx = rng.choice(len(us), size=size, p=probs / probs.sum())
+            idx = _atom_index(rng, [p for _, p in self.atoms], size)
             return us[idx], ls[idx]
         if self.kind == "independent":
             return self.marg_u.sample(rng, size), self.marg_l.sample(rng, size)

@@ -15,7 +15,9 @@ pathwise identities checkable boundary by boundary: time reversal is an
 index reversal.  The columns may carry a leading batch axis
 (``exact_paths``): paths on one horizon padded with null segments, which
 the solvers and the inverse-flow check process in one pass.  ``draw_jumps``
-is the one place that draws the jumps of a batch of paths.
+is the one place that draws the jumps of a batch of paths: it pads every
+row to the batch's largest jump count but draws times and marks for the
+jumps only.
 ``Segment``/``Jump`` records only serve to read a path back
 (``Path.events``).
 """
@@ -140,24 +142,26 @@ def _cov_sqrt(cov: tuple) -> np.ndarray:
 
 
 def draw_jumps(model: LevyModel2, horizon: float, rng: np.random.Generator, size: int):
-    """Jumps of ``size`` paths on [0, horizon]: Poisson counts, then uniform
-    times, then marks, each drawn for the whole batch.
+    """Jumps of ``size`` paths on [0, horizon]: Poisson counts, then one
+    uniform time and then one mark per jump, each drawn for the whole batch.
 
     Returns (times, du, dl, counts): (size, K) arrays with K the largest
-    count, times sorted per row; the entries beyond a row's count sit at
-    the horizon with zero marks.
+    count, times sorted per row.  Row i's ``counts[i]`` jumps fill its
+    first slots (rows in order, so a one-row batch takes its times and
+    marks as one draw of K each); the entries beyond sit at the horizon
+    with zero marks.
     """
     lam = model.jump_intensity * horizon
     counts = rng.poisson(lam, size=size) if model.has_jumps else np.zeros(size, dtype=int)
     kmax = int(counts.max()) if size else 0
-    times = rng.uniform(0.0, horizon, size=(size, kmax))
-    du, dl = model.jump_law.sample(rng, size * kmax) if kmax else (np.empty(0), np.empty(0))
-    du = du.reshape(size, kmax)
-    dl = dl.reshape(size, kmax)
-    pad = np.arange(kmax)[None, :] >= counts[:, None]
-    times[pad] = horizon
-    du[pad] = 0.0
-    dl[pad] = 0.0
+    real = np.arange(kmax)[None, :] < counts[:, None]
+    n = int(counts.sum())
+    times = np.full((size, kmax), float(horizon))
+    times[real] = rng.uniform(0.0, horizon, size=n)
+    du = np.zeros((size, kmax))
+    dl = np.zeros((size, kmax))
+    if n:
+        du[real], dl[real] = model.jump_law.sample(rng, n)
     times.sort(axis=1)  # padded entries are already maximal
     return times, du, dl, counts
 

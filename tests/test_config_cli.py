@@ -295,7 +295,7 @@ def test_cli_refuses_hypothesis_violations(tmp_path, capsys):
         ("preset: cramer-paulsen\nsuite: monotonicity\nt_grid: [1500]\n", "300 of 300 V-side E"),
         (
             "preset: cramer-paulsen\nsuite: ruin\nstationary_horizon: 1500\nstationary_n: 200\n",
-            "195258 of 3791400 ruin-scan E/I boundary",
+            "195094 of 3791400 ruin-scan E/I boundary",
         ),
     ],
 )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gouflow.levy import (
     ConditionError,
+    _atom_index,
     JumpLaw2,
     LevyModel2,
     Marginal,
@@ -35,6 +36,37 @@ from oracles import (
 def test_points_probabilities_must_sum_to_one():
     with pytest.raises(ValueError):
         Marginal.points([(1.0, 0.5), (2.0, 0.4)])
+
+
+ATOM_PROBS = [
+    [1.0],
+    [0.3, 0.7],
+    [0.2, 0.0, 0.8],
+    [0.1, 0.2, 0.3, 0.15, 0.25],
+]
+
+
+@pytest.mark.parametrize("probs", ATOM_PROBS, ids=lambda p: f"{len(p)}-atoms")
+def test_atom_index_equals_generator_choice(probs):
+    """The atom sampler draws what ``Generator.choice(p=...)`` draws, index
+    for index, and leaves the stream where ``choice`` leaves it; both
+    point-mass samplers use it."""
+    probs = np.array(probs)
+    p = probs / probs.sum()  # what the samplers passed to ``choice``
+    mine, ref = np.random.default_rng(7), np.random.default_rng(7)
+    idx = _atom_index(mine, probs, 100_000)
+    assert idx.dtype == np.uint8
+    assert np.array_equal(idx, ref.choice(probs.size, size=100_000, p=p))
+    assert mine.random() == ref.random()
+
+    values = np.arange(1.0, probs.size + 1.0)
+    marg = Marginal.points(list(zip(values, probs)))
+    mine, ref = np.random.default_rng(8), np.random.default_rng(8)
+    assert np.array_equal(marg.sample(mine, 1000), values[ref.choice(probs.size, 1000, p=p)])
+    law = JumpLaw2.point_mass([((v, -v), p) for v, p in zip(values, probs)])
+    du, dl = law.sample(mine, 1000)
+    expect = values[ref.choice(probs.size, 1000, p=p)]
+    assert np.array_equal(du, expect) and np.array_equal(dl, -expect)
 
 
 def test_marginal_sampling_means(rng):

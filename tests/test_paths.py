@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gouflow.calculus import AlignedSeries, stochastic_exponential
-from gouflow.levy import ConditionError
+from gouflow.levy import ConditionError, JumpLaw2, LevyModel2, Marginal
 from gouflow.paths import (
     Jump,
     Path,
     Segment,
+    draw_jumps,
     eta_path,
     exact_paths,
     reverse_path,
@@ -80,6 +81,60 @@ def test_exact_paths_rows_are_padded_paths(mixed_jump_model):
         gaps = ~row.is_jump
         assert np.array_equal(row.du[gaps], m.drift[0] * row.dt[gaps])
         assert np.array_equal(row.dl[gaps], m.drift[1] * row.dt[gaps])
+
+
+@pytest.mark.parametrize("horizon", [0.01, 5.0])
+def test_one_row_draw_jumps_is_the_whole_slot_draw(mixed_jump_model, horizon):
+    """A one-row batch takes the numbers the draw of all K slots took:
+    Poisson count, uniform times of shape (1, K), then K marks."""
+    m = mixed_jump_model
+    times, du, dl, counts = draw_jumps(m, horizon, make_stream("one-row"), 1)
+
+    rng = make_stream("one-row")
+    ref_counts = rng.poisson(m.jump_intensity * horizon, size=1)
+    k = int(ref_counts.max())
+    assert (k == 0) == (horizon < 1.0)  # covers K = 0 and K > 0
+    ref_times = rng.uniform(0.0, horizon, size=(1, k))
+    ref_du, ref_dl = m.jump_law.sample(rng, k) if k else (np.empty(0), np.empty(0))
+    ref_times.sort(axis=1)
+
+    assert np.array_equal(counts, ref_counts)
+    assert np.array_equal(times, ref_times)
+    assert np.array_equal(du, ref_du.reshape(1, k))
+    assert np.array_equal(dl, ref_dl.reshape(1, k))
+
+
+def _exponential_marks_model():
+    law = JumpLaw2.independent(Marginal.exponential(2.0), Marginal.exponential(1.0, sign=-1))
+    return LevyModel2(drift=(-0.5, 0.3), jump_intensity=3.0, jump_law=law)
+
+
+@pytest.mark.parametrize("exponential_marks", [False, True])
+def test_draw_jumps_fills_only_the_real_slots(mixed_jump_model, monkeypatch, exponential_marks):
+    """Row i has exactly counts[i] times below the horizon, sorted; the
+    padded slots sit at the horizon with zero marks; the marks come from
+    one ``sample`` call of size counts.sum()."""
+    m = _exponential_marks_model() if exponential_marks else mixed_jump_model
+    horizon, size = 2.0, 1000
+    sizes = []
+    original = JumpLaw2.sample
+
+    def recording(law, rng, n):
+        sizes.append(n)
+        return original(law, rng, n)
+
+    monkeypatch.setattr(JumpLaw2, "sample", recording)
+    times, du, dl, counts = draw_jumps(m, horizon, make_stream("real-slots"), size)
+
+    assert sizes == [counts.sum()]
+    assert times.shape == du.shape == dl.shape == (size, counts.max())
+    assert counts.min() < counts.max()  # rows carry padding
+    real = np.arange(times.shape[1])[None, :] < counts[:, None]
+    assert np.array_equal((times < horizon).sum(axis=1), counts)
+    assert np.all(times[~real] == horizon)
+    assert not du[~real].any() and not dl[~real].any()
+    assert np.all(du[real] != 0.0) and np.all(dl[real] != 0.0)
+    assert np.all(np.diff(times, axis=1) >= 0.0)
 
 
 def test_jump_count_statistics(mixed_jump_model):
