@@ -1,22 +1,26 @@
 #!/usr/bin/env python3
-"""Time the Monte Carlo lanes per 4096-row block.
+"""Time the set-up and the Monte Carlo lanes per 4096-row block.
 
-For each pure-jump preset at its long horizon (the recommended horizon,
-else the 20 that the ruin and stationary suites use) this runs the jump
-lane (``mc.terminal_samples``), the ruin scan (``mc.ruin_samples``, three
-x probes) and their jump draw alone (``paths.draw_jumps``, the same
-stream as the jump lane) over --blocks blocks; the draw's rows also give
-the real jumps and the padded slots per block (a block pads every row to
-its largest jump count K; times and marks are drawn only for the jumps).
-It then runs the grid lane over two blocks on ``dufresne`` at T = 10
-(U-only noise, 10 000 steps of the default grid) and on the correlated
-two-dimensional Gaussian model of the verdict benchmark at T = 5 (the
-Cholesky branch), and adds microseconds per step of a block.  Every case runs with workers
-1 and 2 and prints wall milliseconds and minor page faults per block.
-Faults are read with ``resource.getrusage(RUSAGE_SELF)``: this process
-and its threads only.  One untimed run per case comes first; the table
-shows the median of --repeats timed runs.  The last line is the table as
-one JSON object.
+The set-up row imports ``gouflow.cli`` in --repeats fresh interpreters
+and shows the median seconds of the import, the number of modules loaded
+and ``ru_maxrss`` afterwards (what every ``gouflow run`` pays before its
+first verdict).  For each pure-jump preset at its long horizon (the
+recommended horizon, else the 20 that the ruin and stationary suites
+use) this runs the jump lane (``mc.terminal_samples``), the ruin scan
+(``mc.ruin_samples``, three x probes) and their jump draw alone
+(``paths.draw_jumps``, the same stream as the jump lane) over --blocks
+blocks; the draw's rows also give the real jumps and the padded slots
+per block (a block pads every row to its largest jump count K; times and
+marks are drawn only for the jumps).  It then runs the grid lane over
+two blocks on ``dufresne`` at T = 10 (U-only noise, 10 000 steps of the
+default grid) and on the correlated two-dimensional Gaussian model of
+the verdict benchmark at T = 5 (the Cholesky branch), and adds
+microseconds per step of a block.  Every case runs with workers 1 and 2
+and prints wall milliseconds and minor page faults per block.  Faults
+are read with ``resource.getrusage(RUSAGE_SELF)``: this process and its
+threads only.  One untimed run per case comes first; the table shows
+the median of --repeats timed runs.  The last line is the table (and
+the set-up row) as one JSON object.
 
 Usage: PYTHONPATH=src python3 scripts/lane_bench.py [--blocks N] [--repeats R] [--seed S]
 """
@@ -24,8 +28,11 @@ Usage: PYTHONPATH=src python3 scripts/lane_bench.py [--blocks N] [--repeats R] [
 import argparse
 import json
 import math
+import os
 import resource
 import statistics
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -60,6 +67,27 @@ GRID = {
 }
 GRID_DT = 1e-3  # the config default
 GRID_BLOCKS = 2  # so that workers 2 runs two blocks at once
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+SETUP_CODE = f"""\
+import json, resource, sys, time
+sys.path.insert(0, {SRC!r})
+start = time.perf_counter()
+import gouflow.cli
+seconds = time.perf_counter() - start
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps([seconds, len(sys.modules), rss]))
+"""
+
+
+def setup_cost(repeats):
+    """Median (import seconds, modules loaded, max RSS MB) of importing
+    ``gouflow.cli`` in ``repeats`` fresh interpreters."""
+    runs = [
+        json.loads(subprocess.run([sys.executable, "-c", SETUP_CODE], check=True,
+                                  capture_output=True, text=True).stdout)
+        for _ in range(repeats)
+    ]
+    return tuple(statistics.median(r[i] for r in runs) for i in range(3))
 
 
 def measure(fn, blocks):
@@ -86,6 +114,10 @@ def main():
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
+    seconds, modules, rss = setup_cost(args.repeats)
+    setup = {"import_s": round(seconds, 3), "modules": modules, "max_rss_mb": round(rss, 1)}
+    print(f"set-up: import gouflow.cli {seconds:.3f} s, {modules:.0f} modules, "
+          f"max RSS {rss:.1f} MB (fresh interpreter, median of {args.repeats})")
     rows = []
 
     def report(name, horizon, lane, workers, ms, faults, steps=None, slots=None):
@@ -127,7 +159,7 @@ def main():
             ms, faults = timed(fn, GRID_BLOCKS, args.repeats)
             report(name, horizon, "grid", workers, ms, faults, steps)
     print(json.dumps({"blocks": args.blocks, "grid_blocks": GRID_BLOCKS,
-                      "repeats": args.repeats, "rows": rows}))
+                      "repeats": args.repeats, "setup": setup, "rows": rows}))
 
 
 if __name__ == "__main__":

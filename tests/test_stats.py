@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from statistics import NormalDist
 
 import numpy as np
@@ -18,6 +19,8 @@ from gouflow.stats import (
     ks_two_sample,
 )
 from gouflow.stats import _kolmogorov_sf
+from gouflow.presets import get_preset
+from gouflow.suites import _dufresne_oracle, _gamma_q
 import gouflow
 
 
@@ -59,6 +62,30 @@ def test_ks_two_sample_identical_samples():
     assert res.statistic == 0.0
     assert res.pvalue == pytest.approx(1.0)
     assert not res.rejects()
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5, 1.0, 3.0, 7.5, 50.0, 200.0])
+def test_gamma_q_matches_scipy_gammaincc(a):
+    from scipy.special import gammaincc
+
+    z = np.concatenate([np.geomspace(1e-6, 1e3), [a, a + 1.0, 0.0, np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = _gamma_q(a, z)
+    assert np.max(np.abs(q - gammaincc(a, z))) <= 1e-13
+    assert q[-2] == 1.0 and q[-1] == 0.0
+
+
+def test_dufresne_oracle_is_scipy_inverse_gamma_cdf():
+    from scipy.stats import invgamma
+
+    oracle = _dufresne_oracle(get_preset("dufresne").model)
+    x = np.concatenate([[0.0, 1e-3], np.geomspace(1e-2, 1e2, 200), [np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cdf = oracle(x)
+    # shape 2 mu / sigma^2 = 3 and scale 2 / sigma^2 = 1 (see the preset)
+    assert np.max(np.abs(cdf - invgamma.cdf(x, 3.0, scale=1.0))) <= 1e-13
 
 
 def test_ks_two_sample_against_scipy_oracle():
@@ -152,6 +179,13 @@ def test_binomial_ci_normal_quantile_matches_scipy(level):
         assert abs(lo - ref_lo) <= 1e-15 and abs(hi - ref_hi) <= 1e-15
 
 
+def _run_in_fresh_interpreter(code):
+    src = os.path.dirname(os.path.dirname(gouflow.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_import_and_binomial_ci_leave_scipy_stats_unloaded():
     code = (
         "import sys, gouflow.cli\n"
@@ -159,7 +193,26 @@ def test_cli_import_and_binomial_ci_leave_scipy_stats_unloaded():
         "binomial_ci(3, 10)\n"
         "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
     )
-    src = os.path.dirname(os.path.dirname(gouflow.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    _run_in_fresh_interpreter(code)
+
+
+def test_cli_stationary_oracle_run_leaves_scipy_unloaded(tmp_path):
+    """The dufresne stationary verdict reaches the inverse-gamma oracle
+    without importing any scipy module."""
+    config = tmp_path / "dufresne.yaml"
+    config.write_text(
+        "schema_version: 1\nseed: 3\npreset: dufresne\nsuite: stationary\n"
+        "n_paths: 256\nhorizon: 1.0\nstationary_horizon: 2.0\ngrid_dt: 0.01\n"
+    )
+    out = tmp_path / "out"
+    code = (
+        "import sys, gouflow.cli\n"
+        "from gouflow.stats import binomial_ci\n"
+        "binomial_ci(3, 10)\n"
+        f"code = gouflow.cli.main(['run', '--config', {str(config)!r}, '--out', {str(out)!r}])\n"
+        "assert code in (0, 1), code\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
+    _run_in_fresh_interpreter(code)
+    assert "inverse-gamma-oracle" in (out / "stationary.csv").read_text()
