@@ -16,15 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levy import ConditionError
-from .paths import Path, _check_skeleton
+from .paths import _TIME_TOL, Path, _check_skeleton
 
 __all__ = [
     "AlignedSeries",
     "stochastic_exponential",
     "exponential_with_integral",
 ]
-
-_TIME_TOL = 1e-12
 
 
 @dataclass(frozen=True)

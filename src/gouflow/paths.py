@@ -13,9 +13,10 @@ Derived processes (eta, W, xi, T, time reversals) are array transforms
 that share the event skeleton of their source path, which is what makes
 pathwise identities checkable boundary by boundary: time reversal is an
 index reversal.  The columns may carry a leading batch axis
-(``exact_paths``): paths on one horizon padded with null segments, which
-the solvers and the inverse-flow check process in one pass.  ``draw_jumps``
-is the one place that draws the jumps of a batch of paths: it pads every
+(``exact_paths``, ``euler_paths``): paths on one horizon padded with null
+segments, which the solvers and the inverse-flow check process in one
+pass; ``sample_path`` is a one-row batch without them.  ``draw_jumps`` is
+the one place that draws the jumps of a batch of paths: it pads every
 row to the batch's largest jump count but draws times and marks for the
 jumps only.
 ``Segment``/``Jump`` records only serve to read a path back
@@ -39,6 +40,7 @@ __all__ = [
     "Path",
     "draw_jumps",
     "exact_paths",
+    "euler_paths",
     "sample_path",
     "eta_path",
     "w_path",
@@ -197,37 +199,61 @@ def exact_paths(
     return Path(float(horizon), is_jump, t, du, dl, backend="exact")
 
 
-def _euler_columns(model, horizon, jt, ju, jl, rng, grid_dt):
-    """Boundary columns for sorted jump times and marks, filling the gaps
-    with grid steps, one ``standard_normal((nsteps, 2))`` draw per gap."""
-    b_u, b_l = model.drift
-    chol = _cov_sqrt(model.gaussian_cov)
-    flags, times, dus, dls = [], [0.0], [], []
-    start = 0.0
-    for k, end in enumerate([*jt.tolist(), float(horizon)]):
-        gap = end - start
-        if gap > _TIME_TOL:
-            nsteps = max(1, math.ceil(gap / grid_dt))
-            dt = gap / nsteps
-            gauss = rng.standard_normal((nsteps, 2)) @ chol.T * math.sqrt(dt)
-            step_t = start + dt * np.arange(1, nsteps + 1)
-            step_t[-1] = end
-            flags.extend([False] * nsteps)
-            times.extend(step_t.tolist())
-            dus.extend((b_u * dt + gauss[:, 0]).tolist())
-            dls.extend((b_l * dt + gauss[:, 1]).tolist())
-        if k < jt.size:
-            flags.append(True)
-            times.append(end)
-            dus.append(float(ju[k]))
-            dls.append(float(jl[k]))
-        start = end
-    return (
-        np.array(flags, dtype=bool),
-        np.array(times),
-        np.array(dus, dtype=float),
-        np.array(dls, dtype=float),
-    )
+def euler_paths(
+    model: LevyModel2,
+    horizon: float,
+    rng: np.random.Generator,
+    size: int,
+    grid_dts: Sequence[float],
+) -> list[Path]:
+    """``size`` euler-backend paths, stacked, one batch per step in ``grid_dts``.
+
+    One ``draw_jumps`` call and one ``standard_normal((size, nsteps, 2))``
+    draw on the finest grid, ``nsteps`` a multiple of each integer
+    k = grid_dt / min(grid_dts); a coarser grid sums the fine increments k
+    at a time.  Every grid puts a jump at the end of the coarsest step that
+    holds it (an O(dt) shift, as in the grid lane; in the last step, on the
+    horizon).  Row i is its segments and ``counts[i]`` jumps in time order,
+    then null segments at the horizon up to the batch's K jump slots.
+    """
+    fine = min(grid_dts)
+    if fine <= 0 or any(abs(g / fine - round(g / fine)) > 1e-9 for g in grid_dts):
+        raise ValueError("euler backend needs grid_dt > 0, each a multiple of the finest")
+    ks = [round(g / fine) for g in grid_dts]
+    lcm = math.lcm(*ks)
+    nsteps = lcm * math.ceil(max(1, math.ceil(horizon / fine)) / lcm)
+    dt = horizon / nsteps
+    fine_t = dt * np.arange(1, nsteps + 1)
+    fine_t[-1] = horizon
+
+    times, ju, jl, counts = draw_jumps(model, horizon, rng, size)
+    kmax = times.shape[1]
+    fine_inc = rng.standard_normal((size * nsteps, 2)) @ _cov_sqrt(model.gaussian_cov).T
+    fine_inc *= math.sqrt(dt)
+    fine_inc += np.multiply(model.drift, dt)
+    fine_inc = fine_inc.T.reshape(2, size, nsteps)  # (du, dl)
+    marks = np.stack([ju, jl])
+    # the coarsest step that holds each jump; padded slots get the last one
+    kc = max(ks)
+    m = np.searchsorted(fine_t[kc - 1 :: kc], times) + 1
+    jump_t = fine_t[m * kc - 1]
+
+    out = []
+    for k in ks:
+        width = nsteps // k + kmax
+        pos = m * (kc // k) + np.arange(kmax)  # after j slots and m coarsest steps
+        seg = np.ones((size, width), dtype=bool)
+        np.put_along_axis(seg, pos, False, axis=1)
+        t = np.zeros((size, width + 1))
+        inc = np.empty((2, size, width))
+        # segments fill the other slots row by row, so in time order
+        t[:, 1:][seg] = np.tile(fine_t[k - 1 :: k], size)
+        inc[:, seg] = fine_inc.reshape(2, size, -1, k).sum(axis=-1).reshape(2, -1)
+        np.put_along_axis(t[:, 1:], pos, jump_t, axis=1)
+        np.put_along_axis(inc, pos[None], marks, axis=2)
+        is_jump = ~seg & (np.arange(width) < width - kmax + counts[:, None])
+        out.append(Path(float(horizon), is_jump, t, inc[0], inc[1], "euler", model.gaussian_cov))
+    return out
 
 
 def sample_path(
@@ -239,37 +265,25 @@ def sample_path(
     """Sample one (U, L) path: Poisson jump times, iid marks, drift/Gaussian
     segments filling the gaps.
 
-    A model without Gaussian part gets the exact backend: the one-row
-    batch of ``exact_paths`` without its gaps shorter than 1e-12.  Any
-    other model gets the euler backend on a grid of step at most
-    ``grid_dt``.  Deterministic function of (model, horizon, grid_dt,
-    stream state).
+    A model without Gaussian part gets the exact backend, the one-row batch
+    of ``exact_paths``; any other model the euler backend, the one-row
+    batch of ``euler_paths`` on a grid of step at most ``grid_dt``.  Either
+    way without its segments shorter than 1e-12.  Deterministic function
+    of (model, horizon, grid_dt, stream state).
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if model.has_gaussian and grid_dt <= 0:
-        raise ValueError("euler backend needs grid_dt > 0")
-
-    if not model.has_gaussian:
+    if model.has_gaussian:
+        (row,) = euler_paths(model, horizon, rng, 1, (grid_dt,))
+    else:
         row = exact_paths(model, horizon, rng, 1)
-        keep = row.is_jump[0] | (row.dt[0] > _TIME_TOL)
-        return _replace(
-            row,
-            is_jump=row.is_jump[0, keep],
-            t=np.concatenate(([0.0], row.t[0, 1:][keep])),
-            du=row.du[0, keep],
-            dl=row.dl[0, keep],
-        )
-    jt, ju, jl, _ = draw_jumps(model, horizon, rng, 1)
-    is_jump, t, du, dl = _euler_columns(model, horizon, jt[0], ju[0], jl[0], rng, grid_dt)
-    return Path(
-        horizon=float(horizon),
-        is_jump=is_jump,
-        t=t,
-        du=du,
-        dl=dl,
-        backend="euler",
-        cov=model.gaussian_cov,
+    keep = row.is_jump[0] | (row.dt[0] > _TIME_TOL)
+    return _replace(
+        row,
+        is_jump=row.is_jump[0, keep],
+        t=np.concatenate(([0.0], row.t[0, 1:][keep])),
+        du=row.du[0, keep],
+        dl=row.dl[0, keep],
     )
 
 
@@ -380,8 +394,9 @@ def reverse_path(path: Path) -> Path:
 
     Reversed boundary j is forward boundary m - j: the columns are
     reversed, increments negated and times reflected.  A jump exactly at
-    the horizon becomes a null event (it is not part of X~; for the
-    sampled laws this has probability zero).
+    the horizon becomes a null event: it is not part of X~.  On the exact
+    backend that has probability zero; on the euler backend a jump in the
+    last grid step lands there (``euler_paths``).
     """
     p = _null_jumps_at(path, path.horizon)
     t = p.horizon - p.t[..., ::-1]

@@ -21,14 +21,18 @@ from .duality import (
 from .gou import finite_samples, stationary_sampler
 from .inverse_flow import verify_pathwise_identity
 from .levy import ConditionError, LevyModel2, dual_model
-from .paths import exact_paths, sample_path
+from .paths import euler_paths, exact_paths
 from .presets import get_preset
 from .rng import stream
 from .stats import ecdf, ks_two_sample
 
 __all__ = ["SuiteResult", "run_suite", "run_selected", "write_csv", "SUITE_RUNNERS"]
 
-_STACK_ROWS = 128  # paths per stacked inverse-flow batch; bounds its memory
+# Inverse-flow batches are bounded in paths and, on a grid, in paths x
+# grid steps; the identity check makes about fifteen temporaries of a
+# batch's size (4 paths per batch at horizon 2 on the 1e-3 grid)
+_STACK_ROWS = 128
+_STACK_ELEMENTS = 1 << 13
 
 
 @dataclass
@@ -115,56 +119,36 @@ def duality_suite(cfg: ExperimentConfig) -> SuiteResult:
 def inverse_flow_suite(cfg: ExperimentConfig) -> SuiteResult:
     model = cfg.resolved_model()
     x = 1.0
-    rows = []
     if model.has_gaussian:
-        n = min(cfg.n_paths, 60)
-        dts = (4e-3, 2e-3, 1e-3)
-        medians = []
-        for dt in dts:
-            errs = []
-            for j in range(n):
-                path = sample_path(
-                    model, cfg.horizon, stream(cfg.seed, f"invflow:{dt}", j), dt
-                )
-                rep = verify_pathwise_identity(path, model, x)
-                errs.append(rep["max_error"])
-                rows.append(
-                    {
-                        "seed": j,
-                        "t": cfg.horizon,
-                        "x": x,
-                        "max_error": rep["max_error"],
-                        "backend": "euler",
-                        "grid_dt": dt,
-                    }
-                )
-            medians.append(float(np.median(errs)))
+        backend, n, dts = "euler", min(cfg.n_paths, 60), (4e-3, 2e-3, 1e-3)
+        steps = math.ceil(cfg.horizon / min(dts))
+        per_batch = max(1, min(_STACK_ROWS, _STACK_ELEMENTS // steps))
+        sample = lambda rng, size: euler_paths(model, cfg.horizon, rng, size, dts)
+    else:
+        backend, n, dts = "exact", min(cfg.n_paths, 1000), ("",)
+        per_batch = _STACK_ROWS
+        sample = lambda rng, size: [exact_paths(model, cfg.horizon, rng, size)]
+    # paths are drawn and checked in batches of bounded size, one stream
+    # per batch; on a grid, one draw gives every grid step the same paths
+    errs = [[] for _ in dts]
+    for b, lo in enumerate(range(0, n, per_batch)):
+        batches = sample(stream(cfg.seed, "invflow", b), min(per_batch, n - lo))
+        for e, batch in zip(errs, batches):
+            e.extend(verify_pathwise_identity(batch, model, x)["max_error"].tolist())
+    rows = [
+        {"seed": j, "t": cfg.horizon, "x": x, "max_error": err, "backend": backend, "grid_dt": dt}
+        for dt, e in zip(dts, errs)
+        for j, err in enumerate(e)
+    ]
+    if backend == "euler":
+        medians = [float(np.median(e)) for e in errs]
         passed = all(b < a for a, b in zip(medians, medians[1:]))
         metrics = {"backend": "euler", "grid_dts": dts, "median_errors": medians}
         detail = "median errors per grid_dt " + ", ".join(
             f"{dt:g}: {med:.3e}" for dt, med in zip(dts, medians)
         )
     else:
-        n = min(cfg.n_paths, 1000)
-        # exact paths are drawn and checked in batches of bounded size,
-        # one stream per batch
-        errs = []
-        for b, lo in enumerate(range(0, n, _STACK_ROWS)):
-            rng = stream(cfg.seed, "invflow", b)
-            batch = exact_paths(model, cfg.horizon, rng, min(_STACK_ROWS, n - lo))
-            errs.extend(verify_pathwise_identity(batch, model, x)["max_error"].tolist())
-        for j, err in enumerate(errs):
-            rows.append(
-                {
-                    "seed": j,
-                    "t": cfg.horizon,
-                    "x": x,
-                    "max_error": err,
-                    "backend": "exact",
-                    "grid_dt": "",
-                }
-            )
-        worst = float(np.max(errs))
+        worst = float(np.max(errs[0]))
         passed = worst <= 1e-9
         metrics = {"backend": "exact", "n_paths": n, "max_error": worst}
         detail = "gate max_error <= 1e-9"

@@ -11,8 +11,10 @@ from gouflow.paths import (
     Jump,
     Path,
     Segment,
+    _cov_sqrt,
     draw_jumps,
     eta_path,
+    euler_paths,
     exact_paths,
     reverse_path,
     sample_path,
@@ -102,6 +104,113 @@ def test_one_row_draw_jumps_is_the_whole_slot_draw(mixed_jump_model, horizon):
     assert np.array_equal(times, ref_times)
     assert np.array_equal(du, ref_du.reshape(1, k))
     assert np.array_equal(dl, ref_dl.reshape(1, k))
+
+
+JUMP_DIFFUSION_2D = LevyModel2(
+    drift=(-1.0, 0.5),
+    gaussian_cov=((0.5, 0.2), (0.2, 0.3)),
+    jump_intensity=3.0,
+    jump_law=JumpLaw2.point_mass([((0.5, 0.5), 0.5), ((-0.3, 0.2), 0.5)]),
+)
+GRID_DTS = (4e-3, 2e-3, 1e-3)
+
+
+def _segments(batch):
+    """Per-row segment increments and end times of a stacked euler batch
+    (its rows all have the same number of segments)."""
+    seg = ~batch.is_jump & (batch.dt > 0.0)
+    rows = batch.du.shape[0]
+    t = batch.t[:, 1:][seg].reshape(rows, -1)
+    return batch.du[seg].reshape(rows, -1), batch.dl[seg].reshape(rows, -1), t
+
+
+@pytest.mark.parametrize("horizon", [1.0, 0.37])
+def test_euler_paths_coarse_segments_are_fine_sums(horizon):
+    """Grid k of a batch: its segment increments are the finest grid's
+    summed k at a time, bitwise, and its segments end at every k-th
+    fine boundary, the last at the horizon."""
+    size = 20
+    batches = euler_paths(JUMP_DIFFUSION_2D, horizon, make_stream("euler-sums"), size, GRID_DTS)
+    fine_du, fine_dl, fine_t = _segments(batches[-1])
+    nsteps = fine_du.shape[1]
+    assert nsteps % 4 == 0 and nsteps >= horizon / 1e-3
+    assert np.all(fine_t == fine_t[0]) and fine_t[0, -1] == horizon
+    for g, batch in zip(GRID_DTS, batches):
+        k = round(g / 1e-3)
+        du, dl, t = _segments(batch)
+        assert np.array_equal(du, fine_du.reshape(size, -1, k).sum(axis=-1))
+        assert np.array_equal(dl, fine_dl.reshape(size, -1, k).sum(axis=-1))
+        assert np.array_equal(t, fine_t[:, k - 1 :: k])
+
+
+def test_euler_paths_jumps_are_the_drawn_jumps_on_every_grid():
+    """Every grid carries each row's ``draw_jumps`` marks in their order, at
+    the same time: the end of the coarsest step that holds the drawn time."""
+    horizon, size = 1.0, 40
+    batches = euler_paths(JUMP_DIFFUSION_2D, horizon, make_stream("euler-jumps"), size, GRID_DTS)
+    times, ju, jl, counts = draw_jumps(JUMP_DIFFUSION_2D, horizon, make_stream("euler-jumps"), size)
+    assert counts.min() < counts.max()  # rows carry padding
+    coarse = horizon / math.ceil(horizon / 4e-3)
+    placed = []
+    for batch in batches:
+        assert np.array_equal(batch.is_jump.sum(axis=1), counts)
+        for i in range(size):
+            c = counts[i]
+            j = batch.is_jump[i]
+            assert np.array_equal(batch.du[i, j], ju[i, :c])
+            assert np.array_equal(batch.dl[i, j], jl[i, :c])
+        placed.append(batch.t[:, 1:][batch.is_jump])
+    assert all(np.array_equal(p, placed[0]) for p in placed)
+    drawn = times[np.arange(times.shape[1])[None, :] < counts[:, None]]
+    assert np.all(drawn <= placed[0] + 1e-12) and np.all(placed[0] - drawn < coarse + 1e-12)
+    assert np.allclose(placed[0] / coarse, np.round(placed[0] / coarse), rtol=0, atol=1e-9)
+
+
+def test_euler_paths_rows_are_padded_paths():
+    """Row i is its segments and jumps in time order, then K - counts[i]
+    null segments at the horizon: no duration, no increment."""
+    horizon, size = 1.0, 40
+    batches = euler_paths(JUMP_DIFFUSION_2D, horizon, make_stream("euler-pad"), size, GRID_DTS)
+    _, _, _, counts = draw_jumps(JUMP_DIFFUSION_2D, horizon, make_stream("euler-pad"), size)
+    for batch in batches:
+        n_seg = batch.du.shape[1] - counts.max()
+        assert batch.t.shape == (size, batch.du.shape[1] + 1)
+        for i in range(size):
+            real = batch.is_jump[i] | (batch.dt[i] > 0.0)
+            k = n_seg + counts[i]
+            assert real[:k].all() and not real[k:].any()  # padding only at the end
+            assert np.all(batch.t[i, k:] == horizon)
+            assert not batch.du[i, k:].any() and not batch.dl[i, k:].any()
+            row = Path(
+                horizon, batch.is_jump[i, :k], batch.t[i, : k + 1], batch.du[i, :k],
+                batch.dl[i, :k], "euler", JUMP_DIFFUSION_2D.gaussian_cov,
+            )
+            validate_path(row)
+
+
+def test_euler_paths_rejects_grids_that_do_not_nest():
+    for grid_dts in [(3e-3, 2e-3), (0.0,), (-1e-3,)]:
+        with pytest.raises(ValueError, match="multiple of the finest"):
+            euler_paths(JUMP_DIFFUSION_2D, 1.0, make_stream("nest"), 2, grid_dts)
+
+
+@pytest.mark.parametrize("horizon, grid_dt", [(1.0, 1e-3), (0.37, 1e-3), (2.0, 4e-3)])
+def test_sample_path_without_jumps_is_one_normal_block(dufresne_model, horizon, grid_dt):
+    """A model without jumps samples one ``standard_normal((nsteps, 2))``
+    block, scaled by the covariance root and sqrt(dt), plus the drift."""
+    m = dufresne_model
+    p = sample_path(m, horizon, make_stream("one-block"), grid_dt)
+    nsteps = math.ceil(horizon / grid_dt)
+    dt = horizon / nsteps
+    rng = make_stream("one-block")
+    ref = rng.standard_normal((nsteps, 2)) @ _cov_sqrt(m.gaussian_cov).T * math.sqrt(
+        dt
+    ) + np.array(m.drift) * dt
+    t = dt * np.arange(nsteps + 1)
+    t[-1] = horizon
+    assert not p.is_jump.any()
+    assert np.array_equal(p.du, ref[:, 0]) and np.array_equal(p.dl, ref[:, 1])
+    assert np.array_equal(p.t, t)
 
 
 def _exponential_marks_model():
