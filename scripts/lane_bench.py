@@ -13,9 +13,11 @@ blocks; the draw's rows also give the real jumps and the padded slots
 per block (a block pads every row to its largest jump count K; times and
 marks are drawn only for the jumps).  It then runs the grid lane over
 two blocks on ``dufresne`` at T = 10 (U-only noise, 10 000 steps of the
-default grid) and on the correlated two-dimensional Gaussian model of
-the verdict benchmark at T = 5 (the Cholesky branch), and adds
-microseconds per step of a block.  Every case runs with workers 1 and 2
+default grid), on the correlated two-dimensional Gaussian model of the
+verdict benchmark at T = 5 (the Cholesky branch) and on its
+jump-diffusion model at T = 10 (U-only noise plus about ten jumps a
+path, applied at step ends), and adds microseconds per step of a
+block.  Every case runs with workers 1 and 2
 and prints wall milliseconds and minor page faults per block.  Faults
 are read with ``resource.getrusage(RUSAGE_SELF)``: this process and its
 threads only.  One untimed run per case comes first; the table shows
@@ -38,7 +40,7 @@ import time
 import numpy as np
 
 from gouflow import mc
-from gouflow.levy import LevyModel2
+from gouflow.levy import JumpLaw2, LevyModel2
 from gouflow.paths import draw_jumps
 from gouflow.presets import PRESETS
 from gouflow.rng import BLOCK_SIZE
@@ -63,6 +65,15 @@ GRID = {
     "dufresne": (PRESETS["dufresne"].model, 10.0),
     "correlated-gauss": (
         LevyModel2(drift=(-1.0, 0.5), gaussian_cov=((1.0, 0.3), (0.3, 0.5))), 5.0
+    ),
+    "jump-diffusion": (
+        LevyModel2(
+            drift=(-1.0, 1.0),
+            gaussian_cov=((0.5, 0.0), (0.0, 0.0)),
+            jump_intensity=1.0,
+            jump_law=JumpLaw2.point_mass([((0.5, 0.5), 0.5), ((-0.3, 0.2), 0.5)]),
+        ),
+        10.0,
     ),
 }
 GRID_DT = 1e-3  # the config default

@@ -86,7 +86,11 @@ def _cmd_run(args) -> int:
         return 2
 
     out_dir = cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory {out_dir!r}: {exc}", file=sys.stderr)
+        return 2
 
     try:
         results = run_selected(cfg, out_dir=out_dir)

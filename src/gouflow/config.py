@@ -178,6 +178,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"{where(key)}: must be an integer") from None
 
     seed = integer("seed", data["seed"])
+    if seed < 0:
+        raise ConfigError(f"{where('seed')}: must be a non-negative integer, got {seed}")
 
     suite = data.get("suite", "all")
     if suite not in SUITES:
@@ -231,6 +233,10 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"{where(key)}: every entry must be positive")
         return vals
 
+    out_dir = data.get("out_dir", "reports")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError(f"{where('out_dir')}: expected a directory path, got {out_dir!r}")
+
     cfg = ExperimentConfig(
         seed=seed,
         suite=suite,
@@ -246,7 +252,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             positive("stationary_horizon", 1.0) if "stationary_horizon" in data else None
         ),
         stationary_n=(positive("stationary_n", 1, int) if "stationary_n" in data else None),
-        out_dir=str(data.get("out_dir", "reports")),
+        out_dir=out_dir,
         workers=positive("workers", 1, int),
         raw=data,
     )

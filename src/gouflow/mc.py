@@ -16,11 +16,15 @@ independent of the worker count:
   stochastic exponential is updated in exact law; finite-variation
   integrands use the trapezoid rule (the left-point rule leaves an O(dt)
   bias that would dominate the statistics), Brownian integrands use
-  left-point Ito sums.  Jumps come as a Poisson(lambda dt) count per step
-  applied at the step end: an O(dt) weak error, the order of the Ito sums.
-  Without jumps the block's normals are drawn a chunk of steps ahead on
-  one helper thread while the current chunk is stepped; the draws keep
-  their stream order, so the samples do not depend on it.
+  left-point Ito sums.  The block's jumps come from one
+  ``paths.draw_jumps`` call, first in its stream; each is applied at the
+  end of the step that holds it, after that step's continuous update (an
+  O(dt) weak error, the order of the Ito sums).  Given the Poisson count
+  on [0, T] the jump times are iid uniform, so this has the law of a
+  Poisson(lambda dt) count per step.  The rest of the stream is normals,
+  drawn a chunk of steps ahead on one helper thread while the current
+  chunk is stepped; the draws keep their stream order, so the samples do
+  not depend on it.
 
 Both lanes detect hits through the running minimum of the integral
 process I_s = int E^{-1} d eta: when E stays positive, V_s^x =
@@ -171,18 +175,13 @@ def _jump_block(model, horizon, rng, size):
 def _normal_rows(rng, shape, nsteps, ahead):
     """Yield ``nsteps`` arrays of standard normals of ``shape``, in stream order.
 
-    Without a pool each array is drawn when it is asked for.  With a
-    one-thread pool ``ahead``, that thread fills the next chunk of about
+    The one-thread pool ``ahead`` fills the next chunk of about
     ``_CHUNK_ELEMENTS`` normals while the caller uses the current one; the
     two chunk buffers are allocated here, on the caller's thread.  A
     (k, *shape) draw takes the same numbers in the same order as k draws
     of ``shape``, so the rows do not depend on the chunking.  A yielded
     row is a view, valid until the next row is asked for.
     """
-    if ahead is None:
-        for _ in range(nsteps):
-            yield rng.standard_normal(shape)
-        return
     k = max(1, _CHUNK_ELEMENTS // math.prod(shape))
     bufs = (np.empty((k, *shape)), np.empty((k, *shape)))
     fill = lambda buf, m: rng.standard_normal(out=buf[:m])
@@ -194,6 +193,31 @@ def _normal_rows(rng, shape, nsteps, ahead):
         yield from chunk
 
 
+def _step_jumps(model, horizon, rng, size, step_ends):
+    """The block's jumps (one ``draw_jumps`` call) by grid step.
+
+    A jump belongs to the first step whose end is at or after its time.
+    Returns a dict from step index to its passes: pass r holds (rows, du,
+    dl) of the (r+1)-th jump within the step of every row with that many,
+    so the passes of a step apply each row's jumps in time order.
+    """
+    times, du, dl, counts = draw_jumps(model, horizon, rng, size)
+    real = np.arange(times.shape[1]) < counts[:, None]
+    rows = np.nonzero(real)[0]  # row-major: each row's jumps in time order
+    step = np.searchsorted(step_ends, times[real])
+    # r of each jump: how many jumps of its row come before it in its step;
+    # key ascends, so its first match is the first jump of that row and step
+    key = rows * step_ends.size + step
+    rank = np.arange(rows.size) - np.searchsorted(key, key)
+    order = np.lexsort((rank, step))  # stable, so rows ascend within a pass
+    rows, step, rank, du, dl = (v[order] for v in (rows, step, rank, du[real], dl[real]))
+    starts = np.flatnonzero((np.diff(step, prepend=-1) != 0) | (np.diff(rank, prepend=-1) != 0))
+    passes = {}
+    for lo, hi in zip(starts, [*starts[1:], rows.size]):
+        passes.setdefault(int(step[lo]), []).append((rows[lo:hi], du[lo:hi], dl[lo:hi]))
+    return passes
+
+
 def _diffusion_block(model, horizon, rng, size, grid_dt):
     b_u, b_l = model.drift
     suu = model.sigma_u_sq
@@ -201,6 +225,9 @@ def _diffusion_block(model, horizon, rng, size, grid_dt):
     nsteps = max(1, math.ceil(horizon / grid_dt))
     dt = horizon / nsteps
     chol = _cov_sqrt(model.gaussian_cov) * math.sqrt(dt)
+    step_ends = dt * np.arange(1, nsteps + 1)
+    step_ends[-1] = horizon
+    jumps = _step_jumps(model, horizon, rng, size, step_ends)
 
     # U-only Gaussian noise is the common case; skip the dead L draws then
     u_noise_only = model.sigma_l_sq == 0.0 and model.sigma_ul == 0.0
@@ -209,12 +236,9 @@ def _diffusion_block(model, horizon, rng, size, grid_dt):
     i = np.zeros(size)
     c = np.zeros(size)
     i_min = np.zeros(size)
-    # A model with jumps draws Poisson counts and marks between the
-    # normals of its stream, so only a normals-only stream is drawn ahead
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = None if model.has_jumps else pool
+    with ThreadPoolExecutor(max_workers=1) as ahead:
         shape = (size,) if u_noise_only else (size, 2)
-        for z in _normal_rows(rng, shape, nsteps, ahead):
+        for s, z in enumerate(_normal_rows(rng, shape, nsteps, ahead)):
             if u_noise_only:
                 zu = z * math.sqrt(suu * dt)
                 zl = 0.0
@@ -227,16 +251,12 @@ def _diffusion_block(model, horizon, rng, size, grid_dt):
             c += b_l * dt * 0.5 * (e + e_new) + e * zl
             e = e_new
             np.minimum(i_min, i, out=i_min)
-            if model.has_jumps:  # pass r applies the (r+1)-th jump of the step
-                counts = rng.poisson(model.jump_intensity * dt, size)
-                for r in range(counts.max()):
-                    rows = np.flatnonzero(counts > r)
-                    du, dl = model.jump_law.sample(rng, rows.size)
-                    e_left = e[rows]
-                    i[rows] += dl / ((1.0 + du) * e_left)
-                    c[rows] += e_left * dl
-                    e[rows] = e_left * (1.0 + du)
-                    i_min[rows] = np.minimum(i_min[rows], i[rows])
+            for rows, du, dl in jumps.get(s, ()):
+                e_left = e[rows]
+                i[rows] += dl / ((1.0 + du) * e_left)
+                c[rows] += e_left * dl
+                e[rows] = e_left * (1.0 + du)
+                i_min[rows] = np.minimum(i_min[rows], i[rows])
     return {"e": e, "i": i, "c": c, "i_min": i_min}
 
 

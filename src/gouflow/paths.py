@@ -16,7 +16,8 @@ index reversal.  The columns may carry a leading batch axis
 (``exact_paths``, ``euler_paths``): paths on one horizon padded with null
 segments, which the solvers and the inverse-flow check process in one
 pass; ``sample_path`` is a one-row batch without them.  ``draw_jumps`` is
-the one place that draws the jumps of a batch of paths: it pads every
+the one place that draws jumps: it feeds these batches and every lane of
+``mc`` (the jump lane, the ruin scan and the grid lane).  It pads every
 row to the batch's largest jump count but draws times and marks for the
 jumps only.
 ``Segment``/``Jump`` records only serve to read a path back

@@ -355,6 +355,54 @@ def test_cli_refuses_nonpositive_t_grid_entry(tmp_path, capsys, grid):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("via_flag", [False, True], ids=["config", "flag"])
+def test_cli_refuses_negative_seed(tmp_path, capsys, via_flag):
+    """A negative seed is a config error naming the key (exit 2), from the
+    config or from --seed, not a traceback from a sampler's seeding."""
+    text = "schema_version: 1\nseed: -5\npreset: cramer-paulsen\nsuite: ruin\nn_paths: 300\n"
+    args = []
+    if via_flag:
+        text, args = text.replace("seed: -5", "seed: 5"), ["--seed", "-5"]
+    path = _write(tmp_path, text)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "r"), *args]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "'seed': must be a non-negative integer, got -5" in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("value", ["null", "5", "[a, b]", "''"])
+def test_cli_refuses_non_string_out_dir(tmp_path, capsys, monkeypatch, value):
+    """out_dir must name a directory: null, a number, a list or an empty
+    string is a config error with its line, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    path = _write(tmp_path, GOOD + f"out_dir: {value}\n")
+    assert main(["run", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "line 6: 'out_dir': expected a directory path" in err
+    assert os.listdir(tmp_path) == ["cfg.yaml"]
+
+
+@pytest.mark.parametrize("via_flag", [False, True], ids=["config", "flag"])
+def test_cli_refuses_output_directory_it_cannot_create(tmp_path, capsys, via_flag):
+    """An output path naming an existing file (from out_dir or --out)
+    ends the run with exit 2 and a message, not a traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    if via_flag:
+        path = _write(tmp_path, GOOD)
+        argv = ["run", "--config", path, "--out", str(taken)]
+    else:
+        path = _write(tmp_path, GOOD + f"out_dir: {taken}\n")
+        argv = ["run", "--config", path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"cannot create output directory {str(taken)!r}" in err
+    assert "Traceback" not in err
+    assert taken.read_text() == "a file\n"
+
+
 def test_cli_first_passage_identity_refuses_gaussian_model(tmp_path, capsys):
     """L is not a subordinator, so the ruin suite checks the first-passage
     identity, whose ruin scan needs a pure-jump model: exit 3 before any

@@ -336,8 +336,11 @@ def test_diffusion_lane_i_min_bounds(dufresne_model):
     assert np.all(res["i_min"] == 0.0)
 
 
-# The grid lane before its normals were drawn ahead: one draw per step on
-# the calling thread.  The lane must reproduce it bit for bit.
+# The grid lane drawn serially: the block's jumps first (one
+# ``draw_jumps`` call), then one normal draw per step on the calling
+# thread; each row's jumps are applied one at a time, in time order, after
+# the continuous update of the step that holds them.  The lane must
+# reproduce it bit for bit.
 
 
 def _serial_diffusion_block(model, horizon, rng, size, grid_dt):
@@ -348,11 +351,19 @@ def _serial_diffusion_block(model, horizon, rng, size, grid_dt):
     dt = horizon / nsteps
     chol = mc._cov_sqrt(model.gaussian_cov) * math.sqrt(dt)
     u_noise_only = model.sigma_l_sq == 0.0 and model.sigma_ul == 0.0
+    step_ends = dt * np.arange(1, nsteps + 1)
+    step_ends[-1] = horizon
+    times, jump_du, jump_dl, counts = draw_jumps(model, horizon, rng, size)
+    jumps = {}  # step -> [(row, du, dl), ...]
+    for row in range(size):
+        for j in range(counts[row]):
+            step = int(np.searchsorted(step_ends, times[row, j]))
+            jumps.setdefault(step, []).append((row, jump_du[row, j], jump_dl[row, j]))
     e = np.ones(size)
     i = np.zeros(size)
     c = np.zeros(size)
     i_min = np.zeros(size)
-    for _ in range(nsteps):
+    for step in range(nsteps):
         if u_noise_only:
             zu = rng.standard_normal(size) * math.sqrt(suu * dt)
             zl = 0.0
@@ -365,16 +376,12 @@ def _serial_diffusion_block(model, horizon, rng, size, grid_dt):
         c += b_l * dt * 0.5 * (e + e_new) + e * zl
         e = e_new
         np.minimum(i_min, i, out=i_min)
-        if model.has_jumps:
-            counts = rng.poisson(model.jump_intensity * dt, size)
-            for r in range(counts.max()):
-                rows = np.flatnonzero(counts > r)
-                du, dl = model.jump_law.sample(rng, rows.size)
-                e_left = e[rows]
-                i[rows] += dl / ((1.0 + du) * e_left)
-                c[rows] += e_left * dl
-                e[rows] = e_left * (1.0 + du)
-                i_min[rows] = np.minimum(i_min[rows], i[rows])
+        for row, du, dl in jumps.get(step, ()):
+            e_left = e[row]
+            i[row] += dl / ((1.0 + du) * e_left)
+            c[row] += e_left * dl
+            e[row] = e_left * (1.0 + du)
+            i_min[row] = np.minimum(i_min[row], i[row])
     return {"e": e, "i": i, "c": c, "i_min": i_min}
 
 
@@ -409,12 +416,23 @@ def _check_grid_lane_bitwise(model, nsteps, size, dt=1e-3, seed=31):
 @pytest.mark.parametrize("size", [1, 7, 4096])
 @pytest.mark.parametrize("name", list(_GRID_MODELS))
 def test_grid_lane_is_bitwise_serial(name, size, offset):
-    """Normals drawn a chunk ahead on a helper thread change no bit of the
-    lane's samples: one step, and k - 1, k and k + 1 steps around the
-    chunk length k.  The jump-diffusion model draws on the calling thread."""
+    """Normals drawn a chunk ahead on a helper thread, after the block's
+    jumps, change no bit of the lane's samples: one step, and k - 1, k and
+    k + 1 steps around the chunk length k."""
     model = _GRID_MODELS[name]
     nsteps = 1 if offset == "one" else _chunk_steps(model, size) + offset
     _check_grid_lane_bitwise(model, nsteps, size)
+
+
+def test_grid_lane_is_bitwise_serial_with_several_jumps_per_step():
+    """On a coarse grid many rows have two or more jumps in one step; the
+    lane applies them in time order, as the serial loop does."""
+    model = replace(_GRID_MODELS["jump-diffusion"], jump_intensity=20.0)
+    times, _, _, counts = draw_jumps(model, 1.0, stream(31, "grid", 64), 64)
+    real = np.arange(times.shape[1]) < counts[:, None]
+    steps = np.where(real, np.ceil(times / 0.25), -1.0)
+    assert ((steps[:, 1:] == steps[:, :-1]) & real[:, 1:]).sum() > 64  # sharing a step
+    _check_grid_lane_bitwise(model, 4, 64, dt=0.25)
 
 
 def test_grid_lane_is_bitwise_serial_when_e_overflows():
@@ -465,19 +483,35 @@ class _CountingStream:
         return getattr(self._rng, name)
 
 
-def test_grid_lane_draws_ahead_only_without_jumps(dufresne_model):
-    """A normals-only stream is filled on one helper thread; a model with
-    jumps keeps every draw on the calling thread."""
+def test_grid_lane_draws_ahead_for_every_model():
+    """Every model's normals are filled on one helper thread; a model's
+    jumps are drawn before them, on the calling thread, and take none."""
     size = 64
-    k = _chunk_steps(dufresne_model, size)
-    rng = _CountingStream(1)
-    mc._diffusion_block(dufresne_model, (2 * k + 1) * 1e-3, rng, size, 1e-3)
-    assert len(rng.threads) == 3
-    assert len(set(rng.threads)) == 1 and rng.threads[0] != threading.get_ident()
+    for name in ("dufresne", "jump-diffusion"):
+        model = _GRID_MODELS[name]
+        k = _chunk_steps(model, size)
+        rng = _CountingStream(1)
+        mc._diffusion_block(model, (2 * k + 1) * 1e-3, rng, size, 1e-3)
+        assert len(rng.threads) == 3, name
+        assert len(set(rng.threads)) == 1 and rng.threads[0] != threading.get_ident(), name
 
-    rng = _CountingStream(1)
-    mc._diffusion_block(_GRID_MODELS["jump-diffusion"], 5e-3, rng, size, 1e-3)
-    assert rng.threads == [threading.get_ident()] * 5
+
+def test_grid_lane_pure_jump_matches_jump_lane():
+    """On a pure-jump model without drift the grid lane moves E, I and C
+    only at the jumps, so from the same stream it must give the jump
+    lane's E(U)_T bit for bit and I_T, C_T and min I to rounding: the
+    same jumps, from one ``draw_jumps`` call, in the same order."""
+    model = LevyModel2(
+        drift=(0.0, 0.0),
+        jump_intensity=3.0,
+        jump_law=JumpLaw2.point_mass([((0.5, 0.5), 0.5), ((-0.3, -0.2), 0.5)]),
+    )
+    grid = mc._diffusion_block(model, 2.0, stream(5, "same"), 512, 1e-2)
+    exact = mc._jump_block(model, 2.0, stream(5, "same"), 512)
+    _assert_bitwise(grid["e"], exact["e"])
+    for key in ("i", "c", "i_min"):
+        np.testing.assert_allclose(grid[key], exact[key], rtol=0.0, atol=1e-12)
+    assert np.abs(grid["i"]).max() > 1.0  # the jumps moved I
 
 
 def test_helper_draw_error_reaches_caller_and_threads_end(dufresne_model):
