@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .levy import JumpLaw2, LevyModel2, Marginal
+from .paths import GRID_DT
 from .presets import PRESETS, get_preset
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config", "config_hash"]
@@ -36,7 +37,7 @@ class ExperimentConfig:
     model: LevyModel2 | None = None
     n_paths: int = 10_000
     horizon: float = 2.0
-    grid_dt: float = 1e-3
+    grid_dt: float = GRID_DT
     t_grid: tuple = (0.5, 1.0, 2.0)
     x_grid: tuple = (-1.0, 0.0, 1.0)
     y_grid: tuple = (-1.0, 0.0, 1.0)
@@ -149,14 +150,13 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a mapping at the top level")
     lines = _key_lines(text)
+    overridden = {k: v for k, v in (overrides or {}).items() if v is not None}
+    data = {**data, **overridden}
 
     def where(key: str) -> str:
+        if key in overridden:
+            return f"command line: '{key}'"
         return f"line {lines[key]}: '{key}'" if key in lines else f"'{key}'"
-
-    data = dict(data)
-    for k, v in (overrides or {}).items():
-        if v is not None:
-            data[k] = v
 
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
@@ -181,7 +181,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     if seed < 0:
         raise ConfigError(f"{where('seed')}: must be a non-negative integer, got {seed}")
 
-    suite = data.get("suite", "all")
+    suite = data.get("suite", ExperimentConfig.suite)
     if suite not in SUITES:
         raise ConfigError(
             f"{where('suite')}: unknown suite {suite!r}; choose from {', '.join(SUITES)}"
@@ -210,8 +210,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{where(key)}: {message}") from None
 
-    def positive(key, default, cast=float):
-        val = data.get(key, default)
+    def positive(key, cast=float):
+        val = data.get(key, getattr(ExperimentConfig, key))
         if cast is int:
             val = integer(key, val)
         else:
@@ -222,8 +222,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"{where(key)}: must be positive")
         return val
 
-    def grid(key, default, positive_entries=False):
-        val = data.get(key, default)
+    def grid(key, positive_entries=False):
+        val = data.get(key, getattr(ExperimentConfig, key))
         if not isinstance(val, (list, tuple)) or not val:
             raise ConfigError(f"{where(key)}: expected a nonempty list of numbers")
         vals = tuple(number(key, v, "expected a list of numbers") for v in val)
@@ -233,7 +233,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"{where(key)}: every entry must be positive")
         return vals
 
-    out_dir = data.get("out_dir", "reports")
+    out_dir = data.get("out_dir", ExperimentConfig.out_dir)
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError(f"{where('out_dir')}: expected a directory path, got {out_dir!r}")
 
@@ -242,18 +242,18 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         suite=suite,
         preset=preset,
         model=model,
-        n_paths=positive("n_paths", 10_000, int),
-        horizon=positive("horizon", 2.0),
-        grid_dt=positive("grid_dt", 1e-3),
-        t_grid=grid("t_grid", (0.5, 1.0, 2.0), positive_entries=True),
-        x_grid=grid("x_grid", (-1.0, 0.0, 1.0)),
-        y_grid=grid("y_grid", (-1.0, 0.0, 1.0)),
+        n_paths=positive("n_paths", int),
+        horizon=positive("horizon"),
+        grid_dt=positive("grid_dt"),
+        t_grid=grid("t_grid", positive_entries=True),
+        x_grid=grid("x_grid"),
+        y_grid=grid("y_grid"),
         stationary_horizon=(
-            positive("stationary_horizon", 1.0) if "stationary_horizon" in data else None
+            positive("stationary_horizon") if "stationary_horizon" in data else None
         ),
-        stationary_n=(positive("stationary_n", 1, int) if "stationary_n" in data else None),
+        stationary_n=(positive("stationary_n", int) if "stationary_n" in data else None),
         out_dir=out_dir,
-        workers=positive("workers", 1, int),
+        workers=positive("workers", int),
         raw=data,
     )
     return cfg

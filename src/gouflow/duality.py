@@ -20,7 +20,7 @@ import numpy as np
 from . import mc
 from .gou import finite_samples, stationary_sampler
 from .levy import ConditionError, LevyModel2, detect_degeneracy, dual_model
-from .paths import Path, _replace, eta_path, w_path
+from .paths import GRID_DT, Path, _replace, eta_path, w_path
 from .stats import ecdf
 
 __all__ = [
@@ -59,75 +59,47 @@ def dual_path(path: Path, model: LevyModel2) -> Path:
 
 def ruin_probability(
     model: LevyModel2,
-    xs,
+    ys,
     horizon: float,
     n: int,
     seed: int,
-    grid_dt: float = 1e-3,
+    stationary_n: int,
+    grid_dt: float = GRID_DT,
     workers: int = 1,
-    stationary_n: int | None = None,
 ) -> dict:
-    """MC estimate of P(first passage of V^x below 0 happens by T) for
-    every starting point x in ``xs``.
+    """Both sides of the subordinator-mode ruin identity at every level y
+    in ``ys``: the dual R^y hits 0 by T, and V's causal stationary tail
+    P(V >= y).
 
-    Returns ``hits`` and ``hit_prob`` (one entry per probe), the
-    ``companion_tail`` array and ``warnings``.  Under condition (B) the
-    hit is read off the running minimum of I in the model's lane; without
-    it, off V at every event boundary in the pure-jump lane
-    (``mc.ruin_samples``), which only needs E(U) != 0.  One lane sample
-    serves every probe.  The companion numbers are the duality prediction
-    for the T -> infinity limit: the causal stationary tail of the
-    Siegmund-dual model at each x, from one stationary sample (None
-    without condition (B)).  Warnings record every hypothesis that had to
-    be assumed rather than checked.
+    Returns ``hits`` and ``hit_prob`` (one entry per level) for the dual
+    (``dual_model``, so a model without condition (B) refuses before
+    anything is sampled), read off the running minimum of its I in the
+    dual's lane: one lane sample serves every level.  ``companion_tail``
+    is the T -> infinity duality prediction from one causal stationary
+    sample of ``stationary_n`` paths of ``model``, and
+    ``companion_diagnostic_fail`` the fraction of those paths whose
+    truncation diagnostic failed.
     """
-    xs = np.asarray(list(xs), dtype=float)
-    warnings = []
-    if model.condition_b:
-        res = mc.terminal_samples(model, horizon, n, seed, grid_dt, workers, "ruin")
-        i_min = finite_samples(res["i_min"], "running-minimum I", horizon)
-        hits = np.count_nonzero(xs + i_min[:, None] <= 0.0, axis=0)
-    elif model.has_gaussian:
-        raise ConditionError(
-            "condition (B) fails and the model has a Gaussian part: the "
-            "sign-changing first passage is counted for pure-jump models only"
-        )
-    else:
-        warnings.append(
-            "condition (B) fails: E(U) changes sign, hits read off V at event boundaries"
-        )
-        hits = mc.ruin_samples(model, horizon, n, seed, xs, workers=workers)["hits"]
-
-    companion = None
-    if model.condition_b:
-        fwd = dual_model(model)  # the process this one is dual to
-        if not fwd.l_subordinator:
-            warnings.append(
-                "companion tail assumes the dual-side L is a subordinator; flag is off"
-            )
-        dist = stationary_sampler(
-            fwd,
-            "causal",
-            stationary_n or max(n // 10, 1000),
-            horizon,
-            seed + 1,
-            grid_dt=grid_dt,
-            workers=workers,
-            label="ruin-companion",
-        )
-        if dist.metadata.get("flagged"):
-            warnings.append(
-                "stationary truncation diagnostic failed on >5% of companion paths"
-            )
-        companion = dist.sf(xs)
-    else:
-        warnings.append("no companion: dual model does not exist under (B) failure")
-
+    dual = dual_model(model)
+    ys = np.asarray(list(ys), dtype=float)
+    res = mc.terminal_samples(dual, horizon, n, seed, grid_dt, workers, "ruin")
+    i_min = finite_samples(res["i_min"], "running-minimum I", horizon)
+    hits = np.count_nonzero(ys + i_min[:, None] <= 0.0, axis=0)
+    dist = stationary_sampler(
+        model,
+        "causal",
+        stationary_n,
+        horizon,
+        seed + 1,
+        grid_dt=grid_dt,
+        workers=workers,
+        label="ruin-companion",
+    )
     return {
         "hits": hits,
         "hit_prob": hits / n,
-        "companion_tail": companion,
-        "warnings": warnings,
+        "companion_tail": dist.sf(ys),
+        "companion_diagnostic_fail": dist.metadata["diagnostic_fail_fraction"],
     }
 
 
@@ -137,7 +109,7 @@ def verify_ruin_identity(
     horizon: float,
     n: int,
     seed: int,
-    stationary_n: int = 10_000,
+    stationary_n: int,
     workers: int = 1,
 ) -> dict:
     """Check P(tau(x) < inf) E[H(-V_tau) | tau < inf] = H(-x).
@@ -249,7 +221,7 @@ def monotonicity_probe(
     xs,
     n: int,
     seed: int,
-    grid_dt: float = 1e-3,
+    grid_dt: float = GRID_DT,
     workers: int = 1,
 ) -> dict:
     """Common-random-numbers probe of stochastic monotonicity.
@@ -326,7 +298,7 @@ def duality_grid(
     ys,
     n: int,
     seed: int,
-    grid_dt: float = 1e-3,
+    grid_dt: float = GRID_DT,
     workers: int = 1,
 ) -> list[DualityProbe]:
     """Independent two-sample check of P(V_t^x >= y) = P(R_t^y <= x).

@@ -10,7 +10,7 @@ import numpy as np
 from . import mc
 from .calculus import AlignedSeries, exponential_with_integral
 from .levy import ConditionError, LevyModel2
-from .paths import Path, _scalar, eta_path
+from .paths import GRID_DT, Path, _scalar, eta_path
 from .stats import EmpiricalDistribution
 
 __all__ = [
@@ -85,7 +85,7 @@ def stationary_sampler(
     n: int,
     horizon: float,
     seed: int,
-    grid_dt: float = 1e-3,
+    grid_dt: float = GRID_DT,
     workers: int = 1,
     label: str = "stationary",
 ) -> EmpiricalDistribution:

@@ -228,18 +228,13 @@ class JumpLaw2:
         if self.kind == "point_mass":
             us = [u for (u, _), p in self.atoms if p > 0]
             return (min(us), max(us))
-        if self.kind == "dual":
-            lo, hi = self.base._du_support()
-            # x -> -x/(1+x) is decreasing on (-1, inf)
-            f = lambda x: -x / (1.0 + x) if math.isfinite(x) else -1.0
-            return (min(f(hi), f(lo)), max(f(hi), f(lo)))
         return self.marg_u.support_bounds()
 
     @property
     def condition_b(self) -> bool:
-        """True when the dU-support lies in (-1, inf)."""
-        lo, _ = self._du_support()
-        return lo > -1.0
+        """True when the dU-support lies in (-1, inf).  A dual law has a
+        base with (B), and u -> -u/(1+u) maps (-1, inf) onto itself."""
+        return self.kind == "dual" or self._du_support()[0] > -1.0
 
     def _dl_support(self) -> tuple[float, float]:
         if self.kind == "point_mass":
@@ -253,8 +248,6 @@ class JumpLaw2:
         if self.kind == "dual":
             # dL' = -dL/(1+dU); sign flips, magnitude rescales
             lo, hi = self.base._dl_support()
-            if not self.base.condition_b:
-                return (-math.inf, math.inf)
             return (-math.inf if hi > 0 else 0.0, math.inf if lo < 0 else 0.0) if (lo < 0 or hi > 0) else (0.0, 0.0)
         return self.marg_l.support_bounds()
 

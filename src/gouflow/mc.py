@@ -45,7 +45,7 @@ import numpy as np
 
 from .levy import ConditionError, LevyModel2
 from .rng import BLOCK_SIZE, stream
-from .paths import _cov_sqrt, draw_jumps
+from .paths import GRID_DT, _cov_sqrt, draw_jumps
 
 __all__ = [
     "run_blocks",
@@ -270,7 +270,7 @@ def terminal_samples(
     horizon: float,
     n: int,
     seed: int,
-    grid_dt: float = 1e-3,
+    grid_dt: float = GRID_DT,
     workers: int = 1,
     label: str = "terminal",
 ) -> dict:
@@ -296,7 +296,7 @@ def exp_functional_samples(
     n: int,
     horizon: float,
     seed: int,
-    grid_dt: float = 1e-3,
+    grid_dt: float = GRID_DT,
     workers: int = 1,
     label: str = "stationary",
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 _TIME_TOL = 1e-12
+GRID_DT = 1e-3  # default Euler/grid-lane step
 _NO_COV = ((0.0, 0.0), (0.0, 0.0))
 
 
@@ -261,7 +262,7 @@ def sample_path(
     model: LevyModel2,
     horizon: float,
     rng: np.random.Generator,
-    grid_dt: float = 1e-3,
+    grid_dt: float = GRID_DT,
 ) -> Path:
     """Sample one (U, L) path: Poisson jump times, iid marks, drift/Gaussian
     segments filling the gaps.

@@ -20,7 +20,7 @@ from .duality import (
 )
 from .gou import finite_samples, stationary_sampler
 from .inverse_flow import verify_pathwise_identity
-from .levy import ConditionError, LevyModel2, dual_model
+from .levy import LevyModel2, dual_model
 from .paths import euler_paths, exact_paths
 from .presets import get_preset
 from .rng import stream
@@ -169,20 +169,14 @@ def inverse_flow_suite(cfg: ExperimentConfig) -> SuiteResult:
 
 def ruin_suite(cfg: ExperimentConfig) -> SuiteResult:
     model = cfg.resolved_model()
-    if not model.condition_b:
-        raise ConditionError(
-            "ruin suite needs condition (B): first-passage bookkeeping and "
-            "the dual identities assume all jumps dU > -1"
-        )
     horizon = _long_horizon(cfg)
     rows = []
     if model.l_subordinator:
         # compare dual-side first passage with the forward stationary tail
-        dual = dual_model(model)
         levels = [y for y in cfg.y_grid if y > 0] or [0.5, 1.0, 2.0]
         n_comp = cfg.stationary_n or cfg.n_paths
         res = ruin_probability(
-            dual,
+            model,
             levels,
             horizon,
             cfg.n_paths,
@@ -201,7 +195,12 @@ def ruin_suite(cfg: ExperimentConfig) -> SuiteResult:
             ok = abs(p_hit - comp) <= bound
             passed = passed and ok
             rows.append({"probe": y, "lhs": p_hit, "rhs": comp, "bound": bound, "pass": ok})
-        metrics = {"mode": "subordinator", "horizon": horizon, "n_paths": cfg.n_paths}
+        metrics = {
+            "mode": "subordinator",
+            "horizon": horizon,
+            "n_paths": cfg.n_paths,
+            "companion_diagnostic_fail": res["companion_diagnostic_fail"],
+        }
     else:
         xs = [x for x in cfg.x_grid if x > 0] or [0.5, 1.0]
         report = verify_ruin_identity(

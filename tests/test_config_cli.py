@@ -403,6 +403,52 @@ def test_cli_refuses_output_directory_it_cannot_create(tmp_path, capsys, via_fla
     assert taken.read_text() == "a file\n"
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seed", "-5", "'seed': must be a non-negative integer"),
+        ("--paths", "0", "'n_paths': must be positive"),
+    ],
+    ids=["seed", "paths"],
+)
+def test_cli_blames_command_line_for_bad_flag_value(tmp_path, capsys, flag, value, message):
+    """A bad value given by a flag is blamed on the command line, not on
+    the config file's line for the key it overrides."""
+    path = _write(tmp_path, GOOD)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "r"), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: command line: {message}" in err
+    assert "line " not in err.replace("command line", "")
+
+
+_UNBOUNDED_U_RUIN = (
+    "schema_version: 1\nseed: 1\nsuite: ruin\ny_grid: [1.5, 2.5, 4.0]\n"
+    "model: {drift: [-1, 1], jump_intensity: 1, jump_law: {kind: independent,"
+    " marg_u: {kind: exponential, rate: 2}, marg_l: {kind: exponential, rate: 1}}"
+)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        "}\nn_paths: 2000\nstationary_horizon: 20\n",
+        ", gaussian_cov: [[0.2, 0], [0, 0]]}\nn_paths: 500\nstationary_horizon: 5\n",
+    ],
+    ids=["pure-jump", "gaussian"],
+)
+def test_cli_ruin_passes_on_u_jumps_unbounded_above(tmp_path, capsys, extra):
+    """Exp(2) U jumps are unbounded above, and their duals lie in (-1, 0]:
+    the subordinator-mode ruin suite runs and passes, and reports the
+    companion sample's truncation-diagnostic fraction."""
+    path = _write(tmp_path, _UNBOUNDED_U_RUIN + extra)
+    out = tmp_path / "r"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    metrics = json.load(open(out / "summary.json"))["suites"]["ruin"]["metrics"]
+    assert metrics["mode"] == "subordinator"
+    assert 0.0 <= metrics["companion_diagnostic_fail"] <= 1.0
+
+
 def test_cli_first_passage_identity_refuses_gaussian_model(tmp_path, capsys):
     """L is not a subordinator, so the ruin suite checks the first-passage
     identity, whose ruin scan needs a pure-jump model: exit 3 before any

@@ -1,5 +1,4 @@
 import inspect
-import math
 
 import numpy as np
 import pytest
@@ -90,42 +89,27 @@ def test_killed_dual_requires_subordinator(mixed_jump_model):
 
 
 def test_ruin_probability_matches_vectorized_barrier(mixed_jump_model):
-    """Each probe's hit count must equal the i_min barrier criterion on the
-    same streams."""
+    """Each level's hit count must equal the i_min barrier criterion of
+    the dual's lane on the same streams."""
     from gouflow import mc
 
     m = mixed_jump_model
-    xs = [0.1, 0.4, 1.0]
-    res = ruin_probability(m, xs, horizon=3.0, n=400, seed=21, stationary_n=1000)
-    data = mc.terminal_samples(m, 3.0, 400, 21, 1e-3, 1, "ruin")
-    for x, hits in zip(xs, res["hits"]):
-        assert hits == int(np.count_nonzero(x + data["i_min"] <= 0))
+    ys = [0.1, 0.4, 1.0]
+    res = ruin_probability(m, ys, horizon=3.0, n=400, seed=21, stationary_n=1000)
+    data = mc.terminal_samples(dual_model(m), 3.0, 400, 21, 1e-3, 1, "ruin")
+    for y, hits in zip(ys, res["hits"]):
+        assert hits == int(np.count_nonzero(y + data["i_min"] <= 0))
     assert 0 < res["hits"][1] < 400
     assert res["companion_tail"].shape == (3,)
+    assert 0.0 <= res["companion_diagnostic_fail"] <= 1.0
 
 
 def test_ruin_probability_subordinator_never_hits_from_above(subordinator_model):
+    """The dual of dual_model(m) runs on m, whose L never falls."""
     res = ruin_probability(
-        subordinator_model, [0.4], horizon=3.0, n=400, seed=22, stationary_n=500
+        dual_model(subordinator_model), [0.4], horizon=3.0, n=400, seed=22, stationary_n=500
     )
     assert res["hits"][0] == 0
-
-
-def test_ruin_probability_boundary_hits_without_condition_b():
-    """nonmonotone at x = 1: L = 0, so V = E(U) first drops below 0 at the
-    first dU = -2 jump, which arrives at rate 0.75: P(tau <= T) = 1 - e^{-0.75 T}.
-    Every probe's hits are the ruin scan's on the same stream."""
-    from gouflow import mc
-
-    m = get_preset("nonmonotone").model
-    xs = [0.5, 1.0, 2.0]
-    res = ruin_probability(m, xs, horizon=1.0, n=2000, seed=7)
-    scan = mc.ruin_samples(m, 1.0, 2000, 7, xs)
-    assert np.array_equal(res["hits"], scan["hits"])
-    exact = -math.expm1(-0.75)
-    assert abs(res["hit_prob"][1] - exact) < 4 * math.sqrt(exact * (1 - exact) / 2000)
-    assert res["companion_tail"] is None
-    assert any("condition (B) fails" in w for w in res["warnings"])
 
 
 def test_ruin_suite_draws_one_sample_per_side_for_all_levels(monkeypatch):
@@ -165,21 +149,26 @@ def test_ruin_probability_refuses_non_finite_running_minimum():
     path would hit; the call refuses and names the count."""
     law = JumpLaw2.point_mass([((0.0, 1.0), 0.5), ((0.0, -1.0), 0.5)])
     m = LevyModel2(drift=(-1.0, 0.0), jump_intensity=1.0, jump_law=law)
+    dual = dual_model(m)  # its dual's lane runs on m
     with pytest.raises(ConditionError, match="4096 of 4096 running-minimum I samples"):
-        ruin_probability(m, [1.0], horizon=800.0, n=4096, seed=1)
+        ruin_probability(dual, [1.0], horizon=800.0, n=4096, seed=1, stationary_n=1000)
     # at a horizon the lane resolves, almost every path hits
-    res = ruin_probability(m, [1.0], horizon=20.0, n=4096, seed=1)
+    res = ruin_probability(dual, [1.0], horizon=20.0, n=4096, seed=1, stationary_n=1000)
     assert res["hits"][0] > 4000
 
 
-def test_ruin_probability_refuses_gaussian_part_without_condition_b():
+def test_ruin_probability_refuses_without_condition_b(monkeypatch, sign_flip_model):
+    """Without (B) there is no dual: pure-jump and Gaussian models alike
+    refuse before anything is sampled."""
+    _no_sampling(monkeypatch)
     law = JumpLaw2.point_mass([((-2.0, 0.0), 1.0)])
-    m = LevyModel2(
+    gaussian = LevyModel2(
         drift=(0.0, 0.0), gaussian_cov=((0.1, 0.0), (0.0, 0.0)), jump_intensity=1.0, jump_law=law
     )
-    assert not m.condition_b
-    with pytest.raises(ConditionError):
-        ruin_probability(m, [1.0], horizon=1.0, n=10, seed=1)
+    for m in (sign_flip_model, gaussian):
+        assert not m.condition_b
+        with pytest.raises(ConditionError, match="dual process does not exist"):
+            ruin_probability(m, [1.0], horizon=1.0, n=10, seed=1, stationary_n=10)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +216,14 @@ def test_verify_ruin_identity_rejects_degenerate():
 
 
 def _no_sampling(monkeypatch):
-    """Make every sampler the first-passage identity calls raise."""
+    """Make every sampler the ruin verdicts call raise."""
 
     def sampled(*args, **kwargs):
         raise AssertionError("sampled before refusing")
 
     monkeypatch.setattr(duality, "stationary_sampler", sampled)
     monkeypatch.setattr(duality.mc, "ruin_samples", sampled)
+    monkeypatch.setattr(duality.mc, "terminal_samples", sampled)
 
 
 def test_verify_ruin_identity_requires_condition_b(monkeypatch, sign_flip_model):

@@ -271,6 +271,23 @@ def test_dual_model_requires_condition_b(sign_flip_model):
         dual_model(sign_flip_model)
 
 
+@pytest.mark.parametrize(
+    "law",
+    [
+        JumpLaw2.independent(Marginal.exponential(2.0), Marginal.exponential(1.0)),
+        JumpLaw2.linked(Marginal.truncated_normal(0.0, 1.0, lower=-0.5), 0.5, 1.0),
+    ],
+    ids=["independent-exponential", "linked-truncated-normal"],
+)
+def test_dual_of_unbounded_u_jumps_has_condition_b(law):
+    """dU unbounded above maps to dual jumps in (-1, 0]: the dual has (B)
+    and dualizes back to the model."""
+    m = LevyModel2(drift=(-1.0, 1.0), jump_intensity=1.0, jump_law=law)
+    d = dual_model(m)
+    assert d.condition_b
+    assert dual_model(d) == m
+
+
 def test_dual_model_gaussian_drift():
     m = LevyModel2(drift=(-2.0, 1.0), gaussian_cov=((2.0, 0.5), (0.5, 1.0)))
     d = dual_model(m)

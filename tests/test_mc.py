@@ -597,6 +597,15 @@ def test_ruin_samples_refuse_non_finite_boundary_values():
     assert mc.ruin_samples(m, 800.0, 16, seed=3, x_probes=[-0.5])["hits"][0] == 16
 
 
+def test_ruin_samples_hit_probability_without_condition_b():
+    """nonmonotone at x = 1: L = 0, so V = E(U) first drops below 0 at the
+    first dU = -2 jump, which arrives at rate 0.75: P(tau <= T) = 1 - e^{-0.75 T}."""
+    m = get_preset("nonmonotone").model
+    hits = mc.ruin_samples(m, 1.0, 2000, seed=7, x_probes=[1.0])["hits"]
+    exact = -math.expm1(-0.75)
+    assert abs(hits[0] / 2000 - exact) < 4 * math.sqrt(exact * (1 - exact) / 2000)
+
+
 @pytest.mark.parametrize("name", ["sign-flip", "nonmonotone"])
 def test_ruin_samples_without_condition_b_match_per_path_solver(sign_flip_model, name):
     """E(U) changes sign at jumps below -1: the lane's boundary hit count
