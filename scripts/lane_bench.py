@@ -41,7 +41,7 @@ import numpy as np
 
 from gouflow import mc
 from gouflow.levy import JumpLaw2, LevyModel2
-from gouflow.paths import draw_jumps
+from gouflow.paths import GRID_DT, draw_jumps
 from gouflow.presets import PRESETS
 from gouflow.rng import BLOCK_SIZE
 
@@ -76,7 +76,6 @@ GRID = {
         10.0,
     ),
 }
-GRID_DT = 1e-3  # the config default
 GRID_BLOCKS = 2  # so that workers 2 runs two blocks at once
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SETUP_CODE = f"""\

@@ -15,8 +15,7 @@ import sys
 
 from gouflow.cli import main as cli_main
 from gouflow.presets import preset_names
-
-SUITES = ("duality", "inverse-flow", "ruin", "stationary", "monotonicity")
+from gouflow.suites import SUITE_RUNNERS
 
 CONFIG_TEMPLATE = """\
 schema_version: 1
@@ -49,7 +48,7 @@ def run(argv=None):
     rows = []
     models = {name: f"preset: {name}\n" for name in preset_names()} | INLINE_MODELS
     for preset, model in models.items():
-        for suite in SUITES:
+        for suite in SUITE_RUNNERS:
             out_dir = os.path.join(args.out, f"{preset}-{suite}")
             os.makedirs(out_dir, exist_ok=True)
             cfg_path = os.path.join(out_dir, "config.yaml")

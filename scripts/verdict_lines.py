@@ -31,9 +31,9 @@ import threading
 from identity_check import ROOT, _run, _runs  # also puts src/ on sys.path
 
 from gouflow.presets import preset_names
+from gouflow.suites import SUITE_RUNNERS
 
 SRC = os.path.join(ROOT, "src", "gouflow")
-SUITES = ("duality", "inverse-flow", "ruin", "stationary", "monotonicity")
 N_PATHS = 2000
 LAWS = {
     "independent-exp-uniform": {
@@ -65,7 +65,7 @@ def _all_runs(spec: dict):
     models = {name: {"preset": name} for name in preset_names()}
     models.update({name: {"model": m} for name, m in {**spec["models"], **LAWS}.items()})
     for name, model in models.items():
-        for suite in SUITES:
+        for suite in SUITE_RUNNERS:
             yield f"{name}/{suite}", {**model, "suite": suite, "n_paths": N_PATHS}, 1, 1
 
 

@@ -13,7 +13,6 @@ the hits and V at first passage) with H, the law of int E^{-1} d eta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "ruin_probability",
     "verify_ruin_identity",
     "monotonicity_probe",
-    "DualityProbe",
     "duality_grid",
 ]
 
@@ -73,18 +71,27 @@ def ruin_probability(
 
     Returns ``hits`` and ``hit_prob`` (one entry per level) for the dual
     (``dual_model``, so a model without condition (B) refuses before
-    anything is sampled), read off the running minimum of its I in the
-    dual's lane: one lane sample serves every level.  ``companion_tail``
+    anything is sampled).  The model must also have L nondecreasing, or it
+    refuses before sampling: then every increment of the dual's I is <= 0
+    (no Brownian part, drift -b_L, jumps of sign -dL), so its running
+    minimum is min(I_T, 0), and R^y hits 0 by T iff y + min(I_T, 0) <= 0.
+    One sample of the dual's lane serves every level.  ``companion_tail``
     is the T -> infinity duality prediction from one causal stationary
     sample of ``stationary_n`` paths of ``model``, and
     ``companion_diagnostic_fail`` the fraction of those paths whose
     truncation diagnostic failed.
     """
     dual = dual_model(model)
+    if not model.l_subordinator:
+        raise ConditionError(
+            "subordinator-mode ruin needs L nondecreasing (b_L >= 0, dL >= 0, no "
+            "Gaussian L part), so that the dual's I is nonincreasing and its hit "
+            "of 0 by T is read off I_T"
+        )
     ys = np.asarray(list(ys), dtype=float)
     res = mc.terminal_samples(dual, horizon, n, seed, grid_dt, workers, "ruin")
-    i_min = finite_samples(res["i_min"], "running-minimum I", horizon)
-    hits = np.count_nonzero(ys + i_min[:, None] <= 0.0, axis=0)
+    i_end = finite_samples(res["i"], "R-side I", horizon)
+    hits = np.count_nonzero(ys + np.minimum(i_end, 0.0)[:, None] <= 0.0, axis=0)
     dist = stationary_sampler(
         model,
         "causal",
@@ -265,24 +272,6 @@ def monotonicity_probe(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualityProbe:
-    t: float
-    x: float
-    y: float
-    p_v: float
-    se_v: float
-    p_r: float
-    se_r: float
-    z: float
-    passed: bool
-    # symmetric direction: P(R >= x) vs P(V <= y)
-    p_r_ge: float
-    p_v_le: float
-    z_sym: float
-    passed_sym: bool
-
-
 def _two_sided(p_a: float, p_b: float, n: int) -> tuple[float, bool]:
     se = math.sqrt(p_a * (1 - p_a) / n + p_b * (1 - p_b) / n)
     diff = abs(p_a - p_b)
@@ -300,20 +289,18 @@ def duality_grid(
     seed: int,
     grid_dt: float = GRID_DT,
     workers: int = 1,
-) -> list[DualityProbe]:
+) -> list[dict]:
     """Independent two-sample check of P(V_t^x >= y) = P(R_t^y <= x).
 
     One batch of forward paths and one independent batch of dual paths
     per t; all (x, y) probes reuse them through the affine form of the
-    explicit solution.
+    explicit solution.  Returns one row per probe: t, x, y, ``p_V`` and
+    ``p_R`` with their standard errors, the z-score ``z``, ``z_sym`` of
+    the symmetric direction P(R_t^y >= x) = P(V_t^x <= y), and ``pass``
+    when both directions pass.
     """
-    if not model.condition_b:
-        raise ConditionError(
-            "duality grid requires condition (B): the dual process exists "
-            "only when all jumps dU > -1"
-        )
     dual = dual_model(model)
-    probes = []
+    rows = []
     for t in ts:
         fv = mc.terminal_samples(model, t, n, seed, grid_dt, workers, f"dual-V@{t}")
         fr = mc.terminal_samples(dual, t, n, seed, grid_dt, workers, f"dual-R@{t}")
@@ -326,24 +313,19 @@ def duality_grid(
                 p_v = float(np.mean(v >= y))
                 p_r = float(np.mean(r <= x))
                 z, ok = _two_sided(p_v, p_r, n)
-                p_r_ge = float(np.mean(r >= x))
-                p_v_le = float(np.mean(v <= y))
-                z_s, ok_s = _two_sided(p_r_ge, p_v_le, n)
-                probes.append(
-                    DualityProbe(
-                        t=float(t),
-                        x=float(x),
-                        y=float(y),
-                        p_v=p_v,
-                        se_v=math.sqrt(p_v * (1 - p_v) / n),
-                        p_r=p_r,
-                        se_r=math.sqrt(p_r * (1 - p_r) / n),
-                        z=z,
-                        passed=ok,
-                        p_r_ge=p_r_ge,
-                        p_v_le=p_v_le,
-                        z_sym=z_s,
-                        passed_sym=ok_s,
-                    )
+                z_sym, ok_sym = _two_sided(float(np.mean(r >= x)), float(np.mean(v <= y)), n)
+                rows.append(
+                    {
+                        "t": float(t),
+                        "x": float(x),
+                        "y": float(y),
+                        "p_V": p_v,
+                        "se_V": math.sqrt(p_v * (1 - p_v) / n),
+                        "p_R": p_r,
+                        "se_R": math.sqrt(p_r * (1 - p_r) / n),
+                        "z": z,
+                        "z_sym": z_sym,
+                        "pass": ok and ok_sym,
+                    }
                 )
-    return probes
+    return rows

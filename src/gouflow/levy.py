@@ -353,8 +353,9 @@ class LevyModel2:
 
     @property
     def l_subordinator(self) -> bool:
-        """L has nondecreasing paths: b_L >= 0, no Gaussian L part, dL >= 0."""
-        if self.drift[1] < 0 or self.sigma_l_sq != 0.0:
+        """L has nondecreasing paths: b_L >= 0, no Gaussian L part (sigma_L^2
+        and sigma_UL both 0), dL >= 0."""
+        if self.drift[1] < 0 or self.sigma_l_sq != 0.0 or self.sigma_ul != 0.0:
             return False
         return (not self.has_jumps) or self.jump_law.dl_nonnegative
 
@@ -373,8 +374,8 @@ def dual_model(model_ul: LevyModel2) -> LevyModel2:
     """
     if not model_ul.condition_b:
         raise ConditionError(
-            "dual process does not exist: jump law puts mass on dU <= -1 "
-            "(stochastic monotonicity fails)"
+            "dual process does not exist: condition (B) needs all jumps dU > -1, "
+            "and the jump law puts mass on dU <= -1 (stochastic monotonicity fails)"
         )
     b_w = -model_ul.drift[0] + model_ul.sigma_u_sq
     b_k = -model_ul.drift[1] + model_ul.sigma_ul

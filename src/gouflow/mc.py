@@ -3,10 +3,10 @@
 Two lanes share one blocked driver so that results are reproducible and
 independent of the worker count:
 
-* jump lane: finite-activity models without a Gaussian part.  Everything
-  (stochastic exponential, the two exponential functionals, running minima
-  for barrier detection) has a closed form between jumps, so blocks of
-  paths are reduced with padded-array arithmetic and no time stepping.
+* jump lane: finite-activity models without a Gaussian part.  The
+  stochastic exponential and the two exponential functionals have a
+  closed form between jumps, so blocks of paths are reduced with
+  padded-array arithmetic and no time stepping.
   Each block is drawn whole (``paths.draw_jumps``) and reduced in row
   tiles of about ``_CHUNK_ELEMENTS`` boundary values, so the kernel's
   temporaries take O(_CHUNK_ELEMENTS) memory for K jump slots instead of
@@ -26,14 +26,13 @@ independent of the worker count:
   chunk is stepped; the draws keep their stream order, so the samples do
   not depend on it.
 
-Both lanes detect hits through the running minimum of the integral
-process I_s = int E^{-1} d eta: when E stays positive, V_s^x =
-E_s (x + I_s) <= 0 at some s <= T iff x + min_s I_s <= 0, so one pass
-serves every starting point.  The ruin scan (``ruin_samples``, pure-jump
-models) reads V at every event boundary instead, which needs only
-E != 0, and returns for each path and starting point whether it hit and
-V at the first passage; what a verdict makes of V_tau (the H-weights of
-the first-passage identity) is left to ``duality``.
+Both lanes return each path's terminal state only: E(U)_T, I_T = int
+E^{-1} d eta and C_T = int E_{s-} dL_s.  First passage is the job of the
+ruin scan (``ruin_samples``, pure-jump models), which reads V at every
+event boundary, where V is monotone in between; that needs only E != 0.
+It returns for each path and starting point whether it hit and V at the
+first passage; what a verdict makes of V_tau (the H-weights of the
+first-passage identity) is left to ``duality``.
 """
 
 from __future__ import annotations
@@ -98,12 +97,16 @@ def run_blocks(n: int, fn, seed: int, label: str, workers: int = 1) -> dict:
 _CHUNK_ELEMENTS = 32_768
 
 
-def _tiles(times):
-    """Row slices of a (size, K) jump draw, each about ``_CHUNK_ELEMENTS``
-    of the kernel's 2K+1 boundary values."""
-    size, kmax = times.shape
-    rows = max(1, _CHUNK_ELEMENTS // (2 * kmax + 1))
-    return [slice(s, s + rows) for s in range(0, size, rows)]
+def _jump_tiles(model, horizon, rng, size):
+    """Draw a block's jumps (``paths.draw_jumps``) and yield, for each row
+    tile of about ``_CHUNK_ELEMENTS`` of the kernel's 2K+1 boundary values,
+    its row slice and its ``_jump_boundary_arrays``."""
+    times, du, dl, _ = draw_jumps(model, horizon, rng, size)
+    a, b_l = model.drift
+    rows = max(1, _CHUNK_ELEMENTS // (2 * times.shape[1] + 1))
+    for s in range(0, size, rows):
+        tile = slice(s, s + rows)
+        yield tile, *_jump_boundary_arrays(times[tile], du[tile], dl[tile], a, b_l, horizon)
 
 
 def _jump_boundary_arrays(times, du, dl, a, b_l, horizon):
@@ -153,17 +156,11 @@ def _jump_boundary_arrays(times, du, dl, a, b_l, horizon):
 
 
 def _jump_block(model, horizon, rng, size):
-    times, du, dl, _ = draw_jumps(model, horizon, rng, size)
-    a, b_l = model.drift
-    out = {k: np.empty(size) for k in ("e", "i", "c", "i_min")}
-    for rows in _tiles(times):
-        e_bnd, i_bnd, c_final = _jump_boundary_arrays(
-            times[rows], du[rows], dl[rows], a, b_l, horizon
-        )
+    out = {k: np.empty(size) for k in ("e", "i", "c")}
+    for rows, e_bnd, i_bnd, c_final in _jump_tiles(model, horizon, rng, size):
         out["e"][rows] = e_bnd[:, -1]
         out["i"][rows] = i_bnd[:, -1]
         out["c"][rows] = c_final
-        out["i_min"][rows] = np.minimum(i_bnd.min(axis=1), 0.0)
     return out
 
 
@@ -235,7 +232,6 @@ def _diffusion_block(model, horizon, rng, size, grid_dt):
     e = np.ones(size)
     i = np.zeros(size)
     c = np.zeros(size)
-    i_min = np.zeros(size)
     with ThreadPoolExecutor(max_workers=1) as ahead:
         shape = (size,) if u_noise_only else (size, 2)
         for s, z in enumerate(_normal_rows(rng, shape, nsteps, ahead)):
@@ -250,14 +246,12 @@ def _diffusion_block(model, horizon, rng, size, grid_dt):
             i += drift_eta * dt * 0.5 * (inv_e + 1.0 / e_new) + inv_e * zl
             c += b_l * dt * 0.5 * (e + e_new) + e * zl
             e = e_new
-            np.minimum(i_min, i, out=i_min)
             for rows, du, dl in jumps.get(s, ()):
                 e_left = e[rows]
                 i[rows] += dl / ((1.0 + du) * e_left)
                 c[rows] += e_left * dl
                 e[rows] = e_left * (1.0 + du)
-                i_min[rows] = np.minimum(i_min[rows], i[rows])
-    return {"e": e, "i": i, "c": c, "i_min": i_min}
+    return {"e": e, "i": i, "c": c}
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +271,7 @@ def terminal_samples(
     """Per-path terminal quantities for n independent paths.
 
     Keys: ``e`` = E(U)_T, ``i`` = int_(0,T] E^{-1} d eta, ``c`` =
-    int_(0,T] E_{s-} dL_s, ``i_min`` = min(0, inf_{s<=T} I_s).
-    V_T^x = e * (x + i) for every x; when E > 0 a.s. the event
-    {inf_s V_s^x <= 0} equals {x + i_min <= 0}.
+    int_(0,T] E_{s-} dL_s.  V_T^x = e * (x + i) for every x.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -341,10 +333,8 @@ def ruin_samples(
         raise NotImplementedError("ruin lane supports pure-jump models only")
     xs = np.asarray(list(x_probes), dtype=float)
     scanned = [j for j, x in enumerate(xs) if x > 0.0]
-    a, b_l = model.drift
 
     def block(rng, size):
-        times, du, dl, _ = draw_jumps(model, horizon, rng, size)
         # the scanned columns are filled tile by tile; started at or below
         # the barrier, tau = 0 and V_tau = x
         out = {
@@ -356,10 +346,7 @@ def ruin_samples(
         }
         if not scanned:
             return out
-        for rows in _tiles(times):
-            e_bnd, i_bnd, _ = _jump_boundary_arrays(
-                times[rows], du[rows], dl[rows], a, b_l, horizon
-            )
+        for rows, e_bnd, i_bnd, _ in _jump_tiles(model, horizon, rng, size):
             out["bnd_values"][rows] = 2 * e_bnd.shape[1]
             out["bnd_nonfinite"][rows] = np.count_nonzero(~np.isfinite(e_bnd), axis=1)
             out["bnd_nonfinite"][rows] += np.count_nonzero(~np.isfinite(i_bnd), axis=1)

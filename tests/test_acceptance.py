@@ -110,16 +110,16 @@ def test_criterion_3_siegmund_duality_grid():
     max_z = 0.0
     for offset, name in enumerate(("drift-ou", "cramer-paulsen", "degenerate-k")):
         m = get_preset(name).model
-        probes = duality_grid(
+        rows = duality_grid(
             m, [1.0], [-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], 100_000,
             seed=SEED + 100 + offset,
         )
-        assert len(probes) == 9
-        for p in probes:
-            if math.isfinite(p.z):
-                max_z = max(max_z, p.z, p.z_sym)
-            if not (p.passed and p.passed_sym):
-                failed.append((name, p.t, p.x, p.y, p.z, p.z_sym))
+        assert len(rows) == 9
+        for r in rows:
+            if math.isfinite(r["z"]):
+                max_z = max(max_z, r["z"], r["z_sym"])
+            if not r["pass"]:
+                failed.append((name, r["t"], r["x"], r["y"], r["z"], r["z_sym"]))
     record(
         3,
         "Siegmund duality on 3 presets x 9-point grid, n=1e5 per side",
@@ -229,7 +229,7 @@ def test_criterion_8_subordinator_ruin():
     details = []
     ok = True
     for y in (0.5, 1.0, 2.0):
-        p_hit = float(np.mean(y + res["i_min"] <= 0.0))
+        p_hit = float(np.mean(y + np.minimum(res["i"], 0.0) <= 0.0))
         p_tail = float(np.mean(v_inf >= y))
         se = math.sqrt(
             p_hit * (1 - p_hit) / n + p_tail * (1 - p_tail) / n

@@ -466,21 +466,38 @@ def test_cli_first_passage_identity_refuses_gaussian_model(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_ruin_refuses_l_noise_through_sigma_ul(tmp_path, capsys):
+    """sigma_UL = 5e-6 with sigma_L^2 = 0 is within the PSD tolerance and
+    gives L Brownian noise on the grid lane, so L is not a subordinator.
+    The ruin suite then checks the first-passage identity, whose ruin scan
+    needs a pure-jump model: exit 3, not a subordinator-mode verdict."""
+    text = (
+        "schema_version: 1\nseed: 1\nsuite: ruin\nn_paths: 500\n"
+        "model: {drift: [-1.0, 0.0], gaussian_cov: [[0.5, 5.0e-6], [5.0e-6, 0.0]]}\n"
+        "stationary_horizon: 5\ngrid_dt: 0.01\n"
+    )
+    assert not parse_config(text).resolved_model().l_subordinator
+    path = _write(tmp_path, text)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    assert "needs a model without a Gaussian part" in err
+    assert "Traceback" not in err
+
+
 def test_duality_csv_pass_column_covers_both_directions(tmp_path, monkeypatch):
     """A probe that fails only the symmetric direction fails the suite and
-    reads False in the ``pass`` column of duality.csv."""
+    reads False in the ``pass`` column of duality.csv; its ``z_sym`` is
+    not a column of the CSV."""
     import gouflow.suites as suites
-    from gouflow.duality import DualityProbe
 
-    def probe(x, ok_sym):
-        return DualityProbe(
-            t=1.0, x=x, y=0.0, p_v=0.5, se_v=0.01, p_r=0.5, se_r=0.01, z=0.0,
-            passed=True, p_r_ge=0.5, p_v_le=0.1, z_sym=9.0 if not ok_sym else 0.0,
-            passed_sym=ok_sym,
-        )
+    def row(x, ok_sym):
+        return {
+            "t": 1.0, "x": x, "y": 0.0, "p_V": 0.5, "se_V": 0.01, "p_R": 0.5, "se_R": 0.01,
+            "z": 0.0, "z_sym": 0.0 if ok_sym else 9.0, "pass": ok_sym,
+        }
 
     def stub(*args, **kwargs):
-        return [probe(0.0, True), probe(1.0, False)]
+        return [row(0.0, True), row(1.0, False)]
 
     monkeypatch.setattr(suites, "duality_grid", stub)
     path = _write(tmp_path, GOOD.replace("monotonicity", "duality"))
@@ -489,6 +506,7 @@ def test_duality_csv_pass_column_covers_both_directions(tmp_path, monkeypatch):
     with open(os.path.join(out, "duality.csv")) as fh:
         rows = list(csv.DictReader(fh))
     assert [r["pass"] for r in rows] == ["True", "False"]
+    assert "z_sym" not in rows[0]
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["suites"]["duality"]["metrics"]["failed"] == 1
 

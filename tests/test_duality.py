@@ -88,28 +88,30 @@ def test_killed_dual_requires_subordinator(mixed_jump_model):
 # ---------------------------------------------------------------------------
 
 
-def test_ruin_probability_matches_vectorized_barrier(mixed_jump_model):
-    """Each level's hit count must equal the i_min barrier criterion of
-    the dual's lane on the same streams."""
+def test_ruin_probability_matches_vectorized_barrier(subordinator_model):
+    """Each level's hit count must equal the barrier criterion y +
+    min(I_T, 0) <= 0 on the dual's lane, from the same streams."""
     from gouflow import mc
 
-    m = mixed_jump_model
+    m = subordinator_model
     ys = [0.1, 0.4, 1.0]
     res = ruin_probability(m, ys, horizon=3.0, n=400, seed=21, stationary_n=1000)
     data = mc.terminal_samples(dual_model(m), 3.0, 400, 21, 1e-3, 1, "ruin")
     for y, hits in zip(ys, res["hits"]):
-        assert hits == int(np.count_nonzero(y + data["i_min"] <= 0))
+        assert hits == int(np.count_nonzero(y + np.minimum(data["i"], 0.0) <= 0))
     assert 0 < res["hits"][1] < 400
     assert res["companion_tail"].shape == (3,)
     assert 0.0 <= res["companion_diagnostic_fail"] <= 1.0
 
 
-def test_ruin_probability_subordinator_never_hits_from_above(subordinator_model):
-    """The dual of dual_model(m) runs on m, whose L never falls."""
-    res = ruin_probability(
-        dual_model(subordinator_model), [0.4], horizon=3.0, n=400, seed=22, stationary_n=500
-    )
-    assert res["hits"][0] == 0
+def test_ruin_probability_subordinator_never_hits_from_above():
+    """A subordinator L that never moves: the dual's I stays 0, so no level
+    above 0 is hit."""
+    law = JumpLaw2.point_mass([((0.5, 0.0), 0.5), ((-0.3, 0.0), 0.5)])
+    m = LevyModel2(drift=(-1.0, 0.0), jump_intensity=2.0, jump_law=law)
+    assert m.l_subordinator
+    res = ruin_probability(m, [1e-9, 0.4], horizon=3.0, n=400, seed=22, stationary_n=500)
+    assert res["hits"].tolist() == [0, 0]
 
 
 def test_ruin_suite_draws_one_sample_per_side_for_all_levels(monkeypatch):
@@ -144,16 +146,16 @@ def test_ruin_suite_draws_one_sample_per_side_for_all_levels(monkeypatch):
 
 
 def test_ruin_probability_refuses_non_finite_running_minimum():
-    """E = e^{-T} underflows to 0 at T = 800, so the running minimum of
-    I = int E^{-1} d eta is NaN on every path.  Compared as it is, no
-    path would hit; the call refuses and names the count."""
-    law = JumpLaw2.point_mass([((0.0, 1.0), 0.5), ((0.0, -1.0), 0.5)])
-    m = LevyModel2(drift=(-1.0, 0.0), jump_intensity=1.0, jump_law=law)
-    dual = dual_model(m)  # its dual's lane runs on m
-    with pytest.raises(ConditionError, match="4096 of 4096 running-minimum I samples"):
-        ruin_probability(dual, [1.0], horizon=800.0, n=4096, seed=1, stationary_n=1000)
+    """The dual's E = e^{-T} underflows to 0 at T = 800, so its I_T, which
+    gives the running minimum, is NaN on every path.  Compared as it is,
+    no path would hit; the call refuses and names the count."""
+    law = JumpLaw2.point_mass([((0.0, 1.0), 1.0)])
+    m = LevyModel2(drift=(1.0, 0.0), jump_intensity=1.0, jump_law=law)
+    assert m.l_subordinator  # its dual runs on drift (-1, 0) and dL = -1
+    with pytest.raises(ConditionError, match="4096 of 4096 R-side I samples"):
+        ruin_probability(m, [1.0], horizon=800.0, n=4096, seed=1, stationary_n=1000)
     # at a horizon the lane resolves, almost every path hits
-    res = ruin_probability(dual, [1.0], horizon=20.0, n=4096, seed=1, stationary_n=1000)
+    res = ruin_probability(m, [1.0], horizon=20.0, n=4096, seed=1, stationary_n=1000)
     assert res["hits"][0] > 4000
 
 
@@ -171,6 +173,19 @@ def test_ruin_probability_refuses_without_condition_b(monkeypatch, sign_flip_mod
             ruin_probability(m, [1.0], horizon=1.0, n=10, seed=1, stationary_n=10)
 
 
+def test_ruin_probability_refuses_non_subordinator(monkeypatch, mixed_jump_model):
+    """With L able to fall, the dual's I can rise and I_T does not give its
+    running minimum: models with (B) but without a subordinator L, pure-jump
+    or with L noise through sigma_UL alone, refuse before anything is
+    sampled."""
+    _no_sampling(monkeypatch)
+    correlated = LevyModel2(drift=(-1.0, 0.0), gaussian_cov=((0.5, 5e-6), (5e-6, 0.0)))
+    for m in (mixed_jump_model, correlated):
+        assert m.condition_b and not m.l_subordinator
+        with pytest.raises(ConditionError, match="needs L nondecreasing"):
+            ruin_probability(m, [1.0], horizon=1.0, n=10, seed=1, stationary_n=10)
+
+
 # ---------------------------------------------------------------------------
 # statistical identities (moderate n; acceptance runs the full budgets)
 # ---------------------------------------------------------------------------
@@ -178,13 +193,22 @@ def test_ruin_probability_refuses_without_condition_b(monkeypatch, sign_flip_mod
 
 def test_duality_grid_passes_on_drift_ou():
     m = get_preset("drift-ou").model
-    probes = duality_grid(m, [1.0], [-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], 20_000, seed=31)
-    assert len(probes) == 9
-    assert all(p.passed and p.passed_sym for p in probes)
+    rows = duality_grid(m, [1.0], [-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], 20_000, seed=31)
+    assert len(rows) == 9
+    assert all(row["pass"] for row in rows)
+
+
+def test_duality_grid_pass_covers_both_directions(monkeypatch):
+    """A probe that passes P(V >= y) = P(R <= x) but fails the symmetric
+    direction is a failed row; its z is the first direction's."""
+    verdicts = iter([(0.0, True), (9.0, False)])
+    monkeypatch.setattr(duality, "_two_sided", lambda p_a, p_b, n: next(verdicts))
+    (row,) = duality_grid(get_preset("drift-ou").model, [1.0], [0.0], [0.0], 100, seed=1)
+    assert (row["z"], row["z_sym"], row["pass"]) == (0.0, 9.0, False)
 
 
 def test_duality_grid_requires_condition_b():
-    with pytest.raises(ConditionError):
+    with pytest.raises(ConditionError, match=r"condition \(B\).*dU > -1"):
         duality_grid(get_preset("nonmonotone").model, [1.0], [0.0], [0.0], 10, 1)
 
 

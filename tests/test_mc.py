@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gouflow import mc
-from gouflow.levy import ConditionError, JumpLaw2, LevyModel2, Marginal
+from gouflow.duality import ruin_probability
+from gouflow.levy import ConditionError, JumpLaw2, LevyModel2, Marginal, dual_model
 from gouflow.paths import draw_jumps, exact_paths, sample_path
 from gouflow.gou import causal_integral, solve_forward
 from gouflow.presets import get_preset
@@ -153,12 +154,7 @@ def _untiled_jump_block(model, horizon, rng, size):
     times, du, dl, _ = draw_jumps(model, horizon, rng, size)
     b_u, b_l = model.drift
     e_bnd, i_bnd, c_final = _untiled_boundary_arrays(times, du, dl, b_u, b_l, b_l, horizon)
-    return {
-        "e": e_bnd[:, -1],
-        "i": i_bnd[:, -1],
-        "c": c_final,
-        "i_min": np.minimum(i_bnd.min(axis=1), 0.0),
-    }
+    return {"e": e_bnd[:, -1], "i": i_bnd[:, -1], "c": c_final}
 
 
 def _untiled_ruin(model, horizon, rng, size, xs):
@@ -199,7 +195,7 @@ def _assert_bitwise(a, b):
 def _check_tiled_lane_bitwise(model, horizon, size, seed):
     tiled = mc._jump_block(model, horizon, stream(seed, "tiles", 0), size)
     ref = _untiled_jump_block(model, horizon, stream(seed, "tiles", 0), size)
-    for key in ("e", "i", "c", "i_min"):
+    for key in ("e", "i", "c"):
         _assert_bitwise(tiled[key], ref[key])
 
     xs = [-0.5, 0.0, 0.25, 1.0, 3.0]
@@ -257,14 +253,13 @@ def _per_path_reference(model, horizon, n, seed, grid_dt):
     """Independent route: sample, solve and reduce one event-list path at a
     time with the closed-form kernel (jumps at their exact times)."""
     rng = np.random.default_rng(seed)
-    out = {k: np.empty(n) for k in ("e", "i", "c", "i_min")}
+    out = {k: np.empty(n) for k in ("e", "i", "c")}
     for j in range(n):
         path = sample_path(model, horizon, rng, grid_dt)
         traj = solve_forward(path, model, 0.0)
         out["e"][j] = traj.exponential.values[-1]
         out["i"][j] = traj.integral.values[-1]
         out["c"][j] = causal_integral(path, model).values[-1]
-        out["i_min"][j] = min(0.0, float(traj.integral.values.min()))
     return out
 
 
@@ -279,7 +274,7 @@ def test_terminal_samples_jump_vs_grid_lane_same_law(mixed_jump_model):
     # E(U)_T is atomic for a pure-jump model with point-mass jumps: the
     # lanes reach its atoms by different float routes
     a["e"], b["e"] = np.round(a["e"], 9), np.round(b["e"], 9)
-    for key in ("e", "i", "c", "i_min"):
+    for key in ("e", "i", "c"):
         ks = ks_two_sample(ecdf(a[key]), ecdf(b[key]))
         assert not ks.rejects(), (key, ks.statistic, ks.pvalue)
 
@@ -296,7 +291,7 @@ def test_grid_lane_matches_per_path_reference_with_jumps():
     )
     a = mc.terminal_samples(m, 1.0, 2000, seed=14, grid_dt=1e-2)
     b = _per_path_reference(m, 1.0, 2000, seed=15, grid_dt=1e-2)
-    for key in ("e", "i", "c", "i_min"):
+    for key in ("e", "i", "c"):
         ks = ks_two_sample(ecdf(a[key]), ecdf(b[key]))
         assert not ks.rejects(), (key, ks.statistic, ks.pvalue)
 
@@ -328,22 +323,15 @@ def test_diffusion_lane_unit_income_integral(dufresne_model):
     assert abs(res["c"].mean() - exact_mean) < 4 * res["c"].std() / 200 + 2e-3
 
 
-def test_diffusion_lane_i_min_bounds(dufresne_model):
-    res = mc.terminal_samples(dufresne_model, 1.0, 5000, seed=13)
-    assert np.all(res["i_min"] <= 0.0)
-    assert np.all(res["i_min"] <= np.minimum(res["i"], 0.0) + 1e-12)
-    # unit positive L drift: I is increasing, so i_min must be exactly 0
-    assert np.all(res["i_min"] == 0.0)
-
-
 # The grid lane drawn serially: the block's jumps first (one
 # ``draw_jumps`` call), then one normal draw per step on the calling
 # thread; each row's jumps are applied one at a time, in time order, after
 # the continuous update of the step that holds them.  The lane must
-# reproduce it bit for bit.
+# reproduce it bit for bit.  ``watch(rows, i)``, when given, sees I after
+# every step's continuous update and after every jump.
 
 
-def _serial_diffusion_block(model, horizon, rng, size, grid_dt):
+def _serial_diffusion_block(model, horizon, rng, size, grid_dt, watch=None):
     b_u, b_l = model.drift
     suu = model.sigma_u_sq
     drift_eta = b_l - model.sigma_ul
@@ -362,7 +350,6 @@ def _serial_diffusion_block(model, horizon, rng, size, grid_dt):
     e = np.ones(size)
     i = np.zeros(size)
     c = np.zeros(size)
-    i_min = np.zeros(size)
     for step in range(nsteps):
         if u_noise_only:
             zu = rng.standard_normal(size) * math.sqrt(suu * dt)
@@ -375,14 +362,16 @@ def _serial_diffusion_block(model, horizon, rng, size, grid_dt):
         i += drift_eta * dt * 0.5 * (inv_e + 1.0 / e_new) + inv_e * zl
         c += b_l * dt * 0.5 * (e + e_new) + e * zl
         e = e_new
-        np.minimum(i_min, i, out=i_min)
+        if watch:
+            watch(slice(None), i)
         for row, du, dl in jumps.get(step, ()):
             e_left = e[row]
             i[row] += dl / ((1.0 + du) * e_left)
             c[row] += e_left * dl
             e[row] = e_left * (1.0 + du)
-            i_min[row] = np.minimum(i_min[row], i[row])
-    return {"e": e, "i": i, "c": c, "i_min": i_min}
+            if watch:
+                watch(row, i)
+    return {"e": e, "i": i, "c": c}
 
 
 _GRID_MODELS = {
@@ -407,7 +396,7 @@ def _chunk_steps(model, size):
 def _check_grid_lane_bitwise(model, nsteps, size, dt=1e-3, seed=31):
     ahead = mc._diffusion_block(model, nsteps * dt, stream(seed, "grid", size), size, dt)
     ref = _serial_diffusion_block(model, nsteps * dt, stream(seed, "grid", size), size, dt)
-    for key in ("e", "i", "c", "i_min"):
+    for key in ("e", "i", "c"):
         _assert_bitwise(ahead[key], ref[key])
     return ahead
 
@@ -455,7 +444,7 @@ def test_terminal_samples_two_blocks_worker_independent(dufresne_model):
         n, lambda rng, size: _serial_diffusion_block(dufresne_model, horizon, rng, size, 1e-3),
         seed=17, label="terminal",
     )
-    for key in ("e", "i", "c", "i_min"):
+    for key in ("e", "i", "c"):
         assert one[key].tobytes() == two[key].tobytes() == serial[key].tobytes()
 
 
@@ -499,7 +488,7 @@ def test_grid_lane_draws_ahead_for_every_model():
 def test_grid_lane_pure_jump_matches_jump_lane():
     """On a pure-jump model without drift the grid lane moves E, I and C
     only at the jumps, so from the same stream it must give the jump
-    lane's E(U)_T bit for bit and I_T, C_T and min I to rounding: the
+    lane's E(U)_T bit for bit and I_T and C_T to rounding: the
     same jumps, from one ``draw_jumps`` call, in the same order."""
     model = LevyModel2(
         drift=(0.0, 0.0),
@@ -509,9 +498,100 @@ def test_grid_lane_pure_jump_matches_jump_lane():
     grid = mc._diffusion_block(model, 2.0, stream(5, "same"), 512, 1e-2)
     exact = mc._jump_block(model, 2.0, stream(5, "same"), 512)
     _assert_bitwise(grid["e"], exact["e"])
-    for key in ("i", "c", "i_min"):
+    for key in ("i", "c"):
         np.testing.assert_allclose(grid[key], exact[key], rtol=0.0, atol=1e-12)
     assert np.abs(grid["i"]).max() > 1.0  # the jumps moved I
+
+
+# L-subordinator models over every jump-law kind and marginal, built so
+# that dU > -1 (condition (B)) and dL >= 0
+
+
+def _points(lo, hi):
+    vals = st.lists(st.floats(lo, hi), min_size=1, max_size=3)
+    return vals.map(lambda vs: Marginal.points([(v, 1.0 / len(vs)) for v in vs]))
+
+
+def _marginals(lo):
+    """Every marginal kind with support in [lo, inf)."""
+    return st.one_of(
+        _points(lo, 2.0),
+        st.builds(Marginal.exponential, st.floats(0.5, 4.0)),
+        st.builds(lambda a, w: Marginal.uniform(a, a + w), st.floats(lo, 1.0), st.floats(0.1, 1.0)),
+        st.builds(
+            lambda mu, sd, gap: Marginal.truncated_normal(mu, sd, max(lo, mu - gap)),
+            st.floats(lo, 1.0), st.floats(0.1, 1.0), st.floats(0.0, 1.0),
+        ),
+    )
+
+
+_DU_LOW = -0.9
+_subordinator_laws = st.one_of(
+    st.lists(st.tuples(st.floats(_DU_LOW, 2.0), st.floats(0.0, 2.0)), min_size=1, max_size=3).map(
+        lambda atoms: JumpLaw2.point_mass([(a, 1.0 / len(atoms)) for a in atoms])
+    ),
+    st.builds(JumpLaw2.independent, _marginals(_DU_LOW), _marginals(0.0)),
+    # dL = c + s dU with s > 0 and c + s * (lowest dU) >= 0.01
+    st.builds(
+        lambda m, s, c: JumpLaw2.linked(m, c - s * m.support_bounds()[0], s),
+        _marginals(_DU_LOW), st.floats(0.1, 2.0), st.floats(0.01, 1.0),
+    ),
+    # the pushforward of a law with dL <= 0: its dL' = -dL / (1 + dU) >= 0
+    st.builds(
+        lambda mu, rate: JumpLaw2.independent(mu, Marginal.exponential(rate, -1)).dual(),
+        _marginals(_DU_LOW), st.floats(0.5, 4.0),
+    ),
+)
+_subordinator_models = st.builds(
+    lambda law, b_u, b_l, intensity, s2: LevyModel2(
+        drift=(b_u, b_l),
+        gaussian_cov=((s2, 0.0), (0.0, 0.0)),
+        jump_intensity=intensity,
+        jump_law=law,
+    ),
+    _subordinator_laws,
+    st.floats(-1.5, 1.5),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+    st.floats(0.5, 3.0),
+    st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+)
+
+
+class _RunningMin:
+    """Watches I on the serial grid lane: its running minimum (min(0, .)),
+    and how many times some row's I rose."""
+
+    def __init__(self, size):
+        self.last = np.zeros(size)
+        self.min = np.zeros(size)
+        self.rises = 0
+
+    def __call__(self, rows, i):
+        self.rises += np.count_nonzero(i[rows] > self.last[rows])
+        self.last[rows] = i[rows]
+        self.min[rows] = np.minimum(self.min[rows], i[rows])
+
+
+@given(model=_subordinator_models, horizon=st.floats(0.5, 3.0))
+@settings(max_examples=30, deadline=None)
+def test_subordinator_dual_i_is_nonincreasing(model, horizon):
+    """Every increment of an L-subordinator model's dual I is <= 0: it never
+    rises at a jump-lane boundary or at a step or jump of the serial grid
+    lane, so ``ruin_probability``, which reads I_T only, counts the hits of
+    the running minimum."""
+    assert model.l_subordinator and model.has_jumps
+    dual = dual_model(model)
+    n, seed, grid_dt, ys = 256, 23, 1e-2, [0.05, 0.5, 2.0]
+    watch = _RunningMin(n)
+    _serial_diffusion_block(dual, horizon, stream(seed, "ruin", 0), n, grid_dt, watch)
+    assert watch.rises == 0
+    times, du, dl, _ = draw_jumps(dual, horizon, stream(seed, "ruin", 0), n)
+    _, i_bnd, _ = mc._jump_boundary_arrays(times, du, dl, *dual.drift, horizon)
+    assert (np.diff(i_bnd, axis=1, prepend=0.0) <= 0.0).all()
+    # the running minimum of the lane ruin_probability samples (same stream)
+    i_min = watch.min if model.has_gaussian else np.minimum(i_bnd.min(axis=1), 0.0)
+    res = ruin_probability(model, ys, horizon, n, seed, stationary_n=64, grid_dt=grid_dt)
+    assert res["hits"].tolist() == [int(np.count_nonzero(y + i_min <= 0.0)) for y in ys]
 
 
 def test_helper_draw_error_reaches_caller_and_threads_end(dufresne_model):
