@@ -18,9 +18,16 @@ verdict benchmark at T = 5 (the Cholesky branch) and on its
 jump-diffusion model at T = 10 (U-only noise plus about ten jumps a
 path, applied at step ends), and adds microseconds per step of a
 block.  Every case runs with workers 1 and 2
-and prints wall milliseconds and minor page faults per block.  Faults
-are read with ``resource.getrusage(RUSAGE_SELF)``: this process and its
-threads only.  One untimed run per case comes first; the table shows
+and prints wall milliseconds and minor page faults per block.  Each grid
+case adds two rows at workers 1: ``floor``, its count of normals drawn
+alone, in the lane's chunks, from a fresh Philox stream per block, and
+``pair``, its two blocks as two single-block calls of
+``mc.run_together``, the way a suite's paired samples run.  These name
+the grid lane's bound: one block runs at its single-stream draw floor
+(the draw thread waits only while the stepping thread holds both of its
+buffers), and a pair cannot beat 2 blocks x (draw + step CPU) / 2 CPUs.
+Faults are read with ``resource.getrusage(RUSAGE_SELF)``: this process
+and its threads only.  One untimed run per case comes first; the table shows
 the median of --repeats timed runs.  The last line is the table (and
 the set-up row) as one JSON object.
 
@@ -43,7 +50,7 @@ from gouflow import mc
 from gouflow.levy import JumpLaw2, LevyModel2
 from gouflow.paths import GRID_DT, draw_jumps
 from gouflow.presets import PRESETS
-from gouflow.rng import BLOCK_SIZE
+from gouflow.rng import BLOCK_SIZE, stream
 
 
 def _draw_block(model, horizon, rng, size):
@@ -77,6 +84,30 @@ GRID = {
     ),
 }
 GRID_BLOCKS = 2  # so that workers 2 runs two blocks at once
+
+
+def _normal_floor(model, horizon, n, seed):
+    """The grid lane's normals for ``n`` paths drawn alone: per block, one
+    fresh Philox stream fills the lane's chunks of steps in turn."""
+    steps = max(1, math.ceil(horizon / GRID_DT))
+    u_only = model.sigma_l_sq == 0.0 and model.sigma_ul == 0.0
+    shape = (BLOCK_SIZE,) if u_only else (BLOCK_SIZE, 2)
+    k = max(1, mc._CHUNK_ELEMENTS // math.prod(shape))
+    buf = np.empty((k, *shape))
+    for b in range(n // BLOCK_SIZE):
+        rng = stream(seed, "floor", b)
+        for start in range(0, steps, k):
+            rng.standard_normal(out=buf[: min(k, steps - start)])
+
+
+def _pair(model, horizon, n, seed):
+    """The ``n // BLOCK_SIZE`` blocks as single-block lane calls run at once."""
+    calls = [
+        lambda b=b: mc.terminal_samples(model, horizon, BLOCK_SIZE, seed, GRID_DT, 1, f"pair{b}")
+        for b in range(n // BLOCK_SIZE)
+    ]
+    mc.run_together(model, *calls)
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SETUP_CODE = f"""\
 import json, resource, sys, time
@@ -168,6 +199,10 @@ def main():
             fn = lambda: mc.terminal_samples(model, horizon, n, args.seed, GRID_DT, workers)
             ms, faults = timed(fn, GRID_BLOCKS, args.repeats)
             report(name, horizon, "grid", workers, ms, faults, steps)
+        for lane, run in (("floor", _normal_floor), ("pair", _pair)):
+            fn = lambda: run(model, horizon, n, args.seed)
+            ms, faults = timed(fn, GRID_BLOCKS, args.repeats)
+            report(name, horizon, lane, 1, ms, faults, steps)
     print(json.dumps({"blocks": args.blocks, "grid_blocks": GRID_BLOCKS,
                       "repeats": args.repeats, "setup": setup, "rows": rows}))
 

@@ -89,19 +89,26 @@ def ruin_probability(
             "of 0 by T is read off I_T"
         )
     ys = np.asarray(list(ys), dtype=float)
-    res = mc.terminal_samples(dual, horizon, n, seed, grid_dt, workers, "ruin")
-    i_end = finite_samples(res["i"], "R-side I", horizon)
-    hits = np.count_nonzero(ys + np.minimum(i_end, 0.0)[:, None] <= 0.0, axis=0)
-    dist = stationary_sampler(
+
+    def dual_i():
+        res = mc.terminal_samples(dual, horizon, n, seed, grid_dt, workers, "ruin")
+        return finite_samples(res["i"], "R-side I", horizon)
+
+    i_end, dist = mc.run_together(
         model,
-        "causal",
-        stationary_n,
-        horizon,
-        seed + 1,
-        grid_dt=grid_dt,
-        workers=workers,
-        label="ruin-companion",
+        dual_i,
+        lambda: stationary_sampler(
+            model,
+            "causal",
+            stationary_n,
+            horizon,
+            seed + 1,
+            grid_dt=grid_dt,
+            workers=workers,
+            label="ruin-companion",
+        ),
     )
+    hits = np.count_nonzero(ys + np.minimum(i_end, 0.0)[:, None] <= 0.0, axis=0)
     return {
         "hits": hits,
         "hit_prob": hits / n,
@@ -302,8 +309,11 @@ def duality_grid(
     dual = dual_model(model)
     rows = []
     for t in ts:
-        fv = mc.terminal_samples(model, t, n, seed, grid_dt, workers, f"dual-V@{t}")
-        fr = mc.terminal_samples(dual, t, n, seed, grid_dt, workers, f"dual-R@{t}")
+        fv, fr = mc.run_together(
+            model,
+            lambda: mc.terminal_samples(model, t, n, seed, grid_dt, workers, f"dual-V@{t}"),
+            lambda: mc.terminal_samples(dual, t, n, seed, grid_dt, workers, f"dual-R@{t}"),
+        )
         v_e, v_i = _finite_lane(fv, "V", t)
         r_e, r_i = _finite_lane(fr, "R", t)
         for x in xs:

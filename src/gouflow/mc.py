@@ -22,9 +22,12 @@ independent of the worker count:
   O(dt) weak error, the order of the Ito sums).  Given the Poisson count
   on [0, T] the jump times are iid uniform, so this has the law of a
   Poisson(lambda dt) count per step.  The rest of the stream is normals,
-  drawn a chunk of steps ahead on one helper thread while the current
-  chunk is stepped; the draws keep their stream order, so the samples do
-  not depend on it.
+  filled chunk by chunk into two buffers by one helper thread that runs
+  free: it waits only when the stepping thread still holds both buffers.
+  The draws keep their stream order, so the samples do not depend on it.
+  The grid-lane samples a verdict compares are independent, so
+  ``run_together`` runs them at once, and a block's draw and step threads
+  share the CPUs with the other sample's.
 
 Both lanes return each path's terminal state only: E(U)_T, I_T = int
 E^{-1} d eta and C_T = int E_{s-} dL_s.  First passage is the job of the
@@ -38,7 +41,9 @@ first-passage identity) is left to ``duality``.
 from __future__ import annotations
 
 import math
+import queue
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import numpy as np
 
@@ -48,6 +53,7 @@ from .paths import GRID_DT, _cov_sqrt, draw_jumps
 
 __all__ = [
     "run_blocks",
+    "run_together",
     "terminal_samples",
     "exp_functional_samples",
     "ruin_samples",
@@ -82,6 +88,27 @@ def run_blocks(n: int, fn, seed: int, label: str, workers: int = 1) -> dict:
     else:
         parts = [one(i) for i in range(len(sizes))]
     return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+
+
+def run_together(model: LevyModel2, *calls) -> list:
+    """Results of the zero-argument ``calls``, in call order.
+
+    The calls must be independent (each draws its own named streams), so
+    their results do not depend on how they are run.  On a model with a
+    Gaussian part (the grid lane, bound by one stream's draws) the first
+    runs on this thread and the rest at once on a pool.  Otherwise they
+    run one after another: a jump-lane block holds its whole jump draw,
+    and two at once raise peak memory for no gain.  When several calls
+    raise, the first one's exception in call order is raised, as running
+    them in turn would; each call must therefore carry the checks that
+    are to refuse before the next one starts.
+    """
+    if not model.has_gaussian or len(calls) < 2:
+        return [call() for call in calls]
+    with ThreadPoolExecutor(max_workers=len(calls) - 1) as pool:
+        rest = [pool.submit(call) for call in calls[1:]]
+        first = calls[0]()
+    return [first, *(f.result() for f in rest)]
 
 
 # ---------------------------------------------------------------------------
@@ -172,22 +199,43 @@ def _jump_block(model, horizon, rng, size):
 def _normal_rows(rng, shape, nsteps, ahead):
     """Yield ``nsteps`` arrays of standard normals of ``shape``, in stream order.
 
-    The one-thread pool ``ahead`` fills the next chunk of about
-    ``_CHUNK_ELEMENTS`` normals while the caller uses the current one; the
-    two chunk buffers are allocated here, on the caller's thread.  A
-    (k, *shape) draw takes the same numbers in the same order as k draws
-    of ``shape``, so the rows do not depend on the chunking.  A yielded
-    row is a view, valid until the next row is asked for.
+    One task on the one-thread pool ``ahead`` fills chunks of about
+    ``_CHUNK_ELEMENTS`` normals into two buffers, in stream order, and
+    waits only while the caller holds both: the caller hands a buffer back
+    when it asks for the row after the buffer's last.  The buffers are
+    allocated here, on the caller's thread.  A (k, *shape) draw takes the
+    same numbers in the same order as k draws of ``shape``, so the rows
+    do not depend on the chunking.  A yielded row is a view, valid until
+    the next row is asked for.  An error in the draw is raised here;
+    closing the generator early stops the task.
     """
     k = max(1, _CHUNK_ELEMENTS // math.prod(shape))
-    bufs = (np.empty((k, *shape)), np.empty((k, *shape)))
-    fill = lambda buf, m: rng.standard_normal(out=buf[:m])
-    pending = ahead.submit(fill, bufs[0], min(k, nsteps))
-    for c, start in enumerate(range(0, nsteps, k)):
-        chunk = pending.result()
-        if start + k < nsteps:
-            pending = ahead.submit(fill, bufs[(c + 1) % 2], min(k, nsteps - start - k))
-        yield from chunk
+    free = queue.SimpleQueue()  # buffers to fill; None stops the task
+    filled = queue.SimpleQueue()  # filled chunks in stream order, or the draw's error
+    for _ in range(2):
+        free.put(np.empty((k, *shape)))
+
+    def produce():
+        for start in range(0, nsteps, k):
+            buf = free.get()
+            if buf is None:
+                return
+            try:
+                filled.put(rng.standard_normal(out=buf[: min(k, nsteps - start)]))
+            except BaseException as exc:
+                filled.put(exc)
+                return
+
+    ahead.submit(produce)
+    try:
+        for _ in range(0, nsteps, k):
+            chunk = filled.get()
+            if isinstance(chunk, BaseException):
+                raise chunk
+            yield from chunk
+            free.put(chunk.base)
+    finally:
+        free.put(None)
 
 
 def _step_jumps(model, horizon, rng, size, step_ends):
@@ -226,31 +274,55 @@ def _diffusion_block(model, horizon, rng, size, grid_dt):
     step_ends[-1] = horizon
     jumps = _step_jumps(model, horizon, rng, size, step_ends)
 
-    # U-only Gaussian noise is the common case; skip the dead L draws then
+    # A step is E' = E exp(b_U dt + Z_U - suu dt / 2), I += (drift_eta dt
+    # / 2)(1/E + 1/E') + Z_L / E and C += (b_L dt / 2)(E + E') + E Z_L.
+    # The scalar factors are folded once, in the order these expressions
+    # group them, and 1/E' is carried to the next step, so every finite
+    # sample keeps its bits.  U-only Gaussian noise is the common case;
+    # then the dead L draws and the Z_L terms are skipped (where E or 1/E
+    # is infinite, I or C stays inf instead of 0 * inf = NaN; both count
+    # as non-finite).
     u_noise_only = model.sigma_l_sq == 0.0 and model.sigma_ul == 0.0
+    sd_u, drift_u, half_var = math.sqrt(suu * dt), b_u * dt, 0.5 * suu * dt
+    k_i, k_c = drift_eta * dt * 0.5, b_l * dt * 0.5
 
-    e = np.ones(size)
+    e, inv_e = np.ones(size), np.ones(size)
     i = np.zeros(size)
     c = np.zeros(size)
-    with ThreadPoolExecutor(max_workers=1) as ahead:
-        shape = (size,) if u_noise_only else (size, 2)
-        for s, z in enumerate(_normal_rows(rng, shape, nsteps, ahead)):
+    tmp = np.empty(size)
+    shape = (size,) if u_noise_only else (size, 2)
+    with (
+        ThreadPoolExecutor(max_workers=1) as ahead,
+        closing(_normal_rows(rng, shape, nsteps, ahead)) as normals,
+    ):
+        for s, z in enumerate(normals):
             if u_noise_only:
-                zu = z * math.sqrt(suu * dt)
-                zl = 0.0
+                zu = np.multiply(z, sd_u, out=tmp)
             else:
                 z = z @ chol.T
                 zu, zl = z[:, 0], z[:, 1]
-            e_new = e * np.exp(b_u * dt + zu - 0.5 * suu * dt)
-            inv_e = 1.0 / e
-            i += drift_eta * dt * 0.5 * (inv_e + 1.0 / e_new) + inv_e * zl
-            c += b_l * dt * 0.5 * (e + e_new) + e * zl
-            e = e_new
+            np.add(zu, drift_u, out=tmp)
+            tmp -= half_var
+            e_new = e * np.exp(tmp, out=tmp)
+            inv_new = 1.0 / e_new
+            np.add(inv_e, inv_new, out=tmp)
+            tmp *= k_i
+            if not u_noise_only:
+                tmp += inv_e * zl
+            i += tmp
+            np.add(e, e_new, out=tmp)
+            tmp *= k_c
+            if not u_noise_only:
+                tmp += e * zl
+            c += tmp
+            e, inv_e = e_new, inv_new
             for rows, du, dl in jumps.get(s, ()):
                 e_left = e[rows]
+                e_right = e_left * (1.0 + du)
                 i[rows] += dl / ((1.0 + du) * e_left)
                 c[rows] += e_left * dl
-                e[rows] = e_left * (1.0 + du)
+                e[rows] = e_right
+                inv_e[rows] = 1.0 / e_right
     return {"e": e, "i": i, "c": c}
 
 

@@ -315,8 +315,11 @@ def stationary_suite(cfg: ExperimentConfig, out_dir=None) -> SuiteResult:
     # Lemma-style distributional identity: E_t (x=0 solution) vs the
     # causal integral at the same t, independent samples.
     t = cfg.horizon
-    a = mc.terminal_samples(model, t, n, cfg.seed, cfg.grid_dt, cfg.workers, "statA")
-    b = mc.terminal_samples(model, t, n, cfg.seed, cfg.grid_dt, cfg.workers, "statB")
+    a, b = mc.run_together(
+        model,
+        lambda: mc.terminal_samples(model, t, n, cfg.seed, cfg.grid_dt, cfg.workers, "statA"),
+        lambda: mc.terminal_samples(model, t, n, cfg.seed, cfg.grid_dt, cfg.workers, "statB"),
+    )
     rows = [
         _ks_row(
             "solution-vs-causal-integral",
@@ -326,26 +329,31 @@ def stationary_suite(cfg: ExperimentConfig, out_dir=None) -> SuiteResult:
     ]
 
     kind = _recommended(cfg, "stationary_kind", "causal")
-    dist = stationary_sampler(
-        model, kind, n, horizon, cfg.seed, grid_dt=cfg.grid_dt, workers=cfg.workers
-    )
+    calls = [
+        lambda: stationary_sampler(
+            model, kind, n, horizon, cfg.seed, grid_dt=cfg.grid_dt, workers=cfg.workers
+        )
+    ]
+    if model.condition_b and kind == "causal":
+        # stationarity transfer: causal law of V vs noncausal law of the dual
+        calls.append(
+            lambda: stationary_sampler(
+                dual_model(model),
+                "noncausal",
+                n,
+                horizon,
+                cfg.seed + 1,
+                grid_dt=cfg.grid_dt,
+                workers=cfg.workers,
+                label="stationary-dual",
+            )
+        )
+    dist, *other = mc.run_together(model, *calls)
     metrics["kind"] = kind
     metrics["diagnostic_fail_fraction"] = dist.metadata["diagnostic_fail_fraction"]
     metrics["flagged"] = dist.metadata["flagged"]
-
-    if model.condition_b and kind == "causal":
-        # stationarity transfer: causal law of V vs noncausal law of the dual
-        other = stationary_sampler(
-            dual_model(model),
-            "noncausal",
-            n,
-            horizon,
-            cfg.seed + 1,
-            grid_dt=cfg.grid_dt,
-            workers=cfg.workers,
-            label="stationary-dual",
-        )
-        rows.append(_ks_row("causal-vs-dual-noncausal", dist, other))
+    if other:
+        rows.append(_ks_row("causal-vs-dual-noncausal", dist, other[0]))
 
     oracle = _dufresne_oracle(model) if kind == "causal" else None
     if oracle is not None:

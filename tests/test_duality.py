@@ -3,7 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
-from gouflow import duality
+from gouflow import duality, gou
 from gouflow.duality import (
     dual_path,
     duality_grid,
@@ -116,7 +116,8 @@ def test_ruin_probability_subordinator_never_hits_from_above():
 
 def test_ruin_suite_draws_one_sample_per_side_for_all_levels(monkeypatch):
     """The subordinator-mode ruin suite draws one lane sample and one
-    companion stationary sample, however many levels it probes."""
+    companion stationary sample, however many levels it probes.  The two
+    run at once on a grid-lane model, so their order is not fixed."""
     from gouflow import gou, mc
     from gouflow.config import parse_config
     from gouflow.suites import ruin_suite
@@ -141,7 +142,7 @@ def test_ruin_suite_draws_one_sample_per_side_for_all_levels(monkeypatch):
     )
     result = ruin_suite(cfg)
     assert [row["probe"] for row in result.rows] == [0.5, 1.0, 2.0]
-    assert labels == ["ruin", "ruin-companion"]
+    assert sorted(labels) == ["ruin", "ruin-companion"]
     assert len(sampler_calls) == 1
 
 
@@ -184,6 +185,102 @@ def test_ruin_probability_refuses_non_subordinator(monkeypatch, mixed_jump_model
         assert m.condition_b and not m.l_subordinator
         with pytest.raises(ConditionError, match="needs L nondecreasing"):
             ruin_probability(m, [1.0], horizon=1.0, n=10, seed=1, stationary_n=10)
+
+
+# ---------------------------------------------------------------------------
+# paired samples (mc.run_together)
+# ---------------------------------------------------------------------------
+
+_PAIRED_MODELS = {
+    "dufresne": "preset: dufresne\n",
+    "correlated-gauss": "model: {drift: [-1.0, 0.5], gaussian_cov: [[1.0, 0.3], [0.3, 0.5]]}\n",
+    "pure-jump": (
+        "model: {drift: [-1.0, 0.2], jump_intensity: 2.0, jump_law: {kind: point_mass, "
+        "atoms: [[[0.5, 1.0], 0.5], [[-0.3, 0.25], 0.5]]}}\n"
+    ),
+}
+
+
+def _run_suite(tmp_path, capsys, model, suite, out):
+    """Exit code, output files and refusal text of one small ``gouflow run``."""
+    from gouflow.cli import main
+
+    cfg = tmp_path / f"{model}-{suite}.yaml"
+    cfg.write_text(
+        f"schema_version: 1\nseed: 3\nsuite: {suite}\n{_PAIRED_MODELS[model]}"
+        "n_paths: 256\nhorizon: 1.0\nt_grid: [0.5, 1.0]\nstationary_horizon: 2.0\n"
+        "grid_dt: 0.01\n"
+    )
+    capsys.readouterr()
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    return code, files, err[err.find("refusing"):] if "refusing" in err else ""
+
+
+def _count_pairs(monkeypatch):
+    """The number of calls of each ``mc.run_together``, appended as it runs."""
+    from gouflow import mc
+
+    pairs = []
+    together = mc.run_together
+
+    def counted(model_, *calls):
+        pairs.append(len(calls))
+        return together(model_, *calls)
+
+    monkeypatch.setattr(mc, "run_together", counted)
+    return pairs
+
+
+@pytest.mark.parametrize("suite", ["duality", "ruin", "stationary"])
+@pytest.mark.parametrize("model", ["dufresne", "correlated-gauss"])
+def test_paired_grid_lane_samples_give_the_bytes_of_serial_calls(
+    tmp_path, capsys, monkeypatch, model, suite
+):
+    """The duality, ruin and stationary suites run their paired grid-lane
+    samples at once; run in turn instead, every CSV, summary.json and
+    refusal is the same byte for byte."""
+    from gouflow import mc
+
+    pairs = _count_pairs(monkeypatch)
+    at_once = _run_suite(tmp_path, capsys, model, suite, tmp_path / "at-once")
+    monkeypatch.setattr(mc, "run_together", lambda model_, *calls: [c() for c in calls])
+    in_turn = _run_suite(tmp_path, capsys, model, suite, tmp_path / "in-turn")
+    assert at_once == in_turn
+    assert at_once[1] or at_once[2]  # outputs or a refusal to compare
+    # correlated-gauss has L noise, so its ruin suite refuses before sampling
+    refused_early = (model, suite) == ("correlated-gauss", "ruin")
+    assert pairs == ([] if refused_early else [2] * (2 if suite in ("duality", "stationary") else 1))
+
+
+def test_pure_jump_pairs_run_in_turn_and_start_no_pool(tmp_path, capsys, monkeypatch):
+    """Jump-lane pairs run one after another: a single-block pure-jump
+    model's duality, ruin and stationary suites start no thread pool."""
+    from gouflow import mc
+
+    def no_pool(max_workers):
+        raise AssertionError("a pure-jump pair started a thread pool")
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
+    pairs = _count_pairs(monkeypatch)
+    for suite in ("duality", "ruin", "stationary"):
+        code, files, _ = _run_suite(tmp_path, capsys, "pure-jump", suite, tmp_path / suite)
+        assert code in (0, 1) and "summary.json" in files, suite
+    assert pairs == [2, 2, 2, 2, 2]
+
+
+def test_ruin_probability_pair_raises_the_dual_sides_refusal_first():
+    """Both sides of this grid-lane model overflow at T = 1: the dual's
+    I and the companion's causal integral.  The pair runs at once and
+    raises the dual side's refusal, which the serial order raised first."""
+    m = LevyModel2(drift=(2000.0, 0.5), gaussian_cov=((1.0, 0.0), (0.0, 0.0)))
+    assert m.l_subordinator and m.has_gaussian
+    with np.errstate(all="ignore"):
+        with pytest.raises(ConditionError, match="32 of 32 causal stationary"):
+            gou.stationary_sampler(m, "causal", 32, 1.0, 2, grid_dt=0.01, label="ruin-companion")
+        with pytest.raises(ConditionError, match="64 of 64 R-side I samples"):
+            ruin_probability(m, [1.0], 1.0, 64, 1, stationary_n=32, grid_dt=0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -616,6 +617,151 @@ def test_step_error_ends_helper_thread():
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         mc._diffusion_block(model, 1.0, stream(2, "overflow"), 4096, 0.01)
     assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("name", ["dufresne", "correlated-gauss", "jump-diffusion"])
+def test_grid_lane_is_bitwise_serial_over_three_chunks(name, offset):
+    """The draw thread fills both buffers and waits for the first one back
+    before the third chunk: 3k - 1, 3k and 3k + 1 steps give the serial
+    lane's bits."""
+    model = _GRID_MODELS[name]
+    _check_grid_lane_bitwise(model, 3 * _chunk_steps(model, 64) + offset, 64)
+
+
+@pytest.mark.parametrize("b_u, key", [(2000.0, "c"), (-2000.0, "i")])
+def test_grid_lane_u_only_non_finite_samples_match_serial(b_u, key):
+    """The U-only branch drops the Brownian terms Z_L / E and E Z_L, which
+    are zero.  Where E overflows (or underflows, so that 1/E does), the
+    serial loop's 0 * inf made C (or I) NaN; without the term it is inf.
+    Every finite sample keeps its bits and the same samples are non-finite,
+    which is all a consumer reads: each refuses on their count."""
+    model = LevyModel2(drift=(b_u, 0.5), gaussian_cov=((1.0, 0.0), (0.0, 0.0)))
+    with np.errstate(all="ignore"):
+        lane = mc._diffusion_block(model, 1.0, stream(3, "grid"), 64, 0.01)
+        ref = _serial_diffusion_block(model, 1.0, stream(3, "grid"), 64, 0.01)
+    for k in ("e", "i", "c"):
+        finite = np.isfinite(ref[k])
+        assert np.array_equal(np.isfinite(lane[k]), finite), k
+        _assert_bitwise(lane[k][finite], ref[k][finite])
+    assert not np.isfinite(ref[key]).any()
+
+
+def _within(seconds, fn):
+    """Run ``fn`` on a daemon thread and return what it raised (None when
+    it returned); fail if it has not ended after ``seconds``."""
+    raised = []
+
+    def target():
+        try:
+            fn()
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            raised.append(exc)
+        else:
+            raised.append(None)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    return raised[0]
+
+
+def test_normal_rows_consumer_stopping_early_stops_the_draw_thread():
+    """A consumer that takes one chunk and closes the rows, or raises while
+    stepping, leaves no draw thread behind once the pool has exited."""
+    size = 64
+    k = max(1, mc._CHUNK_ELEMENTS // size)
+    before = set(threading.enumerate())
+
+    def close_after_one_chunk():
+        with ThreadPoolExecutor(max_workers=1) as ahead:
+            rows = mc._normal_rows(stream(1, "stop"), (size,), 5 * k, ahead)
+            for _ in range(k):
+                next(rows)
+            rows.close()
+
+    def raise_in_second_chunk():
+        with ThreadPoolExecutor(max_workers=1) as ahead:
+            rows = mc._normal_rows(stream(1, "stop"), (size,), 5 * k, ahead)
+            with closing(rows):
+                for s, _ in enumerate(rows):
+                    if s == k + 1:
+                        raise _DrawError("step failed")
+
+    assert _within(10, close_after_one_chunk) is None
+    assert isinstance(_within(10, raise_in_second_chunk), _DrawError)
+    assert set(threading.enumerate()) == before
+
+
+def test_draw_error_in_second_chunk_reaches_caller_without_hanging(dufresne_model):
+    size = 64
+    k = _chunk_steps(dufresne_model, size)
+    rng = _CountingStream(1, fail_at=2)
+    before = set(threading.enumerate())
+    raised = _within(10, lambda: mc._diffusion_block(dufresne_model, 3 * k * 1e-3, rng, size, 1e-3))
+    assert raised is rng.error
+    assert set(threading.enumerate()) == before
+
+
+# ---------------------------------------------------------------------------
+# paired samples
+# ---------------------------------------------------------------------------
+
+
+def test_run_together_runs_grid_lane_calls_at_once(dufresne_model):
+    """On a model with a Gaussian part the calls run at once (the first
+    waits for the second to start) and come back in call order."""
+    started = threading.Event()
+
+    def first():
+        assert started.wait(10), "the second call did not run alongside the first"
+        return "first"
+
+    def second():
+        started.set()
+        return "second"
+
+    assert mc.run_together(dufresne_model, first, second) == ["first", "second"]
+
+
+def test_run_together_raises_the_first_calls_exception(dufresne_model, mixed_jump_model):
+    """When both calls raise, the exception is the first call's, as in
+    turn, even when the second raised earlier; a failing second call
+    alone is raised too.  A pure-jump model runs the calls in turn and
+    starts no pool."""
+    second_done = threading.Event()
+
+    def first():
+        assert second_done.wait(10)
+        raise ConditionError("first refused")
+
+    def second():
+        try:
+            raise ConditionError("second refused")
+        finally:
+            second_done.set()
+
+    with pytest.raises(ConditionError, match="first refused"):
+        mc.run_together(dufresne_model, first, second)
+    with pytest.raises(ConditionError, match="second refused"):
+        mc.run_together(dufresne_model, lambda: 1, second)
+
+    calls = []
+
+    def no_pool(max_workers):
+        raise AssertionError("a pure-jump pair started a thread pool")
+
+    def refuse():
+        calls.append("first")
+        raise ConditionError("first refused")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(ConditionError, match="first refused"):
+            mc.run_together(mixed_jump_model, refuse, lambda: calls.append("second"))
+        assert mc.run_together(mixed_jump_model, lambda: 1, lambda: 2) == [1, 2]
+    assert calls == ["first"]
 
 
 # ---------------------------------------------------------------------------
