@@ -8,10 +8,15 @@ first verdict).  For each pure-jump preset at its long horizon (the
 recommended horizon, else the 20 that the ruin and stationary suites
 use) this runs the jump lane (``mc.terminal_samples``), the ruin scan
 (``mc.ruin_samples``, three x probes) and their jump draw alone
-(``paths.draw_jumps``, the same stream as the jump lane) over --blocks
-blocks; the draw's rows also give the real jumps and the padded slots
-per block (a block pads every row to its largest jump count K; times and
-marks are drawn only for the jumps).  It then runs the grid lane over
+(``paths.draw_jumps``: Poisson counts, times and marks, flat, the same
+stream as the jump lane and its stream floor) over --blocks blocks.  A
+``pad`` row at workers 1 times the padding alone: every row tile of
+those draws (made beforehand) laid out on the block's K slots, as the
+jump lane lays them out.  The draw and pad rows give the real jumps and
+the padded slots per block (each tile pads its rows to the block's
+largest jump count K; padded slots exist per tile only), and the jump
+and ruin rows the traced (``tracemalloc``) peak MiB of one block at
+workers 1.  It then runs the grid lane over
 two blocks on ``dufresne`` at T = 10 (U-only noise, 10 000 steps of the
 default grid), on the correlated two-dimensional Gaussian model of the
 verdict benchmark at T = 5 (the Cholesky branch) and on its
@@ -43,6 +48,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -54,18 +60,44 @@ from gouflow.rng import BLOCK_SIZE, stream
 
 
 def _draw_block(model, horizon, rng, size):
-    times, _, _, counts = draw_jumps(model, horizon, rng, size)
-    return {"k": counts, "slots": np.full(size, times.shape[1])}
+    draw = draw_jumps(model, horizon, rng, size)
+    return {"k": draw.counts, "slots": np.full(size, draw.kmax)}
+
+
+def _draws(model, horizon, n, seed):
+    """The jump lane's draws of ``n`` paths, one per block (its streams)."""
+    return [draw_jumps(model, horizon, stream(seed, "terminal", b), BLOCK_SIZE)
+            for b in range(n // BLOCK_SIZE)]
+
+
+def _pad_tiles(draws):
+    """Pad every row tile of each draw as the jump lane does."""
+    for draw in draws:
+        rows = max(1, mc._CHUNK_ELEMENTS // (2 * draw.kmax + 1))
+        for s in range(0, BLOCK_SIZE, rows):
+            draw.pad(s, s + rows)
 
 
 LANES = {
-    # the lanes' whole-block jump draw alone, the bound of both lanes
+    # the lanes' jump draw alone (counts, times, marks; no padding), the
+    # jump lane's stream floor
     "draw": lambda m, h, n, seed, w: mc.run_blocks(
         n, lambda rng, size: _draw_block(m, h, rng, size), seed, "terminal", w
     ),
     "jump": lambda m, h, n, seed, w: mc.terminal_samples(m, h, n, seed, workers=w),
     "ruin": lambda m, h, n, seed, w: mc.ruin_samples(m, h, n, seed, [0.5, 1.0, 2.0], workers=w),
 }
+
+
+def traced_peak_mib(fn):
+    """Peak traced (``tracemalloc``) MiB above the start of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 GRID = {
@@ -161,23 +193,28 @@ def main():
           f"max RSS {rss:.1f} MB (fresh interpreter, median of {args.repeats})")
     rows = []
 
-    def report(name, horizon, lane, workers, ms, faults, steps=None, slots=None):
+    def report(name, horizon, lane, workers, ms, faults, steps=None, slots=None, peak=None):
         row = {"preset": name, "horizon": horizon, "lane": lane, "workers": workers,
                "ms_per_block": round(ms, 2), "faults_per_block": round(faults)}
         per_step = f"{'':9}"
         if steps is not None:
             row["us_per_step"] = round(1e3 * ms / steps, 2)
             per_step = f"{row['us_per_step']:9.2f}"
-        per_slot = ""
+        per_slot = f"{'':26}"
         if slots is not None:
             row["jumps_per_block"], row["padded_per_block"] = slots
             per_slot = f" {slots[0]:12.0f} {slots[1]:12.0f}"
+        traced = ""
+        if peak is not None:
+            row["peak_mib_per_block"] = round(peak, 1)
+            traced = f" {peak:11.1f}"
         rows.append(row)
         print(f"{name:16} {horizon:5g} {lane:5} {workers:7d} {ms:9.2f} {faults:13.0f} "
-              f"{per_step}{per_slot}")
+              f"{per_step}{per_slot}{traced}".rstrip())
 
     print(f"{'preset':16} {'T':>5} {'lane':5} {'workers':>7} {'ms/block':>9} "
-          f"{'faults/block':>13} {'us/step':>9} {'jumps/block':>12} {'padded/block':>12}")
+          f"{'faults/block':>13} {'us/step':>9} {'jumps/block':>12} {'padded/block':>12} "
+          f"{'peak MiB':>11}")
     n = args.blocks * BLOCK_SIZE
     for name, preset in sorted(PRESETS.items()):
         model = preset.model
@@ -188,10 +225,18 @@ def main():
         jumps = drawn["k"].sum() / args.blocks
         slots = (jumps, drawn["slots"].sum() / args.blocks - jumps)
         for lane, run in LANES.items():
+            peak = None
+            if lane != "draw":
+                peak = traced_peak_mib(lambda: run(model, horizon, BLOCK_SIZE, args.seed, 1))
             for workers in (1, 2):
                 fn = lambda: run(model, horizon, n, args.seed, workers)
                 report(name, horizon, lane, workers, *timed(fn, args.blocks, args.repeats),
-                       slots=slots if lane == "draw" else None)
+                       slots=slots if lane == "draw" else None, peak=peak)
+            if lane == "draw":
+                draws = _draws(model, horizon, n, args.seed)
+                report(name, horizon, "pad", 1, *timed(lambda: _pad_tiles(draws), args.blocks,
+                                                       args.repeats), slots=slots)
+                del draws
     n = GRID_BLOCKS * BLOCK_SIZE
     for name, (model, horizon) in GRID.items():
         steps = max(1, math.ceil(horizon / GRID_DT))

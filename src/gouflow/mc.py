@@ -7,11 +7,14 @@ independent of the worker count:
   stochastic exponential and the two exponential functionals have a
   closed form between jumps, so blocks of paths are reduced with
   padded-array arithmetic and no time stepping.
-  Each block is drawn whole (``paths.draw_jumps``) and reduced in row
-  tiles of about ``_CHUNK_ELEMENTS`` boundary values, so the kernel's
-  temporaries take O(_CHUNK_ELEMENTS) memory for K jump slots instead of
-  O(BLOCK_SIZE * K); the draw itself, O(BLOCK_SIZE * K), is the lane's
-  memory bound.
+  Each block's jumps are drawn whole and flat (``paths.draw_jumps``), so
+  the draw holds O(jumps), and reduced in row tiles of about
+  ``_CHUNK_ELEMENTS`` boundary values.  Padded slots exist per tile only:
+  a tile is laid out on the block's K jump slots when the kernel reaches
+  it, so the padding and the kernel's temporaries take O(_CHUNK_ELEMENTS)
+  memory instead of O(BLOCK_SIZE * K).  The lane reduces a tile to its
+  terminal state only; the ruin scan alone builds values at every event
+  boundary.
 * diffusion lane: models with a Gaussian part, on a fixed grid.  The
   stochastic exponential is updated in exact law; finite-variation
   integrands use the trapezoid rule (the left-point rule leaves an O(dt)
@@ -127,35 +130,37 @@ _CHUNK_ELEMENTS = 32_768
 def _jump_tiles(model, horizon, rng, size):
     """Draw a block's jumps (``paths.draw_jumps``) and yield, for each row
     tile of about ``_CHUNK_ELEMENTS`` of the kernel's 2K+1 boundary values,
-    its row slice and its ``_jump_boundary_arrays``."""
-    times, du, dl, _ = draw_jumps(model, horizon, rng, size)
+    its row slice and its ``_jump_increments``.  Every tile is padded to
+    the block's K: C's pairwise row sums group terms by the row width."""
+    draw = draw_jumps(model, horizon, rng, size)
     a, b_l = model.drift
-    rows = max(1, _CHUNK_ELEMENTS // (2 * times.shape[1] + 1))
+    rows = max(1, _CHUNK_ELEMENTS // (2 * draw.kmax + 1))
     for s in range(0, size, rows):
-        tile = slice(s, s + rows)
-        yield tile, *_jump_boundary_arrays(times[tile], du[tile], dl[tile], a, b_l, horizon)
+        times, du, dl = draw.pad(s, s + rows)
+        yield slice(s, s + rows), _jump_increments(times, du, dl, a, b_l, horizon)
 
 
-def _jump_boundary_arrays(times, du, dl, a, b_l, horizon):
-    """Closed-form reduction of a tile of pure-jump-plus-drift paths.
+def _jump_increments(times, du, dl, a, b_l, horizon):
+    """Closed form of a tile of pure-jump-plus-drift paths, event by event.
 
     times: (n, K) jump times sorted per row, padded with the horizon;
-    du, dl: matching marks, zero-padded (``paths.draw_jumps``).  a = b_U
+    du, dl: matching marks, zero-padded (``JumpDraw.pad``).  a = b_U
     and b_l = b_L, which without a Gaussian part is also the drift of eta.
+    Gap j runs (t_j, t_{j+1}), with t_0 = 0 and t_{K+1} = T, and there
+    E_s = e^{a s} p_j, p_j the product of 1 + dU over the jumps before it.
 
-    Returns E and I = int E^{-1} d eta at all event boundaries (n, 2K+1),
-    interleaved as [end of gap 0, after jump 1, end of gap 1, ...], plus
-    the terminal causal integral C = int E_{s-} dL_s.  An overflowing E
-    leaves inf/NaN entries without a warning; callers count them.
+    Returns ``grow`` = e^{a t_j} (n, K+2), p (n, K+1), 1 + dU and E before
+    each jump (n, K), and the increments of I = int E^{-1} d eta and of
+    C = int E_{s-} dL_s over each gap (n, K+1) and at each jump (n, K).
+    An overflowing E leaves inf/NaN entries without a warning; callers
+    count them.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        n, kmax = times.shape
+        n = times.shape[0]
         prod1 = 1.0 + du  # padded entries contribute a factor 1
-        p = np.cumprod(prod1, axis=1)
-        p_ext = np.concatenate([np.ones((n, 1)), p], axis=1)  # product before gap j
+        p_ext = np.concatenate([np.ones((n, 1)), np.cumprod(prod1, axis=1)], axis=1)
         t_ext = np.concatenate([np.zeros((n, 1)), times, np.full((n, 1), horizon)], axis=1)
-        # e^{a t} and e^{-a t} once per boundary time; gap j runs
-        # (t_j, t_{j+1}) with E_s = e^{a s} * p_ext[:, j]
+        # e^{a t} and e^{-a t} once per boundary time
         grow = np.exp(a * t_ext)
         if a == 0.0:
             int_pos = int_neg = t_ext[:, 1:] - t_ext[:, :-1]
@@ -163,31 +168,56 @@ def _jump_boundary_arrays(times, du, dl, a, b_l, horizon):
             shrink = np.exp(-a * t_ext)
             int_pos = (grow[:, 1:] - grow[:, :-1]) / a
             int_neg = (shrink[:, 1:] - shrink[:, :-1]) / -a
+        e_left = grow[:, 1:-1] * p_ext[:, :-1]
         gap_i = b_l * int_neg / p_ext
+        jump_i = (dl / prod1) / e_left
         gap_c = b_l * int_pos * p_ext
-        e_left_at_jump = grow[:, 1:-1] * p_ext[:, :-1]
-        jump_i = (dl / prod1) / e_left_at_jump
-        jump_c = dl * e_left_at_jump
+        jump_c = dl * e_left
+    return grow, p_ext, prod1, e_left, (gap_i, jump_i), (gap_c, jump_c)
 
-        inc_i = np.empty((n, 2 * kmax + 1))
-        inc_i[:, 0::2] = gap_i
-        inc_i[:, 1::2] = jump_i
-        i_bnd = np.cumsum(inc_i, axis=1)
 
-        e_bnd = np.empty((n, 2 * kmax + 1))
-        e_bnd[:, 0::2] = grow[:, 1:] * p_ext  # left limit at the gap end
-        e_bnd[:, 1::2] = e_left_at_jump * prod1  # right after the jump
+def _interleave(gaps, jumps, order="C"):
+    """(n, 2K+1) values at [gap 0, jump 1, gap 1, ...]."""
+    out = np.empty((gaps.shape[0], 2 * jumps.shape[1] + 1), order=order)
+    out[:, 0::2] = gaps
+    out[:, 1::2] = jumps
+    return out
 
-        c_final = gap_c.sum(axis=1) + jump_c.sum(axis=1)
-    return e_bnd, i_bnd, c_final
+
+def _jump_boundary_arrays(parts):
+    """E and I at all event boundaries of a tile (n, 2K+1), interleaved as
+    [end of gap 0, after jump 1, end of gap 1, ...], from its
+    ``_jump_increments``: the ruin scan's view."""
+    grow, p_ext, prod1, e_left, inc_i, _ = parts
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_bnd = _interleave(grow[:, 1:] * p_ext, e_left * prod1)  # gap ends: left limits
+        i_bnd = np.cumsum(_interleave(*inc_i), axis=1)
+    return e_bnd, i_bnd
+
+
+def _jump_terminal(parts):
+    """E_T, I_T and C_T of a tile from its ``_jump_increments``: the last
+    boundary of ``_jump_boundary_arrays``, bit for bit, without its prefix
+    arrays.  C_T is the sum of its gap and jump increments' pairwise row
+    sums."""
+    grow, p_ext, _, _, inc_i, inc_c = parts
+    with np.errstate(over="ignore", invalid="ignore"):
+        inc = _interleave(*inc_i, order="F")
+        # Reduced over an F-ordered tile of two or more rows, I_T adds
+        # column by column, as the cumsum does; starting from -0.0 (not
+        # numpy's +0.0) keeps the sign of an all -0.0 row.  A one-row tile
+        # is contiguous, and numpy would sum it pairwise.
+        if inc.shape[0] > 1:
+            i_t = np.add.reduce(inc, axis=1, initial=-0.0)
+        else:
+            i_t = np.cumsum(inc, axis=1)[:, -1]
+        return grow[:, -1] * p_ext[:, -1], i_t, inc_c[0].sum(axis=1) + inc_c[1].sum(axis=1)
 
 
 def _jump_block(model, horizon, rng, size):
     out = {k: np.empty(size) for k in ("e", "i", "c")}
-    for rows, e_bnd, i_bnd, c_final in _jump_tiles(model, horizon, rng, size):
-        out["e"][rows] = e_bnd[:, -1]
-        out["i"][rows] = i_bnd[:, -1]
-        out["c"][rows] = c_final
+    for rows, parts in _jump_tiles(model, horizon, rng, size):
+        out["e"][rows], out["i"][rows], out["c"][rows] = _jump_terminal(parts)
     return out
 
 
@@ -246,8 +276,9 @@ def _step_jumps(model, horizon, rng, size, step_ends):
     dl) of the (r+1)-th jump within the step of every row with that many,
     so the passes of a step apply each row's jumps in time order.
     """
-    times, du, dl, counts = draw_jumps(model, horizon, rng, size)
-    real = np.arange(times.shape[1]) < counts[:, None]
+    draw = draw_jumps(model, horizon, rng, size)
+    times, du, dl = draw.pad()
+    real = np.arange(times.shape[1]) < draw.counts[:, None]
     rows = np.nonzero(real)[0]  # row-major: each row's jumps in time order
     step = np.searchsorted(step_ends, times[real])
     # r of each jump: how many jumps of its row come before it in its step;
@@ -418,7 +449,8 @@ def ruin_samples(
         }
         if not scanned:
             return out
-        for rows, e_bnd, i_bnd, _ in _jump_tiles(model, horizon, rng, size):
+        for rows, parts in _jump_tiles(model, horizon, rng, size):
+            e_bnd, i_bnd = _jump_boundary_arrays(parts)
             out["bnd_values"][rows] = 2 * e_bnd.shape[1]
             out["bnd_nonfinite"][rows] = np.count_nonzero(~np.isfinite(e_bnd), axis=1)
             out["bnd_nonfinite"][rows] += np.count_nonzero(~np.isfinite(i_bnd), axis=1)

@@ -17,9 +17,10 @@ index reversal.  The columns may carry a leading batch axis
 segments, which the solvers and the inverse-flow check process in one
 pass; ``sample_path`` is a one-row batch without them.  ``draw_jumps`` is
 the one place that draws jumps: it feeds these batches and every lane of
-``mc`` (the jump lane, the ruin scan and the grid lane).  It pads every
-row to the batch's largest jump count but draws times and marks for the
-jumps only.
+``mc`` (the jump lane, the ruin scan and the grid lane).  It draws
+times and marks for the jumps only and keeps them flat; ``JumpDraw.pad``
+lays a tile of rows out on the batch's largest jump count K
+(``exact_paths`` and ``euler_paths`` take one tile of all rows).
 ``Segment``/``Jump`` records only serve to read a path back
 (``Path.events``).
 """
@@ -145,29 +146,61 @@ def _cov_sqrt(cov: tuple) -> np.ndarray:
     return root
 
 
-def draw_jumps(model: LevyModel2, horizon: float, rng: np.random.Generator, size: int):
+@dataclass(frozen=True, eq=False)
+class JumpDraw:
+    """The jumps of ``size`` paths on [0, horizon], flat (``draw_jumps``).
+
+    Row i's ``counts[i]`` jumps are entries ``starts[i]:starts[i + 1]`` of
+    ``times``, ``du`` and ``dl``, in draw order (times not sorted), so the
+    draw holds O(jumps).  ``pad`` lays a tile of rows out on ``kmax`` = K
+    slots, the largest count.
+    """
+
+    horizon: float
+    counts: np.ndarray
+    starts: np.ndarray
+    kmax: int
+    times: np.ndarray
+    du: np.ndarray
+    dl: np.ndarray
+
+    def pad(self, start: int = 0, stop: int | None = None):
+        """(times, du, dl) of rows [start, stop) as (rows, K) arrays.
+
+        Times are sorted per row, the marks stay in draw order; a row's
+        slots beyond its count sit at the horizon with zero marks.  Every
+        tile of rows equals the same rows of the whole-batch tile.
+        """
+        stop = self.counts.size if stop is None else min(stop, self.counts.size)
+        real = np.arange(self.kmax) < self.counts[start:stop, None]
+        jumps = slice(self.starts[start], self.starts[stop])
+        times = np.full(real.shape, float(self.horizon))
+        times[real] = self.times[jumps]
+        times.sort(axis=1)  # padded entries are already maximal
+        du = np.zeros(real.shape)
+        dl = np.zeros(real.shape)
+        du[real] = self.du[jumps]
+        dl[real] = self.dl[jumps]
+        return times, du, dl
+
+
+def draw_jumps(model: LevyModel2, horizon: float, rng: np.random.Generator, size: int) -> JumpDraw:
     """Jumps of ``size`` paths on [0, horizon]: Poisson counts, then one
     uniform time and then one mark per jump, each drawn for the whole batch.
 
-    Returns (times, du, dl, counts): (size, K) arrays with K the largest
-    count, times sorted per row.  Row i's ``counts[i]`` jumps fill its
-    first slots (rows in order, so a one-row batch takes its times and
-    marks as one draw of K each); the entries beyond sit at the horizon
-    with zero marks.
+    The draw stays flat (``JumpDraw``): rows in order, so a one-row batch
+    takes its times and marks as one draw of K each, and no padded slot
+    exists until ``JumpDraw.pad`` makes one.
     """
     lam = model.jump_intensity * horizon
     counts = rng.poisson(lam, size=size) if model.has_jumps else np.zeros(size, dtype=int)
+    starts = np.zeros(size + 1, dtype=int)
+    np.cumsum(counts, out=starts[1:])
+    n = int(starts[-1])
+    times = rng.uniform(0.0, horizon, size=n)
+    du, dl = model.jump_law.sample(rng, n) if n else (np.zeros(0), np.zeros(0))
     kmax = int(counts.max()) if size else 0
-    real = np.arange(kmax)[None, :] < counts[:, None]
-    n = int(counts.sum())
-    times = np.full((size, kmax), float(horizon))
-    times[real] = rng.uniform(0.0, horizon, size=n)
-    du = np.zeros((size, kmax))
-    dl = np.zeros((size, kmax))
-    if n:
-        du[real], dl[real] = model.jump_law.sample(rng, n)
-    times.sort(axis=1)  # padded entries are already maximal
-    return times, du, dl, counts
+    return JumpDraw(float(horizon), counts, starts, kmax, times, du, dl)
 
 
 def exact_paths(
@@ -183,7 +216,8 @@ def exact_paths(
     """
     if model.has_gaussian:
         raise ValueError("exact paths need a model without Gaussian part")
-    times, ju, jl, counts = draw_jumps(model, horizon, rng, size)
+    draw = draw_jumps(model, horizon, rng, size)
+    times, ju, jl = draw.pad()
     kmax = times.shape[1]
     t = np.empty((size, 2 * kmax + 2))
     t[:, 0] = 0.0
@@ -192,7 +226,7 @@ def exact_paths(
     t[:, -1] = horizon
     dt = t[:, 1:] - t[:, :-1]
     is_jump = np.zeros((size, 2 * kmax + 1), dtype=bool)
-    is_jump[:, 1::2] = np.arange(kmax)[None, :] < counts[:, None]
+    is_jump[:, 1::2] = np.arange(kmax)[None, :] < draw.counts[:, None]
     b_u, b_l = model.drift
     du = b_u * dt
     dl = b_l * dt
@@ -228,7 +262,8 @@ def euler_paths(
     fine_t = dt * np.arange(1, nsteps + 1)
     fine_t[-1] = horizon
 
-    times, ju, jl, counts = draw_jumps(model, horizon, rng, size)
+    draw = draw_jumps(model, horizon, rng, size)
+    times, ju, jl = draw.pad()
     kmax = times.shape[1]
     fine_inc = rng.standard_normal((size * nsteps, 2)) @ _cov_sqrt(model.gaussian_cov).T
     fine_inc *= math.sqrt(dt)
@@ -253,7 +288,7 @@ def euler_paths(
         inc[:, seg] = fine_inc.reshape(2, size, -1, k).sum(axis=-1).reshape(2, -1)
         np.put_along_axis(t[:, 1:], pos, jump_t, axis=1)
         np.put_along_axis(inc, pos[None], marks, axis=2)
-        is_jump = ~seg & (np.arange(width) < width - kmax + counts[:, None])
+        is_jump = ~seg & (np.arange(width) < width - kmax + draw.counts[:, None])
         out.append(Path(float(horizon), is_jump, t, inc[0], inc[1], "euler", model.gaussian_cov))
     return out
 

@@ -55,8 +55,14 @@ class EmpiricalDistribution:
         return float(self.values[idx])
 
     def export(self, csv_path, sidecar_path=None) -> None:
-        """Write the sorted sample as one value per line plus a JSON sidecar."""
-        np.savetxt(csv_path, self.values, fmt="%.17g", header="value", comments="")
+        """Write the sorted sample as one value per line plus a JSON sidecar.
+
+        The CSV has the bytes of ``np.savetxt(csv_path, values, fmt="%.17g",
+        header="value", comments="")``, written in one join.
+        """
+        with open(csv_path, "w") as fh:
+            fh.write("value\n")
+            fh.write("".join(["%.17g\n" % v for v in self.values.tolist()]))
         if sidecar_path is not None:
             meta = {"n": self.n, **self.metadata}
             with open(sidecar_path, "w") as fh:

@@ -45,6 +45,13 @@ def make_stream(label, index=0, seed=999):
     return stream(seed, label, index)
 
 
+def padded_jumps(model, horizon, rng, size):
+    """``draw_jumps`` laid out on the batch's K slots as one tile: (times,
+    du, dl, counts), times sorted per row."""
+    draw = draw_jumps(model, horizon, rng, size)
+    return (*draw.pad(), draw.counts)
+
+
 def terminal_ul(model, horizon, n, seed, label):
     """U_T and L_T of a pure-jump model on the paths that
     ``mc.terminal_samples`` draws with the same seed and label: each
@@ -52,7 +59,7 @@ def terminal_ul(model, horizon, n, seed, label):
     b_u, b_l = model.drift
 
     def block(rng, size):
-        _, du, dl, _ = draw_jumps(model, horizon, rng, size)
+        _, du, dl, _ = padded_jumps(model, horizon, rng, size)
         return {"u": b_u * horizon + du.sum(axis=1), "l": b_l * horizon + dl.sum(axis=1)}
 
     return run_blocks(n, block, seed, label)

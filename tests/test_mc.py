@@ -18,6 +18,8 @@ from gouflow.presets import get_preset
 from gouflow.rng import BLOCK_SIZE, stream
 from gouflow.stats import ecdf, ks_two_sample
 
+from conftest import padded_jumps
+
 
 # ---------------------------------------------------------------------------
 # blocked driver
@@ -94,13 +96,15 @@ def test_jump_boundary_arrays_match_event_route(mixed_jump_model):
     an identical stream)."""
     m = mixed_jump_model
     horizon, n = 2.0, 40
-    times, du, dl, counts = draw_jumps(m, horizon, stream(77, "boundary"), n)
+    times, du, dl, counts = padded_jumps(m, horizon, stream(77, "boundary"), n)
     batch = exact_paths(m, horizon, stream(77, "boundary"), n)
     assert counts.min() < counts.max()  # rows carry padding
 
-    e_bnd, i_bnd, c_final = mc._jump_boundary_arrays(
-        times, du, dl, m.drift[0], m.drift[1], horizon
-    )
+    parts = mc._jump_increments(times, du, dl, m.drift[0], m.drift[1], horizon)
+    e_bnd, i_bnd = mc._jump_boundary_arrays(parts)
+    e_final, i_final, c_final = mc._jump_terminal(parts)
+    _assert_bitwise(e_final, e_bnd[:, -1])
+    _assert_bitwise(i_final, i_bnd[:, -1])
     for row in range(n):
         p = _row(batch, row)
         assert np.count_nonzero(p.is_jump) == counts[row]
@@ -152,7 +156,7 @@ def _untiled_boundary_arrays(times, du, dl, a, c_eta, c_l, horizon):
 
 
 def _untiled_jump_block(model, horizon, rng, size):
-    times, du, dl, _ = draw_jumps(model, horizon, rng, size)
+    times, du, dl, _ = padded_jumps(model, horizon, rng, size)
     b_u, b_l = model.drift
     e_bnd, i_bnd, c_final = _untiled_boundary_arrays(times, du, dl, b_u, b_l, b_l, horizon)
     return {"e": e_bnd[:, -1], "i": i_bnd[:, -1], "c": c_final}
@@ -160,7 +164,7 @@ def _untiled_jump_block(model, horizon, rng, size):
 
 def _untiled_ruin(model, horizon, rng, size, xs):
     """Per-probe hit flags and V at first passage of one untiled ruin block."""
-    times, du, dl, _ = draw_jumps(model, horizon, rng, size)
+    times, du, dl, _ = padded_jumps(model, horizon, rng, size)
     b_u, b_l = model.drift
     e_bnd, i_bnd, _ = _untiled_boundary_arrays(times, du, dl, b_u, b_l, b_l, horizon)
     hits, v_taus = [], []
@@ -219,6 +223,62 @@ def test_tiled_jump_lane_is_bitwise_untiled(name, size):
     preset = get_preset(name)
     horizon = preset.recommended.get("horizon", 20.0)
     _check_tiled_lane_bitwise(preset.model, horizon, size, seed=21)
+
+
+def _one_row_last_tile(model, horizon, seed):
+    """The smallest block size whose last row tile holds exactly one row
+    (a multiple of the tile rows, plus one), from the block's own K."""
+    counts = draw_jumps(model, horizon, stream(seed, "tiles", 0), BLOCK_SIZE).counts
+    kmax = np.maximum.accumulate(counts)  # K of each prefix block
+    for size in range(2, BLOCK_SIZE + 1):
+        rows = max(1, mc._CHUNK_ELEMENTS // (2 * int(kmax[size - 1]) + 1))
+        if size % rows == 1:
+            draw = draw_jumps(model, horizon, stream(seed, "tiles", 0), size)
+            assert draw.kmax == kmax[size - 1]
+            return size
+    raise AssertionError("no block size leaves a one-row last tile")
+
+
+_JUMP_PRESETS = ["drift-ou", "cramer-paulsen", "degenerate-k", "nonmonotone"]
+
+
+@pytest.mark.parametrize("name", _JUMP_PRESETS)
+def test_tiled_jump_lane_is_bitwise_untiled_with_one_row_last_tile(name):
+    """A last tile of one row, which numpy would sum pairwise if it reduced
+    I_T as a contiguous row, still gives the untiled lane's bits."""
+    preset = get_preset(name)
+    horizon = preset.recommended.get("horizon", 20.0)
+    size = _one_row_last_tile(preset.model, horizon, seed=21)
+    _check_tiled_lane_bitwise(preset.model, horizon, size, seed=21)
+
+
+@pytest.mark.parametrize("size", ["one-row-last-tile", 2, 50])
+@pytest.mark.parametrize("name", _JUMP_PRESETS)
+def test_tiled_jump_lane_is_bitwise_untiled_when_e_overflows(name, size):
+    """At T = 1500, E(U) or its inverse overflows: the terminal lane gives
+    the untiled reference's inf, NaN and sign-bit pattern in every column."""
+    model, horizon = get_preset(name).model, 1500.0
+    if size == "one-row-last-tile":
+        size = _one_row_last_tile(model, horizon, seed=21)
+    tiled = mc._jump_block(model, horizon, stream(21, "tiles", 0), size)
+    ref = _untiled_jump_block(model, horizon, stream(21, "tiles", 0), size)
+    for key in ("e", "i", "c"):
+        _assert_bitwise(tiled[key], ref[key])
+    assert not all(np.isfinite(ref[key]).all() for key in ("e", "i", "c"))
+
+
+@pytest.mark.parametrize("intensity", [0.0, 1.0])
+def test_tiled_jump_lane_keeps_negative_zero_integrals(intensity):
+    """With b_L = -0.0 and dL = -0.0 every I increment of a row without
+    padded slots is -0.0: I_T keeps the sign bit the cumsum gives it."""
+    model = LevyModel2(
+        drift=(0.5, -0.0),
+        jump_intensity=intensity,
+        jump_law=JumpLaw2.point_mass([((0.5, -0.0), 1.0)]),
+    )
+    _check_tiled_lane_bitwise(model, 2.0, 300, seed=21)
+    lane = mc._jump_block(model, 2.0, stream(21, "tiles", 0), 300)
+    assert np.signbit(lane["i"]).any() and not lane["i"].any()
 
 
 _point_mass_laws = st.lists(
@@ -342,7 +402,7 @@ def _serial_diffusion_block(model, horizon, rng, size, grid_dt, watch=None):
     u_noise_only = model.sigma_l_sq == 0.0 and model.sigma_ul == 0.0
     step_ends = dt * np.arange(1, nsteps + 1)
     step_ends[-1] = horizon
-    times, jump_du, jump_dl, counts = draw_jumps(model, horizon, rng, size)
+    times, jump_du, jump_dl, counts = padded_jumps(model, horizon, rng, size)
     jumps = {}  # step -> [(row, du, dl), ...]
     for row in range(size):
         for j in range(counts[row]):
@@ -418,7 +478,7 @@ def test_grid_lane_is_bitwise_serial_with_several_jumps_per_step():
     """On a coarse grid many rows have two or more jumps in one step; the
     lane applies them in time order, as the serial loop does."""
     model = replace(_GRID_MODELS["jump-diffusion"], jump_intensity=20.0)
-    times, _, _, counts = draw_jumps(model, 1.0, stream(31, "grid", 64), 64)
+    times, _, _, counts = padded_jumps(model, 1.0, stream(31, "grid", 64), 64)
     real = np.arange(times.shape[1]) < counts[:, None]
     steps = np.where(real, np.ceil(times / 0.25), -1.0)
     assert ((steps[:, 1:] == steps[:, :-1]) & real[:, 1:]).sum() > 64  # sharing a step
@@ -586,8 +646,8 @@ def test_subordinator_dual_i_is_nonincreasing(model, horizon):
     watch = _RunningMin(n)
     _serial_diffusion_block(dual, horizon, stream(seed, "ruin", 0), n, grid_dt, watch)
     assert watch.rises == 0
-    times, du, dl, _ = draw_jumps(dual, horizon, stream(seed, "ruin", 0), n)
-    _, i_bnd, _ = mc._jump_boundary_arrays(times, du, dl, *dual.drift, horizon)
+    times, du, dl, _ = padded_jumps(dual, horizon, stream(seed, "ruin", 0), n)
+    _, i_bnd = mc._jump_boundary_arrays(mc._jump_increments(times, du, dl, *dual.drift, horizon))
     assert (np.diff(i_bnd, axis=1, prepend=0.0) <= 0.0).all()
     # the running minimum of the lane ruin_probability samples (same stream)
     i_min = watch.min if model.has_gaussian else np.minimum(i_bnd.min(axis=1), 0.0)

@@ -23,7 +23,7 @@ from gouflow.paths import (
     xi_path,
 )
 
-from conftest import make_stream
+from conftest import make_stream, padded_jumps
 from oracles import path_from_events, path_jumps, path_values, validate_path
 
 
@@ -90,7 +90,7 @@ def test_one_row_draw_jumps_is_the_whole_slot_draw(mixed_jump_model, horizon):
     """A one-row batch takes the numbers the draw of all K slots took:
     Poisson count, uniform times of shape (1, K), then K marks."""
     m = mixed_jump_model
-    times, du, dl, counts = draw_jumps(m, horizon, make_stream("one-row"), 1)
+    times, du, dl, counts = padded_jumps(m, horizon, make_stream("one-row"), 1)
 
     rng = make_stream("one-row")
     ref_counts = rng.poisson(m.jump_intensity * horizon, size=1)
@@ -148,7 +148,9 @@ def test_euler_paths_jumps_are_the_drawn_jumps_on_every_grid():
     the same time: the end of the coarsest step that holds the drawn time."""
     horizon, size = 1.0, 40
     batches = euler_paths(JUMP_DIFFUSION_2D, horizon, make_stream("euler-jumps"), size, GRID_DTS)
-    times, ju, jl, counts = draw_jumps(JUMP_DIFFUSION_2D, horizon, make_stream("euler-jumps"), size)
+    times, ju, jl, counts = padded_jumps(
+        JUMP_DIFFUSION_2D, horizon, make_stream("euler-jumps"), size
+    )
     assert counts.min() < counts.max()  # rows carry padding
     coarse = horizon / math.ceil(horizon / 4e-3)
     placed = []
@@ -171,7 +173,7 @@ def test_euler_paths_rows_are_padded_paths():
     null segments at the horizon: no duration, no increment."""
     horizon, size = 1.0, 40
     batches = euler_paths(JUMP_DIFFUSION_2D, horizon, make_stream("euler-pad"), size, GRID_DTS)
-    _, _, _, counts = draw_jumps(JUMP_DIFFUSION_2D, horizon, make_stream("euler-pad"), size)
+    _, _, _, counts = padded_jumps(JUMP_DIFFUSION_2D, horizon, make_stream("euler-pad"), size)
     for batch in batches:
         n_seg = batch.du.shape[1] - counts.max()
         assert batch.t.shape == (size, batch.du.shape[1] + 1)
@@ -233,7 +235,7 @@ def test_draw_jumps_fills_only_the_real_slots(mixed_jump_model, monkeypatch, exp
         return original(law, rng, n)
 
     monkeypatch.setattr(JumpLaw2, "sample", recording)
-    times, du, dl, counts = draw_jumps(m, horizon, make_stream("real-slots"), size)
+    times, du, dl, counts = padded_jumps(m, horizon, make_stream("real-slots"), size)
 
     assert sizes == [counts.sum()]
     assert times.shape == du.shape == dl.shape == (size, counts.max())
@@ -244,6 +246,57 @@ def test_draw_jumps_fills_only_the_real_slots(mixed_jump_model, monkeypatch, exp
     assert not du[~real].any() and not dl[~real].any()
     assert np.all(du[real] != 0.0) and np.all(dl[real] != 0.0)
     assert np.all(np.diff(times, axis=1) >= 0.0)
+
+
+def _padded_reference(model, horizon, rng, size):
+    """A whole block's jumps drawn straight onto (size, K) slots: Poisson
+    counts, uniform times and marks scattered row by row into the real
+    slots, then the times sorted per row."""
+    counts = rng.poisson(model.jump_intensity * horizon, size=size)
+    k, n = int(counts.max()), int(counts.sum())
+    real = np.arange(k) < counts[:, None]
+    times = np.full((size, k), horizon)
+    times[real] = rng.uniform(0.0, horizon, size=n)
+    du, dl = np.zeros((size, k)), np.zeros((size, k))
+    du[real], dl[real] = model.jump_law.sample(rng, n)
+    times.sort(axis=1)
+    return counts, (times, du, dl)
+
+
+def _same_marginal(make):
+    return JumpLaw2.independent(make(), make())
+
+
+_LAWS_BY_KIND = {
+    "point_mass": JumpLaw2.point_mass([((0.5, 0.5), 0.5), ((-0.3, -0.2), 0.5)]),
+    "independent-points": _same_marginal(lambda: Marginal.points([(0.4, 0.3), (-0.2, 0.7)])),
+    "independent-exponential": _same_marginal(lambda: Marginal.exponential(2.0, sign=-1)),
+    "independent-uniform": _same_marginal(lambda: Marginal.uniform(-0.5, 0.5)),
+    "independent-truncated_normal": _same_marginal(
+        lambda: Marginal.truncated_normal(0.0, 0.5, -0.8)
+    ),
+    "linked": JumpLaw2.linked(Marginal.exponential(2.0), 0.1, 0.5),
+    "dual": JumpLaw2.independent(Marginal.uniform(-0.5, 0.5), Marginal.exponential(1.0)).dual(),
+}
+
+
+@pytest.mark.parametrize("kind", list(_LAWS_BY_KIND))
+def test_padded_tiles_are_the_whole_block_draw(kind):
+    """Every row tile that ``JumpDraw.pad`` lays out, one-row tiles and
+    one-row last tiles included, equals the same rows of the block drawn
+    straight onto padded slots, for every jump-law kind."""
+    model = LevyModel2(drift=(-0.5, 0.3), jump_intensity=3.0, jump_law=_LAWS_BY_KIND[kind])
+    horizon, size = 2.0, 300
+    draw = draw_jumps(model, horizon, make_stream("tiles", 1), size)
+    counts, ref = _padded_reference(model, horizon, make_stream("tiles", 1), size)
+    assert np.array_equal(draw.counts, counts)
+    assert draw.kmax == counts.max() > counts.min()  # rows carry padding
+    assert draw.times.size == draw.du.size == draw.dl.size == counts.sum()  # O(jumps)
+    for rows in (1, 7, 128, size - 1, size):
+        for s in range(0, size, rows):
+            for got, want in zip(draw.pad(s, s + rows), ref):
+                assert got.shape == (min(rows, size - s), draw.kmax)
+                assert np.array_equal(got, want[s : s + rows])
 
 
 def test_jump_count_statistics(mixed_jump_model):

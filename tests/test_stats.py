@@ -51,6 +51,24 @@ def test_empirical_distribution_export(tmp_path):
     assert "test" in side.read_text()
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -7.0, 1e16, 0.1, 2.0 / 3.0],
+        [-0.0],
+        [1e308],
+    ],
+)
+def test_export_csv_is_savetxt_bytes(tmp_path, values):
+    """The CSV has the bytes ``np.savetxt`` writes for the sorted sample:
+    signed zeros, subnormals, extremes, integral floats and one value."""
+    d = EmpiricalDistribution(np.array(values))
+    d.export(tmp_path / "d.csv")
+    np.savetxt(tmp_path / "ref.csv", d.values, fmt="%.17g", header="value", comments="")
+    assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "d.csv").read_text().count("\n") == d.n + 1
+
+
 def test_kolmogorov_sf_matches_scipy():
     for lam in (0.4, 0.8, 1.2, 1.36, 2.0):
         assert _kolmogorov_sf(lam) == pytest.approx(float(kolmogorov(lam)), abs=1e-10)
