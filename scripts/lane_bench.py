@@ -28,9 +28,10 @@ case adds two rows at workers 1: ``floor``, its count of normals drawn
 alone, in the lane's chunks, from a fresh Philox stream per block, and
 ``pair``, its two blocks as two single-block calls of
 ``mc.run_together``, the way a suite's paired samples run.  These name
-the grid lane's bound: one block runs at its single-stream draw floor
-(the draw thread waits only while the stepping thread holds both of its
-buffers), and a pair cannot beat 2 blocks x (draw + step CPU) / 2 CPUs.
+the grid lane's bound: a block draws and steps on one thread, so a
+single block takes its draw floor plus the step arithmetic, and a pair
+(or two blocks at workers 2) takes about half that per block: it cannot
+beat 2 blocks x (draw + step CPU) / 2 CPUs.
 Faults are read with ``resource.getrusage(RUSAGE_SELF)``: this process
 and its threads only.  One untimed run per case comes first; the table shows
 the median of --repeats timed runs.  The last line is the table (and

@@ -2,7 +2,6 @@
 processes driven by bivariate Levy pairs — Siegmund duals, inverse flows,
 first-passage identities, and stationary laws."""
 
-from .duality import ruin_probability
 from .gou import stationary_sampler
 from .levy import ConditionError
 

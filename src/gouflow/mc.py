@@ -25,12 +25,10 @@ independent of the worker count:
   O(dt) weak error, the order of the Ito sums).  Given the Poisson count
   on [0, T] the jump times are iid uniform, so this has the law of a
   Poisson(lambda dt) count per step.  The rest of the stream is normals,
-  filled chunk by chunk into two buffers by one helper thread that runs
-  free: it waits only when the stepping thread still holds both buffers.
-  The draws keep their stream order, so the samples do not depend on it.
-  The grid-lane samples a verdict compares are independent, so
-  ``run_together`` runs them at once, and a block's draw and step threads
-  share the CPUs with the other sample's.
+  drawn chunk by chunk into one reused buffer on the block's own thread,
+  so a block takes draw + step time.  The grid-lane samples a verdict
+  compares are independent, so ``run_together`` runs them at once, one
+  thread each: a pair keeps two CPUs busy.
 
 Both lanes return each path's terminal state only: E(U)_T, I_T = int
 E^{-1} d eta and C_T = int E_{s-} dL_s.  First passage is the job of the
@@ -44,9 +42,7 @@ first-passage identity) is left to ``duality``.
 from __future__ import annotations
 
 import math
-import queue
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 
 import numpy as np
 
@@ -98,13 +94,14 @@ def run_together(model: LevyModel2, *calls) -> list:
 
     The calls must be independent (each draws its own named streams), so
     their results do not depend on how they are run.  On a model with a
-    Gaussian part (the grid lane, bound by one stream's draws) the first
-    runs on this thread and the rest at once on a pool.  Otherwise they
-    run one after another: a jump-lane block holds its whole jump draw,
-    and two at once raise peak memory for no gain.  When several calls
-    raise, the first one's exception in call order is raised, as running
-    them in turn would; each call must therefore carry the checks that
-    are to refuse before the next one starts.
+    Gaussian part (the grid lane, where a block draws and steps on one
+    thread) the first runs on this thread and the rest at once on a pool,
+    so a pair takes about half of its blocks' draw + step time on two
+    CPUs.  Otherwise they run one after another: a jump-lane block holds
+    its whole jump draw, and two at once raise peak memory for no gain.
+    When several calls raise, the first one's exception in call order is
+    raised, as running them in turn would; each call must therefore carry
+    the checks that are to refuse before the next one starts.
     """
     if not model.has_gaussian or len(calls) < 2:
         return [call() for call in calls]
@@ -226,46 +223,19 @@ def _jump_block(model, horizon, rng, size):
 # ---------------------------------------------------------------------------
 
 
-def _normal_rows(rng, shape, nsteps, ahead):
+def _normal_rows(rng, shape, nsteps):
     """Yield ``nsteps`` arrays of standard normals of ``shape``, in stream order.
 
-    One task on the one-thread pool ``ahead`` fills chunks of about
-    ``_CHUNK_ELEMENTS`` normals into two buffers, in stream order, and
-    waits only while the caller holds both: the caller hands a buffer back
-    when it asks for the row after the buffer's last.  The buffers are
-    allocated here, on the caller's thread.  A (k, *shape) draw takes the
-    same numbers in the same order as k draws of ``shape``, so the rows
-    do not depend on the chunking.  A yielded row is a view, valid until
-    the next row is asked for.  An error in the draw is raised here;
-    closing the generator early stops the task.
+    The normals are drawn in chunks of about ``_CHUNK_ELEMENTS`` into one
+    reused buffer.  A (k, *shape) draw takes the same numbers in the same
+    order as k draws of ``shape``, so the rows do not depend on the
+    chunking.  A yielded row is a view, valid until the next row is asked
+    for.
     """
     k = max(1, _CHUNK_ELEMENTS // math.prod(shape))
-    free = queue.SimpleQueue()  # buffers to fill; None stops the task
-    filled = queue.SimpleQueue()  # filled chunks in stream order, or the draw's error
-    for _ in range(2):
-        free.put(np.empty((k, *shape)))
-
-    def produce():
-        for start in range(0, nsteps, k):
-            buf = free.get()
-            if buf is None:
-                return
-            try:
-                filled.put(rng.standard_normal(out=buf[: min(k, nsteps - start)]))
-            except BaseException as exc:
-                filled.put(exc)
-                return
-
-    ahead.submit(produce)
-    try:
-        for _ in range(0, nsteps, k):
-            chunk = filled.get()
-            if isinstance(chunk, BaseException):
-                raise chunk
-            yield from chunk
-            free.put(chunk.base)
-    finally:
-        free.put(None)
+    buf = np.empty((k, *shape))
+    for start in range(0, nsteps, k):
+        yield from rng.standard_normal(out=buf[: min(k, nsteps - start)])
 
 
 def _step_jumps(model, horizon, rng, size, step_ends):
@@ -322,38 +292,34 @@ def _diffusion_block(model, horizon, rng, size, grid_dt):
     c = np.zeros(size)
     tmp = np.empty(size)
     shape = (size,) if u_noise_only else (size, 2)
-    with (
-        ThreadPoolExecutor(max_workers=1) as ahead,
-        closing(_normal_rows(rng, shape, nsteps, ahead)) as normals,
-    ):
-        for s, z in enumerate(normals):
-            if u_noise_only:
-                zu = np.multiply(z, sd_u, out=tmp)
-            else:
-                z = z @ chol.T
-                zu, zl = z[:, 0], z[:, 1]
-            np.add(zu, drift_u, out=tmp)
-            tmp -= half_var
-            e_new = e * np.exp(tmp, out=tmp)
-            inv_new = 1.0 / e_new
-            np.add(inv_e, inv_new, out=tmp)
-            tmp *= k_i
-            if not u_noise_only:
-                tmp += inv_e * zl
-            i += tmp
-            np.add(e, e_new, out=tmp)
-            tmp *= k_c
-            if not u_noise_only:
-                tmp += e * zl
-            c += tmp
-            e, inv_e = e_new, inv_new
-            for rows, du, dl in jumps.get(s, ()):
-                e_left = e[rows]
-                e_right = e_left * (1.0 + du)
-                i[rows] += dl / ((1.0 + du) * e_left)
-                c[rows] += e_left * dl
-                e[rows] = e_right
-                inv_e[rows] = 1.0 / e_right
+    for s, z in enumerate(_normal_rows(rng, shape, nsteps)):
+        if u_noise_only:
+            zu = np.multiply(z, sd_u, out=tmp)
+        else:
+            z = z @ chol.T
+            zu, zl = z[:, 0], z[:, 1]
+        np.add(zu, drift_u, out=tmp)
+        tmp -= half_var
+        e_new = e * np.exp(tmp, out=tmp)
+        inv_new = 1.0 / e_new
+        np.add(inv_e, inv_new, out=tmp)
+        tmp *= k_i
+        if not u_noise_only:
+            tmp += inv_e * zl
+        i += tmp
+        np.add(e, e_new, out=tmp)
+        tmp *= k_c
+        if not u_noise_only:
+            tmp += e * zl
+        c += tmp
+        e, inv_e = e_new, inv_new
+        for rows, du, dl in jumps.get(s, ()):
+            e_left = e[rows]
+            e_right = e_left * (1.0 + du)
+            i[rows] += dl / ((1.0 + du) * e_left)
+            c[rows] += e_left * dl
+            e[rows] = e_right
+            inv_e[rows] = 1.0 / e_right
     return {"e": e, "i": i, "c": c}
 
 

@@ -224,8 +224,12 @@ def test_criterion_8_subordinator_ruin():
     horizon = 15.0
     n = 100_000
     dual = dual_model(m)
-    res = mc.terminal_samples(dual, horizon, n, SEED + 8, 1e-3, 1, "c8-dual")
-    v_inf, _ = mc.exp_functional_samples(m, "causal", n, horizon, SEED + 9, label="c8-v")
+    # two independent samples (own seeds and labels), run as a pair
+    res, (v_inf, _) = mc.run_together(
+        m,
+        lambda: mc.terminal_samples(dual, horizon, n, SEED + 8, 1e-3, 1, "c8-dual"),
+        lambda: mc.exp_functional_samples(m, "causal", n, horizon, SEED + 9, label="c8-v"),
+    )
     details = []
     ok = True
     for y in (0.5, 1.0, 2.0):

@@ -1,7 +1,6 @@
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -449,26 +448,26 @@ _GRID_MODELS = {
 
 
 def _chunk_steps(model, size):
-    """Steps per chunk of normals drawn ahead for this model and block size."""
+    """Steps per chunk of normals drawn at once for this model and block size."""
     u_only = model.sigma_l_sq == 0.0 and model.sigma_ul == 0.0
     return max(1, mc._CHUNK_ELEMENTS // (size * (1 if u_only else 2)))
 
 
 def _check_grid_lane_bitwise(model, nsteps, size, dt=1e-3, seed=31):
-    ahead = mc._diffusion_block(model, nsteps * dt, stream(seed, "grid", size), size, dt)
+    lane = mc._diffusion_block(model, nsteps * dt, stream(seed, "grid", size), size, dt)
     ref = _serial_diffusion_block(model, nsteps * dt, stream(seed, "grid", size), size, dt)
     for key in ("e", "i", "c"):
-        _assert_bitwise(ahead[key], ref[key])
-    return ahead
+        _assert_bitwise(lane[key], ref[key])
+    return lane
 
 
 @pytest.mark.parametrize("offset", ["one", -1, 0, 1])
 @pytest.mark.parametrize("size", [1, 7, 4096])
 @pytest.mark.parametrize("name", list(_GRID_MODELS))
 def test_grid_lane_is_bitwise_serial(name, size, offset):
-    """Normals drawn a chunk ahead on a helper thread, after the block's
-    jumps, change no bit of the lane's samples: one step, and k - 1, k and
-    k + 1 steps around the chunk length k."""
+    """Normals drawn a chunk at a time, after the block's jumps, change no
+    bit of the lane's samples: one step, and k - 1, k and k + 1 steps
+    around the chunk length k."""
     model = _GRID_MODELS[name]
     nsteps = 1 if offset == "one" else _chunk_steps(model, size) + offset
     _check_grid_lane_bitwise(model, nsteps, size)
@@ -496,8 +495,8 @@ def test_grid_lane_is_bitwise_serial_when_e_overflows():
 
 
 def test_terminal_samples_two_blocks_worker_independent(dufresne_model):
-    """Two blocks, each with its own draw-ahead thread, give the same bytes
-    at workers 1 and 2, and the serial lane's."""
+    """Two blocks give the same bytes at workers 1 and 2, and the serial
+    lane's."""
     n, horizon = 2 * BLOCK_SIZE, 0.05
     one = mc.terminal_samples(dufresne_model, horizon, n, seed=17, workers=1)
     two = mc.terminal_samples(dufresne_model, horizon, n, seed=17, workers=2)
@@ -533,17 +532,22 @@ class _CountingStream:
         return getattr(self._rng, name)
 
 
-def test_grid_lane_draws_ahead_for_every_model():
-    """Every model's normals are filled on one helper thread; a model's
-    jumps are drawn before them, on the calling thread, and take none."""
+def test_grid_lane_draws_on_the_calling_thread_for_every_model(monkeypatch):
+    """Every model's normals are drawn chunk by chunk on the calling
+    thread, and the block starts no pool; a model's jumps are drawn before
+    them and take none."""
+
+    def no_pool(max_workers):
+        raise AssertionError("a grid-lane block started a thread pool")
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
     size = 64
     for name in ("dufresne", "jump-diffusion"):
         model = _GRID_MODELS[name]
         k = _chunk_steps(model, size)
         rng = _CountingStream(1)
         mc._diffusion_block(model, (2 * k + 1) * 1e-3, rng, size, 1e-3)
-        assert len(rng.threads) == 3, name
-        assert len(set(rng.threads)) == 1 and rng.threads[0] != threading.get_ident(), name
+        assert rng.threads == [threading.get_ident()] * 3, name
 
 
 def test_grid_lane_pure_jump_matches_jump_lane():
@@ -655,36 +659,20 @@ def test_subordinator_dual_i_is_nonincreasing(model, horizon):
     assert res["hits"].tolist() == [int(np.count_nonzero(y + i_min <= 0.0)) for y in ys]
 
 
-def test_helper_draw_error_reaches_caller_and_threads_end(dufresne_model):
-    baseline = threading.active_count()
+def test_grid_lane_draw_error_reaches_caller(dufresne_model):
     size = 64
     k = _chunk_steps(dufresne_model, size)
-    mc._diffusion_block(dufresne_model, (2 * k + 1) * 1e-3, _CountingStream(1), size, 1e-3)
-    assert threading.active_count() == baseline
-
     rng = _CountingStream(1, fail_at=3)
     with pytest.raises(_DrawError) as info:
         mc._diffusion_block(dufresne_model, 3 * k * 1e-3, rng, size, 1e-3)
     assert info.value is rng.error
-    assert threading.active_count() == baseline
-
-
-def test_step_error_ends_helper_thread():
-    """An error in the step arithmetic, raised while the next chunk may
-    still be drawing, leaves no thread behind."""
-    model = LevyModel2(drift=(2000.0, 0.5), gaussian_cov=((1.0, 0.0), (0.0, 0.0)))
-    baseline = threading.active_count()
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        mc._diffusion_block(model, 1.0, stream(2, "overflow"), 4096, 0.01)
-    assert threading.active_count() == baseline
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @pytest.mark.parametrize("name", ["dufresne", "correlated-gauss", "jump-diffusion"])
 def test_grid_lane_is_bitwise_serial_over_three_chunks(name, offset):
-    """The draw thread fills both buffers and waits for the first one back
-    before the third chunk: 3k - 1, 3k and 3k + 1 steps give the serial
-    lane's bits."""
+    """The chunk buffer is refilled for the second and third chunks:
+    3k - 1, 3k and 3k + 1 steps give the serial lane's bits."""
     model = _GRID_MODELS[name]
     _check_grid_lane_bitwise(model, 3 * _chunk_steps(model, 64) + offset, 64)
 
@@ -705,63 +693,6 @@ def test_grid_lane_u_only_non_finite_samples_match_serial(b_u, key):
         assert np.array_equal(np.isfinite(lane[k]), finite), k
         _assert_bitwise(lane[k][finite], ref[k][finite])
     assert not np.isfinite(ref[key]).any()
-
-
-def _within(seconds, fn):
-    """Run ``fn`` on a daemon thread and return what it raised (None when
-    it returned); fail if it has not ended after ``seconds``."""
-    raised = []
-
-    def target():
-        try:
-            fn()
-        except BaseException as exc:  # noqa: BLE001 - handed to the test
-            raised.append(exc)
-        else:
-            raised.append(None)
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(seconds)
-    assert not thread.is_alive(), f"still running after {seconds} s"
-    return raised[0]
-
-
-def test_normal_rows_consumer_stopping_early_stops_the_draw_thread():
-    """A consumer that takes one chunk and closes the rows, or raises while
-    stepping, leaves no draw thread behind once the pool has exited."""
-    size = 64
-    k = max(1, mc._CHUNK_ELEMENTS // size)
-    before = set(threading.enumerate())
-
-    def close_after_one_chunk():
-        with ThreadPoolExecutor(max_workers=1) as ahead:
-            rows = mc._normal_rows(stream(1, "stop"), (size,), 5 * k, ahead)
-            for _ in range(k):
-                next(rows)
-            rows.close()
-
-    def raise_in_second_chunk():
-        with ThreadPoolExecutor(max_workers=1) as ahead:
-            rows = mc._normal_rows(stream(1, "stop"), (size,), 5 * k, ahead)
-            with closing(rows):
-                for s, _ in enumerate(rows):
-                    if s == k + 1:
-                        raise _DrawError("step failed")
-
-    assert _within(10, close_after_one_chunk) is None
-    assert isinstance(_within(10, raise_in_second_chunk), _DrawError)
-    assert set(threading.enumerate()) == before
-
-
-def test_draw_error_in_second_chunk_reaches_caller_without_hanging(dufresne_model):
-    size = 64
-    k = _chunk_steps(dufresne_model, size)
-    rng = _CountingStream(1, fail_at=2)
-    before = set(threading.enumerate())
-    raised = _within(10, lambda: mc._diffusion_block(dufresne_model, 3 * k * 1e-3, rng, size, 1e-3))
-    assert raised is rng.error
-    assert set(threading.enumerate()) == before
 
 
 # ---------------------------------------------------------------------------
