@@ -7,7 +7,8 @@ and ``ru_maxrss`` afterwards (what every ``gouflow run`` pays before its
 first verdict).  For each pure-jump preset at its long horizon (the
 recommended horizon, else the 20 that the ruin and stationary suites
 use) this runs the jump lane (``mc.terminal_samples``), the ruin scan
-(``mc.ruin_samples``, three x probes) and their jump draw alone
+(``mc.ruin_samples``, three x probes; only on presets with condition
+(B), since the scan refuses the others) and their jump draw alone
 (``paths.draw_jumps``: Poisson counts, times and marks, flat, the same
 stream as the jump lane and its stream floor) over --blocks blocks.  A
 ``pad`` row at workers 1 times the padding alone: every row tile of
@@ -226,6 +227,8 @@ def main():
         jumps = drawn["k"].sum() / args.blocks
         slots = (jumps, drawn["slots"].sum() / args.blocks - jumps)
         for lane, run in LANES.items():
+            if lane == "ruin" and not model.condition_b:
+                continue
             peak = None
             if lane != "draw":
                 peak = traced_peak_mib(lambda: run(model, horizon, BLOCK_SIZE, args.seed, 1))

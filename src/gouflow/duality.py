@@ -6,8 +6,9 @@ the negated integrator process.  The verdicts transform the model
 (``levy.dual_model``) and sample fresh dual paths, so that the two sides
 of each identity come from independent randomness; ``dual_path``
 transforms one realized (U, L) path instead.  The first-passage identity
-weights each hit of the ruin scan (``mc.ruin_samples``, which returns
-the hits and V at first passage) with H, the law of int E^{-1} d eta.
+weights each hit of the ruin scan with H, the law of int E^{-1} d eta.
+The scan (``mc.ruin_samples``, starts x > 0) reads I under condition (B),
+E only at the hitting jump, and returns the hits and V at first passage.
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ def ruin_probability(
     workers: int = 1,
 ) -> dict:
     """Both sides of the subordinator-mode ruin identity at every level y
-    in ``ys``: the dual R^y hits 0 by T, and V's causal stationary tail
-    P(V >= y).
+    in ``ys``: the dual R^y hits 0 by T, and the causal tail P(C_T >= y).
 
     Returns ``hits`` and ``hit_prob`` (one entry per level) for the dual
     (``dual_model``, so a model without condition (B) refuses before
@@ -76,10 +76,12 @@ def ruin_probability(
     (no Brownian part, drift -b_L, jumps of sign -dL), so its running
     minimum is min(I_T, 0), and R^y hits 0 by T iff y + min(I_T, 0) <= 0.
     One sample of the dual's lane serves every level.  ``companion_tail``
-    is the T -> infinity duality prediction from one causal stationary
-    sample of ``stationary_n`` paths of ``model``, and
+    is P(C_T >= y) from one causal sample (C_T = int_(0,T] E_{s-} dL_s)
+    of ``stationary_n`` paths of ``model``, and
     ``companion_diagnostic_fail`` the fraction of those paths whose
-    truncation diagnostic failed.
+    truncation diagnostic failed.  So subordinator mode checks P(R_T^y <=
+    0) = P(C_T >= y) = P(V_T^0 >= y), the finite-T duality at x = 0: a
+    stationary tail P(V_inf >= y) only when the companion's diagnostic passes.
     """
     dual = dual_model(model)
     if not model.l_subordinator:

@@ -13,8 +13,8 @@ independent of the worker count:
   a tile is laid out on the block's K jump slots when the kernel reaches
   it, so the padding and the kernel's temporaries take O(_CHUNK_ELEMENTS)
   memory instead of O(BLOCK_SIZE * K).  The lane reduces a tile to its
-  terminal state only; the ruin scan alone builds values at every event
-  boundary.
+  terminal state only; the ruin scan alone builds the running sum of I
+  at every event boundary.
 * diffusion lane: models with a Gaussian part, on a fixed grid.  The
   stochastic exponential is updated in exact law; finite-variation
   integrands use the trapezoid rule (the left-point rule leaves an O(dt)
@@ -32,11 +32,12 @@ independent of the worker count:
 
 Both lanes return each path's terminal state only: E(U)_T, I_T = int
 E^{-1} d eta and C_T = int E_{s-} dL_s.  First passage is the job of the
-ruin scan (``ruin_samples``, pure-jump models), which reads V at every
-event boundary, where V is monotone in between; that needs only E != 0.
-It returns for each path and starting point whether it hit and V at the
-first passage; what a verdict makes of V_tau (the H-weights of the
-first-passage identity) is left to ``duality``.
+ruin scan (``ruin_samples``, pure-jump models with condition (B), starts
+x > 0).  Under (B) E(U) > 0, so V^x first reaches 0 when I first reaches
+-x: the scan reads I at every event boundary and E only right after the
+hitting jump.  It returns for each path and starting point whether it
+hit and V at the first passage; what a verdict makes of V_tau (the
+H-weights of the first-passage identity) is left to ``duality``.
 """
 
 from __future__ import annotations
@@ -181,22 +182,11 @@ def _interleave(gaps, jumps, order="C"):
     return out
 
 
-def _jump_boundary_arrays(parts):
-    """E and I at all event boundaries of a tile (n, 2K+1), interleaved as
-    [end of gap 0, after jump 1, end of gap 1, ...], from its
-    ``_jump_increments``: the ruin scan's view."""
-    grow, p_ext, prod1, e_left, inc_i, _ = parts
-    with np.errstate(over="ignore", invalid="ignore"):
-        e_bnd = _interleave(grow[:, 1:] * p_ext, e_left * prod1)  # gap ends: left limits
-        i_bnd = np.cumsum(_interleave(*inc_i), axis=1)
-    return e_bnd, i_bnd
-
-
 def _jump_terminal(parts):
-    """E_T, I_T and C_T of a tile from its ``_jump_increments``: the last
-    boundary of ``_jump_boundary_arrays``, bit for bit, without its prefix
-    arrays.  C_T is the sum of its gap and jump increments' pairwise row
-    sums."""
+    """E_T, I_T and C_T of a tile from its ``_jump_increments``.  I_T is
+    the last column of the cumsum of I's interleaved increments (the ruin
+    scan's running sum), bit for bit, without the prefix array.  C_T is
+    the sum of its gap and jump increments' pairwise row sums."""
     grow, p_ext, _, _, inc_i, inc_c = parts
     with np.errstate(over="ignore", invalid="ignore"):
         inc = _interleave(*inc_i, order="F")
@@ -386,54 +376,60 @@ def ruin_samples(
     workers: int = 1,
     label: str = "ruin",
 ) -> dict:
-    """First passage of V^x below zero, jointly for all starting points.
+    """First passage of V^x below zero, jointly for all starts x > 0.
 
     Returns, for the x in ``x_probes``, (n, probes) arrays ``hit`` (tau(x)
-    <= T) and ``v_tau`` (V at the first passage: x for a start at or below
-    0, 0 for a drift crossing between event boundaries and where there is
-    no hit), plus the per-probe ``hits`` and ``hit_prob``.  Needs a model
-    without Gaussian part.  Between event boundaries V solves a linear ODE
-    and is monotone, so V <= 0 somewhere iff at some boundary; that needs
-    only E(U) != 0 (condition (A)).  Non-finite boundary values of E or I
-    (an overflowing E at a long horizon) are a ConditionError naming their
-    count.
+    <= T) and ``v_tau`` (V at the first passage: 0 for a drift crossing
+    between event boundaries and where there is no hit), plus the
+    per-probe ``hits`` and ``hit_prob``.  Needs a model without Gaussian
+    part and with condition (B) (a ConditionError before anything is
+    drawn, as an x <= 0 is a ValueError).  Under (B) E(U) > 0, so V^x =
+    E (x + I) <= 0 iff I <= -x, and I is monotone between event
+    boundaries: the scan reads I's running sum at the boundaries and E
+    only right after the hitting jump.  Non-finite boundary values of E or
+    I (an overflowing E at a long horizon) are a ConditionError naming
+    their count.
     """
     if model.has_gaussian:
         raise NotImplementedError("ruin lane supports pure-jump models only")
+    if not model.condition_b:
+        raise ConditionError("the ruin scan reads V <= 0 as I <= -x, which needs condition (B)")
     xs = np.asarray(list(x_probes), dtype=float)
-    scanned = [j for j, x in enumerate(xs) if x > 0.0]
+    if not (xs > 0.0).all():
+        raise ValueError("the ruin scan needs starting points x > 0")
 
     def block(rng, size):
-        # the scanned columns are filled tile by tile; started at or below
-        # the barrier, tau = 0 and V_tau = x
         out = {
-            "hit": np.ones((size, xs.size), dtype=bool),
-            "v_tau": np.tile(np.where(xs > 0.0, 0.0, xs), (size, 1)),
+            "hit": np.empty((size, xs.size), dtype=bool),
+            "v_tau": np.zeros((size, xs.size)),
             # E/I boundary values the scan reads, and how many are not finite
             "bnd_values": np.zeros(size, dtype=int),
             "bnd_nonfinite": np.zeros(size, dtype=int),
         }
-        if not scanned:
-            return out
         for rows, parts in _jump_tiles(model, horizon, rng, size):
-            e_bnd, i_bnd = _jump_boundary_arrays(parts)
-            out["bnd_values"][rows] = 2 * e_bnd.shape[1]
-            out["bnd_nonfinite"][rows] = np.count_nonzero(~np.isfinite(e_bnd), axis=1)
-            out["bnd_nonfinite"][rows] += np.count_nonzero(~np.isfinite(i_bnd), axis=1)
-            idx = np.arange(e_bnd.shape[0])
-            for j in scanned:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    v_bnd = e_bnd * (xs[j] + i_bnd)
-                below = v_bnd <= 0.0
+            grow, p_ext, prod1, e_left, inc_i, _ = parts
+            with np.errstate(over="ignore", invalid="ignore"):
+                # E at the gap ends is e_left, then E_T; after a jump e_jump
+                e_t = grow[:, -1:] * p_ext[:, -1:]
+                e_jump = e_left * prod1
+                # I at [end of gap 0, after jump 1, end of gap 1, ...]
+                i_bnd = np.cumsum(_interleave(*inc_i), axis=1)
+            out["bnd_values"][rows] = 2 * i_bnd.shape[1]
+            out["bnd_nonfinite"][rows] = sum(
+                np.count_nonzero(~np.isfinite(v), axis=1) for v in (e_left, e_t, e_jump, i_bnd)
+            )
+            idx = np.arange(i_bnd.shape[0])
+            v_tau = out["v_tau"][rows]
+            for j, x in enumerate(xs):
+                below = i_bnd <= -x
                 first = below.argmax(axis=1)  # 0 where no boundary is below
                 hit = below[idx, first]
-                # an odd index is the boundary right after a jump, which
-                # took V below 0; an even one is a gap end, where V was
-                # positive at the gap's start (x, or the boundary before),
-                # so the drift crossed 0 continuously and V_tau = 0
-                jumped = hit & (first % 2 == 1)
                 out["hit"][rows, j] = hit
-                out["v_tau"][rows, j] = np.where(jumped, v_bnd[idx, first], 0.0)
+                # an odd index is the boundary right after a jump, which
+                # took I to -x or below; at an even one, a gap end, the
+                # drift crossed -x continuously and V_tau = 0
+                r = np.flatnonzero(hit & (first % 2 == 1))
+                v_tau[r, j] = e_jump[r, first[r] // 2] * (x + i_bnd[r, first[r]])
         return out
 
     res = run_blocks(n, block, seed, label, workers)

@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -302,6 +303,24 @@ def test_duality_grid_pass_covers_both_directions(monkeypatch):
     monkeypatch.setattr(duality, "_two_sided", lambda p_a, p_b, n: next(verdicts))
     (row,) = duality_grid(get_preset("drift-ou").model, [1.0], [0.0], [0.0], 100, seed=1)
     assert (row["z"], row["z_sym"], row["pass"]) == (0.0, 9.0, False)
+
+
+def test_duality_suite_reports_infinite_z(monkeypatch):
+    """On ``zero`` V stays at x, and a wrong dual (R drifts up at 0.5) is
+    deterministic too: every p is 0 or 1 and every se is 0, so a failing
+    probe has z = inf, which ``max_z`` reports as 1e18, not dropped."""
+    from gouflow.config import parse_config
+    from gouflow.suites import duality_suite
+
+    monkeypatch.setattr(duality, "dual_model", lambda model: LevyModel2(drift=(0.0, 0.5)))
+    cfg = parse_config("schema_version: 1\nseed: 1\npreset: zero\nsuite: duality\nn_paths: 256\n")
+    result = duality_suite(cfg)
+    failed = [row for row in result.rows if not row["pass"]]
+    assert failed and all(math.inf in (row["z"], row["z_sym"]) for row in failed)
+    # every finite z is 0, so dropping the infinite ones reads 0.0
+    assert {row["z"] for row in result.rows} == {0.0, math.inf}
+    assert result.metrics["failed"] == len(failed)
+    assert result.metrics["max_z"] == 1e18
 
 
 def test_duality_grid_requires_condition_b():

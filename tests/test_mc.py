@@ -100,7 +100,10 @@ def test_jump_boundary_arrays_match_event_route(mixed_jump_model):
     assert counts.min() < counts.max()  # rows carry padding
 
     parts = mc._jump_increments(times, du, dl, m.drift[0], m.drift[1], horizon)
-    e_bnd, i_bnd = mc._jump_boundary_arrays(parts)
+    grow, p_ext, prod1, e_left, inc_i, _ = parts
+    # E and I at [end of gap 0, after jump 1, end of gap 1, ...]
+    e_bnd = mc._interleave(grow[:, 1:] * p_ext, e_left * prod1)
+    i_bnd = np.cumsum(mc._interleave(*inc_i), axis=1)
     e_final, i_final, c_final = mc._jump_terminal(parts)
     _assert_bitwise(e_final, e_bnd[:, -1])
     _assert_bitwise(i_final, i_bnd[:, -1])
@@ -202,7 +205,12 @@ def _check_tiled_lane_bitwise(model, horizon, size, seed):
     for key in ("e", "i", "c"):
         _assert_bitwise(tiled[key], ref[key])
 
-    xs = [-0.5, 0.0, 0.25, 1.0, 3.0]
+    # the ruin scan reads I alone, which needs condition (B)
+    xs = [0.25, 1.0, 3.0]
+    if not model.condition_b:
+        with pytest.raises(ConditionError, match="condition \\(B\\)"):
+            mc.ruin_samples(model, horizon, size, seed, xs, label="tiles")
+        return
     res = mc.ruin_samples(model, horizon, size, seed, xs, label="tiles")
     hits, v_taus = _untiled_ruin(model, horizon, stream(seed, "tiles", 0), size, xs)
     assert res["hits"].tolist() == [int(h.sum()) for h in hits]
@@ -217,8 +225,9 @@ def _check_tiled_lane_bitwise(model, horizon, size, seed):
 )
 def test_tiled_jump_lane_is_bitwise_untiled(name, size):
     """Row tiles and the shared e^{+-a t} per boundary change no bit of the
-    lane's samples, hit flags, hit counts or V at first passage, on either
-    side of a tile boundary."""
+    lane's samples, hit flags, hit counts or V at first passage (models
+    with condition (B); ``nonmonotone`` refuses the scan), on either side
+    of a tile boundary."""
     preset = get_preset(name)
     horizon = preset.recommended.get("horizon", 20.0)
     _check_tiled_lane_bitwise(preset.model, horizon, size, seed=21)
@@ -651,7 +660,8 @@ def test_subordinator_dual_i_is_nonincreasing(model, horizon):
     _serial_diffusion_block(dual, horizon, stream(seed, "ruin", 0), n, grid_dt, watch)
     assert watch.rises == 0
     times, du, dl, _ = padded_jumps(dual, horizon, stream(seed, "ruin", 0), n)
-    _, i_bnd = mc._jump_boundary_arrays(mc._jump_increments(times, du, dl, *dual.drift, horizon))
+    inc_i = mc._jump_increments(times, du, dl, *dual.drift, horizon)[4]
+    i_bnd = np.cumsum(mc._interleave(*inc_i), axis=1)
     assert (np.diff(i_bnd, axis=1, prepend=0.0) <= 0.0).all()
     # the running minimum of the lane ruin_probability samples (same stream)
     i_min = watch.min if model.has_gaussian else np.minimum(i_bnd.min(axis=1), 0.0)
@@ -765,23 +775,34 @@ def test_ruin_samples_deterministic_drift_crossing():
     x > started above and the deterministic integral exceeds x."""
     m = LevyModel2(drift=(-1.0, -1.0))
     # I_t = -int e^{s} ds = 1 - e^{t}; crossing iff x + 1 - e^T <= 0
-    res = mc.ruin_samples(m, horizon=1.0, n=16, seed=3, x_probes=[0.5, e_m1 := math.e - 1 + 0.01, -0.2])
+    res = mc.ruin_samples(m, horizon=1.0, n=16, seed=3, x_probes=[0.5, math.e - 1 + 0.01])
     assert res["hit_prob"][0] == 1.0   # x = 0.5 < e - 1
     assert res["hit_prob"][1] == 0.0   # just above the reachable range
-    assert res["hit_prob"][2] == 1.0   # starts below zero
-    assert res["hit"].shape == res["v_tau"].shape == (16, 3)
+    assert res["hit"].shape == res["v_tau"].shape == (16, 2)
     # the drift crosses 0 continuously before the first (and only) event
     # boundary, so V_tau = 0 rather than V at the horizon; no hit records 0
     assert (res["v_tau"][:, 0] == 0.0).all()
     assert (res["v_tau"][:, 1] == 0.0).all()
 
 
-def test_ruin_samples_v_tau_at_barrier():
-    m = LevyModel2(drift=(-1.0, -1.0))
-    res = mc.ruin_samples(m, 1.0, 8, seed=4, x_probes=[-0.3])
-    # tau = 0 and V_tau = x on every path
-    assert res["hit"].all()
-    assert (res["v_tau"] == -0.3).all()
+def _no_draw(monkeypatch):
+    def drawn(*args, **kwargs):
+        raise AssertionError("drew jumps before refusing")
+
+    monkeypatch.setattr(mc, "draw_jumps", drawn)
+
+
+@pytest.mark.parametrize(
+    "xs", [[-0.3], [0.0], [1.0, 0.0], [float("nan")]], ids=["negative", "zero", "one-of-two", "nan"]
+)
+def test_ruin_samples_refuse_starts_at_or_below_barrier(monkeypatch, xs):
+    """The scan serves starts x > 0 only; any other probe is a ValueError
+    before anything is drawn."""
+    _no_draw(monkeypatch)
+    law = JumpLaw2.point_mass([((0.5, -0.5), 1.0)])
+    m = LevyModel2(drift=(-1.0, -1.0), jump_intensity=1.0, jump_law=law)
+    with pytest.raises(ValueError, match="x > 0"):
+        mc.ruin_samples(m, 1.0, 8, seed=4, x_probes=xs)
 
 
 def test_ruin_samples_continuous_crossing_sets_zero_overshoot():
@@ -798,6 +819,19 @@ def test_ruin_samples_continuous_crossing_sets_zero_overshoot():
     assert (v_tau[~hit] == 0.0).all()
 
 
+def test_ruin_samples_jump_onto_the_barrier_is_a_hit():
+    """E = 1 and every jump takes I down by exactly 1: from x = 1 the first
+    jump lands V on 0, which is ruin (V <= 0), with V_tau = 0."""
+    law = JumpLaw2.point_mass([((0.0, -1.0), 1.0)])
+    m = LevyModel2(drift=(0.0, 0.0), jump_intensity=1.0, jump_law=law)
+    counts = draw_jumps(m, 2.0, stream(6, "ruin", 0), 500).counts
+    res = mc.ruin_samples(m, 2.0, 500, seed=6, x_probes=[1.0, 2.0])
+    assert np.array_equal(res["hit"][:, 0], counts >= 1)
+    assert np.array_equal(res["hit"][:, 1], counts >= 2)
+    assert 0 < res["hits"][1] < res["hits"][0] < 500
+    assert not res["v_tau"].any()
+
+
 def test_ruin_samples_rejects_unsupported_models(dufresne_model):
     with pytest.raises(NotImplementedError):
         mc.ruin_samples(dufresne_model, 1.0, 10, 1, [1.0])
@@ -810,27 +844,43 @@ def test_ruin_samples_refuse_non_finite_boundary_values():
     m = LevyModel2(drift=(-1.0, -1.0))
     with pytest.raises(ConditionError, match="16 of 32 ruin-scan E/I boundary samples"):
         mc.ruin_samples(m, 800.0, 16, seed=3, x_probes=[0.5])
-    # probes at or below the barrier read no boundary value
-    assert mc.ruin_samples(m, 800.0, 16, seed=3, x_probes=[-0.5])["hits"][0] == 16
 
 
-def test_ruin_samples_hit_probability_without_condition_b():
-    """nonmonotone at x = 1: L = 0, so V = E(U) first drops below 0 at the
-    first dU = -2 jump, which arrives at rate 0.75: P(tau <= T) = 1 - e^{-0.75 T}."""
-    m = get_preset("nonmonotone").model
-    hits = mc.ruin_samples(m, 1.0, 2000, seed=7, x_probes=[1.0])["hits"]
-    exact = -math.expm1(-0.75)
-    assert abs(hits[0] / 2000 - exact) < 4 * math.sqrt(exact * (1 - exact) / 2000)
+def test_ruin_samples_count_non_finite_e_at_jumps():
+    """E = e^{800 t} overflows late in [0, 1], at gap ends and right after
+    jumps alike, while I stays finite: the refusal counts the non-finite
+    E and I boundary values of the untiled reference, padded slots
+    included."""
+    law = JumpLaw2.point_mass([((0.5, -1.0), 1.0)])
+    m = LevyModel2(drift=(800.0, 0.5), jump_intensity=3.0, jump_law=law)
+    times, du, dl, _ = padded_jumps(m, 1.0, stream(3, "ruin", 0), 64)
+    e_bnd, i_bnd, _ = _untiled_boundary_arrays(times, du, dl, 800.0, 0.5, 0.5, 1.0)
+    assert np.isfinite(i_bnd).all() and not np.isfinite(e_bnd[:, 1::2]).all()
+    bad = np.count_nonzero(~np.isfinite(e_bnd))
+    with pytest.raises(ConditionError, match=f"{bad} of {2 * e_bnd.size} ruin-scan"):
+        mc.ruin_samples(m, 1.0, 64, seed=3, x_probes=[0.5])
 
 
 @pytest.mark.parametrize("name", ["sign-flip", "nonmonotone"])
-def test_ruin_samples_without_condition_b_match_per_path_solver(sign_flip_model, name):
-    """E(U) changes sign at jumps below -1: the lane's boundary hit count
-    equals the rows of the same block's ``exact_paths`` whose solved V
-    reaches <= 0."""
+def test_ruin_samples_refuse_without_condition_b(monkeypatch, sign_flip_model, name):
+    """Without condition (B) E(U) changes sign at jumps below -1, and
+    V <= 0 is no longer I <= -x: the scan refuses before drawing."""
     m = sign_flip_model if name == "sign-flip" else get_preset("nonmonotone").model
     assert not m.condition_b
-    n, horizon, xs = 1000, 2.0, [0.25, 1.0, 3.0]
+    _no_draw(monkeypatch)
+    with pytest.raises(ConditionError, match="condition \\(B\\)"):
+        mc.ruin_samples(m, 2.0, 1000, seed=8, x_probes=[0.25, 1.0, 3.0])
+
+
+@pytest.mark.parametrize("name", ["mixed", "drift-ou", "cramer-paulsen"])
+def test_ruin_samples_match_per_path_solver(mixed_jump_model, name):
+    """Condition (B) models with dL of both signs: the scan's hit count
+    (I reaching -x) equals the rows of the same block's ``exact_paths``
+    whose solved V reaches <= 0."""
+    m = mixed_jump_model if name == "mixed" else get_preset(name).model
+    lo, hi = m.jump_law._dl_support()
+    assert m.condition_b and lo < 0.0 < hi
+    n, horizon, xs = 1000, 2.0, [0.25, 0.5, 1.0]
     res = mc.ruin_samples(m, horizon, n, seed=8, x_probes=xs)
     batch = exact_paths(m, horizon, stream(8, "ruin", 0), n)
     for j, x in enumerate(xs):
