@@ -10,22 +10,25 @@ use) this runs the jump lane (``mc.terminal_samples``), the ruin scan
 (``mc.ruin_samples``, three x probes; only on presets with condition
 (B), since the scan refuses the others) and their jump draw alone
 (``paths.draw_jumps``: Poisson counts, times and marks, flat, the same
-stream as the jump lane and its stream floor) over --blocks blocks.  A
-``pad`` row at workers 1 times the padding alone: every row tile of
-those draws (made beforehand) laid out on the block's K slots, as the
-jump lane lays them out.  The draw and pad rows give the real jumps and
-the padded slots per block (each tile pads its rows to the block's
-largest jump count K; padded slots exist per tile only), and the jump
-and ruin rows the traced (``tracemalloc``) peak MiB of one block at
-workers 1.  It then runs the grid lane over
-two blocks on ``dufresne`` at T = 10 (U-only noise, 10 000 steps of the
-default grid), on the correlated two-dimensional Gaussian model of the
-verdict benchmark at T = 5 (the Cholesky branch) and on its
-jump-diffusion model at T = 10 (U-only noise plus about ten jumps a
-path, applied at step ends), and adds microseconds per step of a
-block.  Every case runs with workers 1 and 2
-and prints wall milliseconds and minor page faults per block.  Each grid
-case adds two rows at workers 1: ``floor``, its count of normals drawn
+stream as the jump lane and its stream floor) over --blocks blocks.  The
+jump lane runs for all three terminal keys (``jump``) and, at workers 1,
+for the keys its callers ask for: ``jump:ei`` (e and i: the duality,
+monotonicity and noncausal samples) and ``jump:ec`` (e and c: the causal
+samples).  A ``pad`` row at workers 1 times the padding alone: every row
+tile of those draws (made beforehand) laid out on the block's K slots,
+as the jump lane lays them out.  The draw and pad rows give the real
+jumps and the padded slots per block (each tile pads its rows to the
+block's largest jump count K; padded slots exist per tile only), and the
+jump and ruin rows the traced (``tracemalloc``) peak MiB of one block at
+workers 1.  It then runs the grid lane over two blocks on ``dufresne``
+at T = 10 (U-only noise, 10 000 steps of the default grid), on the
+correlated two-dimensional Gaussian model of the verdict benchmark at
+T = 5 (the Cholesky branch) and on its jump-diffusion model at T = 10
+(U-only noise plus about ten jumps a path, applied at step ends), and
+adds microseconds per step of a block; ``grid:ei`` and ``grid:ec`` rows
+at workers 1 ask for those keys only.  The other jump and grid rows run
+with workers 1 and 2.  Every row prints wall milliseconds and minor page
+faults per block.  Each grid case adds two rows at workers 1: ``floor``, its count of normals drawn
 alone, in the lane's chunks, from a fresh Philox stream per block, and
 ``pair``, its two blocks as two single-block calls of
 ``mc.run_together``, the way a suite's paired samples run.  These name
@@ -86,7 +89,9 @@ LANES = {
     "draw": lambda m, h, n, seed, w: mc.run_blocks(
         n, lambda rng, size: _draw_block(m, h, rng, size), seed, "terminal", w
     ),
-    "jump": lambda m, h, n, seed, w: mc.terminal_samples(m, h, n, seed, workers=w),
+    "jump": lambda m, h, n, seed, w, keys=mc.KEYS: mc.terminal_samples(
+        m, h, n, seed, workers=w, keys=keys
+    ),
     "ruin": lambda m, h, n, seed, w: mc.ruin_samples(m, h, n, seed, [0.5, 1.0, 2.0], workers=w),
 }
 
@@ -118,6 +123,9 @@ GRID = {
     ),
 }
 GRID_BLOCKS = 2  # so that workers 2 runs two blocks at once
+
+# the terminal keys the lanes' callers ask for, beside all three
+KEY_SUBSETS = {"ei": ("e", "i"), "ec": ("e", "c")}
 
 
 def _normal_floor(model, horizon, n, seed):
@@ -211,10 +219,10 @@ def main():
             row["peak_mib_per_block"] = round(peak, 1)
             traced = f" {peak:11.1f}"
         rows.append(row)
-        print(f"{name:16} {horizon:5g} {lane:5} {workers:7d} {ms:9.2f} {faults:13.0f} "
+        print(f"{name:16} {horizon:5g} {lane:7} {workers:7d} {ms:9.2f} {faults:13.0f} "
               f"{per_step}{per_slot}{traced}".rstrip())
 
-    print(f"{'preset':16} {'T':>5} {'lane':5} {'workers':>7} {'ms/block':>9} "
+    print(f"{'preset':16} {'T':>5} {'lane':7} {'workers':>7} {'ms/block':>9} "
           f"{'faults/block':>13} {'us/step':>9} {'jumps/block':>12} {'padded/block':>12} "
           f"{'peak MiB':>11}")
     n = args.blocks * BLOCK_SIZE
@@ -236,6 +244,11 @@ def main():
                 fn = lambda: run(model, horizon, n, args.seed, workers)
                 report(name, horizon, lane, workers, *timed(fn, args.blocks, args.repeats),
                        slots=slots if lane == "draw" else None, peak=peak)
+            if lane == "jump":
+                for tag, keys in KEY_SUBSETS.items():
+                    fn = lambda: run(model, horizon, n, args.seed, 1, keys)
+                    report(name, horizon, f"jump:{tag}", 1,
+                           *timed(fn, args.blocks, args.repeats))
             if lane == "draw":
                 draws = _draws(model, horizon, n, args.seed)
                 report(name, horizon, "pad", 1, *timed(lambda: _pad_tiles(draws), args.blocks,
@@ -248,6 +261,10 @@ def main():
             fn = lambda: mc.terminal_samples(model, horizon, n, args.seed, GRID_DT, workers)
             ms, faults = timed(fn, GRID_BLOCKS, args.repeats)
             report(name, horizon, "grid", workers, ms, faults, steps)
+        for tag, keys in KEY_SUBSETS.items():
+            fn = lambda: mc.terminal_samples(model, horizon, n, args.seed, GRID_DT, 1, keys=keys)
+            ms, faults = timed(fn, GRID_BLOCKS, args.repeats)
+            report(name, horizon, f"grid:{tag}", 1, ms, faults, steps)
         for lane, run in (("floor", _normal_floor), ("pair", _pair)):
             fn = lambda: run(model, horizon, n, args.seed)
             ms, faults = timed(fn, GRID_BLOCKS, args.repeats)

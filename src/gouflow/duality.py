@@ -93,7 +93,7 @@ def ruin_probability(
     ys = np.asarray(list(ys), dtype=float)
 
     def dual_i():
-        res = mc.terminal_samples(dual, horizon, n, seed, grid_dt, workers, "ruin")
+        res = mc.terminal_samples(dual, horizon, n, seed, grid_dt, workers, "ruin", keys=("i",))
         return finite_samples(res["i"], "R-side I", horizon)
 
     i_end, dist = mc.run_together(
@@ -249,7 +249,7 @@ def monotonicity_probe(
     violations appear with a quantifiable z-score.
     """
     xs = sorted(float(v) for v in xs)
-    res = mc.terminal_samples(model, t, n, seed, grid_dt, workers, "monotone")
+    res = mc.terminal_samples(model, t, n, seed, grid_dt, workers, "monotone", keys=("e", "i"))
     e, i = _finite_lane(res, "V", t)
     indicators = [(e * (x + i)) >= y for x in xs]
     probs = [float(ind.mean()) for ind in indicators]
@@ -309,12 +309,16 @@ def duality_grid(
     when both directions pass.
     """
     dual = dual_model(model)
+
+    def sample(m, side, t):
+        return mc.terminal_samples(
+            m, t, n, seed, grid_dt, workers, f"dual-{side}@{t}", keys=("e", "i")
+        )
+
     rows = []
     for t in ts:
         fv, fr = mc.run_together(
-            model,
-            lambda: mc.terminal_samples(model, t, n, seed, grid_dt, workers, f"dual-V@{t}"),
-            lambda: mc.terminal_samples(dual, t, n, seed, grid_dt, workers, f"dual-R@{t}"),
+            model, lambda: sample(model, "V", t), lambda: sample(dual, "R", t)
         )
         v_e, v_i = _finite_lane(fv, "V", t)
         r_e, r_i = _finite_lane(fr, "R", t)

@@ -30,14 +30,25 @@ independent of the worker count:
   compares are independent, so ``run_together`` runs them at once, one
   thread each: a pair keeps two CPUs busy.
 
-Both lanes return each path's terminal state only: E(U)_T, I_T = int
-E^{-1} d eta and C_T = int E_{s-} dL_s.  First passage is the job of the
-ruin scan (``ruin_samples``, pure-jump models with condition (B), starts
-x > 0).  Under (B) E(U) > 0, so V^x first reaches 0 when I first reaches
--x: the scan reads I at every event boundary and E only right after the
-hitting jump.  It returns for each path and starting point whether it
-hit and V at the first passage; what a verdict makes of V_tau (the
-H-weights of the first-passage identity) is left to ``duality``.
+Both lanes return each path's terminal state only, and of it only the
+keys their caller asks for: ``e`` = E(U)_T, ``i`` = I_T = int E^{-1} d eta
+and ``c`` = C_T = int E_{s-} dL_s.  The duality grid (both sides), the
+monotonicity probe, the noncausal stationary law and the stationary
+suite's solution sample read e and i; the causal stationary law reads e
+and c, the stationary suite's causal-integral sample c alone and the
+subordinator ruin mode's dual side i alone.  The jump lane builds only
+the increments of the requested integrals (I's with a second exp), and
+the grid lane steps E always and skips an unread integral's sums (1/E
+with I).  The draw is the same whatever the keys, and a computed key
+keeps its bits.
+
+First passage is the job of the ruin scan (``ruin_samples``, pure-jump
+models with condition (B), starts x > 0).  Under (B) E(U) > 0, so V^x
+first reaches 0 when I first reaches -x: the scan builds I's increments
+only, reads I at every event boundary and E only right after the hitting
+jump.  It returns for each path and starting point whether it hit and V
+at the first passage; what a verdict makes of V_tau (the H-weights of
+the first-passage identity) is left to ``duality``.
 """
 
 from __future__ import annotations
@@ -58,6 +69,23 @@ __all__ = [
     "exp_functional_samples",
     "ruin_samples",
 ]
+
+
+# The terminal keys a lane can return: E(U)_T, I_T and C_T.
+KEYS = ("e", "i", "c")
+
+
+def _check_horizon(horizon):
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValueError("horizon must be positive and finite")
+
+
+def _lane_keys(keys) -> tuple:
+    """``keys`` in ``KEYS`` order; ValueError unless a non-empty subset."""
+    wanted = {keys} if isinstance(keys, str) else set(keys)
+    if not wanted or not wanted <= set(KEYS):
+        raise ValueError(f"keys must be a non-empty subset of {KEYS}, not {keys!r}")
+    return tuple(k for k in KEYS if k in wanted)
 
 
 # ---------------------------------------------------------------------------
@@ -125,20 +153,21 @@ def run_together(model: LevyModel2, *calls) -> list:
 _CHUNK_ELEMENTS = 32_768
 
 
-def _jump_tiles(model, horizon, rng, size):
+def _jump_tiles(model, horizon, rng, size, keys=KEYS):
     """Draw a block's jumps (``paths.draw_jumps``) and yield, for each row
     tile of about ``_CHUNK_ELEMENTS`` of the kernel's 2K+1 boundary values,
-    its row slice and its ``_jump_increments``.  Every tile is padded to
-    the block's K: C's pairwise row sums group terms by the row width."""
+    its row slice and its ``_jump_increments`` for ``keys``.  Every tile
+    is padded to the block's K: C's pairwise row sums group terms by the
+    row width."""
     draw = draw_jumps(model, horizon, rng, size)
     a, b_l = model.drift
     rows = max(1, _CHUNK_ELEMENTS // (2 * draw.kmax + 1))
     for s in range(0, size, rows):
         times, du, dl = draw.pad(s, s + rows)
-        yield slice(s, s + rows), _jump_increments(times, du, dl, a, b_l, horizon)
+        yield slice(s, s + rows), _jump_increments(times, du, dl, a, b_l, horizon, keys)
 
 
-def _jump_increments(times, du, dl, a, b_l, horizon):
+def _jump_increments(times, du, dl, a, b_l, horizon, keys=KEYS):
     """Closed form of a tile of pure-jump-plus-drift paths, event by event.
 
     times: (n, K) jump times sorted per row, padded with the horizon;
@@ -149,29 +178,33 @@ def _jump_increments(times, du, dl, a, b_l, horizon):
 
     Returns ``grow`` = e^{a t_j} (n, K+2), p (n, K+1), 1 + dU and E before
     each jump (n, K), and the increments of I = int E^{-1} d eta and of
-    C = int E_{s-} dL_s over each gap (n, K+1) and at each jump (n, K).
-    An overflowing E leaves inf/NaN entries without a warning; callers
-    count them.
+    C = int E_{s-} dL_s over each gap (n, K+1) and at each jump (n, K),
+    each only when its key is in ``keys`` (else None).  An overflowing E
+    leaves inf/NaN entries without a warning; callers count them.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         n = times.shape[0]
         prod1 = 1.0 + du  # padded entries contribute a factor 1
         p_ext = np.concatenate([np.ones((n, 1)), np.cumprod(prod1, axis=1)], axis=1)
         t_ext = np.concatenate([np.zeros((n, 1)), times, np.full((n, 1), horizon)], axis=1)
-        # e^{a t} and e^{-a t} once per boundary time
+        # e^{a t}, and e^{-a t} for I, once per boundary time
         grow = np.exp(a * t_ext)
-        if a == 0.0:
-            int_pos = int_neg = t_ext[:, 1:] - t_ext[:, :-1]
-        else:
-            shrink = np.exp(-a * t_ext)
-            int_pos = (grow[:, 1:] - grow[:, :-1]) / a
-            int_neg = (shrink[:, 1:] - shrink[:, :-1]) / -a
         e_left = grow[:, 1:-1] * p_ext[:, :-1]
-        gap_i = b_l * int_neg / p_ext
-        jump_i = (dl / prod1) / e_left
-        gap_c = b_l * int_pos * p_ext
-        jump_c = dl * e_left
-    return grow, p_ext, prod1, e_left, (gap_i, jump_i), (gap_c, jump_c)
+        inc_i = inc_c = None
+        if "i" in keys:
+            if a == 0.0:
+                int_neg = t_ext[:, 1:] - t_ext[:, :-1]
+            else:
+                shrink = np.exp(-a * t_ext)
+                int_neg = (shrink[:, 1:] - shrink[:, :-1]) / -a
+            inc_i = b_l * int_neg / p_ext, (dl / prod1) / e_left
+        if "c" in keys:
+            if a == 0.0:
+                int_pos = t_ext[:, 1:] - t_ext[:, :-1]
+            else:
+                int_pos = (grow[:, 1:] - grow[:, :-1]) / a
+            inc_c = b_l * int_pos * p_ext, dl * e_left
+    return grow, p_ext, prod1, e_left, inc_i, inc_c
 
 
 def _interleave(gaps, jumps, order="C"):
@@ -183,28 +216,35 @@ def _interleave(gaps, jumps, order="C"):
 
 
 def _jump_terminal(parts):
-    """E_T, I_T and C_T of a tile from its ``_jump_increments``.  I_T is
-    the last column of the cumsum of I's interleaved increments (the ruin
-    scan's running sum), bit for bit, without the prefix array.  C_T is
-    the sum of its gap and jump increments' pairwise row sums."""
+    """E_T, I_T and C_T of a tile from its ``_jump_increments`` (None for
+    an integral whose increments were not built).  I_T is the last column
+    of the cumsum of I's interleaved increments (the ruin scan's running
+    sum), bit for bit, without the prefix array.  C_T is the sum of its
+    gap and jump increments' pairwise row sums."""
     grow, p_ext, _, _, inc_i, inc_c = parts
+    i_t = c_t = None
     with np.errstate(over="ignore", invalid="ignore"):
-        inc = _interleave(*inc_i, order="F")
-        # Reduced over an F-ordered tile of two or more rows, I_T adds
-        # column by column, as the cumsum does; starting from -0.0 (not
-        # numpy's +0.0) keeps the sign of an all -0.0 row.  A one-row tile
-        # is contiguous, and numpy would sum it pairwise.
-        if inc.shape[0] > 1:
-            i_t = np.add.reduce(inc, axis=1, initial=-0.0)
-        else:
-            i_t = np.cumsum(inc, axis=1)[:, -1]
-        return grow[:, -1] * p_ext[:, -1], i_t, inc_c[0].sum(axis=1) + inc_c[1].sum(axis=1)
+        if inc_i is not None:
+            inc = _interleave(*inc_i, order="F")
+            # Reduced over an F-ordered tile of two or more rows, I_T adds
+            # column by column, as the cumsum does; starting from -0.0 (not
+            # numpy's +0.0) keeps the sign of an all -0.0 row.  A one-row
+            # tile is contiguous, and numpy would sum it pairwise.
+            if inc.shape[0] > 1:
+                i_t = np.add.reduce(inc, axis=1, initial=-0.0)
+            else:
+                i_t = np.cumsum(inc, axis=1)[:, -1]
+        if inc_c is not None:
+            c_t = inc_c[0].sum(axis=1) + inc_c[1].sum(axis=1)
+        return grow[:, -1] * p_ext[:, -1], i_t, c_t
 
 
-def _jump_block(model, horizon, rng, size):
-    out = {k: np.empty(size) for k in ("e", "i", "c")}
-    for rows, parts in _jump_tiles(model, horizon, rng, size):
-        out["e"][rows], out["i"][rows], out["c"][rows] = _jump_terminal(parts)
+def _jump_block(model, horizon, rng, size, keys=KEYS):
+    out = {k: np.empty(size) for k in keys}
+    for rows, parts in _jump_tiles(model, horizon, rng, size, keys):
+        for k, v in zip(KEYS, _jump_terminal(parts)):
+            if k in out:
+                out[k][rows] = v
     return out
 
 
@@ -254,7 +294,7 @@ def _step_jumps(model, horizon, rng, size, step_ends):
     return passes
 
 
-def _diffusion_block(model, horizon, rng, size, grid_dt):
+def _diffusion_block(model, horizon, rng, size, grid_dt, keys=KEYS):
     b_u, b_l = model.drift
     suu = model.sigma_u_sq
     drift_eta = b_l - model.sigma_ul
@@ -272,14 +312,16 @@ def _diffusion_block(model, horizon, rng, size, grid_dt):
     # sample keeps its bits.  U-only Gaussian noise is the common case;
     # then the dead L draws and the Z_L terms are skipped (where E or 1/E
     # is infinite, I or C stays inf instead of 0 * inf = NaN; both count
-    # as non-finite).
+    # as non-finite).  E is the state and always stepped; I (with the 1/E
+    # carry) and C are summed only when asked for.
     u_noise_only = model.sigma_l_sq == 0.0 and model.sigma_ul == 0.0
     sd_u, drift_u, half_var = math.sqrt(suu * dt), b_u * dt, 0.5 * suu * dt
     k_i, k_c = drift_eta * dt * 0.5, b_l * dt * 0.5
+    want_i, want_c = "i" in keys, "c" in keys
 
-    e, inv_e = np.ones(size), np.ones(size)
-    i = np.zeros(size)
-    c = np.zeros(size)
+    e = np.ones(size)
+    inv_e, i = (np.ones(size), np.zeros(size)) if want_i else (None, None)
+    c = np.zeros(size) if want_c else None
     tmp = np.empty(size)
     shape = (size,) if u_noise_only else (size, 2)
     for s, z in enumerate(_normal_rows(rng, shape, nsteps)):
@@ -291,26 +333,32 @@ def _diffusion_block(model, horizon, rng, size, grid_dt):
         np.add(zu, drift_u, out=tmp)
         tmp -= half_var
         e_new = e * np.exp(tmp, out=tmp)
-        inv_new = 1.0 / e_new
-        np.add(inv_e, inv_new, out=tmp)
-        tmp *= k_i
-        if not u_noise_only:
-            tmp += inv_e * zl
-        i += tmp
-        np.add(e, e_new, out=tmp)
-        tmp *= k_c
-        if not u_noise_only:
-            tmp += e * zl
-        c += tmp
-        e, inv_e = e_new, inv_new
+        if want_i:
+            inv_new = 1.0 / e_new
+            np.add(inv_e, inv_new, out=tmp)
+            tmp *= k_i
+            if not u_noise_only:
+                tmp += inv_e * zl
+            i += tmp
+            inv_e = inv_new
+        if want_c:
+            np.add(e, e_new, out=tmp)
+            tmp *= k_c
+            if not u_noise_only:
+                tmp += e * zl
+            c += tmp
+        e = e_new
         for rows, du, dl in jumps.get(s, ()):
             e_left = e[rows]
             e_right = e_left * (1.0 + du)
-            i[rows] += dl / ((1.0 + du) * e_left)
-            c[rows] += e_left * dl
+            if want_i:
+                i[rows] += dl / ((1.0 + du) * e_left)
+                inv_e[rows] = 1.0 / e_right
+            if want_c:
+                c[rows] += e_left * dl
             e[rows] = e_right
-            inv_e[rows] = 1.0 / e_right
-    return {"e": e, "i": i, "c": c}
+    terminal = {"e": e, "i": i, "c": c}
+    return {k: terminal[k] for k in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +374,27 @@ def terminal_samples(
     grid_dt: float = GRID_DT,
     workers: int = 1,
     label: str = "terminal",
+    keys=KEYS,
 ) -> dict:
     """Per-path terminal quantities for n independent paths.
 
-    Keys: ``e`` = E(U)_T, ``i`` = int_(0,T] E^{-1} d eta, ``c`` =
-    int_(0,T] E_{s-} dL_s.  V_T^x = e * (x + i) for every x.
+    Returns exactly the ``keys`` asked for, a non-empty subset of ``e`` =
+    E(U)_T, ``i`` = int_(0,T] E^{-1} d eta and ``c`` = int_(0,T] E_{s-}
+    dL_s (default all three); V_T^x = e * (x + i) for every x.  A lane
+    computes only those, from the same draw and with the same bits as
+    for all keys.  The duality grid (both sides), the monotonicity probe
+    and the stationary suite's solution sample ask for e and i; the
+    stationary suite's causal-integral sample for c; the subordinator
+    ruin mode's dual side for i; ``exp_functional_samples`` for e and c
+    (causal) or e and i (noncausal).  A horizon that is not positive and
+    finite, or other keys, are a ValueError before anything is drawn.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(horizon)
+    keys = _lane_keys(keys)
     if model.has_gaussian:
-        fn = lambda rng, size: _diffusion_block(model, horizon, rng, size, grid_dt)
+        fn = lambda rng, size: _diffusion_block(model, horizon, rng, size, grid_dt, keys)
     else:
-        fn = lambda rng, size: _jump_block(model, horizon, rng, size)
+        fn = lambda rng, size: _jump_block(model, horizon, rng, size, keys)
     return run_blocks(n, fn, seed, label, workers)
 
 
@@ -360,7 +417,8 @@ def exp_functional_samples(
     """
     if kind not in ("causal", "noncausal"):
         raise ValueError("kind must be 'causal' or 'noncausal'")
-    res = terminal_samples(model, horizon, n, seed, grid_dt, workers, label)
+    keys = ("e", "c") if kind == "causal" else ("e", "i")
+    res = terminal_samples(model, horizon, n, seed, grid_dt, workers, label, keys)
     with np.errstate(divide="ignore"):
         if kind == "causal":
             return res["c"], np.abs(res["e"])
@@ -388,8 +446,10 @@ def ruin_samples(
     boundaries: the scan reads I's running sum at the boundaries and E
     only right after the hitting jump.  Non-finite boundary values of E or
     I (an overflowing E at a long horizon) are a ConditionError naming
-    their count.
+    their count.  A horizon that is not positive and finite is a
+    ValueError before anything is drawn.
     """
+    _check_horizon(horizon)
     if model.has_gaussian:
         raise NotImplementedError("ruin lane supports pure-jump models only")
     if not model.condition_b:
@@ -406,7 +466,7 @@ def ruin_samples(
             "bnd_values": np.zeros(size, dtype=int),
             "bnd_nonfinite": np.zeros(size, dtype=int),
         }
-        for rows, parts in _jump_tiles(model, horizon, rng, size):
+        for rows, parts in _jump_tiles(model, horizon, rng, size, ("i",)):
             grow, p_ext, prod1, e_left, inc_i, _ = parts
             with np.errstate(over="ignore", invalid="ignore"):
                 # E at the gap ends is e_left, then E_T; after a jump e_jump

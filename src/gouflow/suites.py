@@ -316,8 +316,12 @@ def stationary_suite(cfg: ExperimentConfig, out_dir=None) -> SuiteResult:
     t = cfg.horizon
     a, b = mc.run_together(
         model,
-        lambda: mc.terminal_samples(model, t, n, cfg.seed, cfg.grid_dt, cfg.workers, "statA"),
-        lambda: mc.terminal_samples(model, t, n, cfg.seed, cfg.grid_dt, cfg.workers, "statB"),
+        lambda: mc.terminal_samples(
+            model, t, n, cfg.seed, cfg.grid_dt, cfg.workers, "statA", keys=("e", "i")
+        ),
+        lambda: mc.terminal_samples(
+            model, t, n, cfg.seed, cfg.grid_dt, cfg.workers, "statB", keys=("c",)
+        ),
     )
     rows = [
         _ks_row(

@@ -1,3 +1,6 @@
+import contextlib
+import inspect
+import itertools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -8,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gouflow import mc
+from gouflow import mc, suites
+from gouflow.config import ExperimentConfig
 from gouflow.duality import ruin_probability
 from gouflow.levy import ConditionError, JumpLaw2, LevyModel2, Marginal, dual_model
 from gouflow.paths import draw_jumps, exact_paths, sample_path
@@ -898,3 +902,175 @@ def test_exp_functional_samples_signs(subordinator_model):
     assert np.all(diags >= 0.0)
     with pytest.raises(ValueError):
         mc.exp_functional_samples(subordinator_model, "nope", 10, 1.0, 1)
+
+
+# ---------------------------------------------------------------------------
+# terminal keys
+# ---------------------------------------------------------------------------
+
+_KEY_SUBSETS = [
+    keys for r in range(1, len(mc.KEYS) + 1) for keys in itertools.combinations(mc.KEYS, r)
+]
+
+
+def _assert_subset_of_all(sub, full, keys):
+    assert tuple(sub) == keys
+    for k in keys:
+        _assert_bitwise(sub[k], full[k])
+
+
+@pytest.mark.parametrize("size", [1, 255, 256, 257, 1000])
+@pytest.mark.parametrize("name", ["zero", "drift-ou", "cramer-paulsen"])
+def test_jump_lane_key_subsets_are_bitwise_all_keys(name, size):
+    """Every key subset returns exactly those keys, each bitwise equal to
+    the all-keys run, on either side of a tile boundary (``zero`` has
+    b_U = 0, the others exp(-b_U t) for I)."""
+    preset = get_preset(name)
+    horizon = preset.recommended.get("horizon", 20.0)
+    full = mc.terminal_samples(preset.model, horizon, size, seed=21)
+    assert tuple(full) == mc.KEYS
+    for keys in _KEY_SUBSETS:
+        sub = mc.terminal_samples(preset.model, horizon, size, seed=21, keys=keys)
+        _assert_subset_of_all(sub, full, keys)
+
+
+@pytest.mark.parametrize("name", ["dufresne", "correlated-gauss", "jump-diffusion", "overflow"])
+def test_grid_lane_key_subsets_are_bitwise_all_keys(name):
+    """The U-only, Cholesky and jump-diffusion branches, and a Cholesky
+    model whose E overflows: every key subset gives the all-keys bits
+    over three chunks of normals."""
+    if name == "overflow":
+        model, dt = LevyModel2(drift=(2000.0, 0.5), gaussian_cov=((1.0, 0.3), (0.3, 0.5))), 0.05
+    else:
+        model, dt = _GRID_MODELS[name], 1e-3
+    size = 64
+    horizon = (3 * _chunk_steps(model, size) + 1) * dt
+    with np.errstate(all="ignore"):
+        full = mc._diffusion_block(model, horizon, stream(31, "keys"), size, dt)
+        assert tuple(full) == mc.KEYS
+        for keys in _KEY_SUBSETS:
+            sub = mc._diffusion_block(model, horizon, stream(31, "keys"), size, dt, keys)
+            _assert_subset_of_all(sub, full, keys)
+
+
+@pytest.mark.parametrize("keys", [("i",), ("c",), ("e", "c")])
+@pytest.mark.parametrize("name, horizon", [("cramer-paulsen", 2.0), ("dufresne", 0.05)])
+def test_key_subsets_are_worker_independent(name, horizon, keys):
+    """A key subset gives the same bytes over two blocks at workers 1 and
+    2, and the all-keys run's bytes."""
+    model, n = get_preset(name).model, 2 * BLOCK_SIZE
+    one = mc.terminal_samples(model, horizon, n, seed=17, workers=1, keys=keys)
+    two = mc.terminal_samples(model, horizon, n, seed=17, workers=2, keys=keys)
+    full = mc.terminal_samples(model, horizon, n, seed=17, workers=1)
+    assert tuple(one) == tuple(two) == keys
+    for k in keys:
+        assert one[k].tobytes() == two[k].tobytes() == full[k].tobytes()
+
+
+@pytest.mark.parametrize("keys", [(), [], ("e", "x"), ("C",), "ei", ("e", "i", "c", "v")])
+@pytest.mark.parametrize("name", ["cramer-paulsen", "dufresne"])
+def test_terminal_samples_refuses_unknown_or_empty_keys(monkeypatch, name, keys):
+    _no_draw(monkeypatch)
+    with pytest.raises(ValueError, match="keys must be a non-empty subset"):
+        mc.terminal_samples(get_preset(name).model, 1.0, 8, seed=1, keys=keys)
+
+
+_BAD_HORIZONS = [0.0, -1.0, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("horizon", _BAD_HORIZONS)
+@pytest.mark.parametrize("name", ["cramer-paulsen", "dufresne"])
+def test_terminal_samples_refuses_bad_horizon_before_drawing(monkeypatch, name, horizon):
+    """NaN and inf horizons used to reach numpy's Poisson draw or the grid's
+    step count; every horizon that is not positive and finite is refused
+    before anything is drawn."""
+    _no_draw(monkeypatch)
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        mc.terminal_samples(get_preset(name).model, horizon, 8, seed=1)
+
+
+@pytest.mark.parametrize("horizon", _BAD_HORIZONS)
+def test_ruin_samples_refuses_bad_horizon_before_drawing(monkeypatch, horizon):
+    """A zero horizon used to give hit_prob 0 without a word, and a negative
+    or NaN one numpy's Poisson error."""
+    _no_draw(monkeypatch)
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        mc.ruin_samples(get_preset("cramer-paulsen").model, horizon, 8, 1, [0.5])
+
+
+def test_ruin_scan_builds_i_increments_only(monkeypatch):
+    """The ruin scan's tiles build I's increments and no C increments, and
+    its hits match the all-keys kernel's."""
+    model, horizon, xs = get_preset("cramer-paulsen").model, 5.0, [0.5, 1.0]
+    kernel = mc._jump_increments
+    seen = []
+
+    def recording(*args):
+        parts = kernel(*args)
+        seen.append((args[-1], parts[4] is not None, parts[5] is not None))
+        return parts
+
+    monkeypatch.setattr(mc, "_jump_increments", recording)
+    res = mc.ruin_samples(model, horizon, 600, seed=4, x_probes=xs)
+    assert seen and set(seen) == {(("i",), True, False)}
+    monkeypatch.setattr(mc, "_jump_increments", lambda *a: kernel(*a[:-1]))
+    full = mc.ruin_samples(model, horizon, 600, seed=4, x_probes=xs)
+    assert np.array_equal(res["hit"], full["hit"])
+    _assert_bitwise(res["v_tau"], full["v_tau"])
+
+
+# the keys each caller of the lanes reads, by the label of its samples
+_EI = ("e", "i")
+_CALLER_KEYS = {
+    "dual-V": _EI,
+    "dual-R": _EI,
+    "monotone": _EI,
+    "statA": _EI,
+    "statB": ("c",),
+    "ruin": ("i",),
+    "causal": ("e", "c"),
+    "noncausal": _EI,
+}
+
+
+def test_every_suite_asks_only_for_the_keys_it_reads(monkeypatch):
+    """Every suite on two jump-lane presets and on ``dufresne`` (grid lane,
+    subordinator ruin mode): each lane call asks for exactly the keys its
+    caller reads, so a caller that falls back to all keys fails here.
+    ``drift-ou`` refuses the ruin suite, as documented."""
+    lane, functional = mc.terminal_samples, mc.exp_functional_samples
+    # the kind of the exponential functional a thread is sampling, if any
+    local, calls = threading.local(), []
+
+    def bound(fn, args, kwargs):
+        b = inspect.signature(fn).bind(*args, **kwargs)
+        b.apply_defaults()
+        return b.arguments
+
+    def terminal_samples(*args, **kwargs):
+        a = bound(lane, args, kwargs)
+        caller = getattr(local, "kind", None) or a["label"].split("@")[0]
+        calls.append((caller, tuple(a["keys"])))
+        return lane(*args, **kwargs)
+
+    def exp_functional_samples(*args, **kwargs):
+        local.kind = bound(functional, args, kwargs)["kind"]
+        try:
+            return functional(*args, **kwargs)
+        finally:
+            local.kind = None
+
+    monkeypatch.setattr(mc, "terminal_samples", terminal_samples)
+    monkeypatch.setattr(mc, "exp_functional_samples", exp_functional_samples)
+    # the jump-lane presets at their recommended long horizon, which the
+    # first-passage ruin mode needs to resolve I's limit
+    for name, long_horizon in (("drift-ou", None), ("cramer-paulsen", None), ("dufresne", 2.0)):
+        cfg = ExperimentConfig(
+            seed=3, preset=name, n_paths=256, horizon=1.0, grid_dt=0.01, t_grid=(0.5, 1.0),
+            stationary_horizon=long_horizon, stationary_n=256,
+        )
+        for suite in suites.SUITE_RUNNERS:
+            with contextlib.suppress(ConditionError):
+                suites.run_suite(suite, cfg)
+    assert calls == [(caller, _CALLER_KEYS[caller]) for caller, _ in calls]
+    assert {caller for caller, _ in calls} == set(_CALLER_KEYS)
