@@ -20,31 +20,38 @@ as the jump lane lays them out.  The draw and pad rows give the real
 jumps and the padded slots per block (each tile pads its rows to the
 block's largest jump count K; padded slots exist per tile only), and the
 jump and ruin rows the traced (``tracemalloc``) peak MiB of one block at
-workers 1.  It then runs the grid lane over two blocks on ``dufresne``
-at T = 10 (U-only noise, 10 000 steps of the default grid), on the
-correlated two-dimensional Gaussian model of the verdict benchmark at
-T = 5 (the Cholesky branch) and on its jump-diffusion model at T = 10
+workers 1.  A jump-lane ``pair`` row runs two blocks as two single-block
+calls of ``mc.run_together``, the way a suite's paired samples run, with
+the traced peak MiB of both at once.  It then runs the grid lane over
+two blocks on ``dufresne`` at T = 10 (U-only noise, 10 000 steps of the
+default grid), on the correlated two-dimensional Gaussian model of the
+verdict benchmark at T = 5 (the Cholesky branch) and on its
+jump-diffusion model at T = 10
 (U-only noise plus about ten jumps a path, applied at step ends), and
 adds microseconds per step of a block; ``grid:ei`` and ``grid:ec`` rows
 at workers 1 ask for those keys only.  The other jump and grid rows run
 with workers 1 and 2.  Every row prints wall milliseconds and minor page
-faults per block.  Each grid case adds two rows at workers 1: ``floor``, its count of normals drawn
-alone, in the lane's chunks, from a fresh Philox stream per block, and
-``pair``, its two blocks as two single-block calls of
-``mc.run_together``, the way a suite's paired samples run.  These name
+faults per block.  Each grid case adds two rows at workers 1: ``floor``,
+its count of normals drawn alone, in the lane's chunks, from a fresh
+Philox stream per block, and ``pair``, its two blocks as two
+single-block calls of ``mc.run_together``, the way a suite's paired
+samples run.  These name
 the grid lane's bound: a block draws and steps on one thread, so a
 single block takes its draw floor plus the step arithmetic, and a pair
 (or two blocks at workers 2) takes about half that per block: it cannot
 beat 2 blocks x (draw + step CPU) / 2 CPUs.
 Faults are read with ``resource.getrusage(RUSAGE_SELF)``: this process
-and its threads only.  One untimed run per case comes first; the table shows
-the median of --repeats timed runs.  The last line is the table (and
-the set-up row) as one JSON object.
+and its threads only.  Every case runs once untimed, then --repeats
+rounds each run every case once, in table order, so that host drift
+between rounds does not read as a difference between rows; the table
+shows each case's median.  The last line is the table (and the set-up
+row) as one JSON object.
 
 Usage: PYTHONPATH=src python3 scripts/lane_bench.py [--blocks N] [--repeats R] [--seed S]
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -122,7 +129,7 @@ GRID = {
         10.0,
     ),
 }
-GRID_BLOCKS = 2  # so that workers 2 runs two blocks at once
+PAIR_BLOCKS = 2  # grid rows and pairs: workers 2 or a pair runs two blocks at once
 
 # the terminal keys the lanes' callers ask for, beside all three
 KEY_SUBSETS = {"ei": ("e", "i"), "ec": ("e", "c")}
@@ -149,6 +156,7 @@ def _pair(model, horizon, n, seed):
         for b in range(n // BLOCK_SIZE)
     ]
     mc.run_together(model, *calls)
+
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SETUP_CODE = f"""\
@@ -183,11 +191,19 @@ def measure(fn, blocks):
     return 1e3 * wall / blocks, faults / blocks
 
 
-def timed(fn, blocks, repeats):
-    """Median (ms per block, minor faults per block) after one untimed run."""
-    fn()
-    runs = [measure(fn, blocks) for _ in range(repeats)]
-    return statistics.median(r[0] for r in runs), statistics.median(r[1] for r in runs)
+def timed_rounds(cases, repeats):
+    """Median (ms per block, minor faults per block) of each ``(fn,
+    blocks)`` case: one untimed run of every case, then ``repeats`` rounds
+    that each run every case once, in order.  Host drift then spreads over
+    all rows instead of reading as a difference between them."""
+    for fn, _ in cases:
+        fn()
+    runs = [[] for _ in cases]
+    for _ in range(repeats):
+        for run, (fn, blocks) in zip(runs, cases):
+            run.append(measure(fn, blocks))
+    return [(statistics.median(r[0] for r in run), statistics.median(r[1] for r in run))
+            for run in runs]
 
 
 def main():
@@ -201,30 +217,20 @@ def main():
     setup = {"import_s": round(seconds, 3), "modules": modules, "max_rss_mb": round(rss, 1)}
     print(f"set-up: import gouflow.cli {seconds:.3f} s, {modules:.0f} modules, "
           f"max RSS {rss:.1f} MB (fresh interpreter, median of {args.repeats})")
-    rows = []
 
-    def report(name, horizon, lane, workers, ms, faults, steps=None, slots=None, peak=None):
-        row = {"preset": name, "horizon": horizon, "lane": lane, "workers": workers,
-               "ms_per_block": round(ms, 2), "faults_per_block": round(faults)}
-        per_step = f"{'':9}"
+    # (row without its timings, fn, blocks), in table order
+    cases = []
+
+    def case(name, horizon, lane, workers, fn, blocks, steps=None, slots=None, peak=None):
+        row = {"preset": name, "horizon": horizon, "lane": lane, "workers": workers}
         if steps is not None:
-            row["us_per_step"] = round(1e3 * ms / steps, 2)
-            per_step = f"{row['us_per_step']:9.2f}"
-        per_slot = f"{'':26}"
+            row["steps"] = steps
         if slots is not None:
             row["jumps_per_block"], row["padded_per_block"] = slots
-            per_slot = f" {slots[0]:12.0f} {slots[1]:12.0f}"
-        traced = ""
         if peak is not None:
-            row["peak_mib_per_block"] = round(peak, 1)
-            traced = f" {peak:11.1f}"
-        rows.append(row)
-        print(f"{name:16} {horizon:5g} {lane:7} {workers:7d} {ms:9.2f} {faults:13.0f} "
-              f"{per_step}{per_slot}{traced}".rstrip())
+            row["peak_mib"] = round(peak, 1)
+        cases.append((row, fn, blocks))
 
-    print(f"{'preset':16} {'T':>5} {'lane':7} {'workers':>7} {'ms/block':>9} "
-          f"{'faults/block':>13} {'us/step':>9} {'jumps/block':>12} {'padded/block':>12} "
-          f"{'peak MiB':>11}")
     n = args.blocks * BLOCK_SIZE
     for name, preset in sorted(PRESETS.items()):
         model = preset.model
@@ -241,35 +247,54 @@ def main():
             if lane != "draw":
                 peak = traced_peak_mib(lambda: run(model, horizon, BLOCK_SIZE, args.seed, 1))
             for workers in (1, 2):
-                fn = lambda: run(model, horizon, n, args.seed, workers)
-                report(name, horizon, lane, workers, *timed(fn, args.blocks, args.repeats),
-                       slots=slots if lane == "draw" else None, peak=peak)
+                fn = functools.partial(run, model, horizon, n, args.seed, workers)
+                case(name, horizon, lane, workers, fn, args.blocks,
+                     slots=slots if lane == "draw" else None, peak=peak)
             if lane == "jump":
                 for tag, keys in KEY_SUBSETS.items():
-                    fn = lambda: run(model, horizon, n, args.seed, 1, keys)
-                    report(name, horizon, f"jump:{tag}", 1,
-                           *timed(fn, args.blocks, args.repeats))
+                    fn = functools.partial(run, model, horizon, n, args.seed, 1, keys)
+                    case(name, horizon, f"jump:{tag}", 1, fn, args.blocks)
+                pair = functools.partial(_pair, model, horizon, PAIR_BLOCKS * BLOCK_SIZE, args.seed)
+                case(name, horizon, "pair", 1, pair, PAIR_BLOCKS, peak=traced_peak_mib(pair))
             if lane == "draw":
                 draws = _draws(model, horizon, n, args.seed)
-                report(name, horizon, "pad", 1, *timed(lambda: _pad_tiles(draws), args.blocks,
-                                                       args.repeats), slots=slots)
-                del draws
-    n = GRID_BLOCKS * BLOCK_SIZE
+                case(name, horizon, "pad", 1, functools.partial(_pad_tiles, draws), args.blocks,
+                     slots=slots)
+    n = PAIR_BLOCKS * BLOCK_SIZE
     for name, (model, horizon) in GRID.items():
         steps = max(1, math.ceil(horizon / GRID_DT))
         for workers in (1, 2):
-            fn = lambda: mc.terminal_samples(model, horizon, n, args.seed, GRID_DT, workers)
-            ms, faults = timed(fn, GRID_BLOCKS, args.repeats)
-            report(name, horizon, "grid", workers, ms, faults, steps)
+            fn = functools.partial(mc.terminal_samples, model, horizon, n, args.seed, GRID_DT,
+                                   workers)
+            case(name, horizon, "grid", workers, fn, PAIR_BLOCKS, steps)
         for tag, keys in KEY_SUBSETS.items():
-            fn = lambda: mc.terminal_samples(model, horizon, n, args.seed, GRID_DT, 1, keys=keys)
-            ms, faults = timed(fn, GRID_BLOCKS, args.repeats)
-            report(name, horizon, f"grid:{tag}", 1, ms, faults, steps)
+            fn = functools.partial(mc.terminal_samples, model, horizon, n, args.seed, GRID_DT, 1,
+                                   keys=keys)
+            case(name, horizon, f"grid:{tag}", 1, fn, PAIR_BLOCKS, steps)
         for lane, run in (("floor", _normal_floor), ("pair", _pair)):
-            fn = lambda: run(model, horizon, n, args.seed)
-            ms, faults = timed(fn, GRID_BLOCKS, args.repeats)
-            report(name, horizon, lane, 1, ms, faults, steps)
-    print(json.dumps({"blocks": args.blocks, "grid_blocks": GRID_BLOCKS,
+            fn = functools.partial(run, model, horizon, n, args.seed)
+            case(name, horizon, lane, 1, fn, PAIR_BLOCKS, steps)
+
+    print(f"{'preset':16} {'T':>5} {'lane':7} {'workers':>7} {'ms/block':>9} "
+          f"{'faults/block':>13} {'us/step':>9} {'jumps/block':>12} {'padded/block':>12} "
+          f"{'peak MiB':>11}")
+    rows = []
+    timings = timed_rounds([(fn, blocks) for _, fn, blocks in cases], args.repeats)
+    for (row, _, _), (ms, faults) in zip(cases, timings):
+        row.update(ms_per_block=round(ms, 2), faults_per_block=round(faults))
+        per_step = f"{'':9}"
+        steps = row.pop("steps", None)
+        if steps is not None:
+            row["us_per_step"] = round(1e3 * ms / steps, 2)
+            per_step = f"{row['us_per_step']:9.2f}"
+        per_slot = f"{'':26}"
+        if "jumps_per_block" in row:
+            per_slot = f" {row['jumps_per_block']:12.0f} {row['padded_per_block']:12.0f}"
+        traced = f" {row['peak_mib']:11.1f}" if "peak_mib" in row else ""
+        rows.append(row)
+        print(f"{row['preset']:16} {row['horizon']:5g} {row['lane']:7} {row['workers']:7d} "
+              f"{ms:9.2f} {faults:13.0f} {per_step}{per_slot}{traced}".rstrip())
+    print(json.dumps({"blocks": args.blocks, "pair_blocks": PAIR_BLOCKS,
                       "repeats": args.repeats, "setup": setup, "rows": rows}))
 
 

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _N_BOOT = 200  # bootstrap resamples per side of each first-passage probe
+_BOOT_ROWS = 20  # H-side resamples drawn at once
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +195,19 @@ def verify_ruin_identity(
             [weights[boot_rng.integers(0, n, size=n)].mean() for _ in range(_N_BOOT)]
         )
         # h_sample is sorted, so a resample's count of H <= -x is its
-        # count of indices below the first entry above -x
-        idx = boot_rng.integers(
-            0, h_sample.size, size=(_N_BOOT, h_sample.size), dtype=np.int32
-        )
-        rhs_boot = (idx < np.searchsorted(h_sample, -x, side="right")).mean(axis=1)
+        # count of indices below the first entry above -x.  The resamples
+        # are drawn _BOOT_ROWS at a time: the numbers of one (_N_BOOT, h_n)
+        # draw, without its index array (8 MB at h_n = 10 000).
+        below = np.searchsorted(h_sample, -x, side="right")
+        counts = [
+            np.count_nonzero(
+                boot_rng.integers(0, h_sample.size, size=(rows, h_sample.size), dtype=np.int32)
+                < below,
+                axis=1,
+            )
+            for rows in np.diff([*range(0, _N_BOOT, _BOOT_ROWS), _N_BOOT])
+        ]
+        rhs_boot = np.concatenate(counts) / h_sample.size
         lhs_ci = (float(np.quantile(lhs_boot, 0.005)), float(np.quantile(lhs_boot, 0.995)))
         rhs_ci = (float(np.quantile(rhs_boot, 0.005)), float(np.quantile(rhs_boot, 0.995)))
         overlap = lhs_ci[0] <= rhs_ci[1] and rhs_ci[0] <= lhs_ci[1]

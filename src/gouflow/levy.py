@@ -46,18 +46,28 @@ def _require_finite(what: str, *values) -> None:
         raise ValueError(f"{what} must be finite")
 
 
+# Uniforms per chunk of ``_atom_index``.  A chunked ``random`` draw takes
+# the same Philox words in the same order as one (size,) draw, so the
+# indices and the generator's end state do not depend on it.
+_ATOM_CHUNK = 16_384
+
+
 def _atom_index(rng: np.random.Generator, probs, size: int) -> np.ndarray:
     """``size`` indices of atoms with weights ``probs``: what
     ``Generator.choice`` draws for ``p = probs / sum(probs)``, without its
     checks of ``p`` and its binary search.  Each index counts the cdf
-    entries at or below one ``random`` uniform, as ``choice`` does."""
+    entries at or below one ``random`` uniform, as ``choice`` does; the
+    uniforms are drawn ``_ATOM_CHUNK`` at a time into one buffer."""
     p = np.asarray(probs, dtype=float)
     cdf = np.cumsum(p / p.sum())
     cdf /= cdf[-1]
-    u = rng.random(size)
     idx = np.zeros(size, dtype=np.min_scalar_type(cdf.size))  # uint8 below 256 atoms
-    for c in cdf[:-1]:  # the last entry is 1 > u
-        idx += u >= c
+    buf = np.empty(min(size, _ATOM_CHUNK))
+    for s in range(0, size, _ATOM_CHUNK):
+        part = idx[s : s + _ATOM_CHUNK]
+        u = rng.random(out=buf[: part.size])
+        for c in cdf[:-1]:  # the last entry is 1 > u
+            part += u >= c
     return idx
 
 
@@ -258,12 +268,20 @@ class JumpLaw2:
 
     # -- sampling -------------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, rng: np.random.Generator, size: int, index: bool = False) -> tuple:
+        """``size`` iid jumps as (dU, dL) arrays.
+
+        With ``index`` (point-mass laws only) the same draw comes back as
+        (atom index, dU atoms, dL atoms): jump k is (us[idx[k]], ls[idx[k]]),
+        so a caller can keep one byte per jump and gather the marks later.
+        """
         if self.kind == "point_mass":
             us = np.array([u for (u, _), _ in self.atoms])
             ls = np.array([l for (_, l), _ in self.atoms])
             idx = _atom_index(rng, [p for _, p in self.atoms], size)
-            return us[idx], ls[idx]
+            return (idx, us, ls) if index else (us[idx], ls[idx])
+        if index:
+            raise ValueError(f"a {self.kind} jump law has no atom index")
         if self.kind == "independent":
             return self.marg_u.sample(rng, size), self.marg_l.sample(rng, size)
         if self.kind == "linked":

@@ -8,7 +8,8 @@ independent of the worker count:
   closed form between jumps, so blocks of paths are reduced with
   padded-array arithmetic and no time stepping.
   Each block's jumps are drawn whole and flat (``paths.draw_jumps``), so
-  the draw holds O(jumps), and reduced in row tiles of about
+  the draw holds O(jumps) (a point-mass law's marks as a one-byte atom
+  index, gathered per tile), and reduced in row tiles of about
   ``_CHUNK_ELEMENTS`` boundary values.  Padded slots exist per tile only:
   a tile is laid out on the block's K jump slots when the kernel reaches
   it, so the padding and the kernel's temporaries take O(_CHUNK_ELEMENTS)
@@ -26,9 +27,13 @@ independent of the worker count:
   on [0, T] the jump times are iid uniform, so this has the law of a
   Poisson(lambda dt) count per step.  The rest of the stream is normals,
   drawn chunk by chunk into one reused buffer on the block's own thread,
-  so a block takes draw + step time.  The grid-lane samples a verdict
-  compares are independent, so ``run_together`` runs them at once, one
-  thread each: a pair keeps two CPUs busy.
+  so a block takes draw + step time.
+
+The samples a verdict compares (forward against dual, causal against
+noncausal) are independent, so ``run_together`` runs them at once, one
+thread each, in either lane: at ``workers`` 1 a pair keeps both of two
+CPUs busy.  A model with neither jumps nor a Gaussian part has blocks
+too cheap for a thread pool, so its pairs and blocks run in turn.
 
 Both lanes return each path's terminal state only, and of it only the
 keys their caller asks for: ``e`` = E(U)_T, ``i`` = I_T = int E^{-1} d eta
@@ -101,7 +106,8 @@ def run_blocks(n: int, fn, seed: int, label: str, workers: int = 1) -> dict:
     worker count.  ``fn`` returns a dict of arrays whose first axis has
     length ``size``.
     A single block runs inline, and the pool has at most one thread per
-    block.
+    block.  The lanes pass workers 1 for a model whose blocks do no real
+    work (``_lane_works``), so those run inline too.
     """
     if n <= 0:
         raise ValueError("need n > 0")
@@ -118,21 +124,29 @@ def run_blocks(n: int, fn, seed: int, label: str, workers: int = 1) -> dict:
     return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
+def _lane_works(model: LevyModel2) -> bool:
+    """Whether a block of ``model`` does real work: a model with neither
+    jumps nor a Gaussian part (e.g. ``zero``) takes well under a
+    millisecond a block, less than a thread pool costs to start."""
+    return model.has_jumps or model.has_gaussian
+
+
 def run_together(model: LevyModel2, *calls) -> list:
     """Results of the zero-argument ``calls``, in call order.
 
     The calls must be independent (each draws its own named streams), so
-    their results do not depend on how they are run.  On a model with a
-    Gaussian part (the grid lane, where a block draws and steps on one
-    thread) the first runs on this thread and the rest at once on a pool,
-    so a pair takes about half of its blocks' draw + step time on two
-    CPUs.  Otherwise they run one after another: a jump-lane block holds
-    its whole jump draw, and two at once raise peak memory for no gain.
-    When several calls raise, the first one's exception in call order is
+    their results do not depend on how they are run.  On a model with
+    jumps or a Gaussian part the first runs on this thread and the rest
+    at once on a pool, so a pair keeps two CPUs busy: a grid-lane block
+    draws and steps on one thread, and a jump-lane block's numpy calls
+    mostly release the GIL (its ``cumprod`` and ``cumsum`` hold it, so a
+    jump-lane pair runs about 1.2 times as fast as in turn).  A model
+    with neither runs them one after another and starts no pool.  When
+    several calls raise, the first one's exception in call order is
     raised, as running them in turn would; each call must therefore carry
     the checks that are to refuse before the next one starts.
     """
-    if not model.has_gaussian or len(calls) < 2:
+    if len(calls) < 2 or not _lane_works(model):
         return [call() for call in calls]
     with ThreadPoolExecutor(max_workers=len(calls) - 1) as pool:
         rest = [pool.submit(call) for call in calls[1:]]
@@ -395,7 +409,7 @@ def terminal_samples(
         fn = lambda rng, size: _diffusion_block(model, horizon, rng, size, grid_dt, keys)
     else:
         fn = lambda rng, size: _jump_block(model, horizon, rng, size, keys)
-    return run_blocks(n, fn, seed, label, workers)
+    return run_blocks(n, fn, seed, label, workers if _lane_works(model) else 1)
 
 
 def exp_functional_samples(
@@ -492,7 +506,7 @@ def ruin_samples(
                 v_tau[r, j] = e_jump[r, first[r] // 2] * (x + i_bnd[r, first[r]])
         return out
 
-    res = run_blocks(n, block, seed, label, workers)
+    res = run_blocks(n, block, seed, label, workers if _lane_works(model) else 1)
     bad = int(res["bnd_nonfinite"].sum())
     if bad:
         raise ConditionError(

@@ -151,9 +151,12 @@ class JumpDraw:
     """The jumps of ``size`` paths on [0, horizon], flat (``draw_jumps``).
 
     Row i's ``counts[i]`` jumps are entries ``starts[i]:starts[i + 1]`` of
-    ``times``, ``du`` and ``dl``, in draw order (times not sorted), so the
-    draw holds O(jumps).  ``pad`` lays a tile of rows out on ``kmax`` = K
-    slots, the largest count.
+    ``times`` and of the marks, in draw order (times not sorted), so the
+    draw holds O(jumps).  The marks are ``du`` and ``dl``, one float each
+    per jump, or for a point-mass law ``index``, one atom index per jump
+    (uint8 below 256 atoms), with ``du`` and ``dl`` the law's atom
+    columns.  ``pad`` lays a tile of rows out on ``kmax`` = K slots, the
+    largest count.
     """
 
     horizon: float
@@ -163,13 +166,16 @@ class JumpDraw:
     times: np.ndarray
     du: np.ndarray
     dl: np.ndarray
+    index: np.ndarray | None = None
 
     def pad(self, start: int = 0, stop: int | None = None):
         """(times, du, dl) of rows [start, stop) as (rows, K) arrays.
 
-        Times are sorted per row, the marks stay in draw order; a row's
-        slots beyond its count sit at the horizon with zero marks.  Every
-        tile of rows equals the same rows of the whole-batch tile.
+        Times are sorted per row, the marks stay in draw order (a
+        point-mass law's gathered from its atom columns for this tile
+        only); a row's slots beyond its count sit at the horizon with zero
+        marks.  Every tile of rows equals the same rows of the whole-batch
+        tile.
         """
         stop = self.counts.size if stop is None else min(stop, self.counts.size)
         real = np.arange(self.kmax) < self.counts[start:stop, None]
@@ -177,10 +183,12 @@ class JumpDraw:
         times = np.full(real.shape, float(self.horizon))
         times[real] = self.times[jumps]
         times.sort(axis=1)  # padded entries are already maximal
+        # one intp conversion of the tile's atom indices serves both gathers
+        marks = jumps if self.index is None else self.index[jumps].astype(np.intp)
         du = np.zeros(real.shape)
         dl = np.zeros(real.shape)
-        du[real] = self.du[jumps]
-        dl[real] = self.dl[jumps]
+        du[real] = self.du[marks]
+        dl[real] = self.dl[marks]
         return times, du, dl
 
 
@@ -190,7 +198,9 @@ def draw_jumps(model: LevyModel2, horizon: float, rng: np.random.Generator, size
 
     The draw stays flat (``JumpDraw``): rows in order, so a one-row batch
     takes its times and marks as one draw of K each, and no padded slot
-    exists until ``JumpDraw.pad`` makes one.
+    exists until ``JumpDraw.pad`` makes one.  A point-mass law's marks
+    are kept as its atom index (``JumpLaw2.sample`` with ``index``): the
+    same numbers, one byte per jump instead of sixteen.
     """
     lam = model.jump_intensity * horizon
     counts = rng.poisson(lam, size=size) if model.has_jumps else np.zeros(size, dtype=int)
@@ -198,9 +208,13 @@ def draw_jumps(model: LevyModel2, horizon: float, rng: np.random.Generator, size
     np.cumsum(counts, out=starts[1:])
     n = int(starts[-1])
     times = rng.uniform(0.0, horizon, size=n)
-    du, dl = model.jump_law.sample(rng, n) if n else (np.zeros(0), np.zeros(0))
+    index, du, dl = None, np.zeros(0), np.zeros(0)
+    if n and model.jump_law.kind == "point_mass":
+        index, du, dl = model.jump_law.sample(rng, n, index=True)
+    elif n:
+        du, dl = model.jump_law.sample(rng, n)
     kmax = int(counts.max()) if size else 0
-    return JumpDraw(float(horizon), counts, starts, kmax, times, du, dl)
+    return JumpDraw(float(horizon), counts, starts, kmax, times, du, dl, index)
 
 
 def exact_paths(

@@ -84,7 +84,13 @@ def ecdf(values) -> EmpiricalDistribution:
 
 
 def _kolmogorov_sf(lam: float, terms: int = 100) -> float:
-    """Tail of the Kolmogorov distribution, Q(lam) = 2 sum (-1)^{k-1} e^{-2 k^2 lam^2}."""
+    """Tail of the Kolmogorov distribution, Q(lam) = 2 sum (-1)^{k-1} e^{-2 k^2 lam^2}.
+
+    Below lam of about 0.043 that alternating series has not converged in
+    ``terms`` terms; there Q is taken from the theta form 1 - (sqrt(2 pi)
+    / lam) sum e^{-(2k-1)^2 pi^2 / (8 lam^2)}, which converges fastest
+    for small lam.
+    """
     if lam <= 0.0:
         return 1.0
     total = 0.0
@@ -93,6 +99,14 @@ def _kolmogorov_sf(lam: float, terms: int = 100) -> float:
         total += term
         if abs(term) < 1e-16:
             break
+    else:
+        cdf = 0.0
+        for k in range(1, terms + 1):
+            term = math.exp(-((2 * k - 1) ** 2) * math.pi**2 / (8.0 * lam * lam))
+            cdf += term
+            if term <= 1e-16 * cdf:
+                break
+        total = 1.0 - math.sqrt(2.0 * math.pi) / lam * cdf
     return min(1.0, max(0.0, total))
 
 

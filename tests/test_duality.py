@@ -235,13 +235,14 @@ def _count_pairs(monkeypatch):
 
 
 @pytest.mark.parametrize("suite", ["duality", "ruin", "stationary"])
-@pytest.mark.parametrize("model", ["dufresne", "correlated-gauss"])
+@pytest.mark.parametrize("model", ["dufresne", "correlated-gauss", "pure-jump"])
 def test_paired_grid_lane_samples_give_the_bytes_of_serial_calls(
     tmp_path, capsys, monkeypatch, model, suite
 ):
-    """The duality, ruin and stationary suites run their paired grid-lane
-    samples at once; run in turn instead, every CSV, summary.json and
-    refusal is the same byte for byte."""
+    """The duality, ruin and stationary suites run their paired samples at
+    once, in the grid lane and in the jump lane (``pure-jump``); run in
+    turn instead, every CSV, summary.json and refusal is the same byte for
+    byte."""
     from gouflow import mc
 
     pairs = _count_pairs(monkeypatch)
@@ -253,22 +254,6 @@ def test_paired_grid_lane_samples_give_the_bytes_of_serial_calls(
     # correlated-gauss has L noise, so its ruin suite refuses before sampling
     refused_early = (model, suite) == ("correlated-gauss", "ruin")
     assert pairs == ([] if refused_early else [2] * (2 if suite in ("duality", "stationary") else 1))
-
-
-def test_pure_jump_pairs_run_in_turn_and_start_no_pool(tmp_path, capsys, monkeypatch):
-    """Jump-lane pairs run one after another: a single-block pure-jump
-    model's duality, ruin and stationary suites start no thread pool."""
-    from gouflow import mc
-
-    def no_pool(max_workers):
-        raise AssertionError("a pure-jump pair started a thread pool")
-
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
-    pairs = _count_pairs(monkeypatch)
-    for suite in ("duality", "ruin", "stationary"):
-        code, files, _ = _run_suite(tmp_path, capsys, "pure-jump", suite, tmp_path / suite)
-        assert code in (0, 1) and "summary.json" in files, suite
-    assert pairs == [2, 2, 2, 2, 2]
 
 
 def test_ruin_probability_pair_raises_the_dual_sides_refusal_first():
@@ -347,6 +332,25 @@ def test_verify_ruin_identity_smoke():
     for probe in rep["probes"]:
         assert 0.0 <= probe["lhs"] <= 1.0
         assert 0.0 <= probe["rhs"] <= 1.0
+
+
+def test_verify_ruin_identity_h_bootstrap_is_one_draw():
+    """The H-side bootstrap, drawn a few resamples at a time, has the CIs
+    of one (_N_BOOT, h_n) index draw, for an h_n that the chunk does not
+    divide, and leaves the stream where that draw left it."""
+    m = get_preset("cramer-paulsen").model
+    xs, n, seed, h_n = [0.5, 1.0], 2000, 4, 1001
+    report = verify_ruin_identity(m, xs, 40.0, n, seed, stationary_n=h_n)
+    dist = gou.stationary_sampler(m, "noncausal", h_n, 40.0, seed + 1, label="ruin-H")
+    h_sample = np.sort(-dist.values)
+    boot_rng = np.random.default_rng(seed + 2)
+    for x, probe in zip(xs, report["probes"]):
+        for _ in range(duality._N_BOOT):
+            boot_rng.integers(0, n, size=n)  # the left side's resamples
+        idx = boot_rng.integers(0, h_n, size=(duality._N_BOOT, h_n), dtype=np.int32)
+        rhs_boot = (idx < np.searchsorted(h_sample, -x, side="right")).mean(axis=1)
+        rhs_ci = (float(np.quantile(rhs_boot, 0.005)), float(np.quantile(rhs_boot, 0.995)))
+        assert probe["rhs_ci"] == rhs_ci
 
 
 def test_verify_ruin_identity_rejects_degenerate():

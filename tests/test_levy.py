@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gouflow.levy import (
     ConditionError,
+    _ATOM_CHUNK,
     _atom_index,
     JumpLaw2,
     LevyModel2,
@@ -18,7 +19,7 @@ from gouflow.levy import (
 )
 from gouflow.presets import get_preset
 
-from conftest import terminal_ul
+from conftest import make_stream, terminal_ul
 from oracles import (
     characteristic_exponent,
     gamma_w_cutoff_form,
@@ -67,6 +68,42 @@ def test_atom_index_equals_generator_choice(probs):
     du, dl = law.sample(mine, 1000)
     expect = values[ref.choice(probs.size, 1000, p=p)]
     assert np.array_equal(du, expect) and np.array_equal(dl, -expect)
+
+
+def _one_shot_atom_index(rng, probs, size):
+    """The atom sampler with all ``size`` uniforms drawn as one array."""
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    return sum((u >= c).astype(np.uint8) for c in cdf[:-1]).astype(np.uint8)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, _ATOM_CHUNK + 3])
+def test_chunked_atom_index_is_the_one_shot_draw(offset):
+    """Drawn ``_ATOM_CHUNK`` uniforms at a time, the indices equal those of
+    one (size,) draw of the Philox stream, which is left where that draw
+    leaves it: the next draw (here normals, as in the grid lane) is the
+    same."""
+    probs = np.array([0.1, 0.2, 0.3, 0.15, 0.25])
+    size = _ATOM_CHUNK + offset
+    mine, ref = make_stream("chunks", size), make_stream("chunks", size)
+    idx = _atom_index(mine, probs, size)
+    assert idx.dtype == np.uint8
+    assert np.array_equal(idx, _one_shot_atom_index(ref, probs, size))
+    assert np.array_equal(mine.standard_normal(5), ref.standard_normal(5))
+
+
+def test_point_mass_index_draw_is_the_marks_draw():
+    """``sample(index=True)`` gives a point-mass law's draw as its atom
+    index and atom columns, whose gather is the ``sample`` marks from the
+    same numbers; a law without atoms has no index draw."""
+    law = JumpLaw2.point_mass([((0.5, 1.0), 0.25), ((-0.3, 0.25), 0.5), ((2.0, -1.0), 0.25)])
+    idx, us, ls = law.sample(make_stream("index"), 5000, index=True)
+    du, dl = law.sample(make_stream("index"), 5000)
+    assert idx.dtype == np.uint8 and us.size == ls.size == 3
+    assert np.array_equal(us[idx], du) and np.array_equal(ls[idx], dl)
+    with pytest.raises(ValueError, match="no atom index"):
+        JumpLaw2.linked(Marginal.exponential(2.0), 0.1, 0.5).sample(make_stream("x"), 5, index=True)
 
 
 def test_marginal_sampling_means(rng):

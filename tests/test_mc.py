@@ -714,8 +714,8 @@ def test_grid_lane_u_only_non_finite_samples_match_serial(b_u, key):
 # ---------------------------------------------------------------------------
 
 
-def test_run_together_runs_grid_lane_calls_at_once(dufresne_model):
-    """On a model with a Gaussian part the calls run at once (the first
+def _assert_runs_at_once(model):
+    """The calls of ``mc.run_together`` on ``model`` run at once (the first
     waits for the second to start) and come back in call order."""
     started = threading.Event()
 
@@ -727,14 +727,18 @@ def test_run_together_runs_grid_lane_calls_at_once(dufresne_model):
         started.set()
         return "second"
 
-    assert mc.run_together(dufresne_model, first, second) == ["first", "second"]
+    assert mc.run_together(model, first, second) == ["first", "second"]
 
 
-def test_run_together_raises_the_first_calls_exception(dufresne_model, mixed_jump_model):
+def test_run_together_runs_grid_lane_calls_at_once(dufresne_model):
+    """On a model with a Gaussian part the calls run at once."""
+    _assert_runs_at_once(dufresne_model)
+
+
+def test_run_together_raises_the_first_calls_exception(dufresne_model):
     """When both calls raise, the exception is the first call's, as in
     turn, even when the second raised earlier; a failing second call
-    alone is raised too.  A pure-jump model runs the calls in turn and
-    starts no pool."""
+    alone is raised too."""
     second_done = threading.Event()
 
     def first():
@@ -752,21 +756,42 @@ def test_run_together_raises_the_first_calls_exception(dufresne_model, mixed_jum
     with pytest.raises(ConditionError, match="second refused"):
         mc.run_together(dufresne_model, lambda: 1, second)
 
-    calls = []
+
+def test_run_together_runs_jump_lane_calls_at_once(mixed_jump_model):
+    """A pure-jump model's calls run at once too."""
+    assert mixed_jump_model.has_jumps and not mixed_jump_model.has_gaussian
+    _assert_runs_at_once(mixed_jump_model)
+
+
+def test_trivial_model_pairs_and_blocks_start_no_pool(monkeypatch):
+    """A model with neither jumps nor a Gaussian part runs a pair in turn
+    (a refusing first call stops it) and the blocks of its jump lane and
+    ruin scan inline at any ``workers``, with the bytes of workers 1."""
+    zero = get_preset("zero").model
+    assert not (zero.has_jumps or zero.has_gaussian)
+    n = 3 * BLOCK_SIZE + 5
+    ref = mc.terminal_samples(zero, 2.0, n, seed=4, workers=1)
+    ref_ruin = mc.ruin_samples(zero, 2.0, n, seed=4, x_probes=[0.5, 1.0], workers=1)
 
     def no_pool(max_workers):
-        raise AssertionError("a pure-jump pair started a thread pool")
+        raise AssertionError("a trivial model started a thread pool")
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
+    got = mc.terminal_samples(zero, 2.0, n, seed=4, workers=2)
+    assert all(ref[k].tobytes() == got[k].tobytes() for k in mc.KEYS)
+    got = mc.ruin_samples(zero, 2.0, n, seed=4, x_probes=[0.5, 1.0], workers=4)
+    assert all(ref_ruin[k].tobytes() == got[k].tobytes() for k in ("hit", "v_tau", "hits"))
+
+    calls = []
 
     def refuse():
         calls.append("first")
         raise ConditionError("first refused")
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mc, "ThreadPoolExecutor", no_pool)
-        with pytest.raises(ConditionError, match="first refused"):
-            mc.run_together(mixed_jump_model, refuse, lambda: calls.append("second"))
-        assert mc.run_together(mixed_jump_model, lambda: 1, lambda: 2) == [1, 2]
+    with pytest.raises(ConditionError, match="first refused"):
+        mc.run_together(zero, refuse, lambda: calls.append("second"))
     assert calls == ["first"]
+    assert mc.run_together(zero, lambda: 1, lambda: 2) == [1, 2]
 
 
 # ---------------------------------------------------------------------------

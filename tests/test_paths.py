@@ -224,20 +224,21 @@ def _exponential_marks_model():
 def test_draw_jumps_fills_only_the_real_slots(mixed_jump_model, monkeypatch, exponential_marks):
     """Row i has exactly counts[i] times below the horizon, sorted; the
     padded slots sit at the horizon with zero marks; the marks come from
-    one ``sample`` call of size counts.sum()."""
+    one ``sample`` call of size counts.sum(), which keeps a point-mass
+    law's draw as its atom index."""
     m = _exponential_marks_model() if exponential_marks else mixed_jump_model
     horizon, size = 2.0, 1000
-    sizes = []
+    calls = []
     original = JumpLaw2.sample
 
-    def recording(law, rng, n):
-        sizes.append(n)
-        return original(law, rng, n)
+    def recording(law, rng, n, **kwargs):
+        calls.append((n, kwargs))
+        return original(law, rng, n, **kwargs)
 
     monkeypatch.setattr(JumpLaw2, "sample", recording)
     times, du, dl, counts = padded_jumps(m, horizon, make_stream("real-slots"), size)
 
-    assert sizes == [counts.sum()]
+    assert calls == [(counts.sum(), {} if exponential_marks else {"index": True})]
     assert times.shape == du.shape == dl.shape == (size, counts.max())
     assert counts.min() < counts.max()  # rows carry padding
     real = np.arange(times.shape[1])[None, :] < counts[:, None]
@@ -269,6 +270,9 @@ def _same_marginal(make):
 
 _LAWS_BY_KIND = {
     "point_mass": JumpLaw2.point_mass([((0.5, 0.5), 0.5), ((-0.3, -0.2), 0.5)]),
+    "dual-point_mass": JumpLaw2.point_mass(
+        [((0.5, 0.5), 0.25), ((-0.3, -0.2), 0.5), ((1.5, 0.1), 0.25)]
+    ).dual(),
     "independent-points": _same_marginal(lambda: Marginal.points([(0.4, 0.3), (-0.2, 0.7)])),
     "independent-exponential": _same_marginal(lambda: Marginal.exponential(2.0, sign=-1)),
     "independent-uniform": _same_marginal(lambda: Marginal.uniform(-0.5, 0.5)),
@@ -284,14 +288,22 @@ _LAWS_BY_KIND = {
 def test_padded_tiles_are_the_whole_block_draw(kind):
     """Every row tile that ``JumpDraw.pad`` lays out, one-row tiles and
     one-row last tiles included, equals the same rows of the block drawn
-    straight onto padded slots, for every jump-law kind."""
+    straight onto padded slots, for every jump-law kind.  A point-mass
+    law (a dual one too) keeps one uint8 atom index per jump and its two
+    atom columns."""
     model = LevyModel2(drift=(-0.5, 0.3), jump_intensity=3.0, jump_law=_LAWS_BY_KIND[kind])
     horizon, size = 2.0, 300
     draw = draw_jumps(model, horizon, make_stream("tiles", 1), size)
     counts, ref = _padded_reference(model, horizon, make_stream("tiles", 1), size)
     assert np.array_equal(draw.counts, counts)
     assert draw.kmax == counts.max() > counts.min()  # rows carry padding
-    assert draw.times.size == draw.du.size == draw.dl.size == counts.sum()  # O(jumps)
+    if kind.endswith("point_mass"):
+        assert draw.index.dtype == np.uint8
+        assert draw.du.size == draw.dl.size == len(model.jump_law.atoms)
+        assert draw.times.size == draw.index.size == counts.sum()  # O(jumps)
+    else:
+        assert draw.index is None
+        assert draw.times.size == draw.du.size == draw.dl.size == counts.sum()  # O(jumps)
     for rows in (1, 7, 128, size - 1, size):
         for s in range(0, size, rows):
             for got, want in zip(draw.pad(s, s + rows), ref):

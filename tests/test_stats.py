@@ -74,6 +74,20 @@ def test_kolmogorov_sf_matches_scipy():
         assert _kolmogorov_sf(lam) == pytest.approx(float(kolmogorov(lam)), abs=1e-10)
 
 
+def test_kolmogorov_sf_matches_scipy_down_to_small_lambda():
+    """Q(lam) is right over [1e-4, 3], also below lam ~ 0.043, where the
+    alternating series has not converged in 100 terms; so two large
+    samples that differ in one value are not near rejection."""
+    for lam in np.geomspace(1e-4, 3.0, 400):
+        assert _kolmogorov_sf(float(lam)) == pytest.approx(float(kolmogorov(lam)), abs=1e-10)
+    for lam in (1e-4, 1e-3, 0.01):
+        assert _kolmogorov_sf(lam) == 1.0
+    a = np.arange(16_384, dtype=float)
+    b = a.copy()
+    b[0] = -1.0
+    assert ks_two_sample(ecdf(a), ecdf(b)).pvalue == 1.0
+
+
 def test_ks_two_sample_identical_samples():
     a = ecdf(np.arange(100, dtype=float))
     res = ks_two_sample(a, a)
