@@ -13,9 +13,12 @@ import argparse
 import os
 import sys
 
-from gouflow.cli import main as cli_main
-from gouflow.presets import preset_names
-from gouflow.suites import SUITE_RUNNERS
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from gouflow.cli import main as cli_main  # noqa: E402
+from gouflow.presets import preset_names  # noqa: E402
+from gouflow.suites import SUITE_RUNNERS  # noqa: E402
 
 CONFIG_TEMPLATE = """\
 schema_version: 1

@@ -9,13 +9,17 @@ Usage: python3 scripts/stationary_law_demo.py [--n 10000] [--horizon 15]
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
 from scipy.special import gammaincc, gammainccinv
 
-from gouflow import stationary_sampler
-from gouflow.presets import get_preset
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from gouflow import stationary_sampler  # noqa: E402
+from gouflow.presets import get_preset  # noqa: E402
 
 
 def run(argv=None):

@@ -75,14 +75,21 @@ def _overrides(args) -> dict:
     }
 
 
-def _cmd_run(args) -> int:
+def _load(args, overrides=None):
+    """The config at ``args.config``, or None once the reason it cannot be
+    read or parsed is on stderr (the caller exits 2)."""
     try:
-        cfg = load_config(args.config, _overrides(args))
+        return load_config(args.config, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
+    return None
+
+
+def _cmd_run(args) -> int:
+    cfg = _load(args, _overrides(args))
+    if cfg is None:
         return 2
 
     out_dir = cfg.out_dir
@@ -133,13 +140,8 @@ def _jsonable(obj):
 
 
 def _cmd_validate(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
+    cfg = _load(args)
+    if cfg is None:
         return 2
     model = cfg.resolved_model()
     print(f"config ok: suite={cfg.suite} seed={cfg.seed} hash={config_hash(cfg)}")

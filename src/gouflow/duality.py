@@ -9,6 +9,12 @@ transforms one realized (U, L) path instead.  The first-passage identity
 weights each hit of the ruin scan with H, the law of int E^{-1} d eta.
 The scan (``mc.ruin_samples``, starts x > 0) reads I under condition (B),
 E only at the hitting jump, and returns the hits and V at first passage.
+
+Each verdict returns the rows its suite writes: ``duality_grid`` the
+``duality.csv`` rows, and the two ruin modes (``ruin_probability`` for an
+L-subordinator model, ``verify_ruin_identity`` otherwise) ``(rows,
+metrics)`` with the ``ruin.csv`` rows.  Each picks its own probes and
+holds its own gate.
 """
 
 from __future__ import annotations
@@ -63,26 +69,28 @@ def ruin_probability(
     horizon: float,
     n: int,
     seed: int,
-    stationary_n: int,
+    stationary_n: int | None = None,
     grid_dt: float = GRID_DT,
     workers: int = 1,
-) -> dict:
-    """Both sides of the subordinator-mode ruin identity at every level y
-    in ``ys``: the dual R^y hits 0 by T, and the causal tail P(C_T >= y).
+) -> tuple[list[dict], dict]:
+    """Subordinator-mode ruin rows: at each level y > 0 of ``ys`` (0.5, 1
+    and 2 when there is none), the dual R^y hits 0 by T against the causal
+    tail P(C_T >= y).
 
-    Returns ``hits`` and ``hit_prob`` (one entry per level) for the dual
-    (``dual_model``, so a model without condition (B) refuses before
-    anything is sampled).  The model must also have L nondecreasing, or it
-    refuses before sampling: then every increment of the dual's I is <= 0
-    (no Brownian part, drift -b_L, jumps of sign -dL), so its running
-    minimum is min(I_T, 0), and R^y hits 0 by T iff y + min(I_T, 0) <= 0.
-    One sample of the dual's lane serves every level.  ``companion_tail``
-    is P(C_T >= y) from one causal sample (C_T = int_(0,T] E_{s-} dL_s)
-    of ``stationary_n`` paths of ``model``, and
-    ``companion_diagnostic_fail`` the fraction of those paths whose
-    truncation diagnostic failed.  So subordinator mode checks P(R_T^y <=
-    0) = P(C_T >= y) = P(V_T^0 >= y), the finite-T duality at x = 0: a
-    stationary tail P(V_inf >= y) only when the companion's diagnostic passes.
+    ``(rows, metrics)``: ``ruin.csv`` rows (``probe`` y, ``lhs`` the hit
+    frequency over ``n`` dual paths, ``rhs`` the tail, ``pass`` when they
+    differ by at most ``bound`` = 3 se + 0.005) and ``metrics`` with
+    ``companion_diagnostic_fail``, the fraction of companion paths whose
+    truncation diagnostic failed.  A model without condition (B) (no
+    ``dual_model``) or without L nondecreasing refuses before anything is
+    sampled.  With L nondecreasing every increment of the dual's I is <= 0
+    (no Brownian part, drift -b_L, jumps of sign -dL), so R^y hits 0 by T
+    iff y + min(I_T, 0) <= 0, from one dual sample for every level.
+    The tail comes from one causal sample (C_T = int_(0,T] E_{s-} dL_s) of
+    ``stationary_n`` paths (default ``n``).  So subordinator mode checks
+    P(R_T^y <= 0) = P(C_T >= y) = P(V_T^0 >= y), the finite-T duality at
+    x = 0: a stationary tail P(V_inf >= y) only when the companion's
+    diagnostic passes.
     """
     dual = dual_model(model)
     if not model.l_subordinator:
@@ -91,7 +99,8 @@ def ruin_probability(
             "Gaussian L part), so that the dual's I is nonincreasing and its hit "
             "of 0 by T is read off I_T"
         )
-    ys = np.asarray(list(ys), dtype=float)
+    levels = np.array([y for y in ys if y > 0] or [0.5, 1.0, 2.0], dtype=float)
+    stationary_n = stationary_n or n
 
     def dual_i():
         res = mc.terminal_samples(dual, horizon, n, seed, grid_dt, workers, "ruin", keys=("i",))
@@ -111,13 +120,17 @@ def ruin_probability(
             label="ruin-companion",
         ),
     )
-    hits = np.count_nonzero(ys + np.minimum(i_end, 0.0)[:, None] <= 0.0, axis=0)
-    return {
-        "hits": hits,
-        "hit_prob": hits / n,
-        "companion_tail": dist.sf(ys),
-        "companion_diagnostic_fail": dist.metadata["diagnostic_fail_fraction"],
-    }
+    hits = np.count_nonzero(levels + np.minimum(i_end, 0.0)[:, None] <= 0.0, axis=0)
+    rows = []
+    for y, p_hit, tail in zip(levels.tolist(), (hits / n).tolist(), dist.sf(levels).tolist()):
+        se_hit = math.sqrt(p_hit * (1 - p_hit) / n)
+        se_tail = math.sqrt(tail * (1 - tail) / stationary_n)
+        bound = 3.0 * math.sqrt(se_hit**2 + se_tail**2) + 0.005
+        ok = abs(p_hit - tail) <= bound
+        rows.append({"probe": y, "lhs": p_hit, "rhs": tail, "bound": bound, "pass": ok})
+    metrics = {"mode": "subordinator", "horizon": horizon, "n_paths": n}
+    metrics["companion_diagnostic_fail"] = dist.metadata["diagnostic_fail_fraction"]
+    return rows, metrics
 
 
 def verify_ruin_identity(
@@ -126,23 +139,29 @@ def verify_ruin_identity(
     horizon: float,
     n: int,
     seed: int,
-    stationary_n: int,
+    stationary_n: int | None = None,
     workers: int = 1,
-) -> dict:
-    """Check P(tau(x) < inf) E[H(-V_tau) | tau < inf] = H(-x).
+) -> tuple[list[dict], dict]:
+    """Check P(tau(x) < inf) E[H(-V_tau) | tau < inf] = H(-x) at each
+    start x > 0 of ``xs`` (0.5 and 1 when there is none).
 
     H is the distribution function of the limiting integral
     int_0^inf E(U)_{s-}^{-1} d eta_s, estimated by the noncausal
-    stationary sampler.  The left side is the per-path average of
-    H(-V_tau) over hitting paths, with the first passage and V_tau read
-    off the ruin scan (``mc.ruin_samples``); both sides carry bootstrap
-    CIs (the plug-in H is shared by both, so the comparison is
-    conservative about H-noise only through the right side's resampling),
-    each from ``_N_BOOT`` resamples.  Needs condition (B), so that E(U) >
-    0 and H(-V_tau) is the identity's weight, and a model without Gaussian
-    part for the scan; both are checked before anything is sampled.
+    stationary sampler (``stationary_n`` paths, default 10 000).  The
+    left side is the per-path average of H(-V_tau) over hitting paths,
+    with the first passage and V_tau read off the ruin scan
+    (``mc.ruin_samples``); both sides carry bootstrap CIs (the plug-in H
+    is shared by both, so the comparison is conservative about H-noise
+    only through the right side's resampling), each from ``_N_BOOT``
+    resamples.  ``(rows, metrics)``: ``ruin.csv`` rows (``probe`` x, the
+    two sides, an empty ``bound``, ``pass`` when the 99% CIs overlap, and
+    the CIs as ``lhs_ci``/``rhs_ci``, which the CSV leaves out) and
+    ``metrics`` with ``h_diagnostic_fail``.  Needs condition (B), so that
+    E(U) > 0 and H(-V_tau) is the identity's weight, and a model without
+    Gaussian part for the scan; both are checked before anything is
+    sampled.
     """
-    xs = [float(v) for v in xs]
+    xs = [float(x) for x in xs if x > 0] or [0.5, 1.0]
     k = detect_degeneracy(model)
     if k is not None:
         raise ConditionError(
@@ -159,7 +178,7 @@ def verify_ruin_identity(
     dist = stationary_sampler(
         model,
         "noncausal",
-        stationary_n,
+        stationary_n or 10_000,
         horizon,
         seed + 1,
         workers=workers,
@@ -182,10 +201,7 @@ def verify_ruin_identity(
 
     res = mc.ruin_samples(model, horizon, n, seed, xs, workers=workers)
     boot_rng = np.random.default_rng(seed + 2)
-    report = {
-        "diagnostic_fail_fraction": dist.metadata["diagnostic_fail_fraction"],
-        "probes": [],
-    }
+    rows = []
     for j, x in enumerate(xs):
         weights = np.where(res["hit"][:, j], h.cdf(-res["v_tau"][:, j]), 0.0)
         lhs = float(weights.sum() / n)
@@ -201,28 +217,21 @@ def verify_ruin_identity(
         below = np.searchsorted(h_sample, -x, side="right")
         counts = [
             np.count_nonzero(
-                boot_rng.integers(0, h_sample.size, size=(rows, h_sample.size), dtype=np.int32)
+                boot_rng.integers(0, h_sample.size, size=(chunk, h_sample.size), dtype=np.int32)
                 < below,
                 axis=1,
             )
-            for rows in np.diff([*range(0, _N_BOOT, _BOOT_ROWS), _N_BOOT])
+            for chunk in np.diff([*range(0, _N_BOOT, _BOOT_ROWS), _N_BOOT])
         ]
         rhs_boot = np.concatenate(counts) / h_sample.size
         lhs_ci = (float(np.quantile(lhs_boot, 0.005)), float(np.quantile(lhs_boot, 0.995)))
         rhs_ci = (float(np.quantile(rhs_boot, 0.005)), float(np.quantile(rhs_boot, 0.995)))
-        overlap = lhs_ci[0] <= rhs_ci[1] and rhs_ci[0] <= lhs_ci[1]
-        report["probes"].append(
-            {
-                "x": x,
-                "lhs": lhs,
-                "rhs": rhs,
-                "lhs_ci": lhs_ci,
-                "rhs_ci": rhs_ci,
-                "pass": bool(overlap),
-            }
-        )
-    report["pass"] = all(p["pass"] for p in report["probes"])
-    return report
+        ok = lhs_ci[0] <= rhs_ci[1] and rhs_ci[0] <= lhs_ci[1]
+        row = {"probe": x, "lhs": lhs, "rhs": rhs, "bound": "", "pass": ok}
+        rows.append({**row, "lhs_ci": lhs_ci, "rhs_ci": rhs_ci})
+    metrics = {"mode": "first-passage-identity", "horizon": horizon, "n_paths": n}
+    metrics["h_diagnostic_fail"] = dist.metadata["diagnostic_fail_fraction"]
+    return rows, metrics
 
 
 # ---------------------------------------------------------------------------

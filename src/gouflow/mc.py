@@ -65,7 +65,7 @@ import numpy as np
 
 from .levy import ConditionError, LevyModel2
 from .rng import BLOCK_SIZE, stream
-from .paths import GRID_DT, _cov_sqrt, draw_jumps
+from .paths import GRID_DT, _check_horizon, _cov_sqrt, draw_jumps
 
 __all__ = [
     "run_blocks",
@@ -78,11 +78,6 @@ __all__ = [
 
 # The terminal keys a lane can return: E(U)_T, I_T and C_T.
 KEYS = ("e", "i", "c")
-
-
-def _check_horizon(horizon):
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise ValueError("horizon must be positive and finite")
 
 
 def _lane_keys(keys) -> tuple:

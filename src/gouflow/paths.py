@@ -192,6 +192,12 @@ class JumpDraw:
         return times, du, dl
 
 
+def _check_horizon(horizon) -> None:
+    """ValueError unless ``horizon`` is positive and finite."""
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValueError("horizon must be positive and finite")
+
+
 def draw_jumps(model: LevyModel2, horizon: float, rng: np.random.Generator, size: int) -> JumpDraw:
     """Jumps of ``size`` paths on [0, horizon]: Poisson counts, then one
     uniform time and then one mark per jump, each drawn for the whole batch.
@@ -226,8 +232,10 @@ def exact_paths(
     gap over the batch's K jump slots.  The slots beyond the row's jump
     count are null segments at the horizon (no duration, no increment):
     they multiply E by 1 and add 0 to every integral, so each row solves
-    exactly as its path does.
+    exactly as its path does.  A horizon that is not positive and finite
+    is a ValueError.
     """
+    _check_horizon(horizon)
     if model.has_gaussian:
         raise ValueError("exact paths need a model without Gaussian part")
     draw = draw_jumps(model, horizon, rng, size)
@@ -264,8 +272,10 @@ def euler_paths(
     at a time.  Every grid puts a jump at the end of the coarsest step that
     holds it (an O(dt) shift, as in the grid lane; in the last step, on the
     horizon).  Row i is its segments and ``counts[i]`` jumps in time order,
-    then null segments at the horizon up to the batch's K jump slots.
+    then null segments at the horizon up to the batch's K jump slots.  A
+    horizon that is not positive and finite is a ValueError.
     """
+    _check_horizon(horizon)
     fine = min(grid_dts)
     if fine <= 0 or any(abs(g / fine - round(g / fine)) > 1e-9 for g in grid_dts):
         raise ValueError("euler backend needs grid_dt > 0, each a multiple of the finest")
@@ -320,10 +330,9 @@ def sample_path(
     of ``exact_paths``; any other model the euler backend, the one-row
     batch of ``euler_paths`` on a grid of step at most ``grid_dt``.  Either
     way without its segments shorter than 1e-12.  Deterministic function
-    of (model, horizon, grid_dt, stream state).
+    of (model, horizon, grid_dt, stream state); a horizon that is not
+    positive and finite is a ValueError (from the batch builders).
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
     if model.has_gaussian:
         (row,) = euler_paths(model, horizon, rng, 1, (grid_dt,))
     else:

@@ -69,6 +69,12 @@ def _long_horizon(cfg: ExperimentConfig) -> float:
     return float(_recommended(cfg, "horizon", max(cfg.horizon, 20.0)))
 
 
+def _finite_z(z: float) -> float:
+    """A z-score for summary.json, which holds no inf: an infinite z
+    (a difference with zero standard error) reads 1e18."""
+    return min(z, 1e18)
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -92,11 +98,11 @@ def duality_suite(cfg: ExperimentConfig) -> SuiteResult:
         metrics={
             "n_probes": len(rows),
             "n_paths": cfg.n_paths,
-            "max_z": max((min(row["z"], 1e18) for row in rows), default=0.0),
+            "max_z": _finite_z(max((max(row["z"], row["z_sym"]) for row in rows), default=0.0)),
             "failed": sum(1 for row in rows if not row["pass"]),
         },
         rows=rows,
-        columns=("t", "x", "y", "p_V", "se_V", "p_R", "se_R", "z", "pass"),
+        columns=("t", "x", "y", "p_V", "se_V", "p_R", "se_R", "z", "z_sym", "pass"),
     )
 
 
@@ -153,57 +159,14 @@ def inverse_flow_suite(cfg: ExperimentConfig) -> SuiteResult:
 
 def ruin_suite(cfg: ExperimentConfig) -> SuiteResult:
     model = cfg.resolved_model()
-    horizon = _long_horizon(cfg)
+    common = (_long_horizon(cfg), cfg.n_paths, cfg.seed, cfg.stationary_n)
     if model.l_subordinator:
-        # compare dual-side first passage with the forward stationary tail
-        rows = []
-        levels = [y for y in cfg.y_grid if y > 0] or [0.5, 1.0, 2.0]
-        n_comp = cfg.stationary_n or cfg.n_paths
-        res = ruin_probability(
-            model,
-            levels,
-            horizon,
-            cfg.n_paths,
-            cfg.seed,
-            grid_dt=cfg.grid_dt,
-            workers=cfg.workers,
-            stationary_n=n_comp,
+        # dual-side first passage against the forward causal tail
+        rows, metrics = ruin_probability(
+            model, cfg.y_grid, *common, grid_dt=cfg.grid_dt, workers=cfg.workers
         )
-        for y, p_hit, comp in zip(
-            levels, res["hit_prob"].tolist(), res["companion_tail"].tolist()
-        ):
-            se_hit = math.sqrt(p_hit * (1 - p_hit) / cfg.n_paths)
-            se_comp = math.sqrt(comp * (1 - comp) / n_comp)
-            bound = 3.0 * math.sqrt(se_hit**2 + se_comp**2) + 0.005
-            ok = abs(p_hit - comp) <= bound
-            rows.append({"probe": y, "lhs": p_hit, "rhs": comp, "bound": bound, "pass": ok})
-        metrics = {
-            "mode": "subordinator",
-            "horizon": horizon,
-            "n_paths": cfg.n_paths,
-            "companion_diagnostic_fail": res["companion_diagnostic_fail"],
-        }
     else:
-        xs = [x for x in cfg.x_grid if x > 0] or [0.5, 1.0]
-        report = verify_ruin_identity(
-            model,
-            xs,
-            horizon,
-            cfg.n_paths,
-            cfg.seed,
-            stationary_n=cfg.stationary_n or 10_000,
-            workers=cfg.workers,
-        )
-        rows = [
-            {"probe": p["x"], "lhs": p["lhs"], "rhs": p["rhs"], "bound": "", "pass": p["pass"]}
-            for p in report["probes"]
-        ]
-        metrics = {
-            "mode": "first-passage-identity",
-            "horizon": horizon,
-            "n_paths": cfg.n_paths,
-            "h_diagnostic_fail": report["diagnostic_fail_fraction"],
-        }
+        rows, metrics = verify_ruin_identity(model, cfg.x_grid, *common, workers=cfg.workers)
     return SuiteResult(
         name="ruin",
         passed=all(row["pass"] for row in rows),
@@ -407,7 +370,7 @@ def monotonicity_suite(cfg: ExperimentConfig) -> SuiteResult:
             "condition_b": model.condition_b,
             "verdict": verdict,
             "probs": report["probs"],
-            "max_z": report["max_z"] if math.isfinite(report["max_z"]) else 1e18,
+            "max_z": _finite_z(report["max_z"]),
             "t": t,
             "y": y,
         },

@@ -486,8 +486,8 @@ def test_cli_ruin_refuses_l_noise_through_sigma_ul(tmp_path, capsys):
 
 def test_duality_csv_pass_column_covers_both_directions(tmp_path, monkeypatch):
     """A probe that fails only the symmetric direction fails the suite and
-    reads False in the ``pass`` column of duality.csv; its ``z_sym`` is
-    not a column of the CSV."""
+    reads False in the ``pass`` column of duality.csv; its ``z_sym`` is a
+    column of the CSV and sets the suite's ``max_z``."""
     import gouflow.suites as suites
 
     def row(x, ok_sym):
@@ -506,9 +506,10 @@ def test_duality_csv_pass_column_covers_both_directions(tmp_path, monkeypatch):
     with open(os.path.join(out, "duality.csv")) as fh:
         rows = list(csv.DictReader(fh))
     assert [r["pass"] for r in rows] == ["True", "False"]
-    assert "z_sym" not in rows[0]
+    assert [r["z_sym"] for r in rows] == ["0.0", "9.0"]
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["suites"]["duality"]["metrics"]["failed"] == 1
+    assert summary["suites"]["duality"]["metrics"]["max_z"] == 9.0
 
 
 def test_cli_monotonicity_suite_on_nonmonotone_passes(tmp_path):

@@ -90,19 +90,27 @@ def test_killed_dual_requires_subordinator(mixed_jump_model):
 
 
 def test_ruin_probability_matches_vectorized_barrier(subordinator_model):
-    """Each level's hit count must equal the barrier criterion y +
-    min(I_T, 0) <= 0 on the dual's lane, from the same streams."""
+    """Each level's hit frequency must equal the barrier criterion y +
+    min(I_T, 0) <= 0 on the dual's lane, from the same streams; each
+    row's tail is the companion sample's and its gate is 3 se + 0.005."""
     from gouflow import mc
 
     m = subordinator_model
     ys = [0.1, 0.4, 1.0]
-    res = ruin_probability(m, ys, horizon=3.0, n=400, seed=21, stationary_n=1000)
+    rows, metrics = ruin_probability(m, ys, horizon=3.0, n=400, seed=21, stationary_n=1000)
     data = mc.terminal_samples(dual_model(m), 3.0, 400, 21, 1e-3, 1, "ruin")
-    for y, hits in zip(ys, res["hits"]):
-        assert hits == int(np.count_nonzero(y + np.minimum(data["i"], 0.0) <= 0))
-    assert 0 < res["hits"][1] < 400
-    assert res["companion_tail"].shape == (3,)
-    assert 0.0 <= res["companion_diagnostic_fail"] <= 1.0
+    tail = gou.stationary_sampler(m, "causal", 1000, 3.0, 22, label="ruin-companion").sf(ys)
+    assert [row["probe"] for row in rows] == ys
+    for y, row, p_tail in zip(ys, rows, tail.tolist()):
+        assert row["lhs"] == np.count_nonzero(y + np.minimum(data["i"], 0.0) <= 0) / 400
+        assert row["rhs"] == p_tail
+        p_hit = row["lhs"]
+        se = math.sqrt(p_hit * (1 - p_hit) / 400 + p_tail * (1 - p_tail) / 1000)
+        assert row["bound"] == 3.0 * se + 0.005
+        assert row["pass"] == (abs(p_hit - p_tail) <= row["bound"])
+    assert 0 < rows[1]["lhs"] < 1
+    assert metrics["mode"] == "subordinator"
+    assert 0.0 <= metrics["companion_diagnostic_fail"] <= 1.0
 
 
 def test_ruin_probability_subordinator_never_hits_from_above():
@@ -111,8 +119,8 @@ def test_ruin_probability_subordinator_never_hits_from_above():
     law = JumpLaw2.point_mass([((0.5, 0.0), 0.5), ((-0.3, 0.0), 0.5)])
     m = LevyModel2(drift=(-1.0, 0.0), jump_intensity=2.0, jump_law=law)
     assert m.l_subordinator
-    res = ruin_probability(m, [1e-9, 0.4], horizon=3.0, n=400, seed=22, stationary_n=500)
-    assert res["hits"].tolist() == [0, 0]
+    rows, _ = ruin_probability(m, [1e-9, 0.4], horizon=3.0, n=400, seed=22, stationary_n=500)
+    assert [row["lhs"] for row in rows] == [0.0, 0.0]
 
 
 def test_ruin_suite_draws_one_sample_per_side_for_all_levels(monkeypatch):
@@ -147,6 +155,37 @@ def test_ruin_suite_draws_one_sample_per_side_for_all_levels(monkeypatch):
     assert len(sampler_calls) == 1
 
 
+@pytest.mark.parametrize(
+    "mode, config",
+    [
+        ("ruin_probability", "preset: dufresne\nstationary_horizon: 2\ngrid_dt: 0.01\n"),
+        ("verify_ruin_identity", "preset: cramer-paulsen\nstationary_n: 500\n"),
+    ],
+)
+def test_ruin_suite_rows_are_the_verdict_rows(monkeypatch, mode, config):
+    """The ruin suite picks the mode and passes on what its verdict
+    returns: the same rows and metrics, and PASS when every row passes."""
+    from gouflow import suites
+    from gouflow.config import parse_config
+
+    verdict = getattr(suites, mode)
+    returned = []
+
+    def recorded(*args, **kwargs):
+        returned.append(verdict(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(suites, mode, recorded)
+    cfg = parse_config(
+        f"schema_version: 1\nseed: 1\nsuite: ruin\nn_paths: 500\n{config}"
+    )
+    result = suites.ruin_suite(cfg)
+    ((rows, metrics),) = returned
+    assert result.rows is rows and result.metrics is metrics
+    assert result.passed == all(row["pass"] for row in rows)
+    assert result.columns == ("probe", "lhs", "rhs", "bound", "pass")
+
+
 def test_ruin_probability_refuses_non_finite_running_minimum():
     """The dual's E = e^{-T} underflows to 0 at T = 800, so its I_T, which
     gives the running minimum, is NaN on every path.  Compared as it is,
@@ -157,8 +196,8 @@ def test_ruin_probability_refuses_non_finite_running_minimum():
     with pytest.raises(ConditionError, match="4096 of 4096 R-side I samples"):
         ruin_probability(m, [1.0], horizon=800.0, n=4096, seed=1, stationary_n=1000)
     # at a horizon the lane resolves, almost every path hits
-    res = ruin_probability(m, [1.0], horizon=20.0, n=4096, seed=1, stationary_n=1000)
-    assert res["hits"][0] > 4000
+    (row,), _ = ruin_probability(m, [1.0], horizon=20.0, n=4096, seed=1, stationary_n=1000)
+    assert row["lhs"] > 4000 / 4096
 
 
 def test_ruin_probability_refuses_without_condition_b(monkeypatch, sign_flip_model):
@@ -308,6 +347,38 @@ def test_duality_suite_reports_infinite_z(monkeypatch):
     assert result.metrics["max_z"] == 1e18
 
 
+def test_duality_fail_shows_its_margin_in_both_directions(monkeypatch, tmp_path):
+    """On ``zero`` with a dual whose K drift is shifted by -0.5, the probes
+    pass P(V >= y) = P(R <= x) (z = 0) and fail only the symmetric
+    direction, with infinite z_sym.  ``max_z`` is taken over both
+    directions and duality.csv carries z_sym, so the FAIL shows its margin."""
+    from dataclasses import replace
+
+    from gouflow.config import parse_config
+    from gouflow.suites import duality_suite, write_csv
+
+    true_dual = duality.dual_model
+
+    def shifted(model):
+        dual = true_dual(model)
+        return replace(dual, drift=(dual.drift[0], dual.drift[1] - 0.5))
+
+    monkeypatch.setattr(duality, "dual_model", shifted)
+    cfg = parse_config(
+        "schema_version: 1\nseed: 1\npreset: zero\nsuite: duality\nn_paths: 256\n"
+        "t_grid: [0.5]\n"
+    )
+    result = duality_suite(cfg)
+    failed = [row for row in result.rows if not row["pass"]]
+    assert result.metrics["failed"] == len(failed) == 3
+    assert all((row["z"], row["z_sym"]) == (0.0, math.inf) for row in failed)
+    assert result.metrics["max_z"] == 1e18
+    write_csv(tmp_path / "duality.csv", result)
+    header, *lines = (tmp_path / "duality.csv").read_text().splitlines()
+    assert header == "t,x,y,p_V,se_V,p_R,se_R,z,z_sym,pass"
+    assert sum(line.endswith(",0.0,inf,False") for line in lines) == 3
+
+
 def test_duality_grid_requires_condition_b():
     with pytest.raises(ConditionError, match=r"condition \(B\).*dU > -1"):
         duality_grid(get_preset("nonmonotone").model, [1.0], [0.0], [0.0], 10, 1)
@@ -325,13 +396,14 @@ def test_monotonicity_dichotomy():
 
 def test_verify_ruin_identity_smoke():
     m = get_preset("cramer-paulsen").model
-    rep = verify_ruin_identity(
+    rows, metrics = verify_ruin_identity(
         m, [0.5, 1.0], horizon=40.0, n=20_000, seed=51, stationary_n=4000
     )
-    assert rep["pass"], rep
-    for probe in rep["probes"]:
-        assert 0.0 <= probe["lhs"] <= 1.0
-        assert 0.0 <= probe["rhs"] <= 1.0
+    assert all(row["pass"] for row in rows), rows
+    for row in rows:
+        assert 0.0 <= row["lhs"] <= 1.0
+        assert 0.0 <= row["rhs"] <= 1.0
+    assert metrics["mode"] == "first-passage-identity"
 
 
 def test_verify_ruin_identity_h_bootstrap_is_one_draw():
@@ -340,17 +412,17 @@ def test_verify_ruin_identity_h_bootstrap_is_one_draw():
     divide, and leaves the stream where that draw left it."""
     m = get_preset("cramer-paulsen").model
     xs, n, seed, h_n = [0.5, 1.0], 2000, 4, 1001
-    report = verify_ruin_identity(m, xs, 40.0, n, seed, stationary_n=h_n)
+    rows, _ = verify_ruin_identity(m, xs, 40.0, n, seed, stationary_n=h_n)
     dist = gou.stationary_sampler(m, "noncausal", h_n, 40.0, seed + 1, label="ruin-H")
     h_sample = np.sort(-dist.values)
     boot_rng = np.random.default_rng(seed + 2)
-    for x, probe in zip(xs, report["probes"]):
+    for x, row in zip(xs, rows):
         for _ in range(duality._N_BOOT):
             boot_rng.integers(0, n, size=n)  # the left side's resamples
         idx = boot_rng.integers(0, h_n, size=(duality._N_BOOT, h_n), dtype=np.int32)
         rhs_boot = (idx < np.searchsorted(h_sample, -x, side="right")).mean(axis=1)
         rhs_ci = (float(np.quantile(rhs_boot, 0.005)), float(np.quantile(rhs_boot, 0.995)))
-        assert probe["rhs_ci"] == rhs_ci
+        assert row["rhs_ci"] == rhs_ci
 
 
 def test_verify_ruin_identity_rejects_degenerate():

@@ -669,8 +669,8 @@ def test_subordinator_dual_i_is_nonincreasing(model, horizon):
     assert (np.diff(i_bnd, axis=1, prepend=0.0) <= 0.0).all()
     # the running minimum of the lane ruin_probability samples (same stream)
     i_min = watch.min if model.has_gaussian else np.minimum(i_bnd.min(axis=1), 0.0)
-    res = ruin_probability(model, ys, horizon, n, seed, stationary_n=64, grid_dt=grid_dt)
-    assert res["hits"].tolist() == [int(np.count_nonzero(y + i_min <= 0.0)) for y in ys]
+    rows, _ = ruin_probability(model, ys, horizon, n, seed, stationary_n=64, grid_dt=grid_dt)
+    assert [row["lhs"] for row in rows] == [np.count_nonzero(y + i_min <= 0.0) / n for y in ys]
 
 
 def test_grid_lane_draw_error_reaches_caller(dufresne_model):

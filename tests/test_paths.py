@@ -196,6 +196,28 @@ def test_euler_paths_rejects_grids_that_do_not_nest():
             euler_paths(JUMP_DIFFUSION_2D, 1.0, make_stream("nest"), 2, grid_dts)
 
 
+_PURE_JUMP = LevyModel2(
+    drift=(-0.5, 0.3), jump_intensity=3.0, jump_law=JumpLaw2.point_mass([((0.5, -1.0), 1.0)])
+)
+_BUILDERS = {
+    "exact_paths": lambda horizon, rng: exact_paths(_PURE_JUMP, horizon, rng, 2),
+    "euler_paths": lambda horizon, rng: euler_paths(JUMP_DIFFUSION_2D, horizon, rng, 2, (1e-2,)),
+    "sample_path-exact": lambda horizon, rng: sample_path(_PURE_JUMP, horizon, rng),
+    "sample_path-euler": lambda horizon, rng: sample_path(JUMP_DIFFUSION_2D, horizon, rng, 1e-2),
+}
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("builder", list(_BUILDERS))
+def test_path_builders_refuse_bad_horizon_before_drawing(builder, horizon):
+    """A zero horizon used to give a one-slot batch, and a NaN or infinite
+    one numpy's errors from the Poisson, uniform or step-count draws."""
+    rng = make_stream("bad-horizon")
+    with pytest.raises(ValueError, match="^horizon must be positive and finite$"):
+        _BUILDERS[builder](horizon, rng)
+    assert rng.random() == make_stream("bad-horizon").random()  # nothing drawn
+
+
 @pytest.mark.parametrize("horizon, grid_dt", [(1.0, 1e-3), (0.37, 1e-3), (2.0, 4e-3)])
 def test_sample_path_without_jumps_is_one_normal_block(dufresne_model, horizon, grid_dt):
     """A model without jumps samples one ``standard_normal((nsteps, 2))``
