@@ -155,7 +155,7 @@ def _pair(model, horizon, n, seed):
         lambda b=b: mc.terminal_samples(model, horizon, BLOCK_SIZE, seed, GRID_DT, 1, f"pair{b}")
         for b in range(n // BLOCK_SIZE)
     ]
-    mc.run_together(model, *calls)
+    mc.run_together(*calls)
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -4,7 +4,9 @@
 Writes one report directory per (preset, suite) pair under reports/ and a
 final table to stdout; one inline model runs with the presets.  Presets
 that violate a suite's hypotheses are listed as refused rather than
-failed — the refusal is the correct result.
+failed — the refusal is the correct result.  A run that raises is listed
+as ``crash`` with the exception's last line, and the sweep goes on; the
+exit code is 1 when any run failed or crashed.
 
 Usage: python3 scripts/run_all_suites.py [--paths N] [--seed S] [--out DIR]
 """
@@ -12,6 +14,7 @@ Usage: python3 scripts/run_all_suites.py [--paths N] [--seed S] [--out DIR]
 import argparse
 import os
 import sys
+import traceback
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -61,17 +64,13 @@ def run(argv=None):
                         seed=args.seed, model=model, suite=suite, paths=args.paths
                     )
                 )
-            code = cli_main(
-                [
-                    "run",
-                    "--config",
-                    cfg_path,
-                    "--out",
-                    out_dir,
-                    "--workers",
-                    str(args.workers),
-                ]
-            )
+            argv = ["run", "--config", cfg_path, "--out", out_dir, "--workers", str(args.workers)]
+            try:
+                code = cli_main(argv)
+            except Exception:  # a crash is an outcome: record it, keep sweeping
+                last = traceback.format_exc().strip().splitlines()[-1]
+                rows.append((preset, suite, f"crash {last}"))
+                continue
             verdict = {0: "pass", 1: "FAIL", 3: "refused"}.get(code, f"exit {code}")
             rows.append((preset, suite, verdict))
 
@@ -79,7 +78,7 @@ def run(argv=None):
     print("\npreset".ljust(width + 1), "suite".ljust(14), "result")
     for preset, suite, verdict in rows:
         print(preset.ljust(width + 1), suite.ljust(14), verdict)
-    return 1 if any(v == "FAIL" for _, _, v in rows) else 0
+    return 1 if any(v == "FAIL" or v.startswith("crash") for _, _, v in rows) else 0
 
 
 if __name__ == "__main__":

@@ -2,7 +2,12 @@
 
 A config names either a bundled preset or an inline model, picks a suite
 and the Monte Carlo budget, and must carry an explicit seed — runs never
-draw entropy from the environment.
+draw entropy from the environment.  Its top-level keys are
+``schema_version`` and the fields of ``ExperimentConfig``.  An inline
+model's keys are ``LevyModel2``'s arguments, and a jump law's or a
+marginal's ``kind`` names a ``JumpLaw2`` or ``Marginal`` factory whose
+arguments are its other keys.  An unknown or missing key, or a value a
+factory refuses, is a ConfigError (exit 2) naming where it is.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import yaml
 
@@ -55,43 +60,32 @@ class ExperimentConfig:
         raise ConfigError("config needs either 'preset' or 'model'")
 
 
-def _marginal_from_dict(d: dict, where: str) -> Marginal:
-    kind = d.get("kind")
-    try:
-        if kind == "points":
-            return Marginal.points([(v, p) for v, p in d["atoms"]])
-        if kind == "exponential":
-            return Marginal.exponential(d["rate"], d.get("sign", 1))
-        if kind == "uniform":
-            return Marginal.uniform(d["a"], d["b"])
-        if kind == "truncated_normal":
-            return Marginal.truncated_normal(d["mu"], d["sigma"], d["lower"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: bad marginal parameters ({exc})") from exc
-    raise ConfigError(f"{where}: unknown marginal kind {kind!r}")
+# The factory names a mapping's ``kind`` may pick: its other keys are that
+# factory's keyword arguments.
+MARGINAL_KINDS = ("points", "exponential", "uniform", "truncated_normal")
+JUMP_LAW_KINDS = ("point_mass", "independent", "linked")
 
 
-def _jump_law_from_dict(d: dict, where: str) -> JumpLaw2:
-    kind = d.get("kind")
+def _build(cls, kinds, mapping, where: str, what: str):
+    """``cls.<kind>(**rest)`` for the mapping's ``kind`` in ``kinds``; the
+    marginals ``marg_u`` and ``marg_l`` are built first.  An unknown kind,
+    an unknown or missing keyword or a value the factory refuses is a
+    ConfigError naming ``where``."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where}: expected a mapping")
+    kwargs = dict(mapping)
+    kind = kwargs.pop("kind", None)
+    if kind not in kinds:
+        raise ConfigError(f"{where}: unknown {what} kind {kind!r}; choose from {', '.join(kinds)}")
+    for key in ("marg_u", "marg_l"):
+        if key in kwargs:
+            kwargs[key] = _build(
+                Marginal, MARGINAL_KINDS, kwargs[key], f"{where}.{key}", "marginal"
+            )
     try:
-        if kind == "point_mass":
-            return JumpLaw2.point_mass([((u, l), p) for (u, l), p in d["atoms"]])
-        if kind == "independent":
-            return JumpLaw2.independent(
-                _marginal_from_dict(d["marg_u"], where + ".marg_u"),
-                _marginal_from_dict(d["marg_l"], where + ".marg_l"),
-            )
-        if kind == "linked":
-            return JumpLaw2.linked(
-                _marginal_from_dict(d["marg_u"], where + ".marg_u"),
-                d["intercept"],
-                d["slope"],
-            )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: bad jump law parameters ({exc})") from exc
-    raise ConfigError(f"{where}: unknown jump law kind {kind!r}")
+        return getattr(cls, kind)(**kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: bad {what} parameters ({exc})") from exc
 
 
 def _refuse_bools(val, where: str) -> None:
@@ -110,46 +104,30 @@ def _model_from_dict(d: dict, where: str = "model") -> LevyModel2:
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected a mapping")
     _refuse_bools(d, where)
-    drift = d.get("drift", (0.0, 0.0))
-    cov = d.get("gaussian_cov", ((0.0, 0.0), (0.0, 0.0)))
-    intensity = d.get("jump_intensity", 0.0)
-    law = None
-    if "jump_law" in d:
-        law = _jump_law_from_dict(d["jump_law"], where + ".jump_law")
-    try:
-        return LevyModel2(
-            drift=tuple(drift),
-            gaussian_cov=tuple(tuple(row) for row in cov),
-            jump_intensity=float(intensity),
-            jump_law=law,
+    kwargs = {"drift": (0.0, 0.0), **d}
+    if "jump_law" in kwargs:
+        kwargs["jump_law"] = _build(
+            JumpLaw2, JUMP_LAW_KINDS, kwargs["jump_law"], where + ".jump_law", "jump law"
         )
-    except (TypeError, ValueError) as exc:
+    try:
+        return LevyModel2(**kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _key_lines(text: str) -> dict:
-    """Map top-level keys to 1-based line numbers for diagnostics."""
-    try:
-        node = yaml.compose(text)
-    except yaml.YAMLError:
-        return {}
-    lines = {}
-    if node is not None and isinstance(node, yaml.MappingNode):
-        for key_node, _ in node.value:
-            lines[key_node.value] = key_node.start_mark.line + 1
-    return lines
-
-
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
+    loader = yaml.SafeLoader(text)
     try:
-        data = yaml.safe_load(text)
+        node = loader.get_single_node()
+        data = {} if node is None else loader.construct_document(node)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
-    if data is None:
-        data = {}
+    finally:
+        loader.dispose()
     if not isinstance(data, dict):
         raise ConfigError("config must be a mapping at the top level")
-    lines = _key_lines(text)
+    # 1-based line of each top-level key, for diagnostics
+    lines = {k.value: k.start_mark.line + 1 for k, _ in node.value} if data else {}
     overridden = {k: v for k, v in (overrides or {}).items() if v is not None}
     data = {**data, **overridden}
 
@@ -164,6 +142,10 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             f"{where('schema_version')}: expected schema_version {SCHEMA_VERSION}, "
             f"got {version!r}"
         )
+    known = ("schema_version", *(f.name for f in fields(ExperimentConfig) if f.name != "raw"))
+    for key in data:
+        if key not in known:
+            raise ConfigError(f"{where(key)}: unknown key; known keys are {', '.join(known)}")
     if "seed" not in data:
         raise ConfigError("'seed' is required: runs never draw entropy implicitly")
 

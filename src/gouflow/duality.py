@@ -107,7 +107,6 @@ def ruin_probability(
         return finite_samples(res["i"], "R-side I", horizon)
 
     i_end, dist = mc.run_together(
-        model,
         dual_i,
         lambda: stationary_sampler(
             model,
@@ -335,9 +334,7 @@ def duality_grid(
 
     rows = []
     for t in ts:
-        fv, fr = mc.run_together(
-            model, lambda: sample(model, "V", t), lambda: sample(dual, "R", t)
-        )
+        fv, fr = mc.run_together(lambda: sample(model, "V", t), lambda: sample(dual, "R", t))
         v_e, v_i = _finite_lane(fv, "V", t)
         r_e, r_i = _finite_lane(fr, "R", t)
         for x in xs:

@@ -324,11 +324,14 @@ class LevyModel2:
     jump_law: JumpLaw2 | None = None
 
     def __post_init__(self):
-        b = (float(self.drift[0]), float(self.drift[1]))
+        b = tuple(float(v) for v in self.drift)
+        if len(b) != 2:
+            raise ValueError(f"drift must have two entries (b_U, b_L), got {len(b)}")
         _require_finite("drift", *b)
         _require_finite("gaussian_cov", *(v for row in self.gaussian_cov for v in row))
         _require_finite("jump_intensity", self.jump_intensity)
         object.__setattr__(self, "drift", b)
+        object.__setattr__(self, "jump_intensity", float(self.jump_intensity))
         (a, c), (c2, d) = self.gaussian_cov
         if abs(c - c2) > _PSD_TOL:
             raise ValueError("gaussian_cov must be symmetric")

@@ -32,8 +32,7 @@ independent of the worker count:
 The samples a verdict compares (forward against dual, causal against
 noncausal) are independent, so ``run_together`` runs them at once, one
 thread each, in either lane: at ``workers`` 1 a pair keeps both of two
-CPUs busy.  A model with neither jumps nor a Gaussian part has blocks
-too cheap for a thread pool, so its pairs and blocks run in turn.
+CPUs busy.
 
 Both lanes return each path's terminal state only, and of it only the
 keys their caller asks for: ``e`` = E(U)_T, ``i`` = I_T = int E^{-1} d eta
@@ -59,6 +58,7 @@ the first-passage identity) is left to ``duality``.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -101,8 +101,7 @@ def run_blocks(n: int, fn, seed: int, label: str, workers: int = 1) -> dict:
     worker count.  ``fn`` returns a dict of arrays whose first axis has
     length ``size``.
     A single block runs inline, and the pool has at most one thread per
-    block.  The lanes pass workers 1 for a model whose blocks do no real
-    work (``_lane_works``), so those run inline too.
+    block and per CPU.
     """
     if n <= 0:
         raise ValueError("need n > 0")
@@ -111,37 +110,30 @@ def run_blocks(n: int, fn, seed: int, label: str, workers: int = 1) -> dict:
     def one(i):
         return fn(stream(seed, label, i), sizes[i])
 
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
+    threads = min(workers, len(sizes), os.cpu_count() or 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(one, range(len(sizes))))
     else:
         parts = [one(i) for i in range(len(sizes))]
     return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
-def _lane_works(model: LevyModel2) -> bool:
-    """Whether a block of ``model`` does real work: a model with neither
-    jumps nor a Gaussian part (e.g. ``zero``) takes well under a
-    millisecond a block, less than a thread pool costs to start."""
-    return model.has_jumps or model.has_gaussian
-
-
-def run_together(model: LevyModel2, *calls) -> list:
+def run_together(*calls) -> list:
     """Results of the zero-argument ``calls``, in call order.
 
     The calls must be independent (each draws its own named streams), so
-    their results do not depend on how they are run.  On a model with
-    jumps or a Gaussian part the first runs on this thread and the rest
-    at once on a pool, so a pair keeps two CPUs busy: a grid-lane block
-    draws and steps on one thread, and a jump-lane block's numpy calls
-    mostly release the GIL (its ``cumprod`` and ``cumsum`` hold it, so a
-    jump-lane pair runs about 1.2 times as fast as in turn).  A model
-    with neither runs them one after another and starts no pool.  When
-    several calls raise, the first one's exception in call order is
-    raised, as running them in turn would; each call must therefore carry
-    the checks that are to refuse before the next one starts.
+    their results do not depend on how they are run.  The first runs on
+    this thread and the rest at once on a pool, so a pair keeps two CPUs
+    busy: a grid-lane block draws and steps on one thread, and a
+    jump-lane block's numpy calls mostly release the GIL (its ``cumprod``
+    and ``cumsum`` hold it, so a jump-lane pair runs about 1.2 times as
+    fast as in turn).  When several calls raise, the first one's
+    exception in call order is raised, as running them in turn would;
+    each call must therefore carry the checks that are to refuse before
+    the next one starts.
     """
-    if len(calls) < 2 or not _lane_works(model):
+    if len(calls) < 2:
         return [call() for call in calls]
     with ThreadPoolExecutor(max_workers=len(calls) - 1) as pool:
         rest = [pool.submit(call) for call in calls[1:]]
@@ -404,7 +396,7 @@ def terminal_samples(
         fn = lambda rng, size: _diffusion_block(model, horizon, rng, size, grid_dt, keys)
     else:
         fn = lambda rng, size: _jump_block(model, horizon, rng, size, keys)
-    return run_blocks(n, fn, seed, label, workers if _lane_works(model) else 1)
+    return run_blocks(n, fn, seed, label, workers)
 
 
 def exp_functional_samples(
@@ -501,7 +493,7 @@ def ruin_samples(
                 v_tau[r, j] = e_jump[r, first[r] // 2] * (x + i_bnd[r, first[r]])
         return out
 
-    res = run_blocks(n, block, seed, label, workers if _lane_works(model) else 1)
+    res = run_blocks(n, block, seed, label, workers)
     bad = int(res["bnd_nonfinite"].sum())
     if bad:
         raise ConditionError(

@@ -278,7 +278,6 @@ def stationary_suite(cfg: ExperimentConfig, out_dir=None) -> SuiteResult:
     # causal integral at the same t, independent samples.
     t = cfg.horizon
     a, b = mc.run_together(
-        model,
         lambda: mc.terminal_samples(
             model, t, n, cfg.seed, cfg.grid_dt, cfg.workers, "statA", keys=("e", "i")
         ),
@@ -314,7 +313,7 @@ def stationary_suite(cfg: ExperimentConfig, out_dir=None) -> SuiteResult:
                 label="stationary-dual",
             )
         )
-    dist, *other = mc.run_together(model, *calls)
+    dist, *other = mc.run_together(*calls)
     metrics["kind"] = kind
     metrics["diagnostic_fail_fraction"] = dist.metadata["diagnostic_fail_fraction"]
     metrics["flagged"] = dist.metadata["flagged"]

@@ -226,7 +226,6 @@ def test_criterion_8_subordinator_ruin():
     dual = dual_model(m)
     # two independent samples (own seeds and labels), run as a pair
     res, (v_inf, _) = mc.run_together(
-        m,
         lambda: mc.terminal_samples(dual, horizon, n, SEED + 8, 1e-3, 1, "c8-dual"),
         lambda: mc.exp_functional_samples(m, "causal", n, horizon, SEED + 9, label="c8-v"),
     )

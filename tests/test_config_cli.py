@@ -325,8 +325,12 @@ def test_cli_refuses_non_finite_samples(tmp_path, capsys, extra, named):
         "model: {drift: [-1.0, 1.0], jump_intensity: 1.0, jump_law: {kind: independent,"
         " marg_u: {kind: truncated_normal, mu: 0, sigma: 1, lower: 40},"
         " marg_l: {kind: uniform, a: 0, b: 1}}}\n",
+        "model: {drift: [1" + "0" * 400 + ", 1.0]}\n",
     ],
-    ids=["inf-horizon", "nan-drift", "inf-intensity", "nan-grid", "inf-paths", "empty-tail"],
+    ids=[
+        "inf-horizon", "nan-drift", "inf-intensity", "nan-grid", "inf-paths", "empty-tail",
+        "huge-int-drift",
+    ],
 )
 def test_cli_refuses_non_finite_config_values(tmp_path, capsys, extra):
     """A config value the model or sampler cannot use is a config error
@@ -337,6 +341,122 @@ def test_cli_refuses_non_finite_config_values(tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "Traceback" not in err
+
+
+_LAW = (
+    "jump_intensity: 1.0, jump_law: {kind: independent,"
+    " marg_u: {kind: exponential, rate: 2.0%s}, marg_l: {kind: uniform, a: 0, b: 1}}"
+)
+
+
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ("preset: drift-ou\nn_path: 100\n", "line 5: 'n_path': unknown key"),
+        (
+            "model: {drift: [-1.0, 0.0], jump_intesity: 2.0}\n",
+            "unexpected keyword argument 'jump_intesity'",
+        ),
+        (
+            "model: {drift: [-1.0, 1.0], " + _LAW % ", sgn: -1" + "}\n",
+            "model.jump_law.marg_u: bad marginal parameters (Marginal.exponential() got an"
+            " unexpected keyword argument 'sgn')",
+        ),
+        ("model: {drift: [1.0]}\n", "model: drift must have two entries (b_U, b_L), got 1"),
+        (
+            "model: {drift: [-1.0, 0.0, 7.0]}\n",
+            "model: drift must have two entries (b_U, b_L), got 3",
+        ),
+        (
+            "model: {drift: [-1.0, 1.0], jump_intensity: 1.0, jump_law: {kind: linked,"
+            " marg_u: {kind: exponential, rate: 2.0}, slope: 0.5}}\n",
+            "'intercept')",
+        ),
+    ],
+    ids=[
+        "top-level-typo", "model-typo", "marginal-typo", "short-drift", "long-drift", "no-intercept"
+    ],
+)
+def test_cli_refuses_unknown_and_missing_keys(
+    tmp_path, capsys, monkeypatch, command, extra, named
+):
+    """An unknown top-level, model or marginal key, a drift that is not
+    two numbers and a jump law missing a factory argument are config
+    errors (exit 2) naming the key, from both commands, before any
+    sampling: not a model with the key dropped, nor a traceback."""
+    from gouflow import cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a malformed config reached the suites")
+
+    monkeypatch.setattr(cli, "run_selected", no_run)
+    path = _write(tmp_path, "schema_version: 1\nseed: 1\nsuite: stationary\n" + extra)
+    argv = [command, "--config", path]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "r")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
+def _load_script(monkeypatch, path):
+    """The module at ``path``, imported with its directory on sys.path."""
+    import importlib.util
+
+    monkeypatch.syspath_prepend(os.path.dirname(path))
+    spec = importlib.util.spec_from_file_location(os.path.basename(path)[:-3], path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_config_the_repo_writes_parses(tmp_path, monkeypatch):
+    """The verdict benchmark's items (built as ``verdictbench/run.py``
+    builds them), the suite sweep's template on every model it runs and
+    the line-coverage script's inline laws all parse under the schema."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    bench = _load_script(monkeypatch, os.path.join(root, "verdictbench", "run.py"))
+    sweep = _load_script(monkeypatch, os.path.join(root, "scripts", "run_all_suites.py"))
+    lines = _load_script(monkeypatch, os.path.join(root, "scripts", "verdict_lines.py"))
+    texts = []
+    for workload in ("jump-lane", "diffusion-lane", "per-path"):
+        _, items = bench._load_workload(workload)
+        for k, item in enumerate(items):
+            cfg_path = tmp_path / f"{workload}-{k}.yaml"
+            bench._write_config(str(cfg_path), 1, item["config"])
+            texts.append(cfg_path.read_text())
+    models = {name: f"preset: {name}\n" for name in sweep.preset_names()} | sweep.INLINE_MODELS
+    for model in models.values():
+        texts.append(sweep.CONFIG_TEMPLATE.format(seed=1, model=model, suite="all", paths=2000))
+    for law in lines.LAWS.values():
+        texts.append(json.dumps({"schema_version": 1, "seed": 1, "model": law}))
+    for text in texts:
+        parse_config(text)
+
+
+def test_sweep_records_a_crash_and_keeps_its_table(tmp_path, capsys, monkeypatch):
+    """A run that raises is a ``crash`` row of the sweep's table, with the
+    exception's last line; the other runs still go, and the exit is 1."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sweep = _load_script(monkeypatch, os.path.join(root, "scripts", "run_all_suites.py"))
+    ran = []
+
+    def cli_main(argv):
+        ran.append(argv)
+        if len(ran) == 2:
+            raise IndexError("tuple index out of range")
+        return 0
+
+    monkeypatch.setattr(sweep, "cli_main", cli_main)
+    assert sweep.run(["--out", str(tmp_path)]) == 1
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(ran) == len(rows) == 35
+    assert rows[1].split()[2:] == ["crash", "IndexError:", "tuple", "index", "out", "of", "range"]
+    assert all(row.split()[2] == "pass" for row in rows[:1] + rows[2:])
 
 
 @pytest.mark.parametrize("grid", ["[0.0, 1.0]", "[1.0, -0.5]"])

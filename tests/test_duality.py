@@ -265,9 +265,9 @@ def _count_pairs(monkeypatch):
     pairs = []
     together = mc.run_together
 
-    def counted(model_, *calls):
+    def counted(*calls):
         pairs.append(len(calls))
-        return together(model_, *calls)
+        return together(*calls)
 
     monkeypatch.setattr(mc, "run_together", counted)
     return pairs
@@ -286,7 +286,7 @@ def test_paired_grid_lane_samples_give_the_bytes_of_serial_calls(
 
     pairs = _count_pairs(monkeypatch)
     at_once = _run_suite(tmp_path, capsys, model, suite, tmp_path / "at-once")
-    monkeypatch.setattr(mc, "run_together", lambda model_, *calls: [c() for c in calls])
+    monkeypatch.setattr(mc, "run_together", lambda *calls: [c() for c in calls])
     in_turn = _run_suite(tmp_path, capsys, model, suite, tmp_path / "in-turn")
     assert at_once == in_turn
     assert at_once[1] or at_once[2]  # outputs or a refusal to compare

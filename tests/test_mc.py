@@ -3,7 +3,6 @@ import inspect
 import itertools
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -51,15 +50,57 @@ def test_run_blocks_single_block_starts_no_pool(monkeypatch, mixed_jump_model):
     assert ref.keys() == two.keys()
     assert all(ref[k].tobytes() == two[k].tobytes() for k in ref)
 
+    pools = _record_pools(monkeypatch)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
+    mc.run_blocks(BLOCK_SIZE + 1, lambda rng, size: {"x": rng.random(size)}, 1, "cap", workers=8)
+    assert pools == [2]
+
+
+class _InlinePool:
+    """A stand-in for ``ThreadPoolExecutor`` that runs its map inline."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def _record_pools(monkeypatch):
+    """The ``max_workers`` of every pool ``mc`` asks for, appended as
+    asked; the pools start no threads."""
     pools = []
 
     def recording_pool(max_workers):
         pools.append(max_workers)
-        return ThreadPoolExecutor(max_workers=max_workers)
+        return _InlinePool(max_workers)
 
     monkeypatch.setattr(mc, "ThreadPoolExecutor", recording_pool)
-    mc.run_blocks(BLOCK_SIZE + 1, lambda rng, size: {"x": rng.random(size)}, 1, "cap", workers=8)
-    assert pools == [2]
+    return pools
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, asked",
+    [(1000, 2, [2]), (1000, 64, [5]), (3, 64, [3]), (1000, 1, []), (1000, None, [])],
+)
+def test_run_blocks_pool_is_bounded_by_blocks_and_cpus(monkeypatch, workers, cpus, asked):
+    """The pool has at most one thread per block and per CPU: ``workers``
+    1000 on five blocks asks for the smaller of the two, and on one CPU
+    (or an unknown count) the blocks run inline.  The bytes never change."""
+    fn = lambda rng, size: {"x": rng.random(size)}
+    n = 4 * BLOCK_SIZE + 1
+    ref = mc.run_blocks(n, fn, 1, "cpus", workers=1)
+    pools = _record_pools(monkeypatch)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+    got = mc.run_blocks(n, fn, 1, "cpus", workers=workers)
+    assert pools == asked
+    assert got["x"].tobytes() == ref["x"].tobytes()
 
 
 def test_run_blocks_label_isolation():
@@ -714,9 +755,9 @@ def test_grid_lane_u_only_non_finite_samples_match_serial(b_u, key):
 # ---------------------------------------------------------------------------
 
 
-def _assert_runs_at_once(model):
-    """The calls of ``mc.run_together`` on ``model`` run at once (the first
-    waits for the second to start) and come back in call order."""
+def test_run_together_runs_calls_at_once():
+    """The calls of ``mc.run_together`` run at once (the first waits for
+    the second to start) and come back in call order."""
     started = threading.Event()
 
     def first():
@@ -727,15 +768,10 @@ def _assert_runs_at_once(model):
         started.set()
         return "second"
 
-    assert mc.run_together(model, first, second) == ["first", "second"]
+    assert mc.run_together(first, second) == ["first", "second"]
 
 
-def test_run_together_runs_grid_lane_calls_at_once(dufresne_model):
-    """On a model with a Gaussian part the calls run at once."""
-    _assert_runs_at_once(dufresne_model)
-
-
-def test_run_together_raises_the_first_calls_exception(dufresne_model):
+def test_run_together_raises_the_first_calls_exception():
     """When both calls raise, the exception is the first call's, as in
     turn, even when the second raised earlier; a failing second call
     alone is raised too."""
@@ -752,46 +788,23 @@ def test_run_together_raises_the_first_calls_exception(dufresne_model):
             second_done.set()
 
     with pytest.raises(ConditionError, match="first refused"):
-        mc.run_together(dufresne_model, first, second)
+        mc.run_together(first, second)
     with pytest.raises(ConditionError, match="second refused"):
-        mc.run_together(dufresne_model, lambda: 1, second)
+        mc.run_together(lambda: 1, second)
 
 
-def test_run_together_runs_jump_lane_calls_at_once(mixed_jump_model):
-    """A pure-jump model's calls run at once too."""
-    assert mixed_jump_model.has_jumps and not mixed_jump_model.has_gaussian
-    _assert_runs_at_once(mixed_jump_model)
-
-
-def test_trivial_model_pairs_and_blocks_start_no_pool(monkeypatch):
-    """A model with neither jumps nor a Gaussian part runs a pair in turn
-    (a refusing first call stops it) and the blocks of its jump lane and
-    ruin scan inline at any ``workers``, with the bytes of workers 1."""
+def test_trivial_model_blocks_give_the_bytes_of_workers_1():
+    """A model with neither jumps nor a Gaussian part gives the bytes of
+    workers 1 from its jump lane and ruin scan at any ``workers``."""
     zero = get_preset("zero").model
     assert not (zero.has_jumps or zero.has_gaussian)
     n = 3 * BLOCK_SIZE + 5
     ref = mc.terminal_samples(zero, 2.0, n, seed=4, workers=1)
     ref_ruin = mc.ruin_samples(zero, 2.0, n, seed=4, x_probes=[0.5, 1.0], workers=1)
-
-    def no_pool(max_workers):
-        raise AssertionError("a trivial model started a thread pool")
-
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
     got = mc.terminal_samples(zero, 2.0, n, seed=4, workers=2)
     assert all(ref[k].tobytes() == got[k].tobytes() for k in mc.KEYS)
     got = mc.ruin_samples(zero, 2.0, n, seed=4, x_probes=[0.5, 1.0], workers=4)
     assert all(ref_ruin[k].tobytes() == got[k].tobytes() for k in ("hit", "v_tau", "hits"))
-
-    calls = []
-
-    def refuse():
-        calls.append("first")
-        raise ConditionError("first refused")
-
-    with pytest.raises(ConditionError, match="first refused"):
-        mc.run_together(zero, refuse, lambda: calls.append("second"))
-    assert calls == ["first"]
-    assert mc.run_together(zero, lambda: 1, lambda: 2) == [1, 2]
 
 
 # ---------------------------------------------------------------------------
