@@ -755,20 +755,38 @@ def test_grid_lane_u_only_non_finite_samples_match_serial(b_u, key):
 # ---------------------------------------------------------------------------
 
 
-def test_run_together_runs_calls_at_once():
-    """The calls of ``mc.run_together`` run at once (the first waits for
-    the second to start) and come back in call order."""
+def _assert_runs_at_once(model):
+    """Two lane samples of ``model`` paired by ``mc.run_together`` run at
+    once (the first waits for the second to start), come back in call
+    order and give the bytes of running them in turn."""
     started = threading.Event()
+    sample = lambda label: mc.terminal_samples(model, 1.0, 64, 5, 0.05, 1, label)
 
     def first():
         assert started.wait(10), "the second call did not run alongside the first"
-        return "first"
+        return sample("pairA")
 
     def second():
         started.set()
-        return "second"
+        return sample("pairB")
 
-    assert mc.run_together(first, second) == ["first", "second"]
+    got = mc.run_together(first, second)
+    for res, label in zip(got, ("pairA", "pairB")):
+        ref = sample(label)
+        assert res.keys() == ref.keys()
+        assert all(res[k].tobytes() == ref[k].tobytes() for k in ref)
+
+
+def test_run_together_runs_grid_lane_calls_at_once(dufresne_model):
+    """On a model with a Gaussian part the calls run at once."""
+    assert dufresne_model.has_gaussian
+    _assert_runs_at_once(dufresne_model)
+
+
+def test_run_together_runs_jump_lane_calls_at_once(mixed_jump_model):
+    """A pure-jump model's calls run at once too."""
+    assert mixed_jump_model.has_jumps and not mixed_jump_model.has_gaussian
+    _assert_runs_at_once(mixed_jump_model)
 
 
 def test_run_together_raises_the_first_calls_exception():
