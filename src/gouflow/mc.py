@@ -16,6 +16,14 @@ independent of the worker count:
   memory instead of O(BLOCK_SIZE * K).  The lane reduces a tile to its
   terminal state only; the ruin scan alone builds the running sum of I
   at every event boundary.
+  A tile on which U does not jump (its marks' dU all 0.0 or -0.0) has
+  E = e^{a t} exactly and p = 1 at every jump, so it skips the running
+  product of 1 + dU and every product or quotient by it, which were
+  exact: its bits do not change.  ``zero``, ``drift-ou`` and
+  ``cramer-paulsen`` take this path, on both sides of their duality and
+  stationary pairs and in their ruin scans, and so would any OU model
+  with compound-Poisson input or risk process with interest (U a drift
+  alone); ``degenerate-k`` and ``nonmonotone`` keep the product.
 * diffusion lane: models with a Gaussian part, on a fixed grid.  The
   stochastic exponential is updated in exact law; finite-variation
   integrands use the trapezoid rule (the left-point rule leaves an O(dt)
@@ -126,12 +134,13 @@ def run_together(*calls) -> list:
     their results do not depend on how they are run.  The first runs on
     this thread and the rest at once on a pool, so a pair keeps two CPUs
     busy: a grid-lane block draws and steps on one thread, and a
-    jump-lane block's numpy calls mostly release the GIL (its ``cumprod``
-    and ``cumsum`` hold it, so a jump-lane pair runs about 1.2 times as
-    fast as in turn).  When several calls raise, the first one's
-    exception in call order is raised, as running them in turn would;
-    each call must therefore carry the checks that are to refuse before
-    the next one starts.
+    jump-lane block's numpy calls mostly release the GIL.  A ``cumprod``
+    or ``cumsum`` along a row releases it only on more than 500 rows, and
+    a long-horizon tile has 141 to 318, so there a jump-lane pair runs
+    1.1 to 1.4 times as fast as in turn.  When several calls raise, the
+    first one's exception in call order is raised, as running them in
+    turn would; each call must therefore carry the checks that are to
+    refuse before the next one starts.
     """
     if len(calls) < 2:
         return [call() for call in calls]
@@ -147,10 +156,11 @@ def run_together(*calls) -> list:
 
 # Doubles per working chunk of either lane: a jump-lane tile of rows x
 # (2K+1) boundaries, or a grid-lane chunk of steps x normals per step.
-# The jump kernel makes about ten temporaries of a tile's size.  On a
-# whole 4096-row block each is megabytes, mapped fresh and faulted in
-# page by page on every call; at this size they stay in cache and reuse
-# memory the previous tile freed.
+# The jump kernel makes about ten temporaries of a tile's size, up to
+# seven fewer on a tile without U jumps (1 + dU, its running product, p and
+# the products and quotients by them).  On a whole 4096-row block each is
+# megabytes, mapped fresh and faulted in page by page on every call; at
+# this size they stay in cache and reuse memory the previous tile freed.
 _CHUNK_ELEMENTS = 32_768
 
 
@@ -182,15 +192,24 @@ def _jump_increments(times, du, dl, a, b_l, horizon, keys=KEYS):
     C = int E_{s-} dL_s over each gap (n, K+1) and at each jump (n, K),
     each only when its key is in ``keys`` (else None).  An overflowing E
     leaves inf/NaN entries without a warning; callers count them.
+
+    A tile whose dU are all zero (0.0, or a dual's -0.0) has E = e^{a t}
+    exactly: every 1 + dU and every p is 1.0, so both come back as None
+    and E before a jump is a view of ``grow``.  The running product and
+    every product or quotient by p or 1 + dU are skipped; each was exact,
+    so the tile keeps its bits.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         n = times.shape[0]
-        prod1 = 1.0 + du  # padded entries contribute a factor 1
-        p_ext = np.concatenate([np.ones((n, 1)), np.cumprod(prod1, axis=1)], axis=1)
         t_ext = np.concatenate([np.zeros((n, 1)), times, np.full((n, 1), horizon)], axis=1)
         # e^{a t}, and e^{-a t} for I, once per boundary time
         grow = np.exp(a * t_ext)
-        e_left = grow[:, 1:-1] * p_ext[:, :-1]
+        prod1 = p_ext = None
+        e_left = grow[:, 1:-1]
+        if du.any():
+            prod1 = 1.0 + du  # padded entries contribute a factor 1
+            p_ext = np.concatenate([np.ones((n, 1)), np.cumprod(prod1, axis=1)], axis=1)
+            e_left = e_left * p_ext[:, :-1]
         inc_i = inc_c = None
         if "i" in keys:
             if a == 0.0:
@@ -198,13 +217,17 @@ def _jump_increments(times, du, dl, a, b_l, horizon, keys=KEYS):
             else:
                 shrink = np.exp(-a * t_ext)
                 int_neg = (shrink[:, 1:] - shrink[:, :-1]) / -a
-            inc_i = b_l * int_neg / p_ext, (dl / prod1) / e_left
+            if p_ext is None:
+                inc_i = b_l * int_neg, dl / e_left
+            else:
+                inc_i = b_l * int_neg / p_ext, (dl / prod1) / e_left
         if "c" in keys:
             if a == 0.0:
                 int_pos = t_ext[:, 1:] - t_ext[:, :-1]
             else:
                 int_pos = (grow[:, 1:] - grow[:, :-1]) / a
-            inc_c = b_l * int_pos * p_ext, dl * e_left
+            gap_c = b_l * int_pos
+            inc_c = gap_c if p_ext is None else gap_c * p_ext, dl * e_left
     return grow, p_ext, prod1, e_left, inc_i, inc_c
 
 
@@ -237,7 +260,8 @@ def _jump_terminal(parts):
                 i_t = np.cumsum(inc, axis=1)[:, -1]
         if inc_c is not None:
             c_t = inc_c[0].sum(axis=1) + inc_c[1].sum(axis=1)
-        return grow[:, -1] * p_ext[:, -1], i_t, c_t
+        e_t = grow[:, -1] if p_ext is None else grow[:, -1] * p_ext[:, -1]
+        return e_t, i_t, c_t
 
 
 def _jump_block(model, horizon, rng, size, keys=KEYS):
@@ -471,8 +495,10 @@ def ruin_samples(
             grow, p_ext, prod1, e_left, inc_i, _ = parts
             with np.errstate(over="ignore", invalid="ignore"):
                 # E at the gap ends is e_left, then E_T; after a jump e_jump
-                e_t = grow[:, -1:] * p_ext[:, -1:]
-                e_jump = e_left * prod1
+                # (on a tile without U jumps p = 1 + dU = 1: E_T = e^{aT}
+                # and e_jump = e_left)
+                e_t = grow[:, -1:] if p_ext is None else grow[:, -1:] * p_ext[:, -1:]
+                e_jump = e_left if prod1 is None else e_left * prod1
                 # I at [end of gap 0, after jump 1, end of gap 1, ...]
                 i_bnd = np.cumsum(_interleave(*inc_i), axis=1)
             out["bnd_values"][rows] = 2 * i_bnd.shape[1]

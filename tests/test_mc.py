@@ -347,20 +347,109 @@ _exponential_laws = st.builds(
     st.builds(Marginal.exponential, st.floats(0.5, 4.0), st.sampled_from([-1, 1])),
     st.builds(Marginal.exponential, st.floats(0.5, 4.0), st.sampled_from([-1, 1])),
 )
+# U does not jump: dU = 0.0 or -0.0 (1 + dU = 1.0 either way), so every
+# tile skips the running product of 1 + dU
+_u_continuous_laws = st.one_of(
+    st.lists(
+        st.tuples(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)), min_size=1, max_size=3
+    ).map(lambda atoms: JumpLaw2.point_mass([(a, 1.0 / len(atoms)) for a in atoms])),
+    st.builds(
+        JumpLaw2.independent,
+        st.just(Marginal.points([(0.0, 1.0)])),
+        st.builds(Marginal.exponential, st.floats(0.5, 4.0), st.sampled_from([-1, 1])),
+    ),
+)
+# one dU != 0 atom at a small probability: blocks and tiles with and
+# without U jumps (at 1e-4 a two-tile block can hold one of each)
+_rare_u_jump_laws = st.builds(
+    lambda du, dl, dl_rare, p: JumpLaw2.point_mass([((0.0, dl), 1.0 - p), ((du, dl_rare), p)]),
+    st.floats(-0.9, 2.0).filter(lambda u: u != 0.0),
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+    st.sampled_from([1e-2, 1e-4]),
+)
 
 
 @given(
-    law=st.one_of(_point_mass_laws, _exponential_laws),
+    law=st.one_of(_point_mass_laws, _exponential_laws, _u_continuous_laws, _rare_u_jump_laws),
     b_u=st.one_of(st.just(0.0), st.floats(-1.5, 1.5)),
     b_l=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
     intensity=st.floats(0.5, 3.0),
     horizon=st.floats(0.5, 6.0),
     size=st.sampled_from([1, 255, 256, 257, 600]),
+    dual=st.booleans(),
 )
-@settings(max_examples=30, deadline=None)
-def test_tiled_jump_lane_is_bitwise_untiled_random_laws(law, b_u, b_l, intensity, horizon, size):
+@settings(max_examples=60, deadline=None)
+def test_tiled_jump_lane_is_bitwise_untiled_random_laws(
+    law, b_u, b_l, intensity, horizon, size, dual
+):
+    """Random laws, U-continuous ones (whose tiles take no running product
+    of 1 + dU) and, where condition (B) holds, their dual models (whose
+    dU = -0.0 for a dU = 0): the untiled reference, which keeps the
+    running product, gives the same bits."""
     model = LevyModel2(drift=(b_u, b_l), jump_intensity=intensity, jump_law=law)
+    if dual and model.condition_b:
+        model = dual_model(model)
     _check_tiled_lane_bitwise(model, horizon, size, seed=22)
+
+
+class _CumprodCounter:
+    """numpy as ``gouflow.mc`` sees it, counting the ``np.cumprod`` calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cumprod(self, *args, **kwargs):
+        self.calls += 1
+        return np.cumprod(*args, **kwargs)
+
+
+@pytest.fixture
+def cumprod_calls(monkeypatch):
+    counter = _CumprodCounter()
+    monkeypatch.setattr(mc, "np", counter)
+    return counter
+
+
+def _tiles(model, horizon, seed, label, size=BLOCK_SIZE):
+    """How many row tiles the jump lane cuts block 0 of ``label`` into."""
+    kmax = draw_jumps(model, horizon, stream(seed, label, 0), size).kmax
+    return -(-size // max(1, mc._CHUNK_ELEMENTS // (2 * kmax + 1)))
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("name", ["zero", "drift-ou", "cramer-paulsen", "degenerate-k"])
+def test_jump_lane_takes_the_running_product_only_where_u_jumps(cumprod_calls, name, dual):
+    """A block of a model whose U does not jump (``zero``, ``drift-ou``,
+    ``cramer-paulsen`` and their duals) takes no ``np.cumprod``, in the
+    lane and in the ruin scan; ``degenerate-k`` and its dual take one per
+    tile."""
+    preset = get_preset(name)
+    model = dual_model(preset.model) if dual else preset.model
+    horizon = preset.recommended.get("horizon", 20.0)
+    mc.terminal_samples(model, horizon, BLOCK_SIZE, seed=5, label="lane")
+    lane_calls = cumprod_calls.calls
+    mc.ruin_samples(model, horizon, BLOCK_SIZE, seed=5, x_probes=[1.0], label="ruin")
+    ruin_calls = cumprod_calls.calls - lane_calls
+    if name == "degenerate-k":
+        assert lane_calls == _tiles(model, horizon, 5, "lane") > 1
+        assert ruin_calls == _tiles(model, horizon, 5, "ruin") > 1
+    else:
+        assert lane_calls == ruin_calls == 0
+
+
+def test_tiled_jump_lane_mixes_tiles_with_and_without_u_jumps(cumprod_calls):
+    """A dU != 0 atom at probability 1e-4 leaves some tiles of a block
+    without a U jump: those skip the running product, the rest take it,
+    and the block keeps the untiled reference's bits."""
+    law = JumpLaw2.point_mass([((0.0, 0.5), 1.0 - 1e-4), ((0.5, -1.0), 1e-4)])
+    model = LevyModel2(drift=(0.5, -0.3), jump_intensity=3.0, jump_law=law)
+    mc._jump_block(model, 6.0, stream(22, "tiles", 0), BLOCK_SIZE)
+    assert 0 < cumprod_calls.calls < _tiles(model, 6.0, 22, "tiles")
+    _check_tiled_lane_bitwise(model, 6.0, BLOCK_SIZE, seed=22)
 
 
 def _per_path_reference(model, horizon, n, seed, grid_dt):
@@ -906,12 +995,11 @@ def test_ruin_samples_refuse_non_finite_boundary_values():
         mc.ruin_samples(m, 800.0, 16, seed=3, x_probes=[0.5])
 
 
-def test_ruin_samples_count_non_finite_e_at_jumps():
+def _check_non_finite_e_count(law):
     """E = e^{800 t} overflows late in [0, 1], at gap ends and right after
     jumps alike, while I stays finite: the refusal counts the non-finite
     E and I boundary values of the untiled reference, padded slots
     included."""
-    law = JumpLaw2.point_mass([((0.5, -1.0), 1.0)])
     m = LevyModel2(drift=(800.0, 0.5), jump_intensity=3.0, jump_law=law)
     times, du, dl, _ = padded_jumps(m, 1.0, stream(3, "ruin", 0), 64)
     e_bnd, i_bnd, _ = _untiled_boundary_arrays(times, du, dl, 800.0, 0.5, 0.5, 1.0)
@@ -919,6 +1007,17 @@ def test_ruin_samples_count_non_finite_e_at_jumps():
     bad = np.count_nonzero(~np.isfinite(e_bnd))
     with pytest.raises(ConditionError, match=f"{bad} of {2 * e_bnd.size} ruin-scan"):
         mc.ruin_samples(m, 1.0, 64, seed=3, x_probes=[0.5])
+
+
+def test_ruin_samples_count_non_finite_e_at_jumps():
+    _check_non_finite_e_count(JumpLaw2.point_mass([((0.5, -1.0), 1.0)]))
+
+
+def test_ruin_samples_count_non_finite_e_at_jumps_without_u_jumps(cumprod_calls):
+    """With dU = 0 atoms the scan takes no running product (E after a jump
+    is E before it) and still names the untiled reference's count."""
+    _check_non_finite_e_count(JumpLaw2.point_mass([((0.0, -1.0), 0.5), ((0.0, 0.5), 0.5)]))
+    assert cumprod_calls.calls == 0
 
 
 @pytest.mark.parametrize("name", ["sign-flip", "nonmonotone"])
