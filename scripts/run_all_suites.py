@@ -4,14 +4,17 @@
 Writes one report directory per (preset, suite) pair under reports/ and a
 final table to stdout; one inline model runs with the presets.  Presets
 that violate a suite's hypotheses are listed as refused rather than
-failed — the refusal is the correct result.  A run that raises is listed
-as ``crash`` with the exception's last line, and the sweep goes on; the
-exit code is 1 when any run failed or crashed.
+failed — the refusal is the correct result.  A failing run is listed as
+``FAIL`` with the worst verdict row that the CLI names on stderr.  A run
+that raises is listed as ``crash`` with the exception's last line, and
+the sweep goes on; the exit code is 1 when any run failed or crashed.
 
 Usage: python3 scripts/run_all_suites.py [--paths N] [--seed S] [--out DIR]
 """
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 import traceback
@@ -65,20 +68,27 @@ def run(argv=None):
                     )
                 )
             argv = ["run", "--config", cfg_path, "--out", out_dir, "--workers", str(args.workers)]
+            err = io.StringIO()
             try:
-                code = cli_main(argv)
+                with contextlib.redirect_stderr(err):
+                    code = cli_main(argv)
             except Exception:  # a crash is an outcome: record it, keep sweeping
                 last = traceback.format_exc().strip().splitlines()[-1]
                 rows.append((preset, suite, f"crash {last}"))
                 continue
+            finally:
+                sys.stderr.write(err.getvalue())
             verdict = {0: "pass", 1: "FAIL", 3: "refused"}.get(code, f"exit {code}")
+            worst = [line for line in err.getvalue().splitlines() if " FAIL: worst row " in line]
+            if code == 1 and worst:
+                verdict = "FAIL " + worst[0].split(" FAIL: ", 1)[1]
             rows.append((preset, suite, verdict))
 
     width = max(len(p) for p, _, _ in rows)
     print("\npreset".ljust(width + 1), "suite".ljust(14), "result")
     for preset, suite, verdict in rows:
         print(preset.ljust(width + 1), suite.ljust(14), verdict)
-    return 1 if any(v == "FAIL" or v.startswith("crash") for _, _, v in rows) else 0
+    return 1 if any(v.startswith(("FAIL", "crash")) for _, _, v in rows) else 0
 
 
 if __name__ == "__main__":

@@ -6,9 +6,9 @@ Subcommands:
   list-presets     print the bundled model presets
 
 ``run`` writes one CSV per suite plus ``summary.json`` into the output
-directory and exits 0 only if every executed suite passed.  Results are
-fully determined by the config and seed; ``--workers`` changes wall time
-only, never the numbers.
+directory and exits 0 only if every executed suite passed; a failing
+suite's worst verdict row goes to stderr.  Results are fully determined
+by the config and seed; ``--workers`` changes wall time only.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import sys
 from .config import ConfigError, config_hash, load_config
 from .levy import ConditionError
 from .presets import PRESETS, preset_names
+from .stats import RULES
 from .suites import run_selected, write_csv
 
 __all__ = ["main", "build_parser"]
@@ -117,12 +118,14 @@ def _cmd_run(args) -> int:
         "pass": True,
     }
     for res in results:
-        write_csv(os.path.join(out_dir, res.csv_name), res)
+        write_csv(os.path.join(out_dir, f"{res.name}.csv"), res)
         summary["suites"][res.name] = {"pass": res.passed, "metrics": res.metrics}
         summary["pass"] = summary["pass"] and res.passed
         print(f"suite {res.name}: {'PASS' if res.passed else 'FAIL'}")
-        if not res.passed and res.detail:
-            print(res.detail, file=sys.stderr)
+        if not res.passed and res.worst is not None:
+            w, stat = res.worst, RULES[res.worst["rule"]].statistic
+            line = f"{res.name} FAIL: worst row {w['probe']}: {stat} {w['value']:.3e}, "
+            print(f"{line}level {w['level']:g}, margin {w['margin']:.3e}", file=sys.stderr)
 
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2, default=_jsonable)

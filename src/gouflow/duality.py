@@ -13,8 +13,8 @@ E only at the hitting jump, and returns the hits and V at first passage.
 Each verdict returns the rows its suite writes: ``duality_grid`` the
 ``duality.csv`` rows, and the two ruin modes (``ruin_probability`` for an
 L-subordinator model, ``verify_ruin_identity`` otherwise) ``(rows,
-metrics)`` with the ``ruin.csv`` rows.  Each picks its own probes and
-holds its own gate.
+metrics)`` with the ``ruin.csv`` rows.  Each picks its own probes; its
+rows carry their ``stats.verdict`` keys.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import mc
 from .gou import finite_samples, stationary_sampler
 from .levy import ConditionError, LevyModel2, detect_degeneracy, dual_model
 from .paths import GRID_DT, Path, _replace, eta_path, w_path
-from .stats import ecdf
+from .stats import RULES, ecdf, verdict
 
 __all__ = [
     "dual_path",
@@ -79,7 +79,7 @@ def ruin_probability(
 
     ``(rows, metrics)``: ``ruin.csv`` rows (``probe`` y, ``lhs`` the hit
     frequency over ``n`` dual paths, ``rhs`` the tail, ``pass`` when they
-    differ by at most ``bound`` = 3 se + 0.005) and ``metrics`` with
+    differ by at most ``bound``, see ``stats.RULES``) and ``metrics`` with
     ``companion_diagnostic_fail``, the fraction of companion paths whose
     truncation diagnostic failed.  A model without condition (B) (no
     ``dual_model``) or without L nondecreasing refuses before anything is
@@ -124,9 +124,9 @@ def ruin_probability(
     for y, p_hit, tail in zip(levels.tolist(), (hits / n).tolist(), dist.sf(levels).tolist()):
         se_hit = math.sqrt(p_hit * (1 - p_hit) / n)
         se_tail = math.sqrt(tail * (1 - tail) / stationary_n)
-        bound = 3.0 * math.sqrt(se_hit**2 + se_tail**2) + 0.005
-        ok = abs(p_hit - tail) <= bound
-        rows.append({"probe": y, "lhs": p_hit, "rhs": tail, "bound": bound, "pass": ok})
+        bound = 3.0 * math.sqrt(se_hit**2 + se_tail**2) + RULES["ruin-subordinator"].level
+        v = verdict("ruin-subordinator", y, abs(p_hit - tail), (bound, abs(p_hit - tail)))
+        rows.append({"lhs": p_hit, "rhs": tail, "bound": bound, **v})
     metrics = {"mode": "subordinator", "horizon": horizon, "n_paths": n}
     metrics["companion_diagnostic_fail"] = dist.metadata["diagnostic_fail_fraction"]
     return rows, metrics
@@ -153,8 +153,8 @@ def verify_ruin_identity(
     is shared by both, so the comparison is conservative about H-noise
     only through the right side's resampling), each from ``_N_BOOT``
     resamples.  ``(rows, metrics)``: ``ruin.csv`` rows (``probe`` x, the
-    two sides, an empty ``bound``, ``pass`` when the 99% CIs overlap, and
-    the CIs as ``lhs_ci``/``rhs_ci``, which the CSV leaves out) and
+    two sides, an empty ``bound``, ``pass`` when the CIs overlap, and the
+    CIs as ``lhs_ci``/``rhs_ci``, which the CSV leaves out) and
     ``metrics`` with ``h_diagnostic_fail``.  Needs condition (B), so that
     E(U) > 0 and H(-V_tau) is the identity's weight, and a model without
     Gaussian part for the scan; both are checked before anything is
@@ -200,6 +200,7 @@ def verify_ruin_identity(
 
     res = mc.ruin_samples(model, horizon, n, seed, xs, workers=workers)
     boot_rng = np.random.default_rng(seed + 2)
+    q = RULES["ruin-identity"].level
     rows = []
     for j, x in enumerate(xs):
         weights = np.where(res["hit"][:, j], h.cdf(-res["v_tau"][:, j]), 0.0)
@@ -223,11 +224,11 @@ def verify_ruin_identity(
             for chunk in np.diff([*range(0, _N_BOOT, _BOOT_ROWS), _N_BOOT])
         ]
         rhs_boot = np.concatenate(counts) / h_sample.size
-        lhs_ci = (float(np.quantile(lhs_boot, 0.005)), float(np.quantile(lhs_boot, 0.995)))
-        rhs_ci = (float(np.quantile(rhs_boot, 0.005)), float(np.quantile(rhs_boot, 0.995)))
-        ok = lhs_ci[0] <= rhs_ci[1] and rhs_ci[0] <= lhs_ci[1]
-        row = {"probe": x, "lhs": lhs, "rhs": rhs, "bound": "", "pass": ok}
-        rows.append({**row, "lhs_ci": lhs_ci, "rhs_ci": rhs_ci})
+        lhs_ci = (float(np.quantile(lhs_boot, q)), float(np.quantile(lhs_boot, 1 - q)))
+        rhs_ci = (float(np.quantile(rhs_boot, q)), float(np.quantile(rhs_boot, 1 - q)))
+        ends = (lhs_ci[0], rhs_ci[1]), (rhs_ci[0], lhs_ci[1])
+        v = verdict("ruin-identity", x, abs(lhs - rhs), *ends)
+        rows.append({"lhs": lhs, "rhs": rhs, "bound": "", **v, "lhs_ci": lhs_ci, "rhs_ci": rhs_ci})
     metrics = {"mode": "first-passage-identity", "horizon": horizon, "n_paths": n}
     metrics["h_diagnostic_fail"] = dist.metadata["diagnostic_fail_fraction"]
     return rows, metrics
@@ -298,12 +299,11 @@ def monotonicity_probe(
 # ---------------------------------------------------------------------------
 
 
-def _two_sided(p_a: float, p_b: float, n: int) -> tuple[float, bool]:
+def _two_sided(p_a: float, p_b: float, n: int) -> tuple[float, tuple[float, float]]:
     se = math.sqrt(p_a * (1 - p_a) / n + p_b * (1 - p_b) / n)
     diff = abs(p_a - p_b)
-    if se == 0.0:
-        return (0.0 if diff == 0.0 else math.inf), diff == 0.0
-    return diff / se, diff <= 3.29 * se
+    z = diff / se if se != 0.0 else (0.0 if diff == 0.0 else math.inf)
+    return z, (se, diff)
 
 
 def duality_grid(
@@ -322,8 +322,8 @@ def duality_grid(
     per t; all (x, y) probes reuse them through the affine form of the
     explicit solution.  Returns one row per probe: t, x, y, ``p_V`` and
     ``p_R`` with their standard errors, the z-score ``z``, ``z_sym`` of
-    the symmetric direction P(R_t^y >= x) = P(V_t^x <= y), and ``pass``
-    when both directions pass.
+    the symmetric direction P(R_t^y >= x) = P(V_t^x <= y), and the
+    ``stats.verdict`` keys of both directions.
     """
     dual = dual_model(model)
 
@@ -343,8 +343,8 @@ def duality_grid(
                 r = r_e * (y + r_i)
                 p_v = float(np.mean(v >= y))
                 p_r = float(np.mean(r <= x))
-                z, ok = _two_sided(p_v, p_r, n)
-                z_sym, ok_sym = _two_sided(float(np.mean(r >= x)), float(np.mean(v <= y)), n)
+                z, fwd = _two_sided(p_v, p_r, n)
+                z_sym, sym = _two_sided(float(np.mean(r >= x)), float(np.mean(v <= y)), n)
                 rows.append(
                     {
                         "t": float(t),
@@ -356,7 +356,7 @@ def duality_grid(
                         "se_R": math.sqrt(p_r * (1 - p_r) / n),
                         "z": z,
                         "z_sym": z_sym,
-                        "pass": ok and ok_sym,
+                        **verdict("duality", f"t={t:g} x={x:g} y={y:g}", max(z, z_sym), fwd, sym),
                     }
                 )
     return rows

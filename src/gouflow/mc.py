@@ -502,9 +502,9 @@ def ruin_samples(
                 # I at [end of gap 0, after jump 1, end of gap 1, ...]
                 i_bnd = np.cumsum(_interleave(*inc_i), axis=1)
             out["bnd_values"][rows] = 2 * i_bnd.shape[1]
-            out["bnd_nonfinite"][rows] = sum(
-                np.count_nonzero(~np.isfinite(v), axis=1) for v in (e_left, e_t, e_jump, i_bnd)
-            )
+            bad = [np.count_nonzero(~np.isfinite(v), axis=1) for v in (e_left, e_t, i_bnd)]
+            bad.append(bad[0] if prod1 is None else np.count_nonzero(~np.isfinite(e_jump), axis=1))
+            out["bnd_nonfinite"][rows] = sum(bad)
             idx = np.arange(i_bnd.shape[0])
             v_tau = out["v_tau"][rows]
             for j, x in enumerate(xs):

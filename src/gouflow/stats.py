@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -12,6 +13,9 @@ import numpy as np
 __all__ = [
     "EmpiricalDistribution",
     "KsResult",
+    "RULES",
+    "verdict",
+    "decide",
     "ecdf",
     "ks_two_sample",
     "ks_critical_value",
@@ -70,12 +74,43 @@ class EmpiricalDistribution:
                 fh.write("\n")
 
 
+# A pass rule: a row passes on its signed margin(level, *inputs) >= 0, or > 0 if strict.
+Rule = namedtuple("Rule", "statistic level margin strict", defaults=[False])
+RULES = {  # every verdict's rule, as README's "Verdicts" table lists them; a NaN margin fails
+    "duality": Rule("z", 3.29, lambda lv, se, diff: lv * se - diff),  # per direction
+    "ruin-subordinator": Rule("|lhs - rhs|", 0.005, lambda lv, b, d: b - d),  # b = 3 se + 0.005
+    # the CIs from the 0.005 and 1 - 0.005 == 0.995 bootstrap quantiles overlap
+    "ruin-identity": Rule("|lhs - rhs|", 0.005, lambda lv, lo, hi: hi - lo),
+    "ks": Rule("p", 1e-3, lambda lv, p: p - lv),
+    "oracle": Rule("D", 0.02, lambda lv, d: lv - d),
+    "inverse-flow-exact": Rule("max_error", 1e-9, lambda lv, err: lv - err),
+    "inverse-flow-euler": Rule("median decrease", 0.0, lambda lv, a, b: a - b - lv, True),
+    "monotone": Rule("violations", 0, lambda lv, v: lv - v),  # under condition (B)
+    "nonmonotone": Rule("max_z", 4.0, lambda lv, z: z - lv, True),  # without (B)
+}
+
+
+def verdict(rule: str, probe, value, *inputs) -> dict:
+    """A row's verdict keys: ``RULES[rule]`` at ``probe``, the statistic's
+    ``value``, and the least margin (NaN first) of the rule on each tuple of ``inputs``."""
+    lv, margin, strict = RULES[rule][1:]
+    least = min((margin(lv, *args) for args in inputs), key=lambda m: (m == m, m))
+    row = {"rule": rule, "probe": probe, "value": value, "level": lv, "margin": least}
+    return {**row, "pass": bool(least > 0 if strict else least >= 0)}
+
+
+def decide(rows) -> dict:
+    """``passed`` if every row passes; ``worst``: a failing row if any, least margin, NaN first."""
+    rank = lambda r: (r["pass"], r["margin"] == r["margin"], r["margin"])
+    return {"passed": all(r["pass"] for r in rows), "worst": min(rows, key=rank, default=None)}
+
+
 @dataclass(frozen=True)
 class KsResult:
     statistic: float
     pvalue: float
 
-    def rejects(self, level: float = 1e-3) -> bool:
+    def rejects(self, level: float = RULES["ks"].level) -> bool:
         return self.pvalue < level
 
 
@@ -113,8 +148,8 @@ def _kolmogorov_sf(lam: float, terms: int = 100) -> float:
 def ks_two_sample(a: EmpiricalDistribution, b: EmpiricalDistribution) -> KsResult:
     """Two-sample KS statistic by merge scan, asymptotic p-value.
 
-    The p-value uses the Kolmogorov series at effective sample size
-    n*m/(n+m); the suites keep n >= 1e3 so the asymptotic regime applies.
+    The p-value is the asymptotic one, the Kolmogorov series at effective
+    sample size n*m/(n+m); nothing enforces an n large enough for it.
     """
     xa, xb = a.values, b.values
     grid = np.concatenate([xa, xb])
@@ -126,7 +161,7 @@ def ks_two_sample(a: EmpiricalDistribution, b: EmpiricalDistribution) -> KsResul
     return KsResult(statistic=d, pvalue=p)
 
 
-def ks_critical_value(n_a: int, n_b: int, level: float = 1e-3) -> float:
+def ks_critical_value(n_a: int, n_b: int, level: float = RULES["ks"].level) -> float:
     """Smallest D rejected at the given level (asymptotic)."""
     n_eff = n_a * n_b / (n_a + n_b)
     return math.sqrt(-0.5 * math.log(level / 2.0)) / math.sqrt(n_eff)

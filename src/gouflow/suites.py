@@ -24,7 +24,7 @@ from .levy import LevyModel2, dual_model
 from .paths import euler_paths, exact_paths
 from .presets import get_preset
 from .rng import stream
-from .stats import ecdf, ks_two_sample
+from .stats import decide, ecdf, ks_two_sample, verdict
 
 __all__ = ["SuiteResult", "run_suite", "run_selected", "write_csv", "SUITE_RUNNERS"]
 
@@ -42,11 +42,7 @@ class SuiteResult:
     metrics: dict
     rows: list = field(default_factory=list)
     columns: tuple = ()
-    detail: str = ""  # printed on stderr when the suite fails; not in summary.json
-
-    @property
-    def csv_name(self) -> str:
-        return f"{self.name}.csv"
+    worst: dict | None = None  # decide()'s worst verdict row; not in summary.json
 
 
 def write_csv(path, result: SuiteResult) -> None:
@@ -94,7 +90,7 @@ def duality_suite(cfg: ExperimentConfig) -> SuiteResult:
     )
     return SuiteResult(
         name="duality",
-        passed=all(row["pass"] for row in rows),
+        **decide(rows),
         metrics={
             "n_probes": len(rows),
             "n_paths": cfg.n_paths,
@@ -130,30 +126,26 @@ def inverse_flow_suite(cfg: ExperimentConfig) -> SuiteResult:
         for dt, e in zip(dts, errs)
         for j, err in enumerate(e)
     ]
+    top = max(rows, key=lambda row: row["max_error"])
+    probe = f"path {top['seed']} (grid_dt {top['grid_dt'] or 'exact'})"
     if backend == "euler":
         medians = [float(np.median(e)) for e in errs]
-        passed = all(b < a for a, b in zip(medians, medians[1:]))
         metrics = {"backend": "euler", "grid_dts": dts, "median_errors": medians}
-        detail = "median errors per grid_dt " + ", ".join(
+        probe += f" max_error {top['max_error']:.3e}; median errors per grid_dt " + ", ".join(
             f"{dt:g}: {med:.3e}" for dt, med in zip(dts, medians)
         )
+        steps = list(zip(medians, medians[1:]))
+        row = verdict("inverse-flow-euler", probe, min(a - b for a, b in steps), *steps)
     else:
         worst = float(np.max(errs[0]))
-        passed = worst <= 1e-9
         metrics = {"backend": "exact", "n_paths": n, "max_error": worst}
-        detail = "gate max_error <= 1e-9"
-    top = max(rows, key=lambda row: row["max_error"])
-    detail = (
-        f"inverse-flow: worst path {top['seed']} (grid_dt {top['grid_dt'] or 'exact'}) "
-        f"max_error {top['max_error']:.3e}; {detail}"
-    )
+        row = verdict("inverse-flow-exact", probe, worst, (worst,))
     return SuiteResult(
         name="inverse-flow",
-        passed=passed,
+        **decide([row]),
         metrics=metrics,
         rows=rows,
         columns=("seed", "t", "x", "max_error", "backend", "grid_dt"),
-        detail=detail,
     )
 
 
@@ -169,7 +161,7 @@ def ruin_suite(cfg: ExperimentConfig) -> SuiteResult:
         rows, metrics = verify_ruin_identity(model, cfg.x_grid, *common, workers=cfg.workers)
     return SuiteResult(
         name="ruin",
-        passed=all(row["pass"] for row in rows),
+        **decide(rows),
         metrics=metrics,
         rows=rows,
         columns=("probe", "lhs", "rhs", "bound", "pass"),
@@ -264,7 +256,7 @@ def _ks_row(check: str, a, b) -> dict:
         "check": check,
         "statistic": ks.statistic,
         "pvalue": ks.pvalue,
-        "pass": not ks.rejects(),
+        **verdict("ks", check, ks.pvalue, (ks.pvalue,)),
     }
 
 
@@ -330,7 +322,7 @@ def stationary_suite(cfg: ExperimentConfig, out_dir=None) -> SuiteResult:
                 "check": "inverse-gamma-oracle",
                 "statistic": d,
                 "pvalue": "",
-                "pass": d <= 0.02,
+                **verdict("oracle", "inverse-gamma-oracle", d, (d,)),
             }
         )
         metrics["oracle_ks"] = d
@@ -342,7 +334,7 @@ def stationary_suite(cfg: ExperimentConfig, out_dir=None) -> SuiteResult:
         )
     return SuiteResult(
         name="stationary",
-        passed=all(row["pass"] for row in rows),
+        **decide(rows),
         metrics=metrics,
         rows=rows,
         columns=("check", "statistic", "pvalue", "pass"),
@@ -357,17 +349,17 @@ def monotonicity_suite(cfg: ExperimentConfig) -> SuiteResult:
         model, t, y, cfg.x_grid, cfg.n_paths, cfg.seed, cfg.grid_dt, cfg.workers
     )
     if model.condition_b:
-        passed = report["monotone"]
-        verdict = "monotone as required under condition (B)"
+        rule, value = "monotone", max((p["violations"] for p in report["pairs"]), default=0)
+        wanted = "monotone as required under condition (B)"
     else:
-        passed = report["max_z"] > 4.0
-        verdict = "nonmonotonicity detected as required"
+        rule, value = "nonmonotone", report["max_z"]
+        wanted = "nonmonotonicity detected as required"
     return SuiteResult(
         name="monotonicity",
-        passed=passed,
+        **decide([verdict(rule, "max over x pairs", value, (value,))]),
         metrics={
             "condition_b": model.condition_b,
-            "verdict": verdict,
+            "verdict": wanted,
             "probs": report["probs"],
             "max_z": _finite_z(report["max_z"]),
             "t": t,

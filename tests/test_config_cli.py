@@ -3,6 +3,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 from gouflow.cli import main
@@ -440,23 +441,34 @@ def test_every_config_the_repo_writes_parses(tmp_path, monkeypatch):
 
 def test_sweep_records_a_crash_and_keeps_its_table(tmp_path, capsys, monkeypatch):
     """A run that raises is a ``crash`` row of the sweep's table, with the
-    exception's last line; the other runs still go, and the exit is 1."""
+    exception's last line, and a failing run a ``FAIL`` row with the worst
+    row the CLI named on stderr, which still reaches stderr; the other
+    runs still go, and the exit is 1."""
+    import sys
+
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     sweep = _load_script(monkeypatch, os.path.join(root, "scripts", "run_all_suites.py"))
     ran = []
+    line = "ruin FAIL: worst row y=1: |lhs - rhs| 1.000e+00, level 0.005, margin -9.950e-01"
 
     def cli_main(argv):
         ran.append(argv)
         if len(ran) == 2:
             raise IndexError("tuple index out of range")
+        if len(ran) == 3:
+            print(line, file=sys.stderr)
+            return 1
         return 0
 
     monkeypatch.setattr(sweep, "cli_main", cli_main)
     assert sweep.run(["--out", str(tmp_path)]) == 1
-    rows = capsys.readouterr().out.splitlines()[2:]
+    out, err = capsys.readouterr()
+    rows = out.splitlines()[2:]
     assert len(ran) == len(rows) == 35
     assert rows[1].split()[2:] == ["crash", "IndexError:", "tuple", "index", "out", "of", "range"]
-    assert all(row.split()[2] == "pass" for row in rows[:1] + rows[2:])
+    assert rows[2].split(None, 2)[2] == "FAIL worst row " + line.split("worst row ")[1]
+    assert err == line + "\n"
+    assert all(row.split()[2] == "pass" for row in rows[:1] + rows[3:])
 
 
 @pytest.mark.parametrize("grid", ["[0.0, 1.0]", "[1.0, -0.5]"])
@@ -609,11 +621,14 @@ def test_duality_csv_pass_column_covers_both_directions(tmp_path, monkeypatch):
     reads False in the ``pass`` column of duality.csv; its ``z_sym`` is a
     column of the CSV and sets the suite's ``max_z``."""
     import gouflow.suites as suites
+    from gouflow.stats import verdict
 
     def row(x, ok_sym):
+        z_sym = 0.0 if ok_sym else 9.0
         return {
             "t": 1.0, "x": x, "y": 0.0, "p_V": 0.5, "se_V": 0.01, "p_R": 0.5, "se_R": 0.01,
-            "z": 0.0, "z_sym": 0.0 if ok_sym else 9.0, "pass": ok_sym,
+            "z": 0.0, "z_sym": z_sym,
+            **verdict("duality", f"x={x}", z_sym, (0.01, 0.0), (0.01, 0.01 * z_sym)),
         }
 
     def stub(*args, **kwargs):
@@ -653,16 +668,9 @@ def test_cli_exit_one_on_failure(tmp_path, monkeypatch):
     assert main(["run", "--config", path, "--out", str(tmp_path / "f")]) == 1
 
 
-def test_cli_inverse_flow_failure_names_worst_path(tmp_path, monkeypatch, capsys):
-    """A failing inverse-flow suite prints its worst path on stderr and
-    leaves the summary.json keys as they are."""
+def _inflate_path_7(monkeypatch):
+    """Path 7 of the inverse-flow check reads max_error 1e-3."""
     import gouflow.suites as suites
-
-    text = "schema_version: 1\nseed: 1\npreset: drift-ou\nsuite: inverse-flow\nn_paths: 20\n"
-    path = _write(tmp_path, text)
-    out_ok = str(tmp_path / "ok")
-    assert main(["run", "--config", path, "--out", out_ok]) == 0
-    assert "worst path" not in capsys.readouterr().err
 
     real = suites.verify_pathwise_identity
 
@@ -673,15 +681,103 @@ def test_cli_inverse_flow_failure_names_worst_path(tmp_path, monkeypatch, capsys
         return {**rep, "max_error": errs}
 
     monkeypatch.setattr(suites, "verify_pathwise_identity", inflated)
-    out_bad = str(tmp_path / "bad")
+
+
+def _flat_errors(monkeypatch):
+    """Every inverse-flow path reads max_error 1e-2 on every grid step, so
+    the Euler medians do not decrease: margin 0 fails the strict rule."""
+    import gouflow.suites as suites
+
+    real = suites.verify_pathwise_identity
+
+    def flat(path, model, x):
+        rep = real(path, model, x)
+        return {**rep, "max_error": np.full_like(rep["max_error"], 1e-2)}
+
+    monkeypatch.setattr(suites, "verify_pathwise_identity", flat)
+
+
+def _shift_dual(monkeypatch):
+    """A wrong dual: its K drift is shifted by -0.5, wherever it is built."""
+    from dataclasses import replace
+
+    import gouflow.duality as duality
+    import gouflow.suites as suites
+
+    true_dual = duality.dual_model
+
+    def shifted(model):
+        dual = true_dual(model)
+        return replace(dual, drift=(dual.drift[0], dual.drift[1] - 0.5))
+
+    monkeypatch.setattr(duality, "dual_model", shifted)
+    monkeypatch.setattr(suites, "dual_model", shifted)
+
+
+# case: (passing preset and paths, failing preset and paths, the break,
+# the failing rule, what the worst row's line shows); a case's suite is the
+# part of its name before a colon
+_FAILURES = {
+    "duality": (("zero", 256), ("zero", 256), _shift_dual, "duality", "t=0.5 x=-1 y=-1: z inf"),
+    "inverse-flow": (
+        ("drift-ou", 20),
+        ("drift-ou", 20),
+        _inflate_path_7,
+        "inverse-flow-exact",
+        "worst row path 7 (grid_dt exact): max_error 1.000e-03, level 1e-09",
+    ),
+    "inverse-flow:euler": (
+        ("dufresne", 20),
+        ("dufresne", 20),
+        _flat_errors,
+        "inverse-flow-euler",
+        "median errors per grid_dt 0.004: 1.000e-02, 0.002: 1.000e-02, 0.001: 1.000e-02: "
+        "median decrease 0.000e+00, level 0, margin 0.000e+00",
+    ),
+    "ruin": (
+        ("zero", 256),
+        ("zero", 256),
+        _shift_dual,
+        "ruin-subordinator",
+        "worst row 1.0: |lhs - rhs| 1.000e+00",
+    ),
+    "stationary": (("zero", 256), ("zero", 256), _shift_dual, "ks", "causal-vs-dual-noncausal: p"),
+    # too few paths to see the nonmonotonicity at z > 4
+    "monotonicity": (
+        ("nonmonotone", 8000),
+        ("nonmonotone", 10),
+        lambda monkeypatch: None,
+        "nonmonotone",
+        "max over x pairs: max_z",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILURES))
+def test_cli_failure_names_worst_row(tmp_path, monkeypatch, capsys, case):
+    """A failing suite prints one line on stderr: its worst verdict row's
+    probe, statistic, level and a margin that fails the row's rule.  A
+    passing run prints none, and summary.json keeps its keys."""
+    from gouflow.stats import RULES
+
+    (ok_preset, ok_n), (bad_preset, bad_n), brk, rule, shows = _FAILURES[case]
+    suite = case.split(":")[0]
+    text = "schema_version: 1\nseed: 1\npreset: {}\nsuite: {}\nn_paths: {}\nt_grid: [0.5]\n"
+    out_ok, out_bad = str(tmp_path / "ok"), str(tmp_path / "bad")
+    path = _write(tmp_path, text.format(ok_preset, suite, ok_n), "ok.yaml")
+    assert main(["run", "--config", path, "--out", out_ok]) == 0
+    assert "worst row" not in capsys.readouterr().err
+
+    brk(monkeypatch)
+    path = _write(tmp_path, text.format(bad_preset, suite, bad_n), "bad.yaml")
     assert main(["run", "--config", path, "--out", out_bad]) == 1
-    err = capsys.readouterr().err
-    assert "worst path 7 (grid_dt exact) max_error 1.000e-03" in err
+    lines = [line for line in capsys.readouterr().err.splitlines() if "worst row" in line]
+    assert len(lines) == 1 and lines[0].startswith(f"{suite} FAIL: worst row ")
+    assert shows in lines[0]
+    margin = float(lines[0].rsplit("margin ", 1)[1])
+    assert margin < 0 or (RULES[rule].strict and margin == 0)
     ok = json.load(open(os.path.join(out_ok, "summary.json")))
     bad = json.load(open(os.path.join(out_bad, "summary.json")))
     assert ok.keys() == bad.keys()
-    assert ok["suites"]["inverse-flow"].keys() == bad["suites"]["inverse-flow"].keys()
-    assert (
-        ok["suites"]["inverse-flow"]["metrics"].keys()
-        == bad["suites"]["inverse-flow"]["metrics"].keys()
-    )
+    assert ok["suites"][suite].keys() == bad["suites"][suite].keys()
+    assert ok["suites"][suite]["metrics"].keys() == bad["suites"][suite]["metrics"].keys()

@@ -321,12 +321,14 @@ def test_duality_grid_passes_on_drift_ou():
 
 
 def test_duality_grid_pass_covers_both_directions(monkeypatch):
-    """A probe that passes P(V >= y) = P(R <= x) but fails the symmetric
-    direction is a failed row; its z is the first direction's."""
-    verdicts = iter([(0.0, True), (9.0, False)])
+    """A probe that passes P(V >= y) = P(R <= x) (se 0, diff 0: margin 0)
+    but fails the symmetric direction (se 0, diff 1: margin -1) is a failed
+    row; its z is the first direction's, and it carries the least margin."""
+    verdicts = iter([(0.0, (0.0, 0.0)), (9.0, (0.0, 1.0))])
     monkeypatch.setattr(duality, "_two_sided", lambda p_a, p_b, n: next(verdicts))
     (row,) = duality_grid(get_preset("drift-ou").model, [1.0], [0.0], [0.0], 100, seed=1)
     assert (row["z"], row["z_sym"], row["pass"]) == (0.0, 9.0, False)
+    assert (row["margin"], row["value"], row["rule"]) == (-1.0, 9.0, "duality")
 
 
 def test_duality_suite_reports_infinite_z(monkeypatch):

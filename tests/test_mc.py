@@ -1020,6 +1020,13 @@ def test_ruin_samples_count_non_finite_e_at_jumps_without_u_jumps(cumprod_calls)
     assert cumprod_calls.calls == 0
 
 
+def test_ruin_samples_count_non_finite_e_after_large_u_jumps():
+    """A jump of 1 + dU = 1e6 takes a finite E before it past the float
+    range after it: the refusal counts E after each jump itself, not E
+    before it."""
+    _check_non_finite_e_count(JumpLaw2.point_mass([((999_999.0, -1.0), 1.0)]))
+
+
 @pytest.mark.parametrize("name", ["sign-flip", "nonmonotone"])
 def test_ruin_samples_refuse_without_condition_b(monkeypatch, sign_flip_model, name):
     """Without condition (B) E(U) changes sign at jumps below -1, and

@@ -12,11 +12,15 @@ from hypothesis import strategies as st
 from scipy.special import kolmogorov
 
 from gouflow.stats import (
+    RULES,
     EmpiricalDistribution,
+    KsResult,
     binomial_ci,
+    decide,
     ecdf,
     ks_critical_value,
     ks_two_sample,
+    verdict,
 )
 from gouflow.stats import _kolmogorov_sf
 from gouflow.presets import get_preset
@@ -248,3 +252,111 @@ def test_cli_stationary_oracle_run_leaves_scipy_unloaded(tmp_path):
     )
     _run_in_fresh_interpreter(code)
     assert "inverse-gamma-oracle" in (out / "stationary.csv").read_text()
+
+
+# ---------------------------------------------------------------------------
+# the verdict rules
+# ---------------------------------------------------------------------------
+
+NAN = math.nan
+_SUB = 3.0 * 0.0 + RULES["ruin-subordinator"].level  # the subordinator bound at se = 0
+
+# (rule, the margins' inputs, the comparison each suite made before the
+# rules moved into one table, written out).  Each rule is taken at its
+# level, at se = 0 where it has one, and with a NaN statistic.
+_EDGES = [
+    # |p_a - p_b| <= 3.29 se; at se = 0, p_a == p_b (z 0) or z = inf
+    ("duality", [(0.5, 3.29 * 0.5)], 3.29 * 0.5 <= 3.29 * 0.5),
+    ("duality", [(0.0, 0.0)], 0.0 == 0.0),
+    ("duality", [(0.0, 0.25)], 0.25 == 0.0),
+    ("duality", [(0.1, 0.0), (0.1, NAN)], 0.0 <= 3.29 * 0.1 and NAN <= 3.29 * 0.1),
+    ("duality", [(NAN, 0.1), (0.1, 0.0)], 0.1 <= 3.29 * NAN and 0.0 <= 3.29 * 0.1),
+    # |lhs - rhs| <= 3 se + 0.005
+    ("ruin-subordinator", [(_SUB, 0.005)], 0.005 <= _SUB),
+    ("ruin-subordinator", [(_SUB, 0.0)], 0.0 <= _SUB),
+    ("ruin-subordinator", [(_SUB, 0.25)], 0.25 <= _SUB),
+    ("ruin-subordinator", [(_SUB, NAN)], NAN <= _SUB),
+    # the CIs (lhs_lo, lhs_hi) and (rhs_lo, rhs_hi) overlap:
+    # lhs_lo <= rhs_hi and rhs_lo <= lhs_hi
+    ("ruin-identity", [(0.1, 0.3), (0.2, 0.2)], 0.1 <= 0.3 and 0.2 <= 0.2),
+    ("ruin-identity", [(0.1, 0.3), (0.25, 0.2)], 0.1 <= 0.3 and 0.25 <= 0.2),
+    ("ruin-identity", [(NAN, 0.3), (0.2, 0.2)], NAN <= 0.3 and 0.2 <= 0.2),
+    ("ruin-identity", [(0.1, 0.3), (0.05, NAN)], 0.1 <= 0.3 and 0.05 <= NAN),
+    # not KsResult(D, p).rejects(): not p < 1e-3
+    ("ks", [(1e-3,)], not 1e-3 < 1e-3),
+    ("ks", [(5e-4,)], not 5e-4 < 1e-3),
+    # D <= 0.02
+    ("oracle", [(0.02,)], 0.02 <= 0.02),
+    ("oracle", [(0.03,)], 0.03 <= 0.02),
+    ("oracle", [(NAN,)], NAN <= 0.02),
+    # max_error <= 1e-9
+    ("inverse-flow-exact", [(1e-9,)], 1e-9 <= 1e-9),
+    ("inverse-flow-exact", [(2e-9,)], 2e-9 <= 1e-9),
+    ("inverse-flow-exact", [(NAN,)], NAN <= 1e-9),
+    # strictly decreasing medians a, b, c: b < a and c < b
+    ("inverse-flow-euler", [(3.0, 2.0), (2.0, 1.0)], 2.0 < 3.0 and 1.0 < 2.0),
+    ("inverse-flow-euler", [(3.0, 2.0), (2.0, 2.0)], 2.0 < 3.0 and 2.0 < 2.0),
+    ("inverse-flow-euler", [(3.0, 2.0), (2.0, NAN)], 2.0 < 3.0 and NAN < 2.0),
+    ("inverse-flow-euler", [(NAN, 2.0), (2.0, 1.0)], 2.0 < NAN and 1.0 < 2.0),
+    # violations == 0
+    ("monotone", [(0,)], 0 == 0),
+    ("monotone", [(2,)], 2 == 0),
+    ("monotone", [(NAN,)], NAN == 0),
+    # max_z > 4.0
+    ("nonmonotone", [(4.0,)], 4.0 > 4.0),
+    ("nonmonotone", [(math.inf,)], math.inf > 4.0),
+    ("nonmonotone", [(NAN,)], NAN > 4.0),
+]
+
+
+@pytest.mark.parametrize("rule, inputs, old", _EDGES)
+def test_verdict_rules_decide_as_the_old_comparisons(rule, inputs, old):
+    """Every rule's verdict equals the comparison its suite made before:
+    at the level a >= rule passes and a strict one fails, and a NaN
+    statistic fails."""
+    row = verdict(rule, "probe", 0.0, *inputs)
+    assert row["pass"] is old
+    assert row["level"] == RULES[rule].level
+    assert decide([row]) == {"passed": old, "worst": row}
+
+
+def test_ks_verdict_fails_a_nan_p():
+    """The one rule whose old comparison passed a NaN: ``not p < 1e-3``
+    holds for p = NaN.  A NaN margin fails; ks_two_sample never gives one
+    (it compares finite samples and clamps p into [0, 1])."""
+    assert not verdict("ks", "probe", NAN, (NAN,))["pass"]
+    assert not NAN < 1e-3
+    assert not KsResult(0.5, NAN).rejects()
+
+
+@pytest.mark.parametrize(
+    "p_a, p_b, z, old",
+    [(0.0, 0.0, 0.0, 0.0 == 0.0), (1.0, 0.0, math.inf, 1.0 == 0.0), (0.3, 0.3, 0.0, True)],
+)
+def test_duality_two_sided_at_zero_standard_error(p_a, p_b, z, old):
+    """At se = 0 (every path agrees) z is 0 or inf, and the margin
+    -|p_a - p_b| passes exactly when the old ``diff == 0.0`` did."""
+    from gouflow.duality import _two_sided
+
+    got_z, inputs = _two_sided(p_a, p_b, 100)
+    assert got_z == z
+    assert verdict("duality", "probe", got_z, inputs)["pass"] is old
+
+
+def test_decide_names_the_worst_row():
+    """The worst row is a failing one of least margin, NaN least; with no
+    failing row, the passing row of least margin."""
+    # the Euler rule's margin is a - b
+    margins = [0.5, -0.1, -0.3, 0.2]
+    rows = [verdict("inverse-flow-euler", k, m, (m, 0.0)) for k, m in enumerate(margins)]
+    assert decide(rows) == {"passed": False, "worst": rows[2]}
+    nan_row = verdict("inverse-flow-euler", "nan", NAN, (NAN, 0.0))
+    assert decide(rows + [nan_row])["worst"] is nan_row
+    assert decide([rows[0], rows[3]]) == {"passed": True, "worst": rows[3]}
+    assert decide([]) == {"passed": True, "worst": None}
+    at_level = verdict("nonmonotone", "at level", 4.0, (4.0,))
+    assert decide([rows[3], at_level]) == {"passed": False, "worst": at_level}
+    # margin 0 passes a >= rule and fails a strict one: the failing row is worse
+    passing = verdict("oracle", "oracle at level", 0.02, (0.02,))
+    assert (passing["margin"], passing["pass"]) == (0.0, True)
+    assert decide([passing, at_level])["worst"] is at_level
