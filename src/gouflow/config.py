@@ -215,6 +215,10 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"{where(key)}: every entry must be positive")
         return vals
 
+    x_grid = grid("x_grid")
+    if suite in ("monotonicity", "all") and len(set(x_grid)) < 2:
+        raise ConfigError(f"{where('x_grid')}: the monotonicity suite needs two distinct x")
+
     out_dir = data.get("out_dir", ExperimentConfig.out_dir)
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError(f"{where('out_dir')}: expected a directory path, got {out_dir!r}")
@@ -228,7 +232,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         horizon=positive("horizon"),
         grid_dt=positive("grid_dt"),
         t_grid=grid("t_grid", positive_entries=True),
-        x_grid=grid("x_grid"),
+        x_grid=x_grid,
         y_grid=grid("y_grid"),
         stationary_horizon=(
             positive("stationary_horizon") if "stationary_horizon" in data else None

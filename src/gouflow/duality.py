@@ -20,13 +20,14 @@ rows carry their ``stats.verdict`` keys.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from . import mc
 from .gou import finite_samples, stationary_sampler
 from .levy import ConditionError, LevyModel2, detect_degeneracy, dual_model
-from .paths import GRID_DT, Path, _replace, eta_path, w_path
+from .paths import GRID_DT, Path, eta_path, w_path
 from .stats import RULES, ecdf, verdict
 
 __all__ = [
@@ -55,7 +56,7 @@ def dual_path(path: Path, model: LevyModel2) -> Path:
         raise ConditionError("dual path requires all jumps dU > -1")
     dw = w_path(path, model.sigma_u_sq).du
     dk = -eta_path(path, model).du
-    return _replace(path, du=dw, dl=dk, cov=model.gaussian_cov)
+    return replace(path, du=dw, dl=dk, cov=model.gaussian_cov)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +290,6 @@ def monotonicity_probe(
     return {
         "probs": probs,
         "pairs": pairs,
-        "monotone": all(p["violations"] == 0 for p in pairs),
         "max_z": max((p["z"] for p in pairs), default=0.0),
     }
 

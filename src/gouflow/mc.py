@@ -463,16 +463,16 @@ def ruin_samples(
 
     Returns, for the x in ``x_probes``, (n, probes) arrays ``hit`` (tau(x)
     <= T) and ``v_tau`` (V at the first passage: 0 for a drift crossing
-    between event boundaries and where there is no hit), plus the
-    per-probe ``hits`` and ``hit_prob``.  Needs a model without Gaussian
-    part and with condition (B) (a ConditionError before anything is
-    drawn, as an x <= 0 is a ValueError).  Under (B) E(U) > 0, so V^x =
-    E (x + I) <= 0 iff I <= -x, and I is monotone between event
-    boundaries: the scan reads I's running sum at the boundaries and E
-    only right after the hitting jump.  Non-finite boundary values of E or
-    I (an overflowing E at a long horizon) are a ConditionError naming
-    their count.  A horizon that is not positive and finite is a
-    ValueError before anything is drawn.
+    between event boundaries and where there is no hit).  A model with a
+    Gaussian part is a NotImplementedError and one without condition (B)
+    a ConditionError, both before anything is drawn, as an x <= 0 is a
+    ValueError.  Under (B) E(U) > 0, so V^x = E (x + I) <= 0 iff I <= -x,
+    and I is monotone between event boundaries: the scan reads I's
+    running sum at the boundaries and E only right after the hitting
+    jump.  Non-finite boundary values of E or I (an overflowing E at a
+    long horizon) are a ConditionError naming their count.  A horizon
+    that is not positive and finite is a ValueError before anything is
+    drawn.
     """
     _check_horizon(horizon)
     if model.has_gaussian:
@@ -527,5 +527,4 @@ def ruin_samples(
             f"finite at horizon {horizon:g}; the stochastic exponential or its inverse "
             "overflows, use a shorter horizon"
         )
-    hits = res["hit"].sum(axis=0)
-    return {"hits": hits, "hit_prob": hits / n, "hit": res["hit"], "v_tau": res["v_tau"]}
+    return {"hit": res["hit"], "v_tau": res["v_tau"]}

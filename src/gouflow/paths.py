@@ -27,10 +27,9 @@ lays a tile of rows out on the batch's largest jump count K
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,35 +99,10 @@ class Path:
         return self.t[..., 1:] - self.t[..., :-1]
 
     @property
-    def events(self) -> "_Records":
-        """The path as ``Segment``/``Jump`` records, built on access."""
-        return _Records(self)
-
-
-def _replace(path: Path, **changes) -> Path:
-    """``dataclasses.replace`` without its per-call field scan (paths have
-    no ``__post_init__``, so copying the fields is the same thing)."""
-    new = object.__new__(Path)
-    new.__dict__.update(path.__dict__, **changes)
-    return new
-
-
-class _Records(Sequence):
-    """Read-only record view of a path's events."""
-
-    def __init__(self, path: Path):
-        self._path = path
-
-    def __len__(self) -> int:
-        return self._path.du.size
-
-    def __getitem__(self, k: int):
-        p = self._path
-        k = range(len(self))[k]
-        du, dl = float(p.du[k]), float(p.dl[k])
-        if p.is_jump[k]:
-            return Jump(float(p.t[k + 1]), du, dl)
-        return Segment(float(p.t[k + 1] - p.t[k]), du, dl)
+    def events(self) -> list:
+        """The events of a one-row path as ``Segment``/``Jump`` records."""
+        cols = (c.tolist() for c in (self.is_jump, self.t[1:], self.dt, self.du, self.dl))
+        return [Jump(t, du, dl) if j else Segment(dt, du, dl) for j, t, dt, du, dl in zip(*cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +110,11 @@ class _Records(Sequence):
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
 def _cov_sqrt(cov: tuple) -> np.ndarray:
     """C with C C^T = cov, guarding tiny negative eigenvalues of
     user-specified near-singular matrices."""
     w, v = np.linalg.eigh(np.array(cov))
-    root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-    root.flags.writeable = False  # shared by every caller
-    return root
+    return v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,7 +309,7 @@ def sample_path(
     else:
         row = exact_paths(model, horizon, rng, 1)
     keep = row.is_jump[0] | (row.dt[0] > _TIME_TOL)
-    return _replace(
+    return replace(
         row,
         is_jump=row.is_jump[0, keep],
         t=np.concatenate(([0.0], row.t[0, 1:][keep])),
@@ -355,7 +326,7 @@ def sample_path(
 def _scalar(path: Path, du: np.ndarray, var: float) -> Path:
     """A scalar process on the skeleton of ``path`` with increments ``du``."""
     zero = np.zeros_like(du)
-    return _replace(path, du=du, dl=zero, cov=((var, 0.0), (0.0, 0.0)))
+    return replace(path, du=du, dl=zero, cov=((var, 0.0), (0.0, 0.0)))
 
 
 def _eventwise(
@@ -388,36 +359,34 @@ def eta_path(path: Path, model: LevyModel2) -> Path:
     return _scalar(path, du, model.sigma_l_sq)
 
 
-def w_path(path: Path, sigma_u_sq: float | None = None) -> Path:
+def w_path(path: Path, sigma_u_sq: float) -> Path:
     """Driver of the reciprocal stochastic exponential: 1/E(U) = E(W).
 
     Jumps dW = -dU/(1+dU); continuous part -dU_cont + sigma_U^2 dt.
     """
-    suu = path.var_du if sigma_u_sq is None else sigma_u_sq
     du = _eventwise(
         path,
-        -path.du + suu * path.dt,
+        -path.du + sigma_u_sq * path.dt,
         lambda du, dl: -du / (1.0 + du),
         lambda du: du == -1.0,
         "W undefined: jump with dU = -1",
     )
-    return _scalar(path, du, suu)
+    return _scalar(path, du, sigma_u_sq)
 
 
-def xi_path(path: Path, sigma_u_sq: float | None = None) -> Path:
+def xi_path(path: Path, sigma_u_sq: float) -> Path:
     """xi = -log E(U); needs all jumps dU > -1.
 
     Jumps -log(1+dU); continuous part -dU_cont + sigma_U^2 dt / 2.
     """
-    suu = path.var_du if sigma_u_sq is None else sigma_u_sq
     du = _eventwise(
         path,
-        -path.du + 0.5 * suu * path.dt,
+        -path.du + 0.5 * sigma_u_sq * path.dt,
         lambda du, dl: -np.log1p(du),
         lambda du: du <= -1.0,
         "xi undefined: jump with dU <= -1",
     )
-    return _scalar(path, du, suu)
+    return _scalar(path, du, sigma_u_sq)
 
 
 def t_path(reversed_u: Path, sigma_u_sq: float) -> Path:
@@ -433,7 +402,7 @@ def t_path(reversed_u: Path, sigma_u_sq: float) -> Path:
         lambda du: du == 1.0,
         "T undefined: reversed jump of size 1",
     )
-    return _replace(reversed_u, du=du)
+    return replace(reversed_u, du=du)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +415,7 @@ def _null_jumps_at(path: Path, at: float) -> Path:
     hit = path.is_jump & (np.abs(path.t[..., 1:] - at) <= _TIME_TOL)
     if not hit.any():
         return path
-    return _replace(path, du=np.where(hit, 0.0, path.du), dl=np.where(hit, 0.0, path.dl))
+    return replace(path, du=np.where(hit, 0.0, path.du), dl=np.where(hit, 0.0, path.dl))
 
 
 def reverse_path(path: Path) -> Path:
@@ -461,7 +430,7 @@ def reverse_path(path: Path) -> Path:
     p = _null_jumps_at(path, path.horizon)
     t = p.horizon - p.t[..., ::-1]
     t[..., 0] = 0.0
-    return _replace(
+    return replace(
         p,
         is_jump=p.is_jump[..., ::-1],
         t=t,

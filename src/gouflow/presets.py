@@ -2,8 +2,8 @@
 
 Each preset fixes every model parameter so the acceptance-style checks
 are reproducible from a name alone.  ``recommended`` carries per-preset
-horizons that make truncated infinite-horizon quantities resolve (the
-sampler diagnostics confirm this at run time).
+horizons meant to resolve truncated infinite-horizon quantities; the
+sampler diagnostics flag, not refuse, a horizon that does not (``flagged``).
 """
 
 from __future__ import annotations

@@ -100,18 +100,17 @@ def verdict(rule: str, probe, value, *inputs) -> dict:
 
 
 def decide(rows) -> dict:
-    """``passed`` if every row passes; ``worst``: a failing row if any, least margin, NaN first."""
+    """``passed`` if there is a row and every row passes; ``worst``: a
+    failing row if any, least margin, NaN first."""
     rank = lambda r: (r["pass"], r["margin"] == r["margin"], r["margin"])
-    return {"passed": all(r["pass"] for r in rows), "worst": min(rows, key=rank, default=None)}
+    passed = bool(rows) and all(r["pass"] for r in rows)
+    return {"passed": passed, "worst": min(rows, key=rank, default=None)}
 
 
 @dataclass(frozen=True)
 class KsResult:
     statistic: float
     pvalue: float
-
-    def rejects(self, level: float = RULES["ks"].level) -> bool:
-        return self.pvalue < level
 
 
 def ecdf(values) -> EmpiricalDistribution:

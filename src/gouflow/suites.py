@@ -348,8 +348,9 @@ def monotonicity_suite(cfg: ExperimentConfig) -> SuiteResult:
     report = monotonicity_probe(
         model, t, y, cfg.x_grid, cfg.n_paths, cfg.seed, cfg.grid_dt, cfg.workers
     )
-    if model.condition_b:
-        rule, value = "monotone", max((p["violations"] for p in report["pairs"]), default=0)
+    if model.condition_b:  # one x gives no pair: NaN, which fails
+        violations = (p["violations"] for p in report["pairs"])
+        rule, value = "monotone", max(violations, default=math.nan)
         wanted = "monotone as required under condition (B)"
     else:
         rule, value = "nonmonotone", report["max_z"]

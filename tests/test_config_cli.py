@@ -1,7 +1,9 @@
 import csv
 import json
+import math
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -654,6 +656,46 @@ def test_cli_monotonicity_suite_on_nonmonotone_passes(tmp_path):
     assert main(["run", "--config", path, "--out", out]) == 0
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["suites"]["monotonicity"]["metrics"]["condition_b"] is False
+
+
+@pytest.mark.parametrize("grid", ["[1.0]", "[1.0, 1.0]"])
+@pytest.mark.parametrize("suite", ["monotonicity", "all"])
+def test_cli_refuses_monotonicity_without_two_distinct_x(tmp_path, capsys, suite, grid):
+    """One distinct x gives the monotonicity suite no pair to compare (or
+    only the trivial pair (1, 1)); that used to exit 0 having compared
+    nothing.  It is a config error naming x_grid, before anything runs."""
+    text = GOOD.replace("monotonicity", suite) + f"x_grid: {grid}\n"
+    path = _write(tmp_path, text)
+    out = tmp_path / "r"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "line 6: 'x_grid'" in err and "two distinct x" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert main(["validate-config", "--config", path]) == 2
+
+
+def test_cli_duality_runs_on_one_x(tmp_path):
+    """Only the monotonicity suite needs two distinct x."""
+    text = GOOD.replace("monotonicity", "duality") + "x_grid: [1.0]\nt_grid: [0.5]\n"
+    out = str(tmp_path / "d")
+    assert main(["run", "--config", _write(tmp_path, text), "--out", out]) == 0
+    with open(os.path.join(out, "duality.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and {r["x"] for r in rows} == {"1.0"}
+
+
+def test_monotonicity_suite_with_one_x_fails():
+    """A library call skips parse_config: with no x pair the suite's row
+    takes NaN violations, which fail, instead of a vacuous pass."""
+    from gouflow.config import ExperimentConfig
+    from gouflow.suites import monotonicity_suite
+
+    cfg = ExperimentConfig(seed=7, suite="monotonicity", preset="drift-ou", n_paths=200)
+    res = monotonicity_suite(replace(cfg, x_grid=(1.0,)))
+    assert res.rows == [] and not res.passed
+    assert math.isnan(res.worst["value"]) and not res.worst["pass"]
+    assert monotonicity_suite(cfg).passed
 
 
 def test_cli_exit_one_on_failure(tmp_path, monkeypatch):

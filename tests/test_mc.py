@@ -18,7 +18,7 @@ from gouflow.paths import draw_jumps, exact_paths, sample_path
 from gouflow.gou import causal_integral, solve_forward
 from gouflow.presets import get_preset
 from gouflow.rng import BLOCK_SIZE, stream
-from gouflow.stats import ecdf, ks_two_sample
+from gouflow.stats import ecdf, ks_two_sample, verdict
 
 from conftest import padded_jumps
 
@@ -258,7 +258,6 @@ def _check_tiled_lane_bitwise(model, horizon, size, seed):
         return
     res = mc.ruin_samples(model, horizon, size, seed, xs, label="tiles")
     hits, v_taus = _untiled_ruin(model, horizon, stream(seed, "tiles", 0), size, xs)
-    assert res["hits"].tolist() == [int(h.sum()) for h in hits]
     for j, (hit, v_tau) in enumerate(zip(hits, v_taus)):
         assert np.array_equal(res["hit"][:, j], hit)
         _assert_bitwise(res["v_tau"][:, j], v_tau)
@@ -479,7 +478,7 @@ def test_terminal_samples_jump_vs_grid_lane_same_law(mixed_jump_model):
     a["e"], b["e"] = np.round(a["e"], 9), np.round(b["e"], 9)
     for key in ("e", "i", "c"):
         ks = ks_two_sample(ecdf(a[key]), ecdf(b[key]))
-        assert not ks.rejects(), (key, ks.statistic, ks.pvalue)
+        assert verdict("ks", key, ks.pvalue, (ks.pvalue,))["pass"], (key, ks.statistic)
 
 
 def test_grid_lane_matches_per_path_reference_with_jumps():
@@ -496,7 +495,7 @@ def test_grid_lane_matches_per_path_reference_with_jumps():
     b = _per_path_reference(m, 1.0, 2000, seed=15, grid_dt=1e-2)
     for key in ("e", "i", "c"):
         ks = ks_two_sample(ecdf(a[key]), ecdf(b[key]))
-        assert not ks.rejects(), (key, ks.statistic, ks.pvalue)
+        assert verdict("ks", key, ks.pvalue, (ks.pvalue,))["pass"], (key, ks.statistic)
 
 
 # ---------------------------------------------------------------------------
@@ -911,7 +910,7 @@ def test_trivial_model_blocks_give_the_bytes_of_workers_1():
     got = mc.terminal_samples(zero, 2.0, n, seed=4, workers=2)
     assert all(ref[k].tobytes() == got[k].tobytes() for k in mc.KEYS)
     got = mc.ruin_samples(zero, 2.0, n, seed=4, x_probes=[0.5, 1.0], workers=4)
-    assert all(ref_ruin[k].tobytes() == got[k].tobytes() for k in ("hit", "v_tau", "hits"))
+    assert all(ref_ruin[k].tobytes() == got[k].tobytes() for k in ("hit", "v_tau"))
 
 
 # ---------------------------------------------------------------------------
@@ -925,8 +924,8 @@ def test_ruin_samples_deterministic_drift_crossing():
     m = LevyModel2(drift=(-1.0, -1.0))
     # I_t = -int e^{s} ds = 1 - e^{t}; crossing iff x + 1 - e^T <= 0
     res = mc.ruin_samples(m, horizon=1.0, n=16, seed=3, x_probes=[0.5, math.e - 1 + 0.01])
-    assert res["hit_prob"][0] == 1.0   # x = 0.5 < e - 1
-    assert res["hit_prob"][1] == 0.0   # just above the reachable range
+    assert res["hit"][:, 0].all()  # x = 0.5 < e - 1
+    assert not res["hit"][:, 1].any()  # just above the reachable range
     assert res["hit"].shape == res["v_tau"].shape == (16, 2)
     # the drift crosses 0 continuously before the first (and only) event
     # boundary, so V_tau = 0 rather than V at the horizon; no hit records 0
@@ -977,7 +976,8 @@ def test_ruin_samples_jump_onto_the_barrier_is_a_hit():
     res = mc.ruin_samples(m, 2.0, 500, seed=6, x_probes=[1.0, 2.0])
     assert np.array_equal(res["hit"][:, 0], counts >= 1)
     assert np.array_equal(res["hit"][:, 1], counts >= 2)
-    assert 0 < res["hits"][1] < res["hits"][0] < 500
+    hits = res["hit"].sum(axis=0)
+    assert 0 < hits[1] < hits[0] < 500
     assert not res["v_tau"].any()
 
 
@@ -1052,7 +1052,7 @@ def test_ruin_samples_match_per_path_solver(mixed_jump_model, name):
     for j, x in enumerate(xs):
         v = solve_forward(batch, m, x).values.values
         hits = int(np.count_nonzero((v <= 0.0).any(axis=1)))
-        assert res["hits"][j] == hits, (x, res["hits"][j], hits)
+        assert np.count_nonzero(res["hit"][:, j]) == hits, (x, hits)
         assert 0 < hits < n
 
 
@@ -1153,7 +1153,7 @@ def test_terminal_samples_refuses_bad_horizon_before_drawing(monkeypatch, name, 
 
 @pytest.mark.parametrize("horizon", _BAD_HORIZONS)
 def test_ruin_samples_refuses_bad_horizon_before_drawing(monkeypatch, horizon):
-    """A zero horizon used to give hit_prob 0 without a word, and a negative
+    """A zero horizon used to give no hit without a word, and a negative
     or NaN one numpy's Poisson error."""
     _no_draw(monkeypatch)
     with pytest.raises(ValueError, match="horizon must be positive and finite"):

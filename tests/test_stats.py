@@ -14,7 +14,6 @@ from scipy.special import kolmogorov
 from gouflow.stats import (
     RULES,
     EmpiricalDistribution,
-    KsResult,
     binomial_ci,
     decide,
     ecdf,
@@ -97,7 +96,7 @@ def test_ks_two_sample_identical_samples():
     res = ks_two_sample(a, a)
     assert res.statistic == 0.0
     assert res.pvalue == pytest.approx(1.0)
-    assert not res.rejects()
+    assert verdict("ks", "probe", res.pvalue, (res.pvalue,))["pass"]
 
 
 @pytest.mark.parametrize("a", [0.1, 0.5, 1.0, 3.0, 7.5, 50.0, 200.0])
@@ -140,18 +139,18 @@ def test_ks_two_sample_detects_shift():
     rng = np.random.default_rng(2)
     a = ecdf(rng.standard_normal(2000))
     b = ecdf(rng.standard_normal(2000) + 1.0)
-    assert ks_two_sample(a, b).rejects()
+    p = ks_two_sample(a, b).pvalue
+    assert not verdict("ks", "probe", p, (p,))["pass"]
 
 
 def test_ks_null_rejection_rate_is_calibrated():
     """Under the null the 0.1% test should almost never reject."""
     rng = np.random.default_rng(3)
-    rejections = sum(
-        ks_two_sample(
-            ecdf(rng.standard_normal(500)), ecdf(rng.standard_normal(500))
-        ).rejects()
+    pvalues = [
+        ks_two_sample(ecdf(rng.standard_normal(500)), ecdf(rng.standard_normal(500))).pvalue
         for _ in range(300)
-    )
+    ]
+    rejections = sum(not verdict("ks", "probe", p, (p,))["pass"] for p in pvalues)
     assert rejections <= 3
 
 
@@ -282,7 +281,7 @@ _EDGES = [
     ("ruin-identity", [(0.1, 0.3), (0.25, 0.2)], 0.1 <= 0.3 and 0.25 <= 0.2),
     ("ruin-identity", [(NAN, 0.3), (0.2, 0.2)], NAN <= 0.3 and 0.2 <= 0.2),
     ("ruin-identity", [(0.1, 0.3), (0.05, NAN)], 0.1 <= 0.3 and 0.05 <= NAN),
-    # not KsResult(D, p).rejects(): not p < 1e-3
+    # the stationary suite's old comparison: not p < 1e-3
     ("ks", [(1e-3,)], not 1e-3 < 1e-3),
     ("ks", [(5e-4,)], not 5e-4 < 1e-3),
     # D <= 0.02
@@ -326,7 +325,6 @@ def test_ks_verdict_fails_a_nan_p():
     (it compares finite samples and clamps p into [0, 1])."""
     assert not verdict("ks", "probe", NAN, (NAN,))["pass"]
     assert not NAN < 1e-3
-    assert not KsResult(0.5, NAN).rejects()
 
 
 @pytest.mark.parametrize(
@@ -345,7 +343,7 @@ def test_duality_two_sided_at_zero_standard_error(p_a, p_b, z, old):
 
 def test_decide_names_the_worst_row():
     """The worst row is a failing one of least margin, NaN least; with no
-    failing row, the passing row of least margin."""
+    failing row, the passing row of least margin.  No row does not pass."""
     # the Euler rule's margin is a - b
     margins = [0.5, -0.1, -0.3, 0.2]
     rows = [verdict("inverse-flow-euler", k, m, (m, 0.0)) for k, m in enumerate(margins)]
@@ -353,7 +351,8 @@ def test_decide_names_the_worst_row():
     nan_row = verdict("inverse-flow-euler", "nan", NAN, (NAN, 0.0))
     assert decide(rows + [nan_row])["worst"] is nan_row
     assert decide([rows[0], rows[3]]) == {"passed": True, "worst": rows[3]}
-    assert decide([]) == {"passed": True, "worst": None}
+    # no row decides nothing, which is not a pass
+    assert decide([]) == {"passed": False, "worst": None}
     at_level = verdict("nonmonotone", "at level", 4.0, (4.0,))
     assert decide([rows[3], at_level]) == {"passed": False, "worst": at_level}
     # margin 0 passes a >= rule and fails a strict one: the failing row is worse

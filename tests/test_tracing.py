@@ -36,3 +36,38 @@ def test_traced_argument_names(tracing, name, params):
     """The tracer binds these arguments by name to count paths, steps and bytes."""
     owner, attr = next((o, a) for n, o, a in tracing.TRACED if n == name)
     assert set(params) <= set(inspect.signature(getattr(owner, attr)).parameters)
+
+
+_RUNS = {
+    "jump-lane": "preset: drift-ou\nsuite: stationary\nstationary_horizon: 2.0\n",
+    "grid-lane": "preset: dufresne\nsuite: duality\nt_grid: [0.5]\ngrid_dt: 0.01\n",
+    "inverse-flow": "preset: drift-ou\nsuite: inverse-flow\nhorizon: 1.0\n",
+}
+
+
+def test_traced_runs_feed_every_hooked_counter(tracing, tmp_path):
+    """Runs under the installed tracer count paths, events and sample
+    values; a change to a result a hook reads (``Path.events``, the
+    ``n_points`` of a pathwise check) would otherwise break only the next
+    traced benchmark run."""
+    from gouflow import cli, paths
+    from gouflow.presets import get_preset
+    from gouflow.rng import stream
+
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        for name, body in _RUNS.items():
+            cfg = tmp_path / f"{name}.yaml"
+            cfg.write_text(f"schema_version: 1\nseed: 1\nn_paths: 200\n{body}")
+            assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        path = paths.sample_path(get_preset("drift-ou").model, 2.0, stream(1, "trace", 0))
+    assert not hasattr(paths.sample_path, "__wrapped__")  # the wrappers are gone again
+    metrics = {k: v["value"] for k, v in tracing.layer_metrics(tracer).items()}
+    assert metrics["paths.sample_path.events"] == len(path.events) > 0
+    for name in (
+        "inverse_flow.verify.events",
+        "mc.jump.paths",
+        "mc.diffusion.path_steps",
+        "stats.empirical.values",
+    ):
+        assert metrics[name] > 0, name
