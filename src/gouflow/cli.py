@@ -128,18 +128,10 @@ def _cmd_run(args) -> int:
             print(f"{line}level {w['level']:g}, margin {w['margin']:.3e}", file=sys.stderr)
 
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2, default=_jsonable)
+        json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
     print(f"summary written to {os.path.join(out_dir, 'summary.json')}")
     return 0 if summary["pass"] else 1
-
-
-def _jsonable(obj):
-    if isinstance(obj, tuple):
-        return list(obj)
-    if hasattr(obj, "item"):  # numpy scalars
-        return obj.item()
-    return str(obj)
 
 
 def _cmd_validate(args) -> int:

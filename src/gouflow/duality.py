@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 _N_BOOT = 200  # bootstrap resamples per side of each first-passage probe
-_BOOT_ROWS = 20  # H-side resamples drawn at once
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +152,13 @@ def verify_ruin_identity(
     (``mc.ruin_samples``); both sides carry bootstrap CIs (the plug-in H
     is shared by both, so the comparison is conservative about H-noise
     only through the right side's resampling), each from ``_N_BOOT``
-    resamples.  ``(rows, metrics)``: ``ruin.csv`` rows (``probe`` x, the
-    two sides, an empty ``bound``, ``pass`` when the CIs overlap, and the
-    CIs as ``lhs_ci``/``rhs_ci``, which the CSV leaves out) and
-    ``metrics`` with ``h_diagnostic_fail``.  Needs condition (B), so that
-    E(U) > 0 and H(-V_tau) is the identity's weight, and a model without
-    Gaussian part for the scan; both are checked before anything is
+    resamples.  A resample of the H sample holds Binomial(h_n, rhs) values
+    at or below -x, so the right side's resamples are one binomial draw.
+    ``(rows, metrics)``: ``ruin.csv`` rows (``probe`` x, the two sides, an
+    empty ``bound`` and ``pass`` when the CIs overlap) and ``metrics``
+    with ``h_diagnostic_fail``.  The model must pass
+    ``mc.check_ruin_scan`` (condition (B), so that E(U) > 0 and H(-V_tau)
+    is the identity's weight, and no Gaussian part) before anything is
     sampled.
     """
     xs = [float(x) for x in xs if x > 0] or [0.5, 1.0]
@@ -168,13 +168,7 @@ def verify_ruin_identity(
             f"degenerate driving pair ({k} * U = -L): the limiting integral "
             "is the constant -k and the first-passage identity degenerates"
         )
-    if not model.condition_b:
-        raise ConditionError("first-passage bookkeeping needs dU > -1 a.s.")
-    if model.has_gaussian:
-        raise ConditionError(
-            "the first-passage identity reads V_tau off the ruin scan of event "
-            "boundaries, which needs a model without a Gaussian part"
-        )
+    mc.check_ruin_scan(model)
     dist = stationary_sampler(
         model,
         "noncausal",
@@ -191,13 +185,12 @@ def verify_ruin_identity(
             f"{dist.metadata['diagnostic_fail_fraction']:.0%} of paths); the "
             "first-passage identity needs the non-causal regime E^{-1} -> 0"
         )
-    h_sample = np.sort(-dist.values)  # law of +int E^{-1} d eta
-    if h_sample[-1] - h_sample[0] < 1e-12:
+    h = ecdf(-dist.values)  # law of +int E^{-1} d eta
+    if h.values[-1] - h.values[0] < 1e-12:
         raise ConditionError(
             "empirical H is a point mass; the identity assumes a "
             "non-degenerate limit (degenerate pair?)"
         )
-    h = ecdf(h_sample)
 
     res = mc.ruin_samples(model, horizon, n, seed, xs, workers=workers)
     boot_rng = np.random.default_rng(seed + 2)
@@ -207,29 +200,15 @@ def verify_ruin_identity(
         weights = np.where(res["hit"][:, j], h.cdf(-res["v_tau"][:, j]), 0.0)
         lhs = float(weights.sum() / n)
         rhs = float(h.cdf(-x))
-        # bootstrap the left side over paths and the right side over H draws
+        # bootstrap the left side over paths and the right side by its binomial law
         lhs_boot = np.array(
             [weights[boot_rng.integers(0, n, size=n)].mean() for _ in range(_N_BOOT)]
         )
-        # h_sample is sorted, so a resample's count of H <= -x is its
-        # count of indices below the first entry above -x.  The resamples
-        # are drawn _BOOT_ROWS at a time: the numbers of one (_N_BOOT, h_n)
-        # draw, without its index array (8 MB at h_n = 10 000).
-        below = np.searchsorted(h_sample, -x, side="right")
-        counts = [
-            np.count_nonzero(
-                boot_rng.integers(0, h_sample.size, size=(chunk, h_sample.size), dtype=np.int32)
-                < below,
-                axis=1,
-            )
-            for chunk in np.diff([*range(0, _N_BOOT, _BOOT_ROWS), _N_BOOT])
-        ]
-        rhs_boot = np.concatenate(counts) / h_sample.size
-        lhs_ci = (float(np.quantile(lhs_boot, q)), float(np.quantile(lhs_boot, 1 - q)))
-        rhs_ci = (float(np.quantile(rhs_boot, q)), float(np.quantile(rhs_boot, 1 - q)))
-        ends = (lhs_ci[0], rhs_ci[1]), (rhs_ci[0], lhs_ci[1])
-        v = verdict("ruin-identity", x, abs(lhs - rhs), *ends)
-        rows.append({"lhs": lhs, "rhs": rhs, "bound": "", **v, "lhs_ci": lhs_ci, "rhs_ci": rhs_ci})
+        rhs_boot = boot_rng.binomial(h.n, rhs, size=_N_BOOT) / h.n
+        l_lo, l_hi = np.quantile(lhs_boot, (q, 1 - q)).tolist()
+        r_lo, r_hi = np.quantile(rhs_boot, (q, 1 - q)).tolist()
+        v = verdict("ruin-identity", x, abs(lhs - rhs), (l_lo, r_hi), (r_lo, l_hi))
+        rows.append({"lhs": lhs, "rhs": rhs, "bound": "", **v})
     metrics = {"mode": "first-passage-identity", "horizon": horizon, "n_paths": n}
     metrics["h_diagnostic_fail"] = dist.metadata["diagnostic_fail_fraction"]
     return rows, metrics
@@ -238,15 +217,6 @@ def verify_ruin_identity(
 # ---------------------------------------------------------------------------
 # monotonicity
 # ---------------------------------------------------------------------------
-
-
-def _finite_lane(res: dict, side: str, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """A lane's E and I for the affine form ``side`` = E (start + I);
-    ConditionError when some are not finite."""
-    return (
-        finite_samples(res["e"], f"{side}-side E", t),
-        finite_samples(res["i"], f"{side}-side I", t),
-    )
 
 
 def monotonicity_probe(
@@ -269,7 +239,8 @@ def monotonicity_probe(
     """
     xs = sorted(float(v) for v in xs)
     res = mc.terminal_samples(model, t, n, seed, grid_dt, workers, "monotone", keys=("e", "i"))
-    e, i = _finite_lane(res, "V", t)
+    e = finite_samples(res["e"], "V-side E", t)
+    i = finite_samples(res["i"], "V-side I", t)
     indicators = [(e * (x + i)) >= y for x in xs]
     probs = [float(ind.mean()) for ind in indicators]
     pairs = []
@@ -335,8 +306,8 @@ def duality_grid(
     rows = []
     for t in ts:
         fv, fr = mc.run_together(lambda: sample(model, "V", t), lambda: sample(dual, "R", t))
-        v_e, v_i = _finite_lane(fv, "V", t)
-        r_e, r_i = _finite_lane(fr, "R", t)
+        v_e, v_i = finite_samples(fv["e"], "V-side E", t), finite_samples(fv["i"], "V-side I", t)
+        r_e, r_i = finite_samples(fr["e"], "R-side E", t), finite_samples(fr["i"], "R-side I", t)
         for x in xs:
             v = v_e * (x + v_i)
             for y in ys:

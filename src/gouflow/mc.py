@@ -80,6 +80,7 @@ __all__ = [
     "run_together",
     "terminal_samples",
     "exp_functional_samples",
+    "check_ruin_scan",
     "ruin_samples",
 ]
 
@@ -450,6 +451,21 @@ def exp_functional_samples(
         return -res["i"], np.abs(1.0 / res["e"])
 
 
+def check_ruin_scan(model: LevyModel2) -> None:
+    """ConditionError unless the ruin scan can read ``model``: condition
+    (B), so that E(U) > 0 and V^x <= 0 iff I <= -x, and no Gaussian part,
+    so that V_tau sits at an event boundary of the jump lane."""
+    if not model.condition_b:
+        raise ConditionError(
+            "the ruin scan reads V <= 0 as I <= -x, which needs condition (B): all jumps dU > -1"
+        )
+    if model.has_gaussian:
+        raise ConditionError(
+            "the ruin scan reads V_tau off event boundaries, which needs a model without a "
+            "Gaussian part"
+        )
+
+
 def ruin_samples(
     model: LevyModel2,
     horizon: float,
@@ -463,22 +479,18 @@ def ruin_samples(
 
     Returns, for the x in ``x_probes``, (n, probes) arrays ``hit`` (tau(x)
     <= T) and ``v_tau`` (V at the first passage: 0 for a drift crossing
-    between event boundaries and where there is no hit).  A model with a
-    Gaussian part is a NotImplementedError and one without condition (B)
-    a ConditionError, both before anything is drawn, as an x <= 0 is a
-    ValueError.  Under (B) E(U) > 0, so V^x = E (x + I) <= 0 iff I <= -x,
-    and I is monotone between event boundaries: the scan reads I's
-    running sum at the boundaries and E only right after the hitting
-    jump.  Non-finite boundary values of E or I (an overflowing E at a
+    between event boundaries and where there is no hit).  A model that
+    ``check_ruin_scan`` refuses is a ConditionError before anything is
+    drawn, as an x <= 0 is a ValueError.  Under (B) E(U) > 0, so V^x =
+    E (x + I) <= 0 iff I <= -x, and I is monotone between event
+    boundaries: the scan reads I's running sum at the boundaries and E
+    only right after the hitting jump.  Non-finite boundary values of E or I (an overflowing E at a
     long horizon) are a ConditionError naming their count.  A horizon
     that is not positive and finite is a ValueError before anything is
     drawn.
     """
     _check_horizon(horizon)
-    if model.has_gaussian:
-        raise NotImplementedError("ruin lane supports pure-jump models only")
-    if not model.condition_b:
-        raise ConditionError("the ruin scan reads V <= 0 as I <= -x, which needs condition (B)")
+    check_ruin_scan(model)
     xs = np.asarray(list(x_probes), dtype=float)
     if not (xs > 0.0).all():
         raise ValueError("the ruin scan needs starting points x > 0")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gouflow import duality, gou
+from gouflow import duality, gou, mc
 from gouflow.duality import (
     dual_path,
     duality_grid,
@@ -16,6 +16,7 @@ from gouflow.gou import solve_forward
 from gouflow.levy import ConditionError, JumpLaw2, LevyModel2, dual_model
 from gouflow.paths import Segment, eta_path, sample_path
 from gouflow.presets import get_preset
+from gouflow.stats import ecdf, ks_two_sample, verdict
 
 from conftest import make_stream
 from oracles import dual_solve, killed_dual, path_jumps
@@ -408,23 +409,36 @@ def test_verify_ruin_identity_smoke():
     assert metrics["mode"] == "first-passage-identity"
 
 
-def test_verify_ruin_identity_h_bootstrap_is_one_draw():
-    """The H-side bootstrap, drawn a few resamples at a time, has the CIs
-    of one (_N_BOOT, h_n) index draw, for an h_n that the chunk does not
-    divide, and leaves the stream where that draw left it."""
+def test_verify_ruin_identity_margins_from_binomial_h_draw():
+    """Each row's margin is the CI overlap of the path resamples and one
+    Binomial(h_n, rhs) draw of the H side, both on the seed + 2 stream."""
     m = get_preset("cramer-paulsen").model
     xs, n, seed, h_n = [0.5, 1.0], 2000, 4, 1001
     rows, _ = verify_ruin_identity(m, xs, 40.0, n, seed, stationary_n=h_n)
     dist = gou.stationary_sampler(m, "noncausal", h_n, 40.0, seed + 1, label="ruin-H")
-    h_sample = np.sort(-dist.values)
+    h = ecdf(-dist.values)
+    res = mc.ruin_samples(m, 40.0, n, seed, xs)
     boot_rng = np.random.default_rng(seed + 2)
-    for x, row in zip(xs, rows):
-        for _ in range(duality._N_BOOT):
-            boot_rng.integers(0, n, size=n)  # the left side's resamples
-        idx = boot_rng.integers(0, h_n, size=(duality._N_BOOT, h_n), dtype=np.int32)
-        rhs_boot = (idx < np.searchsorted(h_sample, -x, side="right")).mean(axis=1)
-        rhs_ci = (float(np.quantile(rhs_boot, 0.005)), float(np.quantile(rhs_boot, 0.995)))
-        assert row["rhs_ci"] == rhs_ci
+    for j, (x, row) in enumerate(zip(xs, rows)):
+        weights = np.where(res["hit"][:, j], h.cdf(-res["v_tau"][:, j]), 0.0)
+        lhs_boot = [weights[boot_rng.integers(0, n, size=n)].mean() for _ in range(duality._N_BOOT)]
+        rhs_boot = boot_rng.binomial(h_n, h.cdf(-x), size=duality._N_BOOT) / h_n
+        l_lo, l_hi = (float(np.quantile(lhs_boot, q)) for q in (0.005, 0.995))
+        r_lo, r_hi = (float(np.quantile(rhs_boot, q)) for q in (0.005, 0.995))
+        assert 0.0 < h.cdf(-x) < 1.0 and row["rhs"] == h.cdf(-x)
+        assert row["margin"] == min(r_hi - l_lo, l_hi - r_lo)
+
+
+def test_binomial_count_has_the_law_of_an_index_resample_count():
+    """The count of H <= -x in a resample of h_n values, of which ``below``
+    are <= -x, is Binomial(h_n, below / h_n): a two-sample KS test of
+    binomial counts against index-resample counts passes at the ks level."""
+    h_n, below, k = 1001, 287, 4000
+    rng = np.random.default_rng(17)
+    counts = np.count_nonzero(rng.integers(0, h_n, size=(k, h_n)) < below, axis=1)
+    binom = rng.binomial(h_n, below / h_n, size=k)
+    ks = ks_two_sample(ecdf(counts), ecdf(binom))
+    assert verdict("ks", "binomial vs resample", ks.pvalue, (ks.pvalue,))["pass"], ks
 
 
 def test_verify_ruin_identity_rejects_degenerate():
@@ -458,3 +472,18 @@ def test_verify_ruin_identity_refuses_gaussian_part(monkeypatch):
     m = LevyModel2(drift=(1.0, 0.5), gaussian_cov=((0.5, 0.0), (0.0, 0.5)))
     with pytest.raises(ConditionError, match="without a Gaussian part"):
         verify_ruin_identity(m, [1.0], 40.0, 2000, 1, stationary_n=2000)
+
+
+@pytest.mark.parametrize("kind", ["sign-flip", "gaussian"])
+def test_ruin_scan_and_identity_refuse_with_one_message(monkeypatch, sign_flip_model, kind):
+    """The ruin scan and the first-passage identity decide the scan's
+    hypotheses in one place: both refuse with the same text."""
+    gaussian = LevyModel2(drift=(1.0, 0.5), gaussian_cov=((0.5, 0.0), (0.0, 0.5)))
+    m = sign_flip_model if kind == "sign-flip" else gaussian
+    with pytest.raises(ConditionError) as scan:
+        mc.ruin_samples(m, 10.0, 100, 1, [1.0])
+    _no_sampling(monkeypatch)
+    with pytest.raises(ConditionError) as identity:
+        verify_ruin_identity(m, [1.0], 10.0, 100, 1, stationary_n=200)
+    assert str(identity.value) == str(scan.value)
+    assert ("condition (B)" if kind == "sign-flip" else "Gaussian part") in str(scan.value)

@@ -982,7 +982,7 @@ def test_ruin_samples_jump_onto_the_barrier_is_a_hit():
 
 
 def test_ruin_samples_rejects_unsupported_models(dufresne_model):
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(ConditionError, match="needs a model without a Gaussian part"):
         mc.ruin_samples(dufresne_model, 1.0, 10, 1, [1.0])
 
 
