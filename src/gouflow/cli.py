@@ -5,10 +5,12 @@ Subcommands:
   validate-config  parse and validate a config without running anything
   list-presets     print the bundled model presets
 
-``run`` writes one CSV per suite plus ``summary.json`` into the output
-directory and exits 0 only if every executed suite passed; a failing
-suite's worst verdict row goes to stderr.  Results are fully determined
-by the config and seed; ``--workers`` changes wall time only.
+``run`` alone writes a run's files into the output directory: one CSV
+per suite, ``<suite>_sample.csv/.json`` for a suite that returns a
+sample, and ``summary.json``.  It exits 0 only if every executed suite
+passed; a failing suite's worst verdict row goes to stderr.  Results
+are fully determined by the config and seed; ``--workers`` changes wall
+time only.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def _cmd_run(args) -> int:
         return 2
 
     try:
-        results = run_selected(cfg, out_dir=out_dir)
+        results = run_selected(cfg)
     except ConditionError as exc:
         print(
             "refusing to run: a required hypothesis fails for this model.\n"
@@ -117,14 +119,17 @@ def _cmd_run(args) -> int:
         "suites": {},
         "pass": True,
     }
-    for res in results:
-        write_csv(os.path.join(out_dir, f"{res.name}.csv"), res)
-        summary["suites"][res.name] = {"pass": res.passed, "metrics": res.metrics}
+    for name, res in results.items():
+        write_csv(os.path.join(out_dir, f"{name}.csv"), res)
+        if res.sample is not None:
+            stem = os.path.join(out_dir, f"{name}_sample")
+            res.sample.export(f"{stem}.csv", f"{stem}.json")
+        summary["suites"][name] = {"pass": res.passed, "metrics": res.metrics}
         summary["pass"] = summary["pass"] and res.passed
-        print(f"suite {res.name}: {'PASS' if res.passed else 'FAIL'}")
+        print(f"suite {name}: {'PASS' if res.passed else 'FAIL'}")
         if not res.passed and res.worst is not None:
             w, stat = res.worst, RULES[res.worst["rule"]].statistic
-            line = f"{res.name} FAIL: worst row {w['probe']}: {stat} {w['value']:.3e}, "
+            line = f"{name} FAIL: worst row {w['probe']}: {stat} {w['value']:.3e}, "
             print(f"{line}level {w['level']:g}, margin {w['margin']:.3e}", file=sys.stderr)
 
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:

@@ -308,10 +308,10 @@ def duality_grid(
         fv, fr = mc.run_together(lambda: sample(model, "V", t), lambda: sample(dual, "R", t))
         v_e, v_i = finite_samples(fv["e"], "V-side E", t), finite_samples(fv["i"], "V-side I", t)
         r_e, r_i = finite_samples(fr["e"], "R-side E", t), finite_samples(fr["i"], "R-side I", t)
+        rs = [r_e * (y + r_i) for y in ys]
         for x in xs:
             v = v_e * (x + v_i)
-            for y in ys:
-                r = r_e * (y + r_i)
+            for y, r in zip(ys, rs):
                 p_v = float(np.mean(v >= y))
                 p_r = float(np.mean(r <= x))
                 z, fwd = _two_sided(p_v, p_r, n)

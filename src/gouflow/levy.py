@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _PSD_TOL = 1e-12
+_DEGENERACY_TOL = 1e-9  # largest degeneracy_margin at which k U = -L holds
 _MIN_TRUNCATED_MASS = 1e-3  # smallest normal mass above a truncated normal's lower bound
 
 
@@ -252,6 +253,8 @@ class JumpLaw2:
             return (min(ls), max(ls))
         if self.kind == "linked":
             c, s = self.link
+            if s == 0.0:  # dL = c; c + 0 * inf would be NaN
+                return (c, c)
             lo, hi = self.marg_u.support_bounds()
             vals = sorted([c + s * lo, c + s * hi])
             return (vals[0], vals[1])
@@ -454,7 +457,7 @@ def degeneracy_margin(model: LevyModel2, k: float) -> float:
     return worst
 
 
-def detect_degeneracy(model: LevyModel2, tol: float = 1e-9) -> float | None:
+def detect_degeneracy(model: LevyModel2) -> float | None:
     """Return k != 0 with k*U = -L almost surely, or None.
 
     Degeneracy needs every component of the model (drift, Gaussian part,
@@ -463,4 +466,4 @@ def detect_degeneracy(model: LevyModel2, tol: float = 1e-9) -> float | None:
     k = _candidate_k(model)
     if k is None or k == 0.0:
         return None
-    return k if degeneracy_margin(model, k) <= tol else None
+    return k if degeneracy_margin(model, k) <= _DEGENERACY_TOL else None

@@ -22,6 +22,8 @@ __all__ = [
     "binomial_ci",
 ]
 
+_KS_TERMS = 100  # terms of either series in _kolmogorov_sf
+
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
@@ -117,25 +119,25 @@ def ecdf(values) -> EmpiricalDistribution:
     return EmpiricalDistribution(np.asarray(values, dtype=float))
 
 
-def _kolmogorov_sf(lam: float, terms: int = 100) -> float:
+def _kolmogorov_sf(lam: float) -> float:
     """Tail of the Kolmogorov distribution, Q(lam) = 2 sum (-1)^{k-1} e^{-2 k^2 lam^2}.
 
     Below lam of about 0.043 that alternating series has not converged in
-    ``terms`` terms; there Q is taken from the theta form 1 - (sqrt(2 pi)
+    ``_KS_TERMS`` terms; there Q is taken from the theta form 1 - (sqrt(2 pi)
     / lam) sum e^{-(2k-1)^2 pi^2 / (8 lam^2)}, which converges fastest
     for small lam.
     """
     if lam <= 0.0:
         return 1.0
     total = 0.0
-    for k in range(1, terms + 1):
+    for k in range(1, _KS_TERMS + 1):
         term = 2.0 * (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
         total += term
         if abs(term) < 1e-16:
             break
     else:
         cdf = 0.0
-        for k in range(1, terms + 1):
+        for k in range(1, _KS_TERMS + 1):
             term = math.exp(-((2 * k - 1) ** 2) * math.pi**2 / (8.0 * lam * lam))
             cdf += term
             if term <= 1e-16 * cdf:

@@ -1,11 +1,12 @@
 """Verification suites: each one exercises a family of identities on a
-configured model and reduces to a pass/fail verdict plus plot-ready rows."""
+configured model and reduces to a pass/fail verdict plus plot-ready rows.
+A suite is a pure function of the config and writes no file; ``cli``
+writes a run's files, the stationary suite's ``SuiteResult.sample`` too."""
 
 from __future__ import annotations
 
 import math
 import csv
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +25,9 @@ from .levy import LevyModel2, dual_model
 from .paths import euler_paths, exact_paths
 from .presets import get_preset
 from .rng import stream
-from .stats import decide, ecdf, ks_two_sample, verdict
+from .stats import EmpiricalDistribution, decide, ecdf, ks_two_sample, verdict
 
-__all__ = ["SuiteResult", "run_suite", "run_selected", "write_csv", "SUITE_RUNNERS"]
+__all__ = ["SuiteResult", "run_selected", "write_csv", "SUITE_RUNNERS"]
 
 # Inverse-flow batches are bounded in paths and, on a grid, in paths x
 # grid steps; the identity check makes about fifteen temporaries of a
@@ -37,12 +38,12 @@ _STACK_ELEMENTS = 1 << 13
 
 @dataclass
 class SuiteResult:
-    name: str
     passed: bool
     metrics: dict
     rows: list = field(default_factory=list)
     columns: tuple = ()
     worst: dict | None = None  # decide()'s worst verdict row; not in summary.json
+    sample: EmpiricalDistribution | None = None  # a law the CLI exports
 
 
 def write_csv(path, result: SuiteResult) -> None:
@@ -89,7 +90,6 @@ def duality_suite(cfg: ExperimentConfig) -> SuiteResult:
         cfg.workers,
     )
     return SuiteResult(
-        name="duality",
         **decide(rows),
         metrics={
             "n_probes": len(rows),
@@ -141,7 +141,6 @@ def inverse_flow_suite(cfg: ExperimentConfig) -> SuiteResult:
         metrics = {"backend": "exact", "n_paths": n, "max_error": worst}
         row = verdict("inverse-flow-exact", probe, worst, (worst,))
     return SuiteResult(
-        name="inverse-flow",
         **decide([row]),
         metrics=metrics,
         rows=rows,
@@ -160,7 +159,6 @@ def ruin_suite(cfg: ExperimentConfig) -> SuiteResult:
     else:
         rows, metrics = verify_ruin_identity(model, cfg.x_grid, *common, workers=cfg.workers)
     return SuiteResult(
-        name="ruin",
         **decide(rows),
         metrics=metrics,
         rows=rows,
@@ -260,7 +258,7 @@ def _ks_row(check: str, a, b) -> dict:
     }
 
 
-def stationary_suite(cfg: ExperimentConfig, out_dir=None) -> SuiteResult:
+def stationary_suite(cfg: ExperimentConfig) -> SuiteResult:
     model = cfg.resolved_model()
     horizon = _long_horizon(cfg)
     n = cfg.stationary_n or cfg.n_paths
@@ -327,17 +325,12 @@ def stationary_suite(cfg: ExperimentConfig, out_dir=None) -> SuiteResult:
         )
         metrics["oracle_ks"] = d
 
-    if out_dir is not None:
-        dist.export(
-            os.path.join(out_dir, "stationary_sample.csv"),
-            os.path.join(out_dir, "stationary_sample.json"),
-        )
     return SuiteResult(
-        name="stationary",
         **decide(rows),
         metrics=metrics,
         rows=rows,
         columns=("check", "statistic", "pvalue", "pass"),
+        sample=dist,
     )
 
 
@@ -356,7 +349,6 @@ def monotonicity_suite(cfg: ExperimentConfig) -> SuiteResult:
         rule, value = "nonmonotone", report["max_z"]
         wanted = "nonmonotonicity detected as required"
     return SuiteResult(
-        name="monotonicity",
         **decide([verdict(rule, "max over x pairs", value, (value,))]),
         metrics={
             "condition_b": model.condition_b,
@@ -380,13 +372,7 @@ SUITE_RUNNERS = {
 }
 
 
-def run_suite(name: str, cfg: ExperimentConfig, out_dir=None) -> SuiteResult:
-    runner = SUITE_RUNNERS[name]
-    if name == "stationary":
-        return runner(cfg, out_dir=out_dir)
-    return runner(cfg)
-
-
-def run_selected(cfg: ExperimentConfig, out_dir=None) -> list[SuiteResult]:
+def run_selected(cfg: ExperimentConfig) -> dict[str, SuiteResult]:
+    """The selected suites' results by name, in ``SUITE_RUNNERS`` order."""
     names = list(SUITE_RUNNERS) if cfg.suite == "all" else [cfg.suite]
-    return [run_suite(name, cfg, out_dir) for name in names]
+    return {name: SUITE_RUNNERS[name](cfg) for name in names}

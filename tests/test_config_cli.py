@@ -703,11 +703,32 @@ def test_cli_exit_one_on_failure(tmp_path, monkeypatch):
     import gouflow.suites as suites
 
     def fake(cfg):
-        return suites.SuiteResult(name="monotonicity", passed=False, metrics={})
+        return suites.SuiteResult(passed=False, metrics={})
 
     monkeypatch.setitem(suites.SUITE_RUNNERS, "monotonicity", fake)
     path = _write(tmp_path, GOOD)
     assert main(["run", "--config", path, "--out", str(tmp_path / "f")]) == 1
+
+
+def test_suites_write_no_file_and_cli_exports_the_stationary_sample(tmp_path, monkeypatch):
+    """run_selected returns each suite's result by name and writes nothing;
+    the CLI's stationary_sample.csv/.json are the bytes of the stationary
+    suite's sample exported."""
+    from gouflow.suites import run_selected
+
+    text = "schema_version: 1\nseed: 3\npreset: drift-ou\nsuite: stationary\n"
+    text += "n_paths: 200\nstationary_horizon: 2.0\n"
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    results = run_selected(parse_config(text))
+    assert list(results) == ["stationary"] and not any(cwd.iterdir())
+    sample = results["stationary"].sample
+    sample.export(str(tmp_path / "s.csv"), str(tmp_path / "s.json"))
+    out = tmp_path / "run"
+    assert main(["run", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    assert (out / "stationary_sample.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
+    assert (out / "stationary_sample.json").read_bytes() == (tmp_path / "s.json").read_bytes()
 
 
 def _inflate_path_7(monkeypatch):

@@ -167,6 +167,27 @@ def test_dl_sign_flags():
     assert not law.dl_nonnegative
 
 
+def test_linked_law_with_slope_zero_has_a_point_dl_support():
+    """dL = c when the slope is 0, whatever dU's support: no NaN bound
+    from 0 * inf."""
+    law = JumpLaw2.linked(Marginal.exponential(1.0, -1), 0.5, 0.0)
+    assert law._dl_support() == (0.5, 0.5)
+    assert law.dl_nonnegative
+
+
+def test_dual_of_linked_law_with_slope_zero_has_negative_dl(rng):
+    """The dual of dL = 0.5 > 0 has dL' = -0.5 / (1 + dU) < 0: its dual
+    model's L is not a subordinator."""
+    law = JumpLaw2.linked(Marginal.exponential(1.0), 0.5, 0.0)
+    dual = law.dual()
+    _, dl = dual.sample(rng, 1000)
+    assert np.all(dl < 0)
+    assert dual._dl_support() == (-math.inf, 0.0)
+    assert not dual.dl_nonnegative
+    m = LevyModel2(drift=(-1.0, 1.0), jump_intensity=1.0, jump_law=law)
+    assert m.l_subordinator and not dual_model(m).l_subordinator
+
+
 def test_linked_law_samples_on_the_line(rng):
     law = JumpLaw2.linked(Marginal.uniform(-0.5, 1.0), 0.25, -2.0)
     du, dl = law.sample(rng, 1000)

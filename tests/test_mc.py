@@ -1231,8 +1231,8 @@ def test_every_suite_asks_only_for_the_keys_it_reads(monkeypatch):
             seed=3, preset=name, n_paths=256, horizon=1.0, grid_dt=0.01, t_grid=(0.5, 1.0),
             stationary_horizon=long_horizon, stationary_n=256,
         )
-        for suite in suites.SUITE_RUNNERS:
+        for run in suites.SUITE_RUNNERS.values():
             with contextlib.suppress(ConditionError):
-                suites.run_suite(suite, cfg)
+                run(cfg)
     assert calls == [(caller, _CALLER_KEYS[caller]) for caller, _ in calls]
     assert {caller for caller, _ in calls} == set(_CALLER_KEYS)
