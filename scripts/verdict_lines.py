@@ -9,8 +9,10 @@ line-traced (``sys.settrace`` and ``threading.settrace``):
 * every preset x suite at 2000 paths;
 * one inline model per jump-law kind x suite at 2000 paths: the
   benchmark's two models (no jumps, point masses), an ``independent``
-  law with exponential and uniform marginals and a ``linked`` law with a
-  truncated-normal marginal.
+  law with exponential and uniform marginals, a ``linked`` law with a
+  truncated-normal marginal, and two laws of finite support on the line
+  2*U = -L (an ``independent`` law on two ``points`` marginals and a
+  ``linked`` law on a ``points`` marginal), which the ruin suite refuses.
 
 It prints each run's exit code (a crash is an outcome: ``crash`` and the
 exception's last line), then, per ``src/`` function, the first line of
@@ -53,6 +55,25 @@ LAWS = {
             "marg_u": {"kind": "truncated_normal", "mu": 0.0, "sigma": 1.0, "lower": -0.5},
             "intercept": 0.25,
             "slope": -0.5,
+        },
+    },
+    "independent-points-degenerate": {
+        "drift": [0.5, -1.0],
+        "jump_intensity": 2.0,
+        "jump_law": {
+            "kind": "independent",
+            "marg_u": {"kind": "points", "atoms": [[1.0, 1.0]]},
+            "marg_l": {"kind": "points", "atoms": [[-2.0, 1.0]]},
+        },
+    },
+    "linked-points-degenerate": {
+        "drift": [0.5, -1.0],
+        "jump_intensity": 2.0,
+        "jump_law": {
+            "kind": "linked",
+            "marg_u": {"kind": "points", "atoms": [[1.0, 1.0]]},
+            "intercept": -1.0,
+            "slope": -1.0,
         },
     },
 }

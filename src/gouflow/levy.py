@@ -47,6 +47,23 @@ def _require_finite(what: str, *values) -> None:
         raise ValueError(f"{what} must be finite")
 
 
+def _check_probabilities(what: str, values, probs) -> None:
+    """Finite ``values`` with nonnegative ``probs`` summing to 1."""
+    _require_finite(f"{what} atoms and probabilities", *values, *probs)
+    total = sum(probs)
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"{what} probabilities sum to {total}, not 1")
+    if any(p < 0 for p in probs):
+        raise ValueError(f"negative {what} probability")
+
+
+def _check_minus_one(du_atoms) -> None:
+    """Condition (A) for a law whose dU has the atoms ``du_atoms`` (None:
+    no atoms, and a continuous law puts no mass on a single point)."""
+    if du_atoms is not None and -1.0 in du_atoms:
+        raise ConditionError("jump law puts mass on dU = -1 (condition (A) fails)")
+
+
 # Uniforms per chunk of ``_atom_index``.  A chunked ``random`` draw takes
 # the same Philox words in the same order as one (size,) draw, so the
 # indices and the generator's end state do not depend on it.
@@ -94,12 +111,7 @@ class Marginal:
     @staticmethod
     def points(atoms) -> "Marginal":
         atoms = tuple((float(v), float(p)) for v, p in atoms)
-        _require_finite("point-mass atoms and probabilities", *(x for a in atoms for x in a))
-        total = sum(p for _, p in atoms)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"point-mass probabilities sum to {total}, not 1")
-        if any(p < 0 for _, p in atoms):
-            raise ValueError("negative probability")
+        _check_probabilities("point-mass", [v for v, _ in atoms], [p for _, p in atoms])
         return Marginal("points", atoms)
 
     @staticmethod
@@ -134,9 +146,15 @@ class Marginal:
 
     # -- support -----------------------------------------------------------
 
+    def atoms(self) -> tuple | None:
+        """The values of positive mass of a ``points`` law, else None."""
+        if self.kind != "points":
+            return None
+        return tuple(v for v, p in self.params if p > 0)
+
     def support_bounds(self) -> tuple[float, float]:
         if self.kind == "points":
-            vals = [v for v, p in self.params if p > 0]
+            vals = self.atoms()
             return (min(vals), max(vals))
         if self.kind == "exponential":
             rate, sign = self.params
@@ -198,76 +216,70 @@ class JumpLaw2:
     @staticmethod
     def point_mass(atoms) -> "JumpLaw2":
         atoms = tuple(((float(u), float(l)), float(p)) for (u, l), p in atoms)
-        _require_finite(
-            "jump atoms and probabilities", *(v for (u, l), p in atoms for v in (u, l, p))
-        )
-        total = sum(p for _, p in atoms)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"atom probabilities sum to {total}, not 1")
-        if any(p < 0 for _, p in atoms):
-            raise ValueError("negative atom probability")
+        _check_probabilities("jump", [v for uv, _ in atoms for v in uv], [p for _, p in atoms])
         law = JumpLaw2("point_mass", atoms=atoms)
-        law._check_minus_one()
+        _check_minus_one([u for u, _ in law._atoms()])
         return law
 
     @staticmethod
     def independent(marg_u: Marginal, marg_l: Marginal) -> "JumpLaw2":
-        law = JumpLaw2("independent", marg_u=marg_u, marg_l=marg_l)
-        law._check_minus_one()
-        return law
+        _check_minus_one(marg_u.atoms())
+        return JumpLaw2("independent", marg_u=marg_u, marg_l=marg_l)
 
     @staticmethod
     def linked(marg_u: Marginal, intercept: float, slope: float) -> "JumpLaw2":
         _require_finite("link intercept and slope", intercept, slope)
-        law = JumpLaw2("linked", marg_u=marg_u, link=(float(intercept), float(slope)))
-        law._check_minus_one()
-        return law
+        _check_minus_one(marg_u.atoms())
+        return JumpLaw2("linked", marg_u=marg_u, link=(float(intercept), float(slope)))
 
-    def _check_minus_one(self) -> None:
+    # -- support ------------------------------------------------------------
+
+    def _atoms(self) -> list | None:
+        """The (dU, dL) values of positive mass when there are finitely
+        many of them, else None."""
         if self.kind == "point_mass":
-            if any(u == -1.0 and p > 0 for (u, _), p in self.atoms):
-                raise ConditionError("jump law puts mass on dU = -1 (condition (A) fails)")
-        else:
-            mu = self.marg_u
-            if mu.kind == "points" and any(v == -1.0 and p > 0 for v, p in mu.params):
-                raise ConditionError("jump law puts mass on dU = -1 (condition (A) fails)")
-            # continuous marginals put zero mass on any single point
+            return [uv for uv, p in self.atoms if p > 0]
+        us = None if self.kind == "dual" else self.marg_u.atoms()
+        if us is None:
+            return None
+        if self.kind == "linked":
+            c, s = self.link
+            return [(u, c + s * u) for u in us]
+        ls = self.marg_l.atoms()
+        return None if ls is None else [(u, l) for u in us for l in ls]
 
-    # -- predicates ---------------------------------------------------------
-
-    def _du_support(self) -> tuple[float, float]:
-        if self.kind == "point_mass":
-            us = [u for (u, _), p in self.atoms if p > 0]
-            return (min(us), max(us))
-        return self.marg_u.support_bounds()
+    def _support(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """(dU bounds, dL bounds): the least and greatest value each
+        coordinate of a jump can take, or its infimum and supremum."""
+        atoms = self._atoms()
+        if atoms is not None:
+            us, ls = zip(*atoms)
+            return (min(us), max(us)), (min(ls), max(ls))
+        if self.kind == "dual":
+            # dU' = 1/(1+dU) - 1 decreases in dU; dL' = -dL/(1+dU) has the
+            # sign opposite to dL's, and its bounds keep only that sign
+            (u_lo, u_hi), (lo, hi) = self.base._support()
+            du = (1.0 / (1.0 + u_hi) - 1.0, 1.0 / (1.0 + u_lo) - 1.0)
+            return du, (-math.inf if hi > 0 else 0.0, math.inf if lo < 0 else 0.0)
+        du = self.marg_u.support_bounds()
+        if self.kind == "independent":
+            return du, self.marg_l.support_bounds()
+        c, s = self.link
+        if s == 0.0:  # dL = c; c + 0 * inf would be NaN
+            return du, (c, c)
+        lo, hi = sorted([c + s * du[0], c + s * du[1]])
+        return du, (lo, hi)
 
     @property
     def condition_b(self) -> bool:
         """True when the dU-support lies in (-1, inf).  A dual law has a
-        base with (B), and u -> -u/(1+u) maps (-1, inf) onto itself."""
-        return self.kind == "dual" or self._du_support()[0] > -1.0
-
-    def _dl_support(self) -> tuple[float, float]:
-        if self.kind == "point_mass":
-            ls = [l for (_, l), p in self.atoms if p > 0]
-            return (min(ls), max(ls))
-        if self.kind == "linked":
-            c, s = self.link
-            if s == 0.0:  # dL = c; c + 0 * inf would be NaN
-                return (c, c)
-            lo, hi = self.marg_u.support_bounds()
-            vals = sorted([c + s * lo, c + s * hi])
-            return (vals[0], vals[1])
-        if self.kind == "dual":
-            # dL' = -dL/(1+dU); sign flips, magnitude rescales
-            lo, hi = self.base._dl_support()
-            return (-math.inf if hi > 0 else 0.0, math.inf if lo < 0 else 0.0) if (lo < 0 or hi > 0) else (0.0, 0.0)
-        return self.marg_l.support_bounds()
+        base with (B), and u -> -u/(1+u) maps (-1, inf) onto itself, so
+        its dU infimum of -1 (a base dU unbounded above) is not attained."""
+        return self.kind == "dual" or self._support()[0][0] > -1.0
 
     @property
     def dl_nonnegative(self) -> bool:
-        lo, _ = self._dl_support()
-        return lo >= 0.0
+        return self._support()[1][0] >= 0.0
 
     # -- sampling -------------------------------------------------------------
 
@@ -302,9 +314,9 @@ class JumpLaw2:
         """
         if not self.condition_b:
             raise ConditionError("dual jump law requires dU > -1 almost surely")
-        if self.kind == "point_mass":
+        if self.kind == "point_mass":  # an atom of mass 0 may sit at dU = -1
             return JumpLaw2.point_mass(
-                [((-u / (1.0 + u), -l / (1.0 + u)), p) for (u, l), p in self.atoms]
+                [((-u / (1.0 + u), -l / (1.0 + u)), p) for (u, l), p in self.atoms if p > 0]
             )
         if self.kind == "dual":
             return self.base
@@ -417,53 +429,45 @@ def dual_model(model_ul: LevyModel2) -> LevyModel2:
 # ---------------------------------------------------------------------------
 
 
-def _candidate_k(model: LevyModel2) -> float | None:
-    b_u, b_l = model.drift
-    if b_u != 0.0:
-        return -b_l / b_u
-    if model.sigma_u_sq > 0.0:
-        return -model.sigma_ul / model.sigma_u_sq
-    if model.has_jumps and model.jump_law.kind == "point_mass":
-        for (u, l), p in model.jump_law.atoms:
-            if p > 0 and u != 0.0:
-                return -l / u
-    if model.has_jumps and model.jump_law.kind == "linked":
-        c, s = model.jump_law.link
-        if c == 0.0 and s != 0.0:
-            return -s
-    return None
+def _line_vectors(model: LevyModel2) -> list | None:
+    """The vectors that lie on {(u, -k u)} when k U = -L: the drift, both
+    rows of the Gaussian covariance and the jumps (their atoms, or the
+    direction (1, slope) of a linked law through 0).  None when the jumps
+    are not confined to a line through 0."""
+    (suu, sul), (_, sll) = model.gaussian_cov
+    vectors = [model.drift, (suu, sul), (sul, sll)]
+    if model.has_jumps:
+        law = model.jump_law
+        atoms = law._atoms()
+        if atoms is not None:
+            vectors += atoms
+        elif law.kind == "linked" and law.link[0] == 0.0:
+            vectors.append((1.0, law.link[1]))
+        else:
+            return None
+    return vectors
 
 
 def degeneracy_margin(model: LevyModel2, k: float) -> float:
-    """Largest relative violation of k*U = -L for the given k."""
-    b_u, b_l = model.drift
-    scale = 1.0 + abs(k)
-    worst = abs(k * b_u + b_l) / (scale * (1.0 + abs(b_u) + abs(b_l)))
-    (suu, sul), (_, sll) = model.gaussian_cov
-    gscale = scale * (1.0 + suu + abs(sul) + sll)
-    worst = max(worst, abs(sul + k * suu) / gscale, abs(sll - k * k * suu) / gscale)
-    if model.has_jumps:
-        law = model.jump_law
-        if law.kind == "point_mass":
-            for (u, l), p in law.atoms:
-                if p > 0:
-                    worst = max(worst, abs(k * u + l) / (scale * (1.0 + abs(u) + abs(l))))
-        elif law.kind == "linked":
-            c, s = law.link
-            worst = max(worst, (abs(c) + abs(k + s)) / scale)
-        else:
-            # continuous product laws cannot concentrate on a line
-            return math.inf
-    return worst
+    """Largest relative violation of k*U = -L for the given k (inf when
+    the jumps are not confined to a line through 0)."""
+    vectors = _line_vectors(model)
+    if vectors is None:
+        return math.inf
+    return max(
+        abs(k * u + l) / ((1.0 + abs(k)) * (1.0 + abs(u) + abs(l))) for u, l in vectors
+    )
 
 
 def detect_degeneracy(model: LevyModel2) -> float | None:
     """Return k != 0 with k*U = -L almost surely, or None.
 
     Degeneracy needs every component of the model (drift, Gaussian part,
-    all jumps) to live on the line {(u, -k u)}.
+    all jumps) to live on the line {(u, -k u)}; k is read off the first
+    of them with u != 0.
     """
-    k = _candidate_k(model)
+    vectors = _line_vectors(model)
+    k = next((-l / u for u, l in vectors or () if u != 0.0), None)
     if k is None or k == 0.0:
         return None
     return k if degeneracy_margin(model, k) <= _DEGENERACY_TOL else None

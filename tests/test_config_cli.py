@@ -290,6 +290,27 @@ def test_cli_refuses_hypothesis_violations(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "law",
+    [
+        "{kind: independent, marg_u: {kind: points, atoms: [[1.0, 1.0]]}, "
+        "marg_l: {kind: points, atoms: [[-2.0, 1.0]]}}",
+        "{kind: linked, marg_u: {kind: points, atoms: [[1.0, 1.0]]}, intercept: -1.0, slope: -1.0}",
+    ],
+    ids=["independent-points", "linked-points"],
+)
+def test_cli_ruin_refuses_degenerate_finite_support_laws(tmp_path, capsys, law):
+    """Every jump is (1, -2) and the drift is (0.5, -1): the pair lies on
+    2*U = -L, and the ruin suite refuses it as it refuses ``degenerate-k``."""
+    text = (
+        "schema_version: 1\nseed: 1\nsuite: ruin\nn_paths: 2000\n"
+        f"model: {{drift: [0.5, -1.0], jump_intensity: 2.0, jump_law: {law}}}\n"
+    )
+    path = _write(tmp_path, text)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "r")]) == 3
+    assert "degenerate driving pair (2.0 * U = -L)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "extra, named",
     [
         ("preset: cramer-paulsen\nhorizon: 1500\n", "300 of 300 solution"),

@@ -1,11 +1,14 @@
 import cmath
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gouflow.config import _model_from_dict
 from gouflow.levy import (
     ConditionError,
     _ATOM_CHUNK,
@@ -27,6 +30,8 @@ from oracles import (
     marginal_cf,
     marginal_mean,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +176,7 @@ def test_linked_law_with_slope_zero_has_a_point_dl_support():
     """dL = c when the slope is 0, whatever dU's support: no NaN bound
     from 0 * inf."""
     law = JumpLaw2.linked(Marginal.exponential(1.0, -1), 0.5, 0.0)
-    assert law._dl_support() == (0.5, 0.5)
+    assert law._support()[1] == (0.5, 0.5)
     assert law.dl_nonnegative
 
 
@@ -182,10 +187,220 @@ def test_dual_of_linked_law_with_slope_zero_has_negative_dl(rng):
     dual = law.dual()
     _, dl = dual.sample(rng, 1000)
     assert np.all(dl < 0)
-    assert dual._dl_support() == (-math.inf, 0.0)
+    assert dual._support()[1] == (-math.inf, 0.0)
     assert not dual.dl_nonnegative
     m = LevyModel2(drift=(-1.0, 1.0), jump_intensity=1.0, jump_law=law)
     assert m.l_subordinator and not dual_model(m).l_subordinator
+
+
+_PTS = Marginal.points([(-0.5, 0.25), (0.5, 0.75)])
+_PTS_ZERO = Marginal.points([(-3.0, 0.0), (0.5, 0.5), (2.0, 0.5)])
+_PTS_MINUS_ONE = Marginal.points([(-1.0, 0.5), (0.5, 0.5)])
+_PTS_MINUS_ONE_ZERO = Marginal.points([(-1.0, 0.0), (0.5, 1.0)])
+_EXP_UP = Marginal.exponential(2.0)
+_EXP_DOWN = Marginal.exponential(2.0, -1)
+_UNIF = Marginal.uniform(-0.5, 1.0)
+_TNORM = Marginal.truncated_normal(0.0, 1.0, -0.5)
+_REFUSED = "condition (A) refusal"
+_NO_DUAL = "no dual"
+_INF = math.inf
+_THIRD = 1 - 1 / 1.5  # the bound 1 / (1 + 0.5) - 1 of a dual dU is -_THIRD
+
+# name, law, then (dU bounds, dL bounds, condition (B), dL >= 0) of the
+# law and of its dual
+SUPPORT_TABLE = [
+    (
+        "point-mass",
+        lambda: JumpLaw2.point_mass([((-0.5, 1.0), 0.5), ((0.5, -0.5), 0.5)]),
+        ((-0.5, 0.5), (-0.5, 1.0), True, False),
+        ((-1 / 3, 1.0), (-2.0, 1 / 3), True, False),
+    ),
+    (
+        "point-mass-zero-atom",
+        lambda: JumpLaw2.point_mass([((-2.0, -3.0), 0.0), ((0.5, 0.25), 1.0)]),
+        ((0.5, 0.5), (0.25, 0.25), True, True),
+        ((-1 / 3, -1 / 3), (-1 / 6, -1 / 6), True, False),
+    ),
+    (
+        "point-mass-minus-one",
+        lambda: JumpLaw2.point_mass([((-1.0, 0.0), 0.5), ((0.5, 0.0), 0.5)]),
+        _REFUSED,
+        None,
+    ),
+    (
+        "point-mass-minus-one-zero-atom",
+        lambda: JumpLaw2.point_mass([((-1.0, 0.0), 0.0), ((0.5, 0.0), 1.0)]),
+        ((0.5, 0.5), (0.0, 0.0), True, True),
+        ((-1 / 3, -1 / 3), (0.0, 0.0), True, True),
+    ),
+    (
+        "point-mass-no-b",
+        lambda: JumpLaw2.point_mass([((-2.0, 1.0), 0.5), ((1.0, 0.0), 0.5)]),
+        ((-2.0, 1.0), (0.0, 1.0), False, True),
+        _NO_DUAL,
+    ),
+    (
+        "independent-points-exp-down",
+        lambda: JumpLaw2.independent(_PTS, _EXP_DOWN),
+        ((-0.5, 0.5), (-_INF, 0.0), True, False),
+        ((-_THIRD, 1.0), (0.0, _INF), True, True),
+    ),
+    (
+        "independent-exp-up-points",
+        lambda: JumpLaw2.independent(_EXP_UP, _PTS),
+        ((0.0, _INF), (-0.5, 0.5), True, False),
+        ((-1.0, 0.0), (-_INF, _INF), True, False),
+    ),
+    (
+        "independent-exp-down-uniform",
+        lambda: JumpLaw2.independent(_EXP_DOWN, _UNIF),
+        ((-_INF, 0.0), (-0.5, 1.0), False, False),
+        _NO_DUAL,
+    ),
+    (
+        "independent-uniform-truncated-normal",
+        lambda: JumpLaw2.independent(_UNIF, _TNORM),
+        ((-0.5, 1.0), (-0.5, _INF), True, False),
+        ((-0.5, 1.0), (-_INF, _INF), True, False),
+    ),
+    (
+        "independent-truncated-normal-exp-up",
+        lambda: JumpLaw2.independent(_TNORM, _EXP_UP),
+        ((-0.5, _INF), (0.0, _INF), True, True),
+        ((-1.0, 1.0), (-_INF, 0.0), True, False),
+    ),
+    (
+        "independent-points-points-zero-atom",
+        lambda: JumpLaw2.independent(_PTS, _PTS_ZERO),
+        ((-0.5, 0.5), (0.5, 2.0), True, True),
+        ((-_THIRD, 1.0), (-_INF, 0.0), True, False),
+    ),
+    (
+        "independent-points-zero-atom-points",
+        lambda: JumpLaw2.independent(_PTS_ZERO, _PTS),
+        ((0.5, 2.0), (-0.5, 0.5), True, False),
+        ((1 / 3 - 1, -_THIRD), (-_INF, _INF), True, False),
+    ),
+    (
+        "independent-minus-one",
+        lambda: JumpLaw2.independent(_PTS_MINUS_ONE, _EXP_UP),
+        _REFUSED,
+        None,
+    ),
+    (
+        "independent-minus-one-zero-atom",
+        lambda: JumpLaw2.independent(_PTS_MINUS_ONE_ZERO, _UNIF),
+        ((0.5, 0.5), (-0.5, 1.0), True, False),
+        ((-_THIRD, -_THIRD), (-_INF, _INF), True, False),
+    ),
+    (
+        "independent-dl-minus-one",
+        lambda: JumpLaw2.independent(_UNIF, _PTS_MINUS_ONE),
+        ((-0.5, 1.0), (-1.0, 0.5), True, False),
+        ((-0.5, 1.0), (-_INF, _INF), True, False),
+    ),
+    (
+        "linked-points",
+        lambda: JumpLaw2.linked(_PTS, 0.25, -0.5),
+        ((-0.5, 0.5), (0.0, 0.5), True, True),
+        ((-_THIRD, 1.0), (-_INF, 0.0), True, False),
+    ),
+    (
+        "linked-points-zero-atom",
+        lambda: JumpLaw2.linked(_PTS_ZERO, 0.25, 2.0),
+        ((0.5, 2.0), (1.25, 4.25), True, True),
+        ((1 / 3 - 1, -_THIRD), (-_INF, 0.0), True, False),
+    ),
+    (
+        "linked-exp-up",
+        lambda: JumpLaw2.linked(_EXP_UP, 0.25, 0.5),
+        ((0.0, _INF), (0.25, _INF), True, True),
+        ((-1.0, 0.0), (-_INF, 0.0), True, False),
+    ),
+    (
+        "linked-exp-down",
+        lambda: JumpLaw2.linked(_EXP_DOWN, 0.25, -0.5),
+        ((-_INF, 0.0), (0.25, _INF), False, True),
+        _NO_DUAL,
+    ),
+    (
+        "linked-uniform",
+        lambda: JumpLaw2.linked(_UNIF, -0.25, 1.5),
+        ((-0.5, 1.0), (-1.0, 1.25), True, False),
+        ((-0.5, 1.0), (-_INF, _INF), True, False),
+    ),
+    (
+        "linked-truncated-normal",
+        lambda: JumpLaw2.linked(_TNORM, 0.25, -0.5),
+        ((-0.5, _INF), (-_INF, 0.5), True, False),
+        ((-1.0, 1.0), (-_INF, _INF), True, False),
+    ),
+    (
+        "linked-slope-zero",
+        lambda: JumpLaw2.linked(_EXP_DOWN, 0.5, 0.0),
+        ((-_INF, 0.0), (0.5, 0.5), False, True),
+        _NO_DUAL,
+    ),
+    (
+        "linked-slope-zero-exp-up",
+        lambda: JumpLaw2.linked(_EXP_UP, -0.5, 0.0),
+        ((0.0, _INF), (-0.5, -0.5), True, False),
+        ((-1.0, 0.0), (0.0, _INF), True, True),
+    ),
+    (
+        "linked-negative-slope-unbounded",
+        lambda: JumpLaw2.linked(_EXP_UP, 0.0, -2.0),
+        ((0.0, _INF), (-_INF, 0.0), True, False),
+        ((-1.0, 0.0), (0.0, _INF), True, True),
+    ),
+    (
+        "linked-no-b",
+        lambda: JumpLaw2.linked(Marginal.uniform(-2.0, 1.0), 1.0, 1.0),
+        ((-2.0, 1.0), (-1.0, 2.0), False, False),
+        _NO_DUAL,
+    ),
+    (
+        "linked-minus-one",
+        lambda: JumpLaw2.linked(_PTS_MINUS_ONE, 0.0, 1.0),
+        _REFUSED,
+        None,
+    ),
+    (
+        "linked-minus-one-zero-atom",
+        lambda: JumpLaw2.linked(_PTS_MINUS_ONE_ZERO, 0.0, 1.0),
+        ((0.5, 0.5), (0.5, 0.5), True, True),
+        ((-_THIRD, -_THIRD), (-_INF, 0.0), True, False),
+    ),
+]
+
+
+def _support_row(law):
+    du, dl = law._support()
+    return du, dl, law.condition_b, law.dl_nonnegative
+
+
+@pytest.mark.parametrize(
+    "make, expected, dual_expected",
+    [row[1:] for row in SUPPORT_TABLE],
+    ids=[row[0] for row in SUPPORT_TABLE],
+)
+def test_support_table(make, expected, dual_expected):
+    """Every jump-law kind on every marginal kind, and each law's dual:
+    the (dU, dL) bounds, condition (B), dL >= 0 and the condition (A)
+    refusal, all read off ``_support`` and the atoms of positive mass.
+    The dual of a point-mass law drops its atoms of mass 0, one of which
+    may sit at dU = -1."""
+    if expected == _REFUSED:
+        with pytest.raises(ConditionError, match="condition \\(A\\)"):
+            make()
+        return
+    law = make()
+    assert _support_row(law) == expected
+    if dual_expected == _NO_DUAL:
+        with pytest.raises(ConditionError):
+            law.dual()
+    else:
+        assert _support_row(law.dual()) == dual_expected
 
 
 def test_linked_law_samples_on_the_line(rng):
@@ -387,3 +602,94 @@ def test_detect_degeneracy_rejects_perturbation():
 def test_detect_degeneracy_none_for_generic(mixed_jump_model, dufresne_model):
     assert detect_degeneracy(mixed_jump_model) is None
     assert detect_degeneracy(dufresne_model) is None
+
+
+def _workload_model(name):
+    with open(os.path.join(ROOT, "verdictbench", "workloads.json")) as fh:
+        return _model_from_dict(json.load(fh)["models"][name])
+
+
+_LINE = ((1.0, -2.0), (-2.0, 4.0))  # Gaussian part on 2*U = -L
+
+# name, model (built from the test's request), k from detect_degeneracy
+DEGENERACY_TABLE = [
+    *[
+        (name, lambda request, name=name: get_preset(name).model, k)
+        for name, k in [
+            ("zero", None),
+            ("drift-ou", None),
+            ("cramer-paulsen", None),
+            ("dufresne", None),
+            ("degenerate-k", 2.0),
+            ("nonmonotone", None),
+        ]
+    ],
+    *[
+        (name, lambda request, name=name: _workload_model(name), None)
+        for name in ("correlated-gauss", "jump-diffusion")
+    ],
+    *[
+        (name, lambda request, name=name: request.getfixturevalue(name), None)
+        for name in ("mixed_jump_model", "sign_flip_model", "subordinator_model", "dufresne_model")
+    ],
+    ("drift-on-line", lambda request: LevyModel2(drift=(0.5, -1.0)), 2.0),
+    ("only-l-drift", lambda request: LevyModel2(drift=(0.0, 1.0)), None),
+    (
+        "gaussian-on-line",
+        lambda request: LevyModel2(drift=(0.0, 0.0), gaussian_cov=_LINE),
+        2.0,
+    ),
+    (
+        "gaussian-on-line-drift-off",
+        lambda request: LevyModel2(drift=(1.0, -1.0), gaussian_cov=_LINE),
+        None,
+    ),
+    (
+        "linked-through-zero",
+        lambda request: LevyModel2(
+            drift=(0.0, 0.0),
+            jump_intensity=1.0,
+            jump_law=JumpLaw2.linked(Marginal.exponential(2.0), 0.0, -1.5),
+        ),
+        1.5,
+    ),
+    (
+        "linked-through-zero-with-drift",
+        lambda request: LevyModel2(
+            drift=(2.0, -3.0),
+            jump_intensity=1.0,
+            jump_law=JumpLaw2.linked(Marginal.uniform(-0.5, 1.0), 0.0, -1.5),
+        ),
+        1.5,
+    ),
+    (
+        "linked-off-zero",
+        lambda request: LevyModel2(
+            drift=(1.0, -1.5),
+            jump_intensity=1.0,
+            jump_law=JumpLaw2.linked(Marginal.exponential(2.0), 0.25, -1.5),
+        ),
+        None,
+    ),
+    (
+        "independent-continuous",
+        lambda request: LevyModel2(
+            drift=(1.0, -1.5),
+            jump_intensity=1.0,
+            jump_law=JumpLaw2.independent(Marginal.exponential(2.0), Marginal.uniform(0.0, 1.0)),
+        ),
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, k",
+    [row[1:] for row in DEGENERACY_TABLE],
+    ids=[row[0] for row in DEGENERACY_TABLE],
+)
+def test_detect_degeneracy_table(request, build, k):
+    """k from the first vector off the L axis, checked against every
+    component: the presets, the benchmark's models, the test fixtures and
+    one model per kind of component that can pin or break the line."""
+    assert detect_degeneracy(build(request)) == k

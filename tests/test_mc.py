@@ -1044,7 +1044,7 @@ def test_ruin_samples_match_per_path_solver(mixed_jump_model, name):
     (I reaching -x) equals the rows of the same block's ``exact_paths``
     whose solved V reaches <= 0."""
     m = mixed_jump_model if name == "mixed" else get_preset(name).model
-    lo, hi = m.jump_law._dl_support()
+    lo, hi = m.jump_law._support()[1]
     assert m.condition_b and lo < 0.0 < hi
     n, horizon, xs = 1000, 2.0, [0.25, 0.5, 1.0]
     res = mc.ruin_samples(m, horizon, n, seed=8, x_probes=xs)

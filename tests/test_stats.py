@@ -80,10 +80,13 @@ def test_kolmogorov_sf_matches_scipy():
 def test_kolmogorov_sf_matches_scipy_down_to_small_lambda():
     """Q(lam) is right over [1e-4, 3], also below lam ~ 0.043, where the
     alternating series has not converged in 100 terms; so two large
-    samples that differ in one value are not near rejection."""
+    samples that differ in one value are not near rejection.  At 5e-324
+    lam * lam underflows to 0; ``ks_two_sample`` never passes a lam that
+    small: a nonzero statistic is at least 1 / (n m), so its lam is at
+    least 1 / sqrt(n m (n + m))."""
     for lam in np.geomspace(1e-4, 3.0, 400):
         assert _kolmogorov_sf(float(lam)) == pytest.approx(float(kolmogorov(lam)), abs=1e-10)
-    for lam in (1e-4, 1e-3, 0.01):
+    for lam in (5e-324, 1e-4, 1e-3, 0.01):
         assert _kolmogorov_sf(lam) == 1.0
     a = np.arange(16_384, dtype=float)
     b = a.copy()
