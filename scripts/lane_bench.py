@@ -28,7 +28,7 @@ default grid), on the correlated two-dimensional Gaussian model of the
 verdict benchmark at T = 5 (the Cholesky branch) and on its
 jump-diffusion model at T = 10
 (U-only noise plus about ten jumps a path, applied at step ends), and
-adds microseconds per step of a block; ``grid:ei`` and ``grid:ec`` rows
+adds wall microseconds per step of a block; ``grid:ei`` and ``grid:ec`` rows
 at workers 1 ask for those keys only.  The other jump and grid rows run
 with workers 1 and 2.  Every row prints wall milliseconds and minor page
 faults per block.  Each grid case adds two rows at workers 1: ``floor``,
@@ -38,8 +38,12 @@ single-block calls of ``mc.run_together``, the way a suite's paired
 samples run.  These name
 the grid lane's bound: a block draws and steps on one thread, so a
 single block takes its draw floor plus the step arithmetic, and a pair
-(or two blocks at workers 2) takes about half that per block: it cannot
-beat 2 blocks x (draw + step CPU) / 2 CPUs.
+(or two blocks at workers 2) cannot beat 2 blocks x (draw + step CPU)
+/ 2 CPUs.
+Every row also prints the CPU milliseconds per block that this process
+spent (``time.process_time``: all its threads), so a pair's wait for the
+GIL shows as wall time above CPU / 2, and its handoffs as CPU above the
+single block's.
 Faults are read with ``resource.getrusage(RUSAGE_SELF)``: this process
 and its threads only.  Every case runs once untimed, then --repeats
 rounds each run every case once, in table order, so that host drift
@@ -182,17 +186,19 @@ def setup_cost(repeats):
 
 
 def measure(fn, blocks):
-    """(ms per block, minor faults per block) of one call of ``fn``."""
+    """(wall ms, process CPU ms, minor faults) per block of one call of ``fn``."""
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    cpu = time.process_time()
     start = time.perf_counter()
     fn()
     wall = time.perf_counter() - start
+    cpu = time.process_time() - cpu
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    return 1e3 * wall / blocks, faults / blocks
+    return 1e3 * wall / blocks, 1e3 * cpu / blocks, faults / blocks
 
 
 def timed_rounds(cases, repeats):
-    """Median (ms per block, minor faults per block) of each ``(fn,
+    """Median (wall ms, CPU ms, minor faults) per block of each ``(fn,
     blocks)`` case: one untimed run of every case, then ``repeats`` rounds
     that each run every case once, in order.  Host drift then spreads over
     all rows instead of reading as a difference between them."""
@@ -202,8 +208,7 @@ def timed_rounds(cases, repeats):
     for _ in range(repeats):
         for run, (fn, blocks) in zip(runs, cases):
             run.append(measure(fn, blocks))
-    return [(statistics.median(r[0] for r in run), statistics.median(r[1] for r in run))
-            for run in runs]
+    return [tuple(statistics.median(r[i] for r in run) for i in range(3)) for run in runs]
 
 
 def main():
@@ -275,13 +280,14 @@ def main():
             fn = functools.partial(run, model, horizon, n, args.seed)
             case(name, horizon, lane, 1, fn, PAIR_BLOCKS, steps)
 
-    print(f"{'preset':16} {'T':>5} {'lane':7} {'workers':>7} {'ms/block':>9} "
+    print(f"{'preset':16} {'T':>5} {'lane':7} {'workers':>7} {'ms/block':>9} {'cpu ms':>9} "
           f"{'faults/block':>13} {'us/step':>9} {'jumps/block':>12} {'padded/block':>12} "
           f"{'peak MiB':>11}")
     rows = []
     timings = timed_rounds([(fn, blocks) for _, fn, blocks in cases], args.repeats)
-    for (row, _, _), (ms, faults) in zip(cases, timings):
-        row.update(ms_per_block=round(ms, 2), faults_per_block=round(faults))
+    for (row, _, _), (ms, cpu_ms, faults) in zip(cases, timings):
+        row.update(ms_per_block=round(ms, 2), cpu_ms_per_block=round(cpu_ms, 2),
+                   faults_per_block=round(faults))
         per_step = f"{'':9}"
         steps = row.pop("steps", None)
         if steps is not None:
@@ -293,7 +299,7 @@ def main():
         traced = f" {row['peak_mib']:11.1f}" if "peak_mib" in row else ""
         rows.append(row)
         print(f"{row['preset']:16} {row['horizon']:5g} {row['lane']:7} {row['workers']:7d} "
-              f"{ms:9.2f} {faults:13.0f} {per_step}{per_slot}{traced}".rstrip())
+              f"{ms:9.2f} {cpu_ms:9.2f} {faults:13.0f} {per_step}{per_slot}{traced}".rstrip())
     print(json.dumps({"blocks": args.blocks, "pair_blocks": PAIR_BLOCKS,
                       "repeats": args.repeats, "setup": setup, "rows": rows}))
 

@@ -47,7 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--paths", type=int, default=None, help="override the Monte Carlo path count"
     )
     run.add_argument(
-        "--grid-dt", type=float, default=None, help="override the Euler grid step"
+        "--grid-dt",
+        type=float,
+        default=None,
+        help="override the grid lane's step (models with a Gaussian part; the Euler "
+        "inverse-flow check keeps its own 4e-3/2e-3/1e-3 grids, pure-jump models ignore it)",
     )
     run.add_argument("--out", default=None, help="override the output directory")
     run.add_argument(

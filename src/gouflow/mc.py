@@ -35,7 +35,11 @@ independent of the worker count:
   on [0, T] the jump times are iid uniform, so this has the law of a
   Poisson(lambda dt) count per step.  The rest of the stream is normals,
   drawn chunk by chunk into one reused buffer on the block's own thread,
-  so a block takes draw + step time.
+  so a block takes draw + step time.  A chunk's arithmetic runs once on
+  the whole chunk (the step factors, 1/E, the integrals' increments and
+  their sums in step order); only E's recurrence takes one multiply per
+  step, each followed by its step's jumps, and a step that holds jumps
+  ends a run of the sums, so that its jumps' increments follow its own.
 
 The samples a verdict compares (forward against dual, causal against
 noncausal) are independent, so ``run_together`` runs them at once, one
@@ -65,6 +69,7 @@ the first-passage identity) is left to ``duality``.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -134,14 +139,16 @@ def run_together(*calls) -> list:
     The calls must be independent (each draws its own named streams), so
     their results do not depend on how they are run.  The first runs on
     this thread and the rest at once on a pool, so a pair keeps two CPUs
-    busy: a grid-lane block draws and steps on one thread, and a
-    jump-lane block's numpy calls mostly release the GIL.  A ``cumprod``
-    or ``cumsum`` along a row releases it only on more than 500 rows, and
-    a long-horizon tile has 141 to 318, so there a jump-lane pair runs
-    1.1 to 1.4 times as fast as in turn.  When several calls raise, the
-    first one's exception in call order is raised, as running them in
-    turn would; each call must therefore carry the checks that are to
-    refuse before the next one starts.
+    busy: both lanes' numpy calls release the GIL on more than 500
+    elements, and take it back when they return.  Two threads hand it
+    over once per call, so the grid lane does a chunk's arithmetic in a
+    few calls on the whole chunk, with one call per step left (E's
+    recurrence).  A ``cumprod`` or ``cumsum`` along a row releases it only
+    on more than 500 rows, and a long-horizon tile has 141 to 318, so
+    there a jump-lane pair runs 1.1 to 1.4 times as fast as in turn.
+    When several calls raise, the first one's exception in call order is
+    raised, as running them in turn would; each call must therefore carry
+    the checks that are to refuse before the next one starts.
     """
     if len(calls) < 2:
         return [call() for call in calls]
@@ -156,7 +163,9 @@ def run_together(*calls) -> list:
 # ---------------------------------------------------------------------------
 
 # Doubles per working chunk of either lane: a jump-lane tile of rows x
-# (2K+1) boundaries, or a grid-lane chunk of steps x normals per step.
+# (2K+1) boundaries, or a grid-lane chunk of steps x normals per step
+# (8 steps of a 4096-row block with U-only noise, 4 with two normals a
+# step), whose arithmetic runs on (steps + 1, rows) planes at once.
 # The jump kernel makes about ten temporaries of a tile's size, up to
 # seven fewer on a tile without U jumps (1 + dU, its running product, p and
 # the products and quotients by them).  On a whole 4096-row block each is
@@ -279,28 +288,15 @@ def _jump_block(model, horizon, rng, size, keys=KEYS):
 # ---------------------------------------------------------------------------
 
 
-def _normal_rows(rng, shape, nsteps):
-    """Yield ``nsteps`` arrays of standard normals of ``shape``, in stream order.
-
-    The normals are drawn in chunks of about ``_CHUNK_ELEMENTS`` into one
-    reused buffer.  A (k, *shape) draw takes the same numbers in the same
-    order as k draws of ``shape``, so the rows do not depend on the
-    chunking.  A yielded row is a view, valid until the next row is asked
-    for.
-    """
-    k = max(1, _CHUNK_ELEMENTS // math.prod(shape))
-    buf = np.empty((k, *shape))
-    for start in range(0, nsteps, k):
-        yield from rng.standard_normal(out=buf[: min(k, nsteps - start)])
-
-
 def _step_jumps(model, horizon, rng, size, step_ends):
-    """The block's jumps (one ``draw_jumps`` call) by grid step.
+    """The block's jumps (one ``draw_jumps`` call) by grid step, flat.
 
     A jump belongs to the first step whose end is at or after its time.
-    Returns a dict from step index to its passes: pass r holds (rows, du,
-    dl) of the (r+1)-th jump within the step of every row with that many,
-    so the passes of a step apply each row's jumps in time order.
+    Pass r of a step holds the (r+1)-th jump within the step of every row
+    with that many, so the passes of a step apply each row's jumps in time
+    order.  Returns the jumps' rows, steps, 1 + dU, dL and whether each is
+    its row's first in its step, ordered by step, pass and row; each
+    pass's step, and where each pass starts in the jumps (and their end).
     """
     draw = draw_jumps(model, horizon, rng, size)
     times, du, dl = draw.pad()
@@ -314,10 +310,64 @@ def _step_jumps(model, horizon, rng, size, step_ends):
     order = np.lexsort((rank, step))  # stable, so rows ascend within a pass
     rows, step, rank, du, dl = (v[order] for v in (rows, step, rank, du[real], dl[real]))
     starts = np.flatnonzero((np.diff(step, prepend=-1) != 0) | (np.diff(rank, prepend=-1) != 0))
-    passes = {}
-    for lo, hi in zip(starts, [*starts[1:], rows.size]):
-        passes.setdefault(int(step[lo]), []).append((rows[lo:hi], du[lo:hi], dl[lo:hi]))
-    return passes
+    pass_starts = [*starts.tolist(), rows.size]
+    return rows, step, 1.0 + du, dl, rank == 0, step[starts].tolist(), pass_starts
+
+
+def _add_steps(total, rows):
+    """total = rows[0] + rows[1] + ..., added one row after another.
+
+    ``rows[0]`` takes the running value first.  ``np.add.reduce`` along
+    axis 0 of a C-ordered buffer adds row after row, with the per-step
+    loop's bits; on one column it would sum pairwise, so a one-path block
+    takes the running sum instead.  One step is one in-place add.
+    """
+    if len(rows) == 2:
+        total += rows[1]
+        return
+    rows[0] = total
+    if rows.shape[1] > 1:
+        np.add.reduce(rows, axis=0, out=total)
+    else:
+        total[:] = np.cumsum(rows, axis=0)[-1]
+
+
+def _integrate(total, vals, scale, ito, incs, jumps):
+    """total += a chunk's increments scale (v_j + v_{j+1}) + v_j Z_L, in step order.
+
+    ``vals`` holds the integrand at the chunk's m + 1 step boundaries,
+    after their jumps; ``ito`` is None for U-only noise, else the steps'
+    Z_L and spare rows of their shape; ``incs`` is (m + 1, size) scratch.
+    ``jumps`` is None when no step of the chunk holds a jump.  Else it
+    holds the steps j0 and rows r0 whose trapezoid ends at the integrand's
+    value ``end`` before their jumps, each pass's (step, rows, slice of
+    ``jump_inc``) in order, and ``jump_inc``, the jumps' own increments.
+    The sums stop at each step that holds a pass, so that its jumps'
+    increments follow the step's.
+    """
+    m = len(incs) - 1
+    left = vals[:m]
+    inc = np.add(left, vals[1:], out=incs[1:])
+    inc *= scale
+    if ito is not None:
+        inc += np.multiply(left, ito[0], out=ito[1])
+    if jumps is None:
+        _add_steps(total, incs)
+        return
+    j0, r0, end, passes, jump_inc = jumps
+    fix = vals[j0, r0] + end
+    fix *= scale
+    if ito is not None:
+        fix += vals[j0, r0] * ito[0][j0, r0]
+    inc[j0, r0] = fix
+    a = 0  # the first step not yet added
+    for j, rows, js in passes:
+        if j >= a:
+            _add_steps(total, incs[a : j + 2])
+            a = j + 1
+        total[rows] += jump_inc[js]
+    if a < m:
+        _add_steps(total, incs[a:])
 
 
 def _diffusion_block(model, horizon, rng, size, grid_dt, keys=KEYS):
@@ -326,65 +376,92 @@ def _diffusion_block(model, horizon, rng, size, grid_dt, keys=KEYS):
     drift_eta = b_l - model.sigma_ul
     nsteps = max(1, math.ceil(horizon / grid_dt))
     dt = horizon / nsteps
-    chol = _cov_sqrt(model.gaussian_cov) * math.sqrt(dt)
+    chol_t = (_cov_sqrt(model.gaussian_cov) * math.sqrt(dt)).T
     step_ends = dt * np.arange(1, nsteps + 1)
     step_ends[-1] = horizon
-    jumps = _step_jumps(model, horizon, rng, size, step_ends)
+    rows, steps, p, dl, first, pass_steps, pass_starts = _step_jumps(
+        model, horizon, rng, size, step_ends
+    )
+    e_left = np.empty(rows.size)  # E before each jump
 
     # A step is E' = E exp(b_U dt + Z_U - suu dt / 2), I += (drift_eta dt
     # / 2)(1/E + 1/E') + Z_L / E and C += (b_L dt / 2)(E + E') + E Z_L.
     # The scalar factors are folded once, in the order these expressions
-    # group them, and 1/E' is carried to the next step, so every finite
-    # sample keeps its bits.  U-only Gaussian noise is the common case;
-    # then the dead L draws and the Z_L terms are skipped (where E or 1/E
-    # is infinite, I or C stays inf instead of 0 * inf = NaN; both count
-    # as non-finite).  E is the state and always stepped; I (with the 1/E
-    # carry) and C are summed only when asked for.
+    # group them, so every finite sample keeps its bits.  U-only Gaussian
+    # noise is the common case; then the dead L draws and the Z_L terms are
+    # skipped (where E or 1/E is infinite, I or C stays inf instead of
+    # 0 * inf = NaN; both count as non-finite).  E is the state and always
+    # stepped; I (with 1/E) and C are summed only when asked for.
     u_noise_only = model.sigma_l_sq == 0.0 and model.sigma_ul == 0.0
     sd_u, drift_u, half_var = math.sqrt(suu * dt), b_u * dt, 0.5 * suu * dt
     k_i, k_c = drift_eta * dt * 0.5, b_l * dt * 0.5
     want_i, want_c = "i" in keys, "c" in keys
 
-    e = np.ones(size)
-    inv_e, i = (np.ones(size), np.zeros(size)) if want_i else (None, None)
-    c = np.zeros(size) if want_c else None
-    tmp = np.empty(size)
+    # The normals come k steps at a time into one reused buffer (a (k,
+    # *shape) draw takes the numbers of k draws of shape, in order), and a
+    # chunk's arithmetic runs on the whole chunk, but for E's recurrence:
+    # one multiply per step, after which the step's jumps move E.  Row j
+    # of a (k + 1, size) plane holds a value at the start of the chunk's
+    # step j, row j + 1 at its end: E and 1/E after the jumps (row 0
+    # carries the previous chunk's end), the increments of I or C, and the
+    # Cholesky branch's step factors.  The planes are one allocation, so
+    # that blocks after the first reuse its memory instead of faulting in
+    # fresh pages.
     shape = (size,) if u_noise_only else (size, 2)
-    for s, z in enumerate(_normal_rows(rng, shape, nsteps)):
+    k = min(nsteps, max(1, _CHUNK_ELEMENTS // math.prod(shape)))
+    z_buf = np.empty((k, *shape))
+    planes = np.empty((3 if u_noise_only else 4, k + 1, size))
+    e_all, inv_all, incs = planes[:3]
+    if not u_noise_only:
+        w_buf, x_buf = np.empty((k, size, 2)), planes[3]
+    e_all[0] = inv_all[0] = 1.0
+    i = np.zeros(size) if want_i else None
+    c = np.zeros(size) if want_c else None
+
+    for start in range(0, nsteps, k):
+        m = min(k, nsteps - start)
+        z = rng.standard_normal(out=z_buf[:m])
         if u_noise_only:
-            zu = np.multiply(z, sd_u, out=tmp)
+            zu = x = np.multiply(z, sd_u, out=z)
+            zl = None
         else:
-            z = z @ chol.T
-            zu, zl = z[:, 0], z[:, 1]
-        np.add(zu, drift_u, out=tmp)
-        tmp -= half_var
-        e_new = e * np.exp(tmp, out=tmp)
-        if want_i:
-            inv_new = 1.0 / e_new
-            np.add(inv_e, inv_new, out=tmp)
-            tmp *= k_i
-            if not u_noise_only:
-                tmp += inv_e * zl
-            i += tmp
-            inv_e = inv_new
-        if want_c:
-            np.add(e, e_new, out=tmp)
-            tmp *= k_c
-            if not u_noise_only:
-                tmp += e * zl
-            c += tmp
-        e = e_new
-        for rows, du, dl in jumps.get(s, ()):
-            e_left = e[rows]
-            e_right = e_left * (1.0 + du)
+            w = np.matmul(z, chol_t, out=w_buf[:m])
+            zu, zl, x = w[..., 0], w[..., 1], x_buf[:m]
+        np.add(zu, drift_u, out=x)
+        x -= half_var
+        np.exp(x, out=x)
+        # E's recurrence, each step's jump passes right after it
+        q0 = bisect.bisect_left(pass_steps, start)
+        q1 = bisect.bisect_left(pass_steps, start + m)
+        q, base, passes = q0, pass_starts[q0], []  # (step, rows, its jumps among the chunk's)
+        for j in range(m):
+            e = np.multiply(e_all[j], x[j], out=e_all[j + 1])
+            while q < q1 and pass_steps[q] == start + j:
+                js = slice(pass_starts[q], pass_starts[q + 1])
+                e[rows[js]] = np.take(e, rows[js], out=e_left[js]) * p[js]
+                passes.append((j, rows[js], slice(js.start - base, js.stop - base)))
+                q += 1
+        jumped_i = jumped_c = None
+        if passes:
+            hit = slice(base, pass_starts[q1])
+            f = first[hit]
+            # a step's trapezoid ends at E before its jumps, the first pass's
+            j0, r0, e0 = steps[hit][f] - start, rows[hit][f], e_left[hit][f]
             if want_i:
-                i[rows] += dl / ((1.0 + du) * e_left)
-                inv_e[rows] = 1.0 / e_right
+                jumped_i = j0, r0, 1.0 / e0, passes, dl[hit] / (p[hit] * e_left[hit])
             if want_c:
-                c[rows] += e_left * dl
-            e[rows] = e_right
-    terminal = {"e": e, "i": i, "c": c}
-    return {k: terminal[k] for k in keys}
+                jumped_c = j0, r0, e0, passes, e_left[hit] * dl[hit]
+        # the step factors are spent: their rows take v_j Z_L
+        ito = None if zl is None else (zl, x)
+        if want_i:
+            np.reciprocal(e_all[1 : m + 1], out=inv_all[1 : m + 1])
+            _integrate(i, inv_all[: m + 1], k_i, ito, incs[: m + 1], jumped_i)
+        if want_c:
+            _integrate(c, e_all[: m + 1], k_c, ito, incs[: m + 1], jumped_c)
+        e_all[0] = e_all[m]
+        inv_all[0] = inv_all[m]
+    terminal = {"e": e_all[0].copy(), "i": i, "c": c}
+    return {key: terminal[key] for key in keys}
 
 
 # ---------------------------------------------------------------------------

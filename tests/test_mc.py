@@ -14,12 +14,13 @@ from gouflow import mc, suites
 from gouflow.config import ExperimentConfig
 from gouflow.duality import ruin_probability
 from gouflow.levy import ConditionError, JumpLaw2, LevyModel2, Marginal, dual_model
-from gouflow.paths import draw_jumps, exact_paths, sample_path
+from gouflow.paths import JumpDraw, draw_jumps, exact_paths, sample_path
 from gouflow.gou import causal_integral, solve_forward
 from gouflow.presets import get_preset
 from gouflow.rng import BLOCK_SIZE, stream
 from gouflow.stats import ecdf, ks_two_sample, verdict
 
+import conftest
 from conftest import padded_jumps
 
 
@@ -392,23 +393,34 @@ def test_tiled_jump_lane_is_bitwise_untiled_random_laws(
     _check_tiled_lane_bitwise(model, horizon, size, seed=22)
 
 
-class _CumprodCounter:
-    """numpy as ``gouflow.mc`` sees it, counting the ``np.cumprod`` calls."""
+class _CallCounter:
+    """numpy as ``gouflow.mc`` sees it, counting the calls of ``np.<name>``."""
 
-    def __init__(self):
+    def __init__(self, name):
+        self.name = name
         self.calls = 0
 
-    def __getattr__(self, name):
-        return getattr(np, name)
+    def __getattr__(self, attr):
+        if attr != self.name:
+            return getattr(np, attr)
 
-    def cumprod(self, *args, **kwargs):
-        self.calls += 1
-        return np.cumprod(*args, **kwargs)
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return getattr(np, attr)(*args, **kwargs)
+
+        return counted
 
 
 @pytest.fixture
 def cumprod_calls(monkeypatch):
-    counter = _CumprodCounter()
+    counter = _CallCounter("cumprod")
+    monkeypatch.setattr(mc, "np", counter)
+    return counter
+
+
+@pytest.fixture
+def exp_calls(monkeypatch):
+    counter = _CallCounter("exp")
     monkeypatch.setattr(mc, "np", counter)
     return counter
 
@@ -613,6 +625,66 @@ def test_grid_lane_is_bitwise_serial(name, size, offset):
     model = _GRID_MODELS[name]
     nsteps = 1 if offset == "one" else _chunk_steps(model, size) + offset
     _check_grid_lane_bitwise(model, nsteps, size)
+
+
+def _placed_draw(size, horizon, dt, steps):
+    """A ``JumpDraw`` that takes nothing from the stream: every row jumps
+    once in each step of ``steps``, at a quarter or three quarters of it,
+    and row 0 jumps twice in the first of them."""
+    times, du, dl, counts = [], [], [], []
+    for r in range(size):
+        own = [(s + (0.25 if (r + s) % 2 else 0.75)) * dt for s in steps]
+        if r == 0:
+            own.append((steps[0] + 0.5) * dt)
+        times += own[::-1]  # draw order: not sorted
+        du += [0.3 if (r + j) % 2 else -0.2 for j in range(len(own))]
+        dl += [0.1 * (j + 1) * (-1) ** r for j in range(len(own))]
+        counts.append(len(own))
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    arrays = (np.array(v, dtype=float) for v in (times, du, dl))
+    return JumpDraw(horizon, np.array(counts), starts, max(counts), *arrays)
+
+
+@pytest.mark.parametrize("size", [1, 64])
+@pytest.mark.parametrize("name", ["jump-diffusion", "correlated-gauss"])
+def test_grid_lane_is_bitwise_serial_with_jumps_placed_in_chunks(monkeypatch, name, size):
+    """Jumps in the first, a middle and the last step of a chunk of
+    normals, none in the next chunk, jumps again in the first and last
+    steps of the third and none in a short fourth (one chunk of 40 steps
+    for one path): both noise branches give the serial lane's bits for
+    every key subset."""
+    model = _GRID_MODELS[name]
+    dt, k = 1e-3, _chunk_steps(model, size)
+    if size == 1:
+        nsteps, steps = 40, [0, 20, 39]
+    else:
+        nsteps, steps = 3 * k + 5, [0, k // 2, k - 1, 2 * k, 3 * k - 1]
+    horizon = nsteps * dt
+
+    def placed(model, horizon, rng, size):
+        return _placed_draw(size, horizon, dt, steps)
+
+    monkeypatch.setattr(mc, "draw_jumps", placed)
+    monkeypatch.setattr(conftest, "draw_jumps", placed)
+    step_ends = dt * np.arange(1, nsteps + 1)
+    times = placed(model, horizon, None, size).times
+    assert np.unique(np.searchsorted(step_ends, times)).tolist() == steps
+    ref = _serial_diffusion_block(model, horizon, stream(7, "placed"), size, dt)
+    for keys in _KEY_SUBSETS:
+        lane = mc._diffusion_block(model, horizon, stream(7, "placed"), size, dt, keys)
+        _assert_subset_of_all(lane, ref, keys)
+
+
+@pytest.mark.parametrize("name", list(_GRID_MODELS))
+def test_grid_lane_takes_one_exp_per_chunk(exp_calls, name):
+    """The step factors exp(b_U dt + Z_U - suu dt / 2) are taken once per
+    chunk of normals, not once per step: three chunks and one step take
+    four ``np.exp`` calls, with or without jumps."""
+    model = _GRID_MODELS[name]
+    size = 64
+    mc._diffusion_block(model, (3 * _chunk_steps(model, size) + 1) * 1e-3, stream(1, "exp"),
+                        size, 1e-3)
+    assert exp_calls.calls == 4
 
 
 def test_grid_lane_is_bitwise_serial_with_several_jumps_per_step():
