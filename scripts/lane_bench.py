@@ -40,6 +40,10 @@ the grid lane's bound: a block draws and steps on one thread, so a
 single block takes its draw floor plus the step arithmetic, and a pair
 (or two blocks at workers 2) cannot beat 2 blocks x (draw + step CPU)
 / 2 CPUs.
+A ``duality`` row per model with condition (B) runs one duality grid
+(``duality.duality_grid`` at the default t_grid 0.5, 1 and 2, one x and
+one y, workers 1): its forward and dual samples, nearly all of its time
+lane work (pure-jump presets on --blocks blocks, grid models on two).
 Every row also prints the CPU milliseconds per block that this process
 spent (``time.process_time``: all its threads), so a pair's wait for the
 GIL shows as wall time above CPU / 2, and its handoffs as CPU above the
@@ -51,11 +55,22 @@ between rounds does not read as a difference between rows; the table
 shows each case's median.  The last line is the table (and the set-up
 row) as one JSON object.
 
+``--against DIR`` imports the checkout at DIR's ``gouflow`` beside this
+one (as the package ``gouflow_against``) and builds every case from each.
+Each round then runs every case on both sides back to back, in turns
+(this checkout first in even rounds), so that host drift reads the same
+on both; each row adds the other side's medians and ``ratio``, this
+side's wall ms over the other's.  Two checkouts timed in separate runs
+minutes apart can differ by several percent on identical code.
+
 Usage: PYTHONPATH=src python3 scripts/lane_bench.py [--blocks N] [--repeats R] [--seed S]
+           [--against DIR]
 """
 
 import argparse
 import functools
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -65,46 +80,66 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 
 import numpy as np
 
-from gouflow import mc
-from gouflow.levy import JumpLaw2, LevyModel2
-from gouflow.paths import GRID_DT, draw_jumps
-from gouflow.presets import PRESETS
-from gouflow.rng import BLOCK_SIZE, stream
+MODULES = ("mc", "levy", "paths", "presets", "rng", "duality")
 
 
-def _draw_block(model, horizon, rng, size):
-    draw = draw_jumps(model, horizon, rng, size)
+def load(root=None):
+    """gouflow's modules, from this checkout (``PYTHONPATH=src``) or from
+    the checkout at ``root``, imported as the package ``gouflow_against``
+    so that both live in one process."""
+    name = "gouflow"
+    if root is not None:
+        name = "gouflow_against"
+        pkg = os.path.join(os.path.abspath(root), "src", "gouflow")
+        spec = importlib.util.spec_from_file_location(
+            name, os.path.join(pkg, "__init__.py"), submodule_search_locations=[pkg]
+        )
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return types.SimpleNamespace(
+        **{m: importlib.import_module(f"{name}.{m}") for m in MODULES}
+    )
+
+
+def _draw_block(lib, model, horizon, rng, size):
+    draw = lib.paths.draw_jumps(model, horizon, rng, size)
     return {"k": draw.counts, "slots": np.full(size, draw.kmax)}
 
 
-def _draws(model, horizon, n, seed):
+def _draws(lib, model, horizon, n, seed):
     """The jump lane's draws of ``n`` paths, one per block (its streams)."""
-    return [draw_jumps(model, horizon, stream(seed, "terminal", b), BLOCK_SIZE)
-            for b in range(n // BLOCK_SIZE)]
+    size = lib.rng.BLOCK_SIZE
+    return [lib.paths.draw_jumps(model, horizon, lib.rng.stream(seed, "terminal", b), size)
+            for b in range(n // size)]
 
 
-def _pad_tiles(draws):
+def _pad_tiles(lib, draws):
     """Pad every row tile of each draw as the jump lane does."""
     for draw in draws:
-        rows = max(1, mc._CHUNK_ELEMENTS // (2 * draw.kmax + 1))
-        for s in range(0, BLOCK_SIZE, rows):
+        rows = max(1, lib.mc._CHUNK_ELEMENTS // (2 * draw.kmax + 1))
+        for s in range(0, lib.rng.BLOCK_SIZE, rows):
             draw.pad(s, s + rows)
 
 
-LANES = {
-    # the lanes' jump draw alone (counts, times, marks; no padding), the
-    # jump lane's stream floor
-    "draw": lambda m, h, n, seed, w: mc.run_blocks(
-        n, lambda rng, size: _draw_block(m, h, rng, size), seed, "terminal", w
-    ),
-    "jump": lambda m, h, n, seed, w, keys=mc.KEYS: mc.terminal_samples(
-        m, h, n, seed, workers=w, keys=keys
-    ),
-    "ruin": lambda m, h, n, seed, w: mc.ruin_samples(m, h, n, seed, [0.5, 1.0, 2.0], workers=w),
-}
+def lanes(lib):
+    """The jump-lane rows' calls ``(model, horizon, n, seed, workers)``."""
+    return {
+        # the lanes' jump draw alone (counts, times, marks; no padding), the
+        # jump lane's stream floor
+        "draw": lambda m, h, n, seed, w: lib.mc.run_blocks(
+            n, lambda rng, size: _draw_block(lib, m, h, rng, size), seed, "terminal", w
+        ),
+        "jump": lambda m, h, n, seed, w, keys=lib.mc.KEYS: lib.mc.terminal_samples(
+            m, h, n, seed, workers=w, keys=keys
+        ),
+        "ruin": lambda m, h, n, seed, w: lib.mc.ruin_samples(
+            m, h, n, seed, [0.5, 1.0, 2.0], workers=w
+        ),
+    }
 
 
 def traced_peak_mib(fn):
@@ -118,54 +153,67 @@ def traced_peak_mib(fn):
         tracemalloc.stop()
 
 
-GRID = {
-    "dufresne": (PRESETS["dufresne"].model, 10.0),
-    "correlated-gauss": (
-        LevyModel2(drift=(-1.0, 0.5), gaussian_cov=((1.0, 0.3), (0.3, 0.5))), 5.0
-    ),
-    "jump-diffusion": (
-        LevyModel2(
-            drift=(-1.0, 1.0),
-            gaussian_cov=((0.5, 0.0), (0.0, 0.0)),
-            jump_intensity=1.0,
-            jump_law=JumpLaw2.point_mass([((0.5, 0.5), 0.5), ((-0.3, 0.2), 0.5)]),
+def grid_models(lib):
+    """The grid cases: (model, horizon) by name."""
+    LevyModel2, JumpLaw2 = lib.levy.LevyModel2, lib.levy.JumpLaw2
+    return {
+        "dufresne": (lib.presets.PRESETS["dufresne"].model, 10.0),
+        "correlated-gauss": (
+            LevyModel2(drift=(-1.0, 0.5), gaussian_cov=((1.0, 0.3), (0.3, 0.5))), 5.0
         ),
-        10.0,
-    ),
-}
+        "jump-diffusion": (
+            LevyModel2(
+                drift=(-1.0, 1.0),
+                gaussian_cov=((0.5, 0.0), (0.0, 0.0)),
+                jump_intensity=1.0,
+                jump_law=JumpLaw2.point_mass([((0.5, 0.5), 0.5), ((-0.3, 0.2), 0.5)]),
+            ),
+            10.0,
+        ),
+    }
+
+
 PAIR_BLOCKS = 2  # grid rows and pairs: workers 2 or a pair runs two blocks at once
+T_GRID = (0.5, 1.0, 2.0)  # the default t_grid of the duality rows
 
 # the terminal keys the lanes' callers ask for, beside all three
 KEY_SUBSETS = {"ei": ("e", "i"), "ec": ("e", "c")}
 
 
-def _normal_floor(model, horizon, n, seed):
+def _normal_floor(lib, model, horizon, n, seed):
     """The grid lane's normals for ``n`` paths drawn alone: per block, one
     fresh Philox stream fills the lane's chunks of steps in turn."""
-    steps = max(1, math.ceil(horizon / GRID_DT))
+    size = lib.rng.BLOCK_SIZE
+    steps = max(1, math.ceil(horizon / lib.paths.GRID_DT))
     u_only = model.sigma_l_sq == 0.0 and model.sigma_ul == 0.0
-    shape = (BLOCK_SIZE,) if u_only else (BLOCK_SIZE, 2)
-    k = max(1, mc._CHUNK_ELEMENTS // math.prod(shape))
+    shape = (size,) if u_only else (size, 2)
+    k = max(1, lib.mc._CHUNK_ELEMENTS // math.prod(shape))
     buf = np.empty((k, *shape))
-    for b in range(n // BLOCK_SIZE):
-        rng = stream(seed, "floor", b)
+    for b in range(n // size):
+        rng = lib.rng.stream(seed, "floor", b)
         for start in range(0, steps, k):
             rng.standard_normal(out=buf[: min(k, steps - start)])
 
 
-def _pair(model, horizon, n, seed):
+def _pair(lib, model, horizon, n, seed):
     """The ``n // BLOCK_SIZE`` blocks as single-block lane calls run at once."""
+    size, dt = lib.rng.BLOCK_SIZE, lib.paths.GRID_DT
     calls = [
-        lambda b=b: mc.terminal_samples(model, horizon, BLOCK_SIZE, seed, GRID_DT, 1, f"pair{b}")
-        for b in range(n // BLOCK_SIZE)
+        lambda b=b: lib.mc.terminal_samples(model, horizon, size, seed, dt, 1, f"pair{b}")
+        for b in range(n // size)
     ]
-    mc.run_together(*calls)
+    lib.mc.run_together(*calls)
+
+
+def _duality(lib, model, n, seed):
+    """One duality grid at the default t_grid, one x and one y."""
+    lib.duality.duality_grid(model, T_GRID, [1.0], [1.0], n, seed, lib.paths.GRID_DT, 1)
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-SETUP_CODE = f"""\
+SETUP_CODE = """\
 import json, resource, sys, time
-sys.path.insert(0, {SRC!r})
+sys.path.insert(0, {src!r})
 start = time.perf_counter()
 import gouflow.cli
 seconds = time.perf_counter() - start
@@ -174,11 +222,12 @@ print(json.dumps([seconds, len(sys.modules), rss]))
 """
 
 
-def setup_cost(repeats):
+def setup_cost(repeats, src=SRC):
     """Median (import seconds, modules loaded, max RSS MB) of importing
-    ``gouflow.cli`` in ``repeats`` fresh interpreters."""
+    ``gouflow.cli`` from ``src`` in ``repeats`` fresh interpreters."""
+    code = SETUP_CODE.format(src=src)
     runs = [
-        json.loads(subprocess.run([sys.executable, "-c", SETUP_CODE], check=True,
+        json.loads(subprocess.run([sys.executable, "-c", code], check=True,
                                   capture_output=True, text=True).stdout)
         for _ in range(repeats)
     ]
@@ -197,33 +246,38 @@ def measure(fn, blocks):
     return 1e3 * wall / blocks, 1e3 * cpu / blocks, faults / blocks
 
 
-def timed_rounds(cases, repeats):
+def timed_rounds(sides, repeats):
     """Median (wall ms, CPU ms, minor faults) per block of each ``(fn,
-    blocks)`` case: one untimed run of every case, then ``repeats`` rounds
-    that each run every case once, in order.  Host drift then spreads over
-    all rows instead of reading as a difference between them."""
-    for fn, _ in cases:
-        fn()
-    runs = [[] for _ in cases]
-    for _ in range(repeats):
-        for run, (fn, blocks) in zip(runs, cases):
-            run.append(measure(fn, blocks))
-    return [tuple(statistics.median(r[i] for r in run) for i in range(3)) for run in runs]
+    blocks)`` case of each side (a list of cases per checkout, the same
+    rows in the same order): one untimed run of every case, then
+    ``repeats`` rounds that each run every case once, in order, on every
+    side back to back, the sides in turns.  Host drift then spreads over
+    all rows and sides instead of reading as a difference between them."""
+    for cases in sides:
+        for fn, _ in cases:
+            fn()
+    runs = [[[] for _ in cases] for cases in sides]
+    for r in range(repeats):
+        order = list(range(len(sides)))
+        order = order[r % len(order):] + order[: r % len(order)]
+        for k in range(len(sides[0])):
+            for side in order:
+                fn, blocks = sides[side][k]
+                runs[side][k].append(measure(fn, blocks))
+    return [
+        [tuple(statistics.median(r[i] for r in run) for i in range(3)) for run in side]
+        for side in runs
+    ]
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--blocks", type=int, default=4)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
+CASE_KEYS = ("preset", "horizon", "lane", "workers")  # what names a case
 
-    seconds, modules, rss = setup_cost(args.repeats)
-    setup = {"import_s": round(seconds, 3), "modules": modules, "max_rss_mb": round(rss, 1)}
-    print(f"set-up: import gouflow.cli {seconds:.3f} s, {modules:.0f} modules, "
-          f"max RSS {rss:.1f} MB (fresh interpreter, median of {args.repeats})")
 
-    # (row without its timings, fn, blocks), in table order
+def build_cases(lib, args):
+    """(row without its timings, fn, blocks) of every case, in table order,
+    from the modules ``lib`` (``load``)."""
+    BLOCK_SIZE, GRID_DT = lib.rng.BLOCK_SIZE, lib.paths.GRID_DT
+    LANES = lanes(lib)
     cases = []
 
     def case(name, horizon, lane, workers, fn, blocks, steps=None, slots=None, peak=None):
@@ -237,7 +291,7 @@ def main():
         cases.append((row, fn, blocks))
 
     n = args.blocks * BLOCK_SIZE
-    for name, preset in sorted(PRESETS.items()):
+    for name, preset in sorted(lib.presets.PRESETS.items()):
         model = preset.model
         if model.has_gaussian:
             continue
@@ -259,33 +313,68 @@ def main():
                 for tag, keys in KEY_SUBSETS.items():
                     fn = functools.partial(run, model, horizon, n, args.seed, 1, keys)
                     case(name, horizon, f"jump:{tag}", 1, fn, args.blocks)
-                pair = functools.partial(_pair, model, horizon, PAIR_BLOCKS * BLOCK_SIZE, args.seed)
+                pair = functools.partial(_pair, lib, model, horizon, PAIR_BLOCKS * BLOCK_SIZE,
+                                         args.seed)
                 case(name, horizon, "pair", 1, pair, PAIR_BLOCKS, peak=traced_peak_mib(pair))
             if lane == "draw":
-                draws = _draws(model, horizon, n, args.seed)
-                case(name, horizon, "pad", 1, functools.partial(_pad_tiles, draws), args.blocks,
-                     slots=slots)
+                draws = _draws(lib, model, horizon, n, args.seed)
+                case(name, horizon, "pad", 1, functools.partial(_pad_tiles, lib, draws),
+                     args.blocks, slots=slots)
+        if model.condition_b:
+            fn = functools.partial(_duality, lib, model, n, args.seed)
+            case(name, max(T_GRID), "duality", 1, fn, args.blocks)
     n = PAIR_BLOCKS * BLOCK_SIZE
-    for name, (model, horizon) in GRID.items():
+    for name, (model, horizon) in grid_models(lib).items():
         steps = max(1, math.ceil(horizon / GRID_DT))
         for workers in (1, 2):
-            fn = functools.partial(mc.terminal_samples, model, horizon, n, args.seed, GRID_DT,
-                                   workers)
+            fn = functools.partial(lib.mc.terminal_samples, model, horizon, n, args.seed,
+                                   GRID_DT, workers)
             case(name, horizon, "grid", workers, fn, PAIR_BLOCKS, steps)
         for tag, keys in KEY_SUBSETS.items():
-            fn = functools.partial(mc.terminal_samples, model, horizon, n, args.seed, GRID_DT, 1,
-                                   keys=keys)
+            fn = functools.partial(lib.mc.terminal_samples, model, horizon, n, args.seed,
+                                   GRID_DT, 1, keys=keys)
             case(name, horizon, f"grid:{tag}", 1, fn, PAIR_BLOCKS, steps)
         for lane, run in (("floor", _normal_floor), ("pair", _pair)):
-            fn = functools.partial(run, model, horizon, n, args.seed)
+            fn = functools.partial(run, lib, model, horizon, n, args.seed)
             case(name, horizon, lane, 1, fn, PAIR_BLOCKS, steps)
+        fn = functools.partial(_duality, lib, model, n, args.seed)
+        case(name, max(T_GRID), "duality", 1, fn, PAIR_BLOCKS)
+    return cases
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--blocks", type=int, default=4)
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--against", metavar="DIR", default=None,
+                        help="a second checkout whose lanes run in the same rounds")
+    args = parser.parse_args()
+
+    srcs = [SRC] + ([os.path.join(os.path.abspath(args.against), "src")] if args.against else [])
+    setup = []
+    for src in srcs:
+        seconds, modules, rss = setup_cost(args.repeats, src)
+        setup.append({"src": src, "import_s": round(seconds, 3), "modules": modules,
+                      "max_rss_mb": round(rss, 1)})
+        print(f"set-up: import gouflow.cli from {src} {seconds:.3f} s, {modules:.0f} modules, "
+              f"max RSS {rss:.1f} MB (fresh interpreter, median of {args.repeats})")
+
+    sides = [build_cases(load(), args)]
+    if args.against:
+        sides.append(build_cases(load(args.against), args))
+        names = [[tuple(row[k] for k in CASE_KEYS) for row, _, _ in side] for side in sides]
+        if names[0] != names[1]:
+            raise SystemExit("the two checkouts build different cases; compare like with like")
+    cases = sides[0]
 
     print(f"{'preset':16} {'T':>5} {'lane':7} {'workers':>7} {'ms/block':>9} {'cpu ms':>9} "
           f"{'faults/block':>13} {'us/step':>9} {'jumps/block':>12} {'padded/block':>12} "
-          f"{'peak MiB':>11}")
+          f"{'peak MiB':>11}" + (f" {'against':>9} {'ratio':>6}" if args.against else ""))
     rows = []
-    timings = timed_rounds([(fn, blocks) for _, fn, blocks in cases], args.repeats)
-    for (row, _, _), (ms, cpu_ms, faults) in zip(cases, timings):
+    timings = timed_rounds([[(fn, blocks) for _, fn, blocks in side] for side in sides],
+                           args.repeats)
+    for k, ((row, _, _), (ms, cpu_ms, faults)) in enumerate(zip(cases, timings[0])):
         row.update(ms_per_block=round(ms, 2), cpu_ms_per_block=round(cpu_ms, 2),
                    faults_per_block=round(faults))
         per_step = f"{'':9}"
@@ -296,12 +385,24 @@ def main():
         per_slot = f"{'':26}"
         if "jumps_per_block" in row:
             per_slot = f" {row['jumps_per_block']:12.0f} {row['padded_per_block']:12.0f}"
-        traced = f" {row['peak_mib']:11.1f}" if "peak_mib" in row else ""
+        traced = f" {row['peak_mib']:11.1f}" if "peak_mib" in row else f"{'':12}"
+        against = ""
+        if args.against:
+            other_row, _, _ = sides[1][k]
+            a_ms, a_cpu, a_faults = timings[1][k]
+            row.update(against_ms_per_block=round(a_ms, 2),
+                       against_cpu_ms_per_block=round(a_cpu, 2),
+                       against_faults_per_block=round(a_faults), ratio=round(ms / a_ms, 3))
+            if "peak_mib" in other_row:
+                row["against_peak_mib"] = other_row["peak_mib"]
+            against = f" {a_ms:9.2f} {ms / a_ms:6.3f}"
         rows.append(row)
         print(f"{row['preset']:16} {row['horizon']:5g} {row['lane']:7} {row['workers']:7d} "
-              f"{ms:9.2f} {cpu_ms:9.2f} {faults:13.0f} {per_step}{per_slot}{traced}".rstrip())
+              f"{ms:9.2f} {cpu_ms:9.2f} {faults:13.0f} {per_step}{per_slot}{traced}{against}"
+              .rstrip())
     print(json.dumps({"blocks": args.blocks, "pair_blocks": PAIR_BLOCKS,
-                      "repeats": args.repeats, "setup": setup, "rows": rows}))
+                      "repeats": args.repeats, "against": args.against, "setup": setup,
+                      "rows": rows}))
 
 
 if __name__ == "__main__":

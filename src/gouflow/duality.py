@@ -289,25 +289,39 @@ def duality_grid(
 ) -> list[dict]:
     """Independent two-sample check of P(V_t^x >= y) = P(R_t^y <= x).
 
-    One batch of forward paths and one independent batch of dual paths
-    per t; all (x, y) probes reuse them through the affine form of the
-    explicit solution.  Returns one row per probe: t, x, y, ``p_V`` and
-    ``p_R`` with their standard errors, the z-score ``z``, ``z_sym`` of
-    the symmetric direction P(R_t^y >= x) = P(V_t^x <= y), and the
-    ``stats.verdict`` keys of both directions.
+    One batch of forward paths and one independent batch of dual paths,
+    each run once to the largest t and read at every other t as a
+    checkpoint (``mc.terminal_samples``); all (x, y) probes reuse them
+    through the affine form of the explicit solution.  So the rows at
+    different t share paths: each row's z-test keeps its level, but the
+    rows are not independent across t.  ``ts`` may come in any order and
+    repeat a t (a repeat reads the same checkpoint); the rows keep its
+    order.  The largest t's samples are those of a run to it alone (on a
+    grid lane, where ``grid_dt`` divides every interval between the t, as
+    the default grid does the default t_grid).
+    Returns one row per probe: t, x, y, ``p_V`` and ``p_R`` with their
+    standard errors, the z-score ``z``, ``z_sym`` of the symmetric
+    direction P(R_t^y >= x) = P(V_t^x <= y), and the ``stats.verdict``
+    keys of both directions.
     """
     dual = dual_model(model)
+    *before, last = times = sorted(set(ts))
+    checkpoints = tuple(before) or None
 
-    def sample(m, side, t):
-        return mc.terminal_samples(
-            m, t, n, seed, grid_dt, workers, f"dual-{side}@{t}", keys=("e", "i")
+    def sample(m, side):
+        res = mc.terminal_samples(
+            m, last, n, seed, grid_dt, workers, f"dual-{side}@{max(ts)}", ("e", "i"), checkpoints
         )
+        return {k: v.reshape(n, -1).T for k, v in res.items()}  # row j at times[j]
 
+    fv, fr = mc.run_together(lambda: sample(model, "V"), lambda: sample(dual, "R"))
     rows = []
     for t in ts:
-        fv, fr = mc.run_together(lambda: sample(model, "V", t), lambda: sample(dual, "R", t))
-        v_e, v_i = finite_samples(fv["e"], "V-side E", t), finite_samples(fv["i"], "V-side I", t)
-        r_e, r_i = finite_samples(fr["e"], "R-side E", t), finite_samples(fr["i"], "R-side I", t)
+        j = times.index(t)
+        v_e = finite_samples(fv["e"][j], "V-side E", t)
+        v_i = finite_samples(fv["i"][j], "V-side I", t)
+        r_e = finite_samples(fr["e"][j], "R-side E", t)
+        r_i = finite_samples(fr["i"][j], "R-side I", t)
         rs = [r_e * (y + r_i) for y in ys]
         for x in xs:
             v = v_e * (x + v_i)

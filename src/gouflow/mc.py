@@ -58,6 +58,17 @@ the grid lane steps E always and skips an unread integral's sums (1/E
 with I).  The draw is the same whatever the keys, and a computed key
 keeps its bits.
 
+A caller may also ask for that state at checkpoints t_1 < ... < t_m
+before the horizon T, from the one draw on [0, T]: each key is then an
+(n, m + 1) array, the horizon's column with the bits of a run without
+checkpoints.  The grid lane steps each interval between checkpoints on
+equal steps of at most ``grid_dt``, so that a step ends on each, and
+copies E, I and C out there (O(n) per checkpoint, no normal added).  The
+jump lane reduces each tile once more per checkpoint t, with the jumps
+after t moved to t with zero marks: the path on [0, t], again a
+compound-Poisson path.  The duality grid reads every t of its grid so,
+from one pair of samples.
+
 First passage is the job of the ruin scan (``ruin_samples``, pure-jump
 models with condition (B), starts x > 0).  Under (B) E(U) > 0, so V^x
 first reaches 0 when I first reaches -x: the scan builds I's increments
@@ -174,18 +185,29 @@ def run_together(*calls) -> list:
 _CHUNK_ELEMENTS = 32_768
 
 
-def _jump_tiles(model, horizon, rng, size, keys=KEYS):
+def _jump_tiles(model, horizon, rng, size):
     """Draw a block's jumps (``paths.draw_jumps``) and yield, for each row
     tile of about ``_CHUNK_ELEMENTS`` of the kernel's 2K+1 boundary values,
-    its row slice and its ``_jump_increments`` for ``keys``.  Every tile
-    is padded to the block's K: C's pairwise row sums group terms by the
-    row width."""
+    its row slice and its padded (times, du, dl).  Every tile is padded to
+    the block's K: C's pairwise row sums group terms by the row width."""
     draw = draw_jumps(model, horizon, rng, size)
-    a, b_l = model.drift
     rows = max(1, _CHUNK_ELEMENTS // (2 * draw.kmax + 1))
     for s in range(0, size, rows):
-        times, du, dl = draw.pad(s, s + rows)
-        yield slice(s, s + rows), _jump_increments(times, du, dl, a, b_l, horizon, keys)
+        yield slice(s, s + rows), draw.pad(s, s + rows)
+
+
+def _cut_tile(times, du, dl, t):
+    """A padded tile's paths on [0, t] as a padded tile: the jumps after t
+    move to t with zero marks, as a padded slot sits at the horizon, and
+    the slots after every row's last jump by t are dropped."""
+    kept = times <= t
+    k = int(np.count_nonzero(kept, axis=1).max(initial=0))
+    kept = kept[:, :k]
+    return (
+        np.minimum(times[:, :k], t),
+        np.where(kept, du[:, :k], 0.0),
+        np.where(kept, dl[:, :k], 0.0),
+    )
 
 
 def _jump_increments(times, du, dl, a, b_l, horizon, keys=KEYS):
@@ -274,13 +296,22 @@ def _jump_terminal(parts):
         return e_t, i_t, c_t
 
 
-def _jump_block(model, horizon, rng, size, keys=KEYS):
-    out = {k: np.empty(size) for k in keys}
-    for rows, parts in _jump_tiles(model, horizon, rng, size, keys):
-        for k, v in zip(KEYS, _jump_terminal(parts)):
-            if k in out:
-                out[k][rows] = v
-    return out
+def _jump_block(model, horizon, rng, size, keys=KEYS, checkpoints=None):
+    """A block's ``keys`` at the horizon, or with ``checkpoints`` at each
+    of them and then at the horizon: each key (size, checkpoints + 1).  A
+    checkpoint t reduces every tile cut at t (``_cut_tile``), which is
+    again a compound-Poisson path, on [0, t]; the horizon's column is the
+    tile itself, with the bits of a run without checkpoints."""
+    times = (*(checkpoints or ()), horizon)
+    a, b_l = model.drift
+    out = {k: np.empty((len(times), size)) for k in keys}
+    for rows, tile in _jump_tiles(model, horizon, rng, size):
+        for j, t in enumerate(times):
+            cut = tile if t == horizon else _cut_tile(*tile, t)
+            for k, v in zip(KEYS, _jump_terminal(_jump_increments(*cut, a, b_l, t, keys))):
+                if k in out:
+                    out[k][j, rows] = v
+    return {k: v.T if checkpoints else v[0] for k, v in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +401,32 @@ def _integrate(total, vals, scale, ito, incs, jumps):
         _add_steps(total, incs[a:])
 
 
-def _diffusion_block(model, horizon, rng, size, grid_dt, keys=KEYS):
+def _grid(times, grid_dt):
+    """Equal steps of at most ``grid_dt`` on each interval between
+    consecutive ``times`` (the first from 0): each interval's steps
+    [first, stop) and dt, and every step's end, each interval's last
+    exactly its time.  One time gives the grid of a run to it alone; later
+    intervals step as a run to their time only where their dt is the
+    same (a ``grid_dt`` that divides every interval)."""
+    intervals, ends, t0, first = [], [], 0.0, 0
+    for t in times:
+        nsteps = max(1, math.ceil((t - t0) / grid_dt))
+        dt = (t - t0) / nsteps
+        e = t0 + dt * np.arange(1, nsteps + 1)
+        e[-1] = t
+        intervals.append((first, first + nsteps, dt))
+        ends.append(e)
+        t0, first = t, first + nsteps
+    return intervals, np.concatenate(ends)
+
+
+def _diffusion_block(model, horizon, rng, size, grid_dt, keys=KEYS, checkpoints=None):
     b_u, b_l = model.drift
     suu = model.sigma_u_sq
     drift_eta = b_l - model.sigma_ul
-    nsteps = max(1, math.ceil(horizon / grid_dt))
-    dt = horizon / nsteps
-    chol_t = (_cov_sqrt(model.gaussian_cov) * math.sqrt(dt)).T
-    step_ends = dt * np.arange(1, nsteps + 1)
-    step_ends[-1] = horizon
+    times = (*(checkpoints or ()), horizon)
+    intervals, step_ends = _grid(times, grid_dt)
+    root = _cov_sqrt(model.gaussian_cov)
     rows, steps, p, dl, first, pass_steps, pass_starts = _step_jumps(
         model, horizon, rng, size, step_ends
     )
@@ -393,8 +441,6 @@ def _diffusion_block(model, horizon, rng, size, grid_dt, keys=KEYS):
     # 0 * inf = NaN; both count as non-finite).  E is the state and always
     # stepped; I (with 1/E) and C are summed only when asked for.
     u_noise_only = model.sigma_l_sq == 0.0 and model.sigma_ul == 0.0
-    sd_u, drift_u, half_var = math.sqrt(suu * dt), b_u * dt, 0.5 * suu * dt
-    k_i, k_c = drift_eta * dt * 0.5, b_l * dt * 0.5
     want_i, want_c = "i" in keys, "c" in keys
 
     # The normals come k steps at a time into one reused buffer (a (k,
@@ -406,9 +452,10 @@ def _diffusion_block(model, horizon, rng, size, grid_dt, keys=KEYS):
     # carries the previous chunk's end), the increments of I or C, and the
     # Cholesky branch's step factors.  The planes are one allocation, so
     # that blocks after the first reuse its memory instead of faulting in
-    # fresh pages.
+    # fresh pages.  Chunks stop at each checkpoint, where E, I and C are
+    # copied out; the next interval's steps take its own dt.
     shape = (size,) if u_noise_only else (size, 2)
-    k = min(nsteps, max(1, _CHUNK_ELEMENTS // math.prod(shape)))
+    k = min(step_ends.size, max(1, _CHUNK_ELEMENTS // math.prod(shape)))
     z_buf = np.empty((k, *shape))
     planes = np.empty((3 if u_noise_only else 4, k + 1, size))
     e_all, inv_all, incs = planes[:3]
@@ -417,9 +464,25 @@ def _diffusion_block(model, horizon, rng, size, grid_dt, keys=KEYS):
     e_all[0] = inv_all[0] = 1.0
     i = np.zeros(size) if want_i else None
     c = np.zeros(size) if want_c else None
+    out = {key: np.empty((len(times), size)) for key in keys}
 
-    for start in range(0, nsteps, k):
-        m = min(k, nsteps - start)
+    # each interval's step factors, folded once from its dt, and its chunks
+    factors = [
+        (
+            (root * math.sqrt(dt)).T,
+            (math.sqrt(suu * dt), b_u * dt, 0.5 * suu * dt),
+            (drift_eta * dt * 0.5, b_l * dt * 0.5),
+        )
+        for _, _, dt in intervals
+    ]
+    chunks = [
+        (col, start, min(k, stop - start))
+        for col, (first_step, stop, _) in enumerate(intervals)
+        for start in range(first_step, stop, k)
+    ]
+
+    for col, start, m in chunks:
+        chol_t, (sd_u, drift_u, half_var), (k_i, k_c) = factors[col]
         z = rng.standard_normal(out=z_buf[:m])
         if u_noise_only:
             zu = x = np.multiply(z, sd_u, out=z)
@@ -460,13 +523,35 @@ def _diffusion_block(model, horizon, rng, size, grid_dt, keys=KEYS):
             _integrate(c, e_all[: m + 1], k_c, ito, incs[: m + 1], jumped_c)
         e_all[0] = e_all[m]
         inv_all[0] = inv_all[m]
-    terminal = {"e": e_all[0].copy(), "i": i, "c": c}
-    return {key: terminal[key] for key in keys}
+        if start + m == intervals[col][1]:  # a checkpoint's step, or the horizon's
+            state = {"e": e_all[0], "i": i, "c": c}
+            for key in keys:
+                out[key][col] = state[key]
+    return {key: v.T if checkpoints else v[0] for key, v in out.items()}
 
 
 # ---------------------------------------------------------------------------
 # public lanes
 # ---------------------------------------------------------------------------
+
+
+def _check_checkpoints(checkpoints, horizon) -> None:
+    """ValueError unless ``horizon`` is positive and finite and
+    ``checkpoints`` is None or a non-empty tuple of positive, finite
+    times that increase strictly and stay below ``horizon``."""
+    _check_horizon(horizon)
+    if checkpoints is None:
+        return
+    if not isinstance(checkpoints, tuple) or not checkpoints:
+        raise ValueError(f"checkpoints must be None or a non-empty tuple, not {checkpoints!r}")
+    for t in checkpoints:
+        _check_horizon(t)
+    times = (*checkpoints, horizon)
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError(
+            f"checkpoints must increase strictly and stay below the horizon {horizon:g}, "
+            f"not {checkpoints!r}"
+        )
 
 
 def terminal_samples(
@@ -478,6 +563,7 @@ def terminal_samples(
     workers: int = 1,
     label: str = "terminal",
     keys=KEYS,
+    checkpoints: tuple | None = None,
 ) -> dict:
     """Per-path terminal quantities for n independent paths.
 
@@ -489,15 +575,30 @@ def terminal_samples(
     and the stationary suite's solution sample ask for e and i; the
     stationary suite's causal-integral sample for c; the subordinator
     ruin mode's dual side for i; ``exp_functional_samples`` for e and c
-    (causal) or e and i (noncausal).  A horizon that is not positive and
-    finite, or other keys, are a ValueError before anything is drawn.
+    (causal) or e and i (noncausal).
+
+    ``checkpoints``, a tuple of times t_1 < ... < t_m below the horizon,
+    asks for each key at every checkpoint and then at T, from the one
+    draw on [0, T]: each key is an (n, m + 1) array whose column j is at
+    t_j and whose last column is at T, with the bits of a run without
+    checkpoints.  The grid lane steps each interval between checkpoints
+    on equal steps of at most ``grid_dt`` (no normal is added), and a
+    checkpoint is its step's state; the jump lane reduces each path cut at
+    t_j.  A column at t_j is a sample at t_j, but the columns of one path
+    are not independent.  The duality grid alone asks for checkpoints.
+
+    A horizon or checkpoint that is not positive and finite, unsorted or
+    repeated checkpoints, one at or past the horizon, an empty tuple, or
+    other keys are a ValueError before anything is drawn.
     """
-    _check_horizon(horizon)
+    _check_checkpoints(checkpoints, horizon)
     keys = _lane_keys(keys)
     if model.has_gaussian:
-        fn = lambda rng, size: _diffusion_block(model, horizon, rng, size, grid_dt, keys)
+        fn = lambda rng, size: _diffusion_block(
+            model, horizon, rng, size, grid_dt, keys, checkpoints
+        )
     else:
-        fn = lambda rng, size: _jump_block(model, horizon, rng, size, keys)
+        fn = lambda rng, size: _jump_block(model, horizon, rng, size, keys, checkpoints)
     return run_blocks(n, fn, seed, label, workers)
 
 
@@ -571,6 +672,7 @@ def ruin_samples(
     xs = np.asarray(list(x_probes), dtype=float)
     if not (xs > 0.0).all():
         raise ValueError("the ruin scan needs starting points x > 0")
+    a, b_l = model.drift
 
     def block(rng, size):
         out = {
@@ -580,7 +682,8 @@ def ruin_samples(
             "bnd_values": np.zeros(size, dtype=int),
             "bnd_nonfinite": np.zeros(size, dtype=int),
         }
-        for rows, parts in _jump_tiles(model, horizon, rng, size, ("i",)):
+        for rows, tile in _jump_tiles(model, horizon, rng, size):
+            parts = _jump_increments(*tile, a, b_l, horizon, ("i",))
             grow, p_ext, prod1, e_left, inc_i, _ = parts
             with np.errstate(over="ignore", invalid="ignore"):
                 # E at the gap ends is e_left, then E_T; after a jump e_jump

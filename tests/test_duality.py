@@ -291,9 +291,10 @@ def test_paired_grid_lane_samples_give_the_bytes_of_serial_calls(
     in_turn = _run_suite(tmp_path, capsys, model, suite, tmp_path / "in-turn")
     assert at_once == in_turn
     assert at_once[1] or at_once[2]  # outputs or a refusal to compare
-    # correlated-gauss has L noise, so its ruin suite refuses before sampling
+    # correlated-gauss has L noise, so its ruin suite refuses before sampling;
+    # the duality grid runs one pair for both of its t
     refused_early = (model, suite) == ("correlated-gauss", "ruin")
-    assert pairs == ([] if refused_early else [2] * (2 if suite in ("duality", "stationary") else 1))
+    assert pairs == ([] if refused_early else [2] * (2 if suite == "stationary" else 1))
 
 
 def test_ruin_probability_pair_raises_the_dual_sides_refusal_first():
@@ -380,6 +381,37 @@ def test_duality_fail_shows_its_margin_in_both_directions(monkeypatch, tmp_path)
     header, *lines = (tmp_path / "duality.csv").read_text().splitlines()
     assert header == "t,x,y,p_V,se_V,p_R,se_R,z,z_sym,pass"
     assert sum(line.endswith(",0.0,inf,False") for line in lines) == 3
+
+
+def _rows_at(rows, t):
+    return [row for row in rows if row["t"] == t]
+
+
+@pytest.mark.parametrize("name", ["drift-ou", "dufresne"])
+def test_duality_grid_runs_one_pair_for_every_t(monkeypatch, name):
+    """One ``mc.run_together`` pair serves every t; its largest t gives
+    the rows of a grid at that t alone, and the smaller t differ from it."""
+    model, probes = get_preset(name).model, ([0.0, 1.0], [0.5, 1.0])
+    pairs = _count_pairs(monkeypatch)
+    rows = duality_grid(model, [0.5, 1.0, 2.0], *probes, 300, seed=4, grid_dt=0.01)
+    assert pairs == [2]
+    assert [row["t"] for row in rows] == [0.5] * 4 + [1.0] * 4 + [2.0] * 4
+    alone = duality_grid(model, [2.0], *probes, 300, seed=4, grid_dt=0.01)
+    assert _rows_at(rows, 2.0) == alone
+    assert _rows_at(rows, 0.5) != [{**row, "t": 0.5} for row in _rows_at(rows, 2.0)]
+
+
+@pytest.mark.parametrize("name", ["cramer-paulsen", "dufresne"])
+def test_duality_grid_takes_t_in_any_order_and_repeated(name):
+    """``ts`` in any order and with a repeat: the rows keep its order, and
+    a repeated t reads the same checkpoint, so its rows repeat."""
+    model, probes = get_preset(name).model, ([0.0, 1.0], [0.5])
+    sorted_rows = duality_grid(model, [0.5, 1.0, 2.0], *probes, 200, seed=6, grid_dt=0.01)
+    rows = duality_grid(model, [2.0, 0.5, 2.0, 1.0], *probes, 200, seed=6, grid_dt=0.01)
+    assert [row["t"] for row in rows] == [2.0, 2.0, 0.5, 0.5, 2.0, 2.0, 1.0, 1.0]
+    assert rows[:2] == rows[4:6] == _rows_at(sorted_rows, 2.0)
+    assert rows[2:4] == _rows_at(sorted_rows, 0.5)
+    assert rows[6:] == _rows_at(sorted_rows, 1.0)
 
 
 def test_duality_grid_requires_condition_b():

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import itertools
 import math
@@ -1251,6 +1252,162 @@ def test_ruin_scan_builds_i_increments_only(monkeypatch):
     full = mc.ruin_samples(model, horizon, 600, seed=4, x_probes=xs)
     assert np.array_equal(res["hit"], full["hit"])
     _assert_bitwise(res["v_tau"], full["v_tau"])
+
+
+# ---------------------------------------------------------------------------
+# checkpoints
+# ---------------------------------------------------------------------------
+
+# sha256 (first 16 hex digits) of e, i and c of 300 paths at seed 7, from
+# the lanes as they were before checkpoints existed
+_SINGLE_TIME_DIGESTS = {
+    "cramer-paulsen": (5.0, 1e-3, "c5613a9c0bef2a5d"),
+    "degenerate-k": (5.0, 1e-3, "6fbf3b77ab964d60"),
+    "dufresne": (0.5, 1e-3, "6a470fc31a0005b6"),
+    "correlated-gauss": (0.5, 1e-2, "49f125f112221a34"),
+    "jump-diffusion": (1.0, 1e-2, "d0958f717209c618"),
+}
+
+
+def _model(name):
+    return _GRID_MODELS[name] if name in _GRID_MODELS else get_preset(name).model
+
+
+@pytest.mark.parametrize("name", list(_SINGLE_TIME_DIGESTS))
+def test_single_time_call_is_bitwise_unchanged(name):
+    """A call without checkpoints gives the bytes the lanes gave before
+    checkpoints existed, in both lanes and all three grid branches."""
+    horizon, dt, digest = _SINGLE_TIME_DIGESTS[name]
+    res = mc.terminal_samples(_model(name), horizon, 300, 7, dt)
+    got = hashlib.sha256(b"".join(res[k].tobytes() for k in mc.KEYS)).hexdigest()[:16]
+    assert got == digest
+
+
+def _assert_columns(multi, single, col, keys=mc.KEYS):
+    for k in keys:
+        _assert_bitwise(multi[k][:, col], single[k])
+
+
+@pytest.mark.parametrize(
+    "name, horizon, checkpoints, dt",
+    [
+        ("cramer-paulsen", 5.0, (0.5, 1.0, 2.5), 1e-3),
+        ("degenerate-k", 5.0, (1.0, 4.0), 1e-3),
+        ("dufresne", 2.0, (0.5, 1.0), 1e-3),
+        ("jump-diffusion", 2.0, (0.5, 1.0), 1e-2),
+    ],
+)
+def test_last_checkpoint_is_bitwise_a_single_time_call(name, horizon, checkpoints, dt):
+    """The horizon's column of a call with checkpoints is the call without
+    them, bit for bit, on pure-jump presets (with and without U jumps) and
+    on the grid lane where every interval keeps the step of a run to the
+    horizon (the default grid and t_grid); every key is (n, m + 1)."""
+    model = _model(name)
+    n = 64 if model.has_gaussian else 300
+    multi = mc.terminal_samples(model, horizon, n, 3, dt, checkpoints=checkpoints)
+    single = mc.terminal_samples(model, horizon, n, 3, dt)
+    assert all(v.shape == (n, len(checkpoints) + 1) for v in multi.values())
+    _assert_columns(multi, single, -1)
+
+
+@pytest.mark.parametrize("name", ["dufresne", "correlated-gauss", "l-only"])
+@pytest.mark.parametrize("dt", [1e-3, 1e-2])
+def test_grid_checkpoint_is_bitwise_a_run_to_it(name, dt):
+    """Without jumps a checkpoint is a run to its time, bit for bit: on a
+    grid that divides every interval the steps have the same dt and the
+    normals come in the same order, across chunks of normals."""
+    model = _GRID_MODELS[name]
+    multi = mc.terminal_samples(model, 1.5, 40, 5, dt, checkpoints=(0.5, 1.0))
+    for col, t in enumerate((0.5, 1.0, 1.5)):
+        _assert_columns(multi, mc.terminal_samples(model, t, 40, 5, dt), col)
+
+
+def test_grid_checkpoint_key_subsets_are_bitwise_all_keys():
+    """A checkpoint keeps the all-keys bits for every key subset."""
+    model = _GRID_MODELS["jump-diffusion"]
+    full = mc.terminal_samples(model, 1.0, 64, 2, 1e-2, checkpoints=(0.25, 0.5))
+    for keys in _KEY_SUBSETS:
+        sub = mc.terminal_samples(model, 1.0, 64, 2, 1e-2, keys=keys, checkpoints=(0.25, 0.5))
+        _assert_subset_of_all(sub, full, keys)
+
+
+def _cut_paths(batch, model, t):
+    """The rows of an ``exact_paths`` batch on [0, t]: boundaries after t
+    move to t, the segment across t keeps its drift up to t, and every
+    event after it is a null segment."""
+    b_u, b_l = model.drift
+    times = np.minimum(batch.t, t)
+    dt = times[:, 1:] - times[:, :-1]
+    after = batch.t[:, 1:] > t
+    du = np.where(after, np.where(batch.is_jump, 0.0, b_u * dt), batch.du)
+    dl = np.where(after, np.where(batch.is_jump, 0.0, b_l * dt), batch.dl)
+    return replace(batch, horizon=t, t=times, du=du, dl=dl, is_jump=batch.is_jump & ~after)
+
+
+@pytest.mark.parametrize("name", ["mixed", "cramer-paulsen", "degenerate-k", "nonmonotone"])
+def test_jump_checkpoints_match_per_path_solver(mixed_jump_model, name):
+    """Each checkpoint of the jump lane is the per-path solver's E, I and
+    C on the same block's ``exact_paths`` rows cut at that time."""
+    model = mixed_jump_model if name == "mixed" else get_preset(name).model
+    horizon, checkpoints, n = 3.0, (0.4, 1.0, 2.2), 500
+    res = mc.terminal_samples(model, horizon, n, 8, label="cut", checkpoints=checkpoints)
+    batch = exact_paths(model, horizon, stream(8, "cut", 0), n)
+    for col, t in enumerate((*checkpoints, horizon)):
+        path = _cut_paths(batch, model, t)
+        traj = solve_forward(path, model, 0.0)
+        ref = {
+            "e": traj.exponential.values[:, -1],
+            "i": traj.integral.values[:, -1],
+            "c": causal_integral(path, model).values[:, -1],
+        }
+        for k in mc.KEYS:
+            np.testing.assert_allclose(res[k][:, col], ref[k], rtol=1e-12, atol=1e-12)
+    # the paths moved between the first checkpoint and the horizon
+    assert np.count_nonzero(res["e"][:, 0] != res["e"][:, -1]) > n // 2
+
+
+def test_grid_checkpoint_agrees_in_law_with_a_direct_run():
+    """On the benchmark's jump-diffusion model a checkpoint at t = 1 of a
+    run to 2 (its jumps drawn on [0, 2]) agrees in law with a run to 1."""
+    model = _GRID_MODELS["jump-diffusion"]
+    multi = mc.terminal_samples(model, 2.0, 4000, 11, 1e-2, label="cp", checkpoints=(1.0,))
+    direct = mc.terminal_samples(model, 1.0, 4000, 12, 1e-2, label="direct")
+    for k in mc.KEYS:
+        ks = ks_two_sample(ecdf(multi[k][:, 0]), ecdf(direct[k]))
+        assert ks.pvalue > 1e-3, (k, ks.statistic)
+
+
+def test_checkpoints_are_worker_independent():
+    model = get_preset("dufresne").model
+    one = mc.terminal_samples(model, 0.1, 2 * BLOCK_SIZE, 4, 1e-2, checkpoints=(0.05,))
+    two = mc.terminal_samples(model, 0.1, 2 * BLOCK_SIZE, 4, 1e-2, 2, checkpoints=(0.05,))
+    assert all(one[k].tobytes() == two[k].tobytes() for k in mc.KEYS)
+
+
+@pytest.mark.parametrize(
+    "checkpoints, match",
+    [
+        ((), "non-empty tuple"),
+        ([0.5], "non-empty tuple"),
+        ((0.0,), "positive and finite"),
+        ((-0.5, 0.5), "positive and finite"),
+        ((0.5, math.nan), "positive and finite"),
+        ((0.5, math.inf), "positive and finite"),
+        ((1.0, 0.5), "increase strictly"),
+        ((0.5, 0.5), "increase strictly"),
+        ((0.5, 2.0), "increase strictly"),
+        ((2.0,), "increase strictly"),
+    ],
+)
+@pytest.mark.parametrize("name", ["cramer-paulsen", "dufresne"])
+def test_terminal_samples_refuses_bad_checkpoints_before_drawing(
+    monkeypatch, name, checkpoints, match
+):
+    """Empty, non-positive, non-finite, unsorted or repeated checkpoints,
+    or one at or past the horizon, are refused before anything is drawn."""
+    _no_draw(monkeypatch)
+    with pytest.raises(ValueError, match=match):
+        mc.terminal_samples(get_preset(name).model, 2.0, 8, 1, checkpoints=checkpoints)
 
 
 # the keys each caller of the lanes reads, by the label of its samples
