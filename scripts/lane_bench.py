@@ -61,7 +61,9 @@ Each round then runs every case on both sides back to back, in turns
 (this checkout first in even rounds), so that host drift reads the same
 on both; each row adds the other side's medians and ``ratio``, this
 side's wall ms over the other's.  Two checkouts timed in separate runs
-minutes apart can differ by several percent on identical code.
+minutes apart can differ by several percent on identical code.  The JSON
+names the sides ``this`` and ``against`` and gives each one's ``git
+describe --always --dirty`` (null outside a git checkout), not its path.
 
 Usage: PYTHONPATH=src python3 scripts/lane_bench.py [--blocks N] [--repeats R] [--seed S]
            [--against DIR]
@@ -222,6 +224,17 @@ print(json.dumps([seconds, len(sys.modules), rss]))
 """
 
 
+def revision(root):
+    """``git describe --always --dirty`` of the checkout at ``root``, or
+    None where git cannot tell."""
+    try:
+        out = subprocess.run(["git", "-C", root, "describe", "--always", "--dirty"],
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
 def setup_cost(repeats, src=SRC):
     """Median (import seconds, modules loaded, max RSS MB) of importing
     ``gouflow.cli`` from ``src`` in ``repeats`` fresh interpreters."""
@@ -351,12 +364,15 @@ def main():
                         help="a second checkout whose lanes run in the same rounds")
     args = parser.parse_args()
 
-    srcs = [SRC] + ([os.path.join(os.path.abspath(args.against), "src")] if args.against else [])
+    roots = {"this": os.path.dirname(SRC)}
+    if args.against:
+        roots["against"] = os.path.abspath(args.against)
     setup = []
-    for src in srcs:
+    for side, root in roots.items():
+        src = os.path.join(root, "src")
         seconds, modules, rss = setup_cost(args.repeats, src)
-        setup.append({"src": src, "import_s": round(seconds, 3), "modules": modules,
-                      "max_rss_mb": round(rss, 1)})
+        setup.append({"side": side, "revision": revision(root), "import_s": round(seconds, 3),
+                      "modules": modules, "max_rss_mb": round(rss, 1)})
         print(f"set-up: import gouflow.cli from {src} {seconds:.3f} s, {modules:.0f} modules, "
               f"max RSS {rss:.1f} MB (fresh interpreter, median of {args.repeats})")
 
@@ -401,7 +417,7 @@ def main():
               f"{ms:9.2f} {cpu_ms:9.2f} {faults:13.0f} {per_step}{per_slot}{traced}{against}"
               .rstrip())
     print(json.dumps({"blocks": args.blocks, "pair_blocks": PAIR_BLOCKS,
-                      "repeats": args.repeats, "against": args.against, "setup": setup,
+                      "repeats": args.repeats, "setup": setup,
                       "rows": rows}))
 
 

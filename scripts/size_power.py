@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Count how often a suite FAILs on true models over many seeds (its size).
 
-For each preset and path count, runs ``suites.SUITE_RUNNERS[--suite]`` in
-this process at seeds 1..K (``workers`` 1, every other config key at its
-default) and counts the runs that FAIL.  A refusal (ConditionError) is
-counted apart, not as a FAIL.  Each count gets a Wilson interval
-(``stats.binomial_ci`` at --level) on the FAIL rate, and the table names
-the failing seeds.  The presets are true models, so every FAIL is a false
+For each of PRESETS and each path count in PATHS, runs
+``suites.SUITE_RUNNERS[--suite]`` in this process at seeds 1..K
+(``workers`` 1, every other config key at its default) and counts the runs
+that FAIL.  A refusal (ConditionError) is counted apart, not as a FAIL.
+Each count gets a Wilson interval (``stats.binomial_ci`` at LEVEL) on the
+FAIL rate, and the table names the failing seeds.  The presets are true models, so every FAIL is a false
 one: the count measures the suite's size, the chance that a correct
 model fails, at that path count.  No gate is changed or read here but the
 suite's own.
@@ -29,8 +29,12 @@ from gouflow.levy import ConditionError
 from gouflow.stats import binomial_ci
 from gouflow.suites import SUITE_RUNNERS
 
+PRESETS = ("drift-ou", "cramer-paulsen")
+PATHS = (2000, 10_000)
+LEVEL = 0.95
 
-def size(suite, preset, n_paths, seeds, level):
+
+def size(suite, preset, n_paths, seeds):
     """FAIL count, refusals and Wilson interval of ``suite`` on ``preset``."""
     failed, refused = [], []
     start = time.perf_counter()
@@ -44,7 +48,7 @@ def size(suite, preset, n_paths, seeds, level):
         if not result.passed:
             failed.append(seed)
     runs = len(seeds) - len(refused)
-    lo, hi = binomial_ci(len(failed), runs, level) if runs else (float("nan"),) * 2
+    lo, hi = binomial_ci(len(failed), runs, LEVEL) if runs else (float("nan"),) * 2
     return {
         "suite": suite,
         "preset": preset,
@@ -54,7 +58,7 @@ def size(suite, preset, n_paths, seeds, level):
         "fails": len(failed),
         "rate": len(failed) / runs if runs else float("nan"),
         "wilson": [round(lo, 5), round(hi, 5)],
-        "level": level,
+        "level": LEVEL,
         "failed_seeds": failed,
         "refused_seeds": refused,
         "seconds": round(time.perf_counter() - start, 1),
@@ -65,17 +69,14 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--suite", choices=sorted(SUITE_RUNNERS), default="duality")
     parser.add_argument("--seeds", type=int, default=200, help="seeds 1..K")
-    parser.add_argument("--presets", nargs="+", default=["drift-ou", "cramer-paulsen"])
-    parser.add_argument("--paths", nargs="+", type=int, default=[2000, 10_000])
-    parser.add_argument("--level", type=float, default=0.95)
     args = parser.parse_args()
 
     seeds = list(range(1, args.seeds + 1))
     rows = []
     print(f"{'preset':16} {'paths':>6} {'fails':>9} {'rate':>7} {'Wilson':>17}  failing seeds")
-    for preset in args.presets:
-        for n_paths in args.paths:
-            row = size(args.suite, preset, n_paths, seeds, args.level)
+    for preset in PRESETS:
+        for n_paths in PATHS:
+            row = size(args.suite, preset, n_paths, seeds)
             rows.append(row)
             lo, hi = row["wilson"]
             print(f"{preset:16} {n_paths:6d} {row['fails']:4d}/{row['runs']:<4d} "

@@ -312,16 +312,16 @@ def duality_grid(
         res = mc.terminal_samples(
             m, last, n, seed, grid_dt, workers, f"dual-{side}@{max(ts)}", ("e", "i"), checkpoints
         )
-        return {k: v.reshape(n, -1).T for k, v in res.items()}  # row j at times[j]
+        return {k: v.reshape(n, -1) for k, v in res.items()}  # column j at times[j]
 
     fv, fr = mc.run_together(lambda: sample(model, "V"), lambda: sample(dual, "R"))
     rows = []
     for t in ts:
         j = times.index(t)
-        v_e = finite_samples(fv["e"][j], "V-side E", t)
-        v_i = finite_samples(fv["i"][j], "V-side I", t)
-        r_e = finite_samples(fr["e"][j], "R-side E", t)
-        r_i = finite_samples(fr["i"][j], "R-side I", t)
+        v_e = finite_samples(fv["e"][:, j], "V-side E", t)
+        v_i = finite_samples(fv["i"][:, j], "V-side I", t)
+        r_e = finite_samples(fr["e"][:, j], "R-side E", t)
+        r_i = finite_samples(fr["i"][:, j], "R-side I", t)
         rs = [r_e * (y + r_i) for y in ys]
         for x in xs:
             v = v_e * (x + v_i)

@@ -196,6 +196,13 @@ def _jump_tiles(model, horizon, rng, size):
         yield slice(s, s + rows), draw.pad(s, s + rows)
 
 
+def _block_result(out, checkpoints):
+    """A lane's block from its (checkpoints + 1, size) array per key: each
+    key (size,) at the horizon without checkpoints, else (size,
+    checkpoints + 1), a column per time, which blocks stack row-wise."""
+    return {k: v.T if checkpoints else v[0] for k, v in out.items()}
+
+
 def _cut_tile(times, du, dl, t):
     """A padded tile's paths on [0, t] as a padded tile: the jumps after t
     move to t with zero marks, as a padded slot sits at the horizon, and
@@ -298,10 +305,10 @@ def _jump_terminal(parts):
 
 def _jump_block(model, horizon, rng, size, keys=KEYS, checkpoints=None):
     """A block's ``keys`` at the horizon, or with ``checkpoints`` at each
-    of them and then at the horizon: each key (size, checkpoints + 1).  A
-    checkpoint t reduces every tile cut at t (``_cut_tile``), which is
-    again a compound-Poisson path, on [0, t]; the horizon's column is the
-    tile itself, with the bits of a run without checkpoints."""
+    of them and then at the horizon (``_block_result``).  A checkpoint t
+    reduces every tile cut at t (``_cut_tile``), which is again a
+    compound-Poisson path, on [0, t]; the horizon's column is the tile
+    itself, with the bits of a run without checkpoints."""
     times = (*(checkpoints or ()), horizon)
     a, b_l = model.drift
     out = {k: np.empty((len(times), size)) for k in keys}
@@ -311,7 +318,7 @@ def _jump_block(model, horizon, rng, size, keys=KEYS, checkpoints=None):
             for k, v in zip(KEYS, _jump_terminal(_jump_increments(*cut, a, b_l, t, keys))):
                 if k in out:
                     out[k][j, rows] = v
-    return {k: v.T if checkpoints else v[0] for k, v in out.items()}
+    return _block_result(out, checkpoints)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +534,7 @@ def _diffusion_block(model, horizon, rng, size, grid_dt, keys=KEYS, checkpoints=
             state = {"e": e_all[0], "i": i, "c": c}
             for key in keys:
                 out[key][col] = state[key]
-    return {key: v.T if checkpoints else v[0] for key, v in out.items()}
+    return _block_result(out, checkpoints)
 
 
 # ---------------------------------------------------------------------------
