@@ -23,7 +23,18 @@ independent of the worker count:
   ``cramer-paulsen`` take this path, on both sides of their duality and
   stationary pairs and in their ruin scans, and so would any OU model
   with compound-Poisson input or risk process with interest (U a drift
-  alone); ``degenerate-k`` and ``nonmonotone`` keep the product.
+  alone); ``degenerate-k`` and ``nonmonotone`` keep the product.  Such a
+  block's draw records that no dU is nonzero, and its tiles build and
+  gather no dU array.
+  A tile of a model without L drift (b_L = +0.0) builds no gap
+  increments: each is b_L times a finite integral of e^{+-a s}, so +-0.0,
+  which changes a sum only in the sign of a zero.  It takes one exp per
+  boundary time, sums I and C over its K jumps instead of 2K + 1 events,
+  and its ruin scan reads I after each jump only.  ``drift-ou``,
+  ``cramer-paulsen``, ``nonmonotone`` and ``zero`` and their duals take
+  this path; ``degenerate-k`` keeps the gaps.  Where the shortcut could
+  move a bit (a b_L of -0.0, an e^{|a| t} t near overflow, a p of 0 or
+  inf, a row whose I terms are all -0.0) the tile keeps its gaps.
 * diffusion lane: models with a Gaussian part, on a fixed grid.  The
   stochastic exponential is updated in exact law; finite-variation
   integrands use the trapezoid rule (the left-point rule leaves an O(dt)
@@ -53,8 +64,8 @@ monotonicity probe, the noncausal stationary law and the stationary
 suite's solution sample read e and i; the causal stationary law reads e
 and c, the stationary suite's causal-integral sample c alone and the
 subordinator ruin mode's dual side i alone.  The jump lane builds only
-the increments of the requested integrals (I's with a second exp), and
-the grid lane steps E always and skips an unread integral's sums (1/E
+the increments of the requested integrals (I's gaps with a second exp),
+and the grid lane steps E always and skips an unread integral's sums (1/E
 with I).  The draw is the same whatever the keys, and a computed key
 keeps its bits.
 
@@ -72,10 +83,11 @@ from one pair of samples.
 First passage is the job of the ruin scan (``ruin_samples``, pure-jump
 models with condition (B), starts x > 0).  Under (B) E(U) > 0, so V^x
 first reaches 0 when I first reaches -x: the scan builds I's increments
-only, reads I at every event boundary and E only right after the hitting
-jump.  It returns for each path and starting point whether it hit and V
-at the first passage; what a verdict makes of V_tau (the H-weights of
-the first-passage identity) is left to ``duality``.
+only, reads I at every event boundary (after each jump only, where the
+gaps add +-0.0) and E only right after the hitting jump.  It returns
+for each path and starting point whether it hit and V at the first
+passage; what a verdict makes of V_tau (the H-weights of the
+first-passage identity) is left to ``duality``.
 """
 
 from __future__ import annotations
@@ -188,12 +200,13 @@ _CHUNK_ELEMENTS = 32_768
 def _jump_tiles(model, horizon, rng, size):
     """Draw a block's jumps (``paths.draw_jumps``) and yield, for each row
     tile of about ``_CHUNK_ELEMENTS`` of the kernel's 2K+1 boundary values,
-    its row slice and its padded (times, du, dl).  Every tile is padded to
-    the block's K: C's pairwise row sums group terms by the row width."""
+    its row slice and its padded (times, du, dl), du None for a draw
+    without U jumps.  Every tile is padded to the block's K: C's pairwise
+    row sums group terms by the row width."""
     draw = draw_jumps(model, horizon, rng, size)
     rows = max(1, _CHUNK_ELEMENTS // (2 * draw.kmax + 1))
     for s in range(0, size, rows):
-        yield slice(s, s + rows), draw.pad(s, s + rows)
+        yield slice(s, s + rows), draw.pad(s, s + rows, with_du=False)
 
 
 def _block_result(out, checkpoints):
@@ -212,68 +225,105 @@ def _cut_tile(times, du, dl, t):
     kept = kept[:, :k]
     return (
         np.minimum(times[:, :k], t),
-        np.where(kept, du[:, :k], 0.0),
+        None if du is None else np.where(kept, du[:, :k], 0.0),
         np.where(kept, dl[:, :k], 0.0),
     )
 
 
-def _jump_increments(times, du, dl, a, b_l, horizon, keys=KEYS):
+# Past |a| t + ln t = 700, e^{|a| t} or a gap integral of e^{+-a s} (at most
+# e^{|a| t} t) could overflow: the largest float is e^{709.78}.
+_GAP_BOUND = 700.0
+
+
+def _zero_gaps(a, b_l, horizon, k) -> bool:
+    """Whether a tile of k jump slots on [0, horizon] may go without its
+    gap increments: it has a jump term to sum (k > 0), b_L is +0.0 (a
+    -0.0 one keeps the general path), and e^{+-a s} and the gap integrals
+    of e^{+-a s}, at most e^{|a| t} t, are finite (``_GAP_BOUND``)."""
+    return (
+        k > 0
+        and b_l == 0.0
+        and math.copysign(1.0, b_l) > 0.0
+        and abs(a) * horizon + max(0.0, math.log(horizon)) < _GAP_BOUND
+    )
+
+
+def _jump_increments(times, du, dl, a, b_l, horizon, keys=KEYS, gaps=False):
     """Closed form of a tile of pure-jump-plus-drift paths, event by event.
 
     times: (n, K) jump times sorted per row, padded with the horizon;
-    du, dl: matching marks, zero-padded (``JumpDraw.pad``).  a = b_U
-    and b_l = b_L, which without a Gaussian part is also the drift of eta.
-    Gap j runs (t_j, t_{j+1}), with t_0 = 0 and t_{K+1} = T, and there
-    E_s = e^{a s} p_j, p_j the product of 1 + dU over the jumps before it.
+    du, dl: matching marks, zero-padded (``JumpDraw.pad``), du None when
+    U does not jump.  a = b_U and b_l = b_L, which without a Gaussian part
+    is also the drift of eta.  Gap j runs (t_j, t_{j+1}), with t_0 = 0
+    and t_{K+1} = T, and there E_s = e^{a s} p_j, p_j the product of
+    1 + dU over the jumps before it.
 
     Returns ``grow`` = e^{a t_j} (n, K+2), p (n, K+1), 1 + dU and E before
     each jump (n, K), and the increments of I = int E^{-1} d eta and of
     C = int E_{s-} dL_s over each gap (n, K+1) and at each jump (n, K),
-    each only when its key is in ``keys`` (else None).  An overflowing E
-    leaves inf/NaN entries without a warning; callers count them.
+    each pair only when its key is in ``keys`` (else None).  An
+    overflowing E leaves inf/NaN entries without a warning; callers count
+    them.
 
     A tile whose dU are all zero (0.0, or a dual's -0.0) has E = e^{a t}
     exactly: every 1 + dU and every p is 1.0, so both come back as None
     and E before a jump is a view of ``grow``.  The running product and
     every product or quotient by p or 1 + dU are skipped; each was exact,
     so the tile keeps its bits.
+
+    A gap increment is b_L times a gap integral of e^{-a s} (over p) or of
+    e^{a s} (times p).  Where ``_zero_gaps`` holds and p is finite and
+    nonzero, each is b_L = +0.0 times a finite number: +-0.0 exactly.
+    Added to a running sum they change nothing but the sign of a zero
+    sum, so both gap increments come back as None (unless ``gaps``), and
+    the second exp, the gap integrals and their products are skipped.
+    A p that reaches 0, inf or NaN stays there (a running product), so
+    its last column tells.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        n = times.shape[0]
+        n, k = times.shape
         t_ext = np.concatenate([np.zeros((n, 1)), times, np.full((n, 1), horizon)], axis=1)
-        # e^{a t}, and e^{-a t} for I, once per boundary time
+        # e^{a t} once per boundary time (and e^{-a t} for I's gaps)
         grow = np.exp(a * t_ext)
         prod1 = p_ext = None
         e_left = grow[:, 1:-1]
-        if du.any():
+        if du is not None and du.any():
             prod1 = 1.0 + du  # padded entries contribute a factor 1
             p_ext = np.concatenate([np.ones((n, 1)), np.cumprod(prod1, axis=1)], axis=1)
             e_left = e_left * p_ext[:, :-1]
+        p_t = None if p_ext is None else p_ext[:, -1]
+        gaps = gaps or not (
+            _zero_gaps(a, b_l, horizon, k)
+            and (p_t is None or (np.isfinite(p_t).all() and p_t.all()))
+        )
         inc_i = inc_c = None
         if "i" in keys:
-            if a == 0.0:
-                int_neg = t_ext[:, 1:] - t_ext[:, :-1]
-            else:
-                shrink = np.exp(-a * t_ext)
-                int_neg = (shrink[:, 1:] - shrink[:, :-1]) / -a
-            if p_ext is None:
-                inc_i = b_l * int_neg, dl / e_left
-            else:
-                inc_i = b_l * int_neg / p_ext, (dl / prod1) / e_left
+            gap_i = None
+            if gaps:
+                if a == 0.0:
+                    int_neg = t_ext[:, 1:] - t_ext[:, :-1]
+                else:
+                    shrink = np.exp(-a * t_ext)
+                    int_neg = (shrink[:, 1:] - shrink[:, :-1]) / -a
+                gap_i = b_l * int_neg if p_ext is None else b_l * int_neg / p_ext
+            inc_i = gap_i, (dl if p_ext is None else dl / prod1) / e_left
         if "c" in keys:
-            if a == 0.0:
-                int_pos = t_ext[:, 1:] - t_ext[:, :-1]
-            else:
-                int_pos = (grow[:, 1:] - grow[:, :-1]) / a
-            gap_c = b_l * int_pos
-            inc_c = gap_c if p_ext is None else gap_c * p_ext, dl * e_left
+            gap_c = None
+            if gaps:
+                if a == 0.0:
+                    int_pos = t_ext[:, 1:] - t_ext[:, :-1]
+                else:
+                    int_pos = (grow[:, 1:] - grow[:, :-1]) / a
+                gap_c = b_l * int_pos if p_ext is None else b_l * int_pos * p_ext
+            inc_c = gap_c, dl * e_left
     return grow, p_ext, prod1, e_left, inc_i, inc_c
 
 
 def _interleave(gaps, jumps, order="C"):
-    """(n, 2K+1) values at [gap 0, jump 1, gap 1, ...]."""
-    out = np.empty((gaps.shape[0], 2 * jumps.shape[1] + 1), order=order)
-    out[:, 0::2] = gaps
+    """(n, 2K+1) values at [gap 0, jump 1, gap 1, ...]; gaps None (all
+    +-0.0, ``_jump_increments``) are laid out as 0.0."""
+    out = np.empty((jumps.shape[0], 2 * jumps.shape[1] + 1), order=order)
+    out[:, 0::2] = 0.0 if gaps is None else gaps
     out[:, 1::2] = jumps
     return out
 
@@ -283,12 +333,21 @@ def _jump_terminal(parts):
     an integral whose increments were not built).  I_T is the last column
     of the cumsum of I's interleaved increments (the ruin scan's running
     sum), bit for bit, without the prefix array.  C_T is the sum of its
-    gap and jump increments' pairwise row sums."""
+    gap and jump increments' pairwise row sums.
+
+    Without gap increments (all +-0.0) I_T adds the jump increments alone
+    and C_T is their row sum: gaps of +-0.0 change a sum only where it is
+    a zero, and only its sign.  numpy's row sums start from +0.0, so C_T
+    is never -0.0 and keeps its bits.  A row whose I terms are all -0.0
+    would take a +0.0 gap's sign: then the result is None, and the caller
+    builds the gaps.
+    """
     grow, p_ext, _, _, inc_i, inc_c = parts
     i_t = c_t = None
     with np.errstate(over="ignore", invalid="ignore"):
         if inc_i is not None:
-            inc = _interleave(*inc_i, order="F")
+            gaps, jumps = inc_i
+            inc = np.asfortranarray(jumps) if gaps is None else _interleave(gaps, jumps, "F")
             # Reduced over an F-ordered tile of two or more rows, I_T adds
             # column by column, as the cumsum does; starting from -0.0 (not
             # numpy's +0.0) keeps the sign of an all -0.0 row.  A one-row
@@ -297,8 +356,11 @@ def _jump_terminal(parts):
                 i_t = np.add.reduce(inc, axis=1, initial=-0.0)
             else:
                 i_t = np.cumsum(inc, axis=1)[:, -1]
+            if gaps is None and (np.signbit(i_t) & (i_t == 0.0)).any():
+                return None
         if inc_c is not None:
-            c_t = inc_c[0].sum(axis=1) + inc_c[1].sum(axis=1)
+            gaps, jumps = inc_c
+            c_t = jumps.sum(axis=1) if gaps is None else gaps.sum(axis=1) + jumps.sum(axis=1)
         e_t = grow[:, -1] if p_ext is None else grow[:, -1] * p_ext[:, -1]
         return e_t, i_t, c_t
 
@@ -315,7 +377,10 @@ def _jump_block(model, horizon, rng, size, keys=KEYS, checkpoints=None):
     for rows, tile in _jump_tiles(model, horizon, rng, size):
         for j, t in enumerate(times):
             cut = tile if t == horizon else _cut_tile(*tile, t)
-            for k, v in zip(KEYS, _jump_terminal(_jump_increments(*cut, a, b_l, t, keys))):
+            state = _jump_terminal(_jump_increments(*cut, a, b_l, t, keys))
+            if state is None:
+                state = _jump_terminal(_jump_increments(*cut, a, b_l, t, keys, gaps=True))
+            for k, v in zip(KEYS, state):
                 if k in out:
                     out[k][j, rows] = v
     return _block_result(out, checkpoints)
@@ -669,10 +734,13 @@ def ruin_samples(
     drawn, as an x <= 0 is a ValueError.  Under (B) E(U) > 0, so V^x =
     E (x + I) <= 0 iff I <= -x, and I is monotone between event
     boundaries: the scan reads I's running sum at the boundaries and E
-    only right after the hitting jump.  Non-finite boundary values of E or I (an overflowing E at a
-    long horizon) are a ConditionError naming their count.  A horizon
-    that is not positive and finite is a ValueError before anything is
-    drawn.
+    only right after the hitting jump.  A tile without gap increments
+    (``_jump_increments``: b_L = +0.0) sums I over its jumps alone: I at
+    a gap's end is I after the jump before it, so every first passage is
+    at a jump, and a non-finite value there counts for both boundaries.
+    Non-finite boundary values of E or I (an overflowing E at a long
+    horizon) are a ConditionError naming their count.  A horizon that is
+    not positive and finite is a ValueError before anything is drawn.
     """
     _check_horizon(horizon)
     check_ruin_scan(model)
@@ -691,17 +759,22 @@ def ruin_samples(
         }
         for rows, tile in _jump_tiles(model, horizon, rng, size):
             parts = _jump_increments(*tile, a, b_l, horizon, ("i",))
-            grow, p_ext, prod1, e_left, inc_i, _ = parts
+            grow, p_ext, prod1, e_left, (gaps, jumps), _ = parts
             with np.errstate(over="ignore", invalid="ignore"):
                 # E at the gap ends is e_left, then E_T; after a jump e_jump
                 # (on a tile without U jumps p = 1 + dU = 1: E_T = e^{aT}
                 # and e_jump = e_left)
                 e_t = grow[:, -1:] if p_ext is None else grow[:, -1:] * p_ext[:, -1:]
                 e_jump = e_left if prod1 is None else e_left * prod1
-                # I at [end of gap 0, after jump 1, end of gap 1, ...]
-                i_bnd = np.cumsum(_interleave(*inc_i), axis=1)
-            out["bnd_values"][rows] = 2 * i_bnd.shape[1]
+                # I at [end of gap 0, after jump 1, end of gap 1, ...], or
+                # without gap increments (all +-0.0) after each jump only
+                i_bnd = np.cumsum(jumps if gaps is None else _interleave(gaps, jumps), axis=1)
+            out["bnd_values"][rows] = 2 * (2 * jumps.shape[1] + 1)
             bad = [np.count_nonzero(~np.isfinite(v), axis=1) for v in (e_left, e_t, i_bnd)]
+            if gaps is None:
+                # I at gap 0's end is +-0.0, and at gap j's end, I after
+                # jump j plus +-0.0: it is finite where that one is
+                bad[2] *= 2
             bad.append(bad[0] if prod1 is None else np.count_nonzero(~np.isfinite(e_jump), axis=1))
             out["bnd_nonfinite"][rows] = sum(bad)
             idx = np.arange(i_bnd.shape[0])
@@ -711,11 +784,17 @@ def ruin_samples(
                 first = below.argmax(axis=1)  # 0 where no boundary is below
                 hit = below[idx, first]
                 out["hit"][rows, j] = hit
-                # an odd index is the boundary right after a jump, which
-                # took I to -x or below; at an even one, a gap end, the
-                # drift crossed -x continuously and V_tau = 0
-                r = np.flatnonzero(hit & (first % 2 == 1))
-                v_tau[r, j] = e_jump[r, first[r] // 2] * (x + i_bnd[r, first[r]])
+                if gaps is None:
+                    # I stays put over a gap, so only a jump takes it to -x
+                    jump = first
+                else:
+                    # an odd index is the boundary right after a jump, which
+                    # took I to -x or below; at an even one, a gap end, the
+                    # drift crossed -x continuously and V_tau = 0
+                    jump = first // 2
+                    hit = hit & (first % 2 == 1)
+                r = np.flatnonzero(hit)
+                v_tau[r, j] = e_jump[r, jump[r]] * (x + i_bnd[r, first[r]])
         return out
 
     res = run_blocks(n, block, seed, label, workers)

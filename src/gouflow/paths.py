@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -139,14 +140,23 @@ class JumpDraw:
     dl: np.ndarray
     index: np.ndarray | None = None
 
-    def pad(self, start: int = 0, stop: int | None = None):
+    @cached_property
+    def u_jumps(self) -> bool:
+        """Whether any dU of the draw (any atom's dU for a point-mass law)
+        is nonzero, read once per draw."""
+        return bool(self.du.any())
+
+    def pad(self, start: int = 0, stop: int | None = None, with_du: bool = True):
         """(times, du, dl) of rows [start, stop) as (rows, K) arrays.
 
         Times are sorted per row, the marks stay in draw order (a
         point-mass law's gathered from its atom columns for this tile
         only); a row's slots beyond its count sit at the horizon with zero
         marks.  Every tile of rows equals the same rows of the whole-batch
-        tile.
+        tile.  With ``with_du`` False, a draw without U jumps
+        (``u_jumps``) gives None for du and builds and gathers no dU
+        tile: the jump lane, which reads a tile of zero dU as E = e^{a t},
+        asks so.
         """
         stop = self.counts.size if stop is None else min(stop, self.counts.size)
         real = np.arange(self.kmax) < self.counts[start:stop, None]
@@ -156,9 +166,11 @@ class JumpDraw:
         times.sort(axis=1)  # padded entries are already maximal
         # one intp conversion of the tile's atom indices serves both gathers
         marks = jumps if self.index is None else self.index[jumps].astype(np.intp)
-        du = np.zeros(real.shape)
+        du = None
+        if with_du or self.u_jumps:
+            du = np.zeros(real.shape)
+            du[real] = self.du[marks]
         dl = np.zeros(real.shape)
-        du[real] = self.du[marks]
         dl[real] = self.dl[marks]
         return times, du, dl
 

@@ -464,6 +464,299 @@ def test_tiled_jump_lane_mixes_tiles_with_and_without_u_jumps(cumprod_calls):
     _check_tiled_lane_bitwise(model, 6.0, BLOCK_SIZE, seed=22)
 
 
+# Zero-L-drift tiles: with b_L = +0.0 every gap increment is +-0.0 and the
+# kernel builds none.  The general path (every tile building its gaps) and
+# the untiled reference must give the same bits, hits and refusal counts.
+
+
+def _record_kernel(monkeypatch):
+    """(gapless, asked) of every ``_jump_increments`` call, appended as
+    made: whether it built no gap increments, and whether its caller
+    asked for them (``gaps=True``)."""
+    kernel, seen = mc._jump_increments, []
+
+    def recording(*args, **kwargs):
+        parts = kernel(*args, **kwargs)
+        inc = parts[4] or parts[5]
+        seen.append((inc is not None and inc[0] is None, kwargs.get("gaps", False)))
+        return parts
+
+    monkeypatch.setattr(mc, "_jump_increments", recording)
+    return seen
+
+
+def _lane_and_scan(model, horizon, size, seed, checkpoints=None):
+    """Block 0 of the jump lane for all keys and for e and c (whose tiles
+    reduce C without I) and, under condition (B), the ruin scan's hit
+    flags and V at first passage, or its refusal message."""
+    lane = {
+        keys: mc._jump_block(model, horizon, stream(seed, "tiles", 0), size, keys, checkpoints)
+        for keys in (mc.KEYS, ("e", "c"))
+    }
+    if not model.condition_b:
+        return lane, None
+    try:
+        res = mc.ruin_samples(model, horizon, size, seed, [0.25, 1.0, 3.0], label="tiles")
+    except ConditionError as err:
+        return lane, str(err)
+    return lane, (res["hit"], res["v_tau"])
+
+
+def _check_gapless_bitwise(model, horizon, size, seed, checkpoints=None):
+    """The lane and the ruin scan give the general path's bits, hits and
+    refusal counts; returns the kernel calls (``_record_kernel``) of the
+    run that may skip the gaps."""
+    with pytest.MonkeyPatch.context() as patch:
+        seen = _record_kernel(patch)
+        lane, scan = _lane_and_scan(model, horizon, size, seed, checkpoints)
+        calls = list(seen)
+        patch.setattr(mc, "_zero_gaps", lambda *args: False)
+        ref_lane, ref_scan = _lane_and_scan(model, horizon, size, seed, checkpoints)
+    assert not any(gapless for gapless, _ in seen[len(calls):])
+    for keys, got in lane.items():
+        for key in keys:
+            _assert_bitwise(got[key], ref_lane[keys][key])
+    if isinstance(ref_scan, tuple):
+        assert np.array_equal(scan[0], ref_scan[0])
+        _assert_bitwise(scan[1], ref_scan[1])
+    else:
+        assert scan == ref_scan
+    if checkpoints is None:
+        untiled = _untiled_jump_block(model, horizon, stream(seed, "tiles", 0), size)
+        for key in mc.KEYS:
+            _assert_bitwise(lane[mc.KEYS][key], untiled[key])
+    return calls
+
+
+# dL = +-0.0 atoms: every jump term of I and C is a zero
+_zero_dl_laws = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.9, 2.0)),
+        st.sampled_from([0.0, -0.0]),
+    ),
+    min_size=1,
+    max_size=3,
+).map(lambda atoms: JumpLaw2.point_mass([(a, 1.0 / len(atoms)) for a in atoms]))
+
+
+@given(
+    law=st.one_of(
+        _point_mass_laws, _exponential_laws, _u_continuous_laws, _rare_u_jump_laws, _zero_dl_laws
+    ),
+    # 1e-300 and 1e-17: a t below float resolution, e^{+-a t} = 1.0
+    b_u=st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e-17, -1e-17]), st.floats(-1.5, 1.5)),
+    b_l=st.sampled_from([0.0, -0.0]),
+    intensity=st.floats(0.5, 3.0),
+    horizon=st.floats(0.5, 6.0),
+    size=st.sampled_from([1, 255, 257, 600]),
+    dual=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_zero_l_drift_lane_is_bitwise_general_random_laws(
+    law, b_u, b_l, intensity, horizon, size, dual
+):
+    """Random laws with b_L = +0.0 (whose tiles skip the gaps) and -0.0
+    (whose tiles keep them), their duals (b_K = +0.0 either way), dL =
+    +-0.0 atoms and |a| below float resolution: the lane and the ruin scan
+    give the general path's and the untiled reference's bits."""
+    model = LevyModel2(drift=(b_u, b_l), jump_intensity=intensity, jump_law=law)
+    if dual and model.condition_b:
+        model = dual_model(model)
+    seen = _check_gapless_bitwise(model, horizon, size, seed=22)
+    if math.copysign(1.0, model.drift[1]) < 0:
+        assert not any(gapless for gapless, _ in seen)
+    _check_tiled_lane_bitwise(model, horizon, size, seed=22)
+
+
+@pytest.mark.parametrize("size", [1, 300])
+@pytest.mark.parametrize("dl", [0.0, -0.0])
+@pytest.mark.parametrize("b_u", [0.0, 1e-300, -1e-300, 0.5, -0.5])
+def test_zero_l_drift_rows_filling_every_slot(b_u, dl, size):
+    """dL = -0.0 makes every jump term of I and C -0.0, and the padded
+    slots +0.0: a row that fills every slot sums to -0.0 without its gaps,
+    so its tile builds them and takes their signs (I_T is -0.0 only where
+    every gap is -0.0 too: a tiny a > 0).  dL = +0.0 never asks."""
+    law = JumpLaw2.point_mass([((0.0, dl), 1.0)])
+    model = LevyModel2(drift=(b_u, 0.0), jump_intensity=3.0, jump_law=law)
+    seen = _check_gapless_bitwise(model, 2.0, size, seed=21)
+    assert any(gapless for gapless, _ in seen)
+    assert any(asked for _, asked in seen) == bool(np.signbit(dl))
+    if size == 1 and np.signbit(dl):
+        lane = mc._jump_block(model, 2.0, stream(21, "tiles", 0), 1)
+        assert lane["i"][0] == 0.0 and np.signbit(lane["i"][0]) == (b_u == 1e-300)
+
+
+@pytest.mark.parametrize("keys", [mc.KEYS, ("e", "c")])
+def test_zero_l_drift_row_of_negative_zero_c_terms(keys):
+    """One jump with 1 + dU = -1 and dL = -0.0 gives the I term (-0.0 /
+    -1) / E = +0.0 and the C term -0.0 * E = -0.0.  The one row fills its
+    slot, yet C_T is +0.0 without the gaps as with them (numpy's row sums
+    start from +0.0), so the tile never builds them."""
+    law = JumpLaw2.point_mass([((-2.0, -0.0), 1.0)])
+    model = LevyModel2(drift=(0.5, 0.0), jump_intensity=1.0, jump_law=law)
+    assert draw_jumps(model, 2.0, stream(20, "tiles", 0), 1).counts.tolist() == [1]
+    with pytest.MonkeyPatch.context() as patch:
+        seen = _record_kernel(patch)
+        lane = mc._jump_block(model, 2.0, stream(20, "tiles", 0), 1, keys)
+    assert seen == [(True, False)]
+    for key in set(keys) - {"e"}:
+        assert lane[key][0] == 0.0 and not np.signbit(lane[key][0])
+    _check_gapless_bitwise(model, 2.0, 1, seed=20)
+
+
+@pytest.mark.parametrize("intensity", [0.0, 1e-4])
+def test_zero_l_drift_tiles_without_jump_slots(intensity):
+    """A tile with K = 0 has no jump term to sum and keeps its gap (the
+    scan's argmax needs a column): the lane and the scan give the general
+    path's bits, and no kernel call skips the gaps."""
+    law = JumpLaw2.point_mass([((0.3, -0.7), 1.0)]) if intensity else None
+    model = LevyModel2(drift=(0.5, 0.0), jump_intensity=intensity, jump_law=law)
+    assert draw_jumps(model, 2.0, stream(21, "tiles", 0), 300).kmax <= 1
+    seen = _check_gapless_bitwise(model, 2.0, 300, seed=21)
+    if intensity == 0.0:
+        assert not any(gapless for gapless, _ in seen)
+
+
+@pytest.mark.parametrize(
+    "name, dual, checkpoints",
+    [
+        ("cramer-paulsen", False, (1e-3, 0.5, 2.5)),
+        ("cramer-paulsen", True, (1e-3, 0.5, 2.5)),
+        ("drift-ou", False, (1e-3, 1.0)),
+        ("drift-ou", True, (1e-3, 1.0)),
+        ("nonmonotone", False, (0.5, 4.0)),
+    ],
+)
+def test_zero_l_drift_checkpoint_tiles_are_bitwise_general(name, dual, checkpoints):
+    """Tiles cut at a checkpoint (K = 0 at t = 1e-3 for most) skip or
+    keep their gaps each on its own, with the general path's bits."""
+    model = get_preset(name).model
+    model = dual_model(model) if dual else model
+    seen = _check_gapless_bitwise(model, 5.0, 600, seed=21, checkpoints=checkpoints)
+    assert any(gapless for gapless, _ in seen)
+
+
+@pytest.mark.parametrize(
+    "b_u, horizon, gapless",
+    [
+        (699.0, 1.0, True),
+        (701.0, 1.0, False),
+        (-699.0, 1.0, True),
+        (-701.0, 1.0, False),
+        (0.1, 6900.0, True),  # |a| T + ln T = 698.8
+        (0.1, 6920.0, False),  # 700.8
+        (0.1, 7095.0, False),  # e^{a T} is finite, its integral is not
+        (-0.1, 7095.0, False),
+    ],
+)
+def test_zero_l_drift_overflow_guard(b_u, horizon, gapless):
+    """Tiles skip the gaps only below |a| T + ln T = 700: above it
+    e^{+-a t} or a gap integral may overflow, and the general path's
+    0 * inf = NaN gaps must stay NaN."""
+    intensity = 3.0 if horizon == 1.0 else 1e-3
+    law = JumpLaw2.point_mass([((0.0, 1.0), 0.5), ((0.0, -0.5), 0.5)])
+    model = LevyModel2(drift=(b_u, 0.0), jump_intensity=intensity, jump_law=law)
+    seen = _check_gapless_bitwise(model, horizon, 300, seed=21)
+    assert {g for g, _ in seen} == {gapless}
+    if horizon == 7095.0:
+        lane = mc._jump_block(model, horizon, stream(21, "tiles", 0), 300)
+        assert np.isnan(lane["c" if b_u > 0 else "i"]).any()
+        assert np.isfinite(lane["e"]).all()
+
+
+@pytest.mark.parametrize(
+    "du, prob, key, kinds",
+    [(-1.0 + 2.0**-53, 0.5, "i", {False}), (1.7e308, 1e-4, "c", {True, False})],
+    ids=["p-underflows", "p-overflows"],
+)
+def test_zero_l_drift_keeps_gaps_where_p_leaves_the_finite_nonzero(du, prob, key, kinds):
+    """Twenty-one factors 1 + dU = 2^-53 take p to 0 (a gap of I is then
+    0/0 = NaN), and 1 + dU = 1.7e308 and then 1.25 take it to inf (a gap of
+    C is 0 * inf = NaN): those tiles build their gaps and others skip them,
+    all with the general path's bits."""
+    law = JumpLaw2.point_mass([((0.25, -1.0), 1.0 - prob), ((du, 0.5), prob)])
+    model = LevyModel2(drift=(0.3, 0.0), jump_intensity=12.0, jump_law=law)
+    seen = _check_gapless_bitwise(model, 4.0, BLOCK_SIZE, seed=3)
+    assert {gapless for gapless, _ in seen} == kinds
+    lane = mc._jump_block(model, 4.0, stream(3, "tiles", 0), BLOCK_SIZE)
+    assert np.isnan(lane[key]).any()
+
+
+def test_zero_l_drift_scan_counts_non_finite_values_twice():
+    """An E underflowing to 0 at T = 690 leaves infinite jump terms of I:
+    each stands for two boundaries of the scan (after its jump and at the
+    next gap's end), so the refusal names the general path's count."""
+    law = JumpLaw2.point_mass([((-0.9, 1.0), 0.5), ((0.5, -1.0), 0.5)])
+    model = LevyModel2(drift=(-1.0, 0.0), jump_intensity=0.1, jump_law=law)
+    with pytest.MonkeyPatch.context() as patch:
+        seen = _record_kernel(patch)
+        with pytest.raises(ConditionError, match="20770 of 121800 ruin-scan"):
+            mc.ruin_samples(model, 690.0, 300, 3, [0.5, 2.0])
+    assert seen and all(gapless for gapless, _ in seen)
+    _check_gapless_bitwise(model, 690.0, 300, seed=3)
+
+
+@pytest.mark.parametrize(
+    "name, gapless",
+    [("cramer-paulsen", True), ("drift-ou", True), ("nonmonotone", True), ("degenerate-k", False)],
+)
+def test_zero_l_drift_tile_takes_one_exp_and_no_interleave(exp_calls, monkeypatch, name, gapless):
+    """A tile of a b_L = 0 model takes one ``np.exp`` (e^{a t} of its
+    boundary times) and lays out no interleaved array, in the lane and in
+    the ruin scan; ``degenerate-k`` (b_L = -1) takes two and one."""
+    preset = get_preset(name)
+    model, horizon = preset.model, preset.recommended.get("horizon", 20.0)
+    interleave, made = mc._interleave, []
+    monkeypatch.setattr(mc, "_interleave", lambda *args: made.append(1) or interleave(*args))
+    mc.terminal_samples(model, horizon, BLOCK_SIZE, seed=5, label="lane")
+    tiles = _tiles(model, horizon, 5, "lane")
+    assert exp_calls.calls == (1 if gapless else 2) * tiles
+    assert len(made) == (0 if gapless else tiles)
+    if model.condition_b:
+        mc.ruin_samples(model, horizon, BLOCK_SIZE, seed=5, x_probes=[1.0], label="ruin")
+        tiles += _tiles(model, horizon, 5, "ruin")
+        assert exp_calls.calls == (1 if gapless else 2) * tiles
+        assert len(made) == (0 if gapless else tiles)
+
+
+@pytest.mark.parametrize(
+    "name, dual, u_jumps",
+    [
+        ("drift-ou", False, False),
+        ("drift-ou", True, False),
+        ("cramer-paulsen", False, False),
+        ("cramer-paulsen", True, False),
+        ("degenerate-k", False, True),
+        ("degenerate-k", True, True),
+        ("nonmonotone", False, True),
+    ],
+)
+def test_jump_lane_builds_no_du_tile_without_u_jumps(monkeypatch, name, dual, u_jumps):
+    """A draw whose dU are all zero (a dual's -0.0 too) records it once,
+    and the lane's and the scan's tiles build and gather no dU array;
+    ``exact_paths`` and the grid lane keep their dU marks."""
+    preset = get_preset(name)
+    model, horizon = preset.model, preset.recommended.get("horizon", 20.0)
+    model = dual_model(model) if dual else model
+    assert draw_jumps(model, horizon, stream(5, "lane", 0), 64).u_jumps == u_jumps
+    pad, made = JumpDraw.pad, []
+
+    def recording(self, *args, **kwargs):
+        tile = pad(self, *args, **kwargs)
+        made.append(tile[1] is None)
+        return tile
+
+    monkeypatch.setattr(JumpDraw, "pad", recording)
+    mc.terminal_samples(model, horizon, BLOCK_SIZE, seed=5, label="lane")
+    if model.condition_b:
+        mc.ruin_samples(model, horizon, BLOCK_SIZE, seed=5, x_probes=[1.0], label="ruin")
+    assert made and set(made) == {not u_jumps}
+    made.clear()
+    exact_paths(model, 2.0, stream(5, "paths", 0), 8)
+    mc._diffusion_block(model, 2.0, stream(5, "grid", 0), 8, 1e-2)
+    assert made == [False, False]
+
+
 def _per_path_reference(model, horizon, n, seed, grid_dt):
     """Independent route: sample, solve and reduce one event-list path at a
     time with the closed-form kernel (jumps at their exact times)."""
