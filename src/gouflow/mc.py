@@ -31,10 +31,11 @@ independent of the worker count:
   which changes a sum only in the sign of a zero.  It takes one exp per
   boundary time, sums I and C over its K jumps instead of 2K + 1 events,
   and its ruin scan reads I after each jump only.  ``drift-ou``,
-  ``cramer-paulsen``, ``nonmonotone`` and ``zero`` and their duals take
-  this path; ``degenerate-k`` keeps the gaps.  Where the shortcut could
-  move a bit (a b_L of -0.0, an e^{|a| t} t near overflow, a p of 0 or
-  inf, a row whose I terms are all -0.0) the tile keeps its gaps.
+  ``cramer-paulsen`` and ``nonmonotone`` and the duals of the first two
+  take this path; ``degenerate-k`` keeps the gaps, and ``zero`` (no jump
+  slot) has one gap.  Where the shortcut could move a bit (a b_L of -0.0,
+  an e^{|a| t} t near overflow, a p of 0 or inf, a row whose I terms are
+  all -0.0) the tile keeps its gaps.
 * diffusion lane: models with a Gaussian part, on a fixed grid.  The
   stochastic exponential is updated in exact law; finite-variation
   integrands use the trapezoid rule (the left-point rule leaves an O(dt)
