@@ -44,6 +44,12 @@ A ``duality`` row per model with condition (B) runs one duality grid
 (``duality.duality_grid`` at the default t_grid 0.5, 1 and 2, one x and
 one y, workers 1): its forward and dual samples, nearly all of its time
 lane work (pure-jump presets on --blocks blocks, grid models on two).
+A ``stationary`` row per pure-jump preset and for ``dufresne`` and the
+correlated Gaussian model (the models whose stationary verdict the
+benchmark runs) runs one stationary verdict (``suites.stationary_suite``
+at the row's long horizon and t = 2, the default horizon, workers 1, the
+preset's stationary kind) on the row's paths (--blocks blocks, grid
+models two): its samples, drawn as the suite draws them, and its KS rows.
 Every row also prints the CPU milliseconds per block that this process
 spent (``time.process_time``: all its threads), so a pair's wait for the
 GIL shows as wall time above CPU / 2, and its handoffs as CPU above the
@@ -86,7 +92,7 @@ import types
 
 import numpy as np
 
-MODULES = ("mc", "levy", "paths", "presets", "rng", "duality")
+MODULES = ("mc", "levy", "paths", "presets", "rng", "duality", "config", "suites")
 
 
 def load(root=None):
@@ -177,6 +183,7 @@ def grid_models(lib):
 
 PAIR_BLOCKS = 2  # grid rows and pairs: workers 2 or a pair runs two blocks at once
 T_GRID = (0.5, 1.0, 2.0)  # the default t_grid of the duality rows
+STATIONARY_GRID = ("dufresne", "correlated-gauss")  # the grid models with a stationary verdict
 
 # the terminal keys the lanes' callers ask for, beside all three
 KEY_SUBSETS = {"ei": ("e", "i"), "ec": ("e", "c")}
@@ -210,6 +217,16 @@ def _pair(lib, model, horizon, n, seed):
 def _duality(lib, model, n, seed):
     """One duality grid at the default t_grid, one x and one y."""
     lib.duality.duality_grid(model, T_GRID, [1.0], [1.0], n, seed, lib.paths.GRID_DT, 1)
+
+
+def _stationary(lib, name, model, horizon, n, seed):
+    """One stationary verdict (``suites.stationary_suite``, workers 1) at
+    the long horizon: its samples, drawn as the suite draws them, and its
+    KS rows; a preset keeps its stationary kind."""
+    preset = {"preset": name} if name in lib.presets.PRESETS else {"model": model}
+    cfg = lib.config.ExperimentConfig(seed=seed, suite="stationary", n_paths=n,
+                                      stationary_horizon=horizon, **preset)
+    lib.suites.stationary_suite(cfg)
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -336,6 +353,8 @@ def build_cases(lib, args):
         if model.condition_b:
             fn = functools.partial(_duality, lib, model, n, args.seed)
             case(name, max(T_GRID), "duality", 1, fn, args.blocks)
+        fn = functools.partial(_stationary, lib, name, model, horizon, n, args.seed)
+        case(name, horizon, "stationary", 1, fn, args.blocks)
     n = PAIR_BLOCKS * BLOCK_SIZE
     for name, (model, horizon) in grid_models(lib).items():
         steps = max(1, math.ceil(horizon / GRID_DT))
@@ -352,6 +371,9 @@ def build_cases(lib, args):
             case(name, horizon, lane, 1, fn, PAIR_BLOCKS, steps)
         fn = functools.partial(_duality, lib, model, n, args.seed)
         case(name, max(T_GRID), "duality", 1, fn, PAIR_BLOCKS)
+        if name in STATIONARY_GRID:
+            fn = functools.partial(_stationary, lib, name, model, horizon, n, args.seed)
+            case(name, horizon, "stationary", 1, fn, PAIR_BLOCKS)
     return cases
 
 

@@ -19,6 +19,7 @@ __all__ = [
     "solve_pair",
     "causal_integral",
     "finite_samples",
+    "stationary_law",
     "stationary_sampler",
 ]
 
@@ -79,28 +80,20 @@ def finite_samples(values: np.ndarray, what: str, horizon: float) -> np.ndarray:
     return values
 
 
-def stationary_sampler(
-    model: LevyModel2,
-    kind: str,
-    n: int,
-    horizon: float,
-    seed: int,
-    grid_dt: float = GRID_DT,
-    workers: int = 1,
-    label: str = "stationary",
+def stationary_law(
+    values: np.ndarray, diags: np.ndarray, kind: str, horizon: float, seed: int
 ) -> EmpiricalDistribution:
-    """n independent exponential-functional samples as an empirical law.
+    """The empirical law of ``mc.exp_functional_samples``' ``values``.
 
     The metadata records the fraction of paths whose truncation diagnostic
-    exceeded ``DIAG_THRESHOLD``; above 5% the result is flagged.  Samples come
-    from the model's ``mc`` lane; non-finite ones raise ConditionError.
+    exceeded ``DIAG_THRESHOLD``; above 5% the result is flagged.
+    Non-finite values raise ConditionError (``finite_samples``).  A caller
+    that draws several samples at once can build each law after its own
+    checks, so that a refusal names what it would name drawn in turn.
     """
-    values, diags = mc.exp_functional_samples(
-        model, kind, n, horizon, seed, grid_dt=grid_dt, workers=workers, label=label
-    )
     values = finite_samples(values, f"{kind} stationary", horizon)
     fail_frac = float(np.mean(diags > DIAG_THRESHOLD))
-    dist = EmpiricalDistribution(
+    return EmpiricalDistribution(
         values,
         metadata={
             "kind": kind,
@@ -111,4 +104,21 @@ def stationary_sampler(
             "flagged": fail_frac > 0.05,
         },
     )
-    return dist
+
+
+def stationary_sampler(
+    model: LevyModel2,
+    kind: str,
+    n: int,
+    horizon: float,
+    seed: int,
+    grid_dt: float = GRID_DT,
+    workers: int = 1,
+    label: str = "stationary",
+) -> EmpiricalDistribution:
+    """n independent exponential-functional samples from the model's ``mc``
+    lane as an empirical law (``stationary_law``)."""
+    values, diags = mc.exp_functional_samples(
+        model, kind, n, horizon, seed, grid_dt=grid_dt, workers=workers, label=label
+    )
+    return stationary_law(values, diags, kind, horizon, seed)

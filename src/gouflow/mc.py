@@ -61,10 +61,11 @@ CPUs busy.
 Both lanes return each path's terminal state only, and of it only the
 keys their caller asks for: ``e`` = E(U)_T, ``i`` = I_T = int E^{-1} d eta
 and ``c`` = C_T = int E_{s-} dL_s.  The duality grid (both sides), the
-monotonicity probe, the noncausal stationary law and the stationary
-suite's solution sample read e and i; the causal stationary law reads e
-and c, the stationary suite's causal-integral sample c alone and the
-subordinator ruin mode's dual side i alone.  The jump lane builds only
+monotonicity probe and the noncausal stationary law read e and i; the
+causal stationary law reads e and c, and the subordinator ruin mode's
+dual side i alone.  The stationary suite's short sample at t reads the
+lemma side that its stationary law does not carry: e and i beside a
+causal law, c alone beside a noncausal one.  The jump lane builds only
 the increments of the requested integrals (I's gaps with a second exp),
 and the grid lane steps E always and skips an unread integral's sums (1/E
 with I).  The draw is the same whatever the keys, and a computed key
@@ -79,7 +80,9 @@ copies E, I and C out there (O(n) per checkpoint, no normal added).  The
 jump lane reduces each tile once more per checkpoint t, with the jumps
 after t moved to t with zero marks: the path on [0, t], again a
 compound-Poisson path.  The duality grid reads every t of its grid so,
-from one pair of samples.
+from one pair of samples, and the stationary suite one side of its
+lemma at t from its stationary sample (``exp_functional_samples``'
+``at``).
 
 First passage is the job of the ruin scan (``ruin_samples``, pure-jump
 models with condition (B), starts x > 0).  Under (B) E(U) > 0, so V^x
@@ -137,7 +140,7 @@ def run_blocks(n: int, fn, seed: int, label: str, workers: int = 1) -> dict:
     Block i always covers sample indices [i*BLOCK_SIZE, ...) with its own
     named substream, so the assembled arrays are byte-identical for any
     worker count.  ``fn`` returns a dict of arrays whose first axis has
-    length ``size``.
+    length ``size``, or one fixed length per block (a block's counts).
     A single block runs inline, and the pool has at most one thread per
     block and per CPU.
     """
@@ -644,11 +647,11 @@ def terminal_samples(
     E(U)_T, ``i`` = int_(0,T] E^{-1} d eta and ``c`` = int_(0,T] E_{s-}
     dL_s (default all three); V_T^x = e * (x + i) for every x.  A lane
     computes only those, from the same draw and with the same bits as
-    for all keys.  The duality grid (both sides), the monotonicity probe
-    and the stationary suite's solution sample ask for e and i; the
-    stationary suite's causal-integral sample for c; the subordinator
-    ruin mode's dual side for i; ``exp_functional_samples`` for e and c
-    (causal) or e and i (noncausal).
+    for all keys.  The duality grid (both sides) and the monotonicity
+    probe ask for e and i; the subordinator ruin mode's dual side for i;
+    ``exp_functional_samples`` for e and c (causal) or e and i
+    (noncausal); the stationary suite's short sample at t for the lemma
+    side its stationary sample does not carry, e and i or c.
 
     ``checkpoints``, a tuple of times t_1 < ... < t_m below the horizon,
     asks for each key at every checkpoint and then at T, from the one
@@ -658,7 +661,8 @@ def terminal_samples(
     on equal steps of at most ``grid_dt`` (no normal is added), and a
     checkpoint is its step's state; the jump lane reduces each path cut at
     t_j.  A column at t_j is a sample at t_j, but the columns of one path
-    are not independent.  The duality grid alone asks for checkpoints.
+    are not independent.  The duality grid and ``exp_functional_samples``
+    with ``at`` ask for checkpoints.
 
     A horizon or checkpoint that is not positive and finite, unsorted or
     repeated checkpoints, one at or past the horizon, an empty tuple, or
@@ -684,22 +688,39 @@ def exp_functional_samples(
     grid_dt: float = GRID_DT,
     workers: int = 1,
     label: str = "stationary",
-) -> tuple[np.ndarray, np.ndarray]:
+    at: float | None = None,
+) -> tuple:
     """Samples of the truncated exponential functional plus diagnostics.
 
     causal: int_(0,T] E_{s-} dL_s with diagnostic |E_T|; noncausal:
     -int_(0,T] E_{s-}^{-1} d eta_s with diagnostic |E_T^{-1}|.  The
     diagnostic measures how much truncation mass the horizon leaves
     behind.
+
+    ``at``, a time t, adds a third result from the same draw: the lane's
+    keys at t (e and c, or e and i), (n,) arrays.  The draw then runs to
+    max(t, T) with the smaller time as its checkpoint, or none at t = T,
+    where one column serves both.  For t <= T the samples keep the bits of
+    a call without ``at``; for t > T they are the checkpoint's column at T
+    of the draw to t.  The stationary suite reads one side of its lemma so.
     """
     if kind not in ("causal", "noncausal"):
         raise ValueError("kind must be 'causal' or 'noncausal'")
     keys = ("e", "c") if kind == "causal" else ("e", "i")
-    res = terminal_samples(model, horizon, n, seed, grid_dt, workers, label, keys)
+    end, checkpoints = horizon, None
+    if at is not None and at != horizon:
+        end, checkpoints = max(at, horizon), (min(at, horizon),)
+    res = terminal_samples(model, end, n, seed, grid_dt, workers, label, keys, checkpoints)
+    at_t = at_h = res
+    if checkpoints:
+        first, last = ({k: v[:, j] for k, v in res.items()} for j in (0, -1))
+        at_t, at_h = (first, last) if at < horizon else (last, first)
     with np.errstate(divide="ignore"):
         if kind == "causal":
-            return res["c"], np.abs(res["e"])
-        return -res["i"], np.abs(1.0 / res["e"])
+            out = at_h["c"], np.abs(at_h["e"])
+        else:
+            out = -at_h["i"], np.abs(1.0 / at_h["e"])
+    return out if at is None else (*out, at_t)
 
 
 def check_ruin_scan(model: LevyModel2) -> None:
@@ -715,6 +736,15 @@ def check_ruin_scan(model: LevyModel2) -> None:
             "the ruin scan reads V_tau off event boundaries, which needs a model without a "
             "Gaussian part"
         )
+
+
+def _nonfinite(values) -> int:
+    """How many of ``values`` are not finite.  Their sum is finite only if
+    every value is, so a finite tile costs one reduction and no count."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(values.sum()):
+            return 0
+    return int(np.count_nonzero(~np.isfinite(values)))
 
 
 def ruin_samples(
@@ -754,9 +784,10 @@ def ruin_samples(
         out = {
             "hit": np.empty((size, xs.size), dtype=bool),
             "v_tau": np.zeros((size, xs.size)),
-            # E/I boundary values the scan reads, and how many are not finite
-            "bnd_values": np.zeros(size, dtype=int),
-            "bnd_nonfinite": np.zeros(size, dtype=int),
+            # E/I boundary values the scan reads, and how many are not
+            # finite: one count per block
+            "bnd_values": np.zeros(1, dtype=int),
+            "bnd_nonfinite": np.zeros(1, dtype=int),
         }
         for rows, tile in _jump_tiles(model, horizon, rng, size):
             parts = _jump_increments(*tile, a, b_l, horizon, ("i",))
@@ -770,14 +801,15 @@ def ruin_samples(
                 # I at [end of gap 0, after jump 1, end of gap 1, ...], or
                 # without gap increments (all +-0.0) after each jump only
                 i_bnd = np.cumsum(jumps if gaps is None else _interleave(gaps, jumps), axis=1)
-            out["bnd_values"][rows] = 2 * (2 * jumps.shape[1] + 1)
-            bad = [np.count_nonzero(~np.isfinite(v), axis=1) for v in (e_left, e_t, i_bnd)]
-            if gaps is None:
-                # I at gap 0's end is +-0.0, and at gap j's end, I after
-                # jump j plus +-0.0: it is finite where that one is
-                bad[2] *= 2
-            bad.append(bad[0] if prod1 is None else np.count_nonzero(~np.isfinite(e_jump), axis=1))
-            out["bnd_nonfinite"][rows] = sum(bad)
+            out["bnd_values"] += i_bnd.shape[0] * 2 * (2 * jumps.shape[1] + 1)
+            # E before and after each jump (the same where U does not jump),
+            # E_T and I; without gap increments I at gap 0's end is +-0.0,
+            # and at gap j's end, I after jump j plus +-0.0: it is finite
+            # where that one is
+            bad = _nonfinite(e_left)
+            bad += bad if prod1 is None else _nonfinite(e_jump)
+            bad += _nonfinite(e_t) + (2 if gaps is None else 1) * _nonfinite(i_bnd)
+            out["bnd_nonfinite"] += bad
             idx = np.arange(i_bnd.shape[0])
             v_tau = out["v_tau"][rows]
             for j, x in enumerate(xs):

@@ -19,7 +19,7 @@ from .duality import (
     ruin_probability,
     verify_ruin_identity,
 )
-from .gou import finite_samples, stationary_sampler
+from .gou import finite_samples, stationary_law
 from .inverse_flow import verify_pathwise_identity
 from .levy import LevyModel2, dual_model
 from .paths import euler_paths, exact_paths
@@ -259,56 +259,55 @@ def _ks_row(check: str, a, b) -> dict:
 
 
 def stationary_suite(cfg: ExperimentConfig) -> SuiteResult:
+    """The stationary law and the lemma E_t I_t =d C_t at t = ``horizon``,
+    from three samples drawn at once: the stationary sample, whose draw
+    also gives one side of the lemma at t (C_t causal, E_t I_t noncausal,
+    ``mc.exp_functional_samples``' ``at``), the dual's noncausal sample
+    (causal kind under condition (B)) and a short sample at t for the
+    lemma's other side.  The finiteness checks run after the draws, in
+    the order a draw in turn would refuse: the lemma's two sides, the
+    stationary sample, the dual's.
+    """
     model = cfg.resolved_model()
     horizon = _long_horizon(cfg)
     n = cfg.stationary_n or cfg.n_paths
+    kind = _recommended(cfg, "stationary_kind", "causal")
     metrics = {"horizon": horizon, "n": n}
-
-    # Lemma-style distributional identity: E_t (x=0 solution) vs the
-    # causal integral at the same t, independent samples.
     t = cfg.horizon
-    a, b = mc.run_together(
-        lambda: mc.terminal_samples(
-            model, t, n, cfg.seed, cfg.grid_dt, cfg.workers, "statA", keys=("e", "i")
-        ),
-        lambda: mc.terminal_samples(
-            model, t, n, cfg.seed, cfg.grid_dt, cfg.workers, "statB", keys=("c",)
-        ),
+    short = ("statA", ("e", "i")) if kind == "causal" else ("statB", ("c",))
+    calls = [
+        lambda: mc.exp_functional_samples(
+            model, kind, n, horizon, cfg.seed, cfg.grid_dt, cfg.workers, at=t
+        )
+    ]
+    dual = model.condition_b and kind == "causal"
+    if dual:
+        # stationarity transfer: causal law of V vs noncausal law of the dual
+        calls.append(
+            lambda: mc.exp_functional_samples(
+                dual_model(model), "noncausal", n, horizon, cfg.seed + 1, cfg.grid_dt,
+                cfg.workers, "stationary-dual",
+            )
+        )
+    calls.append(
+        lambda: mc.terminal_samples(model, t, n, cfg.seed, cfg.grid_dt, cfg.workers, *short)
     )
+    (values, diags, at_t), *other, drawn = mc.run_together(*calls)
+    solution, causal = (drawn, at_t) if kind == "causal" else (at_t, drawn)
     rows = [
         _ks_row(
             "solution-vs-causal-integral",
-            ecdf(finite_samples(a["e"] * a["i"], "solution", t)),
-            ecdf(finite_samples(b["c"], "causal-integral", t)),
+            ecdf(finite_samples(solution["e"] * solution["i"], "solution", t)),
+            ecdf(finite_samples(causal["c"], "causal-integral", t)),
         )
     ]
-
-    kind = _recommended(cfg, "stationary_kind", "causal")
-    calls = [
-        lambda: stationary_sampler(
-            model, kind, n, horizon, cfg.seed, grid_dt=cfg.grid_dt, workers=cfg.workers
-        )
-    ]
-    if model.condition_b and kind == "causal":
-        # stationarity transfer: causal law of V vs noncausal law of the dual
-        calls.append(
-            lambda: stationary_sampler(
-                dual_model(model),
-                "noncausal",
-                n,
-                horizon,
-                cfg.seed + 1,
-                grid_dt=cfg.grid_dt,
-                workers=cfg.workers,
-                label="stationary-dual",
-            )
-        )
-    dist, *other = mc.run_together(*calls)
+    dist = stationary_law(values, diags, kind, horizon, cfg.seed)
     metrics["kind"] = kind
     metrics["diagnostic_fail_fraction"] = dist.metadata["diagnostic_fail_fraction"]
     metrics["flagged"] = dist.metadata["flagged"]
-    if other:
-        rows.append(_ks_row("causal-vs-dual-noncausal", dist, other[0]))
+    if dual:
+        other = stationary_law(*other[0], "noncausal", horizon, cfg.seed + 1)
+        rows.append(_ks_row("causal-vs-dual-noncausal", dist, other))
 
     oracle = _dufresne_oracle(model) if kind == "causal" else None
     if oracle is not None:

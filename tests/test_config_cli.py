@@ -314,6 +314,13 @@ def test_cli_ruin_refuses_degenerate_finite_support_laws(tmp_path, capsys, law):
     "extra, named",
     [
         ("preset: cramer-paulsen\nhorizon: 1500\n", "300 of 300 solution"),
+        # causal kind, t < T and t = T: the lemma is checked before the
+        # stationary sample, which overflows too
+        (
+            "model: {drift: [0.5, 1.0]}\nhorizon: 1500\nstationary_horizon: 1600\n",
+            "300 of 300 solution",
+        ),
+        ("model: {drift: [0.5, 1.0]}\nhorizon: 1500\n", "300 of 300 solution"),
         ("model: {drift: [0.5, 1.0]}\nstationary_horizon: 1500\n", "300 of 300 causal stationary"),
         ("preset: cramer-paulsen\nsuite: duality\nt_grid: [1500]\n", "300 of 300 V-side E"),
         ("preset: cramer-paulsen\nsuite: monotonicity\nt_grid: [1500]\n", "300 of 300 V-side E"),

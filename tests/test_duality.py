@@ -280,9 +280,10 @@ def test_paired_grid_lane_samples_give_the_bytes_of_serial_calls(
     tmp_path, capsys, monkeypatch, model, suite
 ):
     """The duality, ruin and stationary suites run their paired samples at
-    once, in the grid lane and in the jump lane (``pure-jump``); run in
-    turn instead, every CSV, summary.json and refusal is the same byte for
-    byte."""
+    once (the stationary suite its three: the stationary sample, the dual's
+    and the lemma's short one), in the grid lane and in the jump lane
+    (``pure-jump``); run in turn instead, every CSV, summary.json and
+    refusal is the same byte for byte."""
     from gouflow import mc
 
     pairs = _count_pairs(monkeypatch)
@@ -294,7 +295,7 @@ def test_paired_grid_lane_samples_give_the_bytes_of_serial_calls(
     # correlated-gauss has L noise, so its ruin suite refuses before sampling;
     # the duality grid runs one pair for both of its t
     refused_early = (model, suite) == ("correlated-gauss", "ruin")
-    assert pairs == ([] if refused_early else [2] * (2 if suite == "stationary" else 1))
+    assert pairs == ([] if refused_early else [3 if suite == "stationary" else 2])
 
 
 def test_ruin_probability_pair_raises_the_dual_sides_refusal_first():

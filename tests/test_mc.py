@@ -1758,3 +1758,134 @@ def test_every_suite_asks_only_for_the_keys_it_reads(monkeypatch):
                 run(cfg)
     assert calls == [(caller, _CALLER_KEYS[caller]) for caller, _ in calls]
     assert {caller for caller, _ in calls} == set(_CALLER_KEYS)
+
+
+# ---------------------------------------------------------------------------
+# the stationary suite: one side of the lemma from the stationary sample
+# ---------------------------------------------------------------------------
+
+
+def _stationary_cfg(preset, t, long_horizon, n=300, dt=0.01):
+    return ExperimentConfig(
+        seed=4, preset=preset, suite="stationary", n_paths=n, horizon=t, grid_dt=dt,
+        stationary_horizon=long_horizon,
+    )
+
+
+@pytest.mark.parametrize(
+    "preset, t, long_horizon",
+    [
+        ("drift-ou", 2.0, 6.0),
+        ("cramer-paulsen", 2.0, 6.0),
+        ("dufresne", 1.0, 2.0),
+        ("drift-ou", 3.0, 3.0),
+        ("dufresne", 1.5, 1.5),
+        ("cramer-paulsen", 5.0, 3.0),
+        ("dufresne", 2.0, 1.0),
+    ],
+)
+def test_stationary_suite_reads_one_lemma_side_off_the_stationary_sample(
+    monkeypatch, preset, t, long_horizon
+):
+    """The stationary sample's draw runs to max(t, T) with the smaller time
+    as its checkpoint (none at t = T), and its column at t is the lemma's
+    causal side C_t (causal kind) or solution side E_t I_t (noncausal
+    kind), bit for bit; the other side is the short sample at t.  The
+    stationary sample is the column at T.  Three samples are drawn, two
+    where no dual is compared."""
+    cfg = _stationary_cfg(preset, t, long_horizon)
+    model, kind = cfg.resolved_model(), get_preset(preset).recommended["stationary_kind"]
+    lane, seen, labels = mc.terminal_samples, {}, []
+
+    def recording(values, what, horizon):
+        seen[what] = values.copy()
+        return values
+
+    def terminal_samples(*args, **kwargs):
+        labels.append(inspect.signature(lane).bind(*args, **kwargs).arguments["label"])
+        return lane(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "finite_samples", recording)
+    monkeypatch.setattr(mc, "terminal_samples", terminal_samples)
+    result = suites.stationary_suite(cfg)
+    monkeypatch.undo()
+
+    n, dt, seed = cfg.n_paths, cfg.grid_dt, cfg.seed
+    keys = ("e", "c") if kind == "causal" else ("e", "i")
+    checkpoints = None if t == long_horizon else (min(t, long_horizon),)
+    drawn = mc.terminal_samples(
+        model, max(t, long_horizon), n, seed, dt, 1, "stationary", keys, checkpoints
+    )
+    at_t = at_long = drawn
+    if checkpoints:
+        first, last = ({k: v[:, j] for k, v in drawn.items()} for j in (0, -1))
+        at_t, at_long = (first, last) if t < long_horizon else (last, first)
+    if kind == "causal":
+        short = mc.terminal_samples(model, t, n, seed, dt, 1, "statA", ("e", "i"))
+        _assert_bitwise(seen["causal-integral"], at_t["c"])
+        _assert_bitwise(seen["solution"], short["e"] * short["i"])
+        _assert_bitwise(result.sample.values, np.sort(at_long["c"]))
+        assert sorted(labels) == ["statA", "stationary", "stationary-dual"]
+    else:
+        short = mc.terminal_samples(model, t, n, seed, dt, 1, "statB", ("c",))
+        _assert_bitwise(seen["solution"], at_t["e"] * at_t["i"])
+        _assert_bitwise(seen["causal-integral"], short["c"])
+        _assert_bitwise(result.sample.values, np.sort(-at_long["i"]))
+        assert sorted(labels) == ["statB", "stationary"]
+    assert result.sample.metadata["horizon"] == long_horizon
+
+
+# sha256 (first 16 hex digits) of the stationary sample's values, its
+# exported CSV and sidecar, every stationary.csv row but the lemma's
+# (causal-vs-dual-noncausal, inverse-gamma-oracle) and the metrics, at
+# seed 5, from the suite as it was when it drew the lemma's two sides on
+# their own; t = T draws no checkpoint, so it gives the same bytes
+_STATIONARY_DIGESTS = {
+    "drift-ou": ({"preset": "drift-ou", "n_paths": 600}, "0eebaa1ce1d09cb8"),
+    "drift-ou t=T": (
+        {"preset": "drift-ou", "n_paths": 600, "horizon": 30.0}, "0eebaa1ce1d09cb8"
+    ),
+    "cramer-paulsen": ({"preset": "cramer-paulsen", "n_paths": 600}, "567e15a7120b0fc9"),
+    "dufresne": (
+        {"preset": "dufresne", "n_paths": 256, "stationary_horizon": 3.0}, "1b1bd776fd93930b"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_STATIONARY_DIGESTS))
+def test_stationary_suite_keeps_the_stationary_sample_and_its_rows(tmp_path, name):
+    """Only the lemma row reads new paths: the stationary sample, its
+    export, the dual and oracle rows and the metrics keep their bytes."""
+    kwargs, digest = _STATIONARY_DIGESTS[name]
+    result = suites.stationary_suite(ExperimentConfig(seed=5, suite="stationary", **kwargs))
+    result.sample.export(str(tmp_path / "s.csv"), str(tmp_path / "s.json"))
+    rows = [r for r in result.rows if r["check"] != "solution-vs-causal-integral"]
+    h = hashlib.sha256(result.sample.values.tobytes())
+    for f in ("s.csv", "s.json"):
+        h.update((tmp_path / f).read_bytes())
+    h.update(repr([sorted(r.items()) for r in rows]).encode())
+    h.update(repr(sorted(result.metrics.items())).encode())
+    assert h.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("preset", ["drift-ou", "cramer-paulsen"])
+def test_stationary_suite_refuses_the_lemma_before_the_stationary_sample(monkeypatch, preset):
+    """Every C and the stationary sample's horizon column are NaN (the dual's
+    and the lemma's solution side stay finite): the refusal names the
+    causal-integral samples at t, as when the lemma was drawn first,
+    though the stationary sample, checked after it, is not finite either."""
+    lane = mc.terminal_samples
+
+    def poisoned(*args, **kwargs):
+        res = lane(*args, **kwargs)
+        for k, v in res.items():
+            if k == "c":
+                v[:] = np.nan
+            elif v.ndim == 2:
+                v[:, -1] = np.nan
+        return res
+
+    monkeypatch.setattr(mc, "terminal_samples", poisoned)
+    cfg = _stationary_cfg(preset, 2.0, 6.0, n=64)
+    with pytest.raises(ConditionError, match=r"^64 of 64 causal-integral samples .* horizon 2;"):
+        suites.stationary_suite(cfg)
