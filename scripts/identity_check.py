@@ -16,7 +16,10 @@ and a refusal (exit 2 or 3) as one line whose file is ``refusal`` and
 whose hash covers standard error from the word ``refusing`` or
 ``config error`` on (a numpy warning printed before it only appears on
 the first occurrence in a process).  A crash prints ``crash`` and the
-exception's last line.  The last line counts items, runs and hashes.
+exception's last line.  The last line counts items, runs and hashes,
+and the output files that hold a negative zero (``-0`` or ``-0.0`` as a
+whole value): outputs are defined up to the sign of a zero, and written
+as +0.
 
 Two checkouts give the same verdicts byte for byte when their outputs
 are equal:
@@ -37,6 +40,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 import traceback
@@ -47,6 +51,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from gouflow import cli  # noqa: E402
 
 WORKLOADS = ("jump-lane", "diffusion-lane", "per-path")
+# -0, -0.0, -0.00... as a whole value, not the start of -0.5 or -0e-3
+NEGATIVE_ZERO = re.compile(rb"(?<![\w.])-0(?:\.0*)?(?![\w.])")
 
 
 def _runs(spec: dict, seeds):
@@ -103,15 +109,22 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "verdictbench", "workloads.json")) as fh:
         spec = json.load(fh)
     with tempfile.TemporaryDirectory() as work:
-        items, runs, hashes = set(), 0, 0
+        items, runs, hashes, negative_zeros = set(), 0, 0, 0
         for k, (wname, item, config, seed, workers) in enumerate(_runs(spec, args.seeds)):
             tag = f"{wname}/{item}/seed{seed}/workers{workers}"
-            for digest, name, code in _run(config, seed, workers, os.path.join(work, str(k))):
+            out_dir = os.path.join(work, str(k))
+            for digest, name, code in _run(config, seed, workers, out_dir):
                 print(f"{digest}  {tag}/{name}  exit {code}", flush=True)
                 hashes += 1
+                if name not in ("refusal", "crash"):
+                    with open(os.path.join(out_dir, name), "rb") as fh:
+                        negative_zeros += bool(NEGATIVE_ZERO.search(fh.read()))
             items.add((wname, item))
             runs += 1
-    print(f"{len(items)} items, {runs} runs, {hashes} hashes")
+    print(
+        f"{len(items)} items, {runs} runs, {hashes} hashes, "
+        f"{negative_zeros} files with a negative zero"
+    )
     return 0
 
 

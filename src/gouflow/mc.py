@@ -1,97 +1,26 @@
 """Vectorized Monte Carlo lanes.
 
-Two lanes share one blocked driver so that results are reproducible and
-independent of the worker count:
+Two lanes reduce blocks of paths to their terminal state E(U)_T, I_T and
+C_T (``terminal_samples``) on one blocked driver (``run_blocks``), so
+that the samples do not depend on the worker count:
 
-* jump lane: finite-activity models without a Gaussian part.  The
-  stochastic exponential and the two exponential functionals have a
-  closed form between jumps, so blocks of paths are reduced with
-  padded-array arithmetic and no time stepping.
-  Each block's jumps are drawn whole and flat (``paths.draw_jumps``), so
-  the draw holds O(jumps) (a point-mass law's marks as a one-byte atom
-  index, gathered per tile), and reduced in row tiles of about
-  ``_CHUNK_ELEMENTS`` boundary values.  Padded slots exist per tile only:
-  a tile is laid out on the block's K jump slots when the kernel reaches
-  it, so the padding and the kernel's temporaries take O(_CHUNK_ELEMENTS)
-  memory instead of O(BLOCK_SIZE * K).  The lane reduces a tile to its
-  terminal state only; the ruin scan alone builds the running sum of I
-  at every event boundary.
-  A tile on which U does not jump (its marks' dU all 0.0 or -0.0) has
-  E = e^{a t} exactly and p = 1 at every jump, so it skips the running
-  product of 1 + dU and every product or quotient by it, which were
-  exact: its bits do not change.  ``zero``, ``drift-ou`` and
-  ``cramer-paulsen`` take this path, on both sides of their duality and
-  stationary pairs and in their ruin scans, and so would any OU model
-  with compound-Poisson input or risk process with interest (U a drift
-  alone); ``degenerate-k`` and ``nonmonotone`` keep the product.  Such a
-  block's draw records that no dU is nonzero, and its tiles build and
-  gather no dU array.
-  A tile of a model without L drift (b_L = +0.0) builds no gap
-  increments: each is b_L times a finite integral of e^{+-a s}, so +-0.0,
-  which changes a sum only in the sign of a zero.  It takes one exp per
-  boundary time, sums I and C over its K jumps instead of 2K + 1 events,
-  and its ruin scan reads I after each jump only.  ``drift-ou``,
-  ``cramer-paulsen`` and ``nonmonotone`` and the duals of the first two
-  take this path; ``degenerate-k`` keeps the gaps, and ``zero`` (no jump
-  slot) has one gap.  Where the shortcut could move a bit (a b_L of -0.0,
-  an e^{|a| t} t near overflow, a p of 0 or inf, a row whose I terms are
-  all -0.0) the tile keeps its gaps.
-* diffusion lane: models with a Gaussian part, on a fixed grid.  The
-  stochastic exponential is updated in exact law; finite-variation
-  integrands use the trapezoid rule (the left-point rule leaves an O(dt)
-  bias that would dominate the statistics), Brownian integrands use
-  left-point Ito sums.  The block's jumps come from one
-  ``paths.draw_jumps`` call, first in its stream; each is applied at the
-  end of the step that holds it, after that step's continuous update (an
-  O(dt) weak error, the order of the Ito sums).  Given the Poisson count
-  on [0, T] the jump times are iid uniform, so this has the law of a
-  Poisson(lambda dt) count per step.  The rest of the stream is normals,
-  drawn chunk by chunk into one reused buffer on the block's own thread,
-  so a block takes draw + step time.  A chunk's arithmetic runs once on
-  the whole chunk (the step factors, 1/E, the integrals' increments and
-  their sums in step order); only E's recurrence takes one multiply per
-  step, each followed by its step's jumps, and a step that holds jumps
-  ends a run of the sums, so that its jumps' increments follow its own.
+* jump lane: finite-activity models without a Gaussian part.  Between
+  jumps E and both integrals have a closed form, so a block's jumps are
+  drawn whole and flat (``paths.draw_jumps``) and reduced in row tiles
+  with padded-array arithmetic and no time stepping.  The ruin scan
+  (``ruin_samples``) reads the same tiles at every event boundary.
+* diffusion lane: models with a Gaussian part, on a fixed grid.  E is
+  updated in exact law; finite-variation integrands use the trapezoid
+  rule (the left-point rule leaves an O(dt) bias that would dominate the
+  statistics), Brownian integrands left-point Ito sums.  The block's
+  jumps come from one ``draw_jumps`` call, first in its stream, each
+  applied at the end of the step that holds it (an O(dt) weak error, the
+  order of the Ito sums); the rest of the stream is normals, drawn a
+  chunk at a time into one reused buffer.
 
-The samples a verdict compares (forward against dual, causal against
-noncausal) are independent, so ``run_together`` runs them at once, one
-thread each, in either lane: at ``workers`` 1 a pair keeps both of two
-CPUs busy.
-
-Both lanes return each path's terminal state only, and of it only the
-keys their caller asks for: ``e`` = E(U)_T, ``i`` = I_T = int E^{-1} d eta
-and ``c`` = C_T = int E_{s-} dL_s.  The duality grid (both sides), the
-monotonicity probe and the noncausal stationary law read e and i; the
-causal stationary law reads e and c, and the subordinator ruin mode's
-dual side i alone.  The stationary suite's short sample at t reads the
-lemma side that its stationary law does not carry: e and i beside a
-causal law, c alone beside a noncausal one.  The jump lane builds only
-the increments of the requested integrals (I's gaps with a second exp),
-and the grid lane steps E always and skips an unread integral's sums (1/E
-with I).  The draw is the same whatever the keys, and a computed key
-keeps its bits.
-
-A caller may also ask for that state at checkpoints t_1 < ... < t_m
-before the horizon T, from the one draw on [0, T]: each key is then an
-(n, m + 1) array, the horizon's column with the bits of a run without
-checkpoints.  The grid lane steps each interval between checkpoints on
-equal steps of at most ``grid_dt``, so that a step ends on each, and
-copies E, I and C out there (O(n) per checkpoint, no normal added).  The
-jump lane reduces each tile once more per checkpoint t, with the jumps
-after t moved to t with zero marks: the path on [0, t], again a
-compound-Poisson path.  The duality grid reads every t of its grid so,
-from one pair of samples, and the stationary suite one side of its
-lemma at t from its stationary sample (``exp_functional_samples``'
-``at``).
-
-First passage is the job of the ruin scan (``ruin_samples``, pure-jump
-models with condition (B), starts x > 0).  Under (B) E(U) > 0, so V^x
-first reaches 0 when I first reaches -x: the scan builds I's increments
-only, reads I at every event boundary (after each jump only, where the
-gaps add +-0.0) and E only right after the hitting jump.  It returns
-for each path and starting point whether it hit and V at the first
-passage; what a verdict makes of V_tau (the H-weights of the
-first-passage identity) is left to ``duality``.
+Samples are defined up to the sign of a zero: a lane may return -0.0
+where the same sum taken in another order gives +0.0.  Every written law
+passes through ``stats.EmpiricalDistribution``, which stores +0.0.
 """
 
 from __future__ import annotations
@@ -166,13 +95,9 @@ def run_together(*calls) -> list:
     The calls must be independent (each draws its own named streams), so
     their results do not depend on how they are run.  The first runs on
     this thread and the rest at once on a pool, so a pair keeps two CPUs
-    busy: both lanes' numpy calls release the GIL on more than 500
-    elements, and take it back when they return.  Two threads hand it
-    over once per call, so the grid lane does a chunk's arithmetic in a
-    few calls on the whole chunk, with one call per step left (E's
-    recurrence).  A ``cumprod`` or ``cumsum`` along a row releases it only
-    on more than 500 rows, and a long-horizon tile has 141 to 318, so
-    there a jump-lane pair runs 1.1 to 1.4 times as fast as in turn.
+    busy while numpy holds no GIL: in a call on more than 500 elements,
+    and in a ``cumprod`` or ``cumsum`` along a row only on more than 500
+    rows.  Two threads hand the GIL over once per call.
     When several calls raise, the first one's exception in call order is
     raised, as running them in turn would; each call must therefore carry
     the checks that are to refuse before the next one starts.
@@ -241,18 +166,17 @@ _GAP_BOUND = 700.0
 
 def _zero_gaps(a, b_l, horizon, k) -> bool:
     """Whether a tile of k jump slots on [0, horizon] may go without its
-    gap increments: it has a jump term to sum (k > 0), b_L is +0.0 (a
-    -0.0 one keeps the general path), and e^{+-a s} and the gap integrals
-    of e^{+-a s}, at most e^{|a| t} t, are finite (``_GAP_BOUND``)."""
+    gap increments: it has a jump term to sum (k > 0), b_L is zero, and
+    e^{+-a s} and the gap integrals of e^{+-a s}, at most e^{|a| t} t,
+    are finite (``_GAP_BOUND``)."""
     return (
         k > 0
         and b_l == 0.0
-        and math.copysign(1.0, b_l) > 0.0
         and abs(a) * horizon + max(0.0, math.log(horizon)) < _GAP_BOUND
     )
 
 
-def _jump_increments(times, du, dl, a, b_l, horizon, keys=KEYS, gaps=False):
+def _jump_increments(times, du, dl, a, b_l, horizon, keys=KEYS):
     """Closed form of a tile of pure-jump-plus-drift paths, event by event.
 
     times: (n, K) jump times sorted per row, padded with the horizon;
@@ -277,12 +201,11 @@ def _jump_increments(times, du, dl, a, b_l, horizon, keys=KEYS, gaps=False):
 
     A gap increment is b_L times a gap integral of e^{-a s} (over p) or of
     e^{a s} (times p).  Where ``_zero_gaps`` holds and p is finite and
-    nonzero, each is b_L = +0.0 times a finite number: +-0.0 exactly.
-    Added to a running sum they change nothing but the sign of a zero
-    sum, so both gap increments come back as None (unless ``gaps``), and
-    the second exp, the gap integrals and their products are skipped.
-    A p that reaches 0, inf or NaN stays there (a running product), so
-    its last column tells.
+    nonzero, each is a zero b_L times a finite number: +-0.0, which
+    changes a sum at most in the sign of a zero.  Both gap increments
+    then come back as None, and the second exp, the gap integrals and
+    their products are skipped.  A p that reaches 0, inf or NaN stays
+    there (a running product), so its last column tells.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         n, k = times.shape
@@ -296,7 +219,7 @@ def _jump_increments(times, du, dl, a, b_l, horizon, keys=KEYS, gaps=False):
             p_ext = np.concatenate([np.ones((n, 1)), np.cumprod(prod1, axis=1)], axis=1)
             e_left = e_left * p_ext[:, :-1]
         p_t = None if p_ext is None else p_ext[:, -1]
-        gaps = gaps or not (
+        gaps = not (
             _zero_gaps(a, b_l, horizon, k)
             and (p_t is None or (np.isfinite(p_t).all() and p_t.all()))
         )
@@ -340,11 +263,7 @@ def _jump_terminal(parts):
     gap and jump increments' pairwise row sums.
 
     Without gap increments (all +-0.0) I_T adds the jump increments alone
-    and C_T is their row sum: gaps of +-0.0 change a sum only where it is
-    a zero, and only its sign.  numpy's row sums start from +0.0, so C_T
-    is never -0.0 and keeps its bits.  A row whose I terms are all -0.0
-    would take a +0.0 gap's sign: then the result is None, and the caller
-    builds the gaps.
+    and C_T is their row sum.
     """
     grow, p_ext, _, _, inc_i, inc_c = parts
     i_t = c_t = None
@@ -353,15 +272,12 @@ def _jump_terminal(parts):
             gaps, jumps = inc_i
             inc = np.asfortranarray(jumps) if gaps is None else _interleave(gaps, jumps, "F")
             # Reduced over an F-ordered tile of two or more rows, I_T adds
-            # column by column, as the cumsum does; starting from -0.0 (not
-            # numpy's +0.0) keeps the sign of an all -0.0 row.  A one-row
-            # tile is contiguous, and numpy would sum it pairwise.
+            # column by column, as the cumsum does.  A one-row tile is
+            # contiguous, and numpy would sum it pairwise.
             if inc.shape[0] > 1:
-                i_t = np.add.reduce(inc, axis=1, initial=-0.0)
+                i_t = np.add.reduce(inc, axis=1)
             else:
                 i_t = np.cumsum(inc, axis=1)[:, -1]
-            if gaps is None and (np.signbit(i_t) & (i_t == 0.0)).any():
-                return None
         if inc_c is not None:
             gaps, jumps = inc_c
             c_t = jumps.sum(axis=1) if gaps is None else gaps.sum(axis=1) + jumps.sum(axis=1)
@@ -382,8 +298,6 @@ def _jump_block(model, horizon, rng, size, keys=KEYS, checkpoints=None):
         for j, t in enumerate(times):
             cut = tile if t == horizon else _cut_tile(*tile, t)
             state = _jump_terminal(_jump_increments(*cut, a, b_l, t, keys))
-            if state is None:
-                state = _jump_terminal(_jump_increments(*cut, a, b_l, t, keys, gaps=True))
             for k, v in zip(KEYS, state):
                 if k in out:
                     out[k][j, rows] = v
@@ -647,11 +561,7 @@ def terminal_samples(
     E(U)_T, ``i`` = int_(0,T] E^{-1} d eta and ``c`` = int_(0,T] E_{s-}
     dL_s (default all three); V_T^x = e * (x + i) for every x.  A lane
     computes only those, from the same draw and with the same bits as
-    for all keys.  The duality grid (both sides) and the monotonicity
-    probe ask for e and i; the subordinator ruin mode's dual side for i;
-    ``exp_functional_samples`` for e and c (causal) or e and i
-    (noncausal); the stationary suite's short sample at t for the lemma
-    side its stationary sample does not carry, e and i or c.
+    for all keys.
 
     ``checkpoints``, a tuple of times t_1 < ... < t_m below the horizon,
     asks for each key at every checkpoint and then at T, from the one
@@ -661,8 +571,7 @@ def terminal_samples(
     on equal steps of at most ``grid_dt`` (no normal is added), and a
     checkpoint is its step's state; the jump lane reduces each path cut at
     t_j.  A column at t_j is a sample at t_j, but the columns of one path
-    are not independent.  The duality grid and ``exp_functional_samples``
-    with ``at`` ask for checkpoints.
+    are not independent.
 
     A horizon or checkpoint that is not positive and finite, unsorted or
     repeated checkpoints, one at or past the horizon, an empty tuple, or
@@ -766,7 +675,7 @@ def ruin_samples(
     E (x + I) <= 0 iff I <= -x, and I is monotone between event
     boundaries: the scan reads I's running sum at the boundaries and E
     only right after the hitting jump.  A tile without gap increments
-    (``_jump_increments``: b_L = +0.0) sums I over its jumps alone: I at
+    (``_jump_increments``: b_L = 0) sums I over its jumps alone: I at
     a gap's end is I after the jump before it, so every first passage is
     at a jump, and a non-finite value there counts for both boundaries.
     Non-finite boundary values of E or I (an overflowing E at a long

@@ -27,7 +27,11 @@ _KS_TERMS = 100  # terms of the series in _kolmogorov_sf
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """A sorted sample with right-continuous CDF and quantile evaluation."""
+    """A sorted sample with right-continuous CDF and quantile evaluation.
+
+    A zero is stored as +0.0, so no quantile or export shows a -0.0: the
+    lanes define their samples up to the sign of a zero.
+    """
 
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
@@ -38,7 +42,7 @@ class EmpiricalDistribution:
             raise ValueError("empty sample")
         if not np.all(np.isfinite(v)):
             raise ValueError("sample contains non-finite values")
-        object.__setattr__(self, "values", np.sort(v))
+        object.__setattr__(self, "values", np.sort(v) + 0.0)
 
     @property
     def n(self) -> int:

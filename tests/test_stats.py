@@ -22,6 +22,8 @@ from gouflow.stats import (
     verdict,
 )
 from gouflow.stats import _kolmogorov_sf
+from gouflow import gou, mc
+from gouflow.levy import LevyModel2
 from gouflow.presets import get_preset
 from gouflow.suites import _dufresne_oracle, _gamma_q
 import gouflow
@@ -64,12 +66,26 @@ def test_empirical_distribution_export(tmp_path):
 )
 def test_export_csv_is_savetxt_bytes(tmp_path, values):
     """The CSV has the bytes ``np.savetxt`` writes for the sorted sample:
-    signed zeros, subnormals, extremes, integral floats and one value."""
+    zeros of either sign (written as 0), subnormals, extremes, integral
+    floats and one value."""
     d = EmpiricalDistribution(np.array(values))
     d.export(tmp_path / "d.csv")
     np.savetxt(tmp_path / "ref.csv", d.values, fmt="%.17g", header="value", comments="")
     assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert (tmp_path / "d.csv").read_text().count("\n") == d.n + 1
+    assert "-0\n" not in (tmp_path / "d.csv").read_text()
+
+
+def test_exported_law_writes_no_negative_zero(tmp_path):
+    """A noncausal law without jumps or L drift is -I = -0.0 on every path:
+    the law, its quantiles and its export hold +0.0."""
+    model = LevyModel2(drift=(0.5, 0.0))
+    values, diags = mc.exp_functional_samples(model, "noncausal", 8, 2.0, seed=1)
+    assert not values.any()
+    law = gou.stationary_law(values, diags, "noncausal", 2.0, seed=1)
+    assert not np.signbit(law.values).any() and not np.signbit(law.quantile(0.5))
+    law.export(tmp_path / "law.csv")
+    assert (tmp_path / "law.csv").read_text() == "value\n" + "0\n" * 8
 
 
 def test_kolmogorov_sf_matches_scipy():
