@@ -4,11 +4,14 @@
 The set-up row imports ``gouflow.cli`` in --repeats fresh interpreters
 and shows the median seconds of the import, the number of modules loaded
 and ``ru_maxrss`` afterwards (what every ``gouflow run`` pays before its
-first verdict).  For each pure-jump preset at its long horizon (the
-recommended horizon, else the 20 that the ruin and stationary suites
-use) this runs the jump lane (``mc.terminal_samples``), the ruin scan
-(``mc.ruin_samples``, three x probes; only on presets with condition
-(B), since the scan refuses the others) and their jump draw alone
+first verdict).  With --against, each round imports from both checkouts
+in turn (this one first in even rounds), and the set-up ratio line gives
+this side's median import seconds over the other's.  For each pure-jump
+preset at its long horizon (the recommended horizon, else the 20 that
+the ruin and stationary suites use) this runs the jump lane
+(``mc.terminal_samples``), the ruin scan (``mc.ruin_samples``, three x
+probes; only on presets with condition (B), since the scan refuses the
+others) and their jump draw alone
 (``paths.draw_jumps``: Poisson counts, times and marks, flat, the same
 stream as the jump lane and its stream floor) over --blocks blocks.  The
 jump lane runs for all three terminal keys (``jump``) and, at workers 1,
@@ -58,8 +61,14 @@ Faults are read with ``resource.getrusage(RUSAGE_SELF)``: this process
 and its threads only.  Every case runs once untimed, then --repeats
 rounds each run every case once, in table order, so that host drift
 between rounds does not read as a difference between rows; the table
-shows each case's median.  The last line is the table (and the set-up
-row) as one JSON object.
+shows each case's median.  Each round ends with a ``control`` row: two
+sha256 passes over a 20 MB buffer (C work that releases the GIL), timed
+in turn and on two threads at once; their ratio, in-turn wall over
+together wall, reads near 2.0 when a second CPU was free for this
+process in that round and near 1.0 when it was busy.  Pairs and
+workers-2 rows gain only in rounds with a free second CPU.  The last
+line is the table (with the set-up rows and the control ratios) as one
+JSON object.
 
 ``--against DIR`` imports the checkout at DIR's ``gouflow`` beside this
 one (as the package ``gouflow_against``) and builds every case from each.
@@ -77,6 +86,7 @@ Usage: PYTHONPATH=src python3 scripts/lane_bench.py [--blocks N] [--repeats R] [
 
 import argparse
 import functools
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -86,6 +96,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import types
@@ -252,16 +263,46 @@ def revision(root):
     return out.stdout.strip()
 
 
-def setup_cost(repeats, src=SRC):
+def turns(sides, r):
+    """The order in which round ``r`` runs ``sides`` sides: rotated by one
+    each round, so that each side goes first in turn."""
+    return [(side + r) % sides for side in range(sides)]
+
+
+def setup_costs(srcs, repeats):
     """Median (import seconds, modules loaded, max RSS MB) of importing
-    ``gouflow.cli`` from ``src`` in ``repeats`` fresh interpreters."""
-    code = SETUP_CODE.format(src=src)
-    runs = [
-        json.loads(subprocess.run([sys.executable, "-c", code], check=True,
-                                  capture_output=True, text=True).stdout)
-        for _ in range(repeats)
-    ]
-    return tuple(statistics.median(r[i] for r in runs) for i in range(3))
+    ``gouflow.cli`` in ``repeats`` fresh interpreters, per source tree of
+    ``srcs``: each round imports from every tree, in ``turns``."""
+    runs = [[] for _ in srcs]
+    for r in range(repeats):
+        for side in turns(len(srcs), r):
+            code = SETUP_CODE.format(src=srcs[side])
+            runs[side].append(json.loads(subprocess.run(
+                [sys.executable, "-c", code], check=True, capture_output=True, text=True
+            ).stdout))
+    return [tuple(statistics.median(x[i] for x in run) for i in range(3)) for run in runs]
+
+
+CONTROL_BYTES = 20 * 2**20  # per sha256 pass: about 20 ms on a host with SHA instructions
+
+
+def control_ratio():
+    """Wall time of two sha256 passes over a 20 MB buffer run in turn,
+    over that of the same two passes on two threads at once.  hashlib
+    releases the GIL for the pass, so the ratio reads near 2.0 when a
+    second CPU is free for this process and near 1.0 when it is busy."""
+    buf = bytes(CONTROL_BYTES)
+    start = time.perf_counter()
+    for _ in range(2):
+        hashlib.sha256(buf).digest()
+    in_turn = time.perf_counter() - start
+    threads = [threading.Thread(target=hashlib.sha256, args=(buf,)) for _ in range(2)]
+    start = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return in_turn / (time.perf_counter() - start)
 
 
 def measure(fn, blocks):
@@ -279,25 +320,28 @@ def measure(fn, blocks):
 def timed_rounds(sides, repeats):
     """Median (wall ms, CPU ms, minor faults) per block of each ``(fn,
     blocks)`` case of each side (a list of cases per checkout, the same
-    rows in the same order): one untimed run of every case, then
-    ``repeats`` rounds that each run every case once, in order, on every
-    side back to back, the sides in turns.  Host drift then spreads over
-    all rows and sides instead of reading as a difference between them."""
+    rows in the same order), and each round's ``control_ratio``: one
+    untimed run of every case, then ``repeats`` rounds that each run every
+    case once, in order, on every side back to back, the sides in
+    ``turns``, and then the control.  Host drift then spreads over all
+    rows and sides instead of reading as a difference between them."""
     for cases in sides:
         for fn, _ in cases:
             fn()
     runs = [[[] for _ in cases] for cases in sides]
+    controls = []
     for r in range(repeats):
-        order = list(range(len(sides)))
-        order = order[r % len(order):] + order[: r % len(order)]
+        order = turns(len(sides), r)
         for k in range(len(sides[0])):
             for side in order:
                 fn, blocks = sides[side][k]
                 runs[side][k].append(measure(fn, blocks))
-    return [
+        controls.append(control_ratio())
+    medians = [
         [tuple(statistics.median(r[i] for r in run) for i in range(3)) for run in side]
         for side in runs
     ]
+    return medians, controls
 
 
 CASE_KEYS = ("preset", "horizon", "lane", "workers")  # what names a case
@@ -390,13 +434,19 @@ def main():
     if args.against:
         roots["against"] = os.path.abspath(args.against)
     setup = []
-    for side, root in roots.items():
-        src = os.path.join(root, "src")
-        seconds, modules, rss = setup_cost(args.repeats, src)
+    srcs = [os.path.join(root, "src") for root in roots.values()]
+    for (side, root), src, (seconds, modules, rss) in zip(
+        roots.items(), srcs, setup_costs(srcs, args.repeats)
+    ):
         setup.append({"side": side, "revision": revision(root), "import_s": round(seconds, 3),
                       "modules": modules, "max_rss_mb": round(rss, 1)})
         print(f"set-up: import gouflow.cli from {src} {seconds:.3f} s, {modules:.0f} modules, "
               f"max RSS {rss:.1f} MB (fresh interpreter, median of {args.repeats})")
+    setup_ratio = None
+    if args.against:
+        setup_ratio = round(setup[0]["import_s"] / setup[1]["import_s"], 3)
+        print(f"set-up ratio: this import over against import {setup_ratio:.3f} "
+              f"(the two sides alternate within each round)")
 
     sides = [build_cases(load(), args)]
     if args.against:
@@ -410,7 +460,7 @@ def main():
           f"{'faults/block':>13} {'us/step':>9} {'jumps/block':>12} {'padded/block':>12} "
           f"{'peak MiB':>11}" + (f" {'against':>9} {'ratio':>6}" if args.against else ""))
     rows = []
-    timings = timed_rounds([[(fn, blocks) for _, fn, blocks in side] for side in sides],
+    timings, controls = timed_rounds([[(fn, blocks) for _, fn, blocks in side] for side in sides],
                            args.repeats)
     for k, ((row, _, _), (ms, cpu_ms, faults)) in enumerate(zip(cases, timings[0])):
         row.update(ms_per_block=round(ms, 2), cpu_ms_per_block=round(cpu_ms, 2),
@@ -438,9 +488,12 @@ def main():
         print(f"{row['preset']:16} {row['horizon']:5g} {row['lane']:7} {row['workers']:7d} "
               f"{ms:9.2f} {cpu_ms:9.2f} {faults:13.0f} {per_step}{per_slot}{traced}{against}"
               .rstrip())
+    print(f"{'control':16} {'':5} {'sha256':7} {2:7d}  in turn / together per round: "
+          + " ".join(f"{c:.2f}" for c in controls)
+          + " (near 2.0: a second CPU was free; near 1.0: it was busy)")
     print(json.dumps({"blocks": args.blocks, "pair_blocks": PAIR_BLOCKS,
-                      "repeats": args.repeats, "setup": setup,
-                      "rows": rows}))
+                      "repeats": args.repeats, "setup": setup, "setup_ratio": setup_ratio,
+                      "control_ratios": [round(c, 3) for c in controls], "rows": rows}))
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ time only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -164,8 +165,11 @@ def _cmd_list_presets() -> int:
     return 0
 
 
+_parser = functools.cache(build_parser)  # main's parser, built once per process
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "validate-config":

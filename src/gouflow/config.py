@@ -115,15 +115,28 @@ def _model_from_dict(d: dict, where: str = "model") -> LevyModel2:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
-    loader = yaml.SafeLoader(text)
+# libyaml's parser where pyyaml has it: SafeLoader's nodes, line marks and values
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _compose(text: str, loader_cls):
+    """The root node of ``text`` (None for an empty document) and its data."""
+    loader = loader_cls(text)
     try:
         node = loader.get_single_node()
-        data = {} if node is None else loader.construct_document(node)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config is not valid YAML: {exc}") from exc
+        return node, ({} if node is None else loader.construct_document(node))
     finally:
         loader.dispose()
+
+
+def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
+    try:
+        node, data = _compose(text, _LOADER)
+    except yaml.YAMLError:  # libyaml words its errors differently: report SafeLoader's
+        try:
+            node, data = _compose(text, yaml.SafeLoader)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a mapping at the top level")
     # 1-based line of each top-level key, for diagnostics

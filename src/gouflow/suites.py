@@ -48,10 +48,8 @@ class SuiteResult:
 
 def write_csv(path, result: SuiteResult) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(result.columns), extrasaction="ignore")
-        writer.writeheader()
-        for row in result.rows:
-            writer.writerow(row)
+        rows = [[row.get(c, "") for c in result.columns] for row in result.rows]
+        csv.writer(fh).writerows([result.columns, *rows])
 
 
 def _recommended(cfg: ExperimentConfig, key: str, default):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import yaml
 
+from gouflow import config
 from gouflow.levy import JumpLaw2, LevyModel2, Marginal
 from gouflow.mc import run_blocks
 from gouflow.paths import draw_jumps
@@ -63,6 +65,52 @@ def terminal_ul(model, horizon, n, seed, label):
         return {"u": b_u * horizon + du.sum(axis=1), "l": b_l * horizon + dl.sum(axis=1)}
 
     return run_blocks(n, block, seed, label)
+
+
+def _marks(node):
+    """Tag, start and end (line, column) of ``node`` and of every node
+    below it, depth first."""
+    if node is None:
+        return []
+    marks = [(node.tag, node.start_mark.line, node.start_mark.column,
+              node.end_mark.line, node.end_mark.column)]
+    if isinstance(node.value, list):
+        for child in node.value:
+            for sub in child if isinstance(child, tuple) else (child,):
+                marks += _marks(sub)
+    return marks
+
+
+@pytest.fixture(autouse=True)
+def configs_parse_alike_under_both_loaders(monkeypatch):
+    """After each test, every config text it parsed is parsed again under
+    ``yaml.SafeLoader`` and under the loader ``parse_config`` uses
+    (libyaml's where pyyaml has it): both give equal configs or equal
+    ConfigError texts, and their nodes carry equal line marks."""
+    texts, compose, fast = {}, config._compose, config._LOADER
+
+    def recording(text, loader_cls):
+        texts[text] = None
+        return compose(text, loader_cls)
+
+    monkeypatch.setattr(config, "_compose", recording)
+    yield
+    monkeypatch.setattr(config, "_compose", compose)
+    for text in texts:
+        outcomes, marks = [], []
+        for loader_cls in (yaml.SafeLoader, fast):
+            monkeypatch.setattr(config, "_LOADER", loader_cls)
+            try:
+                cfg = config.parse_config(text)
+                outcomes.append((cfg, cfg.raw))
+            except config.ConfigError as exc:
+                outcomes.append(str(exc))
+            try:
+                marks.append(_marks(yaml.compose(text, Loader=loader_cls)))
+            except yaml.YAMLError:
+                marks.append(None)
+        assert outcomes[0] == outcomes[1], text
+        assert marks[0] == marks[1], text
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -3,13 +3,21 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
+import gouflow
+from gouflow import config
 from gouflow.cli import main
 from gouflow.config import ConfigError, config_hash, parse_config
+from gouflow.levy import ConditionError
+from gouflow.presets import preset_names
+from gouflow.suites import SUITE_RUNNERS, SuiteResult, write_csv
 
 GOOD = """\
 schema_version: 1
@@ -205,6 +213,33 @@ def test_parse_config_rejects_invalid_yaml_and_nonmapping():
         parse_config("- 1\n- 2\n")
 
 
+MALFORMED = {
+    "unclosed-flow-list": "schema_version: 1\nseed: [1, 2\npreset: zero\n",
+    "bad-indent": "schema_version: 1\n  seed: 1\npreset: zero\n",
+    "leading-tab": "\tschema_version: 1\nseed: 1\npreset: zero\n",
+    "python-tag": "schema_version: 1\nseed: !!python/object:os.system 1\npreset: zero\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED)
+def test_yaml_errors_read_as_safeloader_words_them(tmp_path, capsys, text):
+    """libyaml words these errors differently (no caret snippet, other
+    phrases); the ConfigError and the CLI's exit-2 text carry the
+    pure-Python ``yaml.SafeLoader`` message byte for byte."""
+    with pytest.raises(yaml.YAMLError) as safe:
+        yaml.load(text, Loader=yaml.SafeLoader)
+    if config._LOADER is not yaml.SafeLoader:
+        with pytest.raises(yaml.YAMLError) as fast:
+            yaml.load(text, Loader=config._LOADER)
+        assert str(fast.value) != str(safe.value)
+    expected = f"config is not valid YAML: {safe.value}"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == expected
+    assert main(["validate-config", "--config", _write(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == f"config error: {expected}\n"
+
+
 def test_config_hash_ignores_out_dir_and_workers():
     base = parse_config(GOOD)
     h0 = config_hash(base)
@@ -255,6 +290,76 @@ def test_cli_run_writes_reports(tmp_path):
     assert summary["seed"] == 7
     assert "monotonicity" in summary["suites"]
     assert os.path.exists(os.path.join(out, "monotonicity.csv"))
+
+
+def test_cli_run_after_a_run_with_overrides_matches_a_fresh_process(tmp_path):
+    """``main`` parses every argv with one parser per process, and a run
+    keeps nothing of the run before it: after a run with ``--suite`` and
+    ``--seed``, a run without overrides writes the summary.json that the
+    same config gives in a fresh interpreter."""
+    text = "schema_version: 1\nseed: 3\npreset: cramer-paulsen\nsuite: duality\nn_paths: 512\n"
+    here = _write(tmp_path, text + f"out_dir: {tmp_path / 'here'}\n", "here.yaml")
+    fresh = _write(tmp_path, text + f"out_dir: {tmp_path / 'fresh'}\n", "fresh.yaml")
+    assert main(["run", "--config", here, "--suite", "ruin", "--seed", "7"]) == 0
+    assert json.loads((tmp_path / "here" / "summary.json").read_text())["seed"] == 7
+    code = main(["run", "--config", here])
+    src = os.path.dirname(os.path.dirname(gouflow.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "gouflow.cli", "run", "--config", fresh],
+                          env=env, capture_output=True, text=True)
+    assert code in (0, 1) and proc.returncode == code, proc.stderr
+    summary = (tmp_path / "here" / "summary.json").read_text()
+    assert summary == (tmp_path / "fresh" / "summary.json").read_text()
+    assert list(json.loads(summary)["suites"]) == ["duality"]
+
+
+def _dictwriter_bytes(path, result):
+    """The bytes ``csv.DictWriter(..., extrasaction="ignore")`` writes for
+    ``result``: its header, then each row's columns, a missing one as ""."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(result.columns), extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(result.rows)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_write_csv_writes_dictwriter_bytes_for_every_suite(tmp_path, preset):
+    """On a small run of every suite that does not refuse the preset."""
+    for suite, runner in SUITE_RUNNERS.items():
+        cfg = parse_config(
+            f"schema_version: 1\nseed: 3\npreset: {preset}\nsuite: {suite}\n"
+            "n_paths: 256\nstationary_n: 256\n"
+        )
+        try:
+            result = runner(cfg)
+        except ConditionError:
+            continue
+        assert result.rows
+        write_csv(tmp_path / "new.csv", result)
+        expected = _dictwriter_bytes(tmp_path / "old.csv", result)
+        assert (tmp_path / "new.csv").read_bytes() == expected, suite
+
+
+def test_write_csv_fills_missing_columns_drops_extra_keys_and_quotes(tmp_path):
+    result = SuiteResult(
+        passed=True,
+        metrics={},
+        rows=[
+            {"probe": 'say "so", then\nstop', "value": 1.5, "extra": "dropped"},
+            {"value": -0.0},
+            {"probe": "a,b", "value": 2, "pass": False},
+            {},
+        ],
+        columns=("probe", "value", "pass"),
+    )
+    write_csv(tmp_path / "new.csv", result)
+    written = (tmp_path / "new.csv").read_bytes()
+    assert written == _dictwriter_bytes(tmp_path / "old.csv", result)
+    assert written == (
+        b'probe,value,pass\r\n"say ""so"", then\nstop",1.5,\r\n,-0.0,\r\n"a,b",2,False\r\n,,\r\n'
+    )
 
 
 def test_cli_run_worker_count_does_not_change_bytes(tmp_path):

@@ -62,16 +62,23 @@ def test_empirical_distribution_export(tmp_path):
         [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -7.0, 1e16, 0.1, 2.0 / 3.0],
         [-0.0],
         [1e308],
+        [1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072009e-308,
+         0.10000000000000001, 1.2345678901234567e-5, 98765432109876543.0, -0.0],
+        list(np.random.default_rng(5).standard_normal(4096)
+             * 10.0 ** np.random.default_rng(6).integers(-300, 300, 4096)),
     ],
 )
 def test_export_csv_is_savetxt_bytes(tmp_path, values):
-    """The CSV has the bytes ``np.savetxt`` writes for the sorted sample:
-    zeros of either sign (written as 0), subnormals, extremes, integral
-    floats and one value."""
+    """The CSV has the bytes ``np.savetxt`` writes for the sorted sample,
+    and those of a join of one ``"%.17g\\n" % v`` per value: zeros of
+    either sign (written as 0), subnormals, extremes, 17-digit values,
+    integral floats and one value."""
     d = EmpiricalDistribution(np.array(values))
     d.export(tmp_path / "d.csv")
     np.savetxt(tmp_path / "ref.csv", d.values, fmt="%.17g", header="value", comments="")
     assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    joined = "value\n" + "".join(["%.17g\n" % v for v in d.values.tolist()])
+    assert (tmp_path / "d.csv").read_text() == joined
     assert (tmp_path / "d.csv").read_text().count("\n") == d.n + 1
     assert "-0\n" not in (tmp_path / "d.csv").read_text()
 
