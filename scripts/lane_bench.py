@@ -53,6 +53,15 @@ benchmark runs) runs one stationary verdict (``suites.stationary_suite``
 at the row's long horizon and t = 2, the default horizon, workers 1, the
 preset's stationary kind) on the row's paths (--blocks blocks, grid
 models two): its samples, drawn as the suite draws them, and its KS rows.
+An ``invflow`` row per pure-jump preset runs the inverse-flow suite's
+exact check (``inverse_flow.verify_tile_identity`` on each batch's padded
+``draw_jumps`` tile) over 1000 paths at the suite's default horizon 2, in
+its batches of 128 rows and their streams, and an ``invflow:path`` row
+the same paths through the ``Path`` route (``paths.exact_paths`` and
+``inverse_flow.verify_pathwise_identity``); each reads ms per 1000 paths
+in its ms/block column, and a line per preset gives the tile route's
+median over the Path route's.  A checkout without the tile check runs its
+Path route in both rows.
 Every row also prints the CPU milliseconds per block that this process
 spent (``time.process_time``: all its threads), so a pair's wait for the
 GIL shows as wall time above CPU / 2, and its handoffs as CPU above the
@@ -103,7 +112,9 @@ import types
 
 import numpy as np
 
-MODULES = ("mc", "levy", "paths", "presets", "rng", "duality", "config", "suites")
+MODULES = (
+    "mc", "levy", "paths", "presets", "rng", "duality", "config", "suites", "inverse_flow"
+)
 
 
 def load(root=None):
@@ -238,6 +249,23 @@ def _stationary(lib, name, model, horizon, n, seed):
     cfg = lib.config.ExperimentConfig(seed=seed, suite="stationary", n_paths=n,
                                       stationary_horizon=horizon, **preset)
     lib.suites.stationary_suite(cfg)
+
+
+INVFLOW_PATHS, INVFLOW_HORIZON = 1000, 2.0  # the inverse-flow suite's exact paths and horizon
+
+
+def _invflow(lib, model, seed, route):
+    """The inverse-flow suite's exact check of ``INVFLOW_PATHS`` paths, in
+    its batches and streams, by the ``tile`` or the ``path`` route."""
+    tile_check = getattr(lib.inverse_flow, "verify_tile_identity", None)
+    rows, h = lib.suites._STACK_ROWS, INVFLOW_HORIZON
+    for b, lo in enumerate(range(0, INVFLOW_PATHS, rows)):
+        rng, size = lib.rng.stream(seed, "invflow", b), min(rows, INVFLOW_PATHS - lo)
+        if route == "tile" and tile_check is not None:
+            tile_check(lib.paths.draw_jumps(model, h, rng, size).pad(), h, model, 1.0)
+        else:
+            batch = lib.paths.exact_paths(model, h, rng, size)
+            lib.inverse_flow.verify_pathwise_identity(batch, model, 1.0)
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -399,6 +427,9 @@ def build_cases(lib, args):
             case(name, max(T_GRID), "duality", 1, fn, args.blocks)
         fn = functools.partial(_stationary, lib, name, model, horizon, n, args.seed)
         case(name, horizon, "stationary", 1, fn, args.blocks)
+        for route, lane in (("tile", "invflow"), ("path", "invflow:path")):
+            fn = functools.partial(_invflow, lib, model, args.seed, route)
+            case(name, INVFLOW_HORIZON, lane, 1, fn, 1)
     n = PAIR_BLOCKS * BLOCK_SIZE
     for name, (model, horizon) in grid_models(lib).items():
         steps = max(1, math.ceil(horizon / GRID_DT))
@@ -456,7 +487,7 @@ def main():
             raise SystemExit("the two checkouts build different cases; compare like with like")
     cases = sides[0]
 
-    print(f"{'preset':16} {'T':>5} {'lane':7} {'workers':>7} {'ms/block':>9} {'cpu ms':>9} "
+    print(f"{'preset':16} {'T':>5} {'lane':12} {'workers':>7} {'ms/block':>9} {'cpu ms':>9} "
           f"{'faults/block':>13} {'us/step':>9} {'jumps/block':>12} {'padded/block':>12} "
           f"{'peak MiB':>11}" + (f" {'against':>9} {'ratio':>6}" if args.against else ""))
     rows = []
@@ -485,15 +516,23 @@ def main():
                 row["against_peak_mib"] = other_row["peak_mib"]
             against = f" {a_ms:9.2f} {ms / a_ms:6.3f}"
         rows.append(row)
-        print(f"{row['preset']:16} {row['horizon']:5g} {row['lane']:7} {row['workers']:7d} "
+        print(f"{row['preset']:16} {row['horizon']:5g} {row['lane']:12} {row['workers']:7d} "
               f"{ms:9.2f} {cpu_ms:9.2f} {faults:13.0f} {per_step}{per_slot}{traced}{against}"
               .rstrip())
-    print(f"{'control':16} {'':5} {'sha256':7} {2:7d}  in turn / together per round: "
+    invflow = {}
+    for row in rows:
+        if row["lane"].startswith("invflow"):
+            invflow.setdefault(row["preset"], []).append(row["ms_per_block"])
+    invflow = {name: round(tile / path, 3) for name, (tile, path) in invflow.items()}
+    for name, ratio in invflow.items():
+        print(f"inverse-flow {name}: tile route over Path route {ratio:.3f} (ms per 1000 paths)")
+    print(f"{'control':16} {'':5} {'sha256':12} {2:7d}  in turn / together per round: "
           + " ".join(f"{c:.2f}" for c in controls)
           + " (near 2.0: a second CPU was free; near 1.0: it was busy)")
     print(json.dumps({"blocks": args.blocks, "pair_blocks": PAIR_BLOCKS,
                       "repeats": args.repeats, "setup": setup, "setup_ratio": setup_ratio,
-                      "control_ratios": [round(c, 3) for c in controls], "rows": rows}))
+                      "control_ratios": [round(c, 3) for c in controls],
+                      "invflow_tile_over_path": invflow, "rows": rows}))
 
 
 if __name__ == "__main__":

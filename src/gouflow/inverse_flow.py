@@ -10,14 +10,25 @@ the process R_s = E(T)_s (y + int_(0,s] E(T)_{u-}^{-1} dL~_u) satisfies
 the pathwise identity V_{(t-s)-} = R_s when started at y = V_t.  The
 checks here are almost-sure statements, so the exact backend verifies
 them to float precision rather than statistically.
+
+Two routes check it.  ``verify_tile_identity`` runs on a padded jump tile
+of a model without a Gaussian part (``JumpDraw.pad``): the jump lane's
+kernel (``mc._jump_increments``) gives V at every boundary, and the same
+kernel on the reversed tile (``mc._reverse_tile``), with drift
+(-b_U, -b_L) and marks mapped by ``levy.dual_jump``, gives R.  The map
+needs condition (A) only, so it covers models that have no dual.
+``verify_pathwise_identity`` runs on ``Path`` batches through the
+per-path solver: the Euler check of models with a Gaussian part, and the
+tests' independent route for the tile check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import mc
 from .gou import GouTrajectory, solve_forward, solve_pair
-from .levy import LevyModel2
+from .levy import LevyModel2, dual_jump
 from .paths import (
     Path,
     _eventwise,
@@ -32,6 +43,7 @@ __all__ = [
     "eta_tilde_path",
     "inverse_flow_solve",
     "verify_pathwise_identity",
+    "verify_tile_identity",
 ]
 
 _ETA_ROUTE_TOL = 1e-10  # largest increment gap between the two eta~ routes
@@ -118,3 +130,42 @@ def verify_pathwise_identity(path: Path, model: LevyModel2, x: float) -> dict:
         "max_error": float(max_err) if max_err.ndim == 0 else max_err,
         "n_points": int(real.sum()) + v.size // v.shape[-1],
     }
+
+
+def _inverse_drivers(tile, horizon: float):
+    """The reversal of a padded jump tile (times, du, dl) on [0, horizon]
+    (``mc._reverse_tile``) with the inverse flow's marks: T jumps by
+    dU~/(1 - dU~) = -dU/(1+dU) and eta~ by -dL/(1+dU) (``dual_jump``)."""
+    times, du, dl = mc._reverse_tile(*tile, horizon)
+    return (times, *dual_jump(du, dl))
+
+
+def _tile_flows(tile, horizon: float, model: LevyModel2, x: float):
+    """V^x at the 2K + 2 boundaries of a padded jump tile (times, du, dl)
+    on [0, horizon] (``mc._jump_boundaries``), and the inverse flow R at
+    the boundaries of its reversal, started at y = V_T.
+
+    R runs the kernel on ``_inverse_drivers`` with drift -b (T and eta~
+    without a Gaussian part); the kernel's integrator eta~/(1 + dT) then
+    jumps by -dL, which is L~, as in ``inverse_flow_solve``.
+    """
+    a, b_l = model.drift
+    parts = mc._jump_increments(*tile, a, b_l, horizon, ("i",))
+    e, i = mc._jump_boundaries(parts)
+    parts = mc._jump_increments(*_inverse_drivers(tile, horizon), -a, -b_l, horizon, ("i",))
+    e_t, i_t = mc._jump_boundaries(parts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = e * (x + i)
+        return v, e_t * (v[:, -1:] + i_t)
+
+
+def verify_tile_identity(tile, horizon: float, model: LevyModel2, x: float) -> np.ndarray:
+    """Per-row max deviation in V_{(t-s)-} = R_s over every boundary of a
+    padded jump tile (times, du, dl), t the horizon: the error metric of
+    ``verify_pathwise_identity``, reversed boundary j against forward
+    boundary 2K + 1 - j.  du must be an array (``JumpDraw.pad`` with its
+    dU tile).
+    """
+    v, r = _tile_flows(tile, horizon, model, x)
+    with np.errstate(invalid="ignore"):
+        return _mixed_error(v[:, ::-1], r).max(axis=1)

@@ -29,6 +29,7 @@ __all__ = [
     "JumpLaw2",
     "LevyModel2",
     "dual_model",
+    "dual_jump",
     "detect_degeneracy",
     "degeneracy_margin",
 ]
@@ -195,6 +196,14 @@ class Marginal:
 # ---------------------------------------------------------------------------
 
 
+def dual_jump(du, dl):
+    """The dual jump map (dU, dL) -> (-dU/(1+dU), -dL/(1+dU)), on floats
+    or arrays alike: the jumps of the dual pair (W, K) and, under condition
+    (A) alone, of the inverse flow's driver and integrator on the reversed
+    path (``inverse_flow``)."""
+    return -du / (1.0 + du), -dl / (1.0 + du)
+
+
 @dataclass(frozen=True)
 class JumpLaw2:
     """Distribution of a single bivariate jump (dU, dL).
@@ -303,8 +312,7 @@ class JumpLaw2:
             du = self.marg_u.sample(rng, size)
             c, s = self.link
             return du, c + s * du
-        du, dl = self.base.sample(rng, size)
-        return -du / (1.0 + du), -dl / (1.0 + du)
+        return dual_jump(*self.base.sample(rng, size))
 
     def dual(self) -> "JumpLaw2":
         """Pushforward under (dU, dL) -> (-dU/(1+dU), -dL/(1+dU)).
@@ -316,7 +324,7 @@ class JumpLaw2:
             raise ConditionError("dual jump law requires dU > -1 almost surely")
         if self.kind == "point_mass":  # an atom of mass 0 may sit at dU = -1
             return JumpLaw2.point_mass(
-                [((-u / (1.0 + u), -l / (1.0 + u)), p) for (u, l), p in self.atoms if p > 0]
+                [(dual_jump(u, l), p) for (u, l), p in self.atoms if p > 0]
             )
         if self.kind == "dual":
             return self.base

@@ -159,6 +159,15 @@ def _cut_tile(times, du, dl, t):
     )
 
 
+def _reverse_tile(times, du, dl, horizon):
+    """A padded tile's paths reversed at the horizon, X_T - X_{(T-s)-}, as
+    a padded tile: the columns reversed, each time t moved to T - t, the
+    marks kept.  A row's padded slots become null events at time 0 ahead
+    of its jumps, so reversed boundary j is forward boundary 2K + 1 - j
+    (``_jump_boundaries``), as ``paths.reverse_path`` pairs them."""
+    return horizon - times[:, ::-1], None if du is None else du[:, ::-1], dl[:, ::-1]
+
+
 # Past |a| t + ln t = 700, e^{|a| t} or a gap integral of e^{+-a s} (at most
 # e^{|a| t} t) could overflow: the largest float is e^{709.78}.
 _GAP_BOUND = 700.0
@@ -179,12 +188,15 @@ def _zero_gaps(a, b_l, horizon, k) -> bool:
 def _jump_increments(times, du, dl, a, b_l, horizon, keys=KEYS):
     """Closed form of a tile of pure-jump-plus-drift paths, event by event.
 
-    times: (n, K) jump times sorted per row, padded with the horizon;
-    du, dl: matching marks, zero-padded (``JumpDraw.pad``), du None when
-    U does not jump.  a = b_U and b_l = b_L, which without a Gaussian part
-    is also the drift of eta.  Gap j runs (t_j, t_{j+1}), with t_0 = 0
-    and t_{K+1} = T, and there E_s = e^{a s} p_j, p_j the product of
-    1 + dU over the jumps before it.
+    times: (n, K) jump times sorted per row; du, dl: matching marks, du
+    None when U does not jump.  A slot with zero marks is a null event, so
+    a row's slots beyond its jumps may sit at the horizon after them
+    (``JumpDraw.pad``) or at 0 before them (``_reverse_tile``): either way
+    they add zero-length gaps, a factor 1 to E and 0 to every integral.
+    a = b_U and b_l = b_L, which without a Gaussian part is also the drift
+    of eta.  Gap j runs (t_j, t_{j+1}), with t_0 = 0 and t_{K+1} = T, and
+    there E_s = e^{a s} p_j, p_j the product of 1 + dU over the jumps
+    before it.
 
     Returns ``grow`` = e^{a t_j} (n, K+2), p (n, K+1), 1 + dU and E before
     each jump (n, K), and the increments of I = int E^{-1} d eta and of
@@ -253,6 +265,21 @@ def _interleave(gaps, jumps, order="C"):
     out[:, 0::2] = 0.0 if gaps is None else gaps
     out[:, 1::2] = jumps
     return out
+
+
+def _jump_boundaries(parts):
+    """E and I of a tile at its 2K + 2 event boundaries [0, end of gap 0,
+    after jump 1, end of gap 1, ..., after jump K, end of gap K = T], from
+    its ``_jump_increments`` with I's key: E is e^{a t} times p at each
+    boundary's time, I the running sum of its interleaved increments."""
+    grow, p_ext, _, _, (gaps, jumps), _ = parts
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.repeat(grow, 2, axis=1)[:, 1:-1]
+        if p_ext is not None:
+            e *= np.repeat(p_ext, 2, axis=1)
+        i = np.zeros(e.shape)
+        np.cumsum(_interleave(gaps, jumps), axis=1, out=i[:, 1:])
+    return e, i
 
 
 def _jump_terminal(parts):

@@ -20,18 +20,20 @@ from .duality import (
     verify_ruin_identity,
 )
 from .gou import finite_samples, stationary_law
-from .inverse_flow import verify_pathwise_identity
+from .inverse_flow import verify_pathwise_identity, verify_tile_identity
 from .levy import LevyModel2, dual_model
-from .paths import euler_paths, exact_paths
+from .paths import draw_jumps, euler_paths
 from .presets import get_preset
 from .rng import stream
 from .stats import EmpiricalDistribution, decide, ecdf, ks_two_sample, verdict
 
 __all__ = ["SuiteResult", "run_selected", "write_csv", "SUITE_RUNNERS"]
 
-# Inverse-flow batches are bounded in paths and, on a grid, in paths x
-# grid steps; the identity check makes about fifteen temporaries of a
-# batch's size (4 paths per batch at horizon 2 on the 1e-3 grid)
+# Inverse-flow batches are bounded in paths: the exact check takes one
+# padded jump tile of 128 rows per stream.  Euler batches are bounded in
+# paths x grid steps too, since the Path check makes about fifteen
+# temporaries of a batch's size (4 paths per batch at horizon 2 on the
+# 1e-3 grid)
 _STACK_ROWS = 128
 _STACK_ELEMENTS = 1 << 13
 
@@ -107,18 +109,25 @@ def inverse_flow_suite(cfg: ExperimentConfig) -> SuiteResult:
         backend, n, dts = "euler", min(cfg.n_paths, 60), (4e-3, 2e-3, 1e-3)
         steps = math.ceil(cfg.horizon / min(dts))
         per_batch = max(1, min(_STACK_ROWS, _STACK_ELEMENTS // steps))
-        sample = lambda rng, size: euler_paths(model, cfg.horizon, rng, size, dts)
+        check = lambda rng, size: [
+            verify_pathwise_identity(batch, model, x)["max_error"]
+            for batch in euler_paths(model, cfg.horizon, rng, size, dts)
+        ]
     else:
         backend, n, dts = "exact", min(cfg.n_paths, 1000), ("",)
         per_batch = _STACK_ROWS
-        sample = lambda rng, size: [exact_paths(model, cfg.horizon, rng, size)]
+        check = lambda rng, size: [
+            verify_tile_identity(
+                draw_jumps(model, cfg.horizon, rng, size).pad(), cfg.horizon, model, x
+            )
+        ]
     # paths are drawn and checked in batches of bounded size, one stream
     # per batch; on a grid, one draw gives every grid step the same paths
     errs = [[] for _ in dts]
     for b, lo in enumerate(range(0, n, per_batch)):
-        batches = sample(stream(cfg.seed, "invflow", b), min(per_batch, n - lo))
-        for e, batch in zip(errs, batches):
-            e.extend(verify_pathwise_identity(batch, model, x)["max_error"].tolist())
+        batches = check(stream(cfg.seed, "invflow", b), min(per_batch, n - lo))
+        for e, max_error in zip(errs, batches):
+            e.extend(max_error.tolist())
     rows = [
         {"seed": j, "t": cfg.horizon, "x": x, "max_error": err, "backend": backend, "grid_dt": dt}
         for dt, e in zip(dts, errs)

@@ -868,15 +868,14 @@ def _inflate_path_7(monkeypatch):
     """Path 7 of the inverse-flow check reads max_error 1e-3."""
     import gouflow.suites as suites
 
-    real = suites.verify_pathwise_identity
+    real = suites.verify_tile_identity
 
-    def inflated(path, model, x):
-        rep = real(path, model, x)
-        errs = rep["max_error"].copy()
+    def inflated(tile, horizon, model, x):
+        errs = real(tile, horizon, model, x).copy()
         errs[7] = 1e-3
-        return {**rep, "max_error": errs}
+        return errs
 
-    monkeypatch.setattr(suites, "verify_pathwise_identity", inflated)
+    monkeypatch.setattr(suites, "verify_tile_identity", inflated)
 
 
 def _flat_errors(monkeypatch):

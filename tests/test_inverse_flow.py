@@ -3,19 +3,27 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gouflow import inverse_flow, suites
+from gouflow import inverse_flow, mc, suites
 from gouflow.config import ExperimentConfig
 from gouflow.gou import solve_forward
-from gouflow.inverse_flow import inverse_flow_solve, verify_pathwise_identity
-from gouflow.levy import ConditionError, JumpLaw2, LevyModel2
+from gouflow.inverse_flow import (
+    inverse_flow_solve,
+    verify_pathwise_identity,
+    verify_tile_identity,
+)
+from gouflow.levy import ConditionError, JumpLaw2, LevyModel2, Marginal
 from gouflow.paths import (
     Jump,
     Segment,
+    draw_jumps,
     euler_paths,
     exact_paths,
     reverse_path,
     sample_path,
+    t_path,
 )
 from gouflow.presets import PRESETS, get_preset
 from gouflow.rng import stream
@@ -345,3 +353,155 @@ def test_euler_inverse_flow_batches_bounded_at_long_horizon(monkeypatch):
     assert max(sizes) * math.ceil(horizon / 1e-3) <= budget
     for dt in res.metrics["grid_dts"]:
         assert [r["seed"] for r in res.rows if r["grid_dt"] == dt] == list(range(5))
+
+
+# ---------------------------------------------------------------------------
+# the tile check against the Path route
+# ---------------------------------------------------------------------------
+
+PURE_JUMP = [name for name in sorted(PRESETS) if not PRESETS[name].model.has_gaussian]
+TILE_HORIZON, TILE_ROWS = 2.0, 128
+
+
+def _tile_and_batch(m, label):
+    """One padded tile and the ``exact_paths`` batch of the same rows (two
+    draws from identical streams)."""
+    tile = draw_jumps(m, TILE_HORIZON, stream(5, label), TILE_ROWS).pad()
+    return tile, exact_paths(m, TILE_HORIZON, stream(5, label), TILE_ROWS)
+
+
+def _path_flows(batch, m, x):
+    """V^x and R (started at V_T) at every boundary by the per-path solver,
+    reversed boundary j against forward boundary m - j."""
+    v = solve_forward(batch, m, x).values.values
+    rtraj = inverse_flow_solve(batch, m, 0.0)
+    return v, rtraj.exponential.values * (v[:, -1:] + rtraj.integral.values)
+
+
+# Hypothesis laws: marks of each sign, exact zeros included, and no mark
+# or link coefficient so small that a mutant's change sits below float
+# precision.  R = E_W (V_T + I) cancels terms of size up to the range of
+# E over a path, so dU stays in about (-0.3, 1) and drift and rate stay
+# moderate: both routes then agree, and invert, to 1e-12
+_du_atom = st.sampled_from([-0.25, 0.0, 0.25, 0.5, 1.0])
+_dl_atom = st.sampled_from([-1.5, -0.4, 0.0, 0.6, 2.0])
+_u_marginal = st.one_of(
+    st.builds(Marginal.uniform, st.floats(-0.3, 0.2), st.floats(0.4, 1.0)),
+    st.builds(Marginal.exponential, st.floats(2.0, 4.0)),
+)
+_l_marginal = st.one_of(
+    st.builds(Marginal.uniform, st.floats(-2.0, 0.0), st.floats(0.1, 2.0)),
+    st.builds(Marginal.exponential, st.floats(0.5, 4.0), st.sampled_from([-1, 1])),
+)
+_laws = st.one_of(
+    st.lists(st.tuples(_du_atom, _dl_atom), min_size=1, max_size=3, unique=True).map(
+        lambda pairs: JumpLaw2.point_mass([(pair, 1.0 / len(pairs)) for pair in pairs])
+    ),
+    st.builds(JumpLaw2.independent, _u_marginal, _l_marginal),
+    st.builds(
+        JumpLaw2.linked,
+        _u_marginal,
+        st.sampled_from([-1.0, 0.0, 0.5]),
+        st.sampled_from([-2.0, -0.5, 0.0, 0.75, 1.5]),
+    ),
+)
+_models = st.builds(
+    lambda b_u, b_l, rate, law: LevyModel2(
+        drift=(b_u, b_l), jump_intensity=rate, jump_law=law
+    ),
+    st.sampled_from([-0.5, 0.0, 0.5]),
+    st.sampled_from([-0.5, 0.0, 0.8]),
+    st.floats(0.5, 2.0),
+    _laws,
+)
+
+
+def _check_tile_against_paths(m, label):
+    x = 1.0
+    tile, batch = _tile_and_batch(m, label)
+    v, r = inverse_flow._tile_flows(tile, TILE_HORIZON, m, x)
+    v_ref, r_ref = _path_flows(batch, m, x)
+    assert v.shape == v_ref.shape
+    assert inverse_flow._mixed_error(v, v_ref).max() <= 1e-12
+    assert inverse_flow._mixed_error(r, r_ref).max() <= 1e-12
+    tile_err = verify_tile_identity(tile, TILE_HORIZON, m, x)
+    path_err = verify_pathwise_identity(batch, m, x)["max_error"]
+    assert tile_err.max() <= 1e-12 and path_err.max() <= 1e-12
+    # eta~ and T built once from the reversed tile, against the Path route's
+    # transforms of the reversed path (gaps carry -b_L dt and -b_U dt)
+    times, d_t, d_eta = inverse_flow._inverse_drivers(tile, TILE_HORIZON)
+    rev = reverse_path(batch)
+    widths = np.diff(times, axis=1, prepend=0.0, append=TILE_HORIZON)
+    b_u, b_l = m.drift
+    eta_ref = inverse_flow.eta_tilde_path(rev, m).du
+    t_ref = t_path(rev, m.sigma_u_sq).du
+    assert np.array_equal(d_eta, eta_ref[:, 1::2])
+    assert np.array_equal(d_t, t_ref[:, 1::2])
+    np.testing.assert_allclose(eta_ref[:, 0::2], -b_l * widths, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(t_ref[:, 0::2], -b_u * widths, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", PURE_JUMP)
+def test_tile_check_matches_path_route_on_presets(name):
+    """V and R at every boundary, both routes' max_error and the reversed
+    drivers, on the same rows; ``nonmonotone`` has no dual and still
+    inverts (condition (A))."""
+    _check_tile_against_paths(get_preset(name).model, f"tile-{name}")
+
+
+@given(_models)
+@settings(max_examples=40, deadline=None)
+def test_tile_check_matches_path_route_on_random_laws(m):
+    _check_tile_against_paths(m, "tile-random")
+
+
+def _undivided_dk(du, dl):
+    """Mutant mark map: dK without the factor 1/(1+dU)."""
+    return -du / (1.0 + du), -dl
+
+
+def _unreversed_marks(times, du, dl, horizon):
+    """Mutant reversal: times reflected and reversed, marks left in place."""
+    return horizon - times[:, ::-1], du, dl
+
+
+MUTANTS = {
+    "undivided-dK": (inverse_flow, "dual_jump", _undivided_dk),
+    "unreversed-marks": (mc, "_reverse_tile", _unreversed_marks),
+}
+
+
+def _check_mutant(m, label, mutant):
+    """The mutant fails the check (max_error above the 1e-9 level) if it
+    changes the reversed tile's drivers, and reads the true errors if not."""
+    tile, _ = _tile_and_batch(m, label)
+    truth = inverse_flow._inverse_drivers(tile, TILE_HORIZON)
+    errs = verify_tile_identity(tile, TILE_HORIZON, m, 1.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(*MUTANTS[mutant])
+        drivers = inverse_flow._inverse_drivers(tile, TILE_HORIZON)
+        mutated = verify_tile_identity(tile, TILE_HORIZON, m, 1.0)
+    if any(not np.array_equal(a, b) for a, b in zip(drivers, truth)):
+        assert mutated.max() > 1e-9, mutant
+    else:
+        assert np.array_equal(mutated, errs), mutant
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+@pytest.mark.parametrize(
+    "m",
+    [get_preset(name).model for name in PURE_JUMP] + [BOTH_JUMPS, U_JUMPS_ONLY],
+    ids=[*PURE_JUMP, "both-jumps", "U-jumps"],
+)
+def test_tile_check_mutants_fail_where_they_change_the_path(mutant, m):
+    """The undivided dK changes the path where a jump moves both U and L
+    (``degenerate-k``, both-jumps), the unreversed marks wherever a row
+    has jumps (every jump model here)."""
+    _check_mutant(m, "tile-mutant", mutant)
+
+
+@given(_models)
+@settings(max_examples=40, deadline=None)
+def test_tile_check_mutants_fail_on_random_laws(m):
+    for mutant in MUTANTS:
+        _check_mutant(m, "tile-mutant-random", mutant)

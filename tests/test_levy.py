@@ -18,6 +18,7 @@ from gouflow.levy import (
     Marginal,
     degeneracy_margin,
     detect_degeneracy,
+    dual_jump,
     dual_model,
 )
 from gouflow.presets import get_preset
@@ -447,6 +448,20 @@ def test_dual_law_pushforward_matches_direct_transform(rng):
     bu, bl = base.sample(np.random.default_rng(3), 1000)
     assert np.allclose(du, -bu / (1 + bu))
     assert np.allclose(dl, -bl / (1 + bu))
+
+
+def test_dual_jump_map_keeps_the_bits_of_dual_samples_and_atoms():
+    """``dual_jump`` is the one dual map: a wrapped law's samples and a
+    point-mass law's dual atoms carry the bits of -dU/(1+dU), -dL/(1+dU)."""
+    base = JumpLaw2.independent(Marginal.uniform(-0.5, 0.8), Marginal.exponential(1.5, -1))
+    du, dl = JumpLaw2("dual", base=base).sample(np.random.default_rng(4), 1000)
+    bu, bl = base.sample(np.random.default_rng(4), 1000)
+    assert du.tobytes() == (-bu / (1.0 + bu)).tobytes()
+    assert dl.tobytes() == (-bl / (1.0 + bu)).tobytes()
+    law = JumpLaw2.point_mass([((0.3, -1.1), 0.5), ((-0.7, 0.9), 0.25), ((0.0, 2.0), 0.25)])
+    expected = tuple(((-u / (1.0 + u), -l / (1.0 + u)), p) for (u, l), p in law.atoms)
+    assert law.dual().atoms == expected
+    assert dual_jump(0.3, -1.1) == expected[0][0]
 
 
 # ---------------------------------------------------------------------------

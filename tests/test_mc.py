@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gouflow import mc, suites
+from gouflow import inverse_flow, mc, suites
 from gouflow.config import ExperimentConfig
 from gouflow.duality import ruin_probability
 from gouflow.levy import ConditionError, JumpLaw2, LevyModel2, Marginal, dual_model
@@ -167,6 +167,50 @@ def test_jump_boundary_arrays_match_event_route(mixed_jump_model):
         np.testing.assert_allclose(i_bnd[row], traj.integral.values[1:], rtol=1e-11, atol=1e-12)
         ref_min = min(0.0, float(traj.integral.values.min()))
         assert min(0.0, i_bnd[row].min()) == pytest.approx(ref_min, abs=1e-11)
+    # the prefix arrays of the tile check: the same boundaries after 0
+    e_all, i_all = mc._jump_boundaries(parts)
+    assert (e_all[:, 0] == 1.0).all() and (i_all[:, 0] == 0.0).all()
+    _assert_bitwise(i_all[:, 1:], i_bnd)
+    np.testing.assert_allclose(e_all[:, 1:], e_bnd, rtol=1e-14)
+
+
+# Item 20's lemma on the tile reversal: for a Levy pair the reversed
+# increments X_T - X_{(T-s)-} have the law of X, and path by path
+# E_T I_T on a tile is C_T on its reversal (same drift, same marks).
+LEMMA_MODELS = {
+    "drift-ou": (get_preset("drift-ou").model, 3.0),
+    "cramer-paulsen": (get_preset("cramer-paulsen").model, 3.0),
+    "cramer-paulsen-dual": (dual_model(get_preset("cramer-paulsen").model), 3.0),
+    "degenerate-k": (get_preset("degenerate-k").model, 3.0),
+    "degenerate-k-T20": (get_preset("degenerate-k").model, 20.0),
+    "uniform-exponential": (
+        LevyModel2(
+            drift=(-1.0, 1.0),
+            jump_intensity=1.5,
+            jump_law=JumpLaw2.independent(Marginal.uniform(-0.5, 0.8), Marginal.exponential(1.5)),
+        ),
+        3.0,
+    ),
+}
+
+
+def _lemma_error(m, horizon, tile, reversed_tile):
+    a, b_l = m.drift
+    e_t, i_t, _ = mc._jump_terminal(mc._jump_increments(*tile, a, b_l, horizon, ("i",)))
+    _, _, c_t = mc._jump_terminal(mc._jump_increments(*reversed_tile, a, b_l, horizon, ("c",)))
+    return inverse_flow._mixed_error(e_t * i_t, c_t)
+
+
+@pytest.mark.parametrize("name", list(LEMMA_MODELS))
+def test_lemma_holds_pathwise_on_the_reversed_tile(name):
+    """E_T I_T on a tile equals C_T on ``mc._reverse_tile`` of it, row by
+    row, to 1e-9 on the mixed error (the PR 30 prototype read at most
+    1.5e-12); the reversal with negated marks fails it."""
+    m, horizon = LEMMA_MODELS[name]
+    tile = draw_jumps(m, horizon, stream(3, "lemma"), 1024).pad()
+    times, du, dl = mc._reverse_tile(*tile, horizon)
+    assert _lemma_error(m, horizon, tile, (times, du, dl)).max() <= 1e-9
+    assert _lemma_error(m, horizon, tile, (times, -du, -dl)).max() > 1e-9
 
 
 # The jump lane before row tiles: one kernel call on the whole block and

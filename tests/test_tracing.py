@@ -41,7 +41,9 @@ def test_traced_argument_names(tracing, name, params):
 _RUNS = {
     "jump-lane": "preset: drift-ou\nsuite: stationary\nstationary_horizon: 2.0\n",
     "grid-lane": "preset: dufresne\nsuite: duality\nt_grid: [0.5]\ngrid_dt: 0.01\n",
-    "inverse-flow": "preset: drift-ou\nsuite: inverse-flow\nhorizon: 1.0\n",
+    # the Euler check is the one that runs Path batches through
+    # verify_pathwise_identity; a pure-jump model takes the tile check
+    "inverse-flow": "preset: dufresne\nsuite: inverse-flow\nhorizon: 0.5\n",
 }
 
 
