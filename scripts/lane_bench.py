@@ -61,7 +61,16 @@ the same paths through the ``Path`` route (``paths.exact_paths`` and
 ``inverse_flow.verify_pathwise_identity``); each reads ms per 1000 paths
 in its ms/block column, and a line per preset gives the tile route's
 median over the Path route's.  A checkout without the tile check runs its
-Path route in both rows.
+Path route in both rows.  Likewise an ``invflow:euler`` row for
+``dufresne``, the correlated Gaussian model and the jump-diffusion model
+runs the suite's Euler check (``inverse_flow.verify_grid_identity`` on
+each batch's ``paths.euler_draw``) over 30 paths, the benchmark's count,
+at the benchmark's horizons (2, 2 and 1), in the suite's batches and
+streams, and an ``invflow:euler-path`` row the same paths through
+``paths.euler_paths`` and ``inverse_flow.verify_pathwise_identity``;
+each reads ms per 30 paths and the traced peak MiB of the 30, and a line
+per model gives the grid route's median over the Path route's.  A
+checkout without the grid check runs its Path route in both rows.
 Every row also prints the CPU milliseconds per block that this process
 spent (``time.process_time``: all its threads), so a pair's wait for the
 GIL shows as wall time above CPU / 2, and its handoffs as CPU above the
@@ -268,6 +277,31 @@ def _invflow(lib, model, seed, route):
             lib.inverse_flow.verify_pathwise_identity(batch, model, 1.0)
 
 
+EULER_PATHS, EULER_DTS = 30, (4e-3, 2e-3, 1e-3)  # the suite's Euler check at 30 paths
+EULER_HORIZONS = {"dufresne": 2.0, "correlated-gauss": 2.0, "jump-diffusion": 1.0}
+
+
+def _invflow_euler(lib, model, horizon, seed, route):
+    """The inverse-flow suite's Euler check of ``EULER_PATHS`` paths, in its
+    batches and streams, by the ``grid`` or the ``path`` route."""
+    grid_check = getattr(lib.inverse_flow, "verify_grid_identity", None)
+    steps = math.ceil(horizon / min(EULER_DTS))
+    rows = max(1, min(lib.suites._STACK_ROWS, lib.suites._STACK_ELEMENTS // steps))
+    for b, lo in enumerate(range(0, EULER_PATHS, rows)):
+        rng, size = lib.rng.stream(seed, "invflow", b), min(rows, EULER_PATHS - lo)
+        if route == "grid" and grid_check is not None:
+            grid_check(lib.paths.euler_draw(model, horizon, rng, size, EULER_DTS), model, 1.0)
+        else:
+            for batch in lib.paths.euler_paths(model, horizon, rng, size, EULER_DTS):
+                lib.inverse_flow.verify_pathwise_identity(batch, model, 1.0)
+
+
+# each array route's inverse-flow lane and the Path route's lane on the same paths
+INVFLOW_ROUTES = {
+    "tile": ("invflow", "invflow:path"),
+    "grid": ("invflow:euler", "invflow:euler-path"),
+}
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SETUP_CODE = """\
 import json, resource, sys, time
@@ -449,6 +483,10 @@ def build_cases(lib, args):
         if name in STATIONARY_GRID:
             fn = functools.partial(_stationary, lib, name, model, horizon, n, args.seed)
             case(name, horizon, "stationary", 1, fn, PAIR_BLOCKS)
+        h = EULER_HORIZONS[name]
+        for route, lane in (("grid", "invflow:euler"), ("path", "invflow:euler-path")):
+            fn = functools.partial(_invflow_euler, lib, model, h, args.seed, route)
+            case(name, h, lane, 1, fn, 1, peak=traced_peak_mib(fn))
     return cases
 
 
@@ -487,7 +525,7 @@ def main():
             raise SystemExit("the two checkouts build different cases; compare like with like")
     cases = sides[0]
 
-    print(f"{'preset':16} {'T':>5} {'lane':12} {'workers':>7} {'ms/block':>9} {'cpu ms':>9} "
+    print(f"{'preset':16} {'T':>5} {'lane':18} {'workers':>7} {'ms/block':>9} {'cpu ms':>9} "
           f"{'faults/block':>13} {'us/step':>9} {'jumps/block':>12} {'padded/block':>12} "
           f"{'peak MiB':>11}" + (f" {'against':>9} {'ratio':>6}" if args.against else ""))
     rows = []
@@ -516,23 +554,28 @@ def main():
                 row["against_peak_mib"] = other_row["peak_mib"]
             against = f" {a_ms:9.2f} {ms / a_ms:6.3f}"
         rows.append(row)
-        print(f"{row['preset']:16} {row['horizon']:5g} {row['lane']:12} {row['workers']:7d} "
+        print(f"{row['preset']:16} {row['horizon']:5g} {row['lane']:18} {row['workers']:7d} "
               f"{ms:9.2f} {cpu_ms:9.2f} {faults:13.0f} {per_step}{per_slot}{traced}{against}"
               .rstrip())
-    invflow = {}
-    for row in rows:
-        if row["lane"].startswith("invflow"):
-            invflow.setdefault(row["preset"], []).append(row["ms_per_block"])
-    invflow = {name: round(tile / path, 3) for name, (tile, path) in invflow.items()}
-    for name, ratio in invflow.items():
-        print(f"inverse-flow {name}: tile route over Path route {ratio:.3f} (ms per 1000 paths)")
-    print(f"{'control':16} {'':5} {'sha256':12} {2:7d}  in turn / together per round: "
+    ms = {(row["preset"], row["lane"]): row["ms_per_block"] for row in rows}
+    invflow = {
+        route: {
+            name: round(t / ms[name, path], 3) for (name, lane), t in ms.items() if lane == fast
+        }
+        for route, (fast, path) in INVFLOW_ROUTES.items()
+    }
+    for route, n_paths in (("tile", INVFLOW_PATHS), ("grid", EULER_PATHS)):
+        for name, ratio in invflow[route].items():
+            print(f"inverse-flow {name}: {route} route over Path route {ratio:.3f} "
+                  f"(ms per {n_paths} paths)")
+    print(f"{'control':16} {'':5} {'sha256':18} {2:7d}  in turn / together per round: "
           + " ".join(f"{c:.2f}" for c in controls)
           + " (near 2.0: a second CPU was free; near 1.0: it was busy)")
     print(json.dumps({"blocks": args.blocks, "pair_blocks": PAIR_BLOCKS,
                       "repeats": args.repeats, "setup": setup, "setup_ratio": setup_ratio,
                       "control_ratios": [round(c, 3) for c in controls],
-                      "invflow_tile_over_path": invflow, "rows": rows}))
+                      "invflow_tile_over_path": invflow["tile"],
+                      "invflow_grid_over_path": invflow["grid"], "rows": rows}))
 
 
 if __name__ == "__main__":

@@ -11,15 +11,18 @@ the pathwise identity V_{(t-s)-} = R_s when started at y = V_t.  The
 checks here are almost-sure statements, so the exact backend verifies
 them to float precision rather than statistically.
 
-Two routes check it.  ``verify_tile_identity`` runs on a padded jump tile
-of a model without a Gaussian part (``JumpDraw.pad``): the jump lane's
-kernel (``mc._jump_increments``) gives V at every boundary, and the same
-kernel on the reversed tile (``mc._reverse_tile``), with drift
-(-b_U, -b_L) and marks mapped by ``levy.dual_jump``, gives R.  The map
-needs condition (A) only, so it covers models that have no dual.
+The suite checks it on arrays.  ``verify_tile_identity`` runs on a
+padded jump tile of a model without a Gaussian part (``JumpDraw.pad``):
+the jump lane's kernel (``mc._jump_increments``) gives V at every
+boundary, and the same kernel on the reversed tile (``mc._reverse_tile``),
+with drift (-b_U, -b_L) and marks mapped by ``levy.dual_jump``, gives R.
+The map needs condition (A) only, so it covers models that have no dual.
+``verify_grid_identity`` runs the Euler check of a model with a Gaussian
+part on the grid arrays of an ``euler_draw``: each grid's steps with the
+jump slots interleaved, in the arithmetic of the ``Path`` route.
 ``verify_pathwise_identity`` runs on ``Path`` batches through the
-per-path solver: the Euler check of models with a Gaussian part, and the
-tests' independent route for the tile check.
+per-path solver; no suite calls it, and it stays as the tests' oracle for
+both routes.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ import numpy as np
 
 from . import mc
 from .gou import GouTrajectory, solve_forward, solve_pair
-from .levy import LevyModel2, dual_jump
+from .levy import ConditionError, LevyModel2, dual_jump
 from .paths import (
+    _TIME_TOL,
+    EulerDraw,
     Path,
     _eventwise,
     _null_jumps_at,
@@ -42,6 +47,7 @@ from .paths import (
 __all__ = [
     "eta_tilde_path",
     "inverse_flow_solve",
+    "verify_grid_identity",
     "verify_pathwise_identity",
     "verify_tile_identity",
 ]
@@ -70,6 +76,15 @@ def eta_tilde_path(reversed_ul: Path, model: LevyModel2) -> Path:
     return _scalar(reversed_ul, du, model.sigma_l_sq)
 
 
+def _check_eta_routes(err: float) -> None:
+    """ArithmeticError if the two eta~ routes differ by more than
+    ``_ETA_ROUTE_TOL`` in some increment."""
+    if err > _ETA_ROUTE_TOL:
+        raise ArithmeticError(
+            f"eta~ construction routes disagree (max increment error {err:.3e})"
+        )
+
+
 def inverse_flow_solve(path: Path, model: LevyModel2, y: float) -> GouTrajectory:
     """Run the inverse flow on [0, T] from level y, T the path's horizon.
 
@@ -82,11 +97,7 @@ def inverse_flow_solve(path: Path, model: LevyModel2, y: float) -> GouTrajectory
     rev = reverse_path(path)
     eta_a = eta_tilde_path(rev, model)
     eta_b = reverse_path(eta_path(path, model))
-    err = float(np.max(np.abs(eta_a.du - eta_b.du), initial=0.0))
-    if err > _ETA_ROUTE_TOL:
-        raise ArithmeticError(
-            f"eta~ construction routes disagree (max increment error {err:.3e})"
-        )
+    _check_eta_routes(float(np.max(np.abs(eta_a.du - eta_b.du), initial=0.0)))
     tp = t_path(rev, model.sigma_u_sq)
     driver = _scalar(tp, tp.du, model.sigma_u_sq)
     return solve_pair(driver, _scalar(tp, tp.dl, model.sigma_l_sq), y)
@@ -169,3 +180,90 @@ def verify_tile_identity(tile, horizon: float, model: LevyModel2, x: float) -> n
     v, r = _tile_flows(tile, horizon, model, x)
     with np.errstate(invalid="ignore"):
         return _mixed_error(v[:, ::-1], r).max(axis=1)
+
+
+def _solve(factors, integrand):
+    """E (one cumprod of the per-event factors) and int E_-^{-1} dI (one
+    cumsum) at every boundary, as ``calculus.exponential_with_integral``
+    computes them on the euler backend."""
+    e = np.empty((factors.shape[0], factors.shape[1] + 1))
+    e[:, 0] = 1.0
+    np.cumprod(factors, axis=1, out=e[:, 1:])
+    acc = np.empty(e.shape)
+    acc[:, 0] = 0.0
+    np.cumsum(integrand * (1.0 / e[:, :-1]), axis=1, out=acc[:, 1:])
+    return e, acc
+
+
+def _interleave(steps, jumps, at, is_step):
+    """(rows, steps + K) events: each row's steps in order, with its K jump
+    slots at the flat positions ``at`` (``is_step`` is False there)."""
+    out = np.empty(is_step.size)
+    out[is_step] = steps.ravel()
+    out[at] = jumps.ravel()
+    return out.reshape(steps.shape[0], -1)
+
+
+def verify_grid_identity(draw: EulerDraw, model: LevyModel2, x: float) -> list[np.ndarray]:
+    """Per-row max deviation in V_{(t-s)-} = R_s over every boundary, one
+    array per grid of an ``euler_draw``, t its horizon: bit for bit the
+    ``max_error`` of ``verify_pathwise_identity`` on the ``euler_paths``
+    batch of each grid, with no ``Path``.
+
+    Each grid's events are its steps with the K jump slots of a row
+    interleaved (``EulerDraw.slots``).  A step's factors and increments
+    are computed on (rows, steps) arrays, with its duration and that of
+    its reversal read off one time vector per grid by the subtractions of
+    ``Path.dt`` and ``reverse_path``; a jump's on (rows, K) arrays, once
+    per draw.  V = E(U)(x + int E(U)_-^{-1} d eta) takes the steps'
+    factors exp(dU - sigma_U^2 dt / 2) and eta increments
+    dL - sigma_UL dt, and a jump's 1 + dU and dL/(1 + dU).  R runs on the
+    reversal: T steps by -dU + sigma_U^2 dt~, T jumps by
+    dU~/(1 - dU~), and the integrator is L~.  A jump at the horizon is
+    nulled first; a dU = -1 jump is a ConditionError, and the two eta~
+    routes must agree to ``_ETA_ROUTE_TOL`` (ArithmeticError), as in
+    ``inverse_flow_solve``.
+    """
+    h = draw.horizon
+    ju, jl = draw.marks
+    kmax = ju.shape[-1]
+    t_zero = False
+    if kmax:
+        # a jump exactly at the horizon is not part of the reversed path
+        hit = np.abs(draw.jump_times - h) <= _TIME_TOL
+        ju, jl = np.where(hit, 0.0, ju), np.where(hit, 0.0, jl)
+        if (ju == -1.0).any():
+            raise ConditionError("path has a jump with dU = -1; no solution")
+        du_rev = -ju
+        d_t = du_rev / (1.0 - du_rev)
+        t_zero = (d_t == -1.0).any()  # by rounding only, at dU of about 2^53 or more
+        jumps = (1.0 + ju, jl / (1.0 + ju), 1.0 + d_t, jl)
+    s2, s_ul = model.sigma_u_sq, model.sigma_ul
+    c = 0.5 * s2
+    errs = []
+    for k, (du, dl) in zip(draw.ks, draw.sums):
+        b = np.concatenate(([0.0], draw.ends(k)))
+        dt = b[1:] - b[:-1]
+        back = h - b
+        dt_rev = back[:-1] - back[1:]  # step i's duration in the reversal
+        eta = dl - s_ul * dt
+        if s_ul:  # without sigma_UL both eta~ routes read -dL
+            # eta~ from the reversed pair, -dL + sigma_UL dt~, against the
+            # reversed eta path, -eta; at a jump both are one quotient
+            _check_eta_routes(float(np.abs((s_ul * dt_rev - dl) + eta).max(initial=0.0)))
+        if t_zero:
+            raise ConditionError("stochastic exponential hits zero: jump of size -1")
+        steps = (np.exp(du - c * dt), eta, np.exp((s2 * dt_rev - du) - c * dt_rev), dl)
+        if kmax:
+            rows, n = du.shape
+            at = (draw.slots(k) + (n + kmax) * np.arange(rows)[:, None]).ravel()
+            is_step = np.ones(rows * (n + kmax), dtype=bool)
+            is_step[at] = False
+            steps = [_interleave(a, j, at, is_step) for a, j in zip(steps, jumps)]
+        f, eta, f_t, dl = steps
+        e, i = _solve(f, eta)
+        v = e * (x + i)
+        e_t, i_t = _solve(f_t[:, ::-1], -dl[:, ::-1])
+        r = e_t * (v[:, -1:] + i_t)
+        errs.append(_mixed_error(v[:, ::-1], r).max(axis=1))
+    return errs

@@ -20,7 +20,9 @@ the one place that draws jumps: it feeds these batches and every lane of
 ``mc`` (the jump lane, the ruin scan and the grid lane).  It draws
 times and marks for the jumps only and keeps them flat; ``JumpDraw.pad``
 lays a tile of rows out on the batch's largest jump count K
-(``exact_paths`` and ``euler_paths`` take one tile of all rows).
+(``exact_paths`` and ``euler_draw`` take one tile of all rows).
+``euler_draw`` is the euler backend's draw, which ``euler_paths`` lays
+out as batches and the inverse-flow check reads as arrays.
 ``Segment``/``Jump`` records only serve to read a path back
 (``Path.events``).
 """
@@ -42,6 +44,7 @@ __all__ = [
     "Path",
     "draw_jumps",
     "exact_paths",
+    "euler_draw",
     "euler_paths",
     "sample_path",
     "eta_path",
@@ -240,6 +243,94 @@ def exact_paths(
     return Path(float(horizon), is_jump, t, du, dl, backend="exact")
 
 
+@dataclass(frozen=True, eq=False)
+class EulerDraw:
+    """The draw of ``size`` euler-backend paths on nested grids (``euler_draw``).
+
+    Grid g steps ``ks[g]`` finest steps at a time: its boundaries are
+    ``ends(ks[g])`` after 0 and ``sums[g]`` holds its (du, dl) increments,
+    shape (2, rows, n).  The K jump slots of a row are in time order:
+    ``marks`` (du, dl; zero on the slots beyond ``counts``) and ``coarse``,
+    the 1-based coarsest step at whose end each one sits (the last step for
+    a padded slot).  ``slots(k)`` maps that one layout to grid k's.
+    """
+
+    horizon: float
+    fine_t: np.ndarray
+    ks: tuple
+    counts: np.ndarray
+    coarse: np.ndarray
+    marks: np.ndarray
+    sums: list
+
+    def ends(self, k: int) -> np.ndarray:
+        """The right boundaries of grid k's steps, the last one the horizon."""
+        return self.fine_t[k - 1 :: k]
+
+    @property
+    def jump_times(self) -> np.ndarray:
+        """(rows, K) times of the jump slots: ends of their coarsest steps."""
+        return self.fine_t[self.coarse * max(self.ks) - 1]
+
+    def slots(self, k: int) -> np.ndarray:
+        """(rows, K) positions of the jump slots among grid k's events: slot
+        j follows j slots and the grid steps of ``coarse`` coarsest steps."""
+        return self.coarse * (max(self.ks) // k) + np.arange(self.marks.shape[-1])
+
+
+def _step_sums(fine_inc: np.ndarray, k: int) -> np.ndarray:
+    """(2, rows, nsteps) increments summed k steps at a time, left to right:
+    the bits of ``.sum(axis=-1)`` over the strided (2, rows, nsteps / k, k)
+    view (tested), in k - 1 whole-array adds instead of one short
+    reduction per sum."""
+    steps = fine_inc.reshape(*fine_inc.shape[:2], -1, k)
+    total = steps[..., 0].copy()
+    for j in range(1, k):
+        total += steps[..., j]
+    return total
+
+
+def euler_draw(
+    model: LevyModel2,
+    horizon: float,
+    rng: np.random.Generator,
+    size: int,
+    grid_dts: Sequence[float],
+) -> EulerDraw:
+    """The jumps and Gaussian increments of ``size`` paths, one grid per
+    step in ``grid_dts`` (the draw of ``euler_paths``).
+
+    One ``draw_jumps`` call and one ``standard_normal((size, nsteps, 2))``
+    draw on the finest grid, ``nsteps`` a multiple of each integer
+    k = grid_dt / min(grid_dts); a coarser grid sums the fine increments k
+    at a time.  Every grid puts a jump at the end of the coarsest step that
+    holds it (an O(dt) shift, as in the grid lane; in the last step, on the
+    horizon).  A horizon that is not positive and finite is a ValueError.
+    """
+    _check_horizon(horizon)
+    fine = min(grid_dts)
+    if fine <= 0 or any(abs(g / fine - round(g / fine)) > 1e-9 for g in grid_dts):
+        raise ValueError("euler backend needs grid_dt > 0, each a multiple of the finest")
+    ks = tuple(round(g / fine) for g in grid_dts)
+    lcm = math.lcm(*ks)
+    nsteps = lcm * math.ceil(max(1, math.ceil(horizon / fine)) / lcm)
+    dt = horizon / nsteps
+    fine_t = dt * np.arange(1, nsteps + 1)
+    fine_t[-1] = horizon
+
+    draw = draw_jumps(model, horizon, rng, size)
+    times, ju, jl = draw.pad()
+    fine_inc = rng.standard_normal((size * nsteps, 2)) @ _cov_sqrt(model.gaussian_cov).T
+    fine_inc *= math.sqrt(dt)
+    fine_inc += np.multiply(model.drift, dt)
+    fine_inc = fine_inc.T.reshape(2, size, nsteps)  # (du, dl)
+    # the coarsest step that holds each jump; padded slots get the last one
+    kc = max(ks)
+    coarse = np.searchsorted(fine_t[kc - 1 :: kc], times) + 1
+    sums = [_step_sums(fine_inc, k) for k in ks]
+    return EulerDraw(float(horizon), fine_t, ks, draw.counts, coarse, np.stack([ju, jl]), sums)
+
+
 def euler_paths(
     model: LevyModel2,
     horizon: float,
@@ -249,54 +340,28 @@ def euler_paths(
 ) -> list[Path]:
     """``size`` euler-backend paths, stacked, one batch per step in ``grid_dts``.
 
-    One ``draw_jumps`` call and one ``standard_normal((size, nsteps, 2))``
-    draw on the finest grid, ``nsteps`` a multiple of each integer
-    k = grid_dt / min(grid_dts); a coarser grid sums the fine increments k
-    at a time.  Every grid puts a jump at the end of the coarsest step that
-    holds it (an O(dt) shift, as in the grid lane; in the last step, on the
-    horizon).  Row i is its segments and ``counts[i]`` jumps in time order,
-    then null segments at the horizon up to the batch's K jump slots.  A
-    horizon that is not positive and finite is a ValueError.
+    The paths of one ``euler_draw``: row i is its segments and
+    ``counts[i]`` jumps in time order, then null segments at the horizon
+    up to the batch's K jump slots.
     """
-    _check_horizon(horizon)
-    fine = min(grid_dts)
-    if fine <= 0 or any(abs(g / fine - round(g / fine)) > 1e-9 for g in grid_dts):
-        raise ValueError("euler backend needs grid_dt > 0, each a multiple of the finest")
-    ks = [round(g / fine) for g in grid_dts]
-    lcm = math.lcm(*ks)
-    nsteps = lcm * math.ceil(max(1, math.ceil(horizon / fine)) / lcm)
-    dt = horizon / nsteps
-    fine_t = dt * np.arange(1, nsteps + 1)
-    fine_t[-1] = horizon
-
-    draw = draw_jumps(model, horizon, rng, size)
-    times, ju, jl = draw.pad()
-    kmax = times.shape[1]
-    fine_inc = rng.standard_normal((size * nsteps, 2)) @ _cov_sqrt(model.gaussian_cov).T
-    fine_inc *= math.sqrt(dt)
-    fine_inc += np.multiply(model.drift, dt)
-    fine_inc = fine_inc.T.reshape(2, size, nsteps)  # (du, dl)
-    marks = np.stack([ju, jl])
-    # the coarsest step that holds each jump; padded slots get the last one
-    kc = max(ks)
-    m = np.searchsorted(fine_t[kc - 1 :: kc], times) + 1
-    jump_t = fine_t[m * kc - 1]
-
+    draw = euler_draw(model, horizon, rng, size, grid_dts)
+    kmax = draw.marks.shape[-1]
+    jump_t = draw.jump_times
     out = []
-    for k in ks:
-        width = nsteps // k + kmax
-        pos = m * (kc // k) + np.arange(kmax)  # after j slots and m coarsest steps
+    for k, sums in zip(draw.ks, draw.sums):
+        width = sums.shape[-1] + kmax
+        pos = draw.slots(k)
         seg = np.ones((size, width), dtype=bool)
         np.put_along_axis(seg, pos, False, axis=1)
         t = np.zeros((size, width + 1))
         inc = np.empty((2, size, width))
         # segments fill the other slots row by row, so in time order
-        t[:, 1:][seg] = np.tile(fine_t[k - 1 :: k], size)
-        inc[:, seg] = fine_inc.reshape(2, size, -1, k).sum(axis=-1).reshape(2, -1)
+        t[:, 1:][seg] = np.tile(draw.ends(k), size)
+        inc[:, seg] = sums.reshape(2, -1)
         np.put_along_axis(t[:, 1:], pos, jump_t, axis=1)
-        np.put_along_axis(inc, pos[None], marks, axis=2)
+        np.put_along_axis(inc, pos[None], draw.marks, axis=2)
         is_jump = ~seg & (np.arange(width) < width - kmax + draw.counts[:, None])
-        out.append(Path(float(horizon), is_jump, t, inc[0], inc[1], "euler", model.gaussian_cov))
+        out.append(Path(draw.horizon, is_jump, t, inc[0], inc[1], "euler", model.gaussian_cov))
     return out
 
 

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -6,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gouflow import inverse_flow, mc, suites
-from gouflow.config import ExperimentConfig
+from gouflow import inverse_flow, mc, paths, suites
+from gouflow.config import ExperimentConfig, _model_from_dict
 from gouflow.gou import solve_forward
 from gouflow.inverse_flow import (
     inverse_flow_solve,
+    verify_grid_identity,
     verify_pathwise_identity,
     verify_tile_identity,
 )
@@ -19,6 +22,7 @@ from gouflow.paths import (
     Jump,
     Segment,
     draw_jumps,
+    euler_draw,
     euler_paths,
     exact_paths,
     reverse_path,
@@ -340,10 +344,10 @@ def test_euler_inverse_flow_batches_bounded_at_long_horizon(monkeypatch):
 
     def recording(model, horizon, rng, size, grid_dts):
         sizes.append(size)
-        return euler_paths(model, horizon, rng, size, grid_dts)
+        return euler_draw(model, horizon, rng, size, grid_dts)
 
     budget, horizon = 100_000, 50.0
-    monkeypatch.setattr(suites, "euler_paths", recording)
+    monkeypatch.setattr(suites, "euler_draw", recording)
     monkeypatch.setattr(suites, "_STACK_ELEMENTS", budget)
     cfg = ExperimentConfig(
         seed=1, suite="inverse-flow", model=JUMP_DIFFUSION, n_paths=5, horizon=horizon
@@ -505,3 +509,162 @@ def test_tile_check_mutants_fail_where_they_change_the_path(mutant, m):
 def test_tile_check_mutants_fail_on_random_laws(m):
     for mutant in MUTANTS:
         _check_mutant(m, "tile-mutant-random", mutant)
+
+
+# ---------------------------------------------------------------------------
+# the grid check against the Path route
+# ---------------------------------------------------------------------------
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SUITE_DTS = (4e-3, 2e-3, 1e-3)  # the Euler inverse-flow suite's grids
+
+
+def _workload_model(name):
+    with open(os.path.join(ROOT, "verdictbench", "workloads.json")) as fh:
+        return _model_from_dict(json.load(fh)["models"][name])
+
+
+def _state(rng):
+    return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist())
+
+
+def _both_routes(m, horizon, rng_label, size, grid_dts=SUITE_DTS):
+    """Per-grid max_errors of the grid route and of ``euler_paths`` +
+    ``verify_pathwise_identity``, drawn from two identical streams, and
+    the draw; the streams must end in the same state."""
+    rng_grid, rng_path = stream(7, rng_label), stream(7, rng_label)
+    draw = euler_draw(m, horizon, rng_grid, size, grid_dts)
+    grid = verify_grid_identity(draw, m, 1.0)
+    path = [
+        verify_pathwise_identity(batch, m, 1.0)["max_error"]
+        for batch in euler_paths(m, horizon, rng_path, size, grid_dts)
+    ]
+    assert _state(rng_grid) == _state(rng_path)
+    return grid, path, draw
+
+
+def _assert_same_bits(grid, path, size):
+    assert len(grid) == len(path)
+    for g, p in zip(grid, path):
+        assert g.shape == (size,)
+        assert np.array_equal(g, p, equal_nan=True)
+
+
+_WORKLOAD_CASES = {
+    "dufresne": (lambda: get_preset("dufresne").model, 2.0),
+    "correlated-gauss": (lambda: _workload_model("correlated-gauss"), 2.0),
+    "jump-diffusion": (lambda: _workload_model("jump-diffusion"), 1.0),
+}
+
+
+@pytest.mark.parametrize("size", [1, 4, 8, 30])
+@pytest.mark.parametrize("name", list(_WORKLOAD_CASES))
+def test_grid_check_matches_path_route_on_workload_models(name, size):
+    """Bit for bit per row and grid at seeds 1-3 of the suite's streams,
+    on the suite's batch sizes (4 rows at horizon 2, 8 at horizon 1) and
+    on one row and 30."""
+    make, horizon = _WORKLOAD_CASES[name]
+    m = make()
+    for b in range(3):
+        grid, path, _ = _both_routes(m, horizon, f"invflow-{name}-{b}", size)
+        _assert_same_bits(grid, path, size)
+        assert all(np.isfinite(g).all() for g in grid)
+
+
+# Gaussian parts of every correlation sign, with and without L noise
+_covs = st.builds(
+    lambda su, sl, rho: ((su * su, rho * su * sl), (rho * su * sl, sl * sl)),
+    st.floats(0.2, 1.0),
+    st.sampled_from([0.0, 0.3, 0.8]),
+    st.sampled_from([-0.9, 0.0, 0.5]),
+)
+# point masses with dU < -1 (sign changes of E) beside the tile tests' laws
+_sign_flip_laws = st.lists(
+    st.tuples(st.sampled_from([-2.5, -1.5, -0.25, 0.0, 0.5]), _dl_atom),
+    min_size=1,
+    max_size=3,
+    unique=True,
+).map(lambda pairs: JumpLaw2.point_mass([(pair, 1.0 / len(pairs)) for pair in pairs]))
+_gaussian_jump_models = st.builds(
+    lambda b_u, b_l, cov, rate, law: LevyModel2(
+        drift=(b_u, b_l), gaussian_cov=cov, jump_intensity=rate, jump_law=law
+    ),
+    st.sampled_from([-0.5, 0.0, 0.5]),
+    st.sampled_from([-0.5, 0.0, 0.8]),
+    _covs,
+    st.floats(0.5, 8.0),
+    st.one_of(_laws, _sign_flip_laws),
+)
+
+
+@given(_gaussian_jump_models, st.sampled_from([0.3705, 0.5, 1.0]), st.sampled_from([1, 3, 6]))
+@settings(max_examples=40, deadline=None)
+def test_grid_check_matches_path_route_on_random_laws(m, horizon, size):
+    """Gaussian part and jumps, dU < -1 included; 0.3705 is not a
+    multiple of any grid step (the grids then step 0.3705 / 372)."""
+    grid, path, _ = _both_routes(m, horizon, "grid-random", size)
+    _assert_same_bits(grid, path, size)
+
+
+SIGN_FLIP_DIFFUSION = LevyModel2(
+    drift=(-0.5, 0.5),
+    gaussian_cov=((0.4, 0.1), (0.1, 0.3)),
+    jump_intensity=4.0,
+    jump_law=JumpLaw2.point_mass([((-1.5, 0.3), 0.5), ((0.4, -0.2), 0.5)]),
+)
+
+
+def test_grid_check_matches_path_route_with_jumps_below_minus_one():
+    grid, path, draw = _both_routes(SIGN_FLIP_DIFFUSION, 1.0, "grid-flip", 8)
+    assert (draw.marks[0] == -1.5).any()
+    _assert_same_bits(grid, path, 8)
+
+
+def test_grid_check_nulls_a_jump_in_the_last_coarse_step():
+    """A jump drawn in the last coarsest step sits on the horizon on every
+    grid and is not part of the reversed path: both routes null it."""
+    m, horizon, size = SIGN_FLIP_DIFFUSION, 0.37, 4
+    for label in (f"grid-last-{i}" for i in range(40)):
+        grid, path, draw = _both_routes(m, horizon, label, size)
+        real = np.arange(draw.marks.shape[-1]) < draw.counts[:, None]
+        if np.any(real & (draw.jump_times == horizon)):
+            break
+    else:
+        pytest.fail("no stream put a jump in the last coarse step")
+    _assert_same_bits(grid, path, size)
+
+
+def test_grid_check_refuses_a_unit_jump_as_the_path_route_does(monkeypatch):
+    """A jump with dU = -1 before the horizon (which condition (A) gives
+    probability zero, so it is set in one draw by hand) is the same
+    ConditionError on both routes."""
+    m, horizon = SIGN_FLIP_DIFFUSION, 1.0
+    draw = euler_draw(m, horizon, stream(7, "unit"), 4, SUITE_DTS)
+    real = np.arange(draw.marks.shape[-1]) < draw.counts[:, None]
+    row, slot = np.argwhere(real & (draw.jump_times < horizon))[0]
+    marks = draw.marks.copy()
+    marks[0, row, slot] = -1.0
+    unit = replace(draw, marks=marks)
+    monkeypatch.setattr(paths, "euler_draw", lambda *args: unit)
+    with pytest.raises(ConditionError) as grid:
+        verify_grid_identity(unit, m, 1.0)
+    with pytest.raises(ConditionError) as path:
+        euler_batches = euler_paths(m, horizon, stream(7, "unit"), 4, SUITE_DTS)
+        verify_pathwise_identity(euler_batches[0], m, 1.0)
+    assert str(grid.value) == str(path.value) == "path has a jump with dU = -1; no solution"
+
+
+def test_grid_check_keeps_the_eta_route_check(monkeypatch):
+    """With sigma_UL != 0 the two eta~ routes differ in the last bits of
+    sigma_UL dt against sigma_UL dt~: at tolerance 0 both routes raise,
+    with the same largest gap."""
+    m = _workload_model("correlated-gauss")
+    assert m.sigma_ul != 0.0
+    monkeypatch.setattr(inverse_flow, "_ETA_ROUTE_TOL", 0.0)
+    with pytest.raises(ArithmeticError) as grid:
+        verify_grid_identity(euler_draw(m, 2.0, stream(7, "eta"), 4, SUITE_DTS), m, 1.0)
+    with pytest.raises(ArithmeticError) as path:
+        for batch in euler_paths(m, 2.0, stream(7, "eta"), 4, SUITE_DTS):
+            verify_pathwise_identity(batch, m, 1.0)
+    assert str(grid.value) == str(path.value)
+    assert "eta~ construction routes disagree" in str(grid.value)

@@ -12,6 +12,7 @@ from gouflow.paths import (
     Path,
     Segment,
     _cov_sqrt,
+    _step_sums,
     draw_jumps,
     eta_path,
     euler_paths,
@@ -141,6 +142,16 @@ def test_euler_paths_coarse_segments_are_fine_sums(horizon):
         assert np.array_equal(du, fine_du.reshape(size, -1, k).sum(axis=-1))
         assert np.array_equal(dl, fine_dl.reshape(size, -1, k).sum(axis=-1))
         assert np.array_equal(t, fine_t[:, k - 1 :: k])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 12, 40])
+def test_step_sums_add_as_numpy_sums(k):
+    """The coarse sums add left to right, bit for bit numpy's sum over the
+    strided view that ``euler_draw`` sums, on terms of 60 decades."""
+    rng = make_stream("step-sums")
+    fine = rng.standard_normal((3 * 40 * k, 2)) * np.exp(rng.uniform(-70, 70, (3 * 40 * k, 2)))
+    fine = fine.T.reshape(2, 3, 40 * k)
+    assert np.array_equal(_step_sums(fine, k), fine.reshape(2, 3, -1, k).sum(axis=-1))
 
 
 def test_euler_paths_jumps_are_the_drawn_jumps_on_every_grid():

@@ -41,8 +41,8 @@ def test_traced_argument_names(tracing, name, params):
 _RUNS = {
     "jump-lane": "preset: drift-ou\nsuite: stationary\nstationary_horizon: 2.0\n",
     "grid-lane": "preset: dufresne\nsuite: duality\nt_grid: [0.5]\ngrid_dt: 0.01\n",
-    # the Euler check is the one that runs Path batches through
-    # verify_pathwise_identity; a pure-jump model takes the tile check
+    # the grid check; no suite calls verify_pathwise_identity, which the
+    # test calls itself
     "inverse-flow": "preset: dufresne\nsuite: inverse-flow\nhorizon: 0.5\n",
 }
 
@@ -51,8 +51,9 @@ def test_traced_runs_feed_every_hooked_counter(tracing, tmp_path):
     """Runs under the installed tracer count paths, events and sample
     values; a change to a result a hook reads (``Path.events``, the
     ``n_points`` of a pathwise check) would otherwise break only the next
-    traced benchmark run."""
-    from gouflow import cli, paths
+    traced benchmark run.  ``sample_path`` and ``verify_pathwise_identity``
+    (on an ``euler_paths`` batch) are called directly: no suite calls them."""
+    from gouflow import cli, inverse_flow, paths
     from gouflow.presets import get_preset
     from gouflow.rng import stream
 
@@ -63,6 +64,9 @@ def test_traced_runs_feed_every_hooked_counter(tracing, tmp_path):
             cfg.write_text(f"schema_version: 1\nseed: 1\nn_paths: 200\n{body}")
             assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
         path = paths.sample_path(get_preset("drift-ou").model, 2.0, stream(1, "trace", 0))
+        model = get_preset("dufresne").model
+        for batch in paths.euler_paths(model, 0.5, stream(1, "trace", 1), 2, (1e-3,)):
+            inverse_flow.verify_pathwise_identity(batch, model, 1.0)
     assert not hasattr(paths.sample_path, "__wrapped__")  # the wrappers are gone again
     metrics = {k: v["value"] for k, v in tracing.layer_metrics(tracer).items()}
     assert metrics["paths.sample_path.events"] == len(path.events) > 0
