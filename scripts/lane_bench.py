@@ -71,6 +71,13 @@ streams, and an ``invflow:euler-path`` row the same paths through
 each reads ms per 30 paths and the traced peak MiB of the 30, and a line
 per model gives the grid route's median over the Path route's.  A
 checkout without the grid check runs its Path route in both rows.
+A ``csv`` row per table shape times ``suites.write_csv`` writing one
+suite's table to a temporary directory, in ms per write: the exact
+inverse-flow table of ``drift-ou`` (1000 rows), the Euler inverse-flow
+table of ``dufresne`` (60 paths on three grids: 180 rows) and the duality
+table of ``zero`` on three t, three x and nine y (81 rows), each built
+once by the checkout's own suite at seed --seed and written by its own
+``write_csv``.
 Every row also prints the CPU milliseconds per block that this process
 spent (``time.process_time``: all its threads), so a pair's wait for the
 GIL shows as wall time above CPU / 2, and its handoffs as CPU above the
@@ -114,6 +121,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -409,15 +417,18 @@ def timed_rounds(sides, repeats):
 CASE_KEYS = ("preset", "horizon", "lane", "workers")  # what names a case
 
 
-def build_cases(lib, args):
+def build_cases(lib, args, out_dir):
     """(row without its timings, fn, blocks) of every case, in table order,
     from the modules ``lib`` (``load``)."""
     BLOCK_SIZE, GRID_DT = lib.rng.BLOCK_SIZE, lib.paths.GRID_DT
     LANES = lanes(lib)
     cases = []
 
-    def case(name, horizon, lane, workers, fn, blocks, steps=None, slots=None, peak=None):
+    def case(name, horizon, lane, workers, fn, blocks, steps=None, slots=None, peak=None,
+             table_rows=None):
         row = {"preset": name, "horizon": horizon, "lane": lane, "workers": workers}
+        if table_rows is not None:
+            row["table_rows"] = table_rows
         if steps is not None:
             row["steps"] = steps
         if slots is not None:
@@ -487,7 +498,33 @@ def build_cases(lib, args):
         for route, lane in (("grid", "invflow:euler"), ("path", "invflow:euler-path")):
             fn = functools.partial(_invflow_euler, lib, model, h, args.seed, route)
             case(name, h, lane, 1, fn, 1, peak=traced_peak_mib(fn))
+    for name, horizon, rows, write in _csv_writes(lib, args.seed, out_dir):
+        case(name, horizon, "csv", 1, write, 1, table_rows=rows)
     return cases
+
+
+# the tables the csv rows write: (preset, suite, config keys, rows)
+CSV_TABLES = (
+    ("drift-ou", "inverse-flow", {"n_paths": 1000}, 1000),
+    ("dufresne", "inverse-flow", {"n_paths": 60}, 180),
+    ("zero", "duality", {"n_paths": 256, "y_grid": tuple(y / 2 for y in range(-4, 5))}, 81),
+)
+
+
+def _csv_writes(lib, seed, out_dir):
+    """(preset, horizon, rows, one write of the table) per ``CSV_TABLES`` shape."""
+    writes = []
+    for preset, suite, keys, rows in CSV_TABLES:
+        cfg = lib.config.ExperimentConfig(seed=seed, suite=suite, preset=preset, **keys)
+        result = lib.suites.SUITE_RUNNERS[suite](cfg)
+        path = os.path.join(out_dir, f"{lib.suites.__name__}-{preset}-{suite}.csv")
+        write = functools.partial(lib.suites.write_csv, path, result)
+        write()
+        with open(path) as fh:
+            if sum(1 for _ in fh) != rows + 1:
+                raise SystemExit(f"the {preset} {suite} table does not have {rows} rows")
+        writes.append((preset, cfg.horizon, rows, write))
+    return writes
 
 
 def main():
@@ -517,9 +554,10 @@ def main():
         print(f"set-up ratio: this import over against import {setup_ratio:.3f} "
               f"(the two sides alternate within each round)")
 
-    sides = [build_cases(load(), args)]
+    out_dir = tempfile.TemporaryDirectory()  # the csv rows' tables
+    sides = [build_cases(load(), args, out_dir.name)]
     if args.against:
-        sides.append(build_cases(load(args.against), args))
+        sides.append(build_cases(load(args.against), args, out_dir.name))
         names = [[tuple(row[k] for k in CASE_KEYS) for row, _, _ in side] for side in sides]
         if names[0] != names[1]:
             raise SystemExit("the two checkouts build different cases; compare like with like")
@@ -576,6 +614,7 @@ def main():
                       "control_ratios": [round(c, 3) for c in controls],
                       "invflow_tile_over_path": invflow["tile"],
                       "invflow_grid_over_path": invflow["grid"], "rows": rows}))
+    out_dir.cleanup()
 
 
 if __name__ == "__main__":

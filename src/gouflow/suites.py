@@ -1,13 +1,15 @@
 """Verification suites: each one exercises a family of identities on a
-configured model and reduces to a pass/fail verdict plus plot-ready rows.
-A suite is a pure function of the config and writes no file; ``cli``
-writes a run's files, the stationary suite's ``SuiteResult.sample`` too."""
+configured model and reduces to a pass/fail verdict plus a plot-ready
+table, handed over as columns (``SuiteResult.columns``).  A suite is a
+pure function of the config and writes no file; ``cli`` writes a run's
+files: each table through ``write_csv``, in the bytes ``csv.writer``
+writes, and the stationary suite's ``SuiteResult.sample``."""
 
 from __future__ import annotations
 
 import math
-import csv
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -41,18 +43,75 @@ _STACK_ELEMENTS = 1 << 13
 
 @dataclass
 class SuiteResult:
+    """A suite's verdict, its ``summary.json`` metrics and its table.
+
+    ``columns`` maps each CSV column's name, in header order, to its cells
+    in row order; every column has one cell per row, and every cell is a
+    Python int, float, bool or str (a numpy float would not write as
+    ``csv.writer`` writes it).
+    """
+
     passed: bool
     metrics: dict
-    rows: list = field(default_factory=list)
-    columns: tuple = ()
+    columns: dict = field(default_factory=dict)
     worst: dict | None = None  # decide()'s worst verdict row; not in summary.json
     sample: EmpiricalDistribution | None = None  # a law the CLI exports
 
 
+def _csv_field(cell, alone: bool):
+    """``cell`` as ``csv.writer`` writes it: a str holding a delimiter, a
+    quote or a line break is quoted with its quotes doubled, and so is an
+    empty str that is its row's only field (``alone``)."""
+    if isinstance(cell, str) and (any(c in cell for c in ',"\r\n') or (alone and not cell)):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _same_text(col) -> bool:
+    """Whether every cell of a nonempty column writes as its first: equal
+    cells of one type, and no float zero (0.0 and -0.0 are equal)."""
+    first, kind = col[0], type(col[0])
+    return (
+        col.count(first) == len(col)
+        and not (kind is float and first == 0.0)
+        and all(type(cell) is kind for cell in col)
+    )
+
+
 def write_csv(path, result: SuiteResult) -> None:
+    """Write ``result``'s table with one ``%`` template per line kind and
+    one write, in the bytes of ``csv.writer`` (excel dialect).  ``%s`` of
+    a Python int, bool or str is the ``str`` that ``csv.writer`` writes,
+    and of a float its repr, as there.  A column whose cells all write
+    alike (``t``, ``x`` and ``backend`` of ``inverse-flow.csv``) is
+    formatted once, into the row template.  A cell that ``csv.writer``
+    quotes adds a comma, a quote or a line break to the text, so the
+    counts show when the table has one and is written again field by
+    field."""
+    names, cols = list(result.columns), list(result.columns.values())
+    nrows = len(cols[0]) if cols else 0
+    plain = ",".join(["%s"] * len(names)) + "\r\n"
+    fixed = [nrows > 0 and _same_text(col) for col in cols]
+    line = ",".join(
+        ("%s" % col[0]).replace("%", "%%") if same else "%s" for col, same in zip(cols, fixed)
+    )
+    free = [col for col, same in zip(cols, fixed) if not same]
+    text = plain % tuple(names) + (line + "\r\n") * nrows % (*chain.from_iterable(zip(*free)),)
+    commas, breaks = (nrows + 1) * (len(names) - 1), nrows + 1
+    if len(names) < 2 or '"' in text or text.count(",") != commas or (
+        text.count("\r") != breaks or text.count("\n") != breaks
+    ):
+        alone = len(names) == 1
+        rows = ([_csv_field(cell, alone) for cell in row] for row in [names, *zip(*cols)])
+        text = "".join(plain % tuple(row) for row in rows)
     with open(path, "w", newline="") as fh:
-        rows = [[row.get(c, "") for c in result.columns] for row in result.rows]
-        csv.writer(fh).writerows([result.columns, *rows])
+        fh.write(text)
+
+
+def _columns(rows, names) -> dict:
+    """Verdict-row dicts as a table's columns: each of ``names``' cells in
+    row order, a row's missing key as ""."""
+    return {name: [row.get(name, "") for row in rows] for name in names}
 
 
 def _recommended(cfg: ExperimentConfig, key: str, default):
@@ -98,8 +157,9 @@ def duality_suite(cfg: ExperimentConfig) -> SuiteResult:
             "max_z": _finite_z(max((max(row["z"], row["z_sym"]) for row in rows), default=0.0)),
             "failed": sum(1 for row in rows if not row["pass"]),
         },
-        rows=rows,
-        columns=("t", "x", "y", "p_V", "se_V", "p_R", "se_R", "z", "z_sym", "pass"),
+        columns=_columns(
+            rows, ("t", "x", "y", "p_V", "se_V", "p_R", "se_R", "z", "z_sym", "pass")
+        ),
     )
 
 
@@ -127,31 +187,36 @@ def inverse_flow_suite(cfg: ExperimentConfig) -> SuiteResult:
     for b, lo in enumerate(range(0, n, per_batch)):
         batches = check(stream(cfg.seed, "invflow", b), min(per_batch, n - lo))
         for e, max_error in zip(errs, batches):
-            e.extend(max_error.tolist())
-    rows = [
-        {"seed": j, "t": cfg.horizon, "x": x, "max_error": err, "backend": backend, "grid_dt": dt}
-        for dt, e in zip(dts, errs)
-        for j, err in enumerate(e)
-    ]
-    top = max(rows, key=lambda row: row["max_error"])
-    probe = f"path {top['seed']} (grid_dt {top['grid_dt'] or 'exact'})"
+            e.append(max_error)
+    # the table's rows: each grid's paths in turn
+    errors = np.concatenate(list(chain.from_iterable(errs)))
+    finite_samples(errors, "per-path inverse-flow error", cfg.horizon)
+    top = int(np.argmax(errors))  # the first maximum in row order
+    probe = f"path {top % n} (grid_dt {dts[top // n] or 'exact'})"
     if backend == "euler":
-        medians = [float(np.median(e)) for e in errs]
+        medians = [float(np.median(e)) for e in errors.reshape(len(dts), n)]
         metrics = {"backend": "euler", "grid_dts": dts, "median_errors": medians}
-        probe += f" max_error {top['max_error']:.3e}; median errors per grid_dt " + ", ".join(
+        probe += f" max_error {errors[top]:.3e}; median errors per grid_dt " + ", ".join(
             f"{dt:g}: {med:.3e}" for dt, med in zip(dts, medians)
         )
         steps = list(zip(medians, medians[1:]))
         row = verdict("inverse-flow-euler", probe, min(a - b for a, b in steps), *steps)
     else:
-        worst = float(np.max(errs[0]))
+        worst = float(errors[top])
         metrics = {"backend": "exact", "n_paths": n, "max_error": worst}
         row = verdict("inverse-flow-exact", probe, worst, (worst,))
+    size = errors.size
     return SuiteResult(
         **decide([row]),
         metrics=metrics,
-        rows=rows,
-        columns=("seed", "t", "x", "max_error", "backend", "grid_dt"),
+        columns={
+            "seed": list(range(n)) * len(dts),
+            "t": [cfg.horizon] * size,
+            "x": [x] * size,
+            "max_error": errors.tolist(),
+            "backend": [backend] * size,
+            "grid_dt": [dt for dt in dts for _ in range(n)],
+        },
     )
 
 
@@ -168,8 +233,7 @@ def ruin_suite(cfg: ExperimentConfig) -> SuiteResult:
     return SuiteResult(
         **decide(rows),
         metrics=metrics,
-        rows=rows,
-        columns=("probe", "lhs", "rhs", "bound", "pass"),
+        columns=_columns(rows, ("probe", "lhs", "rhs", "bound", "pass")),
     )
 
 
@@ -334,8 +398,7 @@ def stationary_suite(cfg: ExperimentConfig) -> SuiteResult:
     return SuiteResult(
         **decide(rows),
         metrics=metrics,
-        rows=rows,
-        columns=("check", "statistic", "pvalue", "pass"),
+        columns=_columns(rows, ("check", "statistic", "pvalue", "pass")),
         sample=dist,
     )
 
@@ -364,8 +427,7 @@ def monotonicity_suite(cfg: ExperimentConfig) -> SuiteResult:
             "t": t,
             "y": y,
         },
-        rows=report["pairs"],
-        columns=("x_lo", "x_hi", "violations", "z"),
+        columns=_columns(report["pairs"], ("x_lo", "x_hi", "violations", "z")),
     )
 
 

@@ -313,20 +313,32 @@ def test_cli_run_after_a_run_with_overrides_matches_a_fresh_process(tmp_path):
     assert list(json.loads(summary)["suites"]) == ["duality"]
 
 
-def _dictwriter_bytes(path, result):
+def _dictwriter_bytes(path, names, rows):
     """The bytes ``csv.DictWriter(..., extrasaction="ignore")`` writes for
-    ``result``: its header, then each row's columns, a missing one as ""."""
+    ``rows`` under the header ``names``: each row's columns, a missing one
+    as ""."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(result.columns), extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=list(names), extrasaction="ignore")
         writer.writeheader()
-        writer.writerows(result.rows)
+        writer.writerows(rows)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _writer_bytes(path, rows):
+    """The bytes ``csv.writer`` writes for ``rows``, a list of cell lists."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
     with open(path, "rb") as fh:
         return fh.read()
 
 
 @pytest.mark.parametrize("preset", preset_names())
 def test_write_csv_writes_dictwriter_bytes_for_every_suite(tmp_path, preset):
-    """On a small run of every suite that does not refuse the preset."""
+    """On a small run of every suite that does not refuse the preset.
+    Every column has one cell per row, and every cell is a Python int,
+    float, bool or str, which ``%s`` and ``csv.writer`` write alike (not
+    a numpy float)."""
     for suite, runner in SUITE_RUNNERS.items():
         cfg = parse_config(
             f"schema_version: 1\nseed: 3\npreset: {preset}\nsuite: {suite}\n"
@@ -336,30 +348,68 @@ def test_write_csv_writes_dictwriter_bytes_for_every_suite(tmp_path, preset):
             result = runner(cfg)
         except ConditionError:
             continue
-        assert result.rows
+        assert len({len(cells) for cells in result.columns.values()}) == 1, suite
+        for name, cells in result.columns.items():
+            kinds = {type(cell) for cell in cells}
+            assert kinds <= {int, float, bool, str}, (suite, name, kinds)
+        rows = [dict(zip(result.columns, cells)) for cells in zip(*result.columns.values())]
+        assert rows
         write_csv(tmp_path / "new.csv", result)
-        expected = _dictwriter_bytes(tmp_path / "old.csv", result)
+        expected = _dictwriter_bytes(tmp_path / "old.csv", result.columns, rows)
         assert (tmp_path / "new.csv").read_bytes() == expected, suite
 
 
 def test_write_csv_fills_missing_columns_drops_extra_keys_and_quotes(tmp_path):
-    result = SuiteResult(
-        passed=True,
-        metrics={},
-        rows=[
-            {"probe": 'say "so", then\nstop', "value": 1.5, "extra": "dropped"},
-            {"value": -0.0},
-            {"probe": "a,b", "value": 2, "pass": False},
-            {},
-        ],
-        columns=("probe", "value", "pass"),
-    )
+    from gouflow.suites import _columns
+
+    rows = [
+        {"probe": 'say "so", then\nstop', "value": 1.5, "extra": "dropped"},
+        {"value": -0.0},
+        {"probe": "a,b", "value": 2, "pass": False},
+        {},
+    ]
+    names = ("probe", "value", "pass")
+    result = SuiteResult(passed=True, metrics={}, columns=_columns(rows, names))
     write_csv(tmp_path / "new.csv", result)
     written = (tmp_path / "new.csv").read_bytes()
-    assert written == _dictwriter_bytes(tmp_path / "old.csv", result)
+    assert written == _dictwriter_bytes(tmp_path / "old.csv", names, rows)
     assert written == (
         b'probe,value,pass\r\n"say ""so"", then\nstop",1.5,\r\n,-0.0,\r\n"a,b",2,False\r\n,,\r\n'
     )
+
+
+_AWKWARD_STR = ["a,b", 'say "so"', "one\rtwo", "one\ntwo", "\r\n", '"', ",", " padded ", "", "%s"]
+_AWKWARD_FLOAT = [-0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan, 0.1]
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        {"s": _AWKWARD_STR, "n": list(range(len(_AWKWARD_STR)))},
+        {"f": _AWKWARD_FLOAT, "b": [True, False] * 3 + [True], "i": [0, -1, 2**70, 7, 8, 9, 10]},
+        {"mixed": ["", True, 3, -0.0, "x,y", math.nan], "e": [""] * 6},
+        {"only": ["", "a", "", '"q"', "b c"]},
+        {"only": []},
+        {"a b": [], "c,d": [], 'q"': []},
+        {"s": [" lead"], "f": [1e-300], "b": [False]},
+        {"x": [""], "y": [""]},
+        {},
+        {"k": [2.0] * 4, "z": [-0.0] * 4, "s": ["%%"] * 4, "n": [math.nan] * 4, "q": [","] * 4},
+        {"a": [1, 1.0, True], "b": [0.0, -0.0, 0.0], "c": [False, 0, 0.0], "d": ["%d"] * 3},
+    ],
+    ids=["str", "scalars", "mixed", "one-column", "one-column-empty", "zero-rows",
+         "one-row", "empty-cells", "no-columns", "constant-columns", "equal-not-alike"],
+)
+def test_write_csv_writes_csv_writer_bytes_on_hand_built_tables(tmp_path, columns):
+    """Quoted str cells (a delimiter, a quote, a line break), leading and
+    trailing spaces, empty strings, bools, ints and the float extremes
+    (-0.0, the least subnormal, the largest float, inf, nan), on tables
+    with many rows, one row and none; columns of one repeated cell, and
+    columns of equal cells that write differently (1, 1.0 and True; 0.0
+    and -0.0)."""
+    write_csv(tmp_path / "new.csv", SuiteResult(passed=True, metrics={}, columns=columns))
+    expected = _writer_bytes(tmp_path / "old.csv", [list(columns), *zip(*columns.values())])
+    assert (tmp_path / "new.csv").read_bytes() == expected
 
 
 def test_cli_run_worker_count_does_not_change_bytes(tmp_path):
@@ -826,7 +876,7 @@ def test_monotonicity_suite_with_one_x_fails():
 
     cfg = ExperimentConfig(seed=7, suite="monotonicity", preset="drift-ou", n_paths=200)
     res = monotonicity_suite(replace(cfg, x_grid=(1.0,)))
-    assert res.rows == [] and not res.passed
+    assert all(cells == [] for cells in res.columns.values()) and not res.passed
     assert math.isnan(res.worst["value"]) and not res.worst["pass"]
     assert monotonicity_suite(cfg).passed
 
@@ -879,14 +929,23 @@ def _inflate_path_7(monkeypatch):
 
 
 def _flat_errors(monkeypatch):
-    """Every inverse-flow path reads max_error 1e-2 on every grid step, so
-    the Euler medians do not decrease: margin 0 fails the strict rule."""
+    """Every inverse-flow path but path 7 reads max_error 1e-2 on every grid
+    step, and path 7 reads 1e-1, so the Euler medians do not decrease:
+    margin 0 fails the strict rule.  The worst path is path 7 on the first
+    grid, the first of its three equal maxima in row order."""
     import gouflow.suites as suites
 
     real = suites.verify_grid_identity
 
+    seen = [0]  # paths checked in the batches before this one
+
     def flat(draw, model, x):
-        return [np.full_like(errs, 1e-2) for errs in real(draw, model, x)]
+        errs = [np.full_like(errs, 1e-2) for errs in real(draw, model, x)]
+        lo, seen[0] = seen[0], seen[0] + errs[0].size
+        if lo <= 7 < seen[0]:
+            for e in errs:
+                e[7 - lo] = 1e-1
+        return errs
 
     monkeypatch.setattr(suites, "verify_grid_identity", flat)
 
@@ -925,6 +984,7 @@ _FAILURES = {
         ("dufresne", 20),
         _flat_errors,
         "inverse-flow-euler",
+        "worst row path 7 (grid_dt 0.004) max_error 1.000e-01; "
         "median errors per grid_dt 0.004: 1.000e-02, 0.002: 1.000e-02, 0.001: 1.000e-02: "
         "median decrease 0.000e+00, level 0, margin 0.000e+00",
     ),

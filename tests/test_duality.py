@@ -151,7 +151,7 @@ def test_ruin_suite_draws_one_sample_per_side_for_all_levels(monkeypatch):
         "stationary_horizon: 2\ngrid_dt: 0.01\ny_grid: [0.5, 1.0, 2.0]\n"
     )
     result = ruin_suite(cfg)
-    assert [row["probe"] for row in result.rows] == [0.5, 1.0, 2.0]
+    assert result.columns["probe"] == [0.5, 1.0, 2.0]
     assert sorted(labels) == ["ruin", "ruin-companion"]
     assert len(sampler_calls) == 1
 
@@ -182,9 +182,10 @@ def test_ruin_suite_rows_are_the_verdict_rows(monkeypatch, mode, config):
     )
     result = suites.ruin_suite(cfg)
     ((rows, metrics),) = returned
-    assert result.rows is rows and result.metrics is metrics
+    names = ("probe", "lhs", "rhs", "bound", "pass")
+    assert result.columns == {name: [row.get(name, "") for row in rows] for name in names}
+    assert tuple(result.columns) == names and result.metrics is metrics
     assert result.passed == all(row["pass"] for row in rows)
-    assert result.columns == ("probe", "lhs", "rhs", "bound", "pass")
 
 
 def test_ruin_probability_refuses_non_finite_running_minimum():
@@ -344,10 +345,12 @@ def test_duality_suite_reports_infinite_z(monkeypatch):
     monkeypatch.setattr(duality, "dual_model", lambda model: LevyModel2(drift=(0.0, 0.5)))
     cfg = parse_config("schema_version: 1\nseed: 1\npreset: zero\nsuite: duality\nn_paths: 256\n")
     result = duality_suite(cfg)
-    failed = [row for row in result.rows if not row["pass"]]
-    assert failed and all(math.inf in (row["z"], row["z_sym"]) for row in failed)
+    table = result.columns
+    zs = zip(table["z"], table["z_sym"], table["pass"])
+    failed = [(z, z_sym) for z, z_sym, ok in zs if not ok]
+    assert failed and all(math.inf in zs for zs in failed)
     # every finite z is 0, so dropping the infinite ones reads 0.0
-    assert {row["z"] for row in result.rows} == {0.0, math.inf}
+    assert set(table["z"]) == {0.0, math.inf}
     assert result.metrics["failed"] == len(failed)
     assert result.metrics["max_z"] == 1e18
 
@@ -374,9 +377,11 @@ def test_duality_fail_shows_its_margin_in_both_directions(monkeypatch, tmp_path)
         "t_grid: [0.5]\n"
     )
     result = duality_suite(cfg)
-    failed = [row for row in result.rows if not row["pass"]]
+    table = result.columns
+    zs = zip(table["z"], table["z_sym"], table["pass"])
+    failed = [(z, z_sym) for z, z_sym, ok in zs if not ok]
     assert result.metrics["failed"] == len(failed) == 3
-    assert all((row["z"], row["z_sym"]) == (0.0, math.inf) for row in failed)
+    assert all(zs == (0.0, math.inf) for zs in failed)
     assert result.metrics["max_z"] == 1e18
     write_csv(tmp_path / "duality.csv", result)
     header, *lines = (tmp_path / "duality.csv").read_text().splitlines()

@@ -355,8 +355,79 @@ def test_euler_inverse_flow_batches_bounded_at_long_horizon(monkeypatch):
     res = inverse_flow_suite(cfg)
     assert sizes == [2, 2, 1]
     assert max(sizes) * math.ceil(horizon / 1e-3) <= budget
+    table = res.columns
     for dt in res.metrics["grid_dts"]:
-        assert [r["seed"] for r in res.rows if r["grid_dt"] == dt] == list(range(5))
+        assert [j for j, g in zip(table["seed"], table["grid_dt"]) if g == dt] == list(range(5))
+
+
+def _set_errors(monkeypatch, name, values):
+    """``suites.<name>`` (the tile or the grid check) with each path's
+    max_error replaced: grid k's path j reads ``values[k].get(j, 1e-12)``,
+    whichever batch checks it."""
+    real = getattr(suites, name)
+    seen = [0]  # paths checked in the batches before this one
+
+    def check(*args):
+        errs = real(*args)
+        errs = [errs] if name == "verify_tile_identity" else errs
+        lo, seen[0] = seen[0], seen[0] + errs[0].size
+        out = [np.array([v.get(j, 1e-12) for j in range(lo, seen[0])]) for v in values]
+        return out[0] if name == "verify_tile_identity" else out
+
+    monkeypatch.setattr(suites, name, check)
+
+
+def test_exact_worst_path_is_the_first_of_equal_maxima(monkeypatch):
+    """Paths 4, 11 (batch 0) and 130 (batch 1) tie at the maximum: the
+    worst row is path 4, the first in row order, as ``max`` over the rows
+    picked it."""
+    _set_errors(monkeypatch, "verify_tile_identity", [{4: 1e-3, 11: 1e-3, 130: 1e-3, 2: 1e-4}])
+    cfg = ExperimentConfig(seed=1, suite="inverse-flow", preset="drift-ou", n_paths=200)
+    res = inverse_flow_suite(cfg)
+    assert res.worst["probe"] == "path 4 (grid_dt exact)"
+    assert res.metrics["max_error"] == 1e-3 and not res.passed
+
+
+def test_euler_worst_path_is_the_first_of_equal_maxima(monkeypatch):
+    """Paths 3 and 9 (batches 0 and 2) tie at the maximum on the two finer
+    grids, above every error on the coarsest: the worst row is path 3 on
+    grid 0.002, the first in row order (grids in turn, each grid's paths
+    in turn)."""
+    tied = {3: 1e-1, 9: 1e-1}
+    _set_errors(monkeypatch, "verify_grid_identity", [{3: 1e-2, 0: 5e-2}, tied, tied])
+    cfg = ExperimentConfig(seed=1, suite="inverse-flow", preset="dufresne", n_paths=12)
+    res = inverse_flow_suite(cfg)
+    assert res.worst["probe"].startswith("path 3 (grid_dt 0.002) max_error 1.000e-01;")
+
+
+def test_exact_inverse_flow_refuses_non_finite_errors(tmp_path, capsys):
+    """At horizon 710 E~ = 1/E overflows on every ``drift-ou`` path, so
+    every max_error is NaN: the run refuses (exit 3), names the count and
+    the horizon, and writes no summary.json (which would hold a NaN)."""
+    from gouflow.cli import main
+
+    config = tmp_path / "c.yaml"
+    config.write_text(
+        "schema_version: 1\nseed: 1\npreset: drift-ou\nsuite: inverse-flow\n"
+        "n_paths: 200\nhorizon: 710\n"
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "200 of 200 per-path inverse-flow error samples are not finite at horizon 710" in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_euler_inverse_flow_refuses_non_finite_errors():
+    """A U drift of -400 takes E to about e^-800 by horizon 2, so 1/E
+    overflows on every grid: the suite refuses with the count over all
+    three grids and the horizon."""
+    m = LevyModel2(drift=(-400.0, 1.0), gaussian_cov=((1.0, 0.0), (0.0, 0.0)))
+    cfg = ExperimentConfig(seed=1, suite="inverse-flow", model=m, n_paths=8, horizon=2.0)
+    with np.errstate(all="ignore"), pytest.raises(ConditionError) as exc:
+        inverse_flow_suite(cfg)
+    assert "24 of 24 per-path inverse-flow error samples are not finite at horizon 2;" in str(
+        exc.value
+    )
 
 
 # ---------------------------------------------------------------------------

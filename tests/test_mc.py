@@ -1867,17 +1867,18 @@ def test_stationary_suite_reads_one_lemma_side_off_the_stationary_sample(
 
 # sha256 (first 16 hex digits) of the stationary sample's values, its
 # exported CSV and sidecar, every stationary.csv row but the lemma's
-# (causal-vs-dual-noncausal, inverse-gamma-oracle) and the metrics, at
-# seed 5, from the suite as it was when it drew the lemma's two sides on
-# their own; t = T draws no checkpoint, so it gives the same bytes
+# (causal-vs-dual-noncausal, inverse-gamma-oracle) as a dict of its CSV
+# columns and the metrics, at seed 5, from the suite as it was when it drew
+# the lemma's two sides on their own; t = T draws no checkpoint, so it
+# gives the same bytes
 _STATIONARY_DIGESTS = {
-    "drift-ou": ({"preset": "drift-ou", "n_paths": 600}, "0eebaa1ce1d09cb8"),
+    "drift-ou": ({"preset": "drift-ou", "n_paths": 600}, "90884db7186af0cb"),
     "drift-ou t=T": (
-        {"preset": "drift-ou", "n_paths": 600, "horizon": 30.0}, "0eebaa1ce1d09cb8"
+        {"preset": "drift-ou", "n_paths": 600, "horizon": 30.0}, "90884db7186af0cb"
     ),
     "cramer-paulsen": ({"preset": "cramer-paulsen", "n_paths": 600}, "567e15a7120b0fc9"),
     "dufresne": (
-        {"preset": "dufresne", "n_paths": 256, "stationary_horizon": 3.0}, "1b1bd776fd93930b"
+        {"preset": "dufresne", "n_paths": 256, "stationary_horizon": 3.0}, "dd30452c4d3c86c1"
     ),
 }
 
@@ -1889,7 +1890,9 @@ def test_stationary_suite_keeps_the_stationary_sample_and_its_rows(tmp_path, nam
     kwargs, digest = _STATIONARY_DIGESTS[name]
     result = suites.stationary_suite(ExperimentConfig(seed=5, suite="stationary", **kwargs))
     result.sample.export(str(tmp_path / "s.csv"), str(tmp_path / "s.json"))
-    rows = [r for r in result.rows if r["check"] != "solution-vs-causal-integral"]
+    table = result.columns
+    rows = [dict(zip(table, cells)) for cells in zip(*table.values())]
+    rows = [r for r in rows if r["check"] != "solution-vs-causal-integral"]
     h = hashlib.sha256(result.sample.values.tobytes())
     for f in ("s.csv", "s.json"):
         h.update((tmp_path / f).read_bytes())
